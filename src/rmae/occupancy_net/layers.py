@@ -5,10 +5,20 @@ where ctx carries exactly what backward needs; backward returns the input
 gradient and a dict of parameter gradients.  Sparse maps keep their rows in
 canonical (ix, iy, iz) order throughout, and every accumulation loops
 kernel taps in one fixed order, so results are bitwise reproducible.
+
+The dense decoder layers run "transform, then shift": the taps that write
+one output phase (one parity class of a strided output; the whole output
+at stride 1) are contracted with the input's channels in a single GEMM on
+its (C_in, N) view, and the per-tap results are then shift-added into
+place.  A 4x4x4 stride-2 transposed conv is 8 phases of 8 taps each (the
+sub-pixel view of Shi et al. 2016); a 3x3x3 stride-1 conv is 1 phase of
+27 taps.  Taps within a phase add in lexicographic kernel order, so every
+output sums its taps in the same fixed order on every run.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +65,12 @@ def _check_width(feats: np.ndarray, expected: int, what: str) -> None:
         )
 
 
-class SubmanifoldConv:
-    """3x3x3 stride-1 sparse convolution; output support = input support."""
+class _SparseConv:
+    """Parameters and backward shared by the 3x3x3 sparse convolutions.
+
+    forward records, per tap, the paired (input rows, output rows) it
+    gathered; backward replays those gathers in tap order.
+    """
 
     kind = "sparse_conv"
 
@@ -72,6 +86,22 @@ class SubmanifoldConv:
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
+
+    def backward(self, ctx, grad_out: np.ndarray):
+        x, gathers = ctx
+        grad_in = np.zeros_like(x.feats)
+        grad_w = np.zeros_like(self.weight)
+        for t, (in_rows, out_rows) in enumerate(gathers):
+            if len(out_rows):
+                g = grad_out[out_rows]
+                grad_in[in_rows] += g @ self.weight[t].T
+                grad_w[t] = x.feats[in_rows].T @ g
+        grad_b = grad_out.sum(axis=0)
+        return grad_in, {"weight": grad_w, "bias": grad_b}
+
+
+class SubmanifoldConv(_SparseConv):
+    """3x3x3 stride-1 sparse convolution; output support = input support."""
 
     def forward(self, x: SparseFeatureMap):
         _check_width(x.feats, self.in_ch, "submanifold conv")
@@ -98,38 +128,11 @@ class SubmanifoldConv:
         ctx = (x, gathers)
         return SparseFeatureMap(x.dims, x.coords, out), ctx
 
-    def backward(self, ctx, grad_out: np.ndarray):
-        x, gathers = ctx
-        grad_in = np.zeros_like(x.feats)
-        grad_w = np.zeros_like(self.weight)
-        for t, (in_rows, out_rows) in enumerate(gathers):
-            if len(out_rows):
-                g = grad_out[out_rows]
-                grad_in[in_rows] += g @ self.weight[t].T
-                grad_w[t] = x.feats[in_rows].T @ g
-        grad_b = grad_out.sum(axis=0)
-        return grad_in, {"weight": grad_w, "bias": grad_b}
 
-
-class SparseDownConv:
+class SparseDownConv(_SparseConv):
     """3x3x3 stride-2 sparse convolution onto the half-resolution lattice;
     an output site exists iff any input voxel falls in its receptive
     field."""
-
-    kind = "sparse_conv"
-
-    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
-        std = np.sqrt(2.0 / (27.0 * in_ch))
-        self.weight = rng.normal(0.0, std, size=(27, in_ch, out_ch))
-        self.bias = np.zeros(out_ch)
-        self.in_ch = in_ch
-        self.out_ch = out_ch
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {}
 
     @staticmethod
     def out_dims(dims) -> tuple[int, int, int]:
@@ -179,20 +182,8 @@ class SparseDownConv:
                 rows[out_rows] = x.feats[in_rows]
                 out += rows @ self.weight[t]
             gathers.append((in_rows, out_rows))
-        ctx = (x, gathers, len(out_coords))
+        ctx = (x, gathers)
         return SparseFeatureMap(odims, out_coords, out), ctx
-
-    def backward(self, ctx, grad_out: np.ndarray):
-        x, gathers, _ = ctx
-        grad_in = np.zeros_like(x.feats)
-        grad_w = np.zeros_like(self.weight)
-        for t, (in_rows, out_rows) in enumerate(gathers):
-            if len(in_rows):
-                g = grad_out[out_rows]
-                grad_in[in_rows] += g @ self.weight[t].T
-                grad_w[t] = x.feats[in_rows].T @ g
-        grad_b = grad_out.sum(axis=0)
-        return grad_in, {"weight": grad_w, "bias": grad_b}
 
 
 class BatchNorm:
@@ -271,6 +262,13 @@ def relu_backward(ctx, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * ctx
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: with e = exp(-|x|) it is
+    1/(1+e) for x >= 0 and e/(1+e) elsewhere."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def residual_add(a: SparseFeatureMap, b: SparseFeatureMap) -> SparseFeatureMap:
     """Elementwise sum of two maps sharing support and width."""
     if a.dims != b.dims or a.feats.shape != b.feats.shape:
@@ -280,28 +278,119 @@ def residual_add(a: SparseFeatureMap, b: SparseFeatureMap) -> SparseFeatureMap:
     return SparseFeatureMap(a.dims, a.coords, a.feats + b.feats)
 
 
-def _deconv_slices(o: int, size: int) -> tuple[slice, slice]:
-    """(input, output) slices along one axis for transposed-conv tap
-    offset o = kernel_index - pad, kernel 4, stride 2, pad 1."""
-    p0 = 1 if o < 0 else 0
-    p1 = size - 1 if o == 2 else size
-    q0 = 2 * p0 + o
-    n = p1 - p0
-    return slice(p0, p1), slice(q0, q0 + 2 * n, 2)
+def _phase_table(axis_taps) -> list:
+    """3-D phases from a per-axis table.
+
+    axis_taps[r] lists, for output parity r along one axis, the (k, d)
+    pairs of the kernel indices k writing that parity and the shift d that
+    takes input site p to phase site p + d.  Returns, per phase in
+    lexicographic parity order, (parity triple, taps), each tap a
+    ((kx, ky, kz), (dx, dy, dz)) pair in lexicographic kernel order.
+    """
+    table = []
+    for parity in itertools.product(range(len(axis_taps)), repeat=3):
+        per_axis = [axis_taps[r] for r in parity]
+        taps = [tuple(zip(*kd)) for kd in itertools.product(*per_axis)]
+        table.append((parity, taps))
+    return table
 
 
-def _conv_slices(o: int, size: int) -> tuple[slice, slice]:
-    """(output, input) slices along one axis for stride-1 pad-1 kernel-3
-    tap offset o in {-1, 0, 1}."""
-    x0 = max(0, -o)
-    x1 = size - max(0, o)
-    return slice(x0, x1), slice(x0 + o, x1 + o)
+def _shift_slices(d: int, size: int) -> tuple[slice, slice]:
+    """(source, destination) slices along one axis moving site p to p + d;
+    sites shifted off either end are dropped."""
+    return (
+        slice(max(0, -d), size - max(0, d)),
+        slice(max(0, d), size + min(0, d)),
+    )
 
 
-class DenseDeconv:
-    """4x4x4 stride-2 transposed convolution; doubles every spatial dim."""
+class _DenseTapConv:
+    """Dense 3-D convolution run as "transform, then shift".
+
+    Subclasses set the per-axis tap table (see _phase_table); its length is
+    the output stride.  Each phase owns out[:, rx::s, ry::s, rz::s], which
+    has the input's spatial shape.  Forward makes one
+    (taps * C_out, C_in) @ (C_in, N) GEMM per phase, shift-adds the per-tap
+    slabs into a zeroed phase buffer in tap order, adds the bias last and
+    writes the buffer to its strided output view once.  Backward copies the
+    phase's view of grad_out once, stacks its per-tap shifted copies, and
+    makes one GEMM for grad_in and one for grad_w.  Transient buffers hold
+    one phase's worth of data.
+    """
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {"weight": self.weight, "bias": self.bias}
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def _phases(self, size):
+        """Per phase: (output view index, kernel indices, per-tap (source,
+        destination) indices of the shift-adds), all over (C, X, Y, Z)."""
+        stride = len(self.axis_taps)
+        every = slice(None)
+        for parity, taps in _phase_table(self.axis_taps):
+            view = (every,) + tuple(slice(r, None, stride) for r in parity)
+            kernel = [k for k, _ in taps]
+            moves = []
+            for _, d in taps:
+                src, dst = zip(*map(_shift_slices, d, size))
+                moves.append(((every,) + src, (every,) + dst))
+            yield view, kernel, moves
+
+    def _stacked_weight(self, kernel) -> np.ndarray:
+        """(taps * C_out, C_in) matrix of the given taps, tap-major."""
+        w = np.stack([self.weight[k] for k in kernel])  # (taps, C_in, C_out)
+        return w.transpose(0, 2, 1).reshape(-1, self.in_ch)
+
+    def forward(self, x: np.ndarray):
+        if x.ndim != 4 or x.shape[0] != self.in_ch:
+            raise ShapeError(
+                f"{type(self).__name__} expects ({self.in_ch}, X, Y, Z),"
+                f" got {x.shape}"
+            )
+        size = x.shape[1:]
+        stride = len(self.axis_taps)
+        flat = x.reshape(self.in_ch, -1)
+        out = np.empty((self.out_ch,) + tuple(stride * n for n in size))
+        for view, kernel, moves in self._phases(size):
+            slabs = self._stacked_weight(kernel) @ flat
+            slabs = slabs.reshape((len(kernel), self.out_ch) + size)
+            buf = np.zeros((self.out_ch,) + size)
+            for slab, (src, dst) in zip(slabs, moves):
+                buf[dst] += slab[src]
+            buf += self.bias[:, None, None, None]
+            out[view] = buf
+        return out, x
+
+    def backward(self, ctx, grad_out: np.ndarray):
+        x = ctx
+        size = x.shape[1:]
+        flat = x.reshape(self.in_ch, -1)
+        grad_in = np.zeros(flat.shape)
+        grad_w = np.zeros_like(self.weight)
+        for view, kernel, moves in self._phases(size):
+            g = np.ascontiguousarray(grad_out[view])
+            shifted = np.zeros((len(kernel), self.out_ch) + size)
+            for rows, (src, dst) in zip(shifted, moves):
+                rows[src] = g[dst]
+            shifted = shifted.reshape(len(kernel) * self.out_ch, -1)
+            grad_in += self._stacked_weight(kernel).T @ shifted
+            gw = (shifted @ flat.T).reshape(len(kernel), self.out_ch, -1)
+            for k, gk in zip(kernel, gw):
+                grad_w[k] = gk.T
+        grad_b = grad_out.sum(axis=(1, 2, 3))
+        return grad_in.reshape(x.shape), {"weight": grad_w, "bias": grad_b}
+
+
+class DenseDeconv(_DenseTapConv):
+    """4x4x4 stride-2 pad-1 transposed convolution; doubles every spatial
+    dim.  Input site p reaches output q = 2p + k - 1 through kernel index
+    k, so parity 0 is written by k = 1, 3 (shifts 0, +1) and parity 1 by
+    k = 0, 2 (shifts -1, 0): 8 phases of 8 taps."""
 
     kind = "dense_deconv"
+    axis_taps = (((1, 0), (3, 1)), ((0, -1), (2, 0)))
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
         std = np.sqrt(2.0 / (64.0 * in_ch))
@@ -310,54 +399,13 @@ class DenseDeconv:
         self.in_ch = in_ch
         self.out_ch = out_ch
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def forward(self, x: np.ndarray):
-        if x.ndim != 4 or x.shape[0] != self.in_ch:
-            raise ShapeError(
-                f"deconv expects ({self.in_ch}, X, Y, Z), got {x.shape}"
-            )
-        _, sx, sy, sz = x.shape
-        out = np.zeros((self.out_ch, 2 * sx, 2 * sy, 2 * sz))
-        for kx, ky, kz in np.ndindex(4, 4, 4):
-            px, qx = _deconv_slices(kx - 1, sx)
-            py, qy = _deconv_slices(ky - 1, sy)
-            pz, qz = _deconv_slices(kz - 1, sz)
-            slab = x[:, px, py, pz]
-            out[:, qx, qy, qz] += np.tensordot(
-                self.weight[kx, ky, kz], slab, axes=([0], [0])
-            )
-        out += self.bias[:, None, None, None]
-        return out, x
-
-    def backward(self, ctx, grad_out: np.ndarray):
-        x = ctx
-        _, sx, sy, sz = x.shape
-        grad_in = np.zeros_like(x)
-        grad_w = np.zeros_like(self.weight)
-        for kx, ky, kz in np.ndindex(4, 4, 4):
-            px, qx = _deconv_slices(kx - 1, sx)
-            py, qy = _deconv_slices(ky - 1, sy)
-            pz, qz = _deconv_slices(kz - 1, sz)
-            gslab = grad_out[:, qx, qy, qz]
-            grad_in[:, px, py, pz] += np.tensordot(
-                self.weight[kx, ky, kz], gslab, axes=([1], [0])
-            )
-            grad_w[kx, ky, kz] = np.tensordot(
-                x[:, px, py, pz], gslab, axes=([1, 2, 3], [1, 2, 3])
-            )
-        grad_b = grad_out.sum(axis=(1, 2, 3))
-        return grad_in, {"weight": grad_w, "bias": grad_b}
-
-
-class DenseConv:
-    """3x3x3 stride-1 pad-1 dense convolution (the 1-channel logit head)."""
+class DenseConv(_DenseTapConv):
+    """3x3x3 stride-1 pad-1 dense convolution (the 1-channel logit head):
+    out[v] = bias + sum_k W[k]^T x[v + k - 1], one phase of 27 taps."""
 
     kind = "dense_conv"
+    axis_taps = (((0, 1), (1, 0), (2, -1)),)
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
         std = np.sqrt(1.0 / (27.0 * in_ch))
@@ -365,48 +413,6 @@ class DenseConv:
         self.bias = np.zeros(out_ch)
         self.in_ch = in_ch
         self.out_ch = out_ch
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def forward(self, x: np.ndarray):
-        if x.ndim != 4 or x.shape[0] != self.in_ch:
-            raise ShapeError(
-                f"conv expects ({self.in_ch}, X, Y, Z), got {x.shape}"
-            )
-        _, sx, sy, sz = x.shape
-        out = np.zeros((self.out_ch, sx, sy, sz))
-        for kx, ky, kz in np.ndindex(3, 3, 3):
-            ox, ix_ = _conv_slices(kx - 1, sx)
-            oy, iy_ = _conv_slices(ky - 1, sy)
-            oz, iz_ = _conv_slices(kz - 1, sz)
-            out[:, ox, oy, oz] += np.tensordot(
-                self.weight[kx, ky, kz], x[:, ix_, iy_, iz_], axes=([0], [0])
-            )
-        out += self.bias[:, None, None, None]
-        return out, x
-
-    def backward(self, ctx, grad_out: np.ndarray):
-        x = ctx
-        _, sx, sy, sz = x.shape
-        grad_in = np.zeros_like(x)
-        grad_w = np.zeros_like(self.weight)
-        for kx, ky, kz in np.ndindex(3, 3, 3):
-            ox, ix_ = _conv_slices(kx - 1, sx)
-            oy, iy_ = _conv_slices(ky - 1, sy)
-            oz, iz_ = _conv_slices(kz - 1, sz)
-            gslab = grad_out[:, ox, oy, oz]
-            grad_in[:, ix_, iy_, iz_] += np.tensordot(
-                self.weight[kx, ky, kz], gslab, axes=([1], [0])
-            )
-            grad_w[kx, ky, kz] = np.tensordot(
-                x[:, ix_, iy_, iz_], gslab, axes=([1, 2, 3], [1, 2, 3])
-            )
-        grad_b = grad_out.sum(axis=(1, 2, 3))
-        return grad_in, {"weight": grad_w, "bias": grad_b}
 
 
 def densify(x: SparseFeatureMap) -> np.ndarray:

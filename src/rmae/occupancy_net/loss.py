@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import EmptyQuerySet, ShapeError
 from ..voxelizer import OccupancyGrid, canonical_order
+from .layers import sigmoid
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,7 @@ def occupancy_loss(
     scale = 1.0 / (batch_size * len(query))
     loss = float(per_voxel.sum() * scale)
     grad = np.zeros_like(logits)
-    sig = 1.0 / (1.0 + np.exp(-x))
-    np.add.at(grad, (ix, iy, iz), (sig - o) * scale)
+    np.add.at(grad, (ix, iy, iz), (sigmoid(x) - o) * scale)
     return loss, grad
 
 

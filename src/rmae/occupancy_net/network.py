@@ -27,6 +27,7 @@ from .layers import (
     densify_backward,
     relu,
     relu_backward,
+    sigmoid,
 )
 
 
@@ -59,7 +60,7 @@ class OccupancyPrediction:
 
     @property
     def probabilities(self) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.logits))
+        return sigmoid(self.logits)
 
 
 class _ResidualBlock:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import keyrand
 from .energy_model import EnergyParams, frugal_savings, total_power
-from .errors import NoData
+from .errors import ConfigError, NoData
 from .occupancy_net import (
     OccupancyNet,
     QueryConfig,
@@ -43,8 +43,15 @@ def worker_count() -> int:
     raw = os.environ.get("RMAE_THREADS")
     if raw is None:
         return 1
-    n = int(raw)
-    return os.cpu_count() or 1 if n == 0 else max(1, n)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ConfigError(
+            f"RMAE_THREADS must be a non-negative integer, got {raw!r}"
+        )
+    return os.cpu_count() or 1 if n == 0 else n
 
 
 def parallel_map(fn, items):

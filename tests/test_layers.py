@@ -320,6 +320,121 @@ class TestDenseConv:
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
 
 
+# --- per-tap references for the dense layers ---------------------------------
+#
+# One tensordot per kernel tap over strided slabs: slow, but a direct reading
+# of each layer's definition.  The layers sum in a different order (one GEMM
+# per output phase, then shift-adds), so they must agree to 1e-12 relative.
+
+
+def _deconv_slices(o, size):
+    """(input, output) slices along one axis for transposed-conv tap
+    offset o = kernel_index - pad, kernel 4, stride 2, pad 1."""
+    p0 = 1 if o < 0 else 0
+    p1 = size - 1 if o == 2 else size
+    q0 = 2 * p0 + o
+    n = p1 - p0
+    return slice(p0, p1), slice(q0, q0 + 2 * n, 2)
+
+
+def _conv_slices(o, size):
+    """(output, input) slices along one axis for stride-1 pad-1 kernel-3
+    tap offset o in {-1, 0, 1}."""
+    x0 = max(0, -o)
+    x1 = size - max(0, o)
+    return slice(x0, x1), slice(x0 + o, x1 + o)
+
+
+def _deconv_taps(shape):
+    """(kernel index, input slab index, output slab index) per tap."""
+    _, sx, sy, sz = shape
+    for k in np.ndindex(4, 4, 4):
+        (px, qx), (py, qy), (pz, qz) = (
+            _deconv_slices(ki - 1, n) for ki, n in zip(k, (sx, sy, sz))
+        )
+        yield k, (slice(None), px, py, pz), (slice(None), qx, qy, qz)
+
+
+def _conv_taps(shape):
+    _, sx, sy, sz = shape
+    for k in np.ndindex(3, 3, 3):
+        (ox, ix_), (oy, iy_), (oz, iz_) = (
+            _conv_slices(ki - 1, n) for ki, n in zip(k, (sx, sy, sz))
+        )
+        yield k, (slice(None), ix_, iy_, iz_), (slice(None), ox, oy, oz)
+
+
+def per_tap_forward(taps, out_shape, weight, bias, x):
+    out = np.zeros(out_shape)
+    for k, src, dst in taps(x.shape):
+        out[dst] += np.tensordot(weight[k], x[src], axes=([0], [0]))
+    out += bias[:, None, None, None]
+    return out
+
+
+def per_tap_backward(taps, weight, x, grad_out):
+    grad_in = np.zeros_like(x)
+    grad_w = np.zeros_like(weight)
+    for k, src, dst in taps(x.shape):
+        gslab = grad_out[dst]
+        grad_in[src] += np.tensordot(weight[k], gslab, axes=([1], [0]))
+        grad_w[k] = np.tensordot(
+            x[src], gslab, axes=([1, 2, 3], [1, 2, 3])
+        )
+    return grad_in, grad_w, grad_out.sum(axis=(1, 2, 3))
+
+
+def assert_rel_close(actual, expect, tol=1e-12):
+    """Max abs difference within tol of the reference's max magnitude."""
+    assert actual.shape == expect.shape
+    scale = max(float(np.abs(expect).max()), 1e-300)
+    err = float(np.abs(actual - expect).max()) / scale
+    assert err <= tol, f"relative error {err:.3g} > {tol:g}"
+
+
+class TestDenseAgainstPerTap:
+    def check(self, cls, taps, cin, cout, dims, seed, stride):
+        rng = np.random.default_rng(seed)
+        layer = cls(cin, cout, rng)
+        layer.bias[:] = rng.normal(0, 1, cout)
+        x = rng.normal(0, 1, (cin,) + dims)
+        out_shape = (cout,) + tuple(stride * n for n in dims)
+        out, ctx = layer.forward(x)
+        ref = per_tap_forward(taps, out_shape, layer.weight, layer.bias, x)
+        assert_rel_close(out, ref)
+        probe = rng.normal(0, 1, out_shape)
+        grad_in, grads = layer.backward(ctx, probe)
+        ref_in, ref_w, ref_b = per_tap_backward(taps, layer.weight, x, probe)
+        assert_rel_close(grad_in, ref_in)
+        assert_rel_close(grads["weight"], ref_w)
+        assert_rel_close(grads["bias"], ref_b)
+
+    @pytest.mark.parametrize(
+        "cin, cout, dims",
+        [
+            (64, 32, (16, 16, 4)),  # decoder deconv0
+            (32, 16, (32, 32, 8)),  # decoder deconv1
+            (3, 2, (3, 5, 1)),
+            (2, 3, (1, 1, 1)),
+            (2, 2, (2, 1, 3)),
+        ],
+    )
+    def test_deconv(self, cin, cout, dims):
+        self.check(DenseDeconv, _deconv_taps, cin, cout, dims, 27, 2)
+
+    @pytest.mark.parametrize(
+        "cin, cout, dims",
+        [
+            (16, 1, (64, 64, 16)),  # decoder head
+            (3, 4, (6, 5, 4)),
+            (3, 2, (3, 5, 1)),
+            (2, 3, (1, 1, 1)),
+        ],
+    )
+    def test_conv(self, cin, cout, dims):
+        self.check(DenseConv, _conv_taps, cin, cout, dims, 28, 1)
+
+
 class TestDensify:
     def test_round_trip(self):
         rng = np.random.default_rng(19)

@@ -1,11 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_grid, random_grid
 from rmae.errors import EmptyQuerySet, ShapeError
-from rmae.occupancy_net import QueryConfig, build_query_set, occupancy_loss
+from rmae.occupancy_net import (
+    OccupancyPrediction,
+    QueryConfig,
+    build_query_set,
+    occupancy_loss,
+)
 from rmae.voxelizer import GridGeometry, OccupancyGrid, occupancy_of
 
 
@@ -135,6 +141,21 @@ class TestOccupancyLoss:
         query = np.indices(GEOM.dims).reshape(3, -1).T
         loss, grad = occupancy_loss(logits, truth, query)
         assert np.isfinite(loss) and np.isfinite(grad).all()
+
+    def test_sigmoid_of_huge_logits_has_no_overflow_warning(self):
+        truth = grid_with(GEOM, [(0, 0, 0), (1, 0, 0)])
+        logits = np.full(GEOM.dims, -800.0)
+        logits[0, 0, 0] = 800.0
+        logits[1, 0, 0] = -800.0  # occupied, maximally wrong
+        query = np.indices(GEOM.dims).reshape(3, -1).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = occupancy_loss(logits, truth, query)
+            probs = OccupancyPrediction(logits).probabilities
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        assert probs[0, 0, 0] == 1.0 and probs[1, 0, 0] == 0.0
+        assert grad[1, 0, 0] == pytest.approx(-1.0 / len(query), rel=1e-15)
+        assert grad[0, 0, 0] == 0.0
 
     def test_empty_query(self):
         truth = grid_with(GEOM, [])
