@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import keyrand
 from .energy_model import EnergyParams, frugal_savings, total_power
-from .errors import ConfigError, MalformedFile, NoData, RmaeError
+from .errors import ConfigError, Diverged, MalformedFile, NoData, RmaeError
 from .occupancy_net import NetConfig, OccupancyNet, load_checkpoint, save_checkpoint
 from .occupancy_net.loss import QueryConfig
 from .pointcloud import PointCloud, SceneSpec, load_kitti_bin, synth_scene
@@ -58,6 +58,7 @@ EXIT_CONFIG = 3
 EXIT_MALFORMED = 4
 EXIT_NODATA = 5
 EXIT_INTERNAL = 6
+EXIT_DIVERGED = 7
 
 _SECTION_SEED_TAGS = {"mask": 1, "train": 2, "net": 3, "synth": 4}
 
@@ -509,6 +510,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("MalformedFile", e, EXIT_MALFORMED)
     except NoData as e:
         return _fail("NoData", e, EXIT_NODATA)
+    except Diverged as e:
+        return _fail("Diverged", e, EXIT_DIVERGED)
     except OSError as e:
         return _fail("IoError", e, EXIT_IO)
     except Exception as e:  # noqa: BLE001 - last-resort category

@@ -51,3 +51,7 @@ class NoData(RmaeError):
 
 class ConfigError(RmaeError):
     """A run configuration contains unknown keys or out-of-range values."""
+
+
+class Diverged(RmaeError):
+    """Training produced a non-finite loss or gradient."""

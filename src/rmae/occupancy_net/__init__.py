@@ -10,7 +10,6 @@ from .layers import (
     SubmanifoldConv,
     densify,
     relu,
-    residual_add,
 )
 from .loss import QueryConfig, build_query_set, occupancy_loss
 from .network import (
@@ -36,7 +35,6 @@ __all__ = [
     "load_checkpoint",
     "occupancy_loss",
     "relu",
-    "residual_add",
     "save_checkpoint",
     "visible_features",
 ]

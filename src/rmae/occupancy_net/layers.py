@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateBatch, ShapeError
+from ..errors import DegenerateBatch, ShapeError, StaleCache
+
+# rows per temporary in BatchNorm.backward's last per-element product
+_ROW_BLOCK = 8192
+# taps per forward GEMM: bounds the slab of per-tap results at 9 taps
+# (the head's 27 taps take three GEMMs, a deconv phase's 8 taps one)
+_TAPS_PER_GEMM = 9
 
 OFFSETS3 = [
     (dx, dy, dz)
@@ -189,9 +195,17 @@ class SparseDownConv(_SparseConv):
 class BatchNorm:
     """Per-channel batch normalization over an (N, C) matrix.
 
-    Training mode normalizes with the batch's biased variance and updates
-    the running statistics with the same; eval mode uses the running
-    statistics only.
+    Training mode normalizes with the batch's biased variance; eval mode
+    uses the running statistics only.  forward never writes the running
+    statistics: a training pass returns the batch (mean, var) as the last
+    item of its ctx, and commit() folds it in.  Training mode never reads
+    the running statistics, so passes may run concurrently and commit
+    afterwards in their original order.
+
+    Besides its input, forward keeps two full-size buffers (xhat and the
+    output) and backward one (its result); per-element products are
+    formed in place, so every value is computed by the same operations in
+    the same order as the textbook expressions in the comments.
     """
 
     kind = "batch_norm"
@@ -215,6 +229,8 @@ class BatchNorm:
         }
 
     def forward(self, x: np.ndarray, training: bool):
+        """Returns (out, (xhat, ivar, stats)); stats is the batch
+        (mean, var) in training mode and None in eval mode."""
         _check_width(x, self.ch, "batch norm")
         if training:
             if x.shape[0] == 0:
@@ -223,34 +239,53 @@ class BatchNorm:
                 )
             mu = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean += self.momentum * (mu - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
+            stats = (mu, var)
         else:
             mu = self.running_mean
             var = self.running_var
+            stats = None
         ivar = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * ivar
-        out = self.gamma * xhat + self.beta
-        return out, (xhat, ivar, x.shape[0], training)
+        xhat = x - mu  # xhat = (x - mu) * ivar
+        xhat *= ivar
+        return self.scale_shift(xhat), (xhat, ivar, stats)
+
+    def scale_shift(self, xhat: np.ndarray) -> np.ndarray:
+        """gamma * xhat + beta: forward's output, recomputable from xhat."""
+        out = xhat * self.gamma
+        out += self.beta
+        return out
+
+    def commit(self, stats) -> None:
+        """Fold one training pass's batch (mean, var) into the running
+        statistics."""
+        mu, var = stats
+        self.running_mean += self.momentum * (mu - self.running_mean)
+        self.running_var += self.momentum * (var - self.running_var)
 
     def backward(self, ctx, grad_out: np.ndarray):
-        xhat, ivar, n, training = ctx
-        grad_gamma = (grad_out * xhat).sum(axis=0)
+        xhat, ivar, stats = ctx
         grad_beta = grad_out.sum(axis=0)
-        dxhat = grad_out * self.gamma
-        if training:
-            grad_in = (
-                ivar
-                / n
-                * (
-                    n * dxhat
-                    - dxhat.sum(axis=0)
-                    - xhat * (dxhat * xhat).sum(axis=0)
-                )
-            )
-        else:
-            grad_in = dxhat * ivar
-        return grad_in, {"gamma": grad_gamma, "beta": grad_beta}
+        buf = np.empty_like(grad_out)
+        np.multiply(grad_out, xhat, out=buf)
+        grad_gamma = buf.sum(axis=0)
+        np.multiply(grad_out, self.gamma, out=buf)  # dxhat
+        if stats is None:
+            buf *= ivar
+            return buf, {"gamma": grad_gamma, "beta": grad_beta}
+        # grad_in = ivar / n * (n * dxhat - dxhat.sum(0)
+        #                       - xhat * (dxhat * xhat).sum(0))
+        n = xhat.shape[0]
+        dxhat_sum = buf.sum(axis=0)
+        buf *= xhat
+        dxhat_xhat_sum = buf.sum(axis=0)
+        np.multiply(grad_out, self.gamma, out=buf)  # dxhat again
+        buf *= n
+        buf -= dxhat_sum
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            buf[rows] -= xhat[rows] * dxhat_xhat_sum
+        buf *= ivar / n
+        return buf, {"gamma": grad_gamma, "beta": grad_beta}
 
 
 def relu(x: np.ndarray):
@@ -267,15 +302,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     1/(1+e) for x >= 0 and e/(1+e) elsewhere."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def residual_add(a: SparseFeatureMap, b: SparseFeatureMap) -> SparseFeatureMap:
-    """Elementwise sum of two maps sharing support and width."""
-    if a.dims != b.dims or a.feats.shape != b.feats.shape:
-        raise ShapeError("residual operands must share support and width")
-    if not np.array_equal(a.coords, b.coords):
-        raise ShapeError("residual operands must share support")
-    return SparseFeatureMap(a.dims, a.coords, a.feats + b.feats)
 
 
 def _phase_table(axis_taps) -> list:
@@ -309,13 +335,18 @@ class _DenseTapConv:
 
     Subclasses set the per-axis tap table (see _phase_table); its length is
     the output stride.  Each phase owns out[:, rx::s, ry::s, rz::s], which
-    has the input's spatial shape.  Forward makes one
-    (taps * C_out, C_in) @ (C_in, N) GEMM per phase, shift-adds the per-tap
-    slabs into a zeroed phase buffer in tap order, adds the bias last and
-    writes the buffer to its strided output view once.  Backward copies the
-    phase's view of grad_out once, stacks its per-tap shifted copies, and
-    makes one GEMM for grad_in and one for grad_w.  Transient buffers hold
-    one phase's worth of data.
+    has the input's spatial shape.  Forward makes a
+    (taps * C_out, C_in) @ (C_in, N) GEMM per phase, in chunks of at most
+    _TAPS_PER_GEMM taps, shift-adds the per-tap slabs into a zeroed phase
+    buffer in tap order, adds the bias last and writes the buffer to its
+    strided output view once.  Backward copies the phase's view of grad_out
+    once, stacks its per-tap shifted copies, and makes one GEMM for grad_w
+    and one for grad_in.  Transient buffers hold one phase's worth of data.
+
+    The ctx is a one-item list holding the input, and backward takes the
+    input out of it: a ctx serves one backward, and a caller that hands
+    over the only reference lets backward free the input before its last
+    grad_in GEMM.
     """
 
     def params(self) -> dict[str, np.ndarray]:
@@ -354,33 +385,46 @@ class _DenseTapConv:
         flat = x.reshape(self.in_ch, -1)
         out = np.empty((self.out_ch,) + tuple(stride * n for n in size))
         for view, kernel, moves in self._phases(size):
-            slabs = self._stacked_weight(kernel) @ flat
-            slabs = slabs.reshape((len(kernel), self.out_ch) + size)
             buf = np.zeros((self.out_ch,) + size)
-            for slab, (src, dst) in zip(slabs, moves):
-                buf[dst] += slab[src]
+            for lo in range(0, len(kernel), _TAPS_PER_GEMM):
+                taps = slice(lo, lo + _TAPS_PER_GEMM)
+                slabs = self._stacked_weight(kernel[taps]) @ flat
+                slabs = slabs.reshape((-1, self.out_ch) + size)
+                for slab, (src, dst) in zip(slabs, moves[taps]):
+                    buf[dst] += slab[src]
             buf += self.bias[:, None, None, None]
             out[view] = buf
-        return out, x
+        return out, [x]
 
     def backward(self, ctx, grad_out: np.ndarray):
-        x = ctx
-        size = x.shape[1:]
-        flat = x.reshape(self.in_ch, -1)
-        grad_in = np.zeros(flat.shape)
+        if not ctx:
+            raise StaleCache(
+                f"{type(self).__name__} backward: ctx already consumed"
+            )
+        shape = ctx[0].shape
+        flat = ctx.pop().reshape(self.in_ch, -1)
+        size = shape[1:]
+        phases = list(self._phases(size))
+        grad_in = None
         grad_w = np.zeros_like(self.weight)
-        for view, kernel, moves in self._phases(size):
+        for i, (view, kernel, moves) in enumerate(phases):
             g = np.ascontiguousarray(grad_out[view])
             shifted = np.zeros((len(kernel), self.out_ch) + size)
             for rows, (src, dst) in zip(shifted, moves):
                 rows[src] = g[dst]
             shifted = shifted.reshape(len(kernel) * self.out_ch, -1)
-            grad_in += self._stacked_weight(kernel).T @ shifted
             gw = (shifted @ flat.T).reshape(len(kernel), self.out_ch, -1)
             for k, gk in zip(kernel, gw):
                 grad_w[k] = gk.T
+            if i == len(phases) - 1:
+                del flat  # last use of the input
+            part = self._stacked_weight(kernel).T @ shifted
+            if grad_in is None:
+                grad_in = part
+            else:
+                grad_in += part
         grad_b = grad_out.sum(axis=(1, 2, 3))
-        return grad_in.reshape(x.shape), {"weight": grad_w, "bias": grad_b}
+        return grad_in.reshape(shape), {"weight": grad_w, "bias": grad_b}
 
 
 class DenseDeconv(_DenseTapConv):

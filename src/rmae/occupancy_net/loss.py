@@ -53,12 +53,23 @@ def occupancy_loss(
     ix, iy, iz = query[:, 0], query[:, 1], query[:, 2]
     x = logits[ix, iy, iz]
     o = truth.o[ix, iy, iz].astype(np.float64)
-    per_voxel = np.maximum(x, 0.0) - x * o + np.log1p(np.exp(-np.abs(x)))
+    per_voxel = bce_elements(x, o)
     scale = 1.0 / (batch_size * len(query))
     loss = float(per_voxel.sum() * scale)
     grad = np.zeros_like(logits)
     np.add.at(grad, (ix, iy, iz), (sigmoid(x) - o) * scale)
     return loss, grad
+
+
+def bce_elements(logits: np.ndarray, occupancy: np.ndarray) -> np.ndarray:
+    """Element-wise BCE of logits against 0/1 occupancy, in the logit
+    domain: max(x, 0) - x*o + log1p(exp(-|x|))."""
+    o = np.asarray(occupancy, dtype=np.float64)
+    return (
+        np.maximum(logits, 0.0)
+        - logits * o
+        + np.log1p(np.exp(-np.abs(logits)))
+    )
 
 
 def build_query_set(

@@ -6,6 +6,11 @@ coarsest resolution is densified (absent sites are zero) and a stack of
 stride-2 transposed convolutions restores full resolution; a 3x3x3 head
 emits one logit per voxel.  backward() mirrors forward() exactly and
 returns gradients for every parameter.
+
+Of each dense decoder stage (deconv, batch norm, ReLU) the tape keeps only
+the batch norm's xhat: backward recomputes the ReLU output, which is the
+next layer's input, from it with forward's own operations, and the first
+deconv's input by densifying the latent again.  backward consumes the tape.
 """
 
 from __future__ import annotations
@@ -29,6 +34,14 @@ from .layers import (
     relu_backward,
     sigmoid,
 )
+
+
+def _batch_norm(bn: BatchNorm, x: np.ndarray, training: bool, stats: list):
+    """bn.forward, noting a training pass's batch statistics in stats."""
+    out, ctx = bn.forward(x, training)
+    if training:
+        stats.append((bn, ctx[2]))
+    return out, ctx
 
 
 @dataclass(frozen=True)
@@ -80,14 +93,14 @@ class _ResidualBlock:
             ("bn2", self.bn2),
         ]
 
-    def forward(self, x: SparseFeatureMap, training: bool):
+    def forward(self, x: SparseFeatureMap, training: bool, stats: list):
         h, c_conv1 = self.conv1.forward(x)
-        f, c_bn1 = self.bn1.forward(h.feats, training)
+        f, c_bn1 = _batch_norm(self.bn1, h.feats, training, stats)
         f, c_relu1 = relu(f)
         h2, c_conv2 = self.conv2.forward(
             SparseFeatureMap(x.dims, x.coords, f)
         )
-        f2, c_bn2 = self.bn2.forward(h2.feats, training)
+        f2, c_bn2 = _batch_norm(self.bn2, h2.feats, training, stats)
         s, c_relu2 = relu(x.feats + f2)
         ctx = (c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_relu2)
         return SparseFeatureMap(x.dims, x.coords, s), ctx
@@ -179,6 +192,12 @@ class OccupancyNet:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {path: np.zeros_like(arr) for path, arr in self.parameters()}
 
+    def commit_batch_stats(self, stats) -> None:
+        """Fold the batch statistics of one training forward (its tape's
+        "bn_stats") into the batch norms' running statistics."""
+        for bn, batch_stats in stats:
+            bn.commit(batch_stats)
+
     # --- forward / backward -------------------------------------------------
 
     def _coarse_dims(self, dims) -> tuple[int, int, int]:
@@ -191,33 +210,42 @@ class OccupancyNet:
         return tuple(d // f for d in dims)
 
     def forward(self, visible: SparseFeatureMap, training: bool = False):
-        """Run the autoencoder; returns (OccupancyPrediction, tape)."""
+        """Run the autoencoder; returns (OccupancyPrediction, tape).
+
+        The running statistics are left alone: a training forward lists
+        each batch norm's batch (mean, var) in tape["bn_stats"], in forward
+        order, for commit_batch_stats()."""
         if visible.channel_width != self.config.in_channels:
             raise ShapeError(
                 f"expected {self.config.in_channels} input channels, got"
                 f" {visible.channel_width}"
             )
         coarse = self._coarse_dims(visible.dims)
-        tape: dict = {"dims": tuple(visible.dims), "training": training}
+        stats: list = []
+        tape: dict = {
+            "dims": tuple(visible.dims),
+            "training": training,
+            "bn_stats": stats,
+        }
 
         if len(visible):
             x, c = self.stem.forward(visible)
             tape["stem"] = c
-            f, c = self.stem_bn.forward(x.feats, training)
+            f, c = _batch_norm(self.stem_bn, x.feats, training, stats)
             tape["stem_bn"] = c
             f, c = relu(f)
             tape["stem_relu"] = c
             x = SparseFeatureMap(x.dims, x.coords, f)
-            x, c = self.blocks[0].forward(x, training)
+            x, c = self.blocks[0].forward(x, training, stats)
             tape["blocks"] = [c]
             tape["downs"] = []
             for i, (down, bn) in enumerate(self.downs):
                 y, c_down = down.forward(x)
-                f, c_bn = bn.forward(y.feats, training)
+                f, c_bn = _batch_norm(bn, y.feats, training, stats)
                 f, c_relu = relu(f)
                 tape["downs"].append((c_down, c_bn, c_relu))
                 x = SparseFeatureMap(y.dims, y.coords, f)
-                x, c = self.blocks[i + 1].forward(x, training)
+                x, c = self.blocks[i + 1].forward(x, training, stats)
                 tape["blocks"].append(c)
             latent = x
             if tuple(latent.dims) != coarse:
@@ -236,66 +264,83 @@ class OccupancyNet:
         dense = densify(latent)
         tape["deconvs"] = []
         for deconv, bn in self.deconvs:
-            dense, c_deconv = deconv.forward(dense)
-            shape = dense.shape
-            mat = dense.reshape(shape[0], -1).T
-            mat, c_bn = bn.forward(mat, training)
-            mat, c_relu = relu(mat)
-            tape["deconvs"].append((c_deconv, shape, c_bn, c_relu))
+            y, _ = deconv.forward(dense)  # backward recomputes its input
+            shape = y.shape
+            mat, c_bn = _batch_norm(
+                bn, y.reshape(shape[0], -1).T, training, stats
+            )
+            del y
+            np.maximum(mat, 0.0, out=mat)  # ReLU
+            tape["deconvs"].append((shape, c_bn))
             dense = mat.T.reshape(shape)
-        logits4, c = self.head.forward(dense)
-        tape["head"] = c
+        logits4, _ = self.head.forward(dense)
         return OccupancyPrediction(logits4[0]), tape
 
     def backward(self, tape, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse pass for a completed forward tape; returns a dict of
-        parameter gradients keyed like parameters()."""
-        if not tape or "head" not in tape:
-            raise StaleCache("backward called without a forward tape")
+        parameter gradients keyed like parameters().  Each tape entry is
+        popped as it is used, so a tape serves one backward; only
+        tape["bn_stats"] is left."""
+        if not tape or "latent" not in tape:
+            raise StaleCache(
+                "backward needs the tape of a forward not yet run backward"
+            )
         grads = self.zero_grads()
 
         def store(prefix, sub):
             for k, v in sub.items():
                 grads[f"{prefix}.{k}"] += v
 
-        g_dense, head_g = self.head.backward(tape["head"], grad_logits[None])
-        store("head", head_g)
+        latent = tape.pop("latent")
+        stages = tape.pop("deconvs")
+        g_dense = grad_logits[None]
+        layer, name = self.head, "head"
         for i in range(len(self.deconvs) - 1, -1, -1):
             deconv, bn = self.deconvs[i]
-            c_deconv, shape, c_bn, c_relu = tape["deconvs"][i]
+            shape, c_bn = stages.pop()
+            act = bn.scale_shift(c_bn[0])
+            np.maximum(act, 0.0, out=act)  # forward's ReLU output
+            keep = act > 0.0  # its mask
+            ctx = [act.T.reshape(shape)]
+            del act  # ctx holds the only reference; layer frees it
+            g_dense, sub = layer.backward(ctx, g_dense)
+            store(name, sub)
             gmat = g_dense.reshape(shape[0], -1).T
-            gmat = relu_backward(c_relu, gmat)
-            gmat, bn_g = bn.backward(c_bn, gmat)
-            store(f"deconv{i}_bn", bn_g)
-            g_dense, deconv_g = deconv.backward(
-                c_deconv, gmat.T.reshape(shape)
-            )
-            store(f"deconv{i}", deconv_g)
+            np.multiply(gmat, keep, out=gmat)  # relu_backward
+            del keep
+            gmat, sub = bn.backward(c_bn, gmat)
+            del c_bn
+            store(f"deconv{i}_bn", sub)
+            g_dense = gmat.T.reshape(shape)
+            layer, name = deconv, f"deconv{i}"
+        g_dense, sub = layer.backward([densify(latent)], g_dense)
+        store(name, sub)
 
-        latent = tape["latent"]
         g_feats = densify_backward(latent, g_dense)
         if "stem" not in tape:
             return grads  # empty visible set: encoder saw nothing
 
+        blocks = tape.pop("blocks")
+        downs = tape.pop("downs")
         for i in range(len(self.downs) - 1, -1, -1):
             g_feats, block_g = self.blocks[i + 1].backward(
-                tape["blocks"][i + 1], g_feats
+                blocks.pop(), g_feats
             )
             store(f"block{i + 1}", block_g)
             down, bn = self.downs[i]
-            c_down, c_bn, c_relu = tape["downs"][i]
+            c_down, c_bn, c_relu = downs.pop()
             g_feats = relu_backward(c_relu, g_feats)
             g_feats, bn_g = bn.backward(c_bn, g_feats)
             store(f"down{i + 1}_bn", bn_g)
             g_feats, down_g = down.backward(c_down, g_feats)
             store(f"down{i + 1}", down_g)
 
-        g_feats, block_g = self.blocks[0].backward(tape["blocks"][0], g_feats)
+        g_feats, block_g = self.blocks[0].backward(blocks.pop(), g_feats)
         store("block0", block_g)
-        g_feats = relu_backward(tape["stem_relu"], g_feats)
-        g_feats, bn_g = self.stem_bn.backward(tape["stem_bn"], g_feats)
+        g_feats = relu_backward(tape.pop("stem_relu"), g_feats)
+        g_feats, bn_g = self.stem_bn.backward(tape.pop("stem_bn"), g_feats)
         store("stem_bn", bn_g)
-        _, stem_g = self.stem.backward(tape["stem"], g_feats)
+        _, stem_g = self.stem.backward(tape.pop("stem"), g_feats)
         store("stem", stem_g)
         return grads
 

@@ -9,10 +9,12 @@ are bitwise reproducible for a fixed config on one machine.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import keyrand
 from .energy_model import EnergyParams, frugal_savings, total_power
-from .errors import ConfigError, NoData
+from .errors import ConfigError, Diverged, NoData
 from .occupancy_net import (
     OccupancyNet,
     QueryConfig,
@@ -28,6 +30,7 @@ from .occupancy_net import (
     occupancy_loss,
     visible_features,
 )
+from .occupancy_net.loss import bce_elements
 from .pointcloud import PointCloud, cylindrical_arrays
 from .radial_mask import MaskConfig, MaskStats, apply_mask
 from .voxelizer import GridGeometry, occupancy_of, voxelize
@@ -55,13 +58,28 @@ def worker_count() -> int:
 
 
 def parallel_map(fn, items):
-    """Order-preserving map, threaded when RMAE_THREADS allows."""
+    """Yield fn(item) for each item, in order.
+
+    Up to min(worker_count(), len(items)) items run at once: the calling
+    thread runs one, a pool runs the rest.  A result is yielded as soon as
+    it and every result before it are done, and at most that many results
+    exist before the consumer takes them.
+    """
     items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
+    n = min(worker_count(), len(items))
+    if n <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=n - 1) as pool:
+        pending: deque = deque()
+        for i, item in enumerate(items):
+            if len(pending) < n - 1 and i < len(items) - 1:
+                pending.append(pool.submit(fn, item))
+                continue
+            mine = fn(item)
+            while pending:
+                yield pending.popleft().result()
+            yield mine
 
 
 @dataclass(frozen=True)
@@ -157,7 +175,7 @@ def make_optimizer(cfg: TrainConfig):
 
 
 def _prepare(frames, geom):
-    grids = parallel_map(lambda f: voxelize(f, geom), frames)
+    grids = list(parallel_map(lambda f: voxelize(f, geom), frames))
     if all(len(g) == 0 for g in grids):
         raise NoData("every frame voxelized to an empty grid")
     truths = [occupancy_of(g) for g in grids]
@@ -170,7 +188,15 @@ def pretrain(
     net: OccupancyNet,
     geom: GridGeometry,
 ) -> tuple[OccupancyNet, list[float]]:
-    """Train the network in place; returns (net, per-epoch mean BCE)."""
+    """Train the network in place; returns (net, per-epoch mean BCE).
+
+    A batch's frames are trained up to RMAE_THREADS at a time, each on its
+    own thread with its own forward tape.  Batch norm normalizes each
+    frame by its own statistics, so batch_size only averages gradients.
+    Losses, gradients and batch-norm statistics are taken in frame order,
+    so the result does not depend on the thread count.  Raises Diverged,
+    before the optimizer step, on a non-finite loss or gradient.
+    """
     if not frames:
         raise NoData("no frames given")
     grids, truths = _prepare(frames, geom)
@@ -188,9 +214,9 @@ def pretrain(
             batch = order[start : start + cfg.batch_size]
             bsz = len(batch)
 
-            def preprocess(fi: int):
+            def step(fi: int):
                 mask_seed = keyrand.derive_seed(
-                    cfg.seed, _MASK_STREAM, epoch_key, int(fi)
+                    cfg.seed, _MASK_STREAM, epoch_key, fi
                 )
                 outcome = apply_mask(grids[fi], cfg.mask, seed=mask_seed)
                 vis = visible_features(grids[fi], outcome.visible)
@@ -199,21 +225,38 @@ def pretrain(
                     vis.coords,
                     cfg.query,
                     seed=keyrand.derive_seed(
-                        cfg.seed, _QUERY_STREAM, epoch_key, int(fi)
+                        cfg.seed, _QUERY_STREAM, epoch_key, fi
                     ),
                 )
-                return vis, query
-
-            prepped = parallel_map(preprocess, batch.tolist())
-            batch_grads = net.zero_grads()
-            for fi, (vis, query) in zip(batch, prepped):
                 pred, tape = net.forward(vis, training=True)
                 loss, grad_logits = occupancy_loss(
                     pred.logits, truths[fi], query, batch_size=bsz
                 )
-                for path, g in net.backward(tape, grad_logits).items():
-                    batch_grads[path] += g
-                losses.append(loss * bsz)  # per-frame mean BCE
+                grads = net.backward(tape, grad_logits)
+                return loss, grads, tape["bn_stats"]
+
+            batch_grads = net.zero_grads()
+            batch_stats = []
+            results = parallel_map(step, batch.tolist())
+            with contextlib.closing(results):  # joins the pool on a raise
+                for fi, (loss, grads, stats) in zip(batch, results):
+                    if not math.isfinite(loss):
+                        raise Diverged(
+                            f"epoch {epoch}: frame {fi} has loss {loss}"
+                        )
+                    for path, g in grads.items():
+                        batch_grads[path] += g
+                    losses.append(loss * bsz)  # per-frame mean BCE
+                    batch_stats.append(stats)
+            bad = [
+                p for p, g in batch_grads.items() if not np.isfinite(g).all()
+            ]
+            if bad:
+                raise Diverged(
+                    f"epoch {epoch}: non-finite gradient in {', '.join(bad)}"
+                )
+            for stats in batch_stats:
+                net.commit_batch_stats(stats)
             if cfg.learning_rate > 0:
                 optimizer.step(params, batch_grads)
         history.append(float(np.mean(losses)))
@@ -238,15 +281,6 @@ def _region_mask(geom: GridGeometry, n_groups: int, selected) -> np.ndarray:
     )
     return np.repeat(
         dark.reshape(nx, ny, 1), geom.dims[2], axis=2
-    )
-
-
-def _bce_elements(logits: np.ndarray, occ: np.ndarray) -> np.ndarray:
-    o = occ.astype(np.float64)
-    return (
-        np.maximum(logits, 0.0)
-        - logits * o
-        + np.log1p(np.exp(-np.abs(logits)))
     )
 
 
@@ -300,7 +334,7 @@ def evaluate(
         region = _region_mask(geom, mask_cfg.n_groups, outcome.selected_groups)
         if region.any():
             mr_bces.append(
-                float(_bce_elements(pred.logits[region], occ[region]).mean())
+                float(bce_elements(pred.logits[region], occ[region]).mean())
             )
             mr_ious.append(_iou(pred_occ[region], occ[region]))
     nan = float("nan")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmae.errors import DegenerateBatch, ShapeError
+from rmae.errors import DegenerateBatch, ShapeError, StaleCache
 from rmae.occupancy_net.layers import (
     OFFSETS3,
     BatchNorm,
@@ -14,8 +14,17 @@ from rmae.occupancy_net.layers import (
     densify_backward,
     relu,
     relu_backward,
-    residual_add,
 )
+
+
+def residual_add(a: SparseFeatureMap, b: SparseFeatureMap) -> SparseFeatureMap:
+    """Elementwise sum of two maps sharing support and width: the
+    reference for the skip connection of the network's residual blocks."""
+    if a.dims != b.dims or a.feats.shape != b.feats.shape:
+        raise ShapeError("residual operands must share support and width")
+    if not np.array_equal(a.coords, b.coords):
+        raise ShapeError("residual operands must share support")
+    return SparseFeatureMap(a.dims, a.coords, a.feats + b.feats)
 
 
 def random_sparse(dims, n, cin, rng) -> SparseFeatureMap:
@@ -189,7 +198,8 @@ class TestBatchNorm:
         rng = np.random.default_rng(10)
         bn = BatchNorm(2, momentum=0.1)
         x = rng.normal(5.0, 3.0, (1000, 2))
-        bn.forward(x, training=True)
+        _, (_, _, stats) = bn.forward(x, training=True)
+        bn.commit(stats)
         np.testing.assert_allclose(
             bn.running_mean, 0.9 * 0.0 + 0.1 * x.mean(0), rtol=1e-12
         )
@@ -199,6 +209,71 @@ class TestBatchNorm:
         y, _ = bn.forward(x[:3], training=False)
         expect = (x[:3] - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
         np.testing.assert_allclose(y, expect, rtol=1e-12)
+
+    def test_deferred_commit_matches_in_place_update(self):
+        """Committing each pass's statistics afterwards, in pass order,
+        gives the bytes of updating the running statistics inside every
+        training forward."""
+        rng = np.random.default_rng(30)
+        xs = [rng.normal(1.0, 2.0, (n, 4)) for n in (37, 500, 3)]
+        bn = BatchNorm(4, momentum=0.3)
+        mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        pending = []
+        for x in xs:
+            _, (_, _, stats) = bn.forward(x, training=True)
+            pending.append(stats)
+            mean += 0.3 * (x.mean(axis=0) - mean)
+            var += 0.3 * (x.var(axis=0) - var)
+        for stats in pending:
+            bn.commit(stats)
+        assert bn.running_mean.tobytes() == mean.tobytes()
+        assert bn.running_var.tobytes() == var.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_textbook_expressions_bitwise(self, training, order):
+        """forward and backward form every value with the operations of
+        the plain expressions, in place, so the bits agree; F order is the
+        decoder's (N, C) view of a (C, X, Y, Z) tensor, with more rows than
+        one row block."""
+        rng = np.random.default_rng(31)
+        bn = BatchNorm(3)
+        bn.gamma[:] = rng.uniform(0.5, 2.0, 3)
+        bn.beta[:] = rng.normal(0, 1, 3)
+        bn.running_mean[:] = rng.normal(0, 1, 3)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, 3)
+        x = np.asarray(rng.normal(1.0, 2.0, (20000, 3)), order=order)
+        probe = np.asarray(rng.normal(0, 1, x.shape), order=order)
+        before = (x.copy(), probe.copy())
+        out, ctx = bn.forward(x, training)
+        grad_in, grads = bn.backward(ctx, probe)
+        assert np.array_equal(x, before[0])  # inputs are left alone
+        assert np.array_equal(probe, before[1])
+
+        if training:
+            mu, var = x.mean(axis=0), x.var(axis=0)
+        else:
+            mu, var = bn.running_mean, bn.running_var
+        ivar = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (x - mu) * ivar
+        dxhat = probe * bn.gamma
+        if training:
+            n = x.shape[0]
+            expect_in = (
+                ivar
+                / n
+                * (
+                    n * dxhat
+                    - dxhat.sum(axis=0)
+                    - xhat * (dxhat * xhat).sum(axis=0)
+                )
+            )
+        else:
+            expect_in = dxhat * ivar
+        assert out.tobytes() == (bn.gamma * xhat + bn.beta).tobytes()
+        assert grad_in.tobytes() == expect_in.tobytes()
+        assert grads["gamma"].tobytes() == (probe * xhat).sum(axis=0).tobytes()
+        assert grads["beta"].tobytes() == probe.sum(axis=0).tobytes()
 
     def test_degenerate_batch(self):
         bn = BatchNorm(2)
@@ -433,6 +508,18 @@ class TestDenseAgainstPerTap:
     )
     def test_conv(self, cin, cout, dims):
         self.check(DenseConv, _conv_taps, cin, cout, dims, 28, 1)
+
+
+class TestDenseCtx:
+    @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
+    def test_backward_consumes_ctx(self, cls):
+        rng = np.random.default_rng(32)
+        layer = cls(2, 3, rng)
+        out, ctx = layer.forward(rng.normal(0, 1, (2, 3, 2, 2)))
+        layer.backward(ctx, np.ones(out.shape))
+        assert ctx == []
+        with pytest.raises(StaleCache):
+            layer.backward(ctx, np.ones(out.shape))
 
 
 class TestDensify:
