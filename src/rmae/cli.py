@@ -15,7 +15,7 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import keyrand
@@ -64,34 +64,24 @@ _SECTION_SEED_TAGS = {"mask": 1, "train": 2, "net": 3, "synth": 4}
 
 
 @dataclass(frozen=True)
-class SynthConfig:
-    """Synthetic input set used when no --input paths are given."""
+class SynthConfig(SceneSpec):
+    """Synthetic input set used when no --input paths are given: frames
+    scenes of this spec, each with a seed derived from this one."""
 
     frames: int = 8
-    ground_extent: float = 12.0
-    box_count: int = 6
-    box_size: tuple[float, float] = (0.6, 2.4)
-    occlusion: bool = True
-    seed: int = 0
-    ground_noise: float = 0.02
-    sensor_rings: int = 28
-    azimuth_step_deg: float = 0.8
 
     def __post_init__(self):
+        super().__post_init__()
         if self.frames < 1:
             raise ValueError("synth frames must be >= 1")
 
     def scene_spec(self, index: int) -> SceneSpec:
-        return SceneSpec(
-            ground_extent=self.ground_extent,
-            box_count=self.box_count,
-            box_size=self.box_size,
-            occlusion=self.occlusion,
-            seed=keyrand.derive_seed(self.seed, index),
-            ground_noise=self.ground_noise,
-            sensor_rings=self.sensor_rings,
-            azimuth_step_deg=self.azimuth_step_deg,
-        )
+        spec = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(SceneSpec)
+        }
+        spec["seed"] = keyrand.derive_seed(self.seed, index)
+        return SceneSpec(**spec)
 
 
 @dataclass(frozen=True)
@@ -365,16 +355,13 @@ def run(cfg: RunConfig) -> int:
         )
         if cfg.stats_path is not None:
             with open(cfg.stats_path) as fh:
-                raw = json.load(fh)
-            stats = MaskStats(
-                group_visible_fraction=raw["group_visible_fraction"],
-                voxel_visible_fraction=raw["voxel_visible_fraction"],
-                per_subgroup_drop_rate=tuple(
-                    float("nan") if v is None else v
-                    for v in raw["per_subgroup_drop_rate"]
-                ),
-                max_sensed_range=raw["max_sensed_range"],
-            )
+                try:
+                    raw = json.load(fh)
+                except ValueError as e:  # not JSON, or not UTF-8
+                    raise MalformedFile(
+                        f"stats {cfg.stats_path}: not valid JSON ({e})"
+                    ) from e
+            stats = MaskStats.from_json_dict(raw)
             frugal = frugal_savings(report, stats, cfg.energy.R)
             _atomic_write_text(
                 cfg.out_dir / "frugal.json",

@@ -333,13 +333,14 @@ def _shift_slices(d: int, size: int) -> tuple[slice, slice]:
 class _DenseTapConv:
     """Dense 3-D convolution run as "transform, then shift".
 
-    Subclasses set the per-axis tap table (see _phase_table); its length is
-    the output stride.  Each phase owns out[:, rx::s, ry::s, rz::s], which
-    has the input's spatial shape.  Forward makes a
-    (taps * C_out, C_in) @ (C_in, N) GEMM per phase, in chunks of at most
-    _TAPS_PER_GEMM taps, shift-adds the per-tap slabs into a zeroed phase
-    buffer in tap order, adds the bias last and writes the buffer to its
-    strided output view once.  Backward copies the phase's view of grad_out
+    Subclasses set the per-axis tap table (see _phase_table), whose length
+    is the output stride and whose tap count is the kernel size, and the
+    gain of the weights' normal init, std = sqrt(gain / fan_in).  Each
+    phase owns out[:, rx::s, ry::s, rz::s], which has the input's spatial
+    shape.  Forward makes a (taps * C_out, C_in) @ (C_in, N) GEMM per
+    phase, in chunks of at most _TAPS_PER_GEMM taps, shift-adds the
+    per-tap slabs into a zeroed phase buffer in tap order, adds the bias
+    last and writes the buffer to its strided output view once.  Backward copies the phase's view of grad_out
     once, stacks its per-tap shifted copies, and makes one GEMM for grad_w
     and one for grad_in.  Transient buffers hold one phase's worth of data.
 
@@ -348,6 +349,14 @@ class _DenseTapConv:
     over the only reference lets backward free the input before its last
     grad_in GEMM.
     """
+
+    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
+        k = sum(len(taps) for taps in self.axis_taps)
+        std = np.sqrt(self.gain / (k**3 * in_ch))
+        self.weight = rng.normal(0.0, std, size=(k, k, k, in_ch, out_ch))
+        self.bias = np.zeros(out_ch)
+        self.in_ch = in_ch
+        self.out_ch = out_ch
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
@@ -435,13 +444,7 @@ class DenseDeconv(_DenseTapConv):
 
     kind = "dense_deconv"
     axis_taps = (((1, 0), (3, 1)), ((0, -1), (2, 0)))
-
-    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
-        std = np.sqrt(2.0 / (64.0 * in_ch))
-        self.weight = rng.normal(0.0, std, size=(4, 4, 4, in_ch, out_ch))
-        self.bias = np.zeros(out_ch)
-        self.in_ch = in_ch
-        self.out_ch = out_ch
+    gain = 2.0
 
 
 class DenseConv(_DenseTapConv):
@@ -450,13 +453,7 @@ class DenseConv(_DenseTapConv):
 
     kind = "dense_conv"
     axis_taps = (((0, 1), (1, 0), (2, -1)),)
-
-    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
-        std = np.sqrt(1.0 / (27.0 * in_ch))
-        self.weight = rng.normal(0.0, std, size=(3, 3, 3, in_ch, out_ch))
-        self.bias = np.zeros(out_ch)
-        self.in_ch = in_ch
-        self.out_ch = out_ch
+    gain = 1.0
 
 
 def densify(x: SparseFeatureMap) -> np.ndarray:

@@ -1,16 +1,23 @@
 """Sparse encoder / dense decoder for voxel occupancy reconstruction.
 
-Encoder: a submanifold stem plus one residual block per stage, with
-stride-2 sparse downsampling between stages.  The per-voxel latent at the
-coarsest resolution is densified (absent sites are zero) and a stack of
-stride-2 transposed convolutions restores full resolution; a 3x3x3 head
-emits one logit per voxel.  backward() mirrors forward() exactly and
-returns gradients for every parameter.
+OccupancyNet is two lists of named stages plus a head, built in
+named_layers() order (the order of its rng draws); forward, backward and
+named_layers() all walk the two lists, backward in reverse.
 
-Of each dense decoder stage (deconv, batch norm, ReLU) the tape keeps only
-the batch norm's xhat: backward recomputes the ReLU output, which is the
-next layer's input, from it with forward's own operations, and the first
-deconv's input by densifying the latent again.  backward consumes the tape.
+- encoder: units (conv name, conv, bn name, bn, residual), each
+  conv -> batch norm -> (+ the block's input when residual) -> ReLU: a
+  submanifold stem, then per resolution a stride-2 sparse downsample
+  (none at full resolution) and a residual block of two submanifold
+  units, the second adding the first one's input.
+- decoder: stages (deconv name, deconv, bn name, bn), each stride-2
+  transposed conv -> batch norm -> ReLU, from the densified coarsest
+  latent (absent sites are zero) to full resolution, where a 3x3x3 head
+  emits one logit per voxel.
+
+Of each decoder stage the tape keeps only the batch norm's xhat: backward
+recomputes the ReLU output, which is the next layer's input, from it with
+forward's own operations, and the first deconv's input by densifying the
+latent again.  backward consumes the tape.
 """
 
 from __future__ import annotations
@@ -34,14 +41,6 @@ from .layers import (
     relu_backward,
     sigmoid,
 )
-
-
-def _batch_norm(bn: BatchNorm, x: np.ndarray, training: bool, stats: list):
-    """bn.forward, noting a training pass's batch statistics in stats."""
-    out, ctx = bn.forward(x, training)
-    if training:
-        stats.append((bn, ctx[2]))
-    return out, ctx
 
 
 @dataclass(frozen=True)
@@ -76,55 +75,6 @@ class OccupancyPrediction:
         return sigmoid(self.logits)
 
 
-class _ResidualBlock:
-    """conv-bn-relu-conv-bn plus identity skip, relu after the sum."""
-
-    def __init__(self, ch: int, cfg: NetConfig, rng):
-        self.conv1 = SubmanifoldConv(ch, ch, rng)
-        self.bn1 = BatchNorm(ch, cfg.bn_eps, cfg.bn_momentum)
-        self.conv2 = SubmanifoldConv(ch, ch, rng)
-        self.bn2 = BatchNorm(ch, cfg.bn_eps, cfg.bn_momentum)
-
-    def sublayers(self):
-        return [
-            ("conv1", self.conv1),
-            ("bn1", self.bn1),
-            ("conv2", self.conv2),
-            ("bn2", self.bn2),
-        ]
-
-    def forward(self, x: SparseFeatureMap, training: bool, stats: list):
-        h, c_conv1 = self.conv1.forward(x)
-        f, c_bn1 = _batch_norm(self.bn1, h.feats, training, stats)
-        f, c_relu1 = relu(f)
-        h2, c_conv2 = self.conv2.forward(
-            SparseFeatureMap(x.dims, x.coords, f)
-        )
-        f2, c_bn2 = _batch_norm(self.bn2, h2.feats, training, stats)
-        s, c_relu2 = relu(x.feats + f2)
-        ctx = (c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_relu2)
-        return SparseFeatureMap(x.dims, x.coords, s), ctx
-
-    def backward(self, ctx, grad_out: np.ndarray):
-        c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_relu2 = ctx
-        g_sum = relu_backward(c_relu2, grad_out)
-        g, bn2_g = self.bn2.backward(c_bn2, g_sum)
-        g, conv2_g = self.conv2.backward(c_conv2, g)
-        g = relu_backward(c_relu1, g)
-        g, bn1_g = self.bn1.backward(c_bn1, g)
-        g, conv1_g = self.conv1.backward(c_conv1, g)
-        grads = {}
-        for name, sub in (
-            ("conv1", conv1_g),
-            ("bn1", bn1_g),
-            ("conv2", conv2_g),
-            ("bn2", bn2_g),
-        ):
-            for k, v in sub.items():
-                grads[f"{name}.{k}"] = v
-        return g + g_sum, grads
-
-
 class OccupancyNet:
     """The autoencoder; construct with OccupancyNet.create(config)."""
 
@@ -132,26 +82,28 @@ class OccupancyNet:
         self.config = config
         rng = np.random.default_rng(config.seed)
         ch = config.stage_channels
-        self.stem = SubmanifoldConv(config.in_channels, ch[0], rng)
-        self.stem_bn = BatchNorm(ch[0], config.bn_eps, config.bn_momentum)
-        self.blocks = [_ResidualBlock(ch[0], config, rng)]
-        self.downs = []
-        for prev, cur in zip(ch, ch[1:]):
-            self.downs.append(
-                (
-                    SparseDownConv(prev, cur, rng),
-                    BatchNorm(cur, config.bn_eps, config.bn_momentum),
+
+        def bn(c: int) -> BatchNorm:
+            return BatchNorm(c, config.bn_eps, config.bn_momentum)
+
+        stem = SubmanifoldConv(config.in_channels, ch[0], rng)
+        self.encoder = [("stem", stem, "stem_bn", bn(ch[0]), False)]
+        for i, (prev, cur) in enumerate(zip(ch[:1] + ch, ch)):
+            if i:  # no downsample at full resolution
+                down = SparseDownConv(prev, cur, rng)
+                self.encoder.append(
+                    (f"down{i}", down, f"down{i}_bn", bn(cur), False)
                 )
-            )
-            self.blocks.append(_ResidualBlock(cur, config, rng))
-        self.deconvs = []
-        for cur, prev in zip(ch[::-1], ch[::-1][1:]):
-            self.deconvs.append(
-                (
-                    DenseDeconv(cur, prev, rng),
-                    BatchNorm(prev, config.bn_eps, config.bn_momentum),
-                )
-            )
+            for j in (1, 2):  # the residual block; unit 2 adds its input
+                conv = SubmanifoldConv(cur, cur, rng)
+                conv_name, bn_name = f"block{i}.conv{j}", f"block{i}.bn{j}"
+                unit = (conv_name, conv, bn_name, bn(cur), j == 2)
+                self.encoder.append(unit)
+        rev = ch[::-1]
+        self.decoder = [
+            (f"deconv{i}", DenseDeconv(c, n, rng), f"deconv{i}_bn", bn(n))
+            for i, (c, n) in enumerate(zip(rev, rev[1:]))
+        ]
         self.head = DenseConv(ch[0], 1, rng)
 
     @classmethod
@@ -161,19 +113,10 @@ class OccupancyNet:
     # --- parameter plumbing -------------------------------------------------
 
     def named_layers(self) -> list[tuple[str, object]]:
-        out = [("stem", self.stem), ("stem_bn", self.stem_bn)]
-        for name, sub in self.blocks[0].sublayers():
-            out.append((f"block0.{name}", sub))
-        for i, (down, bn) in enumerate(self.downs):
-            out.append((f"down{i + 1}", down))
-            out.append((f"down{i + 1}_bn", bn))
-            for name, sub in self.blocks[i + 1].sublayers():
-                out.append((f"block{i + 1}.{name}", sub))
-        for i, (deconv, bn) in enumerate(self.deconvs):
-            out.append((f"deconv{i}", deconv))
-            out.append((f"deconv{i}_bn", bn))
-        out.append(("head", self.head))
-        return out
+        out = []
+        for conv_name, conv, bn_name, bn, *_ in self.encoder + self.decoder:
+            out += [(conv_name, conv), (bn_name, bn)]
+        return out + [("head", self.head)]
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -222,56 +165,48 @@ class OccupancyNet:
             )
         coarse = self._coarse_dims(visible.dims)
         stats: list = []
-        tape: dict = {
+        units: list = []
+        stages: list = []
+        tape = {
             "dims": tuple(visible.dims),
             "training": training,
             "bn_stats": stats,
+            "encoder": units,
+            "decoder": stages,
         }
 
+        x = skip = visible  # skip: the previous unit's input
         if len(visible):
-            x, c = self.stem.forward(visible)
-            tape["stem"] = c
-            f, c = _batch_norm(self.stem_bn, x.feats, training, stats)
-            tape["stem_bn"] = c
-            f, c = relu(f)
-            tape["stem_relu"] = c
-            x = SparseFeatureMap(x.dims, x.coords, f)
-            x, c = self.blocks[0].forward(x, training, stats)
-            tape["blocks"] = [c]
-            tape["downs"] = []
-            for i, (down, bn) in enumerate(self.downs):
-                y, c_down = down.forward(x)
-                f, c_bn = _batch_norm(bn, y.feats, training, stats)
-                f, c_relu = relu(f)
-                tape["downs"].append((c_down, c_bn, c_relu))
-                x = SparseFeatureMap(y.dims, y.coords, f)
-                x, c = self.blocks[i + 1].forward(x, training, stats)
-                tape["blocks"].append(c)
-            latent = x
-            if tuple(latent.dims) != coarse:
+            for _, conv, _, bn, residual in self.encoder:
+                y, c_conv = conv.forward(x)
+                f, c_bn = bn.forward(y.feats, training)
+                if training:
+                    stats.append((bn, c_bn[2]))
+                f, c_relu = relu(skip.feats + f if residual else f)
+                units.append((c_conv, c_bn, c_relu))
+                skip, x = x, SparseFeatureMap(y.dims, y.coords, f)
+            if tuple(x.dims) != coarse:
                 raise ShapeError(
-                    f"latent dims {latent.dims} do not match expected"
-                    f" {coarse}"
+                    f"latent dims {x.dims} do not match expected {coarse}"
                 )
         else:
-            latent = SparseFeatureMap(
+            x = SparseFeatureMap(
                 coarse,
                 np.empty((0, 3), dtype=np.int64),
                 np.empty((0, self.config.latent_width)),
             )
-        tape["latent"] = latent
+        tape["latent"] = x
 
-        dense = densify(latent)
-        tape["deconvs"] = []
-        for deconv, bn in self.deconvs:
+        dense = densify(x)
+        for _, deconv, _, bn in self.decoder:
             y, _ = deconv.forward(dense)  # backward recomputes its input
             shape = y.shape
-            mat, c_bn = _batch_norm(
-                bn, y.reshape(shape[0], -1).T, training, stats
-            )
+            mat, c_bn = bn.forward(y.reshape(shape[0], -1).T, training)
+            if training:
+                stats.append((bn, c_bn[2]))
             del y
             np.maximum(mat, 0.0, out=mat)  # ReLU
-            tape["deconvs"].append((shape, c_bn))
+            stages.append((shape, c_bn))
             dense = mat.T.reshape(shape)
         logits4, _ = self.head.forward(dense)
         return OccupancyPrediction(logits4[0]), tape
@@ -287,61 +222,50 @@ class OccupancyNet:
             )
         grads = self.zero_grads()
 
-        def store(prefix, sub):
+        def store(name, sub):
             for k, v in sub.items():
-                grads[f"{prefix}.{k}"] += v
+                grads[f"{name}.{k}"] += v
 
         latent = tape.pop("latent")
-        stages = tape.pop("deconvs")
-        g_dense = grad_logits[None]
+        stages = tape.pop("decoder")
+        g = grad_logits[None]
         layer, name = self.head, "head"
-        for i in range(len(self.deconvs) - 1, -1, -1):
-            deconv, bn = self.deconvs[i]
+        for deconv_name, deconv, bn_name, bn in reversed(self.decoder):
             shape, c_bn = stages.pop()
             act = bn.scale_shift(c_bn[0])
             np.maximum(act, 0.0, out=act)  # forward's ReLU output
             keep = act > 0.0  # its mask
             ctx = [act.T.reshape(shape)]
             del act  # ctx holds the only reference; layer frees it
-            g_dense, sub = layer.backward(ctx, g_dense)
+            g, sub = layer.backward(ctx, g)
             store(name, sub)
-            gmat = g_dense.reshape(shape[0], -1).T
+            gmat = g.reshape(shape[0], -1).T
             np.multiply(gmat, keep, out=gmat)  # relu_backward
             del keep
             gmat, sub = bn.backward(c_bn, gmat)
             del c_bn
-            store(f"deconv{i}_bn", sub)
-            g_dense = gmat.T.reshape(shape)
-            layer, name = deconv, f"deconv{i}"
-        g_dense, sub = layer.backward([densify(latent)], g_dense)
+            store(bn_name, sub)
+            g = gmat.T.reshape(shape)
+            layer, name = deconv, deconv_name
+        g, sub = layer.backward([densify(latent)], g)
         store(name, sub)
 
-        g_feats = densify_backward(latent, g_dense)
-        if "stem" not in tape:
-            return grads  # empty visible set: encoder saw nothing
-
-        blocks = tape.pop("blocks")
-        downs = tape.pop("downs")
-        for i in range(len(self.downs) - 1, -1, -1):
-            g_feats, block_g = self.blocks[i + 1].backward(
-                blocks.pop(), g_feats
-            )
-            store(f"block{i + 1}", block_g)
-            down, bn = self.downs[i]
-            c_down, c_bn, c_relu = downs.pop()
-            g_feats = relu_backward(c_relu, g_feats)
-            g_feats, bn_g = bn.backward(c_bn, g_feats)
-            store(f"down{i + 1}_bn", bn_g)
-            g_feats, down_g = down.backward(c_down, g_feats)
-            store(f"down{i + 1}", down_g)
-
-        g_feats, block_g = self.blocks[0].backward(blocks.pop(), g_feats)
-        store("block0", block_g)
-        g_feats = relu_backward(tape.pop("stem_relu"), g_feats)
-        g_feats, bn_g = self.stem_bn.backward(tape.pop("stem_bn"), g_feats)
-        store("stem_bn", bn_g)
-        _, stem_g = self.stem.backward(tape.pop("stem"), g_feats)
-        store("stem", stem_g)
+        g = densify_backward(latent, g)
+        units = tape.pop("encoder")  # empty when the encoder saw nothing
+        g_skip = None  # gradient into a residual block's input via its skip
+        for conv_name, conv, bn_name, bn, residual in reversed(
+            self.encoder[: len(units)]
+        ):
+            c_conv, c_bn, c_relu = units.pop()
+            g = relu_backward(c_relu, g)
+            g_sum = g if residual else None
+            g, sub = bn.backward(c_bn, g)
+            store(bn_name, sub)
+            g, sub = conv.backward(c_conv, g)
+            store(conv_name, sub)
+            if g_skip is not None:
+                g = g + g_skip
+            g_skip = g_sum
         return grads
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import keyrand
-from .errors import InvalidPairing
+from .errors import InvalidPairing, MalformedFile
 from .pointcloud import CylindricalCoord
 from .voxelizer import VoxelGrid, grid_cylindrical
 
@@ -91,6 +91,24 @@ class MaskStats:
             "max_sensed_range": self.max_sensed_range,
         }
 
+    @classmethod
+    def from_json_dict(cls, raw) -> "MaskStats":
+        """Inverse of to_json_dict; MalformedFile when a key is missing."""
+        if not isinstance(raw, dict):
+            raise MalformedFile("mask stats must be a JSON object")
+        try:
+            return cls(
+                group_visible_fraction=raw["group_visible_fraction"],
+                voxel_visible_fraction=raw["voxel_visible_fraction"],
+                per_subgroup_drop_rate=tuple(
+                    float("nan") if v is None else v
+                    for v in raw["per_subgroup_drop_rate"]
+                ),
+                max_sensed_range=raw["max_sensed_range"],
+            )
+        except KeyError as e:
+            raise MalformedFile(f"mask stats: missing key {e}") from e
+
 
 @dataclass
 class MaskOutcome:
@@ -121,9 +139,16 @@ def assign_distance_subgroup(
     return bisect_right(list(r_thresholds), c.r)
 
 
-def _groups_of(theta: np.ndarray, n_groups: int) -> np.ndarray:
+def angular_groups(theta: np.ndarray, n_groups: int) -> np.ndarray:
+    """Index of the 2*pi/n_groups wedge containing each azimuth theta."""
     g = (theta / (TWO_PI / n_groups)).astype(np.int64)
     return np.minimum(g, n_groups - 1)
+
+
+def in_groups(groups: np.ndarray, selected) -> np.ndarray:
+    """Whether each group index is in the selected set (all False when
+    the set is empty)."""
+    return np.isin(groups, np.fromiter(selected, dtype=np.int64))
 
 
 def _subgroups_of(r: np.ndarray, thresholds) -> np.ndarray:
@@ -172,14 +197,9 @@ def apply_mask(
         )
 
     r, theta = grid_cylindrical(grid)
-    groups = _groups_of(theta, cfg.n_groups)
+    groups = angular_groups(theta, cfg.n_groups)
     subgroups = _subgroups_of(r, cfg.r_thresholds)
-
-    in_selected = (
-        np.isin(groups, np.fromiter(selected, dtype=np.int64))
-        if selected
-        else np.zeros(n, dtype=bool)
-    )
+    in_selected = in_groups(groups, selected)
     u = keyrand.uniform_array(
         seed,
         np.full(n, _VOXEL_STREAM, dtype=np.int64),
@@ -233,21 +253,20 @@ def mask_statistics(
             f" {len(grid)}"
         )
     r, theta = grid_cylindrical(grid)
-    groups = _groups_of(theta, cfg.n_groups)
+    groups = angular_groups(theta, cfg.n_groups)
     subgroups = _subgroups_of(r, cfg.r_thresholds)
     if not (
         np.array_equal(groups, outcome.groups)
         and np.array_equal(subgroups, outcome.subgroups)
     ):
         raise InvalidPairing("outcome group assignment disagrees with grid")
-    in_selected = (
-        np.isin(groups, np.fromiter(outcome.selected_groups, dtype=np.int64))
-        if outcome.selected_groups
-        else np.zeros(len(grid), dtype=bool)
-    )
     return _compute_stats(
-        cfg, outcome.selected_groups, outcome.visible, in_selected,
-        subgroups, r,
+        cfg,
+        outcome.selected_groups,
+        outcome.visible,
+        in_groups(groups, outcome.selected_groups),
+        subgroups,
+        r,
     )
 
 

@@ -32,7 +32,13 @@ from .occupancy_net import (
 )
 from .occupancy_net.loss import bce_elements
 from .pointcloud import PointCloud, cylindrical_arrays
-from .radial_mask import MaskConfig, MaskStats, apply_mask
+from .radial_mask import (
+    MaskConfig,
+    MaskStats,
+    angular_groups,
+    apply_mask,
+    in_groups,
+)
 from .voxelizer import GridGeometry, occupancy_of, voxelize
 
 _SHUFFLE_STREAM = 0x53485546
@@ -270,18 +276,8 @@ def _region_mask(geom: GridGeometry, n_groups: int, selected) -> np.ndarray:
     cols = np.column_stack([ix.ravel(), iy.ravel(), np.zeros(ix.size)])
     centers = geom.centers(cols)
     _, theta = cylindrical_arrays(centers)
-    groups = np.minimum(
-        (theta / (2.0 * np.pi / n_groups)).astype(np.int64), n_groups - 1
-    )
-    dark = ~np.isin(
-        groups,
-        np.fromiter(selected, dtype=np.int64)
-        if selected
-        else np.empty(0, dtype=np.int64),
-    )
-    return np.repeat(
-        dark.reshape(nx, ny, 1), geom.dims[2], axis=2
-    )
+    dark = ~in_groups(angular_groups(theta, n_groups), selected)
+    return np.repeat(dark.reshape(nx, ny, 1), geom.dims[2], axis=2)
 
 
 def _iou(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -350,6 +346,23 @@ def evaluate(
     )
 
 
+def _sweep(frames, net_init, cfg, label, settings, geom, eval_frames):
+    """Re-train a copy of net_init under each (value, config) setting and
+    evaluate it on eval_frames (None: the training frames)."""
+    rows = []
+    for value, cfg_v in settings:
+        net, _ = pretrain(frames, cfg_v, copy.deepcopy(net_init), geom)
+        report = evaluate(
+            eval_frames if eval_frames is not None else frames,
+            net,
+            cfg_v.mask,
+            cfg.query,
+            geom,
+        )
+        rows.append(SweepRow(label, float(value), report))
+    return rows
+
+
 def sweep_masking_ratio(
     frames: list[PointCloud],
     net_init: OccupancyNet,
@@ -359,20 +372,8 @@ def sweep_masking_ratio(
     eval_frames: list[PointCloud] | None = None,
 ) -> list[SweepRow]:
     """Re-train from net_init at each masking ratio and evaluate."""
-    rows = []
-    for m in ratios:
-        cfg_m = replace(cfg, mask=replace(cfg.mask, m=m))
-        net = copy.deepcopy(net_init)
-        net, _ = pretrain(frames, cfg_m, net, geom)
-        report = evaluate(
-            eval_frames if eval_frames is not None else frames,
-            net,
-            cfg_m.mask,
-            cfg.query,
-            geom,
-        )
-        rows.append(SweepRow("m", float(m), report))
-    return rows
+    settings = [(m, replace(cfg, mask=replace(cfg.mask, m=m))) for m in ratios]
+    return _sweep(frames, net_init, cfg, "m", settings, geom, eval_frames)
 
 
 def sweep_angular_range(
@@ -385,27 +386,17 @@ def sweep_angular_range(
 ) -> list[SweepRow]:
     """Re-train at each angular group span (degrees); m stays fixed at the
     configured masking ratio (0.8 by default)."""
-    rows = []
+    settings = []
     for span in group_spans_degrees:
         if span <= 0:
             raise ValueError("group span must be positive degrees")
         n_g = max(1, int(round(360.0 / span)))
         # per-group drop rows cannot follow a group-count change; keep row 0
-        shared = (cfg.mask.p_drop[0],)
-        cfg_s = replace(
-            cfg, mask=replace(cfg.mask, n_groups=n_g, p_drop=shared)
-        )
-        net = copy.deepcopy(net_init)
-        net, _ = pretrain(frames, cfg_s, net, geom)
-        report = evaluate(
-            eval_frames if eval_frames is not None else frames,
-            net,
-            cfg_s.mask,
-            cfg.query,
-            geom,
-        )
-        rows.append(SweepRow("span_deg", float(span), report))
-    return rows
+        mask = replace(cfg.mask, n_groups=n_g, p_drop=(cfg.mask.p_drop[0],))
+        settings.append((span, replace(cfg, mask=mask)))
+    return _sweep(
+        frames, net_init, cfg, "span_deg", settings, geom, eval_frames
+    )
 
 
 def _fmt(v: float) -> str:

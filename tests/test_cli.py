@@ -1,3 +1,6 @@
+import csv
+import json
+
 import pytest
 
 from rmae import cli
@@ -79,3 +82,44 @@ class TestExitCodes:
         assert "error: Diverged:" in capsys.readouterr().err
         assert not (out / "checkpoint.rmae").exists()
         assert not (out / "loss.csv").exists()
+
+
+class TestSweeps:
+    @pytest.mark.parametrize(
+        "command, setting, label",
+        [
+            ("sweep-ratio", "sweep.ratios=[0.0,0.9]", "m"),
+            ("sweep-angle", "sweep.spans_deg=[5.0,45.0]", "span_deg"),
+        ],
+    )
+    def test_one_row_per_setting(self, command, setting, label, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main([command, "--out", str(out), setting] + TINY) == 0
+        rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
+        assert rows[0][0] == label
+        assert [float(r[0]) for r in rows[1:]] == json.loads(
+            setting.split("=")[1]
+        )
+        assert all(len(r) == len(rows[0]) for r in rows)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "override", ["synth.ground_extent=-1", "synth.box_size=[3,1]"]
+    )
+    def test_bad_synth_value_is_config_error(self, override, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["voxelize", "--out", str(out), override])
+        assert code == cli.EXIT_CONFIG == 3
+        assert "error: ConfigError: synth:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("text", ["{}", "not json"])
+    def test_malformed_stats_file(self, text, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main(["energy", "--out", str(out), "--stats", str(stats)])
+        assert code == cli.EXIT_MALFORMED == 4
+        assert "error: MalformedFile:" in capsys.readouterr().err
+        assert not (out / "frugal.json").exists()

@@ -197,3 +197,36 @@ def test_visible_features_sorted(small_geom):
     assert len(vis) == mask.sum()
     assert np.array_equal(vis.coords, grid.coords[mask])
     assert vis.channel_width == 4
+
+
+def test_default_layer_names_and_kinds():
+    """Checkpoint paths and per-layer bench metrics are keyed by these."""
+    sc, bn = "sparse_conv", "batch_norm"
+    assert [
+        (name, layer.kind)
+        for name, layer in OccupancyNet(NetConfig()).named_layers()
+    ] == [
+        ("stem", sc),
+        ("stem_bn", bn),
+        ("block0.conv1", sc),
+        ("block0.bn1", bn),
+        ("block0.conv2", sc),
+        ("block0.bn2", bn),
+        ("down1", sc),
+        ("down1_bn", bn),
+        ("block1.conv1", sc),
+        ("block1.bn1", bn),
+        ("block1.conv2", sc),
+        ("block1.bn2", bn),
+        ("down2", sc),
+        ("down2_bn", bn),
+        ("block2.conv1", sc),
+        ("block2.bn1", bn),
+        ("block2.conv2", sc),
+        ("block2.bn2", bn),
+        ("deconv0", "dense_deconv"),
+        ("deconv0_bn", bn),
+        ("deconv1", "dense_deconv"),
+        ("deconv1_bn", bn),
+        ("head", "dense_conv"),
+    ]
