@@ -164,6 +164,8 @@ _SECTION_TYPES = {
     "sweep": SweepConfig,
 }
 _TRAIN_SKIP = {"mask", "query"}  # nested configs come from their sections
+# keys of the run record (RunConfig.to_json_dict) besides seed and sections
+_RECORD_KEYS = {"command", "out", "inputs", "checkpoint", "stats"}
 
 
 def _known_fields(cls, skip=()) -> dict[str, dataclasses.Field]:
@@ -233,7 +235,24 @@ def _build_section(name: str, cls, doc: dict, skip=(), extra=None):
         raise ConfigError(f"{name}: {e}") from e
 
 
+def _recorded_paths(doc: dict, key: str, many: bool = False):
+    """The path (many: list of paths) a run record holds under key, or
+    None."""
+    value = doc.get(key)
+    paths = value if many else [value]
+    if value is not None and not (
+        isinstance(paths, list) and all(isinstance(p, str) for p in paths)
+    ):
+        kind = "a list of paths" if many else "a path"
+        raise ConfigError(f"'{key}' must be {kind} or null")
+    return value
+
+
 def parse_config(args: argparse.Namespace) -> RunConfig:
+    """The run's configuration.  The config file may be a run's
+    resolved_config.json: its command must be this one, its out is
+    ignored, and its inputs, checkpoint and stats apply unless the
+    command line gives its own."""
     doc = _load_config_file(Path(args.config)) if args.config else {}
     for text in args.overrides:
         path, value = _parse_override(text)
@@ -241,10 +260,17 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
         doc["seed"] = args.seed
 
-    allowed_top = {"seed"} | set(_SECTION_TYPES)
+    allowed_top = {"seed"} | _RECORD_KEYS | set(_SECTION_TYPES)
     for key in doc:
         if key not in allowed_top:
             raise ConfigError(f"unknown key '{key}'")
+    if doc.get("command", args.command) != args.command:
+        raise ConfigError(
+            f"config records a {doc['command']!r} run, not {args.command!r}"
+        )
+    input_items = args.input or _recorded_paths(doc, "inputs", many=True)
+    checkpoint = args.checkpoint or _recorded_paths(doc, "checkpoint")
+    stats_path = args.stats or _recorded_paths(doc, "stats")
     for name in _SECTION_TYPES:
         sec = doc.get(name)
         if sec is not None and not isinstance(sec, dict):
@@ -280,7 +306,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     )
 
     inputs = []
-    for item in args.input or []:
+    for item in input_items or []:
         p = Path(item)
         if p.is_dir():
             inputs.extend(sorted(p.glob("*.bin")))
@@ -291,8 +317,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         out_dir=Path(args.out),
         inputs=inputs,
-        checkpoint=Path(args.checkpoint) if args.checkpoint else None,
-        stats_path=Path(args.stats) if args.stats else None,
+        checkpoint=Path(checkpoint) if checkpoint else None,
+        stats_path=Path(stats_path) if stats_path else None,
         seed=seed,
         geometry=geometry,
         mask=mask,
@@ -350,10 +376,8 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.command == "energy":
         report = total_power(cfg.energy)
-        _atomic_write_text(
-            cfg.out_dir / "energy.json", _json_dump(report.to_json_dict())
-        )
-        if cfg.stats_path is not None:
+        frugal = None
+        if cfg.stats_path is not None:  # a bad stats file writes nothing
             with open(cfg.stats_path) as fh:
                 try:
                     raw = json.load(fh)
@@ -363,6 +387,10 @@ def run(cfg: RunConfig) -> int:
                     ) from e
             stats = MaskStats.from_json_dict(raw)
             frugal = frugal_savings(report, stats, cfg.energy.R)
+        _atomic_write_text(
+            cfg.out_dir / "energy.json", _json_dump(report.to_json_dict())
+        )
+        if frugal is not None:
             _atomic_write_text(
                 cfg.out_dir / "frugal.json",
                 _json_dump(frugal.to_json_dict()),

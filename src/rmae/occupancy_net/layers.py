@@ -6,6 +6,19 @@ gradient and a dict of parameter gradients.  Sparse maps keep their rows in
 canonical (ix, iy, iz) order throughout, and every accumulation loops
 kernel taps in one fixed order, so results are bitwise reproducible.
 
+The sparse convs run from a kernel map (the "rulebook" of submanifold
+sparse convs, Graham et al. 2018): a (27, M) table holding, per kernel tap
+and output row, the input row it reads, or N where that site is absent.
+It is built with one broadcast over the 27 offsets through an index
+volume, and a stride-1 conv hands it on with its output map, whose support
+is the input's, so every conv at one resolution shares one table.  The
+forward is then one gather of the input, padded with a zero row, into a
+(27, M, C_in) array, one batched GEMM against the (27, C_in, C_out)
+weight, and 27 adds of the per-tap products onto the bias in tap order:
+the same full-height products, added in the same order, as a per-tap
+loop.  Each tap's (input rows, output rows) pairs come from the table in
+ascending output order when backward needs them.
+
 The dense decoder layers run "transform, then shift": the taps that write
 one output phase (one parity class of a strided output; the whole output
 at stride 1) are contracted with the input's channels in a single GEMM on
@@ -19,7 +32,7 @@ output sums its taps in the same fixed order on every run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,15 +50,25 @@ OFFSETS3 = [
     for dy in (-1, 0, 1)
     for dz in (-1, 0, 1)
 ]
+_OFFSETS = np.array(OFFSETS3, dtype=np.int64)  # (27, 3)
 
 
 @dataclass
 class SparseFeatureMap:
-    """Sparse voxel features at some (possibly strided) resolution."""
+    """Sparse voxel features at some (possibly strided) resolution.
+
+    neighbors, when set, is the map's kernel map: a (27, N) int64 table
+    whose [t, i] is the row at coords[i] + OFFSETS3[t], or N where that
+    site is absent.  It depends on coords alone, so maps that share
+    coords may share it.
+    """
 
     dims: tuple[int, int, int]
     coords: np.ndarray  # (N, 3) int64, canonical order
     feats: np.ndarray  # (N, C) float64
+    neighbors: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def channel_width(self) -> int:
@@ -55,13 +78,16 @@ class SparseFeatureMap:
         return self.coords.shape[0]
 
 
-def _index_volume(dims, coords) -> np.ndarray:
-    vol = np.full(dims, -1, dtype=np.int64)
-    if len(coords):
-        vol[coords[:, 0], coords[:, 1], coords[:, 2]] = np.arange(
-            len(coords), dtype=np.int64
-        )
-    return vol
+def _kernel_map(dims, coords, sites) -> np.ndarray:
+    """(27, len(sites)) table whose [t, i] is the row of coords at
+    sites[i] + OFFSETS3[t], or len(coords) where no row is there.  Sites
+    may lie up to one voxel outside dims."""
+    n = len(coords)
+    vol = np.full(tuple(d + 2 for d in dims), n, dtype=np.int64)
+    inner = coords + 1  # vol has a one-voxel border of absent sites
+    vol[inner[:, 0], inner[:, 1], inner[:, 2]] = np.arange(n)
+    at = sites + 1 + _OFFSETS[:, None]  # (27, M, 3)
+    return vol[at[..., 0], at[..., 1], at[..., 2]]
 
 
 def _check_width(feats: np.ndarray, expected: int, what: str) -> None:
@@ -72,11 +98,10 @@ def _check_width(feats: np.ndarray, expected: int, what: str) -> None:
 
 
 class _SparseConv:
-    """Parameters and backward shared by the 3x3x3 sparse convolutions.
-
-    forward records, per tap, the paired (input rows, output rows) it
-    gathered; backward replays those gathers in tap order.
-    """
+    """A 3x3x3 sparse convolution run from a kernel map (see the module
+    docstring).  Subclasses give, in _output_sites, the output's dims and
+    coords, the (27, M) table of input rows per tap and output row, and
+    the kernel map the output map carries (or None)."""
 
     kind = "sparse_conv"
 
@@ -93,12 +118,26 @@ class _SparseConv:
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
 
+    def forward(self, x: SparseFeatureMap):
+        _check_width(x.feats, self.in_ch, type(self).__name__)
+        dims, coords, table, neighbors = self._output_sites(x)
+        padded = np.concatenate([x.feats, np.zeros((1, self.in_ch))])
+        # full-height neighbor matrices (zeros where absent) keep the gemm
+        # shape fixed, so results are independent of sparsity
+        products = np.matmul(padded[table], self.weight)
+        out = np.tile(self.bias, (len(coords), 1))
+        for product in products:
+            out += product
+        return SparseFeatureMap(dims, coords, out, neighbors), (x, table)
+
     def backward(self, ctx, grad_out: np.ndarray):
-        x, gathers = ctx
+        x, table = ctx
         grad_in = np.zeros_like(x.feats)
         grad_w = np.zeros_like(self.weight)
-        for t, (in_rows, out_rows) in enumerate(gathers):
+        for t, rows in enumerate(table):
+            out_rows = np.flatnonzero(rows < len(x))
             if len(out_rows):
+                in_rows = rows[out_rows]
                 g = grad_out[out_rows]
                 grad_in[in_rows] += g @ self.weight[t].T
                 grad_w[t] = x.feats[in_rows].T @ g
@@ -107,32 +146,14 @@ class _SparseConv:
 
 
 class SubmanifoldConv(_SparseConv):
-    """3x3x3 stride-1 sparse convolution; output support = input support."""
+    """3x3x3 stride-1 sparse convolution; output support = input support,
+    so the output carries the input's kernel map, built here if absent."""
 
-    def forward(self, x: SparseFeatureMap):
-        _check_width(x.feats, self.in_ch, "submanifold conv")
-        n = len(x)
-        out = np.tile(self.bias, (n, 1))
-        gathers = []
-        if n:
-            vol = _index_volume(x.dims, x.coords)
-            dims = np.asarray(x.dims)
-            for t, off in enumerate(OFFSETS3):
-                nb = x.coords + np.asarray(off)
-                inside = ((nb >= 0) & (nb < dims)).all(axis=1)
-                out_rows = np.flatnonzero(inside)
-                in_rows = vol[nb[inside, 0], nb[inside, 1], nb[inside, 2]]
-                present = in_rows >= 0
-                out_rows = out_rows[present]
-                in_rows = in_rows[present]
-                # full-height neighbor matrix (zeros where absent) keeps the
-                # gemm shape fixed, so results are independent of sparsity
-                rows = np.zeros((n, self.in_ch))
-                rows[out_rows] = x.feats[in_rows]
-                out += rows @ self.weight[t]
-                gathers.append((in_rows, out_rows))
-        ctx = (x, gathers)
-        return SparseFeatureMap(x.dims, x.coords, out), ctx
+    def _output_sites(self, x: SparseFeatureMap):
+        table = x.neighbors
+        if table is None:
+            table = _kernel_map(x.dims, x.coords, x.coords)
+        return x.dims, x.coords, table, table
 
 
 class SparseDownConv(_SparseConv):
@@ -144,52 +165,15 @@ class SparseDownConv(_SparseConv):
     def out_dims(dims) -> tuple[int, int, int]:
         return tuple((d + 1) // 2 for d in dims)
 
-    def forward(self, x: SparseFeatureMap):
-        _check_width(x.feats, self.in_ch, "stride-2 sparse conv")
+    def _output_sites(self, x: SparseFeatureMap):
         odims = self.out_dims(x.dims)
-        odims_arr = np.asarray(odims)
-        # input x contributes to output u via tap k when x = 2u - 1 + k
-        taps = []
-        targets = []
-        for t, off in enumerate(OFFSETS3):
-            k = np.asarray(off) + 1  # kernel index 0..2 per axis
-            num = x.coords - k + 1
-            even = (num % 2 == 0).all(axis=1)
-            u = num // 2
-            ok = even & ((u >= 0) & (u < odims_arr)).all(axis=1)
-            taps.append((np.flatnonzero(ok), u[ok]))
-            if ok.any():
-                targets.append(u[ok])
-        if targets:
-            allu = np.concatenate(targets, axis=0)
-            lin = (allu[:, 0] * odims[1] + allu[:, 1]) * odims[2] + allu[:, 2]
-            ulin = np.unique(lin)
-            out_coords = np.column_stack(
-                [
-                    ulin // (odims[1] * odims[2]),
-                    (ulin // odims[2]) % odims[1],
-                    ulin % odims[2],
-                ]
-            ).astype(np.int64)
-        else:
-            out_coords = np.empty((0, 3), dtype=np.int64)
-        m = len(out_coords)
-        out = np.tile(self.bias, (m, 1))
-        ovol = _index_volume(odims, out_coords)
-        gathers = []
-        for t, (in_rows, u) in enumerate(taps):
-            out_rows = (
-                ovol[u[:, 0], u[:, 1], u[:, 2]]
-                if len(in_rows)
-                else np.empty(0, dtype=np.int64)
-            )
-            if m:
-                rows = np.zeros((m, self.in_ch))
-                rows[out_rows] = x.feats[in_rows]
-                out += rows @ self.weight[t]
-            gathers.append((in_rows, out_rows))
-        ctx = (x, gathers)
-        return SparseFeatureMap(odims, out_coords, out), ctx
+        # input x reaches output u through tap t when x = 2u + OFFSETS3[t]
+        num = x.coords - _OFFSETS[:, None]  # (27, N, 3)
+        u = num // 2
+        ok = ((num % 2 == 0) & (u >= 0) & (u < odims)).all(axis=2)
+        lin = np.unique(np.ravel_multi_index(tuple(u[ok].T), odims))
+        coords = np.column_stack(np.unravel_index(lin, odims)).astype(np.int64)
+        return odims, coords, _kernel_map(x.dims, x.coords, 2 * coords), None
 
 
 class BatchNorm:

@@ -8,7 +8,10 @@ named_layers() all walk the two lists, backward in reverse.
   conv -> batch norm -> (+ the block's input when residual) -> ReLU: a
   submanifold stem, then per resolution a stride-2 sparse downsample
   (none at full resolution) and a residual block of two submanifold
-  units, the second adding the first one's input.
+  units, the second adding the first one's input.  A unit's output map
+  keeps its conv output's kernel map (SparseFeatureMap.neighbors), so
+  the table travels with the map: the first submanifold conv at each
+  resolution builds it and the others at that resolution reuse it.
 - decoder: stages (deconv name, deconv, bn name, bn), each stride-2
   transposed conv -> batch norm -> ReLU, from the densified coarsest
   latent (absent sites are zero) to full resolution, where a 3x3x3 head
@@ -184,7 +187,9 @@ class OccupancyNet:
                     stats.append((bn, c_bn[2]))
                 f, c_relu = relu(skip.feats + f if residual else f)
                 units.append((c_conv, c_bn, c_relu))
-                skip, x = x, SparseFeatureMap(y.dims, y.coords, f)
+                skip, x = x, SparseFeatureMap(
+                    y.dims, y.coords, f, y.neighbors
+                )
             if tuple(x.dims) != coarse:
                 raise ShapeError(
                     f"latent dims {x.dims} do not match expected {coarse}"

@@ -93,21 +93,38 @@ class MaskStats:
 
     @classmethod
     def from_json_dict(cls, raw) -> "MaskStats":
-        """Inverse of to_json_dict; MalformedFile when a key is missing."""
+        """Inverse of to_json_dict; MalformedFile when a key is missing or
+        a value is not a number (a drop rate may also be null)."""
         if not isinstance(raw, dict):
             raise MalformedFile("mask stats must be a JSON object")
+        keys = (
+            "group_visible_fraction",
+            "voxel_visible_fraction",
+            "max_sensed_range",
+        )
         try:
-            return cls(
-                group_visible_fraction=raw["group_visible_fraction"],
-                voxel_visible_fraction=raw["voxel_visible_fraction"],
-                per_subgroup_drop_rate=tuple(
-                    float("nan") if v is None else v
-                    for v in raw["per_subgroup_drop_rate"]
-                ),
-                max_sensed_range=raw["max_sensed_range"],
-            )
+            scalars = {k: raw[k] for k in keys}
+            rates = raw["per_subgroup_drop_rate"]
         except KeyError as e:
             raise MalformedFile(f"mask stats: missing key {e}") from e
+
+        def number(v) -> bool:
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+        if not all(map(number, scalars.values())) or not (
+            isinstance(rates, list)
+            and all(v is None or number(v) for v in rates)
+        ):
+            raise MalformedFile(
+                "mask stats: values must be numbers, and drop rates a"
+                " list of numbers or nulls"
+            )
+        return cls(
+            per_subgroup_drop_rate=tuple(
+                float("nan") if v is None else v for v in rates
+            ),
+            **scalars,
+        )
 
 
 @dataclass

@@ -296,16 +296,20 @@ def evaluate(
 ) -> EvalReport:
     """Masked-reconstruction metrics, averaged over frames.
 
+    Frames are evaluated up to RMAE_THREADS at a time and averaged in
+    frame order, so the report does not depend on the thread count.
     masked_region_* restrict to grid cells in never-sensed angular sectors;
     they are NaN when every group was sensed (m = 0).
     """
     if not frames:
         raise NoData("no frames given")
     grids, truths = _prepare(frames, geom)
-    bces, ious, accs, mr_bces, mr_ious, duties, ranges = (
-        [], [], [], [], [], [], [],
-    )
-    for i, (grid, truth) in enumerate(zip(grids, truths)):
+
+    def frame_metrics(i: int):
+        """(bce, iou, accuracy, duty, max range, masked-region bce and
+        iou) of frame i; bce is None without queries, the masked-region
+        pair None where every cell was sensed."""
+        grid, truth = grids[i], truths[i]
         seed = keyrand.derive_seed(mask_cfg.seed, _EVAL_STREAM, i)
         outcome = apply_mask(grid, mask_cfg, seed=seed)
         vis = visible_features(grid, outcome.visible)
@@ -319,29 +323,40 @@ def evaluate(
             query_cfg,
             seed=keyrand.derive_seed(mask_cfg.seed, _QUERY_STREAM, i),
         )
+        bce = None
         if len(query):
-            loss, _ = occupancy_loss(pred.logits, truth, query, batch_size=1)
-            bces.append(loss)
-        ious.append(_iou(pred_occ, occ))
-        accs.append(float((pred_occ == occ).mean()))
-        duties.append(outcome.stats.group_visible_fraction)
-        ranges.append(outcome.stats.max_sensed_range)
-
+            bce, _ = occupancy_loss(pred.logits, truth, query, batch_size=1)
         region = _region_mask(geom, mask_cfg.n_groups, outcome.selected_groups)
+        mr_bce = mr_iou = None
         if region.any():
-            mr_bces.append(
-                float(bce_elements(pred.logits[region], occ[region]).mean())
-            )
-            mr_ious.append(_iou(pred_occ[region], occ[region]))
-    nan = float("nan")
+            region_bce = bce_elements(pred.logits[region], occ[region])
+            mr_bce = float(region_bce.mean())
+            mr_iou = _iou(pred_occ[region], occ[region])
+        return (
+            bce,
+            _iou(pred_occ, occ),
+            float((pred_occ == occ).mean()),
+            outcome.stats.group_visible_fraction,
+            outcome.stats.max_sensed_range,
+            mr_bce,
+            mr_iou,
+        )
+
+    def mean(values) -> float:
+        values = [v for v in values if v is not None]
+        return float(np.mean(values)) if values else float("nan")
+
+    # results come in frame order, so the means do not depend on threads
+    columns = zip(*parallel_map(frame_metrics, range(len(grids))))
+    bce, iou, acc, duty, max_range, mr_bce, mr_iou = map(mean, columns)
     return EvalReport(
-        bce=float(np.mean(bces)) if bces else nan,
-        occupied_iou=float(np.mean(ious)),
-        masked_region_bce=float(np.mean(mr_bces)) if mr_bces else nan,
-        masked_region_iou=float(np.mean(mr_ious)) if mr_ious else nan,
-        voxel_accuracy=float(np.mean(accs)),
-        mean_duty=float(np.mean(duties)),
-        mean_max_sensed_range=float(np.mean(ranges)),
+        bce=bce,
+        occupied_iou=iou,
+        masked_region_bce=mr_bce,
+        masked_region_iou=mr_iou,
+        voxel_accuracy=acc,
+        mean_duty=duty,
+        mean_max_sensed_range=max_range,
         n_frames=len(frames),
     )
 

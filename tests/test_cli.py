@@ -123,3 +123,81 @@ class TestBadInput:
         assert code == cli.EXIT_MALFORMED == 4
         assert "error: MalformedFile:" in capsys.readouterr().err
         assert not (out / "frugal.json").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"group_visible_fraction": "x"},
+            {"voxel_visible_fraction": None},
+            {"max_sensed_range": True},
+            {"per_subgroup_drop_rate": ["a", None]},
+            {"per_subgroup_drop_rate": 0.5},
+            "{}",
+            "not json",
+        ],
+    )
+    def test_bad_stats_file_writes_no_report(self, change, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(
+            change if isinstance(change, str) else json.dumps(
+                {**GOOD_STATS, **change}
+            )
+        )
+        out = tmp_path / "out"
+        code = cli.main(["energy", "--out", str(out), "--stats", str(stats)])
+        assert code == cli.EXIT_MALFORMED == 4
+        assert "error: MalformedFile:" in capsys.readouterr().err
+        assert not (out / "energy.json").exists()
+        assert not (out / "frugal.json").exists()
+
+    def test_good_stats_file_writes_both_reports(self, tmp_path):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(GOOD_STATS))
+        out = tmp_path / "out"
+        code = cli.main(["energy", "--out", str(out), "--stats", str(stats)])
+        assert code == 0
+        assert (out / "energy.json").exists()
+        assert (out / "frugal.json").exists()
+
+
+GOOD_STATS = {
+    "group_visible_fraction": 0.2,
+    "voxel_visible_fraction": 0.1,
+    "per_subgroup_drop_rate": [0.0, None, None],
+    "max_sensed_range": 17,
+}
+
+
+class TestRerunFromRecord:
+    """resolved_config.json given back as --config repeats the run."""
+
+    def test_pretrain(self, tmp_path):
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["pretrain", "--out", str(first)] + TINY) == 0
+        record = str(first / "resolved_config.json")
+        rerun = ["pretrain", "--config", record, "--out", str(again)]
+        assert cli.main(rerun) == 0
+        for name in ("checkpoint.rmae", "loss.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    def test_eval_takes_the_recorded_checkpoint(self, tmp_path):
+        net = tmp_path / "net.rmae"
+        untrained = OccupancyNet(NetConfig(stage_channels=(4, 8, 8)))
+        save_checkpoint(untrained, net)
+        first, again = tmp_path / "a", tmp_path / "b"
+        args = ["eval", "--out", str(first), "--checkpoint", str(net)]
+        assert cli.main(args + TINY) == 0
+        record = str(first / "resolved_config.json")
+        assert cli.main(["eval", "--config", record, "--out", str(again)]) == 0
+        expect = (first / "eval.json").read_bytes()
+        assert (again / "eval.json").read_bytes() == expect
+
+    def test_record_of_another_command_is_config_error(self, tmp_path, capsys):
+        first = tmp_path / "a"
+        assert cli.main(["energy", "--out", str(first)]) == 0
+        record = str(first / "resolved_config.json")
+        out = tmp_path / "b"
+        code = cli.main(["mask", "--config", record, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG == 3
+        assert "records a 'energy' run" in capsys.readouterr().err
+        assert not out.exists()

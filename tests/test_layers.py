@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rmae.errors import DegenerateBatch, ShapeError, StaleCache
+from rmae.occupancy_net import NetConfig, OccupancyNet
 from rmae.occupancy_net.layers import (
     OFFSETS3,
     BatchNorm,
@@ -165,6 +166,196 @@ class TestSparseDownConv:
         x = random_sparse((7, 5, 3), 20, 2, rng)
         out, _ = SparseDownConv(2, 2, rng).forward(x)
         assert out.dims == (4, 3, 2)
+
+
+# --- per-tap references for the sparse convs --------------------------------
+#
+# The sparse convs' earlier forward: per tap, a neighbor search through a
+# dense index volume, a zero-filled full-height neighbor matrix and one
+# (rows, C_in) @ (C_in, C_out) GEMM, added to the bias in tap order; and
+# its backward over the recorded (input rows, output rows) pairs.  The
+# layers form the same products in one batched GEMM and add them in the
+# same order, so they must agree bit for bit.
+
+
+def _index_volume(dims, coords) -> np.ndarray:
+    vol = np.full(dims, -1, dtype=np.int64)
+    if len(coords):
+        vol[coords[:, 0], coords[:, 1], coords[:, 2]] = np.arange(
+            len(coords), dtype=np.int64
+        )
+    return vol
+
+
+def per_tap_submanifold(layer, x):
+    """(output feats, output coords, per-tap (in rows, out rows))."""
+    n = len(x)
+    out = np.tile(layer.bias, (n, 1))
+    gathers = []
+    if n:
+        vol = _index_volume(x.dims, x.coords)
+        dims = np.asarray(x.dims)
+        for t, off in enumerate(OFFSETS3):
+            nb = x.coords + np.asarray(off)
+            inside = ((nb >= 0) & (nb < dims)).all(axis=1)
+            out_rows = np.flatnonzero(inside)
+            in_rows = vol[nb[inside, 0], nb[inside, 1], nb[inside, 2]]
+            present = in_rows >= 0
+            out_rows = out_rows[present]
+            in_rows = in_rows[present]
+            rows = np.zeros((n, layer.in_ch))
+            rows[out_rows] = x.feats[in_rows]
+            out += rows @ layer.weight[t]
+            gathers.append((in_rows, out_rows))
+    return out, x.coords, gathers
+
+
+def per_tap_down(layer, x):
+    """(output feats, output coords, per-tap (in rows, out rows))."""
+    odims = layer.out_dims(x.dims)
+    odims_arr = np.asarray(odims)
+    taps = []
+    targets = []
+    for t, off in enumerate(OFFSETS3):
+        k = np.asarray(off) + 1
+        num = x.coords - k + 1
+        even = (num % 2 == 0).all(axis=1)
+        u = num // 2
+        ok = even & ((u >= 0) & (u < odims_arr)).all(axis=1)
+        taps.append((np.flatnonzero(ok), u[ok]))
+        if ok.any():
+            targets.append(u[ok])
+    if targets:
+        allu = np.concatenate(targets, axis=0)
+        lin = (allu[:, 0] * odims[1] + allu[:, 1]) * odims[2] + allu[:, 2]
+        ulin = np.unique(lin)
+        out_coords = np.column_stack(
+            [
+                ulin // (odims[1] * odims[2]),
+                (ulin // odims[2]) % odims[1],
+                ulin % odims[2],
+            ]
+        ).astype(np.int64)
+    else:
+        out_coords = np.empty((0, 3), dtype=np.int64)
+    m = len(out_coords)
+    out = np.tile(layer.bias, (m, 1))
+    ovol = _index_volume(odims, out_coords)
+    gathers = []
+    for t, (in_rows, u) in enumerate(taps):
+        out_rows = (
+            ovol[u[:, 0], u[:, 1], u[:, 2]]
+            if len(in_rows)
+            else np.empty(0, dtype=np.int64)
+        )
+        if m:
+            rows = np.zeros((m, layer.in_ch))
+            rows[out_rows] = x.feats[in_rows]
+            out += rows @ layer.weight[t]
+        gathers.append((in_rows, out_rows))
+    return out, out_coords, gathers
+
+
+def per_tap_sparse_backward(layer, x, gathers, grad_out):
+    grad_in = np.zeros_like(x.feats)
+    grad_w = np.zeros_like(layer.weight)
+    for t, (in_rows, out_rows) in enumerate(gathers):
+        if len(out_rows):
+            g = grad_out[out_rows]
+            grad_in[in_rows] += g @ layer.weight[t].T
+            grad_w[t] = x.feats[in_rows].T @ g
+    return grad_in, grad_w, grad_out.sum(axis=0)
+
+
+PER_TAP_SPARSE = {
+    SubmanifoldConv: per_tap_submanifold,
+    SparseDownConv: per_tap_down,
+}
+
+
+def assert_bitwise(actual, expect):
+    assert actual.shape == expect.shape and actual.dtype == expect.dtype
+    assert actual.tobytes() == expect.tobytes()
+
+
+def check_sparse_against_per_tap(layer, x, rng):
+    """Forward and backward of layer on x equal the per-tap reference bit
+    for bit; returns the forward's output."""
+    out, ctx = layer.forward(x)
+    ref, ref_coords, gathers = PER_TAP_SPARSE[type(layer)](layer, x)
+    assert_bitwise(out.coords, ref_coords)
+    assert_bitwise(out.feats, ref)
+    probe = rng.normal(0, 1, ref.shape)
+    grad_in, grads = layer.backward(ctx, probe)
+    ref_in, ref_w, ref_b = per_tap_sparse_backward(layer, x, gathers, probe)
+    assert_bitwise(grad_in, ref_in)
+    assert_bitwise(grads["weight"], ref_w)
+    assert_bitwise(grads["bias"], ref_b)
+    return out
+
+
+class TestSparseAgainstPerTap:
+    @pytest.mark.parametrize("cls", [SubmanifoldConv, SparseDownConv])
+    @pytest.mark.parametrize(
+        "cin, cout, dims, n",
+        [  # the default net's level widths, on its level grids
+            (4, 16, (64, 64, 16), 2000),
+            (16, 16, (64, 64, 16), 2000),
+            (16, 32, (64, 64, 16), 2000),
+            (32, 32, (32, 32, 8), 800),
+            (32, 64, (32, 32, 8), 800),
+            (64, 64, (16, 16, 4), 300),
+        ],
+    )
+    def test_default_widths(self, cls, cin, cout, dims, n):
+        rng = np.random.default_rng(40)
+        layer = cls(cin, cout, rng)
+        layer.bias[:] = rng.normal(0, 1, cout)
+        x = random_sparse(dims, n, cin, rng)
+        check_sparse_against_per_tap(layer, x, rng)
+
+    @pytest.mark.parametrize("cls", [SubmanifoldConv, SparseDownConv])
+    @pytest.mark.parametrize(
+        "dims, n", [((4, 4, 4), 0), ((8, 8, 8), 1), ((7, 5, 3), 40)]
+    )
+    def test_empty_single_and_odd(self, cls, dims, n):
+        rng = np.random.default_rng(41)
+        layer = cls(3, 5, rng)
+        layer.bias[:] = rng.normal(0, 1, 5)
+        x = random_sparse(dims, n, 3, rng)
+        check_sparse_against_per_tap(layer, x, rng)
+
+    @pytest.mark.parametrize("cls", [SubmanifoldConv, SparseDownConv])
+    def test_map_carrying_an_earlier_convs_table(self, cls):
+        rng = np.random.default_rng(42)
+        first = SubmanifoldConv(3, 4, rng)
+        y, _ = first.forward(random_sparse((9, 8, 6), 150, 3, rng))
+        assert y.neighbors is not None
+        x = SparseFeatureMap(y.dims, y.coords, np.tanh(y.feats), y.neighbors)
+        layer = cls(4, 6, rng)
+        layer.bias[:] = rng.normal(0, 1, 6)
+        out = check_sparse_against_per_tap(layer, x, rng)
+        if cls is SubmanifoldConv:
+            assert out.neighbors is y.neighbors
+        else:
+            assert out.neighbors is None
+
+    def test_one_table_per_level_in_the_default_net(self):
+        """In a training forward every submanifold conv at one resolution
+        reads the same kernel map object: the default net builds three."""
+        rng = np.random.default_rng(43)
+        net = OccupancyNet(NetConfig())
+        x = random_sparse((64, 64, 16), 1500, 4, rng)
+        _, tape = net.forward(x, training=True)
+        tables = {}
+        units = zip(net.encoder, tape["encoder"])
+        for (name, conv, *_), (c_conv, _, _) in units:
+            if isinstance(conv, SubmanifoldConv):
+                level = "0" if name == "stem" else name[len("block")]
+                tables.setdefault(level, set()).add(id(c_conv[1]))
+        assert sorted(tables) == ["0", "1", "2"]
+        assert all(len(ids) == 1 for ids in tables.values())
+        assert len(set.union(*tables.values())) == 3
 
 
 class TestBatchNorm:

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import sys
 import threading
 
@@ -9,6 +10,7 @@ from rmae.errors import Diverged, StaleCache
 from rmae.occupancy_net import (
     NetConfig,
     OccupancyNet,
+    QueryConfig,
     build_query_set,
     load_checkpoint,
     occupancy_loss,
@@ -17,7 +19,7 @@ from rmae.occupancy_net import (
 )
 from rmae.pointcloud import SceneSpec, synth_scene
 from rmae.radial_mask import MaskConfig, apply_mask
-from rmae.trainer import TrainConfig, parallel_map, pretrain
+from rmae.trainer import TrainConfig, evaluate, parallel_map, pretrain
 from rmae.voxelizer import occupancy_of, voxelize
 
 
@@ -91,6 +93,34 @@ class TestPretrainDeterminism:
         cfg = TrainConfig(epochs=3, batch_size=1, learning_rate=1e300)
         with pytest.raises(Diverged):
             pretrain(tiny_frames(2), cfg, net, small_geom)
+
+
+class TestEvaluate:
+    def test_bitwise_identical_for_1_and_2_threads(
+        self, small_geom, monkeypatch
+    ):
+        """With two threads the frames' forwards run on two threads, and
+        the report keeps every bit of the one-thread report."""
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+        forward = net.forward
+        threads_seen = set()
+
+        def recording_forward(*args, **kwargs):
+            threads_seen.add(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        net.forward = recording_forward
+        mask = MaskConfig(n_groups=8, m=0.5)
+        reports = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RMAE_THREADS", threads)
+            threads_seen.clear()
+            reports[threads] = evaluate(
+                tiny_frames(4), net, mask, QueryConfig(), small_geom
+            )
+            assert len(threads_seen) == int(threads)
+        assert all(math.isfinite(v) for v in vars(reports["1"]).values())
+        assert repr(reports["2"]) == repr(reports["1"])
 
 
 class TestParallelMap:
