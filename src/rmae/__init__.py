@@ -23,7 +23,6 @@ from .pointcloud import (
     load_kitti_bin,
     save_kitti_bin,
     synth_scene,
-    to_cylindrical,
 )
 from .radial_mask import MaskConfig, MaskOutcome, MaskStats, apply_mask
 from .trainer import TrainConfig, evaluate, pretrain
@@ -54,7 +53,6 @@ __all__ = [
     "save_checkpoint",
     "save_kitti_bin",
     "synth_scene",
-    "to_cylindrical",
     "total_power",
     "voxelize",
 ]

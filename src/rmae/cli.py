@@ -24,13 +24,7 @@ from .errors import ConfigError, Diverged, MalformedFile, NoData, RmaeError
 from .occupancy_net import NetConfig, OccupancyNet, load_checkpoint, save_checkpoint
 from .occupancy_net.loss import QueryConfig
 from .pointcloud import PointCloud, SceneSpec, load_kitti_bin, synth_scene
-from .radial_mask import (
-    MaskConfig,
-    MaskStats,
-    apply_mask,
-    write_mask_dump,
-    write_stats_json,
-)
+from .radial_mask import MaskConfig, MaskStats, apply_mask, write_mask_dump
 from .trainer import (
     TrainConfig,
     evaluate,
@@ -75,14 +69,6 @@ class SynthConfig(SceneSpec):
         if self.frames < 1:
             raise ValueError("synth frames must be >= 1")
 
-    def scene_spec(self, index: int) -> SceneSpec:
-        spec = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(SceneSpec)
-        }
-        spec["seed"] = keyrand.derive_seed(self.seed, index)
-        return SceneSpec(**spec)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -117,40 +103,19 @@ class RunConfig:
     sweep: SweepConfig
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            if dataclasses.is_dataclass(v) and not isinstance(v, type):
-                return {
-                    f.name: clean(getattr(v, f.name))
-                    for f in dataclasses.fields(v)
-                }
-            if isinstance(v, (tuple, list)):
-                return [clean(x) for x in v]
-            if isinstance(v, frozenset):
-                return sorted(v)
-            if isinstance(v, Path):
-                return str(v)
-            return v
-
-        return {
+        doc = {
             "command": self.command,
             "out": str(self.out_dir),
             "inputs": [str(p) for p in self.inputs],
             "checkpoint": str(self.checkpoint) if self.checkpoint else None,
             "stats": str(self.stats_path) if self.stats_path else None,
             "seed": self.seed,
-            "geometry": clean(self.geometry),
-            "mask": clean(self.mask),
-            "energy": clean(self.energy),
-            "train": {
-                f.name: clean(getattr(self.train, f.name))
-                for f in dataclasses.fields(self.train)
-                if f.name not in ("mask", "query")
-            },
-            "query": clean(self.query),
-            "net": clean(self.net),
-            "synth": clean(self.synth),
-            "sweep": clean(self.sweep),
         }
+        for name in _SECTION_TYPES:
+            doc[name] = dataclasses.asdict(getattr(self, name))
+        for name in _TRAIN_SKIP:
+            del doc["train"][name]
+        return doc
 
 
 _SECTION_TYPES = {
@@ -166,12 +131,6 @@ _SECTION_TYPES = {
 _TRAIN_SKIP = {"mask", "query"}  # nested configs come from their sections
 # keys of the run record (RunConfig.to_json_dict) besides seed and sections
 _RECORD_KEYS = {"command", "out", "inputs", "checkpoint", "stats"}
-
-
-def _known_fields(cls, skip=()) -> dict[str, dataclasses.Field]:
-    return {
-        f.name: f for f in dataclasses.fields(cls) if f.name not in skip
-    }
 
 
 def _tuplify(v):
@@ -218,20 +177,15 @@ def _set_path(doc: dict, path: list[str], value) -> None:
 
 
 def _build_section(name: str, cls, doc: dict, skip=(), extra=None):
-    fields = _known_fields(cls, skip)
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"section {name!r} must be an object")
+    fields = {f.name for f in dataclasses.fields(cls)} - set(skip)
     kwargs = dict(extra or {})
-    for key, value in section.items():
+    for key, value in doc.get(name, {}).items():
         if key not in fields:
             raise ConfigError(f"unknown key '{name}.{key}'")
         kwargs[key] = _tuplify(value)
     try:
         return cls(**kwargs)
-    except (ValueError, RmaeError) as e:
-        raise ConfigError(f"{name}: {e}") from e
-    except TypeError as e:
+    except (ValueError, TypeError, RmaeError) as e:
         raise ConfigError(f"{name}: {e}") from e
 
 
@@ -272,8 +226,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     checkpoint = args.checkpoint or _recorded_paths(doc, "checkpoint")
     stats_path = args.stats or _recorded_paths(doc, "stats")
     for name in _SECTION_TYPES:
-        sec = doc.get(name)
-        if sec is not None and not isinstance(sec, dict):
+        if not isinstance(doc.get(name, {}), dict):
             raise ConfigError(f"section {name!r} must be an object")
 
     seed = doc.get("seed", 0)
@@ -331,12 +284,6 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _atomic(path: Path, writer) -> None:
     """Run writer(tmp_path) then rename tmp over path."""
     tmp = path.with_name(path.name + ".tmp")
@@ -347,15 +294,20 @@ def _atomic(path: Path, writer) -> None:
         os.replace(sidecar, Path(f"{path}.manifest.txt"))
 
 
-def _json_dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _json_dump(path: Path, obj: dict) -> None:
+    _atomic(path, lambda p: p.write_text(json.dumps(obj, indent=2) + "\n"))
 
 
 def _load_frames(cfg: RunConfig) -> list[PointCloud]:
     if cfg.inputs:
         return [load_kitti_bin(p) for p in cfg.inputs]
     return [
-        synth_scene(cfg.synth.scene_spec(i)) for i in range(cfg.synth.frames)
+        synth_scene(
+            dataclasses.replace(
+                cfg.synth, seed=keyrand.derive_seed(cfg.synth.seed, i)
+            )
+        )
+        for i in range(cfg.synth.frames)
     ]
 
 
@@ -370,9 +322,7 @@ def _split_frames(frames, cfg: RunConfig):
 def run(cfg: RunConfig) -> int:
     """Execute one command; raises on failure (main maps to exit codes)."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(
-        cfg.out_dir / "resolved_config.json", _json_dump(cfg.to_json_dict())
-    )
+    _json_dump(cfg.out_dir / "resolved_config.json", cfg.to_json_dict())
 
     if cfg.command == "energy":
         report = total_power(cfg.energy)
@@ -387,14 +337,9 @@ def run(cfg: RunConfig) -> int:
                     ) from e
             stats = MaskStats.from_json_dict(raw)
             frugal = frugal_savings(report, stats, cfg.energy.R)
-        _atomic_write_text(
-            cfg.out_dir / "energy.json", _json_dump(report.to_json_dict())
-        )
+        _json_dump(cfg.out_dir / "energy.json", report.to_json_dict())
         if frugal is not None:
-            _atomic_write_text(
-                cfg.out_dir / "frugal.json",
-                _json_dump(frugal.to_json_dict()),
-            )
+            _json_dump(cfg.out_dir / "frugal.json", frugal.to_json_dict())
         return 0
 
     frames = _load_frames(cfg)
@@ -413,9 +358,7 @@ def run(cfg: RunConfig) -> int:
                     "dropped_points": grid.dropped_points,
                 }
             )
-        _atomic_write_text(
-            cfg.out_dir / "summary.json", _json_dump({"frames": summary})
-        )
+        _json_dump(cfg.out_dir / "summary.json", {"frames": summary})
         return 0
 
     if cfg.command == "mask":
@@ -425,10 +368,7 @@ def run(cfg: RunConfig) -> int:
             cfg.out_dir / "mask.txt",
             lambda p: write_mask_dump(outcome, grid, p),
         )
-        _atomic(
-            cfg.out_dir / "stats.json",
-            lambda p: write_stats_json(outcome.stats, p),
-        )
+        _json_dump(cfg.out_dir / "stats.json", outcome.stats.to_json_dict())
         return 0
 
     if cfg.command == "pretrain":
@@ -448,9 +388,7 @@ def run(cfg: RunConfig) -> int:
             raise ConfigError("eval requires --checkpoint")
         net = load_checkpoint(cfg.checkpoint)
         report = evaluate(frames, net, cfg.mask, cfg.query, cfg.geometry)
-        _atomic_write_text(
-            cfg.out_dir / "eval.json", _json_dump(report.to_json_dict())
-        )
+        _json_dump(cfg.out_dir / "eval.json", report.to_json_dict())
         return 0
 
     if cfg.command in ("sweep-ratio", "sweep-angle"):

@@ -21,14 +21,6 @@ class InvalidParams(RmaeError):
     """Physical or model parameters violate their documented ranges."""
 
 
-class NotFound(RmaeError):
-    """A voxel coordinate is absent from a sparse grid."""
-
-
-class InvalidPairing(RmaeError):
-    """A mask outcome does not belong to the grid it is paired with."""
-
-
 class ShapeError(RmaeError):
     """Tensor shapes or sparse supports are inconsistent."""
 

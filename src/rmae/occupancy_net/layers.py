@@ -12,12 +12,13 @@ and output row, the input row it reads, or N where that site is absent.
 It is built with one broadcast over the 27 offsets through an index
 volume, and a stride-1 conv hands it on with its output map, whose support
 is the input's, so every conv at one resolution shares one table.  The
-forward is then one gather of the input, padded with a zero row, into a
-(27, M, C_in) array, one batched GEMM against the (27, C_in, C_out)
-weight, and 27 adds of the per-tap products onto the bias in tap order:
-the same full-height products, added in the same order, as a per-tap
-loop.  Each tap's (input rows, output rows) pairs come from the table in
-ascending output order when backward needs them.
+forward then gathers the input, padded with a zero row, for
+_TAPS_PER_GEMM taps at a time into a (taps, M, C_in) array, makes one
+batched GEMM against those taps' (taps, C_in, C_out) weights, and adds
+the per-tap products onto the bias in tap order: the same full-height
+products, added in the same order, as a per-tap loop.  Each tap's (input
+rows, output rows) pairs come from the table in ascending output order
+when backward needs them.
 
 The dense decoder layers run "transform, then shift": the taps that write
 one output phase (one parity class of a strided output; the whole output
@@ -41,7 +42,7 @@ from ..errors import DegenerateBatch, ShapeError, StaleCache
 # rows per temporary in BatchNorm.backward's last per-element product
 _ROW_BLOCK = 8192
 # taps per forward GEMM: bounds the slab of per-tap results at 9 taps
-# (the head's 27 taps take three GEMMs, a deconv phase's 8 taps one)
+# (27 taps take three GEMMs, a deconv phase's 8 taps one)
 _TAPS_PER_GEMM = 9
 
 OFFSETS3 = [
@@ -122,12 +123,18 @@ class _SparseConv:
         _check_width(x.feats, self.in_ch, type(self).__name__)
         dims, coords, table, neighbors = self._output_sites(x)
         padded = np.concatenate([x.feats, np.zeros((1, self.in_ch))])
-        # full-height neighbor matrices (zeros where absent) keep the gemm
-        # shape fixed, so results are independent of sparsity
-        products = np.matmul(padded[table], self.weight)
         out = np.tile(self.bias, (len(coords), 1))
-        for product in products:
-            out += product
+        # one buffer takes every chunk's products, so a chunk's GEMM never
+        # runs while the previous chunk's products are still held
+        products = np.empty((_TAPS_PER_GEMM, len(coords), self.out_ch))
+        for lo in range(0, len(table), _TAPS_PER_GEMM):
+            taps = slice(lo, lo + _TAPS_PER_GEMM)
+            chunk = products[: len(table[taps])]
+            # full-height neighbor matrices (zeros where absent) keep the
+            # gemm shape fixed, so results are independent of sparsity
+            np.matmul(padded[table[taps]], self.weight[taps], out=chunk)
+            for product in chunk:
+                out += product
         return SparseFeatureMap(dims, coords, out, neighbors), (x, table)
 
     def backward(self, ctx, grad_out: np.ndarray):

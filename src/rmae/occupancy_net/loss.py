@@ -87,34 +87,23 @@ def build_query_set(
     """
     dims = truth.geometry.dims
     if q.mode == "all_voxels":
-        grid_pts = np.indices(dims).reshape(3, -1).T.astype(np.int64)
-        coords = grid_pts
+        coords = np.indices(dims).reshape(3, -1).T.astype(np.int64)
     else:
         visible_coords = np.asarray(visible_coords, dtype=np.int64).reshape(
             -1, 3
         )
-        if len(visible_coords) == 0:
-            coords = np.empty((0, 3), dtype=np.int64)
-        else:
-            r = q.sphere_radius
-            ri = int(np.floor(r))
-            span = np.arange(-ri, ri + 1)
-            sx, sy, sz = np.meshgrid(span, span, span, indexing="ij")
-            stencil = np.column_stack(
-                [sx.ravel(), sy.ravel(), sz.ravel()]
-            ).astype(np.int64)
-            stencil = stencil[(stencil**2).sum(axis=1) <= r * r]
-            pts = (visible_coords[:, None, :] + stencil[None, :, :]).reshape(
-                -1, 3
-            )
-            inside = ((pts >= 0) & (pts < np.asarray(dims))).all(axis=1)
-            pts = pts[inside]
-            _, ny, nz = dims
-            lin = (pts[:, 0] * ny + pts[:, 1]) * nz + pts[:, 2]
-            ulin = np.unique(lin)
-            coords = np.column_stack(
-                [ulin // (ny * nz), (ulin // nz) % ny, ulin % nz]
-            ).astype(np.int64)
+        r = q.sphere_radius
+        ri = int(np.floor(r))
+        span = np.arange(-ri, ri + 1)
+        sx, sy, sz = np.meshgrid(span, span, span, indexing="ij")
+        stencil = np.column_stack([sx.ravel(), sy.ravel(), sz.ravel()])
+        stencil = stencil[(stencil**2).sum(axis=1) <= r * r]
+        pts = (visible_coords[:, None, :] + stencil[None, :, :]).reshape(
+            -1, 3
+        )
+        pts = pts[((pts >= 0) & (pts < np.asarray(dims))).all(axis=1)]
+        lin = np.unique(np.ravel_multi_index(tuple(pts.T), dims))
+        coords = np.column_stack(np.unravel_index(lin, dims)).astype(np.int64)
     if q.balance_empty and len(coords):
         occ = truth.o[coords[:, 0], coords[:, 1], coords[:, 2]].astype(bool)
         pos = coords[occ]

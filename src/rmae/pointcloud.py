@@ -18,23 +18,6 @@ _RECORD_BYTES = 16
 _POINT_DTYPE = np.dtype("<f4")
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-    z: float
-    intensity: float
-
-
-@dataclass(frozen=True)
-class CylindricalCoord:
-    """(r, theta, z) with r >= 0 and theta normalized into [0, 2*pi)."""
-
-    r: float
-    theta: float
-    z: float
-
-
 class PointCloud:
     """Ordered, immutable point sequence backed by an (N, 4) float32 array."""
 
@@ -68,10 +51,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self._data.shape[0]
-
-    def __getitem__(self, i: int) -> Point:
-        x, y, z, it = self._data[i]
-        return Point(float(x), float(y), float(z), float(it))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointCloud):
@@ -111,21 +90,13 @@ def save_kitti_bin(cloud: PointCloud, path) -> None:
         fh.write(cloud.data.tobytes())
 
 
-def to_cylindrical(p: Point) -> CylindricalCoord:
-    """Map a Cartesian point to (r, theta, z); origin maps to (0, 0, z)."""
-    r = math.hypot(p.x, p.y)
-    theta = math.atan2(p.y, p.x) % (2.0 * math.pi)
-    if theta >= 2.0 * math.pi:  # guard against atan2(-0.0, ...) rounding
-        theta = 0.0
-    return CylindricalCoord(r, theta, p.z)
-
-
 def cylindrical_arrays(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (r, theta) for an (N, >=2) array, theta in [0, 2*pi)."""
+    """(r, theta) for an (N, >=2) array of x, y columns, theta in
+    [0, 2*pi); the origin maps to (0, 0)."""
     x = np.asarray(xyz, dtype=np.float64)
     r = np.hypot(x[:, 0], x[:, 1])
     theta = np.arctan2(x[:, 1], x[:, 0]) % (2.0 * np.pi)
-    theta[theta >= 2.0 * np.pi] = 0.0
+    theta[theta >= 2.0 * np.pi] = 0.0  # a tiny negative angle wraps to 2*pi
     return r, theta
 
 

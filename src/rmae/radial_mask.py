@@ -11,16 +11,13 @@ outcomes are independent of iteration order and safe to parallelize.
 
 from __future__ import annotations
 
-import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import keyrand
-from .errors import InvalidPairing, MalformedFile
-from .pointcloud import CylindricalCoord
+from .errors import MalformedFile
 from .voxelizer import VoxelGrid, grid_cylindrical
 
 # Salts separating the keyed RNG streams.
@@ -69,9 +66,6 @@ class MaskConfig:
     def n_subgroups(self) -> int:
         return len(self.r_thresholds) + 1
 
-    def drop_row(self, group: int) -> tuple[float, ...]:
-        return self.p_drop[0] if len(self.p_drop) == 1 else self.p_drop[group]
-
 
 @dataclass(frozen=True)
 class MaskStats:
@@ -93,8 +87,10 @@ class MaskStats:
 
     @classmethod
     def from_json_dict(cls, raw) -> "MaskStats":
-        """Inverse of to_json_dict; MalformedFile when a key is missing or
-        a value is not a number (a drop rate may also be null)."""
+        """Inverse of to_json_dict; MalformedFile when a key is missing, a
+        value is not a number (a drop rate may also be null), a fraction
+        or rate lies outside [0, 1], or max_sensed_range is negative or
+        not finite."""
         if not isinstance(raw, dict):
             raise MalformedFile("mask stats must be a JSON object")
         keys = (
@@ -119,6 +115,17 @@ class MaskStats:
                 "mask stats: values must be numbers, and drop rates a"
                 " list of numbers or nulls"
             )
+        fractions = [
+            scalars["group_visible_fraction"],
+            scalars["voxel_visible_fraction"],
+        ] + [v for v in rates if v is not None]
+        if not all(0.0 <= v <= 1.0 for v in fractions) or not (
+            0.0 <= scalars["max_sensed_range"] < math.inf
+        ):
+            raise MalformedFile(
+                "mask stats: fractions and drop rates must lie in [0, 1],"
+                " and max_sensed_range must be finite and non-negative"
+            )
         return cls(
             per_subgroup_drop_rate=tuple(
                 float("nan") if v is None else v for v in rates
@@ -137,24 +144,6 @@ class MaskOutcome:
     subgroups: np.ndarray  # (N,) int64, distance subgroup per voxel
     stats: MaskStats
 
-    @property
-    def visible_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.visible)
-
-
-def assign_angular_group(c: CylindricalCoord, n_groups: int) -> int:
-    """Index of the 2*pi/n_groups wedge containing azimuth theta."""
-    g = int(c.theta / (TWO_PI / n_groups))
-    return min(g, n_groups - 1)
-
-
-def assign_distance_subgroup(
-    c: CylindricalCoord, r_thresholds: tuple[float, ...]
-) -> int:
-    """Radial band index; a radius equal to a threshold lands in the
-    farther band."""
-    return bisect_right(list(r_thresholds), c.r)
-
 
 def angular_groups(theta: np.ndarray, n_groups: int) -> np.ndarray:
     """Index of the 2*pi/n_groups wedge containing each azimuth theta."""
@@ -168,7 +157,9 @@ def in_groups(groups: np.ndarray, selected) -> np.ndarray:
     return np.isin(groups, np.fromiter(selected, dtype=np.int64))
 
 
-def _subgroups_of(r: np.ndarray, thresholds) -> np.ndarray:
+def distance_subgroups(r: np.ndarray, thresholds) -> np.ndarray:
+    """Radial band index of each radius r; a radius equal to a threshold
+    lands in the farther band."""
     return np.searchsorted(np.asarray(thresholds), r, side="right").astype(
         np.int64
     )
@@ -201,21 +192,9 @@ def apply_mask(
     seed = cfg.seed if seed is None else seed
     selected = select_groups(cfg, seed)
     n = len(grid)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        stats = MaskStats(
-            len(selected) / cfg.n_groups,
-            0.0,
-            tuple([float("nan")] * cfg.n_subgroups),
-            0.0,
-        )
-        return MaskOutcome(
-            selected, np.empty(0, dtype=bool), empty, empty, stats
-        )
-
     r, theta = grid_cylindrical(grid)
     groups = angular_groups(theta, cfg.n_groups)
-    subgroups = _subgroups_of(r, cfg.r_thresholds)
+    subgroups = distance_subgroups(r, cfg.r_thresholds)
     in_selected = in_groups(groups, selected)
     u = keyrand.uniform_array(
         seed,
@@ -259,42 +238,8 @@ def _compute_stats(cfg, selected, visible, in_selected, subgroups, r):
     )
 
 
-def mask_statistics(
-    outcome: MaskOutcome, grid: VoxelGrid, cfg: MaskConfig
-) -> MaskStats:
-    """Recompute MaskStats for an outcome/grid pair (InvalidPairing if the
-    outcome was not produced from this grid)."""
-    if len(outcome.visible) != len(grid):
-        raise InvalidPairing(
-            f"outcome covers {len(outcome.visible)} voxels, grid has"
-            f" {len(grid)}"
-        )
-    r, theta = grid_cylindrical(grid)
-    groups = angular_groups(theta, cfg.n_groups)
-    subgroups = _subgroups_of(r, cfg.r_thresholds)
-    if not (
-        np.array_equal(groups, outcome.groups)
-        and np.array_equal(subgroups, outcome.subgroups)
-    ):
-        raise InvalidPairing("outcome group assignment disagrees with grid")
-    return _compute_stats(
-        cfg,
-        outcome.selected_groups,
-        outcome.visible,
-        in_groups(groups, outcome.selected_groups),
-        subgroups,
-        r,
-    )
-
-
 def write_mask_dump(outcome: MaskOutcome, grid: VoxelGrid, path) -> None:
     """Text export: "ix iy iz M" per voxel, M=1 visible, canonical order."""
     with open(path, "w", newline="\n") as fh:
         for (ix, iy, iz), vis in zip(grid.coords, outcome.visible):
             fh.write(f"{ix} {iy} {iz} {1 if vis else 0}\n")
-
-
-def write_stats_json(stats: MaskStats, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(stats.to_json_dict(), fh, indent=2)
-        fh.write("\n")

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFound
-from .pointcloud import CylindricalCoord, PointCloud, cylindrical_arrays, to_cylindrical, Point
+from .pointcloud import PointCloud, cylindrical_arrays
 
 FEATURE_WIDTH = 4  # mean offset-from-center (x, y, z) + mean intensity
 
@@ -93,21 +92,6 @@ class VoxelGrid:
             and np.array_equal(self.counts, other.counts)
         )
 
-    def index_of(self, v) -> int:
-        """Row index of voxel coordinate v; raises NotFound if absent."""
-        v = np.asarray(v, dtype=np.int64)
-        lo = np.searchsorted(self._linear(), self._linearize(v))
-        if lo < len(self) and np.array_equal(self.coords[lo], v):
-            return int(lo)
-        raise NotFound(f"voxel {tuple(int(c) for c in v)} not in grid")
-
-    def _linearize(self, v: np.ndarray) -> np.ndarray:
-        _, ny, nz = self.geometry.dims
-        return (v[..., 0] * ny + v[..., 1]) * nz + v[..., 2]
-
-    def _linear(self) -> np.ndarray:
-        return self._linearize(self.coords)
-
 
 @dataclass
 class OccupancyGrid:
@@ -116,48 +100,26 @@ class OccupancyGrid:
     geometry: GridGeometry
     o: np.ndarray  # (nx, ny, nz) uint8
 
-    @property
-    def occupied_count(self) -> int:
-        return int(self.o.sum())
-
 
 def voxelize(cloud: PointCloud, geom: GridGeometry) -> VoxelGrid:
     """Bucket points into voxels; out-of-extent points are dropped (their
     count is kept on the grid's dropped_points field)."""
-    if len(cloud) == 0:
-        return VoxelGrid(
-            geom,
-            np.empty((0, 3), np.int64),
-            np.empty((0, FEATURE_WIDTH), np.float64),
-            np.empty((0,), np.int64),
-        )
     pts = cloud.data.astype(np.float64)
     mins = np.asarray(geom.min_corner)
     sizes = np.asarray(geom.voxel_size)
-    dims = np.asarray(geom.dims)
+    dims = np.asarray(geom.dims, dtype=np.int64)
 
     idx = np.floor((pts[:, :3] - mins) / sizes).astype(np.int64)
     inside = ((idx >= 0) & (idx < dims)).all(axis=1)
     dropped = int((~inside).sum())
     idx = idx[inside]
     pts = pts[inside]
-    if len(idx) == 0:
-        return VoxelGrid(
-            geom,
-            np.empty((0, 3), np.int64),
-            np.empty((0, FEATURE_WIDTH), np.float64),
-            np.empty((0,), np.int64),
-            dropped_points=dropped,
-        )
-
-    _, ny, nz = geom.dims
-    linear = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
     uniq, inverse, counts = np.unique(
-        linear, return_inverse=True, return_counts=True
+        np.ravel_multi_index(tuple(idx.T), dims),
+        return_inverse=True,
+        return_counts=True,
     )
-    coords = np.column_stack(
-        [uniq // (ny * nz), (uniq // nz) % ny, uniq % nz]
-    ).astype(np.int64)
+    coords = np.column_stack(np.unravel_index(uniq, dims))
 
     offsets = pts[:, :3] - (mins + (idx + 0.5) * sizes)
     feats = np.zeros((len(uniq), FEATURE_WIDTH), dtype=np.float64)
@@ -169,13 +131,6 @@ def voxelize(cloud: PointCloud, geom: GridGeometry) -> VoxelGrid:
     feats /= counts[:, None]
 
     return VoxelGrid(geom, coords, feats, counts.astype(np.int64), dropped)
-
-
-def voxel_cylindrical(grid: VoxelGrid, v) -> CylindricalCoord:
-    """Cylindrical coordinates of voxel v's center (NotFound if absent)."""
-    i = grid.index_of(v)
-    cx, cy, cz = grid.geometry.centers(grid.coords[i : i + 1])[0]
-    return to_cylindrical(Point(cx, cy, cz, 0.0))
 
 
 def grid_cylindrical(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -132,12 +132,20 @@ class TestBadInput:
             {"max_sensed_range": True},
             {"per_subgroup_drop_rate": ["a", None]},
             {"per_subgroup_drop_rate": 0.5},
+            {"group_visible_fraction": 2.0},
+            {"voxel_visible_fraction": -0.1},
+            {"group_visible_fraction": float("nan")},
+            {"per_subgroup_drop_rate": [1.5, None, None]},
+            {"max_sensed_range": -1.0},
+            {"max_sensed_range": float("inf")},
             "{}",
             "not json",
         ],
     )
     def test_bad_stats_file_writes_no_report(self, change, tmp_path, capsys):
         stats = tmp_path / "stats.json"
+        # json.dumps writes inf and nan as the Infinity and NaN literals,
+        # which json.load accepts
         stats.write_text(
             change if isinstance(change, str) else json.dumps(
                 {**GOOD_STATS, **change}
@@ -179,6 +187,12 @@ class TestRerunFromRecord:
         assert cli.main(rerun) == 0
         for name in ("checkpoint.rmae", "loss.csv"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
+        records = [
+            json.loads((d / "resolved_config.json").read_text())
+            for d in (first, again)
+        ]
+        assert [r.pop("out") for r in records] == [str(first), str(again)]
+        assert json.dumps(records[0]) == json.dumps(records[1])
 
     def test_eval_takes_the_recorded_checkpoint(self, tmp_path):
         net = tmp_path / "net.rmae"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,46 @@ class TestSparseAgainstPerTap:
         assert sorted(tables) == ["0", "1", "2"]
         assert all(len(ids) == 1 for ids in tables.values())
         assert len(set.union(*tables.values())) == 3
+
+
+def one_gemm_forward(layer, x, table):
+    """The sparse conv forward as a single batched GEMM over all 27 taps:
+    the reference for the forward that multiplies a few taps at a time."""
+    padded = np.concatenate([x.feats, np.zeros((1, layer.in_ch))])
+    out = np.tile(layer.bias, (table.shape[1], 1))
+    for product in np.matmul(padded[table], layer.weight):
+        out += product
+    return out
+
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedSparseForward:
+    @pytest.mark.parametrize("cls", [SubmanifoldConv, SparseDownConv])
+    def test_equals_one_batched_gemm(self, cls):
+        rng = np.random.default_rng(44)
+        layer = cls(16, 24, rng)
+        layer.bias[:] = rng.normal(0, 1, 24)
+        x = random_sparse((32, 32, 16), 3000, 16, rng)
+        out, (_, table) = layer.forward(x)
+        assert_bitwise(out.feats, one_gemm_forward(layer, x, table))
+
+    def test_peak_memory_under_half_of_one_batched_gemm(self):
+        rng = np.random.default_rng(45)
+        layer = SubmanifoldConv(16, 16, rng)
+        x = random_sparse((32, 32, 16), 3000, 16, rng)
+        _, (_, table) = layer.forward(x)
+        x = SparseFeatureMap(x.dims, x.coords, x.feats, table)
+        chunked = peak_bytes(lambda: layer.forward(x))
+        one_gemm = peak_bytes(lambda: one_gemm_forward(layer, x, table))
+        assert chunked < one_gemm / 2
 
 
 class TestBatchNorm:

@@ -212,7 +212,7 @@ class TestBuildQuerySet:
             np.empty((0, 3), np.int64),
             QueryConfig(mode="sphere", sphere_radius=2),
         )
-        assert len(q) == 0
+        assert q.shape == (0, 3) and q.dtype == np.int64
 
     def test_balance_empty_equalizes_classes(self, small_geom):
         rng = np.random.default_rng(7)

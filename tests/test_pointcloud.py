@@ -6,13 +6,12 @@ import pytest
 
 from rmae.errors import InvalidSpec, MalformedFile
 from rmae.pointcloud import (
-    Point,
     PointCloud,
     SceneSpec,
+    cylindrical_arrays,
     load_kitti_bin,
     save_kitti_bin,
     synth_scene,
-    to_cylindrical,
 )
 
 
@@ -33,7 +32,7 @@ class TestKittiBin:
         p.write_bytes(struct.pack("<4f", 1.0, 2.0, 3.0, 0.5))
         cloud = load_kitti_bin(p)
         assert len(cloud) == 1
-        assert cloud[0] == Point(1.0, 2.0, 3.0, 0.5)
+        assert cloud.data[0].tolist() == [1.0, 2.0, 3.0, 0.5]
 
     def test_sizes(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -76,37 +75,37 @@ class TestKittiBin:
 
 
 class TestCylindrical:
+    """cylindrical_arrays, one row per case."""
+
     def test_axis_points(self):
-        c = to_cylindrical(Point(1.0, 0.0, 5.0, 0.0))
-        assert (c.r, c.theta, c.z) == (1.0, 0.0, 5.0)
-        c = to_cylindrical(Point(0.0, 1.0, 0.0, 0.0))
-        assert c.r == 1.0 and abs(c.theta - math.pi / 2) < 1e-15
+        r, theta = cylindrical_arrays([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0]])
+        assert r.tolist() == [1.0, 1.0]
+        assert theta[0] == 0.0 and abs(theta[1] - math.pi / 2) < 1e-15
 
     def test_third_quadrant(self):
-        c = to_cylindrical(Point(-1.0, -1.0, 2.0, 0.0))
-        assert abs(c.r - math.sqrt(2)) < 1e-15
-        assert abs(c.theta - 5 * math.pi / 4) < 1e-15
-        assert c.z == 2.0
+        r, theta = cylindrical_arrays([[-1.0, -1.0, 2.0]])
+        assert abs(r[0] - math.sqrt(2)) < 1e-15
+        assert abs(theta[0] - 5 * math.pi / 4) < 1e-15
 
     def test_origin_convention(self):
-        c = to_cylindrical(Point(0.0, 0.0, 1.0, 0.0))
-        assert (c.r, c.theta) == (0.0, 0.0)
+        r, theta = cylindrical_arrays([[0.0, 0.0, 1.0]])
+        assert (r[0], theta[0]) == (0.0, 0.0)
 
     def test_range_and_inverse(self):
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            x, y = rng.uniform(-1e4, 1e4, 2)
-            z = rng.uniform(-10, 10)
-            c = to_cylindrical(Point(x, y, z, 0.0))
-            assert c.r >= 0.0
-            assert 0.0 <= c.theta < 2 * math.pi
-            assert abs(c.r * math.cos(c.theta) - x) < 1e-6
-            assert abs(c.r * math.sin(c.theta) - y) < 1e-6
-            assert c.z == z
+        xyz = rng.uniform(-1e4, 1e4, (500, 3))
+        r, theta = cylindrical_arrays(xyz)
+        assert (r >= 0.0).all()
+        assert ((0.0 <= theta) & (theta < 2 * math.pi)).all()
+        np.testing.assert_allclose(r * np.cos(theta), xyz[:, 0], atol=1e-6)
+        np.testing.assert_allclose(r * np.sin(theta), xyz[:, 1], atol=1e-6)
 
     def test_negative_zero_y(self):
-        c = to_cylindrical(Point(1.0, -0.0, 0.0, 0.0))
-        assert c.theta == 0.0
+        # -0.0 gives atan2 = -0.0; a tiny negative y wraps to exactly 2*pi
+        # before the clamp: both must come out as 0
+        r, theta = cylindrical_arrays([[1.0, -0.0], [1.0, -1e-300]])
+        assert theta.tolist() == [0.0, 0.0]
+        assert not np.signbit(theta).any()
 
 
 class TestSynthScene:

@@ -6,60 +6,68 @@ import pytest
 
 from conftest import make_grid, random_grid
 from rmae import keyrand
-from rmae.errors import InvalidPairing
-from rmae.pointcloud import CylindricalCoord
 from rmae.radial_mask import (
     MaskConfig,
+    MaskStats,
+    angular_groups,
     apply_mask,
-    assign_angular_group,
-    assign_distance_subgroup,
-    mask_statistics,
+    distance_subgroups,
     select_groups,
     write_mask_dump,
-    write_stats_json,
 )
 from rmae.radial_mask import _VOXEL_STREAM  # noqa: PLC2701 - keyed-RNG contract test
 from rmae.voxelizer import GridGeometry, grid_cylindrical
 
 
-def cyl(r=0.0, theta=0.0, z=0.0):
-    return CylindricalCoord(r, theta, z)
+def group_of(theta: float, n_groups: int) -> int:
+    g = angular_groups(np.array([theta]), n_groups)
+    assert g.dtype == np.int64
+    return int(g[0])
+
+
+def band_of(r: float, thresholds=(30.0, 50.0)) -> int:
+    k = distance_subgroups(np.array([r]), thresholds)
+    assert k.dtype == np.int64
+    return int(k[0])
 
 
 class TestGroupAssignment:
     def test_zero_theta(self):
-        assert assign_angular_group(cyl(theta=0.0), 360) == 0
+        assert group_of(0.0, 360) == 0
 
     def test_pi_quarter_groups(self):
-        assert assign_angular_group(cyl(theta=math.pi), 4) == 2
+        assert group_of(math.pi, 4) == 2
 
     def test_wrap_boundary_clamps(self):
-        theta = 2 * math.pi - 1e-12
-        assert assign_angular_group(cyl(theta=theta), 360) == 359
+        assert group_of(2 * math.pi - 1e-12, 360) == 359
+        # the largest double below 2*pi divides to n_groups (for 3 groups)
+        assert group_of(np.nextafter(2 * math.pi, 0.0), 3) == 2
 
     def test_matches_floor_arithmetic(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            n_g = int(rng.integers(1, 720))
-            theta = rng.uniform(0, 2 * math.pi * (1 - 1e-12))
-            g = assign_angular_group(cyl(theta=theta), n_g)
-            assert g == min(int(theta / (2 * math.pi / n_g)), n_g - 1)
-            assert 0 <= g < n_g
+        for n_g in rng.integers(1, 720, 20):
+            theta = rng.uniform(0, 2 * math.pi * (1 - 1e-12), 10)
+            g = angular_groups(theta, int(n_g))
+            width = 2 * math.pi / n_g
+            assert g.tolist() == [min(int(t / width), n_g - 1) for t in theta]
+            assert ((0 <= g) & (g < n_g)).all()
 
 
 class TestSubgroupAssignment:
     def test_zero_radius(self):
-        assert assign_distance_subgroup(cyl(r=0.0), (30.0, 50.0)) == 0
+        assert band_of(0.0) == 0
 
     def test_between_thresholds(self):
-        assert assign_distance_subgroup(cyl(r=40.0), (30.0, 50.0)) == 1
+        assert band_of(40.0) == 1
 
     def test_boundary_goes_to_farther_band(self):
-        assert assign_distance_subgroup(cyl(r=30.0), (30.0, 50.0)) == 1
-        assert assign_distance_subgroup(cyl(r=50.0), (30.0, 50.0)) == 2
+        assert band_of(30.0) == 1
+        assert band_of(50.0) == 2
+        assert band_of(np.nextafter(30.0, 0.0)) == 0
 
     def test_beyond_last(self):
-        assert assign_distance_subgroup(cyl(r=99.0), (30.0, 50.0)) == 2
+        assert band_of(99.0) == 2
+        assert band_of(99.0, ()) == 0
 
 
 class TestSelectGroups:
@@ -129,8 +137,11 @@ class TestApplyMask:
     def test_empty_grid(self, small_geom):
         grid = make_grid(small_geom, np.empty((0, 3)))
         out = apply_mask(grid, MaskConfig(seed=2))
-        assert len(out.visible) == 0
+        assert len(out.visible) == 0 and out.visible.dtype == bool
+        assert out.groups.dtype == out.subgroups.dtype == np.int64
         assert out.stats.voxel_visible_fraction == 0.0
+        assert out.stats.max_sensed_range == 0.0
+        assert all(map(math.isnan, out.stats.per_subgroup_drop_rate))
 
     def test_range_aware_drop_rates(self):
         grid = drop_rate_grid()
@@ -255,7 +266,7 @@ class TestMaskStatistics:
             seed=5,
         )
         out = apply_mask(grid, cfg)
-        stats = mask_statistics(out, grid, cfg)
+        stats = out.stats
 
         r, theta = grid_cylindrical(grid)
         visible = out.visible
@@ -276,26 +287,12 @@ class TestMaskStatistics:
     def test_trivial_extremes(self, small_geom):
         rng = np.random.default_rng(28)
         grid = random_grid(small_geom, 100, rng)
-        full = apply_mask(grid, MaskConfig(m=1.0, seed=1))
-        s = mask_statistics(full, grid, MaskConfig(m=1.0, seed=1))
+        s = apply_mask(grid, MaskConfig(m=1.0, seed=1)).stats
         assert s.voxel_visible_fraction == 0.0
         assert s.max_sensed_range == 0.0
-        none = apply_mask(
-            grid, MaskConfig(m=0.0, p_drop=((0.0, 0.0, 0.0),), seed=1)
-        )
-        s = mask_statistics(
-            none, grid, MaskConfig(m=0.0, p_drop=((0.0, 0.0, 0.0),), seed=1)
-        )
+        none = MaskConfig(m=0.0, p_drop=((0.0, 0.0, 0.0),), seed=1)
+        s = apply_mask(grid, none).stats
         assert s.voxel_visible_fraction == 1.0
-
-    def test_mismatched_pairing(self, small_geom):
-        rng = np.random.default_rng(29)
-        grid = random_grid(small_geom, 50, rng)
-        other = random_grid(small_geom, 49, rng)
-        cfg = MaskConfig(seed=2)
-        out = apply_mask(grid, cfg)
-        with pytest.raises(InvalidPairing):
-            mask_statistics(out, other, cfg)
 
 
 class TestConfigValidation:
@@ -332,9 +329,7 @@ def test_exports(tmp_path, small_geom):
         assert [int(ix), int(iy), int(iz)] == list(grid.coords[row])
         assert int(m) == int(out.visible[row])
 
-    stats_path = tmp_path / "stats.json"
-    write_stats_json(out.stats, stats_path)
-    doc = json.loads(stats_path.read_text())
+    doc = json.loads(json.dumps(out.stats.to_json_dict()))
     assert set(doc) == {
         "group_visible_fraction",
         "voxel_visible_fraction",
@@ -342,3 +337,4 @@ def test_exports(tmp_path, small_geom):
         "max_sensed_range",
     }
     assert doc["voxel_visible_fraction"] == out.stats.voxel_visible_fraction
+    assert MaskStats.from_json_dict(doc).to_json_dict() == doc

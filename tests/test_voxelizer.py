@@ -1,16 +1,15 @@
 import math
 
 import numpy as np
-import pytest
 
 from conftest import make_grid, random_grid
-from rmae.errors import NotFound
 from rmae.pointcloud import PointCloud, SceneSpec, synth_scene
 from rmae.voxelizer import (
+    FEATURE_WIDTH,
     GridGeometry,
     VoxelGrid,
+    grid_cylindrical,
     occupancy_of,
-    voxel_cylindrical,
     voxelize,
     write_debug_dump,
 )
@@ -23,7 +22,11 @@ def cloud_from(pts):
 class TestVoxelize:
     def test_empty_cloud(self, small_geom):
         grid = voxelize(PointCloud.empty(), small_geom)
-        assert len(grid) == 0
+        assert len(grid) == 0 and grid.dropped_points == 0
+        assert grid.feats.shape == (0, FEATURE_WIDTH)
+        far = cloud_from([[99.0, 0, 0, 1], [0, -99, 0, 1]])
+        outside = voxelize(far, small_geom)
+        assert outside == grid and outside.dropped_points == 2
 
     def test_point_at_center(self):
         geom = GridGeometry((0, 0, 0), (1, 1, 1), (4, 4, 4))
@@ -98,30 +101,26 @@ class TestVoxelize:
 
 
 class TestVoxelCylindrical:
+    """grid_cylindrical: (r, theta) of each voxel center."""
+
     def test_hand_case(self):
         geom = GridGeometry((0, 0, 0), (2, 8, 2), (2, 1, 1))
-        grid = make_grid(geom, [[1, 0, 0]])
-        c = voxel_cylindrical(grid, (1, 0, 0))
-        assert abs(c.r - 5.0) < 1e-12
-        assert abs(c.theta - math.atan2(4.0, 3.0)) < 1e-12
-        assert c.z == 1.0
+        grid = make_grid(geom, [[0, 0, 0], [1, 0, 0]])
+        r, theta = grid_cylindrical(grid)
+        np.testing.assert_allclose(r, [math.hypot(1.0, 4.0), 5.0], rtol=1e-12)
+        assert abs(theta[1] - math.atan2(4.0, 3.0)) < 1e-12
 
     def test_positive_x_axis(self):
         geom = GridGeometry((0, -1, 0), (1, 2, 1), (2, 1, 1))
-        grid = make_grid(geom, [[0, 0, 0]])
-        assert voxel_cylindrical(grid, (0, 0, 0)).theta == 0.0
+        grid = make_grid(geom, [[0, 0, 0], [1, 0, 0]])
+        assert grid_cylindrical(grid)[1].tolist() == [0.0, 0.0]
 
     def test_origin_column_half_diagonal(self):
         geom = GridGeometry()  # default: origin at a voxel corner
-        grid = make_grid(geom, [[31, 31, 0]])
-        c = voxel_cylindrical(grid, (31, 31, 0))
+        grid = make_grid(geom, [[31, 31, 0], [32, 32, 15]])
+        r, _ = grid_cylindrical(grid)
         half_diag = math.hypot(0.4, 0.4) / 2
-        assert abs(c.r - half_diag) < 1e-12
-
-    def test_absent_voxel(self, small_geom):
-        grid = make_grid(small_geom, [[1, 1, 1]])
-        with pytest.raises(NotFound):
-            voxel_cylindrical(grid, (2, 2, 2))
+        np.testing.assert_allclose(r, half_diag, rtol=1e-12)
 
 
 class TestOccupancy:
@@ -133,7 +132,7 @@ class TestOccupancy:
 
     def test_k_ones(self, small_geom):
         grid = make_grid(small_geom, [[0, 0, 0], [5, 5, 5], [1, 2, 3]])
-        assert occupancy_of(grid).occupied_count == 3
+        assert occupancy_of(grid).o.sum() == 3
 
     def test_positions_equal_key_set(self, small_geom):
         rng = np.random.default_rng(13)
@@ -173,4 +172,4 @@ def test_real_scene_smoke(small_geom):
     grid = voxelize(cloud, small_geom)
     assert len(grid) > 50
     occ = occupancy_of(grid)
-    assert occ.occupied_count == len(grid)
+    assert occ.o.sum() == len(grid)
