@@ -1,0 +1,55 @@
+#!/bin/sh
+# Run every rmae command on a tiny synthetic config and keep its artifacts.
+#
+#   scripts/cli_artifacts.sh SRC OUT
+#
+# SRC is the directory holding the rmae package (a checkout's src/); OUT
+# receives one directory per RMAE_THREADS value (t1, t2), each with one
+# directory per run.  Runs use paths relative to their OUT/tN directory,
+# so the records of two checkouts differ only in "out" lines:
+#
+#   scripts/cli_artifacts.sh old/src /tmp/a
+#   scripts/cli_artifacts.sh new/src /tmp/b
+#   diff -r -I '"out":' /tmp/a /tmp/b    # no output: same behaviour
+set -eu
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 2
+fi
+SRC=$(cd "$1" && pwd)
+mkdir -p "$2"
+OUT=$(cd "$2" && pwd)
+
+TINY="synth.frames=2 synth.ground_extent=6.0 synth.box_count=3
+geometry.min_corner=[-6.4,-6.4,-1.6] geometry.voxel_size=[0.8,0.8,0.8]
+geometry.dims=[16,16,8] net.stage_channels=[4,8,8] train.epochs=1
+train.batch_size=1"
+
+rmae() {
+    PYTHONPATH="$SRC" python3 -m rmae.cli "$@"
+}
+
+for threads in 1 2; do
+    dir="$OUT/t$threads"
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    (
+        cd "$dir"
+        export RMAE_THREADS=$threads
+        # shellcheck disable=SC2086 # TINY is a list of overrides
+        {
+            rmae pretrain --out pretrain $TINY
+            rmae eval --out eval --checkpoint pretrain/checkpoint.rmae $TINY
+            rmae sweep-ratio --out sweep-ratio 'sweep.ratios=[0.0,0.9]' $TINY
+            rmae sweep-angle --out sweep-angle 'sweep.spans_deg=[5.0,45.0]' \
+                $TINY
+            rmae mask --out mask 'mask.r_thresholds=[6.0,12.0]' $TINY
+            rmae voxelize --out voxelize $TINY
+            rmae energy --out energy --stats mask/stats.json
+            rmae pretrain --out rerun --config pretrain/resolved_config.json
+            rmae pretrain --out sphere query.mode=sphere $TINY
+        }
+    )
+done
+echo "artifacts in $OUT"

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,11 +88,13 @@ class SweepConfig:
 
 @dataclass
 class RunConfig:
+    """A run's configuration, echoed as its run record."""
+
     command: str
-    out_dir: Path
+    out: Path
     inputs: list[Path]
     checkpoint: Path | None
-    stats_path: Path | None
+    stats: Path | None
     seed: int
     geometry: GridGeometry
     mask: MaskConfig
@@ -103,40 +106,40 @@ class RunConfig:
     sweep: SweepConfig
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "command": self.command,
-            "out": str(self.out_dir),
-            "inputs": [str(p) for p in self.inputs],
-            "checkpoint": str(self.checkpoint) if self.checkpoint else None,
-            "stats": str(self.stats_path) if self.stats_path else None,
-            "seed": self.seed,
-        }
-        for name in _SECTION_TYPES:
-            doc[name] = dataclasses.asdict(getattr(self, name))
-        for name in _TRAIN_SKIP:
+        doc = dataclasses.asdict(self)
+        for name in ("mask", "query"):  # they come from their own sections
             del doc["train"][name]
         return doc
 
 
+_RUN_HINTS = typing.get_type_hints(RunConfig)
+# the config sections in build order: train takes the built mask and query
 _SECTION_TYPES = {
-    "geometry": GridGeometry,
-    "mask": MaskConfig,
-    "energy": EnergyParams,
-    "train": TrainConfig,
-    "query": QueryConfig,
-    "net": NetConfig,
-    "synth": SynthConfig,
-    "sweep": SweepConfig,
+    k: h
+    for k, h in sorted(_RUN_HINTS.items(), key=lambda i: i[0] == "train")
+    if dataclasses.is_dataclass(h)
 }
-_TRAIN_SKIP = {"mask", "query"}  # nested configs come from their sections
-# keys of the run record (RunConfig.to_json_dict) besides seed and sections
-_RECORD_KEYS = {"command", "out", "inputs", "checkpoint", "stats"}
 
 
 def _tuplify(v):
     if isinstance(v, list):
         return tuple(_tuplify(x) for x in v)
     return v
+
+
+def _fits(value, hint) -> bool:
+    """Whether a config value (lists as tuples) has a field's type: an int
+    field takes no bool, a float field also takes an int."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _parse_override(text: str) -> tuple[list[str], object]:
@@ -176,13 +179,21 @@ def _set_path(doc: dict, path: list[str], value) -> None:
     cur[path[-1]] = value
 
 
-def _build_section(name: str, cls, doc: dict, skip=(), extra=None):
-    fields = {f.name for f in dataclasses.fields(cls)} - set(skip)
-    kwargs = dict(extra or {})
-    for key, value in doc.get(name, {}).items():
-        if key not in fields:
+def _build_section(name: str, cls, section: dict, built: dict):
+    """cls from a section's values; a field of a section type takes that
+    section as built."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {
+        k: built[k] for k, h in hints.items() if dataclasses.is_dataclass(h)
+    }
+    for key, value in section.items():
+        hint = hints.get(key)
+        if hint is None or key in kwargs:
             raise ConfigError(f"unknown key '{name}.{key}'")
         kwargs[key] = _tuplify(value)
+        if not _fits(kwargs[key], hint):
+            kind = hint if typing.get_args(hint) else hint.__name__
+            raise ConfigError(f"{name}.{key}: {value!r} is not of type {kind}")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError, RmaeError) as e:
@@ -190,8 +201,8 @@ def _build_section(name: str, cls, doc: dict, skip=(), extra=None):
 
 
 def _recorded_paths(doc: dict, key: str, many: bool = False):
-    """The path (many: list of paths) a run record holds under key, or
-    None."""
+    """The Path (many: list of Paths) doc holds under key; None (many: [])
+    when it holds none."""
     value = doc.get(key)
     paths = value if many else [value]
     if value is not None and not (
@@ -199,88 +210,60 @@ def _recorded_paths(doc: dict, key: str, many: bool = False):
     ):
         kind = "a list of paths" if many else "a path"
         raise ConfigError(f"'{key}' must be {kind} or null")
-    return value
+    if many:
+        return [Path(p) for p in value or []]
+    return Path(value) if value else None
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """The run's configuration.  The config file may be a run's
-    resolved_config.json: its command must be this one, its out is
-    ignored, and its inputs, checkpoint and stats apply unless the
-    command line gives its own."""
+    resolved_config.json: its command must be this one and its out is
+    ignored.  --seed, --input, --checkpoint and --stats set the seed,
+    inputs, checkpoint and stats keys, over the file's values."""
     doc = _load_config_file(Path(args.config)) if args.config else {}
     for text in args.overrides:
         path, value = _parse_override(text)
         _set_path(doc, path, value)
-    if args.seed is not None:
-        doc["seed"] = args.seed
+    for key in ("seed", "inputs", "checkpoint", "stats"):  # flags win
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
 
-    allowed_top = {"seed"} | _RECORD_KEYS | set(_SECTION_TYPES)
     for key in doc:
-        if key not in allowed_top:
+        if key not in _RUN_HINTS:
             raise ConfigError(f"unknown key '{key}'")
     if doc.get("command", args.command) != args.command:
         raise ConfigError(
             f"config records a {doc['command']!r} run, not {args.command!r}"
         )
-    input_items = args.input or _recorded_paths(doc, "inputs", many=True)
-    checkpoint = args.checkpoint or _recorded_paths(doc, "checkpoint")
-    stats_path = args.stats or _recorded_paths(doc, "stats")
-    for name in _SECTION_TYPES:
-        if not isinstance(doc.get(name, {}), dict):
-            raise ConfigError(f"section {name!r} must be an object")
-
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _fits(seed, int) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
 
-    # Sections without an explicit seed get a child seed of the global one.
-    for name, tag in _SECTION_SEED_TAGS.items():
-        section = doc.setdefault(name, {})
-        section.setdefault("seed", keyrand.derive_seed(seed, tag))
-
-    if "p_drop" in doc["mask"]:
-        rows = doc["mask"]["p_drop"]
-        if rows and not isinstance(rows[0], list):
-            doc["mask"]["p_drop"] = [rows]
-
-    geometry = _build_section("geometry", GridGeometry, doc)
-    mask = _build_section("mask", MaskConfig, doc)
-    energy = _build_section("energy", EnergyParams, doc)
-    query = _build_section("query", QueryConfig, doc)
-    net = _build_section("net", NetConfig, doc)
-    synth = _build_section("synth", SynthConfig, doc)
-    sweep = _build_section("sweep", SweepConfig, doc)
-    train = _build_section(
-        "train",
-        TrainConfig,
-        doc,
-        skip=_TRAIN_SKIP,
-        extra={"mask": mask, "query": query},
-    )
+    sections = {}
+    for name, cls in _SECTION_TYPES.items():
+        section = doc.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"section {name!r} must be an object")
+        # a section without an explicit seed gets a child of the global one
+        if name in _SECTION_SEED_TAGS:
+            tag = _SECTION_SEED_TAGS[name]
+            section.setdefault("seed", keyrand.derive_seed(seed, tag))
+        rows = section.get("p_drop")
+        if isinstance(rows, list) and rows and not isinstance(rows[0], list):
+            section["p_drop"] = [rows]  # a single shared row
+        sections[name] = _build_section(name, cls, section, sections)
 
     inputs = []
-    for item in input_items or []:
-        p = Path(item)
-        if p.is_dir():
-            inputs.extend(sorted(p.glob("*.bin")))
-        else:
-            inputs.append(p)
-
+    for p in _recorded_paths(doc, "inputs", many=True):
+        inputs.extend(sorted(p.glob("*.bin")) if p.is_dir() else [p])
     return RunConfig(
         command=args.command,
-        out_dir=Path(args.out),
+        out=Path(args.out),
         inputs=inputs,
-        checkpoint=Path(checkpoint) if checkpoint else None,
-        stats_path=Path(stats_path) if stats_path else None,
+        checkpoint=_recorded_paths(doc, "checkpoint"),
+        stats=_recorded_paths(doc, "stats"),
         seed=seed,
-        geometry=geometry,
-        mask=mask,
-        energy=energy,
-        train=train,
-        query=query,
-        net=net,
-        synth=synth,
-        sweep=sweep,
+        **sections,
     )
 
 
@@ -295,7 +278,8 @@ def _atomic(path: Path, writer) -> None:
 
 
 def _json_dump(path: Path, obj: dict) -> None:
-    _atomic(path, lambda p: p.write_text(json.dumps(obj, indent=2) + "\n"))
+    text = json.dumps(obj, indent=2, default=os.fspath) + "\n"
+    _atomic(path, lambda p: p.write_text(text))
 
 
 def _load_frames(cfg: RunConfig) -> list[PointCloud]:
@@ -319,27 +303,34 @@ def _split_frames(frames, cfg: RunConfig):
     return frames[:-held], frames[-held:]
 
 
+# sweep command -> (sweep function, the SweepConfig field of its settings)
+_SWEEPS = {
+    "sweep-ratio": (sweep_masking_ratio, "ratios"),
+    "sweep-angle": (sweep_angular_range, "spans_deg"),
+}
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one command; raises on failure (main maps to exit codes)."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _json_dump(cfg.out_dir / "resolved_config.json", cfg.to_json_dict())
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    _json_dump(cfg.out / "resolved_config.json", cfg.to_json_dict())
 
     if cfg.command == "energy":
         report = total_power(cfg.energy)
         frugal = None
-        if cfg.stats_path is not None:  # a bad stats file writes nothing
-            with open(cfg.stats_path) as fh:
+        if cfg.stats is not None:  # a bad stats file writes nothing
+            with open(cfg.stats) as fh:
                 try:
                     raw = json.load(fh)
                 except ValueError as e:  # not JSON, or not UTF-8
                     raise MalformedFile(
-                        f"stats {cfg.stats_path}: not valid JSON ({e})"
+                        f"stats {cfg.stats}: not valid JSON ({e})"
                     ) from e
             stats = MaskStats.from_json_dict(raw)
             frugal = frugal_savings(report, stats, cfg.energy.R)
-        _json_dump(cfg.out_dir / "energy.json", report.to_json_dict())
+        _json_dump(cfg.out / "energy.json", report.to_json_dict())
         if frugal is not None:
-            _json_dump(cfg.out_dir / "frugal.json", frugal.to_json_dict())
+            _json_dump(cfg.out / "frugal.json", frugal.to_json_dict())
         return 0
 
     frames = _load_frames(cfg)
@@ -349,7 +340,7 @@ def run(cfg: RunConfig) -> int:
         for i, frame in enumerate(frames):
             grid = voxelize(frame, cfg.geometry)
             name = f"voxels_{i:04d}.txt"
-            _atomic(cfg.out_dir / name, lambda p, g=grid: write_debug_dump(g, p))
+            _atomic(cfg.out / name, lambda p, g=grid: write_debug_dump(g, p))
             summary.append(
                 {
                     "frame": frame.frame_id,
@@ -358,28 +349,28 @@ def run(cfg: RunConfig) -> int:
                     "dropped_points": grid.dropped_points,
                 }
             )
-        _json_dump(cfg.out_dir / "summary.json", {"frames": summary})
+        _json_dump(cfg.out / "summary.json", {"frames": summary})
         return 0
 
     if cfg.command == "mask":
         grid = voxelize(frames[0], cfg.geometry)
         outcome = apply_mask(grid, cfg.mask)
         _atomic(
-            cfg.out_dir / "mask.txt",
+            cfg.out / "mask.txt",
             lambda p: write_mask_dump(outcome, grid, p),
         )
-        _json_dump(cfg.out_dir / "stats.json", outcome.stats.to_json_dict())
+        _json_dump(cfg.out / "stats.json", outcome.stats.to_json_dict())
         return 0
 
     if cfg.command == "pretrain":
         net = OccupancyNet(cfg.net)
         net, history = pretrain(frames, cfg.train, net, cfg.geometry)
         _atomic(
-            cfg.out_dir / "checkpoint.rmae",
+            cfg.out / "checkpoint.rmae",
             lambda p: save_checkpoint(net, p),
         )
         _atomic(
-            cfg.out_dir / "loss.csv", lambda p: write_loss_csv(history, p)
+            cfg.out / "loss.csv", lambda p: write_loss_csv(history, p)
         )
         return 0
 
@@ -388,32 +379,22 @@ def run(cfg: RunConfig) -> int:
             raise ConfigError("eval requires --checkpoint")
         net = load_checkpoint(cfg.checkpoint)
         report = evaluate(frames, net, cfg.mask, cfg.query, cfg.geometry)
-        _json_dump(cfg.out_dir / "eval.json", report.to_json_dict())
+        _json_dump(cfg.out / "eval.json", report.to_json_dict())
         return 0
 
-    if cfg.command in ("sweep-ratio", "sweep-angle"):
+    if cfg.command in _SWEEPS:
+        sweep, key = _SWEEPS[cfg.command]
         train_frames, eval_frames = _split_frames(frames, cfg)
-        net = OccupancyNet(cfg.net)
-        if cfg.command == "sweep-ratio":
-            rows = sweep_masking_ratio(
-                train_frames,
-                net,
-                cfg.train,
-                list(cfg.sweep.ratios),
-                cfg.geometry,
-                eval_frames=eval_frames,
-            )
-        else:
-            rows = sweep_angular_range(
-                train_frames,
-                net,
-                cfg.train,
-                list(cfg.sweep.spans_deg),
-                cfg.geometry,
-                eval_frames=eval_frames,
-            )
+        rows = sweep(
+            train_frames,
+            OccupancyNet(cfg.net),
+            cfg.train,
+            list(getattr(cfg.sweep, key)),
+            cfg.geometry,
+            eval_frames=eval_frames,
+        )
         _atomic(
-            cfg.out_dir / "sweep.csv",
+            cfg.out / "sweep.csv",
             lambda p: write_sweep_csv(rows, p, energy=cfg.energy),
         )
         return 0
@@ -436,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--input",
             action="append",
+            dest="inputs",
             help=".bin file or directory of .bin files (repeatable); "
             "omitted: synthetic frames from the synth section",
         )

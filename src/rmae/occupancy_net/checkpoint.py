@@ -14,6 +14,7 @@ same network always serializes to the same bytes.  A text manifest sidecar
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -38,17 +39,8 @@ def _layer_tensors(layer) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(net: OccupancyNet, path) -> None:
-    cfg = net.config
-    config_json = json.dumps(
-        {
-            "in_channels": cfg.in_channels,
-            "stage_channels": list(cfg.stage_channels),
-            "bn_eps": cfg.bn_eps,
-            "bn_momentum": cfg.bn_momentum,
-            "seed": cfg.seed,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    config = dataclasses.asdict(net.config)
+    config_json = json.dumps(config, sort_keys=True).encode("utf-8")
     layers = net.named_layers()
     parts = [MAGIC, struct.pack("<II", VERSION, len(config_json)), config_json]
     parts.append(struct.pack("<I", len(layers)))

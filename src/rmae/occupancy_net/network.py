@@ -121,19 +121,19 @@ class OccupancyNet:
             out += [(conv_name, conv), (bn_name, bn)]
         return out + [("head", self.head)]
 
+    def _tensors(self, kind: str) -> list[tuple[str, np.ndarray]]:
+        """("layer.tensor", array) of each layer's params or buffers."""
+        return [
+            (f"{lname}.{tname}", arr)
+            for lname, layer in self.named_layers()
+            for tname, arr in getattr(layer, kind)().items()
+        ]
+
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for lname, layer in self.named_layers():
-            for pname, arr in layer.params().items():
-                out.append((f"{lname}.{pname}", arr))
-        return out
+        return self._tensors("params")
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for lname, layer in self.named_layers():
-            for pname, arr in layer.buffers().items():
-                out.append((f"{lname}.{pname}", arr))
-        return out
+        return self._tensors("buffers")
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {path: np.zeros_like(arr) for path, arr in self.parameters()}

@@ -96,7 +96,9 @@ def cylindrical_arrays(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(xyz, dtype=np.float64)
     r = np.hypot(x[:, 0], x[:, 1])
     theta = np.arctan2(x[:, 1], x[:, 0]) % (2.0 * np.pi)
-    theta[theta >= 2.0 * np.pi] = 0.0  # a tiny negative angle wraps to 2*pi
+    # a tiny negative angle wraps to 2*pi; at the origin arctan2 of
+    # negative zeros gives pi
+    theta[(theta >= 2.0 * np.pi) | (r == 0.0)] = 0.0
     return r, theta
 
 

@@ -11,6 +11,7 @@ outcomes are independent of iteration order and safe to parallelize.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -75,15 +76,11 @@ class MaskStats:
     max_sensed_range: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "group_visible_fraction": self.group_visible_fraction,
-            "voxel_visible_fraction": self.voxel_visible_fraction,
-            "per_subgroup_drop_rate": [
-                None if math.isnan(v) else v
-                for v in self.per_subgroup_drop_rate
-            ],
-            "max_sensed_range": self.max_sensed_range,
-        }
+        doc = dataclasses.asdict(self)
+        doc["per_subgroup_drop_rate"] = [
+            None if math.isnan(v) else v for v in self.per_subgroup_drop_rate
+        ]
+        return doc
 
     @classmethod
     def from_json_dict(cls, raw) -> "MaskStats":
@@ -93,13 +90,12 @@ class MaskStats:
         not finite."""
         if not isinstance(raw, dict):
             raise MalformedFile("mask stats must be a JSON object")
-        keys = (
-            "group_visible_fraction",
-            "voxel_visible_fraction",
-            "max_sensed_range",
-        )
         try:
-            scalars = {k: raw[k] for k in keys}
+            scalars = {
+                f.name: raw[f.name]
+                for f in dataclasses.fields(cls)
+                if f.name != "per_subgroup_drop_rate"
+            }
             rates = raw["per_subgroup_drop_rate"]
         except KeyError as e:
             raise MalformedFile(f"mask stats: missing key {e}") from e

@@ -305,10 +305,10 @@ def evaluate(
         raise NoData("no frames given")
     grids, truths = _prepare(frames, geom)
 
-    def frame_metrics(i: int):
-        """(bce, iou, accuracy, duty, max range, masked-region bce and
-        iou) of frame i; bce is None without queries, the masked-region
-        pair None where every cell was sensed."""
+    def frame_metrics(i: int) -> dict:
+        """Frame i's metrics, keyed by EvalReport field; bce is None
+        without queries, the masked_region pair None where every cell was
+        sensed."""
         grid, truth = grids[i], truths[i]
         seed = keyrand.derive_seed(mask_cfg.seed, _EVAL_STREAM, i)
         outcome = apply_mask(grid, mask_cfg, seed=seed)
@@ -323,42 +323,33 @@ def evaluate(
             query_cfg,
             seed=keyrand.derive_seed(mask_cfg.seed, _QUERY_STREAM, i),
         )
-        bce = None
+        out = {
+            "bce": None,
+            "occupied_iou": _iou(pred_occ, occ),
+            "masked_region_bce": None,
+            "masked_region_iou": None,
+            "voxel_accuracy": float((pred_occ == occ).mean()),
+            "mean_duty": outcome.stats.group_visible_fraction,
+            "mean_max_sensed_range": outcome.stats.max_sensed_range,
+        }
         if len(query):
-            bce, _ = occupancy_loss(pred.logits, truth, query, batch_size=1)
+            out["bce"], _ = occupancy_loss(
+                pred.logits, truth, query, batch_size=1
+            )
         region = _region_mask(geom, mask_cfg.n_groups, outcome.selected_groups)
-        mr_bce = mr_iou = None
         if region.any():
             region_bce = bce_elements(pred.logits[region], occ[region])
-            mr_bce = float(region_bce.mean())
-            mr_iou = _iou(pred_occ[region], occ[region])
-        return (
-            bce,
-            _iou(pred_occ, occ),
-            float((pred_occ == occ).mean()),
-            outcome.stats.group_visible_fraction,
-            outcome.stats.max_sensed_range,
-            mr_bce,
-            mr_iou,
-        )
-
-    def mean(values) -> float:
-        values = [v for v in values if v is not None]
-        return float(np.mean(values)) if values else float("nan")
+            out["masked_region_bce"] = float(region_bce.mean())
+            out["masked_region_iou"] = _iou(pred_occ[region], occ[region])
+        return out
 
     # results come in frame order, so the means do not depend on threads
-    columns = zip(*parallel_map(frame_metrics, range(len(grids))))
-    bce, iou, acc, duty, max_range, mr_bce, mr_iou = map(mean, columns)
-    return EvalReport(
-        bce=bce,
-        occupied_iou=iou,
-        masked_region_bce=mr_bce,
-        masked_region_iou=mr_iou,
-        voxel_accuracy=acc,
-        mean_duty=duty,
-        mean_max_sensed_range=max_range,
-        n_frames=len(frames),
-    )
+    per_frame = list(parallel_map(frame_metrics, range(len(grids))))
+    means = {}
+    for key in per_frame[0]:
+        values = [m[key] for m in per_frame if m[key] is not None]
+        means[key] = float(np.mean(values)) if values else float("nan")
+    return EvalReport(**means, n_frames=len(frames))
 
 
 def _sweep(frames, net_init, cfg, label, settings, geom, eval_frames):
@@ -428,43 +419,41 @@ def write_loss_csv(history: list[float], path) -> None:
             w.writerow([i, _fmt(v)])
 
 
-def write_sweep_csv(
-    rows: list[SweepRow], path, energy: EnergyParams | None = None
-) -> None:
-    """Sweep table; with energy params, frugal power columns are appended
-    (duty from the mean sensed-group fraction, range from the mean max
-    sensed range)."""
-    metric_cols = [
-        "duty",
+# sweep.csv metric columns -> EvalReport fields, then FrugalReport fields
+_SWEEP_COLUMNS = {"duty": "mean_duty"} | {
+    name: name
+    for name in (
         "mean_max_sensed_range",
         "bce",
         "occupied_iou",
         "masked_region_bce",
         "masked_region_iou",
         "voxel_accuracy",
-    ]
-    energy_cols = [
-        "masked_P_laser",
-        "masked_P_signal",
-        "masked_P_ADC",
-        "masked_P_total",
-    ]
+    )
+}
+_SWEEP_ENERGY_COLUMNS = (
+    "masked_P_laser",
+    "masked_P_signal",
+    "masked_P_ADC",
+    "masked_P_total",
+)
+
+
+def write_sweep_csv(
+    rows: list[SweepRow], path, energy: EnergyParams | None = None
+) -> None:
+    """Sweep table; with energy params, frugal power columns are appended
+    (duty from the mean sensed-group fraction, range from the mean max
+    sensed range)."""
     base = total_power(energy) if energy is not None else None
+    energy_cols = _SWEEP_ENERGY_COLUMNS if base is not None else ()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         label = rows[0].label if rows else "m"
-        w.writerow([label] + metric_cols + (energy_cols if base else []))
+        w.writerow([label, *_SWEEP_COLUMNS, *energy_cols])
         for row in rows:
             r = row.report
-            vals = [
-                r.mean_duty,
-                r.mean_max_sensed_range,
-                r.bce,
-                r.occupied_iou,
-                r.masked_region_bce,
-                r.masked_region_iou,
-                r.voxel_accuracy,
-            ]
+            vals = [getattr(r, name) for name in _SWEEP_COLUMNS.values()]
             if base is not None:
                 stats = MaskStats(
                     group_visible_fraction=r.mean_duty,
@@ -473,10 +462,5 @@ def write_sweep_csv(
                     max_sensed_range=r.mean_max_sensed_range,
                 )
                 fr = frugal_savings(base, stats, energy.R)
-                vals += [
-                    fr.masked_P_laser,
-                    fr.masked_P_signal,
-                    fr.masked_P_ADC,
-                    fr.masked_P_total,
-                ]
+                vals += [getattr(fr, name) for name in energy_cols]
             w.writerow([_fmt(row.value)] + [_fmt(v) for v in vals])

@@ -5,6 +5,7 @@ import pytest
 
 from rmae import cli
 from rmae.occupancy_net import NetConfig, OccupancyNet, save_checkpoint
+from rmae.pointcloud import SceneSpec, save_kitti_bin, synth_scene
 
 TINY = [
     "synth.frames=2",
@@ -84,6 +85,62 @@ class TestExitCodes:
         assert not (out / "loss.csv").exists()
 
 
+PRETRAIN_ARTIFACTS = {
+    "checkpoint.rmae",
+    "checkpoint.rmae.manifest.txt",
+    "loss.csv",
+}
+
+
+class TestCommands:
+    """Each command writes exactly its README artifacts plus
+    resolved_config.json, and leaves no *.tmp file."""
+
+    @pytest.mark.parametrize(
+        "command, extra, artifacts",
+        [
+            (
+                "voxelize",
+                [],
+                {"voxels_0000.txt", "voxels_0001.txt", "summary.json"},
+            ),
+            ("mask", [], {"mask.txt", "stats.json"}),
+            ("energy", [], {"energy.json"}),
+            ("energy", ["--stats", "{stats}"], {"energy.json", "frugal.json"}),
+            ("pretrain", [], PRETRAIN_ARTIFACTS),
+            ("pretrain", ["train.optimizer=sgd"], PRETRAIN_ARTIFACTS),
+            ("eval", ["--checkpoint", "{checkpoint}"], {"eval.json"}),
+            ("sweep-ratio", ["sweep.ratios=[0.5]"], {"sweep.csv"}),
+            ("sweep-angle", ["sweep.spans_deg=[45.0]"], {"sweep.csv"}),
+        ],
+    )
+    def test_writes_its_artifacts(self, command, extra, artifacts, tmp_path):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(GOOD_STATS))
+        net = tmp_path / "net.rmae"
+        save_checkpoint(OccupancyNet(NetConfig(stage_channels=(4, 8, 8))), net)
+        extra = [a.format(stats=stats, checkpoint=net) for a in extra]
+        out = tmp_path / "out"
+        assert cli.main([command, "--out", str(out)] + TINY + extra) == 0
+        names = {p.name for p in out.iterdir()}
+        assert names == artifacts | {"resolved_config.json"}
+
+    def test_input_dir_reads_its_bin_files_in_sorted_order(self, tmp_path):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for seed, name in enumerate(("b.bin", "a.bin", "c.bin")):
+            spec = SceneSpec(ground_extent=6.0, box_count=3, seed=seed)
+            save_kitti_bin(synth_scene(spec), frames / name)
+        (frames / "notes.txt").write_text("not a frame")
+        out = tmp_path / "out"
+        argv = ["voxelize", "--out", str(out), "--input", str(frames)]
+        assert cli.main(argv + TINY) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [f["frame"] for f in summary["frames"]] == [
+            str(frames / name) for name in ("a.bin", "b.bin", "c.bin")
+        ]
+
+
 class TestSweeps:
     @pytest.mark.parametrize(
         "command, setting, label",
@@ -113,6 +170,32 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG == 3
         assert "error: ConfigError: synth:" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pretrain", "geometry.dims=[64.0,64.0,16.0]"],
+            ["mask", "mask.n_groups=2.5"],
+            ["voxelize", "synth.frames=2.0"],
+            ["mask", "mask.p_drop=0.5"],
+            ["voxelize", "seed=true"],
+        ],
+        ids=" ".join,
+    )
+    def test_value_of_the_wrong_type_is_config_error(
+        self, argv, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = cli.main(argv[:1] + ["--out", str(out)] + argv[1:])
+        assert code == cli.EXIT_CONFIG == 3
+        assert "error: ConfigError:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_int_for_a_float_field_runs_and_is_echoed(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["mask", "--out", str(out), "mask.m=1"] + TINY) == 0
+        record = json.loads((out / "resolved_config.json").read_text())
+        assert type(record["mask"]["m"]) is int and record["mask"]["m"] == 1
 
     @pytest.mark.parametrize("text", ["{}", "not json"])
     def test_malformed_stats_file(self, text, tmp_path, capsys):
@@ -205,6 +288,18 @@ class TestRerunFromRecord:
         assert cli.main(["eval", "--config", record, "--out", str(again)]) == 0
         expect = (first / "eval.json").read_bytes()
         assert (again / "eval.json").read_bytes() == expect
+
+    def test_flags_win_over_the_file(self, tmp_path):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(GOOD_STATS))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5, "stats": "missing.json"}))
+        out = tmp_path / "out"
+        argv = ["energy", "--config", str(config), "--out", str(out)]
+        assert cli.main(argv + ["--seed", "7", "--stats", str(stats)]) == 0
+        record = json.loads((out / "resolved_config.json").read_text())
+        assert (record["seed"], record["stats"]) == (7, str(stats))
+        assert (out / "frugal.json").exists()
 
     def test_record_of_another_command_is_config_error(self, tmp_path, capsys):
         first = tmp_path / "a"

@@ -88,8 +88,12 @@ class TestCylindrical:
         assert abs(theta[0] - 5 * math.pi / 4) < 1e-15
 
     def test_origin_convention(self):
-        r, theta = cylindrical_arrays([[0.0, 0.0, 1.0]])
-        assert (r[0], theta[0]) == (0.0, 0.0)
+        # atan2 of negative zeros is +-pi; the origin still maps to 0
+        r, theta = cylindrical_arrays(
+            [[0.0, 0.0, 1.0], [-0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]]
+        )
+        assert r.tolist() == theta.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(theta).any()
 
     def test_range_and_inverse(self):
         rng = np.random.default_rng(3)

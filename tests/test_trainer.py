@@ -19,7 +19,14 @@ from rmae.occupancy_net import (
 )
 from rmae.pointcloud import SceneSpec, synth_scene
 from rmae.radial_mask import MaskConfig, apply_mask
-from rmae.trainer import TrainConfig, evaluate, parallel_map, pretrain
+from rmae import trainer
+from rmae.trainer import (
+    SgdOptimizer,
+    TrainConfig,
+    evaluate,
+    parallel_map,
+    pretrain,
+)
 from rmae.voxelizer import occupancy_of, voxelize
 
 
@@ -93,6 +100,41 @@ class TestPretrainDeterminism:
         cfg = TrainConfig(epochs=3, batch_size=1, learning_rate=1e300)
         with pytest.raises(Diverged):
             pretrain(tiny_frames(2), cfg, net, small_geom)
+
+
+class TestRemask:
+    @pytest.mark.parametrize("remask", [True, False])
+    def test_mask_seeds_per_epoch(self, remask, small_geom, monkeypatch):
+        """Each epoch masks every frame once; with remask_each_epoch off
+        every epoch draws the first epoch's masks again."""
+        monkeypatch.setenv("RMAE_THREADS", "1")
+        seeds = []
+        apply = trainer.apply_mask
+
+        def recording_apply(grid, cfg, seed=None):
+            seeds.append(seed)
+            return apply(grid, cfg, seed=seed)
+
+        monkeypatch.setattr(trainer, "apply_mask", recording_apply)
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+        cfg = TrainConfig(epochs=3, batch_size=1, remask_each_epoch=remask)
+        pretrain(tiny_frames(2), cfg, net, small_geom)
+        epochs = [sorted(seeds[i : i + 2]) for i in (0, 2, 4)]
+        assert len(seeds) == 6 and len(set(epochs[0])) == 2
+        if remask:
+            assert not set(epochs[0]) & set(epochs[1])
+            assert not set(epochs[1]) & set(epochs[2])
+        else:
+            assert epochs[0] == epochs[1] == epochs[2]
+
+
+def test_sgd_step_is_w_minus_lr_g():
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=(3, 4))
+    g = rng.normal(size=(3, 4))
+    expect = w - 0.125 * g
+    SgdOptimizer(0.125).step([("w", w)], {"w": g})
+    assert np.array_equal(w, expect)
 
 
 class TestEvaluate:
