@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -129,7 +130,8 @@ def _tuplify(v):
 
 def _fits(value, hint) -> bool:
     """Whether a config value (lists as tuples) has a field's type: an int
-    field takes no bool, a float field also takes an int."""
+    field takes no bool, a float field also takes an int but no NaN or
+    infinity."""
     if typing.get_origin(hint) is tuple:
         args = typing.get_args(hint)
         if not isinstance(value, tuple):
@@ -139,7 +141,10 @@ def _fits(value, hint) -> bool:
         return len(value) == len(args) and all(map(_fits, value, args))
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        finite = isinstance(value, float) and math.isfinite(value)
+        return finite or isinstance(value, int)
+    return isinstance(value, hint)
 
 
 def _parse_override(text: str) -> tuple[list[str], object]:
@@ -268,11 +273,17 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _atomic(path: Path, writer) -> None:
-    """Run writer(tmp_path) then rename tmp over path."""
+    """Run writer(tmp_path) then rename tmp over path; if writer raises,
+    remove what it left and leave path as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
     sidecar = Path(f"{tmp}.manifest.txt")
+    try:
+        writer(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        sidecar.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
     if sidecar.exists():  # checkpoint writer emits a manifest next to it
         os.replace(sidecar, Path(f"{path}.manifest.txt"))
 

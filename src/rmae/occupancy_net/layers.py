@@ -1,9 +1,12 @@
 """Network primitives with explicit forward/backward passes.
 
-Everything is float64 numpy.  Each layer's forward returns (output, ctx)
+Parameters and batch-norm statistics are float64.  The dense layers,
+BatchNorm and densify compute in their input's dtype (the network feeds
+its decoder float32) and return float64 parameter gradients; the sparse
+convs compute in float64.  Each layer's forward returns (output, ctx)
 where ctx carries exactly what backward needs; backward returns the input
-gradient and a dict of parameter gradients.  Sparse maps keep their rows in
-canonical (ix, iy, iz) order throughout, and every accumulation loops
+gradient and a dict of parameter gradients.  Sparse maps keep their rows
+in canonical (ix, iy, iz) order throughout, and every accumulation loops
 kernel taps in one fixed order, so results are bitwise reproducible.
 
 The sparse convs run from a kernel map (the "rulebook" of submanifold
@@ -66,7 +69,7 @@ class SparseFeatureMap:
 
     dims: tuple[int, int, int]
     coords: np.ndarray  # (N, 3) int64, canonical order
-    feats: np.ndarray  # (N, C) float64
+    feats: np.ndarray  # (N, C) float64 in the encoder; densify casts
     neighbors: np.ndarray | None = field(
         default=None, compare=False, repr=False
     )
@@ -174,11 +177,18 @@ class SparseDownConv(_SparseConv):
 
     def _output_sites(self, x: SparseFeatureMap):
         odims = self.out_dims(x.dims)
-        # input x reaches output u through tap t when x = 2u + OFFSETS3[t]
-        num = x.coords - _OFFSETS[:, None]  # (27, N, 3)
-        u = num // 2
-        ok = ((num % 2 == 0) & (u >= 0) & (u < odims)).all(axis=2)
-        lin = np.unique(np.ravel_multi_index(tuple(u[ok].T), odims))
+        # input x reaches output u through tap t when x = 2u + OFFSETS3[t],
+        # which holds axis by axis: candidates per (voxel, axis, offset)
+        num = x.coords[:, :, None] - np.arange(-1, 2)  # (N, 3, 3)
+        u = num >> 1  # num // 2, also at num = -1
+        ok = (num & 1 == 0) & (u >= 0) & (u < np.array(odims)[:, None])
+        lin = u * np.array([odims[1] * odims[2], odims[2], 1])[:, None]
+        # tap (i, j, k) joins offset i on x, j on y, k on z: (N, 3, 3, 3)
+        hit = ok[:, 0, :, None, None] & ok[:, 1, None, :, None]
+        hit = hit & ok[:, 2, None, None, :]
+        sites = lin[:, 0, :, None, None] + lin[:, 1, None, :, None]
+        sites = sites + lin[:, 2, None, None, :]
+        lin = np.unique(sites[hit])
         coords = np.column_stack(np.unravel_index(lin, odims)).astype(np.int64)
         return odims, coords, _kernel_map(x.dims, x.coords, 2 * coords), None
 
@@ -228,22 +238,22 @@ class BatchNorm:
                 raise DegenerateBatch(
                     "batch norm saw zero elements in training mode"
                 )
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
+            mu = x.mean(axis=0, dtype=np.float64)
+            var = x.var(axis=0, dtype=np.float64)
             stats = (mu, var)
         else:
             mu = self.running_mean
             var = self.running_var
             stats = None
         ivar = 1.0 / np.sqrt(var + self.eps)
-        xhat = x - mu  # xhat = (x - mu) * ivar
-        xhat *= ivar
+        xhat = x - mu.astype(x.dtype, copy=False)  # xhat = (x - mu) * ivar
+        xhat *= ivar.astype(x.dtype, copy=False)
         return self.scale_shift(xhat), (xhat, ivar, stats)
 
     def scale_shift(self, xhat: np.ndarray) -> np.ndarray:
         """gamma * xhat + beta: forward's output, recomputable from xhat."""
-        out = xhat * self.gamma
-        out += self.beta
+        out = xhat * self.gamma.astype(xhat.dtype, copy=False)
+        out += self.beta.astype(xhat.dtype, copy=False)
         return out
 
     def commit(self, stats) -> None:
@@ -255,27 +265,29 @@ class BatchNorm:
 
     def backward(self, ctx, grad_out: np.ndarray):
         xhat, ivar, stats = ctx
-        grad_beta = grad_out.sum(axis=0)
+        dtype = xhat.dtype
+        gamma = self.gamma.astype(dtype, copy=False)
+        grad_beta = grad_out.sum(axis=0, dtype=np.float64)
         buf = np.empty_like(grad_out)
         np.multiply(grad_out, xhat, out=buf)
-        grad_gamma = buf.sum(axis=0)
-        np.multiply(grad_out, self.gamma, out=buf)  # dxhat
+        grad_gamma = buf.sum(axis=0, dtype=np.float64)
+        np.multiply(grad_out, gamma, out=buf)  # dxhat
         if stats is None:
-            buf *= ivar
+            buf *= ivar.astype(dtype, copy=False)
             return buf, {"gamma": grad_gamma, "beta": grad_beta}
         # grad_in = ivar / n * (n * dxhat - dxhat.sum(0)
         #                       - xhat * (dxhat * xhat).sum(0))
         n = xhat.shape[0]
-        dxhat_sum = buf.sum(axis=0)
+        dxhat_sum = buf.sum(axis=0, dtype=np.float64).astype(dtype)
         buf *= xhat
-        dxhat_xhat_sum = buf.sum(axis=0)
-        np.multiply(grad_out, self.gamma, out=buf)  # dxhat again
+        dxhat_xhat_sum = buf.sum(axis=0, dtype=np.float64).astype(dtype)
+        np.multiply(grad_out, gamma, out=buf)  # dxhat again
         buf *= n
         buf -= dxhat_sum
         for lo in range(0, n, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
             buf[rows] -= xhat[rows] * dxhat_xhat_sum
-        buf *= ivar / n
+        buf *= (ivar / n).astype(dtype, copy=False)
         return buf, {"gamma": grad_gamma, "beta": grad_beta}
 
 
@@ -369,9 +381,10 @@ class _DenseTapConv:
                 moves.append(((every,) + src, (every,) + dst))
             yield view, kernel, moves
 
-    def _stacked_weight(self, kernel) -> np.ndarray:
-        """(taps * C_out, C_in) matrix of the given taps, tap-major."""
-        w = np.stack([self.weight[k] for k in kernel])  # (taps, C_in, C_out)
+    def _stacked_weight(self, kernel, dtype) -> np.ndarray:
+        """(taps * C_out, C_in) matrix of the given taps, tap-major, in
+        dtype."""
+        w = np.stack([self.weight[k] for k in kernel], dtype=dtype)
         return w.transpose(0, 2, 1).reshape(-1, self.in_ch)
 
     def forward(self, x: np.ndarray):
@@ -383,16 +396,18 @@ class _DenseTapConv:
         size = x.shape[1:]
         stride = len(self.axis_taps)
         flat = x.reshape(self.in_ch, -1)
-        out = np.empty((self.out_ch,) + tuple(stride * n for n in size))
+        out_size = tuple(stride * n for n in size)
+        out = np.empty((self.out_ch,) + out_size, dtype=x.dtype)
+        bias = self.bias.astype(x.dtype, copy=False)[:, None, None, None]
         for view, kernel, moves in self._phases(size):
-            buf = np.zeros((self.out_ch,) + size)
+            buf = np.zeros((self.out_ch,) + size, dtype=x.dtype)
             for lo in range(0, len(kernel), _TAPS_PER_GEMM):
                 taps = slice(lo, lo + _TAPS_PER_GEMM)
-                slabs = self._stacked_weight(kernel[taps]) @ flat
+                slabs = self._stacked_weight(kernel[taps], x.dtype) @ flat
                 slabs = slabs.reshape((-1, self.out_ch) + size)
                 for slab, (src, dst) in zip(slabs, moves[taps]):
                     buf[dst] += slab[src]
-            buf += self.bias[:, None, None, None]
+            buf += bias
             out[view] = buf
         return out, [x]
 
@@ -401,7 +416,7 @@ class _DenseTapConv:
             raise StaleCache(
                 f"{type(self).__name__} backward: ctx already consumed"
             )
-        shape = ctx[0].shape
+        shape, dtype = ctx[0].shape, ctx[0].dtype
         flat = ctx.pop().reshape(self.in_ch, -1)
         size = shape[1:]
         phases = list(self._phases(size))
@@ -409,7 +424,7 @@ class _DenseTapConv:
         grad_w = np.zeros_like(self.weight)
         for i, (view, kernel, moves) in enumerate(phases):
             g = np.ascontiguousarray(grad_out[view])
-            shifted = np.zeros((len(kernel), self.out_ch) + size)
+            shifted = np.zeros((len(kernel), self.out_ch) + size, dtype)
             for rows, (src, dst) in zip(shifted, moves):
                 rows[src] = g[dst]
             shifted = shifted.reshape(len(kernel) * self.out_ch, -1)
@@ -418,12 +433,12 @@ class _DenseTapConv:
                 grad_w[k] = gk.T
             if i == len(phases) - 1:
                 del flat  # last use of the input
-            part = self._stacked_weight(kernel).T @ shifted
+            part = self._stacked_weight(kernel, dtype).T @ shifted
             if grad_in is None:
                 grad_in = part
             else:
                 grad_in += part
-        grad_b = grad_out.sum(axis=(1, 2, 3))
+        grad_b = grad_out.sum(axis=(1, 2, 3), dtype=np.float64)
         return grad_in.reshape(shape), {"weight": grad_w, "bias": grad_b}
 
 
@@ -447,16 +462,19 @@ class DenseConv(_DenseTapConv):
     gain = 1.0
 
 
-def densify(x: SparseFeatureMap) -> np.ndarray:
-    """Sparse map to a dense (C, X, Y, Z) tensor, zeros at absent sites."""
+def densify(x: SparseFeatureMap, dtype=np.float64) -> np.ndarray:
+    """Sparse map to a dense (C, X, Y, Z) tensor of the given dtype, zeros
+    at absent sites."""
     c = x.channel_width
-    dense = np.zeros((c,) + tuple(x.dims))
+    dense = np.zeros((c,) + tuple(x.dims), dtype=dtype)
     if len(x):
         dense[:, x.coords[:, 0], x.coords[:, 1], x.coords[:, 2]] = x.feats.T
     return dense
 
 
 def densify_backward(x: SparseFeatureMap, grad_dense: np.ndarray) -> np.ndarray:
+    """The gradient of x.feats, in their dtype."""
     if len(x) == 0:
         return np.zeros_like(x.feats)
-    return grad_dense[:, x.coords[:, 0], x.coords[:, 1], x.coords[:, 2]].T
+    g = grad_dense[:, x.coords[:, 0], x.coords[:, 1], x.coords[:, 2]].T
+    return g.astype(x.feats.dtype, copy=False)

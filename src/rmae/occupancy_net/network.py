@@ -21,6 +21,13 @@ Of each decoder stage the tape keeps only the batch norm's xhat: backward
 recomputes the ReLU output, which is the next layer's input, from it with
 forward's own operations, and the first deconv's input by densifying the
 latent again.  backward consumes the tape.
+
+The decoder computes in DECODER_DTYPE (float32): the densified latent,
+each deconv, batch norm and ReLU, and the head.  Everything that
+persists stays float64 (mixed precision with float64 master weights,
+Micikevicius et al. 2018): the parameters and the gradients backward
+returns, the batch norms' batch and running statistics, the encoder, and
+the logits forward hands to the loss.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ from .layers import (
     relu_backward,
     sigmoid,
 )
+
+# the dtype the dense decoder computes in; see the module docstring
+DECODER_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -202,7 +212,7 @@ class OccupancyNet:
             )
         tape["latent"] = x
 
-        dense = densify(x)
+        dense = densify(x, DECODER_DTYPE)
         for _, deconv, _, bn in self.decoder:
             y, _ = deconv.forward(dense)  # backward recomputes its input
             shape = y.shape
@@ -214,7 +224,7 @@ class OccupancyNet:
             stages.append((shape, c_bn))
             dense = mat.T.reshape(shape)
         logits4, _ = self.head.forward(dense)
-        return OccupancyPrediction(logits4[0]), tape
+        return OccupancyPrediction(logits4[0].astype(np.float64)), tape
 
     def backward(self, tape, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse pass for a completed forward tape; returns a dict of
@@ -233,7 +243,7 @@ class OccupancyNet:
 
         latent = tape.pop("latent")
         stages = tape.pop("decoder")
-        g = grad_logits[None]
+        g = grad_logits[None].astype(DECODER_DTYPE)
         layer, name = self.head, "head"
         for deconv_name, deconv, bn_name, bn in reversed(self.decoder):
             shape, c_bn = stages.pop()
@@ -252,7 +262,7 @@ class OccupancyNet:
             store(bn_name, sub)
             g = gmat.T.reshape(shape)
             layer, name = deconv, deconv_name
-        g, sub = layer.backward([densify(latent)], g)
+        g, sub = layer.backward([densify(latent, DECODER_DTYPE)], g)
         store(name, sub)
 
         g = densify_backward(latent, g)

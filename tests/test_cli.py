@@ -179,6 +179,12 @@ class TestBadInput:
             ["voxelize", "synth.frames=2.0"],
             ["mask", "mask.p_drop=0.5"],
             ["voxelize", "seed=true"],
+            # a float field takes no NaN or infinity
+            ["voxelize", "geometry.voxel_size=[NaN,0.4,0.4]"],
+            ["voxelize", "geometry.min_corner=[NaN,0,0]"],
+            ["voxelize", "synth.ground_extent=NaN"],
+            ["pretrain", "train.learning_rate=NaN"],
+            ["voxelize", "geometry.voxel_size=[Infinity,0.4,0.4]"],
         ],
         ids=" ".join,
     )
@@ -257,6 +263,27 @@ GOOD_STATS = {
     "per_subgroup_drop_rate": [0.0, None, None],
     "max_sensed_range": 17,
 }
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("old", [None, b"the previous artifact"])
+    def test_failed_writer_leaves_no_partial_artifact(self, old, tmp_path):
+        target = tmp_path / "checkpoint.rmae"
+        if old is not None:
+            target.write_bytes(old)
+
+        def half_then_fail(tmp):
+            tmp.write_bytes(b"half a file")
+            tmp.with_name(tmp.name + ".manifest.txt").write_text("half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic(target, half_then_fail)
+        assert not list(tmp_path.glob("*.tmp*"))
+        if old is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == old
 
 
 class TestRerunFromRecord:

@@ -773,6 +773,64 @@ class TestDensify:
         assert (dense[:, ~mask] == 0).all()
 
 
+class TestFloat32Input:
+    """Layers fed float32 compute in float32 and return float64 parameter
+    gradients; batch statistics stay float64."""
+
+    @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
+    def test_dense_layers(self, cls):
+        rng = np.random.default_rng(40)
+        layer = cls(3, 2, rng)
+        layer.bias[:] = rng.normal(0, 1, 2)
+        x = rng.normal(0, 1, (3, 4, 3, 2))
+        ref, ref_ctx = layer.forward(x)
+        out, ctx = layer.forward(x.astype(np.float32))
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
+        g = rng.normal(0, 1, ref.shape)
+        ref_in, ref_grads = layer.backward(ref_ctx, g)
+        grad_in, grads = layer.backward(ctx, g.astype(np.float32))
+        assert grad_in.dtype == np.float32
+        np.testing.assert_allclose(grad_in, ref_in, rtol=1e-5, atol=1e-5)
+        for name, ref_g in ref_grads.items():
+            assert grads[name].dtype == np.float64, name
+            np.testing.assert_allclose(grads[name], ref_g, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm(self, training):
+        rng = np.random.default_rng(41)
+        bn = BatchNorm(3)
+        bn.gamma[:] = rng.uniform(0.5, 2.0, 3)
+        bn.beta[:] = rng.normal(0, 1, 3)
+        x = rng.normal(2.0, 3.0, (500, 3))
+        ref, ref_ctx = bn.forward(x, training)
+        out, ctx = bn.forward(x.astype(np.float32), training)
+        assert out.dtype == ctx[0].dtype == np.float32
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
+        if training:
+            for stat, ref_stat in zip(ctx[2], ref_ctx[2]):
+                assert stat.dtype == np.float64
+                np.testing.assert_allclose(stat, ref_stat, rtol=1e-6)
+        g = rng.normal(0, 1, x.shape)
+        ref_in, ref_grads = bn.backward(ref_ctx, g)
+        grad_in, grads = bn.backward(ctx, g.astype(np.float32))
+        assert grad_in.dtype == np.float32
+        np.testing.assert_allclose(grad_in, ref_in, rtol=1e-4, atol=1e-5)
+        for name, ref_g in ref_grads.items():
+            assert grads[name].dtype == np.float64, name
+            np.testing.assert_allclose(grads[name], ref_g, rtol=1e-5, atol=1e-4)
+
+    def test_densify(self):
+        rng = np.random.default_rng(42)
+        x = random_sparse((5, 4, 3), 15, 4, rng)
+        dense = densify(x, np.float32)
+        assert dense.dtype == np.float32
+        assert np.array_equal(dense, densify(x).astype(np.float32))
+        back = densify_backward(x, dense)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, x.feats.astype(np.float32))
+
+
 # --- finite-difference checks, one layer kind at a time ---------------------
 
 

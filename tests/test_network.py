@@ -13,6 +13,7 @@ from rmae.occupancy_net import (
     save_checkpoint,
     visible_features,
 )
+from rmae.occupancy_net import network
 from rmae.occupancy_net.layers import SparseFeatureMap
 from rmae.voxelizer import GridGeometry, occupancy_of
 
@@ -92,9 +93,21 @@ class TestForward:
         assert cfg.latent_width == 64
 
 
+def toy_problem(seed):
+    """(net input, truth, query set) on an 8x8x4 grid."""
+    rng = np.random.default_rng(seed)
+    x = sparse_input((8, 8, 4), 30, 2, rng)
+    geom = GridGeometry((0, 0, 0), (1, 1, 1), (8, 8, 4))
+    truth = occupancy_of(random_grid(geom, 40, rng))
+    return x, truth, build_query_set(truth, x.coords, QueryConfig())
+
+
 class TestComposedGradients:
-    def test_finite_differences_small(self):
-        """Composed net on an 8x8x4 grid vs central differences."""
+    def test_finite_differences_small(self, monkeypatch):
+        """Composed net on an 8x8x4 grid vs central differences, with the
+        decoder in float64: at float32, rounding swamps the difference
+        quotient of parameters whose true gradient is about 0."""
+        monkeypatch.setattr(network, "DECODER_DTYPE", np.float64)
         rng = np.random.default_rng(4)
         net = toy_net(seed=5)
         x = sparse_input((8, 8, 4), 30, 2, rng)
@@ -139,6 +152,44 @@ class TestComposedGradients:
         grads = net.backward(tape, np.zeros((8, 8, 4)))
         for path, g in grads.items():
             assert not g.any(), path
+
+
+class TestDecoderPrecision:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_decoder_tracks_float64(self, seed, monkeypatch):
+        net = toy_net(seed=5)
+        x, truth, query = toy_problem(seed)
+        runs = {}
+        for dtype in (np.float32, np.float64):
+            monkeypatch.setattr(network, "DECODER_DTYPE", dtype)
+            pred, tape = net.forward(x, training=True)
+            _, grad_logits = occupancy_loss(pred.logits, truth, query)
+            runs[dtype] = pred.logits, net.backward(tape, grad_logits)
+        (logits32, g32), (logits64, g64) = runs[np.float32], runs[np.float64]
+        err = np.abs(logits32 - logits64).max()
+        assert err <= 1e-6 * np.abs(logits64).max()
+
+        def norm(a):
+            return float(np.linalg.norm(a))
+
+        compared = 0
+        for path, g in g64.items():
+            assert g32[path].dtype == np.float64, path
+            layer = path.rsplit(".", 1)[0]
+            if layer.startswith("deconv") and path.endswith(".bias"):
+                # feeds a training-mode batch norm: its true gradient is 0
+                weight = norm(g32[f"{layer}.weight"])
+                assert norm(g32[path]) < 1e-6 * weight, path
+            elif norm(g) > 1e-12:
+                assert norm(g32[path] - g) <= 1e-5 * norm(g), path
+                compared += 1
+        assert compared >= 6
+
+    def test_logits_are_float64(self):
+        x, _, _ = toy_problem(3)
+        for training in (False, True):
+            pred, _ = toy_net().forward(x, training=training)
+            assert pred.logits.dtype == np.float64
 
 
 class TestCheckpoint:

@@ -137,6 +137,28 @@ def test_sgd_step_is_w_minus_lr_g():
     assert np.array_equal(w, expect)
 
 
+def test_trained_state_stays_float64(small_geom, monkeypatch):
+    """The decoder computes in float32; parameters, batch-norm running
+    statistics and Adam moments stay float64."""
+    made, make = [], trainer.make_optimizer
+
+    def keep(cfg):
+        made.append(make(cfg))
+        return made[-1]
+
+    monkeypatch.setattr(trainer, "make_optimizer", keep)
+    net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+    cfg = TrainConfig(epochs=1, batch_size=2)
+    pretrain(tiny_frames(2), cfg, net, small_geom)
+    (adam,) = made
+    assert adam.t == 1
+    assert adam.m.keys() == adam.v.keys() == dict(net.parameters()).keys()
+    state = net.parameters() + net.buffers()
+    state += list(adam.m.items()) + list(adam.v.items())
+    for path, arr in state:
+        assert arr.dtype == np.float64, path
+
+
 class TestEvaluate:
     def test_bitwise_identical_for_1_and_2_threads(
         self, small_geom, monkeypatch
