@@ -31,6 +31,18 @@ place.  A 4x4x4 stride-2 transposed conv is 8 phases of 8 taps each (the
 sub-pixel view of Shi et al. 2016); a 3x3x3 stride-1 conv is 1 phase of
 27 taps.  Taps within a phase add in lexicographic kernel order, so every
 output sums its taps in the same fixed order on every run.
+
+The same layers also run sparse, "transform, then gather", when given a
+SparseFeatureMap and the output sites wanted (the generative transposed
+sparse conv of Gwak et al. 2020): the same phases, the same GEMM on the
+input's present rows plus one zero row, and the same tap order with the
+bias last, but each tap's products reach the phase's output sites through
+a (taps, M) kernel map, built by _kernel_map at the phase's negated
+shifts, instead of by a slice shift.  Backward is the adjoint: each tap
+sends an output row to one input row, so grad_out rows are assigned into
+an (N + 1, taps, C_out) buffer through the map, and one GEMM per phase
+gives grad_w and one grad_in.  input_support gives the input sites a set
+of output sites reads, so a caller can decode only what it will look at.
 """
 
 from __future__ import annotations
@@ -82,16 +94,18 @@ class SparseFeatureMap:
         return self.coords.shape[0]
 
 
-def _kernel_map(dims, coords, sites) -> np.ndarray:
-    """(27, len(sites)) table whose [t, i] is the row of coords at
-    sites[i] + OFFSETS3[t], or len(coords) where no row is there.  Sites
-    may lie up to one voxel outside dims."""
+def _kernel_map(dims, coords, sites, offsets=_OFFSETS) -> np.ndarray:
+    """(len(offsets), len(sites)) table whose [t, i] is the row of coords
+    at sites[i] + offsets[t], or len(coords) where no row is there.  The
+    offsets default to OFFSETS3; sites plus offsets may lie up to one voxel
+    outside dims."""
     n = len(coords)
-    vol = np.full(tuple(d + 2 for d in dims), n, dtype=np.int64)
-    inner = coords + 1  # vol has a one-voxel border of absent sites
-    vol[inner[:, 0], inner[:, 1], inner[:, 2]] = np.arange(n)
-    at = sites + 1 + _OFFSETS[:, None]  # (27, M, 3)
-    return vol[at[..., 0], at[..., 1], at[..., 2]]
+    size = tuple(d + 2 for d in dims)  # a one-voxel border of absent sites
+    vol = np.full(size, n, dtype=np.int64)
+    vol[tuple((coords + 1).T)] = np.arange(n)
+    step = np.array([size[1] * size[2], size[2], 1])
+    at = (sites + 1) @ step  # flat index of each site in vol
+    return vol.ravel()[at + (offsets @ step)[:, None]]
 
 
 def _check_width(feats: np.ndarray, expected: int, what: str) -> None:
@@ -239,14 +253,18 @@ class BatchNorm:
                     "batch norm saw zero elements in training mode"
                 )
             mu = x.mean(axis=0, dtype=np.float64)
-            var = x.var(axis=0, dtype=np.float64)
-            stats = (mu, var)
         else:
             mu = self.running_mean
+        xhat = x - mu.astype(x.dtype, copy=False)  # xhat = (x - mu) * ivar
+        if training:
+            # x.var's operations on the deviations xhat holds, without
+            # x.var's float64 copy of a float32 x
+            var = np.square(xhat).sum(axis=0, dtype=np.float64) / len(x)
+            stats = (mu, var)
+        else:
             var = self.running_var
             stats = None
         ivar = 1.0 / np.sqrt(var + self.eps)
-        xhat = x - mu.astype(x.dtype, copy=False)  # xhat = (x - mu) * ivar
         xhat *= ivar.astype(x.dtype, copy=False)
         return self.scale_shift(xhat), (xhat, ivar, stats)
 
@@ -387,7 +405,99 @@ class _DenseTapConv:
         w = np.stack([self.weight[k] for k in kernel], dtype=dtype)
         return w.transpose(0, 2, 1).reshape(-1, self.in_ch)
 
-    def forward(self, x: np.ndarray):
+    def input_support(self, mask: np.ndarray) -> np.ndarray:
+        """Boolean (1, X, Y, Z) mask of the input sites that the output
+        sites set in mask, a (1, sX, sY, sZ) boolean array, read.  The
+        taps of a phase are a product of per-axis taps, so the dense
+        forward's shift moves, run backwards on the mask, factor into
+        per-axis moves: one axis at a time, input p is needed where an
+        output of parity r at p + d is, for every (k, d) of axis_taps[r]."""
+        stride = len(self.axis_taps)
+        need = mask
+        for axis in (1, 2, 3):
+            size = need.shape[axis] // stride
+            shape = need.shape[:axis] + (size,) + need.shape[axis + 1 :]
+            out = np.zeros(shape, dtype=bool)
+            lead = (slice(None),) * axis
+            for r, taps in enumerate(self.axis_taps):
+                parity = need[lead + (slice(r, None, stride),)]
+                for _, d in taps:
+                    src, dst = _shift_slices(d, size)
+                    out[lead + (src,)] |= parity[lead + (dst,)]
+            need = out
+        return need
+
+    def _sparse_phases(self, x: SparseFeatureMap, sites: np.ndarray):
+        """Per phase holding output sites: (kernel indices, the rows of
+        sites in that phase, and the (taps, rows) table of the row of x
+        each tap reads there, len(x) where x has none)."""
+        stride = len(self.axis_taps)
+        phase = np.ravel_multi_index(tuple((sites % stride).T), (stride,) * 3)
+        lattice = sites // stride  # a phase site, on the input's lattice
+        plan = []
+        for i, (_, taps) in enumerate(_phase_table(self.axis_taps)):
+            rows = np.flatnonzero(phase == i)
+            if len(rows):
+                kernel = [k for k, _ in taps]
+                reads = -np.array([d for _, d in taps])  # p = site - d
+                table = _kernel_map(x.dims, x.coords, lattice[rows], reads)
+                plan.append((kernel, rows, table))
+        return plan
+
+    def _sparse_forward(self, x: SparseFeatureMap, sites: np.ndarray):
+        _check_width(x.feats, self.in_ch, type(self).__name__)
+        dtype = x.feats.dtype
+        # a zero last row is what a tap reads where x has no row
+        padded = np.concatenate([x.feats, np.zeros((1, self.in_ch), dtype)])
+        plan = self._sparse_phases(x, sites)
+        out = np.empty((len(sites), self.out_ch), dtype=dtype)
+        bias = self.bias.astype(dtype, copy=False)
+        for kernel, rows, table in plan:
+            buf = np.zeros((len(rows), self.out_ch), dtype=dtype)
+            for lo in range(0, len(kernel), _TAPS_PER_GEMM):
+                taps = slice(lo, lo + _TAPS_PER_GEMM)
+                w = self._stacked_weight(kernel[taps], dtype)
+                # (N + 1, taps, C_out) products, one row per (row, tap)
+                slabs = (padded @ w.T).reshape(-1, self.out_ch)
+                n_taps = len(kernel[taps])
+                for j, reads in enumerate(table[taps]):
+                    buf += np.take(slabs, reads * n_taps + j, axis=0)
+            buf += bias
+            out[rows] = buf
+        dims = tuple(len(self.axis_taps) * n for n in x.dims)
+        return SparseFeatureMap(dims, sites, out), [plan, x]
+
+    def _sparse_backward(self, plan, x: SparseFeatureMap, grad_out):
+        dtype = x.feats.dtype
+        padded = np.concatenate([x.feats, np.zeros((1, self.in_ch), dtype)])
+        grad_in = np.zeros_like(padded)
+        grad_w = np.zeros_like(self.weight)
+        for kernel, rows, table in plan:
+            g = grad_out.feats[rows]
+            # a tap sends each output row to its own input row, so the
+            # adjoint of forward's gather is an assignment; outputs that
+            # read nothing land on the zero row, which adds nothing to
+            # grad_w and whose grad_in is dropped
+            spread = np.zeros((len(padded), len(kernel), self.out_ch), dtype)
+            slots = spread.reshape(-1, self.out_ch)
+            for j, reads in enumerate(table):
+                slots[reads * len(kernel) + j] = g
+            spread = spread.reshape(len(padded), -1)
+            gw = (padded.T @ spread).reshape(self.in_ch, len(kernel), -1)
+            for j, k in enumerate(kernel):
+                grad_w[k] = gw[:, j]
+            grad_in += spread @ self._stacked_weight(kernel, dtype)
+        grad_b = grad_out.feats.sum(axis=0, dtype=np.float64)
+        grad_x = SparseFeatureMap(x.dims, x.coords, grad_in[:-1])
+        return grad_x, {"weight": grad_w, "bias": grad_b}
+
+    def forward(self, x, sites: np.ndarray | None = None):
+        """Dense: x is (C_in, X, Y, Z); returns the (C_out, sX, sY, sZ)
+        output and the ctx [x].  Sparse: x is a SparseFeatureMap, absent
+        rows reading as zero, and sites the (M, 3) output sites; returns
+        the output map on sites and the ctx [plan, x]."""
+        if isinstance(x, SparseFeatureMap):
+            return self._sparse_forward(x, sites)
         if x.ndim != 4 or x.shape[0] != self.in_ch:
             raise ShapeError(
                 f"{type(self).__name__} expects ({self.in_ch}, X, Y, Z),"
@@ -411,11 +521,17 @@ class _DenseTapConv:
             out[view] = buf
         return out, [x]
 
-    def backward(self, ctx, grad_out: np.ndarray):
+    def backward(self, ctx, grad_out):
+        """Dense: grad_out is (C_out, sX, sY, sZ) and the input gradient
+        is dense too.  Sparse: grad_out is a map on forward's output sites
+        and the input gradient a map on x's sites."""
         if not ctx:
             raise StaleCache(
                 f"{type(self).__name__} backward: ctx already consumed"
             )
+        if isinstance(ctx[-1], SparseFeatureMap):
+            x = ctx.pop()
+            return self._sparse_backward(ctx.pop(), x, grad_out)
         shape, dtype = ctx[0].shape, ctx[0].dtype
         flat = ctx.pop().reshape(self.in_ch, -1)
         size = shape[1:]

@@ -17,10 +17,19 @@ named_layers() all walk the two lists, backward in reverse.
   latent (absent sites are zero) to full resolution, where a 3x3x3 head
   emits one logit per voxel.
 
-Of each decoder stage the tape keeps only the batch norm's xhat: backward
-recomputes the ReLU output, which is the next layer's input, from it with
-forward's own operations, and the first deconv's input by densifying the
-latent again.  backward consumes the tape.
+Given a query (the cells a loss reads), forward decodes sparsely instead
+("transform, then gather"; see layers): the head computes only the query
+cells, deconv1 only the sites the head reads, deconv0 only the sites
+deconv1 reads, straight from the sparse latent.  Each decoder batch norm
+then normalizes over its decoded support, as batch norm does over active
+sites in sparse-conv networks; over the full grid this is the dense
+decode.  The logits outside the query are NaN.
+
+Of each decoder stage the tape keeps only the batch norm's xhat (and, in a
+sparse decode, the layers' kernel maps): backward recomputes the ReLU
+output, which is the next layer's input, from it with forward's own
+operations, and the first deconv's input from the latent again.  backward
+consumes the tape.
 
 The decoder computes in DECODER_DTYPE (float32): the densified latent,
 each deconv, batch norm and ReLU, and the head.  Everything that
@@ -32,7 +41,7 @@ the logits forward hands to the loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,11 +174,18 @@ class OccupancyNet:
             )
         return tuple(d // f for d in dims)
 
-    def forward(self, visible: SparseFeatureMap, training: bool = False):
+    def forward(
+        self,
+        visible: SparseFeatureMap,
+        training: bool = False,
+        query: np.ndarray | None = None,
+    ):
         """Run the autoencoder; returns (OccupancyPrediction, tape).
 
-        The running statistics are left alone: a training forward lists
-        each batch norm's batch (mean, var) in tape["bn_stats"], in forward
+        With query, an (M, 3) array of cells, only those cells' logits are
+        computed (see the module docstring); the others are NaN.  The
+        running statistics are left alone: a training forward lists each
+        batch norm's batch (mean, var) in tape["bn_stats"], in forward
         order, for commit_batch_stats()."""
         if visible.channel_width != self.config.in_channels:
             raise ShapeError(
@@ -212,19 +228,43 @@ class OccupancyNet:
             )
         tape["latent"] = x
 
-        dense = densify(x, DECODER_DTYPE)
-        for _, deconv, _, bn in self.decoder:
-            y, _ = deconv.forward(dense)  # backward recomputes its input
-            shape = y.shape
-            mat, c_bn = bn.forward(y.reshape(shape[0], -1).T, training)
+        if query is None:
+            supports = [None] * (len(self.decoder) + 1)
+        else:
+            supports = self._supports(query, visible.dims)
+        x = _decoder_input(x, query is not None)
+        for (_, deconv, _, bn), sites in zip(self.decoder, supports):
+            y, ctx = deconv.forward(x, sites)
+            del ctx[-1]  # backward recomputes the input
+            mat, c_bn = bn.forward(_rows(y), training)
             if training:
                 stats.append((bn, c_bn[2]))
+            like = _like(y)
             del y
             np.maximum(mat, 0.0, out=mat)  # ReLU
-            stages.append((shape, c_bn))
-            dense = mat.T.reshape(shape)
-        logits4, _ = self.head.forward(dense)
-        return OccupancyPrediction(logits4[0].astype(np.float64)), tape
+            stages.append((ctx, like, c_bn))
+            x = _unrows(like, mat)
+        y, ctx = self.head.forward(x, supports[-1])
+        del ctx[-1]
+        tape["head"] = ctx, supports[-1]
+        if query is None:
+            return OccupancyPrediction(y[0].astype(np.float64)), tape
+        logits = np.full(tuple(visible.dims), np.nan)
+        logits[tuple(y.coords.T)] = y.feats[:, 0]
+        return OccupancyPrediction(logits), tape
+
+    def _supports(self, query: np.ndarray, dims) -> list[np.ndarray]:
+        """The output sites of each decoder stage and of the head when
+        only the query cells are decoded: the query cells, and what each
+        layer's output sites read of its input, back to deconv0's output."""
+        need = np.zeros((1,) + tuple(dims), dtype=bool)
+        need[(0,) + tuple(np.asarray(query).reshape(-1, 3).T)] = True
+        sites = [np.argwhere(need[0])]
+        readers = [self.head] + [d for _, d, _, _ in self.decoder[:0:-1]]
+        for layer in readers:
+            need = layer.input_support(need)
+            sites.append(np.argwhere(need[0]))
+        return sites[::-1]
 
     def backward(self, tape, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse pass for a completed forward tape; returns a dict of
@@ -243,29 +283,38 @@ class OccupancyNet:
 
         latent = tape.pop("latent")
         stages = tape.pop("decoder")
-        g = grad_logits[None].astype(DECODER_DTYPE)
+        ctx, sites = tape.pop("head")
+        if sites is None:
+            g = grad_logits[None].astype(DECODER_DTYPE)
+        else:
+            rows = grad_logits[tuple(sites.T)][:, None].astype(DECODER_DTYPE)
+            g = SparseFeatureMap(grad_logits.shape, sites, rows)
         layer, name = self.head, "head"
         for deconv_name, deconv, bn_name, bn in reversed(self.decoder):
-            shape, c_bn = stages.pop()
+            deconv_ctx, like, c_bn = stages.pop()
             act = bn.scale_shift(c_bn[0])
             np.maximum(act, 0.0, out=act)  # forward's ReLU output
             keep = act > 0.0  # its mask
-            ctx = [act.T.reshape(shape)]
+            ctx.append(_unrows(like, act))
             del act  # ctx holds the only reference; layer frees it
             g, sub = layer.backward(ctx, g)
             store(name, sub)
-            gmat = g.reshape(shape[0], -1).T
+            gmat = _rows(g)
             np.multiply(gmat, keep, out=gmat)  # relu_backward
             del keep
             gmat, sub = bn.backward(c_bn, gmat)
             del c_bn
             store(bn_name, sub)
-            g = gmat.T.reshape(shape)
-            layer, name = deconv, deconv_name
-        g, sub = layer.backward([densify(latent, DECODER_DTYPE)], g)
+            g = _unrows(like, gmat)
+            layer, name, ctx = deconv, deconv_name, deconv_ctx
+        ctx.append(_decoder_input(latent, sites is not None))
+        g, sub = layer.backward(ctx, g)
         store(name, sub)
 
-        g = densify_backward(latent, g)
+        if sites is None:
+            g = densify_backward(latent, g)
+        else:
+            g = g.feats.astype(latent.feats.dtype)
         units = tape.pop("encoder")  # empty when the encoder saw nothing
         g_skip = None  # gradient into a residual block's input via its skip
         for conv_name, conv, bn_name, bn, residual in reversed(
@@ -282,6 +331,36 @@ class OccupancyNet:
                 g = g + g_skip
             g_skip = g_sum
         return grads
+
+
+def _decoder_input(latent: SparseFeatureMap, sparse: bool):
+    """The first deconv's input in DECODER_DTYPE: the latent itself for a
+    sparse decode, else the latent densified."""
+    if sparse:
+        return replace(latent, feats=latent.feats.astype(DECODER_DTYPE))
+    return densify(latent, DECODER_DTYPE)
+
+
+def _rows(t) -> np.ndarray:
+    """The (sites, C) matrix of a decoder tensor: a sparse map's features,
+    or the transposed view of a dense (C, X, Y, Z) tensor."""
+    if isinstance(t, SparseFeatureMap):
+        return t.feats
+    return t.reshape(len(t), -1).T
+
+
+def _like(t):
+    """What _unrows needs of t: a sparse map's sites, a dense shape."""
+    if isinstance(t, SparseFeatureMap):
+        return replace(t, feats=None)
+    return t.shape
+
+
+def _unrows(like, rows: np.ndarray):
+    """The decoder tensor laid out as like that holds rows."""
+    if isinstance(like, SparseFeatureMap):
+        return replace(like, feats=rows)
+    return rows.T.reshape(like)
 
 
 def visible_features(grid: VoxelGrid, visible: np.ndarray) -> SparseFeatureMap:

@@ -202,12 +202,20 @@ def pretrain(
     Losses, gradients and batch-norm statistics are taken in frame order,
     so the result does not depend on the thread count.  Raises Diverged,
     before the optimizer step, on a non-finite loss or gradient.
+
+    In sphere mode the decoder computes only the query cells and what they
+    read (OccupancyNet.forward's query), and a frame with no query cell
+    (nothing visible) is skipped: it adds no loss, gradient or batch-norm
+    statistics, and the other frames keep their 1/len(batch) share.  A
+    batch of skipped frames makes no optimizer step; an epoch of them
+    raises NoData.
     """
     if not frames:
         raise NoData("no frames given")
     grids, truths = _prepare(frames, geom)
     optimizer = make_optimizer(cfg)
     params = net.parameters()
+    sparse = cfg.query.mode == "sphere"  # decode only the query's reach
     history = []
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng(
@@ -234,7 +242,11 @@ def pretrain(
                         cfg.seed, _QUERY_STREAM, epoch_key, fi
                     ),
                 )
-                pred, tape = net.forward(vis, training=True)
+                if len(query) == 0:
+                    return None
+                pred, tape = net.forward(
+                    vis, training=True, query=query if sparse else None
+                )
                 loss, grad_logits = occupancy_loss(
                     pred.logits, truths[fi], query, batch_size=bsz
                 )
@@ -245,7 +257,10 @@ def pretrain(
             batch_stats = []
             results = parallel_map(step, batch.tolist())
             with contextlib.closing(results):  # joins the pool on a raise
-                for fi, (loss, grads, stats) in zip(batch, results):
+                for fi, result in zip(batch, results):
+                    if result is None:  # nothing to query: frame skipped
+                        continue
+                    loss, grads, stats = result
                     if not math.isfinite(loss):
                         raise Diverged(
                             f"epoch {epoch}: frame {fi} has loss {loss}"
@@ -263,8 +278,10 @@ def pretrain(
                 )
             for stats in batch_stats:
                 net.commit_batch_stats(stats)
-            if cfg.learning_rate > 0:
+            if batch_stats and cfg.learning_rate > 0:
                 optimizer.step(params, batch_grads)
+        if not losses:
+            raise NoData(f"epoch {epoch}: no frame had a cell to query")
         history.append(float(np.mean(losses)))
     return net, history
 

@@ -71,6 +71,17 @@ class TestExitCodes:
         assert "error: NoData:" in capsys.readouterr().err
         assert not (out / "checkpoint.rmae").exists()
 
+    def test_sphere_mode_with_nothing_visible_is_no_data(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(
+            ["pretrain", "--out", str(out)]
+            + TINY
+            + ["query.mode=sphere", "mask.m=1.0"]
+        )
+        assert code == cli.EXIT_NODATA == 5
+        assert "error: NoData:" in capsys.readouterr().err
+        assert not (out / "checkpoint.rmae").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_pretrain_writes_no_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "out"

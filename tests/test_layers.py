@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -951,3 +952,125 @@ class TestFiniteDifferences:
             return float((o * probe).sum())
 
         fd_param_check(loss, x, grad_in, rng, tol=2e-4)
+
+
+# --- sparse calls of the dense layers ----------------------------------------
+#
+# A sparse call computes the dense layer at chosen output sites, reading
+# absent input rows as zero: the dense layer run on densify(x) is its oracle.
+
+
+def random_sites(dims, fraction, rng) -> np.ndarray:
+    """At least one distinct random site of dims, canonical order."""
+    total = int(np.prod(dims))
+    n = max(1, int(fraction * total))
+    lin = np.sort(rng.choice(total, size=n, replace=False))
+    return np.column_stack(np.unravel_index(lin, dims)).astype(np.int64)
+
+
+def reads_of(cls, out_site, in_dims):
+    """The input sites one output site reads, straight from the layer's
+    definition: q = 2p + k - 1 (deconv, k < 4) or q = p - k + 1 (conv)."""
+    per_axis = []
+    for q, n in zip(out_site, in_dims):
+        if cls is DenseDeconv:
+            ps = [(q + 1 - k) // 2 for k in range(4) if (q + 1 - k) % 2 == 0]
+        else:
+            ps = [q + k - 1 for k in range(3)]
+        per_axis.append([p for p in ps if 0 <= p < n])
+    return set(itertools.product(*per_axis))
+
+
+LAYER_CASES = [
+    (DenseDeconv, 64, 32, (4, 4, 2)),
+    (DenseDeconv, 3, 2, (3, 5, 1)),
+    (DenseDeconv, 2, 3, (1, 1, 1)),
+    (DenseConv, 16, 1, (8, 6, 4)),
+    (DenseConv, 3, 4, (6, 5, 4)),
+    (DenseConv, 2, 3, (1, 1, 1)),
+]
+
+
+class TestSparseCallAgainstDense:
+    @pytest.mark.parametrize("cls, cin, cout, dims", LAYER_CASES)
+    @pytest.mark.parametrize("fill", [0.0, 0.3, 1.0])
+    def test_forward_and_backward_at_the_sites(self, cls, cin, cout, dims, fill):
+        rng = np.random.default_rng(50)
+        layer = cls(cin, cout, rng)
+        layer.bias[:] = rng.normal(0, 1, cout)
+        x = random_sparse(dims, int(fill * np.prod(dims)), cin, rng)
+        stride = len(cls.axis_taps)
+        out_dims = tuple(stride * n for n in dims)
+        sites = random_sites(out_dims, 0.4, rng)
+        at = (slice(None),) + tuple(sites.T)
+
+        dense, dense_ctx = layer.forward(densify(x))
+        y, ctx = layer.forward(x, sites)
+        assert y.dims == out_dims
+        assert np.array_equal(y.coords, sites)
+        assert_rel_close(y.feats, dense[at].T)
+
+        probe = rng.normal(0, 1, (len(sites), cout))
+        grad_dense = np.zeros_like(dense)
+        grad_dense[at] = probe.T
+        ref_in, ref = layer.backward(dense_ctx, grad_dense)
+        grad_x, grads = layer.backward(ctx, SparseFeatureMap(out_dims, sites, probe))
+        assert np.array_equal(grad_x.coords, x.coords)
+        if len(x):
+            assert_rel_close(grad_x.feats, ref_in[(slice(None),) + tuple(x.coords.T)].T)
+        assert_rel_close(grads["weight"], ref["weight"])
+        assert_rel_close(grads["bias"], ref["bias"])
+        assert ctx == []
+        with pytest.raises(StaleCache):
+            layer.backward(ctx, SparseFeatureMap(out_dims, sites, probe))
+
+    @pytest.mark.parametrize("cls, cin, cout, dims", LAYER_CASES)
+    def test_float32_map_computes_in_float32(self, cls, cin, cout, dims):
+        rng = np.random.default_rng(51)
+        layer = cls(cin, cout, rng)
+        x = random_sparse(dims, 5, cin, rng)
+        x32 = SparseFeatureMap(x.dims, x.coords, x.feats.astype(np.float32))
+        sites = random_sites(tuple(len(cls.axis_taps) * n for n in dims), 0.5, rng)
+        y, ctx = layer.forward(x32, sites)
+        assert y.feats.dtype == np.float32
+        np.testing.assert_allclose(
+            y.feats, layer.forward(x, sites)[0].feats, rtol=1e-5, atol=1e-5
+        )
+        g = SparseFeatureMap(y.dims, sites, np.ones_like(y.feats))
+        grad_x, grads = layer.backward(ctx, g)
+        assert grad_x.feats.dtype == np.float32
+        assert all(v.dtype == np.float64 for v in grads.values())
+
+
+class TestInputSupport:
+    @pytest.mark.parametrize("cls, cin, cout, dims", LAYER_CASES)
+    def test_equals_a_scan_of_what_each_site_reads(self, cls, cin, cout, dims):
+        rng = np.random.default_rng(52)
+        layer = cls(cin, cout, rng)
+        out_dims = tuple(len(cls.axis_taps) * n for n in dims)
+        for fraction in (0.0, 0.1, 0.5):
+            mask = np.zeros((1,) + out_dims, dtype=bool)
+            if fraction:
+                mask[(0,) + tuple(random_sites(out_dims, fraction, rng).T)] = True
+            expect = np.zeros((1,) + dims, dtype=bool)
+            for q in np.argwhere(mask[0]):
+                for p in reads_of(cls, tuple(q), dims):
+                    expect[(0,) + p] = True
+            assert np.array_equal(layer.input_support(mask), expect)
+
+    @pytest.mark.parametrize("cls, cin, cout, dims", LAYER_CASES[:4])
+    def test_outside_the_support_is_never_read(self, cls, cin, cout, dims):
+        """Input rows outside input_support leave the outputs as they are."""
+        rng = np.random.default_rng(53)
+        layer = cls(cin, cout, rng)
+        out_dims = tuple(len(cls.axis_taps) * n for n in dims)
+        sites = random_sites(out_dims, 0.1, rng)
+        mask = np.zeros((1,) + out_dims, dtype=bool)
+        mask[(0,) + tuple(sites.T)] = True
+        need = layer.input_support(mask)[0]
+        full = random_sparse(dims, int(np.prod(dims)), cin, rng)
+        keep = need[tuple(full.coords.T)]
+        part = SparseFeatureMap(dims, full.coords[keep], full.feats[keep])
+        a, _ = layer.forward(full, sites)
+        b, _ = layer.forward(part, sites)
+        assert np.array_equal(a.feats, b.feats)

@@ -281,3 +281,121 @@ def test_default_layer_names_and_kinds():
         ("deconv1_bn", bn),
         ("head", "dense_conv"),
     ]
+
+
+def empty_input(dims, cin):
+    return SparseFeatureMap(dims, np.empty((0, 3), np.int64), np.empty((0, cin)))
+
+
+def assert_grads_close(actual, expect, tol):
+    """Each gradient within tol of its magnitude; a bias feeding a
+    training-mode batch norm (true gradient 0, so only rounding is left)
+    within tol of its layer's weight gradient."""
+    for path, g in expect.items():
+        scale = np.abs(g).max()
+        layer = path.rsplit(".", 1)[0]
+        if path.endswith(".bias") and layer != "head":
+            scale = max(scale, np.abs(expect[f"{layer}.weight"]).max())
+        err = np.abs(actual[path] - g).max()
+        assert err <= tol * max(scale, 1e-300), f"{path}: {err:.3g}"
+
+
+class TestSparseDecode:
+    """forward(query=...) decodes only the query cells and what they read,
+    with each decoder batch norm over its decoded support."""
+
+    @pytest.mark.parametrize("stages", [(2, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_full_support_equals_dense(self, empty, stages, monkeypatch):
+        monkeypatch.setattr(network, "DECODER_DTYPE", np.float64)
+        net = toy_net(seed=5, stages=stages)
+        x, truth, query = toy_problem(6)  # all_voxels: every cell
+        if empty:
+            x = empty_input(x.dims, x.channel_width)
+        runs = []
+        for q in (None, query):
+            pred, tape = net.forward(x, training=True, query=q)
+            _, grad_logits = occupancy_loss(pred.logits, truth, query)
+            runs.append((pred.logits, tape["bn_stats"], net.backward(tape, grad_logits)))
+        (dense, dense_stats, dense_grads), (sparse, sparse_stats, sparse_grads) = runs
+        err = np.abs(sparse - dense).max()
+        assert err <= 1e-12 * np.abs(dense).max()
+        assert_grads_close(sparse_grads, dense_grads, 1e-12)
+        for (bn_a, (mu_a, var_a)), (bn_b, (mu_b, var_b)) in zip(
+            dense_stats, sparse_stats
+        ):
+            assert bn_a is bn_b
+            np.testing.assert_allclose(mu_b, mu_a, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(var_b, var_a, rtol=1e-12, atol=1e-15)
+
+    def test_logits_only_at_the_query(self):
+        x, truth, _ = toy_problem(7)
+        query = build_query_set(truth, x.coords, QueryConfig("sphere", 1.0))
+        assert 0 < len(query) < truth.o.size
+        net = toy_net(stages=(2, 3, 4))
+        pred, _ = net.forward(x, training=True, query=query)
+        at = np.zeros(truth.o.shape, dtype=bool)
+        at[tuple(query.T)] = True
+        assert pred.logits.dtype == np.float64
+        assert np.isfinite(pred.logits[at]).all()
+        assert np.isnan(pred.logits[~at]).all()
+
+    def test_finite_differences_on_a_sphere_support(self, monkeypatch):
+        monkeypatch.setattr(network, "DECODER_DTYPE", np.float64)
+        rng = np.random.default_rng(8)
+        net = toy_net(seed=9, stages=(2, 3, 4))
+        x, truth, _ = toy_problem(8)
+        query = build_query_set(truth, x.coords, QueryConfig("sphere", 1.0))
+        assert len(query) < truth.o.size
+
+        def loss_value():
+            pred, _ = net.forward(x, training=True, query=query)
+            return occupancy_loss(pred.logits, truth, query)[0]
+
+        pred, tape = net.forward(x, training=True, query=query)
+        _, grad_logits = occupancy_loss(pred.logits, truth, query)
+        grads = net.backward(tape, grad_logits)
+        checked = 0
+        for path, arr in net.parameters():
+            if path.endswith(".bias") and not path.startswith("head"):
+                continue  # feeds a batch norm: true gradient 0
+            flat = arr.reshape(-1)
+            for idx in rng.choice(arr.size, size=min(2, arr.size), replace=False):
+                old = flat[idx]
+                h = 1e-5
+                flat[idx] = old + h
+                lp = loss_value()
+                flat[idx] = old - h
+                lm = loss_value()
+                flat[idx] = old
+                fd = (lp - lm) / (2 * h)
+                an = grads[path].reshape(-1)[idx]
+                rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
+                assert rel < 1e-6, f"{path}[{idx}]: fd={fd} analytic={an}"
+                checked += 1
+        assert checked >= 20
+
+    def test_empty_latent_with_a_query(self):
+        net = toy_net()
+        x = empty_input((8, 8, 4), 2)
+        query = np.array([[0, 0, 0], [3, 4, 1], [7, 7, 3]])
+        pred, tape = net.forward(x, training=True, query=query)
+        assert np.isfinite(pred.logits[tuple(query.T)]).all()
+        grad_logits = np.zeros((8, 8, 4))
+        grad_logits[tuple(query.T)] = 1.0
+        grads = net.backward(tape, grad_logits)
+        assert not grads["stem.weight"].any()  # nothing reached the encoder
+        assert not grads["deconv0.weight"].any()  # it read only zeros
+        assert grads["head.bias"].any()
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+    def test_eval_mode_sparse_equals_dense_at_the_query(self):
+        """Eval mode normalizes with the running statistics, so only the
+        query cells differ: they are the dense logits there."""
+        x, truth, _ = toy_problem(9)
+        query = build_query_set(truth, x.coords, QueryConfig("sphere", 1.0))
+        net = toy_net(seed=2, stages=(2, 3, 4))
+        dense, _ = net.forward(x)
+        sparse, _ = net.forward(x, query=query)
+        at = tuple(query.T)
+        np.testing.assert_allclose(sparse.logits[at], dense.logits[at], rtol=1e-5, atol=1e-6)

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from rmae.errors import Diverged, StaleCache
+from rmae.errors import Diverged, NoData, StaleCache
 from rmae.occupancy_net import (
     NetConfig,
     OccupancyNet,
@@ -17,7 +17,7 @@ from rmae.occupancy_net import (
     save_checkpoint,
     visible_features,
 )
-from rmae.pointcloud import SceneSpec, synth_scene
+from rmae.pointcloud import PointCloud, SceneSpec, synth_scene
 from rmae.radial_mask import MaskConfig, apply_mask
 from rmae import trainer
 from rmae.trainer import (
@@ -244,5 +244,144 @@ def test_backward_consumes_the_tape(small_geom):
     assert left and all(a.ndim == 1 for a in left)
     norms = [l for _, l in net.named_layers() if l.kind == "batch_norm"]
     assert [bn for bn, _ in tape["bn_stats"]] == norms
+    with pytest.raises(StaleCache):
+        net.backward(tape, grad)
+
+
+SPHERE = QueryConfig(mode="sphere", sphere_radius=3.0)
+
+
+def record(calls, name, method):
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return method(*args, **kwargs)
+
+    return recorded
+
+
+class TestSphereMode:
+    """In sphere mode the decoder computes only the query cells and what
+    they read."""
+
+    def test_bitwise_identical_for_1_2_3_threads(
+        self, small_geom, tmp_path, monkeypatch
+    ):
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("RMAE_THREADS", threads)
+                runs.append(
+                    tiny_pretrain(
+                        small_geom,
+                        tmp_path / f"ck{threads}.rmae",
+                        n_frames=5,
+                        batch_size=4,
+                        query=SPHERE,
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        history, blob = runs[0]
+        assert len(history) == 1 and np.isfinite(history).all()
+        for other_history, other_blob in runs[1:]:
+            assert other_history == history
+            assert other_blob == blob
+
+    def test_nothing_visible_in_any_frame_is_no_data(self, small_geom):
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+        cfg = TrainConfig(epochs=1, mask=MaskConfig(m=1.0), query=SPHERE)
+        with pytest.raises(NoData, match="epoch 0"):
+            pretrain(tiny_frames(2), cfg, net, small_geom)
+
+    def test_a_frame_with_nothing_visible_is_skipped(self, small_geom):
+        """The frame adds no loss, gradient or batch-norm statistics and
+        the others keep their 1/len(batch) share: a batch of three with
+        one skipped steps like a batch of the other two at 2/3 of the
+        learning rate."""
+        outside = PointCloud(np.array([[100.0, 100.0, 0.0, 0.5]]))
+        runs = []
+        for frames, lr in ((tiny_frames(2) + [outside], 0.3), (tiny_frames(2), 0.2)):
+            net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+            start = {path: arr.copy() for path, arr in net.parameters()}
+            calls = []
+            for name in ("forward", "commit_batch_stats"):
+                method = getattr(net, name)
+                setattr(net, name, record(calls, name, method))
+            cfg = TrainConfig(
+                epochs=1,
+                batch_size=len(frames),
+                optimizer="sgd",
+                learning_rate=lr,
+                query=SPHERE,
+            )
+            net, history = pretrain(frames, cfg, net, small_geom)
+            steps = {path: arr - start[path] for path, arr in net.parameters()}
+            runs.append((history, steps, calls))
+        (history3, steps3, calls3), (history2, steps2, calls2) = runs
+        assert calls3 == calls2 == ["forward"] * 2 + ["commit_batch_stats"] * 2
+        assert history3 == pytest.approx(history2, rel=1e-12)
+        largest = max(np.abs(d).max() for d in steps2.values())
+        for path, step in steps2.items():
+            np.testing.assert_allclose(
+                steps3[path], step, rtol=1e-4, atol=1e-6 * largest, err_msg=path
+            )
+
+
+    def test_a_batch_of_skipped_frames_makes_no_step(self, small_geom):
+        """Adam steps even on a zero gradient, so a batch that trained no
+        frame must not step: training a frame next to a frame with
+        nothing visible, one frame a batch, gives the bytes of training
+        it alone."""
+        outside = PointCloud(np.array([[100.0, 100.0, 0.0, 0.5]]))
+        blobs = []
+        for frames in (tiny_frames(1) + [outside], tiny_frames(1)):
+            net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+            cfg = TrainConfig(epochs=1, batch_size=1, query=SPHERE)
+            net, history = pretrain(frames, cfg, net, small_geom)
+            blobs.append((history, [a.tobytes() for _, a in net.parameters()]))
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("mode", ["all_voxels", "sphere"])
+    def test_only_sphere_mode_hands_the_query_to_the_net(
+        self, mode, small_geom, monkeypatch
+    ):
+        monkeypatch.setenv("RMAE_THREADS", "1")
+        queries = []
+        built = trainer.build_query_set
+
+        def recording_build(*args, **kwargs):
+            queries.append(built(*args, **kwargs))
+            return queries[-1]
+
+        monkeypatch.setattr(trainer, "build_query_set", recording_build)
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+        handed = []
+        forward = net.forward
+
+        def recording_forward(visible, training=False, query=None):
+            handed.append(query)
+            return forward(visible, training, query)
+
+        net.forward = recording_forward
+        cfg = TrainConfig(epochs=1, batch_size=2, query=QueryConfig(mode=mode))
+        pretrain(tiny_frames(2), cfg, net, small_geom)
+        assert len(handed) == len(queries) == 2
+        for query, made in zip(handed, queries):
+            assert query is (made if mode == "sphere" else None)
+
+
+def test_sphere_backward_consumes_the_tape(small_geom):
+    grid = voxelize(tiny_frames(1)[0], small_geom)
+    truth = occupancy_of(grid)
+    outcome = apply_mask(grid, MaskConfig(n_groups=8, m=0.5), seed=1)
+    vis = visible_features(grid, outcome.visible)
+    net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+    query = build_query_set(truth, vis.coords, SPHERE)
+    pred, tape = net.forward(vis, training=True, query=query)
+    _, grad = occupancy_loss(pred.logits, truth, query)
+    net.backward(tape, grad)
+    assert set(tape) == {"dims", "training", "bn_stats"}
     with pytest.raises(StaleCache):
         net.backward(tape, grad)
