@@ -49,6 +49,8 @@ for threads in 1 2; do
             rmae energy --out energy --stats mask/stats.json
             rmae pretrain --out rerun --config pretrain/resolved_config.json
             rmae pretrain --out sphere query.mode=sphere $TINY
+            rmae eval --out sphere-eval --checkpoint sphere/checkpoint.rmae \
+                $TINY
             rmae pretrain --out sphere-batch2 $TINY query.mode=sphere \
                 train.batch_size=2
         }

@@ -79,6 +79,8 @@ class SweepConfig:
     eval_frames: int = 0  # 0: hold out a fifth of the inputs
 
     def __post_init__(self):
+        if not self.ratios or not self.spans_deg:
+            raise ValueError("sweep ratios and spans_deg must not be empty")
         if any(not 0.0 <= r <= 1.0 for r in self.ratios):
             raise ValueError("sweep ratios must lie in [0, 1]")
         if any(s <= 0 for s in self.spans_deg):
@@ -260,7 +262,10 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 
     inputs = []
     for p in _recorded_paths(doc, "inputs", many=True):
-        inputs.extend(sorted(p.glob("*.bin")) if p.is_dir() else [p])
+        found = sorted(p.glob("*.bin")) if p.is_dir() else [p]
+        if not found:
+            raise NoData(f"input {p} holds no .bin file")
+        inputs.extend(found)
     return RunConfig(
         command=args.command,
         out=Path(args.out),

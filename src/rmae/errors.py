@@ -38,7 +38,8 @@ class StaleCache(RmaeError):
 
 
 class NoData(RmaeError):
-    """Every input frame produced an empty voxel grid."""
+    """The input paths hold no frame, or every input frame produced an
+    empty voxel grid."""
 
 
 class ConfigError(RmaeError):

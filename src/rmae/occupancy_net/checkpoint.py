@@ -84,7 +84,8 @@ class _Reader:
         return v
 
     def string(self) -> str:
-        return self.take(self.u("<H")).decode("utf-8")
+        # a name that is not UTF-8 matches no layer or tensor name
+        return self.take(self.u("<H")).decode("utf-8", "replace")
 
 
 def load_checkpoint(path) -> OccupancyNet:
@@ -97,9 +98,12 @@ def load_checkpoint(path) -> OccupancyNet:
     if version != VERSION:
         raise MalformedFile(f"{path}: unsupported version {version}")
     cfg_raw = r.take(r.u("<I"))
-    cfg_dict = json.loads(cfg_raw.decode("utf-8"))
-    cfg_dict["stage_channels"] = tuple(cfg_dict["stage_channels"])
-    net = OccupancyNet(NetConfig(**cfg_dict))
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        cfg_dict = json.loads(cfg_raw.decode("utf-8"))
+        cfg_dict["stage_channels"] = tuple(cfg_dict["stage_channels"])
+        net = OccupancyNet(NetConfig(**cfg_dict))
+    except (ValueError, TypeError, KeyError) as e:
+        raise MalformedFile(f"{path}: bad config header ({e})") from e
 
     layers = dict(net.named_layers())
     n_layers = r.u("<I")

@@ -54,8 +54,6 @@ import numpy as np
 
 from ..errors import DegenerateBatch, ShapeError, StaleCache
 
-# rows per temporary in BatchNorm.backward's last per-element product
-_ROW_BLOCK = 8192
 # taps per forward GEMM: bounds the slab of per-tap results at 9 taps
 # (27 taps take three GEMMs, a deconv phase's 8 taps one)
 _TAPS_PER_GEMM = 9
@@ -218,9 +216,10 @@ class BatchNorm:
     afterwards in their original order.
 
     Besides its input, forward keeps two full-size buffers (xhat and the
-    output) and backward one (its result); per-element products are
-    formed in place, so every value is computed by the same operations in
-    the same order as the textbook expressions in the comments.
+    output) and backward two (its result, and a transient for the product
+    of xhat in its last step); the other per-element products are formed
+    in place, and every value is computed by the same operations in the
+    same order as the textbook expressions in the comments.
     """
 
     kind = "batch_norm"
@@ -266,13 +265,9 @@ class BatchNorm:
             stats = None
         ivar = 1.0 / np.sqrt(var + self.eps)
         xhat *= ivar.astype(x.dtype, copy=False)
-        return self.scale_shift(xhat), (xhat, ivar, stats)
-
-    def scale_shift(self, xhat: np.ndarray) -> np.ndarray:
-        """gamma * xhat + beta: forward's output, recomputable from xhat."""
-        out = xhat * self.gamma.astype(xhat.dtype, copy=False)
-        out += self.beta.astype(xhat.dtype, copy=False)
-        return out
+        out = xhat * self.gamma.astype(x.dtype, copy=False)
+        out += self.beta.astype(x.dtype, copy=False)
+        return out, (xhat, ivar, stats)
 
     def commit(self, stats) -> None:
         """Fold one training pass's batch (mean, var) into the running
@@ -302,9 +297,7 @@ class BatchNorm:
         np.multiply(grad_out, gamma, out=buf)  # dxhat again
         buf *= n
         buf -= dxhat_sum
-        for lo in range(0, n, _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            buf[rows] -= xhat[rows] * dxhat_xhat_sum
+        buf -= xhat * dxhat_xhat_sum
         buf *= (ivar / n).astype(dtype, copy=False)
         return buf, {"gamma": grad_gamma, "beta": grad_beta}
 

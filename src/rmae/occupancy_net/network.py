@@ -25,11 +25,10 @@ then normalizes over its decoded support, as batch norm does over active
 sites in sparse-conv networks; over the full grid this is the dense
 decode.  The logits outside the query are NaN.
 
-Of each decoder stage the tape keeps only the batch norm's xhat (and, in a
-sparse decode, the layers' kernel maps): backward recomputes the ReLU
-output, which is the next layer's input, from it with forward's own
-operations, and the first deconv's input from the latent again.  backward
-consumes the tape.
+A training forward's tape keeps what each layer's backward reads (a
+decoder ReLU's output stays as the next layer's input, and backward takes
+the ReLU's mask from it), and backward consumes it; an eval forward keeps
+no decoder stage, so its tape serves no backward.
 
 The decoder computes in DECODER_DTYPE (float32): the densified latent,
 each deconv, batch norm and ReLU, and the head.  Everything that
@@ -78,6 +77,10 @@ class NetConfig:
             raise ValueError("need at least one input channel and one stage")
         if any(c < 1 for c in self.stage_channels):
             raise ValueError("stage channels must be positive")
+        if not self.bn_eps > 0:
+            raise ValueError("bn_eps must be positive")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError("bn_momentum must lie in [0, 1]")
 
     @property
     def downsample_factor(self) -> int:
@@ -230,22 +233,21 @@ class OccupancyNet:
 
         if query is None:
             supports = [None] * (len(self.decoder) + 1)
+            x = densify(x, DECODER_DTYPE)
         else:
             supports = self._supports(query, visible.dims)
-        x = _decoder_input(x, query is not None)
+            x = replace(x, feats=x.feats.astype(DECODER_DTYPE))
         for (_, deconv, _, bn), sites in zip(self.decoder, supports):
             y, ctx = deconv.forward(x, sites)
-            del ctx[-1]  # backward recomputes the input
             mat, c_bn = bn.forward(_rows(y), training)
             if training:
                 stats.append((bn, c_bn[2]))
-            like = _like(y)
-            del y
+                stages.append((ctx, c_bn))
+            del ctx, c_bn  # an eval forward frees them here
             np.maximum(mat, 0.0, out=mat)  # ReLU
-            stages.append((ctx, like, c_bn))
-            x = _unrows(like, mat)
+            x = _unrows(y, mat)
+            del y
         y, ctx = self.head.forward(x, supports[-1])
-        del ctx[-1]
         tape["head"] = ctx, supports[-1]
         if query is None:
             return OccupancyPrediction(y[0].astype(np.float64)), tape
@@ -267,13 +269,14 @@ class OccupancyNet:
         return sites[::-1]
 
     def backward(self, tape, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-        """Reverse pass for a completed forward tape; returns a dict of
-        parameter gradients keyed like parameters().  Each tape entry is
-        popped as it is used, so a tape serves one backward; only
+        """Reverse pass for a completed training forward's tape; returns a
+        dict of parameter gradients keyed like parameters().  Each tape
+        entry is popped as it is used, so a tape serves one backward; only
         tape["bn_stats"] is left."""
-        if not tape or "latent" not in tape:
+        if not tape.get("training") or "latent" not in tape:
             raise StaleCache(
-                "backward needs the tape of a forward not yet run backward"
+                "backward needs the tape of a training forward not yet run"
+                " backward"
             )
         grads = self.zero_grads()
 
@@ -291,12 +294,8 @@ class OccupancyNet:
             g = SparseFeatureMap(grad_logits.shape, sites, rows)
         layer, name = self.head, "head"
         for deconv_name, deconv, bn_name, bn in reversed(self.decoder):
-            deconv_ctx, like, c_bn = stages.pop()
-            act = bn.scale_shift(c_bn[0])
-            np.maximum(act, 0.0, out=act)  # forward's ReLU output
-            keep = act > 0.0  # its mask
-            ctx.append(_unrows(like, act))
-            del act  # ctx holds the only reference; layer frees it
+            deconv_ctx, c_bn = stages.pop()
+            keep = _rows(ctx[-1]) > 0.0  # mask of the ReLU feeding layer
             g, sub = layer.backward(ctx, g)
             store(name, sub)
             gmat = _rows(g)
@@ -305,9 +304,8 @@ class OccupancyNet:
             gmat, sub = bn.backward(c_bn, gmat)
             del c_bn
             store(bn_name, sub)
-            g = _unrows(like, gmat)
+            g = _unrows(g, gmat)
             layer, name, ctx = deconv, deconv_name, deconv_ctx
-        ctx.append(_decoder_input(latent, sites is not None))
         g, sub = layer.backward(ctx, g)
         store(name, sub)
 
@@ -333,14 +331,6 @@ class OccupancyNet:
         return grads
 
 
-def _decoder_input(latent: SparseFeatureMap, sparse: bool):
-    """The first deconv's input in DECODER_DTYPE: the latent itself for a
-    sparse decode, else the latent densified."""
-    if sparse:
-        return replace(latent, feats=latent.feats.astype(DECODER_DTYPE))
-    return densify(latent, DECODER_DTYPE)
-
-
 def _rows(t) -> np.ndarray:
     """The (sites, C) matrix of a decoder tensor: a sparse map's features,
     or the transposed view of a dense (C, X, Y, Z) tensor."""
@@ -349,18 +339,12 @@ def _rows(t) -> np.ndarray:
     return t.reshape(len(t), -1).T
 
 
-def _like(t):
-    """What _unrows needs of t: a sparse map's sites, a dense shape."""
-    if isinstance(t, SparseFeatureMap):
-        return replace(t, feats=None)
-    return t.shape
-
-
 def _unrows(like, rows: np.ndarray):
-    """The decoder tensor laid out as like that holds rows."""
+    """The inverse of _rows: the decoder tensor laid out as like (its
+    sites, or its dense shape) that holds rows."""
     if isinstance(like, SparseFeatureMap):
         return replace(like, feats=rows)
-    return rows.T.reshape(like)
+    return rows.T.reshape(like.shape)
 
 
 def visible_features(grid: VoxelGrid, visible: np.ndarray) -> SparseFeatureMap:

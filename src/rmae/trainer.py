@@ -110,6 +110,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(
                 f"optimizer must be adam or sgd, got {self.optimizer!r}"

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import pytest
 
@@ -18,6 +19,12 @@ TINY = [
     "train.epochs=1",
     "train.batch_size=1",
 ]
+
+
+def _with_header(raw: bytes, header: bytes) -> bytes:
+    """A checkpoint's bytes with its config json replaced by header."""
+    (length,) = struct.unpack("<I", raw[8:12])
+    return raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + length :]
 
 
 class TestExitCodes:
@@ -46,12 +53,31 @@ class TestExitCodes:
         assert code == cli.EXIT_IO == 2
         assert "error: IoError:" in capsys.readouterr().err
 
-    def test_corrupt_checkpoint_is_malformed(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: raw[:200],  # truncated
+            lambda raw: _with_header(raw, b'{"in_channels": 4,'),
+            lambda raw: _with_header(raw, b'{"colour": 1}'),
+            lambda raw: _with_header(raw, b'{"stage_channels": [0, 8, 8]}'),
+            lambda raw: _with_header(raw, b'{"stage_channels\xff": [4]}'),
+            lambda raw: raw.replace(b"stem", b"st\xffm", 1),  # a layer name
+        ],
+        ids=[
+            "truncated",
+            "not-json",
+            "unknown-key",
+            "bad-value",
+            "not-utf8",
+            "name-not-utf8",
+        ],
+    )
+    def test_corrupt_checkpoint_is_malformed(self, corrupt, tmp_path, capsys):
         good = tmp_path / "good.rmae"
         net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8)))
         save_checkpoint(net, good)
         bad = tmp_path / "bad.rmae"
-        bad.write_bytes(good.read_bytes()[:200])
+        bad.write_bytes(corrupt(good.read_bytes()))
         code = cli.main(
             ["eval", "--out", str(tmp_path / "out"), "--checkpoint", str(bad)]
             + TINY
@@ -207,6 +233,51 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG == 3
         assert "error: ConfigError:" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pretrain", "train.beta1=1.0"],
+            ["pretrain", "train.beta2=1.0"],
+            ["pretrain", "train.beta1=-0.1"],
+            ["pretrain", "train.adam_eps=0.0"],
+            ["pretrain", "net.bn_eps=-1.0"],
+            ["pretrain", "net.bn_eps=0.0"],
+            ["pretrain", "net.bn_momentum=7.0"],
+            ["pretrain", "net.bn_momentum=-0.5"],
+            ["sweep-ratio", "sweep.ratios=[]"],
+            ["sweep-angle", "sweep.spans_deg=[]"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_value_is_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(argv[:1] + ["--out", str(out)] + TINY + argv[1:])
+        assert code == cli.EXIT_CONFIG == 3
+        assert "error: ConfigError:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "content, with_frames",
+        [([], False), (["notes.txt"], False), ([], True)],
+        ids=["empty", "no-bin", "beside-a-frame"],
+    )
+    def test_input_dir_without_bin_files_is_no_data(
+        self, content, with_frames, tmp_path, capsys
+    ):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for name in content:
+            (frames / name).write_text("not a frame")
+        out = tmp_path / "out"
+        argv = ["voxelize", "--out", str(out), "--input", str(frames)]
+        if with_frames:  # another --input that does hold a frame
+            spec = SceneSpec(ground_extent=6.0, box_count=3)
+            save_kitti_bin(synth_scene(spec), tmp_path / "a.bin")
+            argv += ["--input", str(tmp_path / "a.bin")]
+        assert cli.main(argv + TINY) == cli.EXIT_NODATA == 5
+        assert "error: NoData:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_int_for_a_float_field_runs_and_is_echoed(self, tmp_path):
         out = tmp_path / "out"
