@@ -47,6 +47,9 @@ for threads in 1 2; do
             rmae mask --out mask 'mask.r_thresholds=[6.0,12.0]' $TINY
             rmae voxelize --out voxelize $TINY
             rmae energy --out energy --stats mask/stats.json
+            rmae energy --out energy-params --stats mask/stats.json \
+                energy.R=60.0 energy.tau=2e-9 energy.N_bits=10 \
+                energy.N_fft=256
             rmae pretrain --out rerun --config pretrain/resolved_config.json
             rmae pretrain --out sphere query.mode=sphere $TINY
             rmae eval --out sphere-eval --checkpoint sphere/checkpoint.rmae \

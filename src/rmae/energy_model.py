@@ -13,6 +13,9 @@ All quantities are SI.  The relations implemented here:
     P_control = P_ADC + P_MCU
     P_total  = P_laser + P_scan + P_signal + P_control
 
+EnergyParams is the model's one validator: it also rejects a parameter
+set whose relations do not all evaluate to finite numbers.
+
 Masking savings scale the duty-cycled components (laser, ADC, signal) by
 the fraction of sensed angular groups, and the laser additionally by
 (max sensed range / design range)^4; motor and MCU power are untouched.
@@ -89,6 +92,15 @@ class EnergyParams:
             raise InvalidParams("N_bits must be >= 1")
         if self.N_fft < 2:
             raise InvalidParams("N_fft must be >= 2")
+        if not self.A_r * self.rho * self.eta > 0:
+            raise InvalidParams("A_r * rho * eta underflows to zero")
+        try:
+            report = _evaluate(self)
+        except OverflowError as e:
+            raise InvalidParams("power model overflows a float") from e
+        for name, v in report.to_json_dict().items():
+            if not math.isfinite(v):
+                raise InvalidParams(f"power model gives {name}={v}")
 
 
 @dataclass(frozen=True)
@@ -121,85 +133,17 @@ class FrugalReport:
         return dict(self.__dict__)
 
 
-def pulse_energy(p: EnergyParams) -> float:
-    """Energy per pulse needed to close the link at range R; grows as R^4."""
-    denom = p.A_r * p.rho * p.eta
-    if denom <= 0:
-        raise InvalidParams("A_r * rho * eta must be positive")
-    return p.P_r * (4.0 * math.pi * p.R**2) ** 2 * p.tau / denom
-
-
-def laser_power(E_pulse: float, f_pulse: float, eta_laser: float) -> float:
-    if eta_laser <= 0:
-        raise InvalidParams("eta_laser must be positive")
-    return E_pulse * f_pulse / eta_laser
-
-
-def scan_power(V_motor: float, I_motor: float, eta_motor: float) -> float:
-    if eta_motor <= 0:
-        raise InvalidParams("eta_motor must be positive")
-    return V_motor * I_motor / eta_motor
-
-
-def range_resolution(tau: float) -> float:
-    """Smallest separable distance along the beam: c * tau / 2."""
-    if tau < 0:
-        raise InvalidParams("tau must be non-negative")
-    return SPEED_OF_LIGHT * tau / 2.0
-
-
-def angular_precision(lam: float, D_aperture: float) -> float:
-    """Diffraction-limited beam divergence lambda / D, in radians."""
-    if D_aperture <= 0:
-        raise InvalidParams("D_aperture must be positive")
-    return lam / D_aperture
-
-
-def nyquist_sampling(delta_R: float) -> tuple[float, float]:
-    """(required pulse rate, ADC sampling rate) for a range resolution."""
-    if delta_R <= 0:
-        raise InvalidParams("delta_R must be positive")
-    f_pulse_req = SPEED_OF_LIGHT / (2.0 * delta_R)
-    return f_pulse_req, 2.0 * f_pulse_req
-
-
-def adc_power(k_adc: float, delta_R: float, N_bits: int) -> float:
-    """ADC power k * (c / delta_R) * 2^N; doubles per extra bit."""
-    if delta_R <= 0:
-        raise InvalidParams("delta_R must be positive")
-    if N_bits < 1:
-        raise InvalidParams("N_bits must be >= 1")
-    if k_adc < 0:
-        raise InvalidParams("k_adc must be non-negative")
-    return k_adc * (SPEED_OF_LIGHT / delta_R) * 2.0**N_bits
-
-
-def signal_power(k_signal: float, f_s: float, N_fft: int) -> float:
-    """Window-processing power, linear in rate and log in window length."""
-    if N_fft < 2:
-        raise InvalidParams("N_fft must be >= 2")
-    if k_signal < 0 or f_s < 0:
-        raise InvalidParams("k_signal and f_s must be non-negative")
-    return k_signal * f_s * math.log2(N_fft)
-
-
-def total_power(p: EnergyParams) -> EnergyReport:
-    """Evaluate the whole model; warns (not errors) when the configured
-    pulse rate exceeds what the ADC sampling rate can resolve."""
-    e_pulse = pulse_energy(p)
-    p_laser = laser_power(e_pulse, p.f_pulse, p.eta_laser)
-    p_scan = scan_power(p.V_motor, p.I_motor, p.eta_motor)
-    d_r = range_resolution(p.tau)
-    d_theta = angular_precision(p.lam, p.D_aperture)
-    _, f_s = nyquist_sampling(d_r)
-    if f_s < 2.0 * p.f_pulse:
-        warnings.warn(
-            f"sampling rate f_s={f_s:.4g} Hz is below twice the pulse "
-            f"rate {p.f_pulse:.4g} Hz",
-            stacklevel=2,
-        )
-    p_adc = adc_power(p.k_adc, d_r, p.N_bits)
-    p_signal = signal_power(p.k_signal, f_s, p.N_fft)
+def _evaluate(p: EnergyParams) -> EnergyReport:
+    """The model's relations, unchecked: EnergyParams has validated them."""
+    e_pulse = (
+        p.P_r * (4.0 * math.pi * p.R**2) ** 2 * p.tau / (p.A_r * p.rho * p.eta)
+    )
+    p_laser = e_pulse * p.f_pulse / p.eta_laser
+    p_scan = p.V_motor * p.I_motor / p.eta_motor
+    d_r = SPEED_OF_LIGHT * p.tau / 2.0
+    f_s = 2.0 * (SPEED_OF_LIGHT / (2.0 * d_r))
+    p_adc = p.k_adc * (SPEED_OF_LIGHT / d_r) * 2.0**p.N_bits
+    p_signal = p.k_signal * f_s * math.log2(p.N_fft)
     p_control = p_adc + p.P_MCU
     return EnergyReport(
         E_pulse=e_pulse,
@@ -210,9 +154,22 @@ def total_power(p: EnergyParams) -> EnergyReport:
         P_control=p_control,
         P_total=p_laser + p_scan + p_signal + p_control,
         delta_R=d_r,
-        delta_theta=d_theta,
+        delta_theta=p.lam / p.D_aperture,
         f_s=f_s,
     )
+
+
+def total_power(p: EnergyParams) -> EnergyReport:
+    """Evaluate the whole model; warns (not errors) when the configured
+    pulse rate exceeds what the ADC sampling rate can resolve."""
+    report = _evaluate(p)
+    if report.f_s < 2.0 * p.f_pulse:
+        warnings.warn(
+            f"sampling rate f_s={report.f_s:.4g} Hz is below twice the pulse "
+            f"rate {p.f_pulse:.4g} Hz",
+            stacklevel=2,
+        )
+    return report
 
 
 def frugal_savings(

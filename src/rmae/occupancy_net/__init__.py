@@ -9,7 +9,6 @@ from .layers import (
     SparseFeatureMap,
     SubmanifoldConv,
     densify,
-    relu,
 )
 from .loss import QueryConfig, build_query_set, occupancy_loss
 from .network import (
@@ -34,7 +33,6 @@ __all__ = [
     "densify",
     "load_checkpoint",
     "occupancy_loss",
-    "relu",
     "save_checkpoint",
     "visible_features",
 ]

@@ -302,15 +302,6 @@ class BatchNorm:
         return buf, {"gamma": grad_gamma, "beta": grad_beta}
 
 
-def relu(x: np.ndarray):
-    out = np.maximum(x, 0.0)
-    return out, (x > 0.0)
-
-
-def relu_backward(ctx, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * ctx
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: with e = exp(-|x|) it is
     1/(1+e) for x >= 0 and e/(1+e) elsewhere."""

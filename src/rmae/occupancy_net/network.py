@@ -26,9 +26,9 @@ sites in sparse-conv networks; over the full grid this is the dense
 decode.  The logits outside the query are NaN.
 
 A training forward's tape keeps what each layer's backward reads (a
-decoder ReLU's output stays as the next layer's input, and backward takes
-the ReLU's mask from it), and backward consumes it; an eval forward keeps
-no decoder stage, so its tape serves no backward.
+ReLU's output stays as the next layer's input, or as the latent, and
+backward takes the ReLU's mask from it), and backward consumes it; an
+eval forward keeps no decoder stage, so its tape serves no backward.
 
 The decoder computes in DECODER_DTYPE (float32): the densified latent,
 each deconv, batch norm and ReLU, and the head.  Everything that
@@ -55,8 +55,6 @@ from .layers import (
     SubmanifoldConv,
     densify,
     densify_backward,
-    relu,
-    relu_backward,
     sigmoid,
 )
 
@@ -214,8 +212,8 @@ class OccupancyNet:
                 f, c_bn = bn.forward(y.feats, training)
                 if training:
                     stats.append((bn, c_bn[2]))
-                f, c_relu = relu(skip.feats + f if residual else f)
-                units.append((c_conv, c_bn, c_relu))
+                f = np.maximum(skip.feats + f if residual else f, 0.0)
+                units.append((c_conv, c_bn))
                 skip, x = x, SparseFeatureMap(
                     y.dims, y.coords, f, y.neighbors
                 )
@@ -315,11 +313,13 @@ class OccupancyNet:
             g = g.feats.astype(latent.feats.dtype)
         units = tape.pop("encoder")  # empty when the encoder saw nothing
         g_skip = None  # gradient into a residual block's input via its skip
+        out = latent  # the output of the unit being walked back
         for conv_name, conv, bn_name, bn, residual in reversed(
             self.encoder[: len(units)]
         ):
-            c_conv, c_bn, c_relu = units.pop()
-            g = relu_backward(c_relu, g)
+            c_conv, c_bn = units.pop()
+            g = g * (out.feats > 0.0)  # relu_backward
+            out = c_conv[0]  # the conv's input: the previous unit's output
             g_sum = g if residual else None
             g, sub = bn.backward(c_bn, g)
             store(bn_name, sub)

@@ -78,10 +78,10 @@ def load_kitti_bin(path, frame_id: str | None = None) -> PointCloud:
             f"{path}: {len(raw)} bytes is not a multiple of {_RECORD_BYTES}"
         )
     data = np.frombuffer(raw, dtype=_POINT_DTYPE).reshape(-1, 4).copy()
-    if data.size and not np.isfinite(data).all():
-        bad = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
-        raise MalformedFile(f"{path}: non-finite value in point {bad}")
-    return PointCloud(data, frame_id if frame_id is not None else str(path))
+    try:
+        return PointCloud(data, str(path) if frame_id is None else frame_id)
+    except ValueError as e:  # a non-finite value
+        raise MalformedFile(f"{path}: {e}") from e
 
 
 def save_kitti_bin(cloud: PointCloud, path) -> None:

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from rmae import cli
+from rmae import cli, trainer
 from rmae.occupancy_net import NetConfig, OccupancyNet, save_checkpoint
 from rmae.pointcloud import SceneSpec, save_kitti_bin, synth_scene
 
@@ -85,6 +85,16 @@ class TestExitCodes:
         assert code == cli.EXIT_MALFORMED == 4
         assert "error: MalformedFile:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "eval.json").exists()
+
+    def test_non_finite_bin_is_malformed(self, tmp_path, capsys):
+        frame = tmp_path / "inf.bin"
+        frame.write_bytes(struct.pack("<8f", 1, 2, 3, 0, 4, 5, float("nan"), 0))
+        out = tmp_path / "out"
+        code = cli.main(["voxelize", "--out", str(out), "--input", str(frame)])
+        assert code == cli.EXIT_MALFORMED == 4
+        err = capsys.readouterr().err
+        assert f"error: MalformedFile: {frame}: non-finite value in point 1" in err
+        assert not (out / "summary.json").exists()
 
     def test_frames_that_voxelize_empty_are_no_data(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -328,6 +338,40 @@ class TestBadInput:
         assert "error: MalformedFile:" in capsys.readouterr().err
         assert not (out / "energy.json").exists()
         assert not (out / "frugal.json").exists()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["energy.A_r=1e-200", "energy.rho=1e-200"],  # A_r*rho underflows
+            ["energy.R=1e90"],  # R^4 overflows
+            ["energy.k_adc=1e300"],  # P_ADC is infinite
+        ],
+        ids=" ".join,
+    )
+    def test_energy_the_model_cannot_evaluate_is_config_error(
+        self, params, tmp_path, capsys
+    ):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(GOOD_STATS))
+        out = tmp_path / "out"
+        argv = ["energy", "--out", str(out), "--stats", str(stats)]
+        assert cli.main(argv + params) == cli.EXIT_CONFIG == 3
+        assert "error: ConfigError: energy:" in capsys.readouterr().err
+        assert not (out / "energy.json").exists()
+        assert not (out / "frugal.json").exists()
+
+    def test_sweep_with_such_energy_fails_before_training(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(trainer, "pretrain", lambda *a: calls.append(a))
+        out = tmp_path / "out"
+        argv = ["sweep-ratio", "--out", str(out), "sweep.ratios=[0.5]"]
+        code = cli.main(argv + TINY + ["energy.k_adc=1e300"])
+        assert code == cli.EXIT_CONFIG == 3
+        assert "error: ConfigError: energy:" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
 
     def test_good_stats_file_writes_both_reports(self, tmp_path):
         stats = tmp_path / "stats.json"

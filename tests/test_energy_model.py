@@ -6,15 +6,7 @@ import pytest
 from rmae.energy_model import (
     SPEED_OF_LIGHT,
     EnergyParams,
-    adc_power,
-    angular_precision,
     frugal_savings,
-    laser_power,
-    nyquist_sampling,
-    pulse_energy,
-    range_resolution,
-    scan_power,
-    signal_power,
     total_power,
 )
 from rmae.errors import InvalidParams
@@ -32,139 +24,151 @@ def stats(duty, max_range):
     )
 
 
+def report(**params):
+    return total_power(EnergyParams(**params))
+
+
 class TestPulseEnergy:
     def test_hand_value(self):
-        p = EnergyParams(P_r=1e-9, R=100.0, tau=5e-9, A_r=1e-3, rho=0.5, eta=0.5)
+        r = report(P_r=1e-9, R=100.0, tau=5e-9, A_r=1e-3, rho=0.5, eta=0.5)
         expect = 1e-9 * (4 * math.pi * 100.0**2) ** 2 * 5e-9 / (1e-3 * 0.5 * 0.5)
-        got = pulse_energy(p)
-        assert got == pytest.approx(expect, rel=1e-12)
-        assert got == pytest.approx(3.158e-4, rel=1e-3)
+        assert r.E_pulse == pytest.approx(expect, rel=1e-12)
+        assert r.E_pulse == pytest.approx(3.158e-4, rel=1e-3)
 
     def test_r4_scaling_exact(self):
-        a = pulse_energy(EnergyParams(R=50.0))
-        b = pulse_energy(EnergyParams(R=100.0))
-        assert b == 16.0 * a
+        assert report(R=100.0).E_pulse == 16.0 * report(R=50.0).E_pulse
 
     def test_linear_in_tau(self):
-        a = pulse_energy(EnergyParams(tau=5e-9))
-        b = pulse_energy(EnergyParams(tau=2.5e-9))
-        assert b == a / 2.0
-        assert pulse_energy(EnergyParams(tau=1e-30)) < 1e-20
+        a = report(tau=5e-9).E_pulse
+        assert report(tau=2.5e-9).E_pulse == a / 2.0
+        assert report(tau=1e-30).E_pulse < 1e-20
 
     def test_invalid_denominator(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="rho"):
             EnergyParams(rho=0.0)
+        with pytest.raises(InvalidParams, match="A_r \\* rho \\* eta"):
+            EnergyParams(A_r=1e-200, rho=1e-200)  # the product underflows
 
 
 class TestLaserPower:
     def test_hand_value(self):
-        assert laser_power(1e-6, 1e5, 0.25) == pytest.approx(0.4, rel=1e-12)
+        r = report(f_pulse=1e5, eta_laser=0.25)
+        assert r.P_laser == pytest.approx(r.E_pulse * 4e5, rel=1e-12)
+        assert r.P_laser == pytest.approx(126.3, rel=1e-3)
 
     def test_zero_rate(self):
-        assert laser_power(1e-6, 0.0, 0.5) == 0.0
+        assert report(f_pulse=0.0).P_laser == 0.0
 
     def test_identity_efficiency(self):
-        assert laser_power(2e-6, 5e4, 1.0) == 2e-6 * 5e4
+        r = report(f_pulse=5e4, eta_laser=1.0)
+        assert r.P_laser == r.E_pulse * 5e4
 
     def test_invalid(self):
-        with pytest.raises(InvalidParams):
-            laser_power(1e-6, 1e5, 0.0)
+        with pytest.raises(InvalidParams, match="eta_laser"):
+            EnergyParams(eta_laser=0.0)
 
 
 class TestScanPower:
     def test_hand_value(self):
-        assert scan_power(12.0, 0.5, 0.8) == pytest.approx(7.5, rel=1e-12)
+        r = report(V_motor=12.0, I_motor=0.5, eta_motor=0.8)
+        assert r.P_scan == pytest.approx(7.5, rel=1e-12)
 
     def test_zero_current(self):
-        assert scan_power(12.0, 0.0, 0.8) == 0.0
+        assert report(I_motor=0.0).P_scan == 0.0
 
     def test_identity_efficiency(self):
-        assert scan_power(12.0, 0.5, 1.0) == 6.0
+        assert report(V_motor=12.0, I_motor=0.5, eta_motor=1.0).P_scan == 6.0
+
+    def test_invalid(self):
+        with pytest.raises(InvalidParams, match="eta_motor"):
+            EnergyParams(eta_motor=0.0)
 
 
 class TestResolutions:
     def test_zero_tau(self):
-        assert range_resolution(0.0) == 0.0
+        with pytest.raises(InvalidParams, match="tau"):
+            EnergyParams(tau=0.0)
 
     def test_one_meter_pulse(self):
-        assert range_resolution(6.6713e-9) == pytest.approx(1.000, abs=5e-4)
+        assert report(tau=6.6713e-9).delta_R == pytest.approx(1.000, abs=5e-4)
 
     def test_halving(self):
-        assert range_resolution(2e-9) == range_resolution(4e-9) / 2.0
+        assert report(tau=2e-9).delta_R == report(tau=4e-9).delta_R / 2.0
 
     def test_angular_hand_value(self):
-        assert angular_precision(905e-9, 0.01) == pytest.approx(
-            9.05e-5, rel=1e-12
-        )
+        r = report(lam=905e-9, D_aperture=0.01)
+        assert r.delta_theta == pytest.approx(9.05e-5, rel=1e-12)
 
     def test_angular_identity_and_scaling(self):
-        assert angular_precision(1e-6, 1e-6) == 1.0
-        assert angular_precision(905e-9, 0.02) == angular_precision(905e-9, 0.01) / 2.0
+        assert report(lam=1e-6, D_aperture=1e-6).delta_theta == 1.0
+        wide = report(lam=905e-9, D_aperture=0.02).delta_theta
+        assert wide == report(lam=905e-9, D_aperture=0.01).delta_theta / 2.0
 
     def test_angular_invalid(self):
-        with pytest.raises(InvalidParams):
-            angular_precision(905e-9, 0.0)
+        with pytest.raises(InvalidParams, match="D_aperture"):
+            EnergyParams(D_aperture=0.0)
 
 
 class TestNyquist:
     def test_hand_value(self):
-        f_req, f_s = nyquist_sampling(0.15)
-        assert f_s == pytest.approx(C / 0.15, rel=1e-12)
-        assert f_s == pytest.approx(1.9986e9, rel=1e-4)
+        r = report(tau=1e-9)
+        assert r.f_s == pytest.approx(C / r.delta_R, rel=1e-12)
+        assert r.f_s == pytest.approx(2e9, rel=1e-12)
 
     def test_ratio_exact(self):
-        for dr in (0.05, 0.15, 1.0, 7.5):
-            f_req, f_s = nyquist_sampling(dr)
-            assert f_s == 2.0 * f_req
+        for tau in (1e-10, 1e-9, 5e-9, 6.6713e-9, 5e-8):
+            r = report(tau=tau)
+            assert r.f_s == C / r.delta_R
 
     def test_halving(self):
-        a = nyquist_sampling(0.3)
-        b = nyquist_sampling(0.15)
-        assert b[0] == 2 * a[0] and b[1] == 2 * a[1]
+        assert report(tau=2e-9).f_s == 2 * report(tau=4e-9).f_s
 
     def test_invalid(self):
-        with pytest.raises(InvalidParams):
-            nyquist_sampling(0.0)
+        with pytest.raises(InvalidParams, match="tau"):
+            EnergyParams(tau=-1e-9)
 
 
 class TestAdcPower:
     def test_hand_value(self):
-        # 1e-12 * (c / 0.15) * 2**12 = 8.18633... W; quoting 4 digits: 8.186
-        expect = 1e-12 * (C / 0.15) * 4096
-        got = adc_power(1e-12, 0.15, 12)
-        assert got == pytest.approx(expect, rel=1e-12)
-        assert got == pytest.approx(8.186332, rel=1e-6)
+        # 1e-12 * (c / 0.7495 m) * 2**12 = 1e-12 * 4e8 * 4096 = 1.6384 W
+        r = report(k_adc=1e-12, tau=5e-9, N_bits=12)
+        expect = 1e-12 * (C / r.delta_R) * 4096
+        assert r.P_ADC == pytest.approx(expect, rel=1e-12)
+        assert r.P_ADC == pytest.approx(1.6384, rel=1e-12)
 
     def test_per_bit_doubling_exact(self):
-        assert adc_power(1e-12, 0.15, 13) == 2.0 * adc_power(1e-12, 0.15, 12)
+        assert report(N_bits=13).P_ADC == 2.0 * report(N_bits=12).P_ADC
 
     def test_resolution_scaling_exact(self):
-        assert adc_power(1e-12, 0.075, 12) == 2.0 * adc_power(1e-12, 0.15, 12)
+        assert report(tau=2e-9).P_ADC == 2.0 * report(tau=4e-9).P_ADC
 
     def test_invalid(self):
-        with pytest.raises(InvalidParams):
-            adc_power(1e-12, -1.0, 12)
-        with pytest.raises(InvalidParams):
-            adc_power(1e-12, 0.15, 0)
+        with pytest.raises(InvalidParams, match="N_bits"):
+            EnergyParams(N_bits=0)
+        with pytest.raises(InvalidParams, match="k_adc"):
+            EnergyParams(k_adc=-1e-12)
 
 
 class TestSignalPower:
     def test_window_of_two(self):
-        assert signal_power(3e-10, 1e9, 2) == 3e-10 * 1e9
+        r = report(k_signal=3e-10, N_fft=2)
+        assert r.P_signal == 3e-10 * r.f_s
 
     def test_hand_value(self):
-        assert signal_power(1e-10, 2e9, 1024) == pytest.approx(2.0, rel=1e-12)
+        r = report(k_signal=1e-10, tau=1e-9, N_fft=1024)
+        assert r.P_signal == pytest.approx(2.0, rel=1e-12)
 
     def test_quadrupling_adds_two_9(self):
-        k, fs = 1e-10, 2e9
+        k = 1e-10
         for n in (2, 8, 64, 256):
-            assert signal_power(k, fs, 4 * n) == pytest.approx(
-                signal_power(k, fs, n) + 2 * k * fs, rel=1e-12
+            r = report(k_signal=k, N_fft=n)
+            assert report(k_signal=k, N_fft=4 * n).P_signal == pytest.approx(
+                r.P_signal + 2 * k * r.f_s, rel=1e-12
             )
 
     def test_invalid(self):
-        with pytest.raises(InvalidParams):
-            signal_power(1e-10, 2e9, 1)
+        with pytest.raises(InvalidParams, match="N_fft"):
+            EnergyParams(N_fft=1)
 
 
 class TestTotalPower:
@@ -202,6 +206,22 @@ class TestTotalPower:
         r = total_power(EnergyParams())
         for v in r.to_json_dict().values():
             assert np.isfinite(v) and v >= 0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"R": 1e90},  # (4 pi R^2)^2 overflows
+            {"N_bits": 2000},  # 2^N_bits overflows
+            {"k_adc": 1e300},  # P_ADC is infinite
+            {"P_r": 1e300},  # E_pulse is infinite
+            {"P_r": float("inf")},
+            {"P_r": float("nan")},
+        ],
+        ids=str,
+    )
+    def test_params_the_model_cannot_evaluate_are_invalid(self, params):
+        with pytest.raises(InvalidParams, match="power model"):
+            EnergyParams(**params)
 
     def test_nyquist_violation_warns(self):
         # tau 5e-9 -> delta_R 0.75 m -> f_s about 4e8; pulse rate 3e8 breaks

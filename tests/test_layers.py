@@ -16,8 +16,6 @@ from rmae.occupancy_net.layers import (
     SubmanifoldConv,
     densify,
     densify_backward,
-    relu,
-    relu_backward,
 )
 
 
@@ -352,7 +350,7 @@ class TestSparseAgainstPerTap:
         _, tape = net.forward(x, training=True)
         tables = {}
         units = zip(net.encoder, tape["encoder"])
-        for (name, conv, *_), (c_conv, _, _) in units:
+        for (name, conv, *_), (c_conv, _) in units:
             if isinstance(conv, SubmanifoldConv):
                 level = "0" if name == "stem" else name[len("block")]
                 tables.setdefault(level, set()).add(id(c_conv[1]))
@@ -468,8 +466,7 @@ class TestBatchNorm:
     def test_matches_textbook_expressions_bitwise(self, training, order):
         """forward and backward form every value with the operations of
         the plain expressions, in place, so the bits agree; F order is the
-        decoder's (N, C) view of a (C, X, Y, Z) tensor, with more rows than
-        one row block."""
+        decoder's (N, C) view of a (C, X, Y, Z) tensor."""
         rng = np.random.default_rng(31)
         bn = BatchNorm(3)
         bn.gamma[:] = rng.uniform(0.5, 2.0, 3)
@@ -518,10 +515,6 @@ class TestBatchNorm:
 
 
 class TestReluResidual:
-    def test_relu_values(self):
-        out, _ = relu(np.array([-1.0, 0.0, 2.0]))
-        assert np.array_equal(out, [0.0, 0.0, 2.0])
-
     def test_residual_identity(self):
         rng = np.random.default_rng(11)
         x = random_sparse((4, 4, 4), 10, 3, rng)
@@ -533,7 +526,7 @@ class TestReluResidual:
         rng = np.random.default_rng(12)
         x = random_sparse((4, 4, 4), 12, 2, rng)
         y = SparseFeatureMap(x.dims, x.coords, rng.normal(0, 1, x.feats.shape))
-        out, _ = relu(residual_add(x, y).feats)
+        out = np.maximum(residual_add(x, y).feats, 0.0)
         expect = np.array(
             [
                 [max(0.0, a + b) for a, b in zip(ra, rb)]
@@ -939,19 +932,6 @@ class TestFiniteDifferences:
         fd_param_check(loss, layer.weight, grads["weight"], rng)
         fd_param_check(loss, layer.bias, grads["bias"], rng)
         fd_param_check(loss, x, grad_in, rng)
-
-    def test_relu_backward(self):
-        rng = np.random.default_rng(26)
-        x = rng.normal(0, 1, (20, 3))
-        probe = rng.normal(0, 1, (20, 3))
-        out, ctx = relu(x)
-        grad_in = relu_backward(ctx, probe)
-
-        def loss():
-            o, _ = relu(x)
-            return float((o * probe).sum())
-
-        fd_param_check(loss, x, grad_in, rng, tol=2e-4)
 
 
 # --- sparse calls of the dense layers ----------------------------------------

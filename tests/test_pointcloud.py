@@ -61,8 +61,9 @@ class TestKittiBin:
         data[1, 2] = np.inf
         p = tmp_path / "inf.bin"
         p.write_bytes(data.tobytes())
-        with pytest.raises(MalformedFile, match="point 1"):
+        with pytest.raises(MalformedFile) as err:
             load_kitti_bin(p)
+        assert str(err.value) == f"{p}: non-finite value in point 1"
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
