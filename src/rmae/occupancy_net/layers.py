@@ -25,12 +25,19 @@ when backward needs them.
 
 The dense decoder layers run "transform, then shift": the taps that write
 one output phase (one parity class of a strided output; the whole output
-at stride 1) are contracted with the input's channels in a single GEMM on
-its (C_in, N) view, and the per-tap results are then shift-added into
-place.  A 4x4x4 stride-2 transposed conv is 8 phases of 8 taps each (the
-sub-pixel view of Shi et al. 2016); a 3x3x3 stride-1 conv is 1 phase of
-27 taps.  Taps within a phase add in lexicographic kernel order, so every
-output sums its taps in the same fixed order on every run.
+at stride 1) are contracted with the input's channels in a single GEMM,
+and the per-tap results are then shift-added into place.  A 4x4x4
+stride-2 transposed conv is 8 phases of 8 taps each (the sub-pixel view of
+Shi et al. 2016); a 3x3x3 stride-1 conv is 1 phase of 27 taps.  Forward
+runs on a row-padded lattice: the input gets one zero slot after every
+row and every plane, (X, Y + 1, Z + 1), so on its flat (C, P) view a tap's
+shift d is one offset d @ (Y'Z', Z', 1) and its shift-add one contiguous
+slice add.  A shift off y or z lands on a zero slot and one off x leaves
+the flat array; the padded slots are cropped when the phase buffer is
+written to its strided output view, with the bias in the same pass.
+Backward shifts with per-axis slices on the unpadded (C, X, Y, Z) arrays.
+Taps within a phase add in lexicographic kernel order, so every output
+sums its taps in the same fixed order on every run.
 
 The same layers also run sparse, "transform, then gather", when given a
 SparseFeatureMap and the output sites wanted (the generative transposed
@@ -216,10 +223,12 @@ class BatchNorm:
     afterwards in their original order.
 
     Besides its input, forward keeps two full-size buffers (xhat and the
-    output) and backward two (its result, and a transient for the product
-    of xhat in its last step); the other per-element products are formed
-    in place, and every value is computed by the same operations in the
-    same order as the textbook expressions in the comments.
+    output) and backward one (its result); every per-element product is
+    formed in place, and every value is computed by the same operations in
+    the same order as the textbook expressions in the comments.
+
+    The ctx is a list [xhat, ivar, stats], and backward empties it: its
+    last step scales xhat in place, so a ctx serves one backward.
     """
 
     kind = "batch_norm"
@@ -243,7 +252,7 @@ class BatchNorm:
         }
 
     def forward(self, x: np.ndarray, training: bool):
-        """Returns (out, (xhat, ivar, stats)); stats is the batch
+        """Returns (out, [xhat, ivar, stats]); stats is the batch
         (mean, var) in training mode and None in eval mode."""
         _check_width(x, self.ch, "batch norm")
         if training:
@@ -267,7 +276,7 @@ class BatchNorm:
         xhat *= ivar.astype(x.dtype, copy=False)
         out = xhat * self.gamma.astype(x.dtype, copy=False)
         out += self.beta.astype(x.dtype, copy=False)
-        return out, (xhat, ivar, stats)
+        return out, [xhat, ivar, stats]
 
     def commit(self, stats) -> None:
         """Fold one training pass's batch (mean, var) into the running
@@ -277,7 +286,10 @@ class BatchNorm:
         self.running_var += self.momentum * (var - self.running_var)
 
     def backward(self, ctx, grad_out: np.ndarray):
+        if not ctx:
+            raise StaleCache("BatchNorm backward: ctx already consumed")
         xhat, ivar, stats = ctx
+        ctx.clear()
         dtype = xhat.dtype
         gamma = self.gamma.astype(dtype, copy=False)
         grad_beta = grad_out.sum(axis=0, dtype=np.float64)
@@ -297,7 +309,8 @@ class BatchNorm:
         np.multiply(grad_out, gamma, out=buf)  # dxhat again
         buf *= n
         buf -= dxhat_sum
-        buf -= xhat * dxhat_xhat_sum
+        xhat *= dxhat_xhat_sum
+        buf -= xhat
         buf *= (ivar / n).astype(dtype, copy=False)
         return buf, {"gamma": grad_gamma, "beta": grad_beta}
 
@@ -307,23 +320,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     1/(1+e) for x >= 0 and e/(1+e) elsewhere."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def _phase_table(axis_taps) -> list:
-    """3-D phases from a per-axis table.
-
-    axis_taps[r] lists, for output parity r along one axis, the (k, d)
-    pairs of the kernel indices k writing that parity and the shift d that
-    takes input site p to phase site p + d.  Returns, per phase in
-    lexicographic parity order, (parity triple, taps), each tap a
-    ((kx, ky, kz), (dx, dy, dz)) pair in lexicographic kernel order.
-    """
-    table = []
-    for parity in itertools.product(range(len(axis_taps)), repeat=3):
-        per_axis = [axis_taps[r] for r in parity]
-        taps = [tuple(zip(*kd)) for kd in itertools.product(*per_axis)]
-        table.append((parity, taps))
-    return table
 
 
 def _shift_slices(d: int, size: int) -> tuple[slice, slice]:
@@ -338,16 +334,21 @@ def _shift_slices(d: int, size: int) -> tuple[slice, slice]:
 class _DenseTapConv:
     """Dense 3-D convolution run as "transform, then shift".
 
-    Subclasses set the per-axis tap table (see _phase_table), whose length
+    Subclasses set the per-axis tap table (see _phases), whose length
     is the output stride and whose tap count is the kernel size, and the
     gain of the weights' normal init, std = sqrt(gain / fan_in).  Each
     phase owns out[:, rx::s, ry::s, rz::s], which has the input's spatial
-    shape.  Forward makes a (taps * C_out, C_in) @ (C_in, N) GEMM per
-    phase, in chunks of at most _TAPS_PER_GEMM taps, shift-adds the
-    per-tap slabs into a zeroed phase buffer in tap order, adds the bias
-    last and writes the buffer to its strided output view once.  Backward copies the phase's view of grad_out
-    once, stacks its per-tap shifted copies, and makes one GEMM for grad_w
-    and one for grad_in.  Transient buffers hold one phase's worth of data.
+    shape.  Forward pads the input to the row-padded lattice (see the
+    module docstring) and makes a (taps * C_out, C_in) @ (C_in, P) GEMM
+    per phase, in chunks of at most _TAPS_PER_GEMM taps, into one slab
+    buffer; it adds each tap's slab into a zeroed phase buffer at the
+    tap's flat offset, in tap order, then writes the buffer's interior
+    plus the bias to the phase's strided output view.  The slab and phase
+    buffers are allocated once per call and reused by every phase and
+    chunk; nothing outlives the call.  Backward copies the phase's view of
+    grad_out once, stacks its per-tap shifted copies (per-axis slices, see
+    _shift_slices), and makes one GEMM for grad_w and one for grad_in.
+    Its transient buffers hold one phase's worth of data.
 
     The ctx is a one-item list holding the input, and backward takes the
     input out of it: a ctx serves one backward, and a caller that hands
@@ -369,19 +370,26 @@ class _DenseTapConv:
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
 
-    def _phases(self, size):
-        """Per phase: (output view index, kernel indices, per-tap (source,
-        destination) indices of the shift-adds), all over (C, X, Y, Z)."""
+    def _phases(self) -> list:
+        """Per phase, in lexicographic parity order: (its view of the
+        (C, sX, sY, sZ) output, the kernel indices (kx, ky, kz) of its
+        taps, and the (taps, 3) array of their shifts d).
+
+        axis_taps[r] lists, for output parity r along one axis, the (k, d)
+        pairs of the kernel indices k writing that parity and the shift d
+        that takes input site p to phase site p + d.  A phase's taps are
+        the product of its three axes' pairs, in lexicographic kernel
+        order."""
         stride = len(self.axis_taps)
         every = slice(None)
-        for parity, taps in _phase_table(self.axis_taps):
+        phases = []
+        for parity in itertools.product(range(stride), repeat=3):
+            per_axis = [self.axis_taps[r] for r in parity]
+            taps = [tuple(zip(*kd)) for kd in itertools.product(*per_axis)]
+            kernel, shifts = zip(*taps)
             view = (every,) + tuple(slice(r, None, stride) for r in parity)
-            kernel = [k for k, _ in taps]
-            moves = []
-            for _, d in taps:
-                src, dst = zip(*map(_shift_slices, d, size))
-                moves.append(((every,) + src, (every,) + dst))
-            yield view, kernel, moves
+            phases.append((view, list(kernel), np.array(shifts)))
+        return phases
 
     def _stacked_weight(self, kernel, dtype) -> np.ndarray:
         """(taps * C_out, C_in) matrix of the given taps, tap-major, in
@@ -419,12 +427,11 @@ class _DenseTapConv:
         phase = np.ravel_multi_index(tuple((sites % stride).T), (stride,) * 3)
         lattice = sites // stride  # a phase site, on the input's lattice
         plan = []
-        for i, (_, taps) in enumerate(_phase_table(self.axis_taps)):
+        for i, (_, kernel, shifts) in enumerate(self._phases()):
             rows = np.flatnonzero(phase == i)
             if len(rows):
-                kernel = [k for k, _ in taps]
-                reads = -np.array([d for _, d in taps])  # p = site - d
-                table = _kernel_map(x.dims, x.coords, lattice[rows], reads)
+                # p = site - d
+                table = _kernel_map(x.dims, x.coords, lattice[rows], -shifts)
                 plan.append((kernel, rows, table))
         return plan
 
@@ -487,22 +494,35 @@ class _DenseTapConv:
                 f"{type(self).__name__} expects ({self.in_ch}, X, Y, Z),"
                 f" got {x.shape}"
             )
-        size = x.shape[1:]
+        dtype = x.dtype
         stride = len(self.axis_taps)
-        flat = x.reshape(self.in_ch, -1)
-        out_size = tuple(stride * n for n in size)
-        out = np.empty((self.out_ch,) + out_size, dtype=x.dtype)
-        bias = self.bias.astype(x.dtype, copy=False)[:, None, None, None]
-        for view, kernel, moves in self._phases(size):
-            buf = np.zeros((self.out_ch,) + size, dtype=x.dtype)
+        out_size = tuple(stride * n for n in x.shape[1:])
+        out = np.empty((self.out_ch,) + out_size, dtype)
+        bias = self.bias.astype(dtype, copy=False)[:, None, None, None]
+        # a zero slot after every row and plane: a one-site shift off y or
+        # z lands on one, and a shift off x leaves the flat array
+        padded = np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)))
+        lattice = padded.shape[1:]
+        flat = padded.reshape(self.in_ch, -1)
+        n = flat.shape[1]
+        step = np.array([lattice[1] * lattice[2], lattice[2], 1])
+        phases = self._phases()
+        chunk = min(_TAPS_PER_GEMM, len(phases[0][1]))
+        slab = np.empty((chunk * self.out_ch, n), dtype)
+        buf = np.empty((self.out_ch, n), dtype)
+        for view, kernel, shifts in phases:
+            buf.fill(0)
             for lo in range(0, len(kernel), _TAPS_PER_GEMM):
                 taps = slice(lo, lo + _TAPS_PER_GEMM)
-                slabs = self._stacked_weight(kernel[taps], x.dtype) @ flat
-                slabs = slabs.reshape((-1, self.out_ch) + size)
-                for slab, (src, dst) in zip(slabs, moves[taps]):
-                    buf[dst] += slab[src]
-            buf += bias
-            out[view] = buf
+                w = self._stacked_weight(kernel[taps], dtype)
+                slabs = np.matmul(w, flat, out=slab[: len(w)])
+                slabs = slabs.reshape(-1, self.out_ch, n)
+                for t, off in zip(slabs, (shifts[taps] @ step).tolist()):
+                    a, b = max(0, -off), n - max(0, off)
+                    if a < b:
+                        buf[:, a + off : b + off] += t[:, a:b]
+            grid = buf.reshape((self.out_ch,) + lattice)
+            np.add(grid[..., :-1, :-1], bias, out=out[view])
         return out, [x]
 
     def backward(self, ctx, grad_out):
@@ -519,14 +539,16 @@ class _DenseTapConv:
         shape, dtype = ctx[0].shape, ctx[0].dtype
         flat = ctx.pop().reshape(self.in_ch, -1)
         size = shape[1:]
-        phases = list(self._phases(size))
+        phases = self._phases()
         grad_in = None
         grad_w = np.zeros_like(self.weight)
-        for i, (view, kernel, moves) in enumerate(phases):
+        every = (slice(None),)
+        for i, (view, kernel, shifts) in enumerate(phases):
             g = np.ascontiguousarray(grad_out[view])
             shifted = np.zeros((len(kernel), self.out_ch) + size, dtype)
-            for rows, (src, dst) in zip(shifted, moves):
-                rows[src] = g[dst]
+            for rows, d in zip(shifted, shifts.tolist()):
+                src, dst = zip(*map(_shift_slices, d, size))
+                rows[every + src] = g[every + dst]
             shifted = shifted.reshape(len(kernel) * self.out_ch, -1)
             gw = (shifted @ flat.T).reshape(len(kernel), self.out_ch, -1)
             for k, gk in zip(kernel, gw):

@@ -77,7 +77,7 @@ def load_kitti_bin(path, frame_id: str | None = None) -> PointCloud:
         raise MalformedFile(
             f"{path}: {len(raw)} bytes is not a multiple of {_RECORD_BYTES}"
         )
-    data = np.frombuffer(raw, dtype=_POINT_DTYPE).reshape(-1, 4).copy()
+    data = np.frombuffer(raw, dtype=_POINT_DTYPE).reshape(-1, 4)
     try:
         return PointCloud(data, str(path) if frame_id is None else frame_id)
     except ValueError as e:  # a non-finite value

@@ -14,6 +14,8 @@ from rmae.occupancy_net.layers import (
     SparseDownConv,
     SparseFeatureMap,
     SubmanifoldConv,
+    _shift_slices,
+    _TAPS_PER_GEMM,
     densify,
     densify_backward,
 )
@@ -506,6 +508,17 @@ class TestBatchNorm:
         assert grads["gamma"].tobytes() == (probe * xhat).sum(axis=0).tobytes()
         assert grads["beta"].tobytes() == probe.sum(axis=0).tobytes()
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_consumes_ctx(self, training):
+        rng = np.random.default_rng(33)
+        bn = BatchNorm(3)
+        x = rng.normal(0, 1, (50, 3))
+        _, ctx = bn.forward(x, training)
+        bn.backward(ctx, np.ones(x.shape))
+        assert ctx == []
+        with pytest.raises(StaleCache):
+            bn.backward(ctx, np.ones(x.shape))
+
     def test_degenerate_batch(self):
         bn = BatchNorm(2)
         with pytest.raises(DegenerateBatch):
@@ -747,6 +760,98 @@ class TestDenseCtx:
         assert ctx == []
         with pytest.raises(StaleCache):
             layer.backward(ctx, np.ones(out.shape))
+
+
+def slice_shift_forward(layer, x):
+    """The dense forward without the padded lattice: per phase, GEMMs of
+    the same tap chunks on x's (C_in, N) view, each tap's slab shift-added
+    by per-axis slices into a zeroed buffer in tap order, the bias last."""
+    size = x.shape[1:]
+    stride = len(layer.axis_taps)
+    flat = x.reshape(layer.in_ch, -1)
+    out = np.empty((layer.out_ch,) + tuple(stride * n for n in size), x.dtype)
+    bias = layer.bias.astype(x.dtype)[:, None, None, None]
+    every = (slice(None),)
+    for view, kernel, shifts in layer._phases():
+        buf = np.zeros((layer.out_ch,) + size, x.dtype)
+        for lo in range(0, len(kernel), _TAPS_PER_GEMM):
+            taps = slice(lo, lo + _TAPS_PER_GEMM)
+            slabs = layer._stacked_weight(kernel[taps], x.dtype) @ flat
+            slabs = slabs.reshape((-1, layer.out_ch) + size)
+            for slab, d in zip(slabs, shifts[taps].tolist()):
+                src, dst = zip(*map(_shift_slices, d, size))
+                buf[every + dst] += slab[every + src]
+        buf += bias
+        out[view] = buf
+    return out
+
+
+class TestDenseForwardAgainstSliceShift:
+    """The padded-lattice forward adds the same products in the same order
+    as the slice-shift form, plus exact zeros from the padded slots, so
+    the bytes agree wherever the BLAS computes a GEMM column the same way
+    whatever the number of columns.  It does at the decoder's shapes and
+    at these small ones; OpenBLAS rounds some small float32 GEMMs
+    differently (C_in 32 at 8x8x2 sites, 128 columns against 216)."""
+
+    def layer_and_input(self, cls, cin, cout, dims, dtype):
+        rng = np.random.default_rng([cin, cout, *dims])
+        layer = cls(cin, cout, rng)
+        layer.bias[:] = rng.normal(0, 1, cout)
+        return layer, rng.normal(0, 1, (cin,) + dims).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
+    @pytest.mark.parametrize(
+        "cin, cout, dims",
+        [
+            (3, 2, (2, 1, 1)),
+            (3, 2, (1, 2, 1)),
+            (2, 3, (1, 1, 2)),
+            (2, 2, (2, 2, 2)),
+            (3, 1, (3, 5, 1)),
+            (4, 3, (1, 3, 4)),
+            (2, 5, (5, 1, 3)),
+            (5, 4, (2, 7, 3)),
+            (3, 2, (7, 2, 5)),
+        ],
+    )
+    def test_bitwise(self, cls, cin, cout, dims, dtype):
+        layer, x = self.layer_and_input(cls, cin, cout, dims, dtype)
+        ref = slice_shift_forward(layer, x)
+        before = dict(vars(layer))
+        out, _ = layer.forward(x)
+        assert out.dtype == dtype
+        assert out.tobytes() == ref.tobytes()
+        # no buffer or other state is kept on the layer across calls
+        assert vars(layer).keys() == before.keys()
+        assert all(vars(layer)[k] is v for k, v in before.items())
+
+    @pytest.mark.parametrize(
+        "cls, cin, cout, dims",
+        [
+            (DenseDeconv, 64, 32, (16, 16, 4)),  # deconv0
+            (DenseDeconv, 32, 16, (32, 32, 8)),  # deconv1
+            (DenseConv, 16, 1, (64, 64, 16)),  # head
+        ],
+    )
+    def test_bitwise_at_the_decoder_shapes(self, cls, cin, cout, dims):
+        layer, x = self.layer_and_input(cls, cin, cout, dims, np.float32)
+        out, _ = layer.forward(x)
+        assert out.tobytes() == slice_shift_forward(layer, x).tobytes()
+
+    @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
+    def test_one_site(self, cls):
+        # a one-site input makes the slice-shift form's GEMM one column
+        # wide, which numpy runs as a matrix-vector product; the padded
+        # lattice has four columns and takes the matrix-matrix path, whose
+        # dot products may round differently in the last place (and an
+        # output near cancellation can be small against that place)
+        layer, x = self.layer_and_input(cls, 5, 4, (1, 1, 1), np.float64)
+        out, _ = layer.forward(x)
+        ref = slice_shift_forward(layer, x)
+        atol = 1e-15 * np.abs(ref).max()
+        np.testing.assert_allclose(out, ref, rtol=1e-15, atol=atol)
 
 
 class TestDensify:

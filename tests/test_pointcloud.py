@@ -50,6 +50,18 @@ class TestKittiBin:
             back = load_kitti_bin(p, frame_id="t")
             assert back == cloud
 
+    def test_loaded_data_is_read_only_and_round_trips(self, tmp_path):
+        cloud = random_cloud(np.random.default_rng(3), 40)
+        p = tmp_path / "ro.bin"
+        save_kitti_bin(cloud, p)
+        back = load_kitti_bin(p)
+        assert not back.data.flags.writeable
+        with pytest.raises(ValueError):
+            back.data[0, 0] = 1.0
+        again = tmp_path / "again.bin"
+        save_kitti_bin(back, again)
+        assert again.read_bytes() == p.read_bytes()
+
     def test_bad_length(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"\x00" * 15)
