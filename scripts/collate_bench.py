@@ -11,8 +11,10 @@ set and workload the output holds the environment the runs shared (the
 commit among it), the seeds and their config hashes (a workload's config
 holds its seed), the op counts, and the median and interquartile range of
 every end-to-end metric over the seeds.  Runs of one set and workload that
-disagree on any other environment field are an error.  Standard library
-only.
+disagree on any other environment field are an error.  After writing, it
+prints each workload's medians beside those of the newest other
+BENCH_<n>.json in the output's directory (the highest n), taken from that
+file's last set: the code it ended on.  Standard library only.
 """
 
 import argparse
@@ -25,6 +27,7 @@ import sys
 
 _RECORD = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json$")
 _PER_RUN = ("seed", "config_hash")  # environment fields that vary by run
+_BENCH = re.compile(r"BENCH_(?P<n>\d+)\.json$")
 
 
 def summarize(values: list) -> dict:
@@ -84,6 +87,41 @@ def collate_set(directory: str) -> dict:
     return out
 
 
+def newest_other(out: str):
+    """The highest-numbered BENCH_<n>.json beside out, other than out, or
+    None."""
+    out = os.path.abspath(out)
+    found = []
+    for path in glob.glob(os.path.join(os.path.dirname(out), "BENCH_*.json")):
+        match = _BENCH.match(os.path.basename(path))
+        if match and os.path.abspath(path) != out:
+            found.append((int(match["n"]), path))
+    return max(found)[1] if found else None
+
+
+def compare(bench: dict, old: dict, old_name: str) -> list:
+    """One line per set and workload of bench: each metric's median beside
+    its median in the last set of old."""
+    base_name, base = list(old["sets"].items())[-1]
+    lines = []
+    for name, workloads in bench["sets"].items():
+        for workload, summary in workloads.items():
+            before = base.get(workload, {}).get("metrics", {})
+            cells = []
+            for metric, s in summary["metrics"].items():
+                if metric not in before:
+                    continue
+                was, now = before[metric]["median"], s["median"]
+                change = f" ({now / was - 1:+.1%})" if was else ""
+                cells.append(f"{metric} {was:.4g} -> {now:.4g}{change}")
+            if cells:
+                lines.append(
+                    f"{name} {workload} against {old_name} {base_name}: "
+                    + ", ".join(cells)
+                )
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("out", help="the BENCH_*.json file to write")
@@ -110,6 +148,18 @@ def main(argv=None) -> int:
                 for metric, s in summary["metrics"].items()
             )
             print(f"{name} {workload}: {cells}")
+    old_path = newest_other(args.out)
+    if old_path is not None:
+        try:
+            with open(old_path, encoding="utf-8") as fh:
+                old = json.load(fh)
+            lines = compare(bench, old, os.path.basename(old_path))
+        except (OSError, ValueError, KeyError, IndexError) as e:
+            print(f"collate_bench: cannot compare with {old_path}: {e}",
+                  file=sys.stderr)
+        else:
+            for line in lines:
+                print(line)
     return 0
 
 

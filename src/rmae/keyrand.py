@@ -24,8 +24,9 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def hash_key(seed: int, *keys: int) -> int:
-    """Collapse (seed, k1, k2, ...) into one well-mixed 64-bit value."""
+def derive_seed(seed: int, *keys: int) -> int:
+    """Collapse (seed, k1, k2, ...) into one well-mixed 64-bit value: the
+    child seed of a named stream, e.g. (seed, epoch, frame index)."""
     h = _mix64(int(seed) + _GOLDEN)
     for k in keys:
         h = _mix64(h + _GOLDEN + (int(k) & _MASK64))
@@ -34,12 +35,7 @@ def hash_key(seed: int, *keys: int) -> int:
 
 def uniform(seed: int, *keys: int) -> float:
     """Deterministic draw in [0, 1) for the given key tuple."""
-    return (hash_key(seed, *keys) >> 11) * 2.0 ** -53
-
-
-def derive_seed(seed: int, *keys: int) -> int:
-    """Child seed for a named stream, e.g. (seed, epoch, frame index)."""
-    return hash_key(seed, *keys)
+    return (derive_seed(seed, *keys) >> 11) * 2.0 ** -53
 
 
 def uniform_array(seed: int, *key_arrays: np.ndarray) -> np.ndarray:

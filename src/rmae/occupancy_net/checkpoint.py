@@ -10,6 +10,10 @@ Layout (all little-endian):
 Parameters and running statistics are written in declaration order, so the
 same network always serializes to the same bytes.  A text manifest sidecar
 (<path>.manifest.txt) lists layer kinds and tensor shapes.
+
+Version 2 gives only the head a bias.  Version 1 also stored one for each
+conv a batch norm follows; load_checkpoint folds it into that batch norm's
+running mean (running_mean -= bias), the same eval function up to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from ..errors import MalformedFile
 from .network import NetConfig, OccupancyNet
 
 MAGIC = b"RMAE"
-VERSION = 1
+VERSION = 2
 
 
 def _pack_str(s: str) -> bytes:
@@ -95,7 +99,7 @@ def load_checkpoint(path) -> OccupancyNet:
     if r.take(4) != MAGIC:
         raise MalformedFile(f"{path}: bad magic, not a checkpoint")
     version = r.u("<I")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise MalformedFile(f"{path}: unsupported version {version}")
     cfg_raw = r.take(r.u("<I"))
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
@@ -105,7 +109,9 @@ def load_checkpoint(path) -> OccupancyNet:
     except (ValueError, TypeError, KeyError) as e:
         raise MalformedFile(f"{path}: bad config header ({e})") from e
 
-    layers = dict(net.named_layers())
+    named = net.named_layers()
+    layers = dict(named)
+    dead = {}  # version 1: conv name -> the bias its batch norm cancels
     n_layers = r.u("<I")
     if n_layers != len(layers):
         raise MalformedFile(
@@ -118,6 +124,8 @@ def load_checkpoint(path) -> OccupancyNet:
         if layer is None or layer.kind != kind:
             raise MalformedFile(f"{path}: unexpected layer {name} ({kind})")
         tensors = dict(_layer_tensors(layer))
+        if version == 1 and tensors.keys() == {"weight"}:
+            tensors["bias"] = dead[name] = np.zeros(layer.out_ch)
         n_tensors = r.u("<I")
         if n_tensors != len(tensors):
             raise MalformedFile(f"{path}: tensor count mismatch in {name}")
@@ -137,4 +145,7 @@ def load_checkpoint(path) -> OccupancyNet:
             target[...] = data
     if r.pos != len(raw):
         raise MalformedFile(f"{path}: trailing bytes after checkpoint")
+    # named_layers() lists each conv just before its batch norm
+    for (conv_name, _), (_, bn) in zip(named[::2], named[1::2]):
+        bn.running_mean -= dead.get(conv_name, 0.0)
     return net

@@ -18,7 +18,7 @@ is the input's, so every conv at one resolution shares one table.  The
 forward then gathers the input, padded with a zero row, for
 _TAPS_PER_GEMM taps at a time into a (taps, M, C_in) array, makes one
 batched GEMM against those taps' (taps, C_in, C_out) weights, and adds
-the per-tap products onto the bias in tap order: the same full-height
+the per-tap products onto zeros in tap order: the same full-height
 products, added in the same order, as a per-tap loop.  Each tap's (input
 rows, output rows) pairs come from the table in ascending output order
 when backward needs them.
@@ -34,7 +34,7 @@ row and every plane, (X, Y + 1, Z + 1), so on its flat (C, P) view a tap's
 shift d is one offset d @ (Y'Z', Z', 1) and its shift-add one contiguous
 slice add.  A shift off y or z lands on a zero slot and one off x leaves
 the flat array; the padded slots are cropped when the phase buffer is
-written to its strided output view, with the bias in the same pass.
+written to its strided output view.
 Backward shifts with per-axis slices on the unpadded (C, X, Y, Z) arrays.
 Taps within a phase add in lexicographic kernel order, so every output
 sums its taps in the same fixed order on every run.
@@ -42,14 +42,17 @@ sums its taps in the same fixed order on every run.
 The same layers also run sparse, "transform, then gather", when given a
 SparseFeatureMap and the output sites wanted (the generative transposed
 sparse conv of Gwak et al. 2020): the same phases, the same GEMM on the
-input's present rows plus one zero row, and the same tap order with the
-bias last, but each tap's products reach the phase's output sites through
-a (taps, M) kernel map, built by _kernel_map at the phase's negated
-shifts, instead of by a slice shift.  Backward is the adjoint: each tap
-sends an output row to one input row, so grad_out rows are assigned into
-an (N + 1, taps, C_out) buffer through the map, and one GEMM per phase
-gives grad_w and one grad_in.  input_support gives the input sites a set
-of output sites reads, so a caller can decode only what it will look at.
+input's present rows plus one zero row, and the same tap order, but each
+tap's products reach the phase's output sites through a (taps, M) kernel
+map, built by _kernel_map at the phase's negated shifts, instead of by a
+slice shift.  Backward is the adjoint: each tap sends an output row to one
+input row, so grad_out rows are assigned into an (N + 1, taps, C_out)
+buffer through the map, and one GEMM per phase gives grad_w and one
+grad_in.  input_support gives the input sites a set of output sites reads,
+so a caller can decode only what it will look at.
+
+Only the head (DenseConv) has a bias, added last, dense or sparse: a batch
+norm follows every other conv and would cancel one.
 """
 
 from __future__ import annotations
@@ -131,12 +134,11 @@ class _SparseConv:
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
         std = np.sqrt(2.0 / (27.0 * in_ch))
         self.weight = rng.normal(0.0, std, size=(27, in_ch, out_ch))
-        self.bias = np.zeros(out_ch)
         self.in_ch = in_ch
         self.out_ch = out_ch
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
+        return {"weight": self.weight}
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
@@ -145,7 +147,7 @@ class _SparseConv:
         _check_width(x.feats, self.in_ch, type(self).__name__)
         dims, coords, table, neighbors = self._output_sites(x)
         padded = np.concatenate([x.feats, np.zeros((1, self.in_ch))])
-        out = np.tile(self.bias, (len(coords), 1))
+        out = np.zeros((len(coords), self.out_ch))
         # one buffer takes every chunk's products, so a chunk's GEMM never
         # runs while the previous chunk's products are still held
         products = np.empty((_TAPS_PER_GEMM, len(coords), self.out_ch))
@@ -170,8 +172,7 @@ class _SparseConv:
                 g = grad_out[out_rows]
                 grad_in[in_rows] += g @ self.weight[t].T
                 grad_w[t] = x.feats[in_rows].T @ g
-        grad_b = grad_out.sum(axis=0)
-        return grad_in, {"weight": grad_w, "bias": grad_b}
+        return grad_in, {"weight": grad_w}
 
 
 class SubmanifoldConv(_SparseConv):
@@ -322,6 +323,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def site_rows(t) -> np.ndarray:
+    """The (sites, C) matrix of a decoder tensor: a sparse map's features,
+    or the transposed view of a dense (C, X, Y, Z) tensor."""
+    if isinstance(t, SparseFeatureMap):
+        return t.feats
+    return t.reshape(len(t), -1).T
+
+
 def _shift_slices(d: int, size: int) -> tuple[slice, slice]:
     """(source, destination) slices along one axis moving site p to p + d;
     sites shifted off either end are dropped."""
@@ -343,12 +352,12 @@ class _DenseTapConv:
     per phase, in chunks of at most _TAPS_PER_GEMM taps, into one slab
     buffer; it adds each tap's slab into a zeroed phase buffer at the
     tap's flat offset, in tap order, then writes the buffer's interior
-    plus the bias to the phase's strided output view.  The slab and phase
-    buffers are allocated once per call and reused by every phase and
-    chunk; nothing outlives the call.  Backward copies the phase's view of
-    grad_out once, stacks its per-tap shifted copies (per-axis slices, see
-    _shift_slices), and makes one GEMM for grad_w and one for grad_in.
-    Its transient buffers hold one phase's worth of data.
+    to the phase's strided output view.  The slab and phase buffers are
+    allocated once per call and reused by every phase and chunk; nothing
+    outlives the call.  Backward copies the phase's view of grad_out once,
+    stacks its per-tap shifted copies (per-axis slices, see _shift_slices),
+    and makes one GEMM for grad_w and one for grad_in.  Its transient
+    buffers hold one phase's worth of data.
 
     The ctx is a one-item list holding the input, and backward takes the
     input out of it: a ctx serves one backward, and a caller that hands
@@ -360,12 +369,11 @@ class _DenseTapConv:
         k = sum(len(taps) for taps in self.axis_taps)
         std = np.sqrt(self.gain / (k**3 * in_ch))
         self.weight = rng.normal(0.0, std, size=(k, k, k, in_ch, out_ch))
-        self.bias = np.zeros(out_ch)
         self.in_ch = in_ch
         self.out_ch = out_ch
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
+        return {"weight": self.weight}
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
@@ -442,7 +450,6 @@ class _DenseTapConv:
         padded = np.concatenate([x.feats, np.zeros((1, self.in_ch), dtype)])
         plan = self._sparse_phases(x, sites)
         out = np.empty((len(sites), self.out_ch), dtype=dtype)
-        bias = self.bias.astype(dtype, copy=False)
         for kernel, rows, table in plan:
             buf = np.zeros((len(rows), self.out_ch), dtype=dtype)
             for lo in range(0, len(kernel), _TAPS_PER_GEMM):
@@ -453,7 +460,6 @@ class _DenseTapConv:
                 n_taps = len(kernel[taps])
                 for j, reads in enumerate(table[taps]):
                     buf += np.take(slabs, reads * n_taps + j, axis=0)
-            buf += bias
             out[rows] = buf
         dims = tuple(len(self.axis_taps) * n for n in x.dims)
         return SparseFeatureMap(dims, sites, out), [plan, x]
@@ -478,9 +484,8 @@ class _DenseTapConv:
             for j, k in enumerate(kernel):
                 grad_w[k] = gw[:, j]
             grad_in += spread @ self._stacked_weight(kernel, dtype)
-        grad_b = grad_out.feats.sum(axis=0, dtype=np.float64)
         grad_x = SparseFeatureMap(x.dims, x.coords, grad_in[:-1])
-        return grad_x, {"weight": grad_w, "bias": grad_b}
+        return grad_x, {"weight": grad_w}
 
     def forward(self, x, sites: np.ndarray | None = None):
         """Dense: x is (C_in, X, Y, Z); returns the (C_out, sX, sY, sZ)
@@ -498,7 +503,6 @@ class _DenseTapConv:
         stride = len(self.axis_taps)
         out_size = tuple(stride * n for n in x.shape[1:])
         out = np.empty((self.out_ch,) + out_size, dtype)
-        bias = self.bias.astype(dtype, copy=False)[:, None, None, None]
         # a zero slot after every row and plane: a one-site shift off y or
         # z lands on one, and a shift off x leaves the flat array
         padded = np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)))
@@ -522,7 +526,7 @@ class _DenseTapConv:
                     if a < b:
                         buf[:, a + off : b + off] += t[:, a:b]
             grid = buf.reshape((self.out_ch,) + lattice)
-            np.add(grid[..., :-1, :-1], bias, out=out[view])
+            out[view] = grid[..., :-1, :-1]
         return out, [x]
 
     def backward(self, ctx, grad_out):
@@ -560,8 +564,7 @@ class _DenseTapConv:
                 grad_in = part
             else:
                 grad_in += part
-        grad_b = grad_out.sum(axis=(1, 2, 3), dtype=np.float64)
-        return grad_in.reshape(shape), {"weight": grad_w, "bias": grad_b}
+        return grad_in.reshape(shape), {"weight": grad_w}
 
 
 class DenseDeconv(_DenseTapConv):
@@ -577,11 +580,31 @@ class DenseDeconv(_DenseTapConv):
 
 class DenseConv(_DenseTapConv):
     """3x3x3 stride-1 pad-1 dense convolution (the 1-channel logit head):
-    out[v] = bias + sum_k W[k]^T x[v + k - 1], one phase of 27 taps."""
+    out[v] = sum_k W[k]^T x[v + k - 1] + bias, one phase of 27 taps.  The
+    bias is added to, and its gradient summed over, the site_rows view of
+    the output, dense or sparse."""
 
     kind = "dense_conv"
     axis_taps = (((0, 1), (1, 0), (2, -1)),)
     gain = 1.0
+
+    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
+        super().__init__(in_ch, out_ch, rng)
+        self.bias = np.zeros(out_ch)
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {"weight": self.weight, "bias": self.bias}
+
+    def forward(self, x, sites: np.ndarray | None = None):
+        out, ctx = super().forward(x, sites)
+        rows = site_rows(out)
+        rows += self.bias.astype(rows.dtype, copy=False)
+        return out, ctx
+
+    def backward(self, ctx, grad_out):
+        grad_in, grads = super().backward(ctx, grad_out)
+        grads["bias"] = site_rows(grad_out).sum(axis=0, dtype=np.float64)
+        return grad_in, grads
 
 
 def densify(x: SparseFeatureMap, dtype=np.float64) -> np.ndarray:

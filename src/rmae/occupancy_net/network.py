@@ -17,6 +17,9 @@ named_layers() all walk the two lists, backward in reverse.
   latent (absent sites are zero) to full resolution, where a 3x3x3 head
   emits one logit per voxel.
 
+Every conv but the head feeds a batch norm, whose mean subtraction would
+cancel a bias (Ioffe & Szegedy 2015), so only the head has one.
+
 Given a query (the cells a loss reads), forward decodes sparsely instead
 ("transform, then gather"; see layers): the head computes only the query
 cells, deconv1 only the sites the head reads, deconv0 only the sites
@@ -56,6 +59,7 @@ from .layers import (
     densify,
     densify_backward,
     sigmoid,
+    site_rows,
 )
 
 # the dtype the dense decoder computes in; see the module docstring
@@ -217,10 +221,6 @@ class OccupancyNet:
                 skip, x = x, SparseFeatureMap(
                     y.dims, y.coords, f, y.neighbors
                 )
-            if tuple(x.dims) != coarse:
-                raise ShapeError(
-                    f"latent dims {x.dims} do not match expected {coarse}"
-                )
         else:
             x = SparseFeatureMap(
                 coarse,
@@ -237,7 +237,7 @@ class OccupancyNet:
             x = replace(x, feats=x.feats.astype(DECODER_DTYPE))
         for (_, deconv, _, bn), sites in zip(self.decoder, supports):
             y, ctx = deconv.forward(x, sites)
-            mat, c_bn = bn.forward(_rows(y), training)
+            mat, c_bn = bn.forward(site_rows(y), training)
             if training:
                 stats.append((bn, c_bn[2]))
                 stages.append((ctx, c_bn))
@@ -293,10 +293,10 @@ class OccupancyNet:
         layer, name = self.head, "head"
         for deconv_name, deconv, bn_name, bn in reversed(self.decoder):
             deconv_ctx, c_bn = stages.pop()
-            keep = _rows(ctx[-1]) > 0.0  # mask of the ReLU feeding layer
+            keep = site_rows(ctx[-1]) > 0.0  # mask of the ReLU feeding layer
             g, sub = layer.backward(ctx, g)
             store(name, sub)
-            gmat = _rows(g)
+            gmat = site_rows(g)
             np.multiply(gmat, keep, out=gmat)  # relu_backward
             del keep
             gmat, sub = bn.backward(c_bn, gmat)
@@ -331,16 +331,8 @@ class OccupancyNet:
         return grads
 
 
-def _rows(t) -> np.ndarray:
-    """The (sites, C) matrix of a decoder tensor: a sparse map's features,
-    or the transposed view of a dense (C, X, Y, Z) tensor."""
-    if isinstance(t, SparseFeatureMap):
-        return t.feats
-    return t.reshape(len(t), -1).T
-
-
 def _unrows(like, rows: np.ndarray):
-    """The inverse of _rows: the decoder tensor laid out as like (its
+    """The inverse of site_rows: the decoder tensor laid out as like (its
     sites, or its dense shape) that holds rows."""
     if isinstance(like, SparseFeatureMap):
         return replace(like, feats=rows)

@@ -45,10 +45,6 @@ class PointCloud:
     def xyz(self) -> np.ndarray:
         return self._data[:, :3]
 
-    @property
-    def intensity(self) -> np.ndarray:
-        return self._data[:, 3]
-
     def __len__(self) -> int:
         return self._data.shape[0]
 

@@ -96,3 +96,43 @@ def test_set_needs_name_and_records(tmp_path):
     with pytest.raises(SystemExit):
         collate_bench.main([str(tmp_path / "b.json"), str(tmp_path)])
     assert collate_bench.main([str(tmp_path / "b.json"), f"x={tmp_path}"]) == 1
+
+
+def fake_bench(fps, p50):
+    metric = {"iqr": 0.0, "n": 1}
+    return {
+        "note": "",
+        "sets": {
+            "parent": {"infer": {"metrics": {}}},
+            "change": {
+                "infer": {
+                    "metrics": {
+                        "frames_per_s": dict(metric, median=fps),
+                        "frame_ms.p50": dict(metric, median=p50),
+                    }
+                }
+            },
+        },
+    }
+
+
+def test_prints_medians_beside_the_newest_other_bench_file(tmp_path, capsys):
+    # numbered, not lexical, order: 12 is newer than 9
+    (tmp_path / "BENCH_9.json").write_text(json.dumps(fake_bench(1.0, 1.0)))
+    (tmp_path / "BENCH_12.json").write_text(json.dumps(fake_bench(8.0, 100.0)))
+    runs = write_records(
+        tmp_path / "runs",
+        [fake_record(11, 10.0, 90.0), fake_record(12, 14.0, 70.0)],
+    )
+    out = tmp_path / "BENCH_13.json"
+    assert collate_bench.main([str(out), f"change={runs}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (
+        "change infer against BENCH_12.json change:"
+        " frames_per_s 8 -> 12 (+50.0%), frame_ms.p50 100 -> 80 (-20.0%)"
+    )
+    # rewriting the newest file compares it with the one before
+    out.unlink()
+    newest = tmp_path / "BENCH_12.json"
+    assert collate_bench.main([str(newest), f"change={runs}"]) == 0
+    assert "against BENCH_9.json change:" in capsys.readouterr().out

@@ -62,12 +62,12 @@ def shift_dense(dense, off):
     return out
 
 
-def dense_conv_at_sites(dense_in, sites, weight, bias):
+def dense_conv_at_sites(dense_in, sites, weight):
     """Stride-1 3x3x3 convolution evaluated at the given sites via dense
     shifts.  Taps accumulate in the same canonical order and through the
     same (rows, cin) @ (cin, cout) contraction the sparse path uses, so a
     correct implementation must match bit for bit."""
-    out = np.tile(bias, (len(sites), 1))
+    out = np.zeros((len(sites), weight.shape[2]))
     for t, off in enumerate(OFFSETS3):
         shifted = shift_dense(dense_in, off)
         rows = shifted[:, sites[:, 0], sites[:, 1], sites[:, 2]].T
@@ -83,7 +83,6 @@ class TestSubmanifoldConv:
         layer.weight[:] = 0.0
         center = OFFSETS3.index((0, 0, 0))
         layer.weight[center] = np.eye(3)
-        layer.bias[:] = 0.0
         out, _ = layer.forward(x)
         assert np.array_equal(out.feats, x.feats)
         assert np.array_equal(out.coords, x.coords)
@@ -93,11 +92,8 @@ class TestSubmanifoldConv:
         for trial in range(10):
             x = random_sparse((8, 8, 8), 60, 4, rng)
             layer = SubmanifoldConv(4, 5, rng)
-            layer.bias[:] = rng.normal(0, 1, 5)
             out, _ = layer.forward(x)
-            ref = dense_conv_at_sites(
-                dense_of(x), x.coords, layer.weight, layer.bias
-            )
+            ref = dense_conv_at_sites(dense_of(x), x.coords, layer.weight)
             assert np.array_equal(out.feats, ref)
 
     def test_single_voxel(self):
@@ -107,7 +103,7 @@ class TestSubmanifoldConv:
         layer = SubmanifoldConv(2, 3, rng)
         out, _ = layer.forward(x)
         center = OFFSETS3.index((0, 0, 0))
-        expect = layer.bias + x.feats[0] @ layer.weight[center]
+        expect = x.feats[0] @ layer.weight[center]
         np.testing.assert_allclose(out.feats[0], expect, rtol=1e-15)
 
     def test_empty_input(self):
@@ -148,12 +144,11 @@ class TestSparseDownConv:
         for trial in range(10):
             x = random_sparse((8, 8, 6), 50, 3, rng)
             layer = SparseDownConv(3, 4, rng)
-            layer.bias[:] = rng.normal(0, 1, 4)
             out, _ = layer.forward(x)
             dense = dense_of(x)
-            # oracle: out[u] = bias + sum_k W[k] . in[2u - 1 + k], with the
+            # oracle: out[u] = sum_k W[k] . in[2u - 1 + k], with the
             # per-tap neighbor rows gathered brute-force from the dense grid
-            ref = np.tile(layer.bias, (len(out.coords), 1))
+            ref = np.zeros((len(out.coords), 4))
             for t, off in enumerate(OFFSETS3):
                 k = np.asarray(off) + 1
                 rows = np.zeros((len(out.coords), 3))
@@ -175,7 +170,7 @@ class TestSparseDownConv:
 #
 # The sparse convs' earlier forward: per tap, a neighbor search through a
 # dense index volume, a zero-filled full-height neighbor matrix and one
-# (rows, C_in) @ (C_in, C_out) GEMM, added to the bias in tap order; and
+# (rows, C_in) @ (C_in, C_out) GEMM, added onto zeros in tap order; and
 # its backward over the recorded (input rows, output rows) pairs.  The
 # layers form the same products in one batched GEMM and add them in the
 # same order, so they must agree bit for bit.
@@ -193,7 +188,7 @@ def _index_volume(dims, coords) -> np.ndarray:
 def per_tap_submanifold(layer, x):
     """(output feats, output coords, per-tap (in rows, out rows))."""
     n = len(x)
-    out = np.tile(layer.bias, (n, 1))
+    out = np.zeros((n, layer.out_ch))
     gathers = []
     if n:
         vol = _index_volume(x.dims, x.coords)
@@ -242,7 +237,7 @@ def per_tap_down(layer, x):
     else:
         out_coords = np.empty((0, 3), dtype=np.int64)
     m = len(out_coords)
-    out = np.tile(layer.bias, (m, 1))
+    out = np.zeros((m, layer.out_ch))
     ovol = _index_volume(odims, out_coords)
     gathers = []
     for t, (in_rows, u) in enumerate(taps):
@@ -267,7 +262,7 @@ def per_tap_sparse_backward(layer, x, gathers, grad_out):
             g = grad_out[out_rows]
             grad_in[in_rows] += g @ layer.weight[t].T
             grad_w[t] = x.feats[in_rows].T @ g
-    return grad_in, grad_w, grad_out.sum(axis=0)
+    return grad_in, grad_w
 
 
 PER_TAP_SPARSE = {
@@ -290,10 +285,10 @@ def check_sparse_against_per_tap(layer, x, rng):
     assert_bitwise(out.feats, ref)
     probe = rng.normal(0, 1, ref.shape)
     grad_in, grads = layer.backward(ctx, probe)
-    ref_in, ref_w, ref_b = per_tap_sparse_backward(layer, x, gathers, probe)
+    ref_in, ref_w = per_tap_sparse_backward(layer, x, gathers, probe)
+    assert grads.keys() == {"weight"}
     assert_bitwise(grad_in, ref_in)
     assert_bitwise(grads["weight"], ref_w)
-    assert_bitwise(grads["bias"], ref_b)
     return out
 
 
@@ -313,7 +308,6 @@ class TestSparseAgainstPerTap:
     def test_default_widths(self, cls, cin, cout, dims, n):
         rng = np.random.default_rng(40)
         layer = cls(cin, cout, rng)
-        layer.bias[:] = rng.normal(0, 1, cout)
         x = random_sparse(dims, n, cin, rng)
         check_sparse_against_per_tap(layer, x, rng)
 
@@ -324,7 +318,6 @@ class TestSparseAgainstPerTap:
     def test_empty_single_and_odd(self, cls, dims, n):
         rng = np.random.default_rng(41)
         layer = cls(3, 5, rng)
-        layer.bias[:] = rng.normal(0, 1, 5)
         x = random_sparse(dims, n, 3, rng)
         check_sparse_against_per_tap(layer, x, rng)
 
@@ -336,7 +329,6 @@ class TestSparseAgainstPerTap:
         assert y.neighbors is not None
         x = SparseFeatureMap(y.dims, y.coords, np.tanh(y.feats), y.neighbors)
         layer = cls(4, 6, rng)
-        layer.bias[:] = rng.normal(0, 1, 6)
         out = check_sparse_against_per_tap(layer, x, rng)
         if cls is SubmanifoldConv:
             assert out.neighbors is y.neighbors
@@ -365,7 +357,7 @@ def one_gemm_forward(layer, x, table):
     """The sparse conv forward as a single batched GEMM over all 27 taps:
     the reference for the forward that multiplies a few taps at a time."""
     padded = np.concatenate([x.feats, np.zeros((1, layer.in_ch))])
-    out = np.tile(layer.bias, (table.shape[1], 1))
+    out = np.zeros((table.shape[1], layer.out_ch))
     for product in np.matmul(padded[table], layer.weight):
         out += product
     return out
@@ -385,7 +377,6 @@ class TestChunkedSparseForward:
     def test_equals_one_batched_gemm(self, cls):
         rng = np.random.default_rng(44)
         layer = cls(16, 24, rng)
-        layer.bias[:] = rng.normal(0, 1, 24)
         x = random_sparse((32, 32, 16), 3000, 16, rng)
         out, (_, table) = layer.forward(x)
         assert_bitwise(out.feats, one_gemm_forward(layer, x, table))
@@ -581,7 +572,6 @@ class TestDenseDeconv:
     def test_kernel_stamp(self):
         rng = np.random.default_rng(14)
         layer = DenseDeconv(1, 1, rng)
-        layer.bias[:] = 0.0
         x = np.zeros((1, 3, 3, 3))
         x[0, 1, 1, 1] = 1.0
         out, _ = layer.forward(x)
@@ -602,7 +592,6 @@ class TestDenseDeconv:
         rng = np.random.default_rng(16)
         for _ in range(5):
             layer = DenseDeconv(3, 2, rng)
-            layer.bias[:] = 0.0
             x = rng.normal(0, 1, (3, 4, 3, 2))
             y = rng.normal(0, 1, (2, 8, 6, 4))
             lhs = float((layer.forward(x)[0] * y).sum())
@@ -642,6 +631,19 @@ class TestDenseConv:
 # per output phase, then shift-adds), so they must agree to 1e-12 relative.
 
 
+def draw_head_bias(layer, rng):
+    """A random bias for the head (DenseConv), the one conv that has one:
+    a batch norm follows every other."""
+    if isinstance(layer, DenseConv):
+        layer.bias[:] = rng.normal(0, 1, layer.out_ch)
+
+
+def add_bias(layer, out):
+    """out (C, X, Y, Z) plus the layer's bias, if it has one."""
+    bias = layer.params().get("bias", np.zeros(layer.out_ch))
+    return out + bias.astype(out.dtype)[:, None, None, None]
+
+
 def _deconv_slices(o, size):
     """(input, output) slices along one axis for transposed-conv tap
     offset o = kernel_index - pad, kernel 4, stride 2, pad 1."""
@@ -679,11 +681,10 @@ def _conv_taps(shape):
         yield k, (slice(None), ix_, iy_, iz_), (slice(None), ox, oy, oz)
 
 
-def per_tap_forward(taps, out_shape, weight, bias, x):
+def per_tap_forward(taps, out_shape, weight, x):
     out = np.zeros(out_shape)
     for k, src, dst in taps(x.shape):
         out[dst] += np.tensordot(weight[k], x[src], axes=([0], [0]))
-    out += bias[:, None, None, None]
     return out
 
 
@@ -696,7 +697,7 @@ def per_tap_backward(taps, weight, x, grad_out):
         grad_w[k] = np.tensordot(
             x[src], gslab, axes=([1, 2, 3], [1, 2, 3])
         )
-    return grad_in, grad_w, grad_out.sum(axis=(1, 2, 3))
+    return grad_in, grad_w
 
 
 def assert_rel_close(actual, expect, tol=1e-12):
@@ -711,18 +712,21 @@ class TestDenseAgainstPerTap:
     def check(self, cls, taps, cin, cout, dims, seed, stride):
         rng = np.random.default_rng(seed)
         layer = cls(cin, cout, rng)
-        layer.bias[:] = rng.normal(0, 1, cout)
+        draw_head_bias(layer, rng)
         x = rng.normal(0, 1, (cin,) + dims)
         out_shape = (cout,) + tuple(stride * n for n in dims)
         out, ctx = layer.forward(x)
-        ref = per_tap_forward(taps, out_shape, layer.weight, layer.bias, x)
-        assert_rel_close(out, ref)
+        ref = per_tap_forward(taps, out_shape, layer.weight, x)
+        assert_rel_close(out, add_bias(layer, ref))
         probe = rng.normal(0, 1, out_shape)
         grad_in, grads = layer.backward(ctx, probe)
-        ref_in, ref_w, ref_b = per_tap_backward(taps, layer.weight, x, probe)
+        ref_in, ref_w = per_tap_backward(taps, layer.weight, x, probe)
         assert_rel_close(grad_in, ref_in)
         assert_rel_close(grads["weight"], ref_w)
-        assert_rel_close(grads["bias"], ref_b)
+        if cls is DenseConv:
+            assert_rel_close(grads["bias"], probe.sum(axis=(1, 2, 3)))
+        else:
+            assert grads.keys() == {"weight"}
 
     @pytest.mark.parametrize(
         "cin, cout, dims",
@@ -765,12 +769,12 @@ class TestDenseCtx:
 def slice_shift_forward(layer, x):
     """The dense forward without the padded lattice: per phase, GEMMs of
     the same tap chunks on x's (C_in, N) view, each tap's slab shift-added
-    by per-axis slices into a zeroed buffer in tap order, the bias last."""
+    by per-axis slices into a zeroed buffer in tap order, the head's bias
+    last."""
     size = x.shape[1:]
     stride = len(layer.axis_taps)
     flat = x.reshape(layer.in_ch, -1)
     out = np.empty((layer.out_ch,) + tuple(stride * n for n in size), x.dtype)
-    bias = layer.bias.astype(x.dtype)[:, None, None, None]
     every = (slice(None),)
     for view, kernel, shifts in layer._phases():
         buf = np.zeros((layer.out_ch,) + size, x.dtype)
@@ -781,8 +785,7 @@ def slice_shift_forward(layer, x):
             for slab, d in zip(slabs, shifts[taps].tolist()):
                 src, dst = zip(*map(_shift_slices, d, size))
                 buf[every + dst] += slab[every + src]
-        buf += bias
-        out[view] = buf
+        out[view] = add_bias(layer, buf)
     return out
 
 
@@ -797,7 +800,7 @@ class TestDenseForwardAgainstSliceShift:
     def layer_and_input(self, cls, cin, cout, dims, dtype):
         rng = np.random.default_rng([cin, cout, *dims])
         layer = cls(cin, cout, rng)
-        layer.bias[:] = rng.normal(0, 1, cout)
+        draw_head_bias(layer, rng)
         return layer, rng.normal(0, 1, (cin,) + dims).astype(dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -880,7 +883,7 @@ class TestFloat32Input:
     def test_dense_layers(self, cls):
         rng = np.random.default_rng(40)
         layer = cls(3, 2, rng)
-        layer.bias[:] = rng.normal(0, 1, 2)
+        draw_head_bias(layer, rng)
         x = rng.normal(0, 1, (3, 4, 3, 2))
         ref, ref_ctx = layer.forward(x)
         out, ctx = layer.forward(x.astype(np.float32))
@@ -964,7 +967,6 @@ class TestFiniteDifferences:
         out, ctx = layer.forward(x)
         grad_in, grads = layer.backward(ctx, probe)
         fd_param_check(loss, layer.weight, grads["weight"], rng)
-        fd_param_check(loss, layer.bias, grads["bias"], rng)
 
         def loss_x():
             out, _ = layer.forward(x)
@@ -985,7 +987,6 @@ class TestFiniteDifferences:
 
         grad_in, grads = layer.backward(ctx, probe)
         fd_param_check(loss, layer.weight, grads["weight"], rng)
-        fd_param_check(loss, layer.bias, grads["bias"], rng)
         fd_param_check(loss, x.feats, grad_in, rng)
 
     def test_batch_norm_training(self):
@@ -1019,7 +1020,6 @@ class TestFiniteDifferences:
 
         grad_in, grads = layer.backward(ctx, probe)
         fd_param_check(loss, layer.weight, grads["weight"], rng)
-        fd_param_check(loss, layer.bias, grads["bias"], rng)
         fd_param_check(loss, x, grad_in, rng)
 
     def test_dense_conv(self):
@@ -1082,7 +1082,7 @@ class TestSparseCallAgainstDense:
     def test_forward_and_backward_at_the_sites(self, cls, cin, cout, dims, fill):
         rng = np.random.default_rng(50)
         layer = cls(cin, cout, rng)
-        layer.bias[:] = rng.normal(0, 1, cout)
+        draw_head_bias(layer, rng)
         x = random_sparse(dims, int(fill * np.prod(dims)), cin, rng)
         stride = len(cls.axis_taps)
         out_dims = tuple(stride * n for n in dims)
@@ -1103,8 +1103,9 @@ class TestSparseCallAgainstDense:
         assert np.array_equal(grad_x.coords, x.coords)
         if len(x):
             assert_rel_close(grad_x.feats, ref_in[(slice(None),) + tuple(x.coords.T)].T)
-        assert_rel_close(grads["weight"], ref["weight"])
-        assert_rel_close(grads["bias"], ref["bias"])
+        assert grads.keys() == ref.keys()
+        for name, ref_g in ref.items():
+            assert_rel_close(grads[name], ref_g)
         assert ctx == []
         with pytest.raises(StaleCache):
             layer.backward(ctx, SparseFeatureMap(out_dims, sites, probe))

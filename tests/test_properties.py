@@ -1,0 +1,101 @@
+"""Property tests of the mask and voxelizer invariants (hypothesis, bounded
+so the suite stays fast)."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import random_grid
+from rmae.pointcloud import PointCloud
+from rmae.radial_mask import MaskConfig, apply_mask
+from rmae.voxelizer import GridGeometry, voxelize
+
+GEOM = GridGeometry((-6.4, -6.4, -1.6), (0.8, 0.8, 0.8), (16, 16, 8))
+BOUNDED = settings(max_examples=50, deadline=None)
+probability = st.floats(0.0, 1.0)
+
+
+@st.composite
+def mask_configs(draw) -> MaskConfig:
+    n_groups = draw(st.integers(1, 360))
+    near = draw(st.floats(0.5, 8.0))
+    far = near + draw(st.floats(0.5, 8.0))
+    # one p_drop row per group only for a few groups, to keep examples small
+    shared = draw(st.booleans()) or n_groups > 8
+    rows = 1 if shared else n_groups
+    row = st.tuples(probability, probability, probability)
+    return MaskConfig(
+        n_groups=n_groups,
+        m=draw(probability),
+        selection_mode=draw(st.sampled_from(["bernoulli", "exact_count"])),
+        r_thresholds=(near, far),
+        p_drop=tuple(draw(st.lists(row, min_size=rows, max_size=rows))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+grids = st.builds(
+    lambda n, seed: random_grid(GEOM, n, np.random.default_rng(seed)),
+    st.integers(0, 300),
+    st.integers(0, 2**32),
+)
+
+
+@BOUNDED
+@given(grids, mask_configs(), st.integers(0, 2**63))
+def test_visible_voxels_lie_in_selected_groups(grid, cfg, seed):
+    out = apply_mask(grid, cfg, seed=seed)
+    visible_groups = set(out.groups[out.visible].tolist())
+    assert visible_groups <= out.selected_groups
+    assert all(0 <= g < cfg.n_groups for g in out.selected_groups)
+    stats = out.stats
+    assert 0.0 <= stats.group_visible_fraction <= 1.0
+    assert 0.0 <= stats.voxel_visible_fraction <= 1.0
+    for rate in stats.per_subgroup_drop_rate:
+        assert math.isnan(rate) or 0.0 <= rate <= 1.0
+
+
+def _same_outcome(a, b) -> bool:
+    return (
+        a.selected_groups == b.selected_groups
+        and a.visible.tobytes() == b.visible.tobytes()
+        and a.groups.tobytes() == b.groups.tobytes()
+        and a.subgroups.tobytes() == b.subgroups.tobytes()
+        and a.stats.to_json_dict() == b.stats.to_json_dict()
+    )
+
+
+@BOUNDED
+@given(grids, mask_configs(), st.integers(0, 2**63), st.integers(0, 2**63))
+def test_apply_mask_is_a_pure_function_of_grid_cfg_and_seed(
+    grid, cfg, seed, other
+):
+    first = apply_mask(grid, cfg, seed=seed)
+    apply_mask(grid, cfg, seed=other)  # no state carries between calls
+    assert _same_outcome(first, apply_mask(grid, cfg, seed=seed))
+
+
+points = st.integers(0, 200).flatmap(
+    lambda n: arrays(
+        np.float32,
+        (n, 4),
+        elements=st.floats(-8.0, 8.0, width=32),
+    )
+)
+
+
+@BOUNDED
+@given(points, st.randoms(use_true_random=False))
+def test_voxelize_ignores_point_order(data, random):
+    order = list(range(len(data)))
+    random.shuffle(order)
+    a = voxelize(PointCloud(data), GEOM)
+    b = voxelize(PointCloud(data[order]), GEOM)
+    assert a.coords.tobytes() == b.coords.tobytes()
+    assert a.counts.tobytes() == b.counts.tobytes()
+    assert a.dropped_points == b.dropped_points
+    # bincount sums each voxel's points in point order
+    np.testing.assert_allclose(b.feats, a.feats, rtol=0, atol=1e-12)
