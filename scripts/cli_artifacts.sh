@@ -56,6 +56,18 @@ for threads in 1 2; do
                 $TINY
             rmae pretrain --out sphere-batch2 $TINY query.mode=sphere \
                 train.batch_size=2
+            # the seeds of later epochs without remasking, the balanced
+            # query draw and the exact-count mask draw
+            rmae pretrain --out keyed $TINY train.epochs=2 \
+                train.remask_each_epoch=false query.balance_empty=true \
+                mask.selection_mode=exact_count train.optimizer=sgd
+            rmae eval --out keyed-eval --checkpoint keyed/checkpoint.rmae \
+                $TINY query.balance_empty=true mask.selection_mode=exact_count
+            # per-group drop rows, which an angular sweep cuts to row 0
+            rmae sweep-angle --out sweep-angle-rows \
+                'sweep.spans_deg=[90.0,30.0]' $TINY mask.n_groups=4 \
+                mask.m=0.5 \
+                'mask.p_drop=[[0.0,0.5,0.9],[0.2,0.2,0.2],[1.0,0.0,0.0],[0.5,0.5,0.5]]'
         }
     )
 done

@@ -31,8 +31,7 @@ from .trainer import (
     TrainConfig,
     evaluate,
     pretrain,
-    sweep_angular_range,
-    sweep_masking_ratio,
+    sweep,
     write_loss_csv,
     write_sweep_csv,
 )
@@ -319,10 +318,10 @@ def _split_frames(frames, cfg: RunConfig):
     return frames[:-held], frames[-held:]
 
 
-# sweep command -> (sweep function, the SweepConfig field of its settings)
+# sweep command -> (sweep label, the SweepConfig field of its values)
 _SWEEPS = {
-    "sweep-ratio": (sweep_masking_ratio, "ratios"),
-    "sweep-angle": (sweep_angular_range, "spans_deg"),
+    "sweep-ratio": ("m", "ratios"),
+    "sweep-angle": ("span_deg", "spans_deg"),
 }
 
 
@@ -399,19 +398,20 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command in _SWEEPS:
-        sweep, key = _SWEEPS[cfg.command]
+        label, key = _SWEEPS[cfg.command]
         train_frames, eval_frames = _split_frames(frames, cfg)
         rows = sweep(
             train_frames,
             OccupancyNet(cfg.net),
             cfg.train,
+            label,
             list(getattr(cfg.sweep, key)),
             cfg.geometry,
             eval_frames=eval_frames,
         )
         _atomic(
             cfg.out / "sweep.csv",
-            lambda p: write_sweep_csv(rows, p, energy=cfg.energy),
+            lambda p: write_sweep_csv(label, rows, p, energy=cfg.energy),
         )
         return 0
 

@@ -202,7 +202,6 @@ class OccupancyNet:
         units: list = []
         stages: list = []
         tape = {
-            "dims": tuple(visible.dims),
             "training": training,
             "bn_stats": stats,
             "encoder": units,

@@ -69,7 +69,10 @@ def parallel_map(fn, items):
     Up to min(worker_count(), len(items)) items run at once: the calling
     thread runs one, a pool runs the rest.  A result is yielded as soon as
     it and every result before it are done, and at most that many results
-    exist before the consumer takes them.
+    exist before the consumer takes them.  That bound is why the loop is
+    hand-rolled: ThreadPoolExecutor.map (which submits every item at once)
+    or chunks whose futures outlive them raised train-dense peak RSS from
+    137-139 to 142-146 MiB on alternating runs on a 2-core machine.
     """
     items = list(items)
     n = min(worker_count(), len(items))
@@ -138,13 +141,6 @@ class EvalReport:
         }
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    label: str  # "m" or "span_deg"
-    value: float
-    report: EvalReport
-
-
 class SgdOptimizer:
     def __init__(self, lr: float):
         self.lr = lr
@@ -185,11 +181,27 @@ def make_optimizer(cfg: TrainConfig):
 
 
 def _prepare(frames, geom):
+    if not frames:
+        raise NoData("no frames given")
     grids = list(parallel_map(lambda f: voxelize(f, geom), frames))
     if all(len(g) == 0 for g in grids):
         raise NoData("every frame voxelized to an empty grid")
     truths = [occupancy_of(g) for g in grids]
     return grids, truths
+
+
+def _masked_input(grid, truth, mask_cfg, query_cfg, key):
+    """Mask grid and build its loss queries; returns (outcome, visible,
+    query).  key is (seed, stream, *indices): the mask seed is
+    derive_seed(*key), the query seed the same key on _QUERY_STREAM.
+    apply_mask and build_query_set are looked up in this module per call,
+    so perfbench's trace sees them by patching trainer's names."""
+    seed, _, *indices = key
+    outcome = apply_mask(grid, mask_cfg, seed=keyrand.derive_seed(*key))
+    vis = visible_features(grid, outcome.visible)
+    query_seed = keyrand.derive_seed(seed, _QUERY_STREAM, *indices)
+    query = build_query_set(truth, vis.coords, query_cfg, seed=query_seed)
+    return outcome, vis, query
 
 
 def pretrain(
@@ -214,8 +226,6 @@ def pretrain(
     batch of skipped frames makes no optimizer step; an epoch of them
     raises NoData.
     """
-    if not frames:
-        raise NoData("no frames given")
     grids, truths = _prepare(frames, geom)
     optimizer = make_optimizer(cfg)
     params = net.parameters()
@@ -233,18 +243,9 @@ def pretrain(
             bsz = len(batch)
 
             def step(fi: int):
-                mask_seed = keyrand.derive_seed(
-                    cfg.seed, _MASK_STREAM, epoch_key, fi
-                )
-                outcome = apply_mask(grids[fi], cfg.mask, seed=mask_seed)
-                vis = visible_features(grids[fi], outcome.visible)
-                query = build_query_set(
-                    truths[fi],
-                    vis.coords,
-                    cfg.query,
-                    seed=keyrand.derive_seed(
-                        cfg.seed, _QUERY_STREAM, epoch_key, fi
-                    ),
+                key = (cfg.seed, _MASK_STREAM, epoch_key, fi)
+                _, vis, query = _masked_input(
+                    grids[fi], truths[fi], cfg.mask, cfg.query, key
                 )
                 if len(query) == 0:
                     return None
@@ -322,28 +323,19 @@ def evaluate(
     masked_region_* restrict to grid cells in never-sensed angular sectors;
     they are NaN when every group was sensed (m = 0).
     """
-    if not frames:
-        raise NoData("no frames given")
     grids, truths = _prepare(frames, geom)
 
     def frame_metrics(i: int) -> dict:
         """Frame i's metrics, keyed by EvalReport field; bce is None
         without queries, the masked_region pair None where every cell was
         sensed."""
-        grid, truth = grids[i], truths[i]
-        seed = keyrand.derive_seed(mask_cfg.seed, _EVAL_STREAM, i)
-        outcome = apply_mask(grid, mask_cfg, seed=seed)
-        vis = visible_features(grid, outcome.visible)
+        truth, key = truths[i], (mask_cfg.seed, _EVAL_STREAM, i)
+        outcome, vis, query = _masked_input(
+            grids[i], truth, mask_cfg, query_cfg, key
+        )
         pred, _ = net.forward(vis, training=False)
         occ = truth.o.astype(bool)
         pred_occ = pred.logits > 0.0  # probability 0.5 threshold
-
-        query = build_query_set(
-            truth,
-            vis.coords,
-            query_cfg,
-            seed=keyrand.derive_seed(mask_cfg.seed, _QUERY_STREAM, i),
-        )
         out = {
             "bce": None,
             "occupied_iou": _iou(pred_occ, occ),
@@ -373,57 +365,40 @@ def evaluate(
     return EvalReport(**means, n_frames=len(frames))
 
 
-def _sweep(frames, net_init, cfg, label, settings, geom, eval_frames):
-    """Re-train a copy of net_init under each (value, config) setting and
-    evaluate it on eval_frames (None: the training frames)."""
-    rows = []
-    for value, cfg_v in settings:
-        net, _ = pretrain(frames, cfg_v, copy.deepcopy(net_init), geom)
-        report = evaluate(
-            eval_frames if eval_frames is not None else frames,
-            net,
-            cfg_v.mask,
-            cfg.query,
-            geom,
-        )
-        rows.append(SweepRow(label, float(value), report))
-    return rows
-
-
-def sweep_masking_ratio(
+def sweep(
     frames: list[PointCloud],
     net_init: OccupancyNet,
     cfg: TrainConfig,
-    ratios: list[float],
+    label: str,
+    values: list[float],
     geom: GridGeometry,
     eval_frames: list[PointCloud] | None = None,
-) -> list[SweepRow]:
-    """Re-train from net_init at each masking ratio and evaluate."""
-    settings = [(m, replace(cfg, mask=replace(cfg.mask, m=m))) for m in ratios]
-    return _sweep(frames, net_init, cfg, "m", settings, geom, eval_frames)
-
-
-def sweep_angular_range(
-    frames: list[PointCloud],
-    net_init: OccupancyNet,
-    cfg: TrainConfig,
-    group_spans_degrees: list[float],
-    geom: GridGeometry,
-    eval_frames: list[PointCloud] | None = None,
-) -> list[SweepRow]:
-    """Re-train at each angular group span (degrees); m stays fixed at the
-    configured masking ratio (0.8 by default)."""
-    settings = []
-    for span in group_spans_degrees:
-        if span <= 0:
+) -> list[tuple[float, EvalReport]]:
+    """Re-train a copy of net_init at each value of one mask setting, label
+    "m" (the masking ratio) or "span_deg" (the angular group span in
+    degrees, m fixed), and evaluate it on eval_frames (None: the training
+    frames); returns (value, report) pairs.  Per-group drop rows cannot
+    follow a group-count change, so a span keeps p_drop's row 0."""
+    if label == "m":
+        masks = [replace(cfg.mask, m=v) for v in values]
+    elif label == "span_deg":
+        if any(v <= 0 for v in values):
             raise ValueError("group span must be positive degrees")
-        n_g = max(1, int(round(360.0 / span)))
-        # per-group drop rows cannot follow a group-count change; keep row 0
-        mask = replace(cfg.mask, n_groups=n_g, p_drop=(cfg.mask.p_drop[0],))
-        settings.append((span, replace(cfg, mask=mask)))
-    return _sweep(
-        frames, net_init, cfg, "span_deg", settings, geom, eval_frames
-    )
+        row0 = cfg.mask.p_drop[:1]
+        masks = [
+            replace(cfg.mask, n_groups=max(1, round(360.0 / v)), p_drop=row0)
+            for v in values
+        ]
+    else:
+        raise ValueError(f"sweep label must be m or span_deg, not {label!r}")
+    held = eval_frames if eval_frames is not None else frames
+    rows = []
+    for v, mask in zip(values, masks):
+        net, _ = pretrain(
+            frames, replace(cfg, mask=mask), copy.deepcopy(net_init), geom
+        )
+        rows.append((v, evaluate(held, net, mask, cfg.query, geom)))
+    return rows
 
 
 def _fmt(v: float) -> str:
@@ -461,19 +436,17 @@ _SWEEP_ENERGY_COLUMNS = (
 
 
 def write_sweep_csv(
-    rows: list[SweepRow], path, energy: EnergyParams | None = None
+    label: str, rows: list, path, energy: EnergyParams | None = None
 ) -> None:
-    """Sweep table; with energy params, frugal power columns are appended
-    (duty from the mean sensed-group fraction, range from the mean max
-    sensed range)."""
+    """Sweep table of sweep()'s rows; with energy params, frugal power
+    columns are appended (duty from the mean sensed-group fraction, range
+    from the mean max sensed range)."""
     base = total_power(energy) if energy is not None else None
     energy_cols = _SWEEP_ENERGY_COLUMNS if base is not None else ()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        label = rows[0].label if rows else "m"
         w.writerow([label, *_SWEEP_COLUMNS, *energy_cols])
-        for row in rows:
-            r = row.report
+        for value, r in rows:
             vals = [getattr(r, name) for name in _SWEEP_COLUMNS.values()]
             if base is not None:
                 stats = MaskStats(
@@ -484,4 +457,4 @@ def write_sweep_csv(
                 )
                 fr = frugal_savings(base, stats, energy.R)
                 vals += [getattr(fr, name) for name in energy_cols]
-            w.writerow([_fmt(row.value)] + [_fmt(v) for v in vals])
+            w.writerow([_fmt(value)] + [_fmt(v) for v in vals])

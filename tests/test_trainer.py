@@ -2,6 +2,7 @@ import contextlib
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from rmae.trainer import (
     evaluate,
     parallel_map,
     pretrain,
+    sweep,
 )
 from rmae.voxelizer import occupancy_of, voxelize
 
@@ -194,6 +196,30 @@ class TestParallelMap:
         assert list(parallel_map(lambda v: v * v, range(7))) == [
             v * v for v in range(7)
         ]
+
+    def test_schedule_of_three_threads(self, monkeypatch):
+        """Three threads over 7 items: the pool takes two items, the
+        calling thread the third, and so on; the last item runs on the
+        calling thread."""
+        monkeypatch.setenv("RMAE_THREADS", "3")
+        lock = threading.Lock()
+        running, peak, on_caller = [0], [0], []
+
+        def fn(v):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            if threading.get_ident() == caller:
+                on_caller.append(v)
+            time.sleep(0.01)
+            with lock:
+                running[0] -= 1
+            return v
+
+        caller = threading.get_ident()
+        assert list(parallel_map(fn, range(7))) == list(range(7))
+        assert peak[0] <= 3
+        assert on_caller == [2, 5, 6]
 
     def test_closing_early_joins_the_pool(self, monkeypatch):
         monkeypatch.setenv("RMAE_THREADS", "2")
@@ -382,6 +408,39 @@ def test_sphere_backward_consumes_the_tape(small_geom):
     pred, tape = net.forward(vis, training=True, query=query)
     _, grad = occupancy_loss(pred.logits, truth, query)
     net.backward(tape, grad)
-    assert set(tape) == {"dims", "training", "bn_stats"}
+    assert set(tape) == {"training", "bn_stats"}
     with pytest.raises(StaleCache):
         net.backward(tape, grad)
+
+
+class TestSweep:
+    def net(self):
+        return OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+
+    def test_unknown_label_raises(self, small_geom):
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(ValueError, match="label"):
+            sweep(tiny_frames(1), self.net(), cfg, "n_groups", [4], small_geom)
+
+    def test_nonpositive_span_raises_before_training(
+        self, small_geom, monkeypatch
+    ):
+        geom, trained = small_geom, []
+        monkeypatch.setattr(trainer, "pretrain", lambda *a: trained.append(a))
+        cfg = TrainConfig(epochs=1)
+        spans = [45.0, 0.0]
+        with pytest.raises(ValueError, match="positive"):
+            sweep(tiny_frames(1), self.net(), cfg, "span_deg", spans, geom)
+        assert trained == []
+
+    def test_span_with_per_group_drop_rows_trains(self, small_geom):
+        """Per-group p_drop rows cannot follow the span's group count; the
+        sweep keeps row 0 and trains."""
+        rows = ((0.0, 0.5, 0.9), (0.2, 0.2, 0.2), (1.0, 0.0, 0.0), (0.5,) * 3)
+        mask = MaskConfig(n_groups=4, m=0.5, p_drop=rows)
+        cfg = TrainConfig(epochs=1, batch_size=2, mask=mask)
+        frames = tiny_frames(2)
+        out = sweep(frames, self.net(), cfg, "span_deg", [30.0], small_geom)
+        assert len(out) == 1
+        value, report = out[0]
+        assert value == 30.0 and math.isfinite(report.bce)
