@@ -46,6 +46,8 @@ for threads in 1 2; do
                 $TINY
             rmae mask --out mask 'mask.r_thresholds=[6.0,12.0]' $TINY
             rmae voxelize --out voxelize $TINY
+            # a grid smaller than the scene, so points are dropped
+            rmae voxelize --out voxelize-crop $TINY 'geometry.dims=[8,8,4]'
             rmae energy --out energy --stats mask/stats.json
             rmae energy --out energy-params --stats mask/stats.json \
                 energy.R=60.0 energy.tau=2e-9 energy.N_bits=10 \

@@ -4,11 +4,17 @@ Grids are regular Cartesian lattices; cylindrical coordinates are computed
 per voxel center on demand for the masking stage.  Voxel rows are kept in
 canonical lexicographic (ix, iy, iz) order so equal content always compares
 equal and every downstream iteration is deterministic.
+
+voxelize makes per-axis passes over contiguous point columns and groups the
+points by a per-cell count over the grid's linear index (8 bytes per cell),
+not by sorting them, so its rows come out in canonical order; VoxelGrid
+sorts only rows that are not already strictly increasing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -26,7 +32,7 @@ class GridGeometry:
     def __post_init__(self):
         if any(s <= 0 for s in self.voxel_size):
             raise ValueError("voxel_size must be positive")
-        if any(int(d) != d or d < 1 for d in self.dims):
+        if any(not isinstance(d, Integral) or d < 1 for d in self.dims):
             raise ValueError("dims must be positive integers")
 
     @property
@@ -73,8 +79,9 @@ class VoxelGrid:
             (self.coords < 0).any() or (self.coords >= dims).any()
         ):
             raise ValueError("voxel coordinate outside grid dims")
-        order = canonical_order(self.coords)
-        if not np.array_equal(order, np.arange(len(order))):
+        lin = np.ravel_multi_index(tuple(self.coords.T), self.geometry.dims)
+        if not (lin[1:] > lin[:-1]).all():
+            order = canonical_order(self.coords)
             self.coords = self.coords[order]
             self.feats = self.feats[order]
             self.counts = self.counts[order]
@@ -103,34 +110,49 @@ class OccupancyGrid:
 
 def voxelize(cloud: PointCloud, geom: GridGeometry) -> VoxelGrid:
     """Bucket points into voxels; out-of-extent points are dropped (their
-    count is kept on the grid's dropped_points field)."""
-    pts = cloud.data.astype(np.float64)
-    mins = np.asarray(geom.min_corner)
-    sizes = np.asarray(geom.voxel_size)
-    dims = np.asarray(geom.dims, dtype=np.int64)
+    count is kept on the grid's dropped_points field).
 
-    idx = np.floor((pts[:, :3] - mins) / sizes).astype(np.int64)
-    inside = ((idx >= 0) & (idx < dims)).all(axis=1)
-    dropped = int((~inside).sum())
-    idx = idx[inside]
-    pts = pts[inside]
-    uniq, inverse, counts = np.unique(
-        np.ravel_multi_index(tuple(idx.T), dims),
-        return_inverse=True,
-        return_counts=True,
-    )
-    coords = np.column_stack(np.unravel_index(uniq, dims))
+    Works on the transposed (4, N) float64 points, one contiguous row per
+    column, so each axis's floored index, bound check and center offset is
+    one pass over a row.  The bound check runs on the floored float, so only
+    inside indices are ever cast to integers.  Points are grouped by a
+    per-cell count (np.bincount over the linear index): voxel rows leave in
+    ascending linear index, which is canonical (ix, iy, iz) order, and each
+    voxel's sums add its points in input order.  The count and each sum are
+    transient arrays of 8 bytes per grid cell (512 KiB at 64x64x16).
+    """
+    cols = np.array(cloud.data.T, dtype=np.float64, order="C")
+    mins = np.asarray(geom.min_corner, dtype=np.float64)[:, None]
+    sizes = np.asarray(geom.voxel_size, dtype=np.float64)[:, None]
+    nx, ny, nz = geom.dims
 
-    offsets = pts[:, :3] - (mins + (idx + 0.5) * sizes)
-    feats = np.zeros((len(uniq), FEATURE_WIDTH), dtype=np.float64)
-    for c in range(3):
-        feats[:, c] = np.bincount(
-            inverse, weights=offsets[:, c], minlength=len(uniq)
-        )
-    feats[:, 3] = np.bincount(inverse, weights=pts[:, 3], minlength=len(uniq))
+    idx = cols[:3] - mins
+    idx /= sizes
+    np.floor(idx, out=idx)
+    inside = (idx[0] >= 0) & (idx[0] < nx)
+    inside &= (idx[1] >= 0) & (idx[1] < ny)
+    inside &= (idx[2] >= 0) & (idx[2] < nz)
+    dropped = len(inside) - int(np.count_nonzero(inside))
+    if dropped:
+        cols = cols[:, inside]
+        idx = idx[:, inside]
+    # exact in float64: every term is an integer below n_cells
+    lin = ((idx[0] * ny + idx[1]) * nz + idx[2]).astype(np.int64)
+    per_cell = np.bincount(lin, minlength=geom.n_cells)
+    uniq = np.flatnonzero(per_cell)
+    counts = per_cell[uniq]
+    coords = np.column_stack(np.unravel_index(uniq, geom.dims))
+
+    offsets = idx + 0.5  # x - (min + (i + 0.5) * size), in place
+    offsets *= sizes
+    offsets += mins
+    np.subtract(cols[:3], offsets, out=offsets)
+    feats = np.empty((len(uniq), FEATURE_WIDTH), dtype=np.float64)
+    for c, weights in enumerate((*offsets, cols[3])):
+        feats[:, c] = np.bincount(lin, weights, geom.n_cells)[uniq]
     feats /= counts[:, None]
 
-    return VoxelGrid(geom, coords, feats, counts.astype(np.int64), dropped)
+    return VoxelGrid(geom, coords, feats, counts, dropped)
 
 
 def grid_cylindrical(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:

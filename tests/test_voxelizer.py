@@ -1,6 +1,11 @@
 import math
+import warnings
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_grid, random_grid
 from rmae.pointcloud import PointCloud, SceneSpec, synth_scene
@@ -8,6 +13,7 @@ from rmae.voxelizer import (
     FEATURE_WIDTH,
     GridGeometry,
     VoxelGrid,
+    canonical_order,
     grid_cylindrical,
     occupancy_of,
     voxelize,
@@ -17,6 +23,136 @@ from rmae.voxelizer import (
 
 def cloud_from(pts):
     return PointCloud(np.asarray(pts, dtype=np.float32), frame_id="t")
+
+
+# --- sort-based reference for voxelize ---------------------------------------
+
+
+def sort_voxelize(cloud: PointCloud, geom: GridGeometry) -> VoxelGrid:
+    """voxelize as np.unique over the (N, 3) index rows: the grouping the
+    per-cell count replaced, kept as the reference it must equal byte for
+    byte.  Points beyond ~9.2e18 voxels cast undefined here; keep cases
+    nearer."""
+    pts = cloud.data.astype(np.float64)
+    mins = np.asarray(geom.min_corner)
+    sizes = np.asarray(geom.voxel_size)
+    dims = np.asarray(geom.dims, dtype=np.int64)
+
+    idx = np.floor((pts[:, :3] - mins) / sizes).astype(np.int64)
+    inside = ((idx >= 0) & (idx < dims)).all(axis=1)
+    dropped = int((~inside).sum())
+    idx = idx[inside]
+    pts = pts[inside]
+    uniq, inverse, counts = np.unique(
+        np.ravel_multi_index(tuple(idx.T), dims),
+        return_inverse=True,
+        return_counts=True,
+    )
+    coords = np.column_stack(np.unravel_index(uniq, dims))
+
+    offsets = pts[:, :3] - (mins + (idx + 0.5) * sizes)
+    feats = np.zeros((len(uniq), FEATURE_WIDTH), dtype=np.float64)
+    for c in range(3):
+        feats[:, c] = np.bincount(
+            inverse, weights=offsets[:, c], minlength=len(uniq)
+        )
+    feats[:, 3] = np.bincount(inverse, weights=pts[:, 3], minlength=len(uniq))
+    feats /= counts[:, None]
+
+    return VoxelGrid(geom, coords, feats, counts.astype(np.int64), dropped)
+
+
+def assert_same_bytes(grid: VoxelGrid, ref: VoxelGrid):
+    for name in ("coords", "feats", "counts"):
+        got, want = getattr(grid, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert grid.dropped_points == ref.dropped_points
+
+
+# dyadic corners and sizes, so float32 points can sit exactly on them
+EXACT = GridGeometry((-4.0, -2.0, -1.0), (0.5, 0.25, 0.5), (16, 16, 4))
+
+
+class TestAgainstSortOracle:
+    def check(self, cloud, geom):
+        grid = voxelize(cloud, geom)
+        assert_same_bytes(grid, sort_voxelize(cloud, geom))
+        return grid
+
+    def test_kitti_density_frame(self):
+        cloud = synth_scene(
+            SceneSpec(seed=5, sensor_rings=64, azimuth_step_deg=0.2)
+        )
+        grid = self.check(cloud, GridGeometry())
+        assert len(cloud) > 50_000 and len(grid) > 1_000
+
+    def test_points_beyond_every_face(self, small_geom):
+        rng = np.random.default_rng(16)
+        inside = rng.uniform(-1.5, 1.5, (300, 4))
+        lo = np.asarray(small_geom.min_corner)
+        hi = lo + np.asarray(small_geom.dims) * small_geom.voxel_size
+        beyond = []
+        for axis in range(3):
+            for face, step in ((lo, -0.3), (hi, 0.3)):
+                pts = rng.uniform(-1.5, 1.5, (20, 4))
+                pts[:, axis] = face[axis] + step * rng.uniform(0.01, 40, 20)
+                beyond.append(pts)
+        pts = np.concatenate([inside, *beyond])
+        grid = self.check(cloud_from(rng.permutation(pts)), small_geom)
+        assert grid.dropped_points == 120
+
+    def test_points_on_the_min_and_max_corners(self):
+        lo = np.asarray(EXACT.min_corner)
+        hi = lo + np.asarray(EXACT.dims) * EXACT.voxel_size
+        pts = [[*lo, 0.25], [*hi, 0.5], [hi[0], 0, 0, 1], [0, 0, hi[2], 1]]
+        grid = self.check(cloud_from(pts), EXACT)
+        assert grid.coords.tolist() == [[0, 0, 0]]
+        assert grid.dropped_points == 3
+
+    def test_single_point(self, small_geom):
+        self.check(cloud_from([[0.1, -2.3, 0.7, 0.9]]), small_geom)
+
+    def test_empty_cloud(self, small_geom):
+        self.check(PointCloud.empty(), small_geom)
+
+    def test_all_outside(self, small_geom):
+        far = cloud_from([[9, 0, 0, 1], [0, 0, -5, 1]])
+        grid = self.check(far, small_geom)
+        assert len(grid) == 0 and grid.dropped_points == 2
+
+
+def test_far_points_are_dropped_without_a_cast_warning():
+    geom = GridGeometry()
+    far = [[1, 1, 0, 0.5]]
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            pt = [1.0, 1.0, 0.0, 1.0]
+            pt[axis] = sign * 1e30
+            far.append(pt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = voxelize(cloud_from(far), geom)
+    assert grid.dropped_points == 6
+    assert len(grid) == 1 and grid.counts.tolist() == [1]
+
+
+# clouds straddling EXACT's faces; snapped to the 0.25 m lattice, their
+# points land exactly on voxel boundaries
+clouds = st.integers(0, 200).flatmap(
+    lambda n: arrays(
+        np.float32, (n, 4), elements=st.floats(-5.0, 5.0, width=32)
+    )
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(clouds, st.booleans())
+def test_voxelize_equals_sort_oracle(data, snap):
+    if snap:
+        data = np.round(data * 4) / 4
+    cloud = PointCloud(data)
+    assert_same_bytes(voxelize(cloud, EXACT), sort_voxelize(cloud, EXACT))
 
 
 class TestVoxelize:
@@ -98,6 +234,24 @@ class TestVoxelize:
         assert a == b
         lin = [tuple(c) for c in a.coords]
         assert lin == sorted(lin)
+
+    def test_duplicate_coords_keep_lexsort_order(self, small_geom):
+        coords = np.asarray([[1, 0, 0], [0, 4, 2], [1, 0, 0], [0, 4, 2]])
+        feats = np.arange(16, dtype=np.float64).reshape(4, 4)
+        counts = np.arange(1, 5)
+        grid = make_grid(small_geom, coords, feats, counts)
+        order = canonical_order(coords)
+        assert order.tolist() == [1, 3, 0, 2]
+        assert grid.coords.tolist() == coords[order].tolist()
+        assert grid.feats.tobytes() == feats[order].tobytes()
+        assert grid.counts.tolist() == counts[order].tolist()
+
+
+@pytest.mark.parametrize("dims", [(4.0, 4, 4), (4, 0, 4), (4, 4, 2.5)])
+def test_dims_must_be_positive_integers(dims):
+    with pytest.raises(ValueError, match="dims"):
+        GridGeometry((0, 0, 0), (1, 1, 1), dims)
+    GridGeometry((0, 0, 0), (1, 1, 1), tuple(np.arange(1, 4)))
 
 
 class TestVoxelCylindrical:
