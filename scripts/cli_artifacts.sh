@@ -58,6 +58,10 @@ for threads in 1 2; do
                 $TINY
             rmae pretrain --out sphere-batch2 $TINY query.mode=sphere \
                 train.batch_size=2
+            # a one-stage net, whose head decodes the latent itself
+            rmae pretrain --out one-stage $TINY 'net.stage_channels=[4]'
+            rmae eval --out one-stage-eval \
+                --checkpoint one-stage/checkpoint.rmae $TINY
             # the seeds of later epochs without remasking, the balanced
             # query draw and the exact-count mask draw
             rmae pretrain --out keyed $TINY train.epochs=2 \

@@ -8,7 +8,6 @@ from .layers import (
     SparseDownConv,
     SparseFeatureMap,
     SubmanifoldConv,
-    densify,
 )
 from .loss import QueryConfig, build_query_set, occupancy_loss
 from .network import (
@@ -30,7 +29,6 @@ __all__ = [
     "SparseFeatureMap",
     "SubmanifoldConv",
     "build_query_set",
-    "densify",
     "load_checkpoint",
     "occupancy_loss",
     "save_checkpoint",

@@ -1,13 +1,13 @@
 """Network primitives with explicit forward/backward passes.
 
-Parameters and batch-norm statistics are float64.  The dense layers,
-BatchNorm and densify compute in their input's dtype (the network feeds
-its decoder float32) and return float64 parameter gradients; the sparse
-convs compute in float64.  Each layer's forward returns (output, ctx)
-where ctx carries exactly what backward needs; backward returns the input
-gradient and a dict of parameter gradients.  Sparse maps keep their rows
-in canonical (ix, iy, iz) order throughout, and every accumulation loops
-kernel taps in one fixed order, so results are bitwise reproducible.
+Parameters and batch-norm statistics are float64.  The dense layers and
+BatchNorm compute in their input's dtype (the network feeds its decoder
+float32) and return float64 parameter gradients; the sparse convs compute
+in float64.  Each layer's forward returns (output, ctx) where ctx carries
+exactly what backward needs; backward returns the input gradient and a
+dict of parameter gradients.  Sparse maps keep their rows in canonical
+(ix, iy, iz) order throughout, and every accumulation loops kernel taps
+in one fixed order, so results are bitwise reproducible.
 
 The sparse convs run from a kernel map (the "rulebook" of submanifold
 sparse convs, Graham et al. 2018): a (27, M) table holding, per kernel tap
@@ -45,11 +45,13 @@ sparse conv of Gwak et al. 2020): the same phases, the same GEMM on the
 input's present rows plus one zero row, and the same tap order, but each
 tap's products reach the phase's output sites through a (taps, M) kernel
 map, built by _kernel_map at the phase's negated shifts, instead of by a
-slice shift.  Backward is the adjoint: each tap sends an output row to one
-input row, so grad_out rows are assigned into an (N + 1, taps, C_out)
-buffer through the map, and one GEMM per phase gives grad_w and one
-grad_in.  input_support gives the input sites a set of output sites reads,
-so a caller can decode only what it will look at.
+slice shift.  Without output sites a sparse call computes every output
+site and returns the dense tensor, so a decoder can start from a sparse
+map and continue dense.  Backward is the adjoint: each tap sends an output
+row to one input row, so grad_out rows are assigned into an
+(N + 1, taps, C_out) buffer through the map, and one GEMM per phase gives
+grad_w and one grad_in.  input_support gives the input sites a set of
+output sites reads, so a caller can decode only what it will look at.
 
 Only the head (DenseConv) has a bias, added last, dense or sparse: a batch
 norm follows every other conv and would cancel one.
@@ -89,7 +91,7 @@ class SparseFeatureMap:
 
     dims: tuple[int, int, int]
     coords: np.ndarray  # (N, 3) int64, canonical order
-    feats: np.ndarray  # (N, C) float64 in the encoder; densify casts
+    feats: np.ndarray  # (N, C) float64 in the encoder, float32 decoded
     neighbors: np.ndarray | None = field(
         default=None, compare=False, repr=False
     )
@@ -443,9 +445,13 @@ class _DenseTapConv:
                 plan.append((kernel, rows, table))
         return plan
 
-    def _sparse_forward(self, x: SparseFeatureMap, sites: np.ndarray):
+    def _sparse_forward(self, x: SparseFeatureMap, sites: np.ndarray | None):
         _check_width(x.feats, self.in_ch, type(self).__name__)
         dtype = x.feats.dtype
+        dims = tuple(len(self.axis_taps) * n for n in x.dims)
+        dense = sites is None
+        if dense:  # every output site, in canonical order
+            sites = np.indices(dims).reshape(3, -1).T
         # a zero last row is what a tap reads where x has no row
         padded = np.concatenate([x.feats, np.zeros((1, self.in_ch), dtype)])
         plan = self._sparse_phases(x, sites)
@@ -461,7 +467,9 @@ class _DenseTapConv:
                 for j, reads in enumerate(table[taps]):
                     buf += np.take(slabs, reads * n_taps + j, axis=0)
             out[rows] = buf
-        dims = tuple(len(self.axis_taps) * n for n in x.dims)
+        if dense:
+            out = np.ascontiguousarray(out.T).reshape((self.out_ch,) + dims)
+            return out, [plan, x]
         return SparseFeatureMap(dims, sites, out), [plan, x]
 
     def _sparse_backward(self, plan, x: SparseFeatureMap, grad_out):
@@ -470,7 +478,7 @@ class _DenseTapConv:
         grad_in = np.zeros_like(padded)
         grad_w = np.zeros_like(self.weight)
         for kernel, rows, table in plan:
-            g = grad_out.feats[rows]
+            g = site_rows(grad_out)[rows]
             # a tap sends each output row to its own input row, so the
             # adjoint of forward's gather is an assignment; outputs that
             # read nothing land on the zero row, which adds nothing to
@@ -491,7 +499,8 @@ class _DenseTapConv:
         """Dense: x is (C_in, X, Y, Z); returns the (C_out, sX, sY, sZ)
         output and the ctx [x].  Sparse: x is a SparseFeatureMap, absent
         rows reading as zero, and sites the (M, 3) output sites; returns
-        the output map on sites and the ctx [plan, x]."""
+        the output map on sites, or with sites None the dense output, and
+        the ctx [plan, x]."""
         if isinstance(x, SparseFeatureMap):
             return self._sparse_forward(x, sites)
         if x.ndim != 4 or x.shape[0] != self.in_ch:
@@ -531,8 +540,9 @@ class _DenseTapConv:
 
     def backward(self, ctx, grad_out):
         """Dense: grad_out is (C_out, sX, sY, sZ) and the input gradient
-        is dense too.  Sparse: grad_out is a map on forward's output sites
-        and the input gradient a map on x's sites."""
+        is dense too.  Sparse: grad_out is a map on forward's output sites,
+        or dense when forward was given no sites, and the input gradient
+        a map on x's sites."""
         if not ctx:
             raise StaleCache(
                 f"{type(self).__name__} backward: ctx already consumed"
@@ -606,20 +616,3 @@ class DenseConv(_DenseTapConv):
         grads["bias"] = site_rows(grad_out).sum(axis=0, dtype=np.float64)
         return grad_in, grads
 
-
-def densify(x: SparseFeatureMap, dtype=np.float64) -> np.ndarray:
-    """Sparse map to a dense (C, X, Y, Z) tensor of the given dtype, zeros
-    at absent sites."""
-    c = x.channel_width
-    dense = np.zeros((c,) + tuple(x.dims), dtype=dtype)
-    if len(x):
-        dense[:, x.coords[:, 0], x.coords[:, 1], x.coords[:, 2]] = x.feats.T
-    return dense
-
-
-def densify_backward(x: SparseFeatureMap, grad_dense: np.ndarray) -> np.ndarray:
-    """The gradient of x.feats, in their dtype."""
-    if len(x) == 0:
-        return np.zeros_like(x.feats)
-    g = grad_dense[:, x.coords[:, 0], x.coords[:, 1], x.coords[:, 2]].T
-    return g.astype(x.feats.dtype, copy=False)

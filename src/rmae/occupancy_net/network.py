@@ -13,28 +13,31 @@ named_layers() all walk the two lists, backward in reverse.
   the table travels with the map: the first submanifold conv at each
   resolution builds it and the others at that resolution reuse it.
 - decoder: stages (deconv name, deconv, bn name, bn), each stride-2
-  transposed conv -> batch norm -> ReLU, from the densified coarsest
-  latent (absent sites are zero) to full resolution, where a 3x3x3 head
-  emits one logit per voxel.
+  transposed conv -> batch norm -> ReLU, from the sparse coarsest latent
+  (absent sites read as zero) to full resolution, where a 3x3x3 head
+  emits one logit per voxel.  The first decoder layer (the head in a
+  one-stage net) always runs sparse and reads only the latent's present
+  rows ("transform, then gather"; see layers).
 
 Every conv but the head feeds a batch norm, whose mean subtraction would
 cancel a bias (Ioffe & Szegedy 2015), so only the head has one.
 
-Given a query (the cells a loss reads), forward decodes sparsely instead
-("transform, then gather"; see layers): the head computes only the query
-cells, deconv1 only the sites the head reads, deconv0 only the sites
-deconv1 reads, straight from the sparse latent.  Each decoder batch norm
-then normalizes over its decoded support, as batch norm does over active
-sites in sparse-conv networks; over the full grid this is the dense
-decode.  The logits outside the query are NaN.
+Without a query the first decoder layer computes every site of its
+output and hands the dense tensor to the dense layers after it.  Given a
+query (the cells a loss reads), every decoder layer runs sparse: the head
+computes only the query cells, deconv1 only the sites the head reads,
+deconv0 only the sites deconv1 reads.  Each decoder batch norm then
+normalizes over its decoded support, as batch norm does over active sites
+in sparse-conv networks; over the full grid this is the dense decode.
+The logits outside the query are NaN.
 
 A training forward's tape keeps what each layer's backward reads (a
 ReLU's output stays as the next layer's input, or as the latent, and
 backward takes the ReLU's mask from it), and backward consumes it; an
 eval forward keeps no decoder stage, so its tape serves no backward.
 
-The decoder computes in DECODER_DTYPE (float32): the densified latent,
-each deconv, batch norm and ReLU, and the head.  Everything that
+The decoder computes in DECODER_DTYPE (float32): the latent, cast on
+entry, each deconv, batch norm and ReLU, and the head.  Everything that
 persists stays float64 (mixed precision with float64 master weights,
 Micikevicius et al. 2018): the parameters and the gradients backward
 returns, the batch norms' batch and running statistics, the encoder, and
@@ -56,8 +59,6 @@ from .layers import (
     SparseDownConv,
     SparseFeatureMap,
     SubmanifoldConv,
-    densify,
-    densify_backward,
     sigmoid,
     site_rows,
 )
@@ -230,10 +231,9 @@ class OccupancyNet:
 
         if query is None:
             supports = [None] * (len(self.decoder) + 1)
-            x = densify(x, DECODER_DTYPE)
         else:
             supports = self._supports(query, visible.dims)
-            x = replace(x, feats=x.feats.astype(DECODER_DTYPE))
+        x = replace(x, feats=x.feats.astype(DECODER_DTYPE))
         for (_, deconv, _, bn), sites in zip(self.decoder, supports):
             y, ctx = deconv.forward(x, sites)
             mat, c_bn = bn.forward(site_rows(y), training)
@@ -306,10 +306,7 @@ class OccupancyNet:
         g, sub = layer.backward(ctx, g)
         store(name, sub)
 
-        if sites is None:
-            g = densify_backward(latent, g)
-        else:
-            g = g.feats.astype(latent.feats.dtype)
+        g = g.feats.astype(latent.feats.dtype)
         units = tape.pop("encoder")  # empty when the encoder saw nothing
         g_skip = None  # gradient into a residual block's input via its skip
         out = latent  # the output of the unit being walked back

@@ -119,8 +119,17 @@ class SceneSpec:
         lo, hi = self.box_size
         if lo <= 0 or hi < lo:
             raise InvalidSpec("box_size range must satisfy 0 < lo <= hi")
-        if self.sensor_rings < 1 or self.azimuth_step_deg <= 0:
-            raise InvalidSpec("ring/azimuth sampling must be positive")
+        if (
+            self.sensor_rings < 1
+            or self.azimuth_step_deg <= 0
+            or self.azimuth_samples < 1
+        ):
+            raise InvalidSpec("need one ring and one azimuth sample per ring")
+
+    @property
+    def azimuth_samples(self) -> int:
+        """Ground points per ring."""
+        return int(round(360.0 / self.azimuth_step_deg))
 
 
 def synth_scene(spec: SceneSpec) -> PointCloud:
@@ -143,7 +152,7 @@ def synth_scene(spec: SceneSpec) -> PointCloud:
     for _ in range(spec.sensor_rings):
         radii.append(min(r, spec.ground_extent))
         r *= growth
-    n_az = int(round(360.0 / spec.azimuth_step_deg))
+    n_az = spec.azimuth_samples
     for ring_r in radii:
         phi = (np.arange(n_az) + rng.uniform(0, 1, n_az) * 0.5) * (
             2.0 * np.pi / n_az

@@ -209,7 +209,13 @@ class TestSweeps:
 
 class TestBadInput:
     @pytest.mark.parametrize(
-        "override", ["synth.ground_extent=-1", "synth.box_size=[3,1]"]
+        "override",
+        [
+            "synth.ground_extent=-1",
+            "synth.box_size=[3,1]",
+            # round(360 / 720) is no azimuth sample per ring
+            "synth.azimuth_step_deg=720",
+        ],
     )
     def test_bad_synth_value_is_config_error(self, override, tmp_path, capsys):
         out = tmp_path / "out"

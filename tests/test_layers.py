@@ -16,8 +16,6 @@ from rmae.occupancy_net.layers import (
     SubmanifoldConv,
     _shift_slices,
     _TAPS_PER_GEMM,
-    densify,
-    densify_backward,
 )
 
 
@@ -47,7 +45,10 @@ def random_sparse(dims, n, cin, rng) -> SparseFeatureMap:
 
 
 def dense_of(x: SparseFeatureMap) -> np.ndarray:
-    return densify(x)
+    """The dense (C, X, Y, Z) tensor of x, zeros at absent sites."""
+    dense = np.zeros((x.channel_width,) + tuple(x.dims), dtype=x.feats.dtype)
+    dense[(slice(None),) + tuple(x.coords.T)] = x.feats.T
+    return dense
 
 
 def shift_dense(dense, off):
@@ -857,24 +858,6 @@ class TestDenseForwardAgainstSliceShift:
         np.testing.assert_allclose(out, ref, rtol=1e-15, atol=atol)
 
 
-class TestDensify:
-    def test_round_trip(self):
-        rng = np.random.default_rng(19)
-        x = random_sparse((5, 4, 3), 15, 4, rng)
-        dense = densify(x)
-        assert dense.shape == (4, 5, 4, 3)
-        back = densify_backward(x, dense)
-        assert np.array_equal(back, x.feats)
-
-    def test_absent_sites_zero(self):
-        rng = np.random.default_rng(20)
-        x = random_sparse((5, 4, 3), 5, 2, rng)
-        dense = densify(x)
-        mask = np.zeros((5, 4, 3), dtype=bool)
-        mask[x.coords[:, 0], x.coords[:, 1], x.coords[:, 2]] = True
-        assert (dense[:, ~mask] == 0).all()
-
-
 class TestFloat32Input:
     """Layers fed float32 compute in float32 and return float64 parameter
     gradients; batch statistics stay float64."""
@@ -921,16 +904,6 @@ class TestFloat32Input:
         for name, ref_g in ref_grads.items():
             assert grads[name].dtype == np.float64, name
             np.testing.assert_allclose(grads[name], ref_g, rtol=1e-5, atol=1e-4)
-
-    def test_densify(self):
-        rng = np.random.default_rng(42)
-        x = random_sparse((5, 4, 3), 15, 4, rng)
-        dense = densify(x, np.float32)
-        assert dense.dtype == np.float32
-        assert np.array_equal(dense, densify(x).astype(np.float32))
-        back = densify_backward(x, dense)
-        assert back.dtype == np.float64
-        assert np.array_equal(back, x.feats.astype(np.float32))
 
 
 # --- finite-difference checks, one layer kind at a time ---------------------
@@ -1041,8 +1014,9 @@ class TestFiniteDifferences:
 
 # --- sparse calls of the dense layers ----------------------------------------
 #
-# A sparse call computes the dense layer at chosen output sites, reading
-# absent input rows as zero: the dense layer run on densify(x) is its oracle.
+# A sparse call computes the dense layer at chosen output sites, or at every
+# site when given none, reading absent input rows as zero: the dense layer
+# run on dense_of(x) is its oracle.
 
 
 def random_sites(dims, fraction, rng) -> np.ndarray:
@@ -1077,23 +1051,31 @@ LAYER_CASES = [
 
 
 class TestSparseCallAgainstDense:
+    @pytest.mark.parametrize("site_fraction", [0.4, 1.0])
     @pytest.mark.parametrize("cls, cin, cout, dims", LAYER_CASES)
     @pytest.mark.parametrize("fill", [0.0, 0.3, 1.0])
-    def test_forward_and_backward_at_the_sites(self, cls, cin, cout, dims, fill):
+    def test_forward_and_backward_at_the_sites(
+        self, cls, cin, cout, dims, fill, site_fraction
+    ):
         rng = np.random.default_rng(50)
         layer = cls(cin, cout, rng)
         draw_head_bias(layer, rng)
         x = random_sparse(dims, int(fill * np.prod(dims)), cin, rng)
         stride = len(cls.axis_taps)
         out_dims = tuple(stride * n for n in dims)
-        sites = random_sites(out_dims, 0.4, rng)
+        sites = random_sites(out_dims, site_fraction, rng)
         at = (slice(None),) + tuple(sites.T)
+        every = len(sites) == np.prod(out_dims)
 
-        dense, dense_ctx = layer.forward(densify(x))
+        dense, dense_ctx = layer.forward(dense_of(x))
         y, ctx = layer.forward(x, sites)
         assert y.dims == out_dims
         assert np.array_equal(y.coords, sites)
         assert_rel_close(y.feats, dense[at].T)
+        if every:  # the same sums in the same order as the dense call
+            assert np.array_equal(y.feats, dense[at].T)
+            full, full_ctx = layer.forward(x)  # no sites: the dense output
+            assert np.array_equal(full, dense)
 
         probe = rng.normal(0, 1, (len(sites), cout))
         grad_dense = np.zeros_like(dense)
@@ -1109,6 +1091,13 @@ class TestSparseCallAgainstDense:
         assert ctx == []
         with pytest.raises(StaleCache):
             layer.backward(ctx, SparseFeatureMap(out_dims, sites, probe))
+        if every:  # the full-support call takes a dense grad_out
+            grad_x, grads = layer.backward(full_ctx, grad_dense)
+            assert np.array_equal(grad_x.coords, x.coords)
+            if len(x):
+                assert_rel_close(grad_x.feats, ref_in[(slice(None),) + tuple(x.coords.T)].T)
+            for name, ref_g in ref.items():
+                assert_rel_close(grads[name], ref_g)
 
     @pytest.mark.parametrize("cls, cin, cout, dims", LAYER_CASES)
     def test_float32_map_computes_in_float32(self, cls, cin, cout, dims):

@@ -377,6 +377,35 @@ class TestSparseDecode:
         assert grads["head.bias"].any()
         assert all(np.isfinite(g).all() for g in grads.values())
 
+    @pytest.mark.parametrize("mode", ["all_voxels", "sphere"])
+    def test_one_stage_net(self, mode):
+        """One stage has no deconv: the head reads the latent itself."""
+        x, truth, _ = toy_problem(10)
+        query = build_query_set(truth, x.coords, QueryConfig(mode, 1.0))
+        at = np.zeros(truth.o.shape, dtype=bool)
+        at[tuple(query.T)] = True
+        assert at.all() == (mode == "all_voxels")
+        net = toy_net(seed=3, stages=(4,))
+        assert not net.decoder
+        q = query if mode == "sphere" else None
+        pred, tape = net.forward(x, training=True, query=q)
+        assert pred.logits.shape == truth.o.shape
+        assert np.isfinite(pred.logits[at]).all()
+        assert np.isnan(pred.logits[~at]).all()
+        _, grad_logits = occupancy_loss(pred.logits, truth, query)
+        grads = net.backward(tape, grad_logits)
+        assert grads.keys() == dict(net.parameters()).keys()
+        assert all(np.isfinite(g).all() for g in grads.values())
+        assert grads["head.weight"].any() and grads["stem.weight"].any()
+        net.commit_batch_stats(tape["bn_stats"])
+        full, _ = net.forward(x)
+        assert np.isfinite(full.logits).all()
+        # without decoder batch norms a query changes only what is computed
+        train, _ = net.forward(x, training=True)
+        np.testing.assert_allclose(
+            pred.logits[at], train.logits[at], rtol=1e-5, atol=1e-6
+        )
+
     def test_eval_mode_sparse_equals_dense_at_the_query(self):
         """Eval mode normalizes with the running statistics, so only the
         query cells differ: they are the dense logits there."""

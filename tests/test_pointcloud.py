@@ -165,8 +165,17 @@ class TestSynthScene:
         without = synth_scene(SceneSpec(seed=9, occlusion=False))
         assert len(with_occ) < len(without)
 
+    def test_widest_azimuth_step_samples_once_per_ring(self):
+        spec = SceneSpec(box_count=0, sensor_rings=3, azimuth_step_deg=719.0)
+        assert spec.azimuth_samples == 1
+        assert len(synth_scene(spec)) == 3
+
     def test_degenerate_spec(self):
         with pytest.raises(InvalidSpec):
             SceneSpec(ground_extent=0.0)
         with pytest.raises(InvalidSpec):
             SceneSpec(box_size=(0.0, 1.0))
+        # round(360 / step) is no azimuth sample per ring
+        for step in (720.0, 1000.0, float("inf")):
+            with pytest.raises(InvalidSpec, match="azimuth sample"):
+                SceneSpec(azimuth_step_deg=step)
