@@ -69,6 +69,11 @@ for threads in 1 2; do
                 mask.selection_mode=exact_count train.optimizer=sgd
             rmae eval --out keyed-eval --checkpoint keyed/checkpoint.rmae \
                 $TINY query.balance_empty=true mask.selection_mode=exact_count
+            # a mask that leaves so few voxels that some kernel taps of
+            # the encoder find exactly one present neighbour pair
+            rmae pretrain --out sparse-mask $TINY mask.m=0.95
+            rmae eval --out sparse-mask-eval \
+                --checkpoint sparse-mask/checkpoint.rmae $TINY mask.m=0.95
             # per-group drop rows, which an angular sweep cuts to row 0
             rmae sweep-angle --out sweep-angle-rows \
                 'sweep.spans_deg=[90.0,30.0]' $TINY mask.n_groups=4 \

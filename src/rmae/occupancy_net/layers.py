@@ -9,19 +9,19 @@ dict of parameter gradients.  Sparse maps keep their rows in canonical
 (ix, iy, iz) order throughout, and every accumulation loops kernel taps
 in one fixed order, so results are bitwise reproducible.
 
-The sparse convs run from a kernel map (the "rulebook" of submanifold
-sparse convs, Graham et al. 2018): a (27, M) table holding, per kernel tap
-and output row, the input row it reads, or N where that site is absent.
-It is built with one broadcast over the 27 offsets through an index
-volume, and a stride-1 conv hands it on with its output map, whose support
-is the input's, so every conv at one resolution shares one table.  The
-forward then gathers the input, padded with a zero row, for
-_TAPS_PER_GEMM taps at a time into a (taps, M, C_in) array, makes one
-batched GEMM against those taps' (taps, C_in, C_out) weights, and adds
-the per-tap products onto zeros in tap order: the same full-height
-products, added in the same order, as a per-tap loop.  Each tap's (input
-rows, output rows) pairs come from the table in ascending output order
-when backward needs them.
+The sparse convs run from a kernel map: a (27, M) table holding, per
+kernel tap and output row, the input row it reads, or N where that site is
+absent.  It is built with one broadcast over the 27 offsets through an
+index volume, and a stride-1 conv hands it on with its output map, whose
+support is the input's, so every conv at one resolution shares one table.
+From the table the forward takes each tap's present (output rows, input
+rows) pairs, in ascending output order: the "rulebook" of sparse convs
+(Graham et al. 2018; Choy et al. 2019).  Per tap, in tap order, it
+gathers the input rows, multiplies them by the tap's (C_in, C_out)
+weight and adds the products onto the output rows, so no product is
+formed for an absent neighbour; backward walks the same pairs.  (A
+one-pair tap's product runs as a matrix-vector product, which may round
+differently in the last place from a row of a taller GEMM.)
 
 The dense decoder layers run "transform, then shift": the taps that write
 one output phase (one parity class of a strided output; the whole output
@@ -66,8 +66,8 @@ import numpy as np
 
 from ..errors import DegenerateBatch, ShapeError, StaleCache
 
-# taps per forward GEMM: bounds the slab of per-tap results at 9 taps
-# (27 taps take three GEMMs, a deconv phase's 8 taps one)
+# taps per dense decoder forward GEMM: bounds the slab of per-tap results
+# at 9 taps (the head's 27 taps take three GEMMs, a deconv phase's 8 one)
 _TAPS_PER_GEMM = 9
 
 OFFSETS3 = [
@@ -126,10 +126,11 @@ def _check_width(feats: np.ndarray, expected: int, what: str) -> None:
 
 
 class _SparseConv:
-    """A 3x3x3 sparse convolution run from a kernel map (see the module
-    docstring).  Subclasses give, in _output_sites, the output's dims and
-    coords, the (27, M) table of input rows per tap and output row, and
-    the kernel map the output map carries (or None)."""
+    """A 3x3x3 sparse convolution run on the present pairs of a kernel map
+    (see the module docstring).  Subclasses give, in _output_sites, the
+    output's dims and coords, the (27, M) table of input rows per tap and
+    output row, and the kernel map the output map carries (or None).  The
+    ctx is (x, pairs), each tap's (output rows, input rows)."""
 
     kind = "sparse_conv"
 
@@ -148,32 +149,23 @@ class _SparseConv:
     def forward(self, x: SparseFeatureMap):
         _check_width(x.feats, self.in_ch, type(self).__name__)
         dims, coords, table, neighbors = self._output_sites(x)
-        padded = np.concatenate([x.feats, np.zeros((1, self.in_ch))])
         out = np.zeros((len(coords), self.out_ch))
-        # one buffer takes every chunk's products, so a chunk's GEMM never
-        # runs while the previous chunk's products are still held
-        products = np.empty((_TAPS_PER_GEMM, len(coords), self.out_ch))
-        for lo in range(0, len(table), _TAPS_PER_GEMM):
-            taps = slice(lo, lo + _TAPS_PER_GEMM)
-            chunk = products[: len(table[taps])]
-            # full-height neighbor matrices (zeros where absent) keep the
-            # gemm shape fixed, so results are independent of sparsity
-            np.matmul(padded[table[taps]], self.weight[taps], out=chunk)
-            for product in chunk:
-                out += product
-        return SparseFeatureMap(dims, coords, out, neighbors), (x, table)
-
-    def backward(self, ctx, grad_out: np.ndarray):
-        x, table = ctx
-        grad_in = np.zeros_like(x.feats)
-        grad_w = np.zeros_like(self.weight)
+        pairs = []
         for t, rows in enumerate(table):
             out_rows = np.flatnonzero(rows < len(x))
-            if len(out_rows):
-                in_rows = rows[out_rows]
-                g = grad_out[out_rows]
-                grad_in[in_rows] += g @ self.weight[t].T
-                grad_w[t] = x.feats[in_rows].T @ g
+            in_rows = rows[out_rows]
+            out[out_rows] += x.feats[in_rows] @ self.weight[t]
+            pairs.append((out_rows, in_rows))
+        return SparseFeatureMap(dims, coords, out, neighbors), (x, pairs)
+
+    def backward(self, ctx, grad_out: np.ndarray):
+        x, pairs = ctx
+        grad_in = np.zeros_like(x.feats)
+        grad_w = np.zeros_like(self.weight)
+        for t, (out_rows, in_rows) in enumerate(pairs):
+            g = grad_out[out_rows]
+            grad_in[in_rows] += g @ self.weight[t].T
+            grad_w[t] = x.feats[in_rows].T @ g
         return grad_in, {"weight": grad_w}
 
 

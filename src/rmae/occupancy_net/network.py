@@ -34,7 +34,8 @@ The logits outside the query are NaN.
 A training forward's tape keeps what each layer's backward reads (a
 ReLU's output stays as the next layer's input, or as the latent, and
 backward takes the ReLU's mask from it), and backward consumes it; an
-eval forward keeps no decoder stage, so its tape serves no backward.
+eval forward keeps neither encoder units nor decoder stages, so its tape
+serves no backward.
 
 The decoder computes in DECODER_DTYPE (float32): the latent, cast on
 entry, each deconv, batch norm and ReLU, and the head.  Everything that
@@ -216,8 +217,8 @@ class OccupancyNet:
                 f, c_bn = bn.forward(y.feats, training)
                 if training:
                     stats.append((bn, c_bn[2]))
+                    units.append((c_conv, c_bn))
                 f = np.maximum(skip.feats + f if residual else f, 0.0)
-                units.append((c_conv, c_bn))
                 skip, x = x, SparseFeatureMap(
                     y.dims, y.coords, f, y.neighbors
                 )

@@ -17,6 +17,10 @@ from .errors import InvalidSpec, MalformedFile
 _RECORD_BYTES = 16
 _POINT_DTYPE = np.dtype("<f4")
 
+# the most ground points (sensor_rings * 360 / azimuth_step_deg) a scene may
+# ask for: 14 times a 64-beam scan at 0.08 degrees (288,000 points)
+MAX_GROUND_POINTS = 4_000_000
+
 
 class PointCloud:
     """Ordered, immutable point sequence backed by an (N, 4) float32 array."""
@@ -119,11 +123,12 @@ class SceneSpec:
         lo, hi = self.box_size
         if lo <= 0 or hi < lo:
             raise InvalidSpec("box_size range must satisfy 0 < lo <= hi")
-        if (
-            self.sensor_rings < 1
-            or self.azimuth_step_deg <= 0
-            or self.azimuth_samples < 1
-        ):
+        rings = min(self.sensor_rings, MAX_GROUND_POINTS + 1)  # fits a float
+        if rings < 1 or not self.azimuth_step_deg > 0:
+            raise InvalidSpec("need one ring and one azimuth sample per ring")
+        if not rings * 360.0 / self.azimuth_step_deg <= MAX_GROUND_POINTS:
+            raise InvalidSpec(f"more than {MAX_GROUND_POINTS} ground points")
+        if self.azimuth_samples < 1:
             raise InvalidSpec("need one ring and one azimuth sample per ring")
 
     @property

@@ -215,6 +215,9 @@ class TestBadInput:
             "synth.box_size=[3,1]",
             # round(360 / 720) is no azimuth sample per ring
             "synth.azimuth_step_deg=720",
+            # too many ground points; 360 / 5e-324 is inf
+            "synth.azimuth_step_deg=1e-300",
+            "synth.azimuth_step_deg=5e-324",
         ],
     )
     def test_bad_synth_value_is_config_error(self, override, tmp_path, capsys):

@@ -14,6 +14,7 @@ from rmae.occupancy_net.layers import (
     SparseDownConv,
     SparseFeatureMap,
     SubmanifoldConv,
+    _kernel_map,
     _shift_slices,
     _TAPS_PER_GEMM,
 )
@@ -95,7 +96,8 @@ class TestSubmanifoldConv:
             layer = SubmanifoldConv(4, 5, rng)
             out, _ = layer.forward(x)
             ref = dense_conv_at_sites(dense_of(x), x.coords, layer.weight)
-            assert np.array_equal(out.feats, ref)
+            _, _, gathers = per_tap_submanifold(layer, x)
+            assert_equal_unless_one_pair_tap(out.feats, ref, gathers)
 
     def test_single_voxel(self):
         rng = np.random.default_rng(2)
@@ -158,7 +160,8 @@ class TestSparseDownConv:
                     if all(0 <= v[a] < x.dims[a] for a in range(3)):
                         rows[i] = dense[:, v[0], v[1], v[2]]
                 ref += rows @ layer.weight[t]
-            assert np.array_equal(out.feats, ref)
+            _, _, gathers = per_tap_down(layer, x)
+            assert_equal_unless_one_pair_tap(out.feats, ref, gathers)
 
     def test_odd_dims_round_up(self):
         rng = np.random.default_rng(7)
@@ -173,8 +176,11 @@ class TestSparseDownConv:
 # dense index volume, a zero-filled full-height neighbor matrix and one
 # (rows, C_in) @ (C_in, C_out) GEMM, added onto zeros in tap order; and
 # its backward over the recorded (input rows, output rows) pairs.  The
-# layers form the same products in one batched GEMM and add them in the
-# same order, so they must agree bit for bit.
+# layers multiply only the present rows and add them in the same order,
+# so they agree bit for bit, except where a tap has a single present
+# pair: numpy then runs the (1, C_in) @ (C_in, C_out) product as a
+# matrix-vector product, which may round differently in the last place
+# from the same row of the full-height GEMM.
 
 
 def _index_volume(dims, coords) -> np.ndarray:
@@ -277,20 +283,60 @@ def assert_bitwise(actual, expect):
     assert actual.tobytes() == expect.tobytes()
 
 
+def assert_rel_close(actual, expect, tol=1e-12):
+    """Max abs difference within tol of the reference's max magnitude."""
+    assert actual.shape == expect.shape
+    scale = max(float(np.abs(expect).max()), 1e-300)
+    err = float(np.abs(actual - expect).max()) / scale
+    assert err <= tol, f"relative error {err:.3g} > {tol:g}"
+
+
+def assert_equal_unless_one_pair_tap(actual, expect, gathers) -> bool:
+    """A sparse forward equals its full-height reference bit for bit, except
+    that a row written by a tap with exactly one present pair may differ
+    within 1e-14 relative (see above); returns whether every row matched
+    bit for bit."""
+    assert actual.shape == expect.shape and actual.dtype == expect.dtype
+    word = np.dtype(f"u{actual.itemsize}")
+    differs = (
+        np.ascontiguousarray(actual).view(word)
+        != np.ascontiguousarray(expect).view(word)
+    ).any(axis=1)
+    if not differs.any():
+        return True
+    one_pair = np.zeros(len(actual), dtype=bool)
+    for _, out_rows in gathers:
+        if len(out_rows) == 1:
+            one_pair[out_rows] = True
+    assert one_pair[differs].all(), "a row no one-pair tap writes differs"
+    assert_rel_close(actual[differs], expect[differs], tol=1e-14)
+    return False
+
+
 def check_sparse_against_per_tap(layer, x, rng):
-    """Forward and backward of layer on x equal the per-tap reference bit
-    for bit; returns the forward's output."""
+    """Forward and backward of layer on x equal the per-tap reference (the
+    forward as assert_equal_unless_one_pair_tap states, the backward bit
+    for bit), and the ctx holds the reference's per-tap pairs; returns the
+    forward's output and whether its comparison was bitwise."""
     out, ctx = layer.forward(x)
     ref, ref_coords, gathers = PER_TAP_SPARSE[type(layer)](layer, x)
     assert_bitwise(out.coords, ref_coords)
-    assert_bitwise(out.feats, ref)
+    bitwise = assert_equal_unless_one_pair_tap(out.feats, ref, gathers)
+    # the submanifold reference records no tap for an empty input
+    none = (np.empty(0, np.int64),) * 2
+    assert len(ctx[1]) == 27
+    for (out_rows, in_rows), (ref_in, ref_out) in zip(
+        ctx[1], gathers or [none] * 27
+    ):
+        assert_bitwise(out_rows, ref_out)
+        assert_bitwise(in_rows, ref_in)
     probe = rng.normal(0, 1, ref.shape)
     grad_in, grads = layer.backward(ctx, probe)
     ref_in, ref_w = per_tap_sparse_backward(layer, x, gathers, probe)
     assert grads.keys() == {"weight"}
     assert_bitwise(grad_in, ref_in)
     assert_bitwise(grads["weight"], ref_w)
-    return out
+    return out, bitwise
 
 
 class TestSparseAgainstPerTap:
@@ -310,7 +356,8 @@ class TestSparseAgainstPerTap:
         rng = np.random.default_rng(40)
         layer = cls(cin, cout, rng)
         x = random_sparse(dims, n, cin, rng)
-        check_sparse_against_per_tap(layer, x, rng)
+        _, bitwise = check_sparse_against_per_tap(layer, x, rng)
+        assert bitwise
 
     @pytest.mark.parametrize("cls", [SubmanifoldConv, SparseDownConv])
     @pytest.mark.parametrize(
@@ -320,7 +367,10 @@ class TestSparseAgainstPerTap:
         rng = np.random.default_rng(41)
         layer = cls(3, 5, rng)
         x = random_sparse(dims, n, 3, rng)
-        check_sparse_against_per_tap(layer, x, rng)
+        _, bitwise = check_sparse_against_per_tap(layer, x, rng)
+        # only these two inputs' down convs have a differing one-pair row
+        if cls is SubmanifoldConv or n not in (1, 40):
+            assert bitwise
 
     @pytest.mark.parametrize("cls", [SubmanifoldConv, SparseDownConv])
     def test_map_carrying_an_earlier_convs_table(self, cls):
@@ -330,7 +380,8 @@ class TestSparseAgainstPerTap:
         assert y.neighbors is not None
         x = SparseFeatureMap(y.dims, y.coords, np.tanh(y.feats), y.neighbors)
         layer = cls(4, 6, rng)
-        out = check_sparse_against_per_tap(layer, x, rng)
+        out, bitwise = check_sparse_against_per_tap(layer, x, rng)
+        assert bitwise
         if cls is SubmanifoldConv:
             assert out.neighbors is y.neighbors
         else:
@@ -338,25 +389,28 @@ class TestSparseAgainstPerTap:
 
     def test_one_table_per_level_in_the_default_net(self):
         """In a training forward every submanifold conv at one resolution
-        reads the same kernel map object: the default net builds three."""
+        reads the same kernel map object, which its output map carries:
+        the default net builds three."""
         rng = np.random.default_rng(43)
         net = OccupancyNet(NetConfig())
         x = random_sparse((64, 64, 16), 1500, 4, rng)
         _, tape = net.forward(x, training=True)
+        # each unit's output map: the next unit's input, and the latent
+        inputs = [c_conv[0] for c_conv, _ in tape["encoder"]]
+        outputs = inputs[1:] + [tape["latent"]]
         tables = {}
-        units = zip(net.encoder, tape["encoder"])
-        for (name, conv, *_), (c_conv, _) in units:
+        for (name, conv, *_), y in zip(net.encoder, outputs):
             if isinstance(conv, SubmanifoldConv):
                 level = "0" if name == "stem" else name[len("block")]
-                tables.setdefault(level, set()).add(id(c_conv[1]))
+                tables.setdefault(level, set()).add(id(y.neighbors))
         assert sorted(tables) == ["0", "1", "2"]
         assert all(len(ids) == 1 for ids in tables.values())
         assert len(set.union(*tables.values())) == 3
 
 
 def one_gemm_forward(layer, x, table):
-    """The sparse conv forward as a single batched GEMM over all 27 taps:
-    the reference for the forward that multiplies a few taps at a time."""
+    """The sparse conv forward as a single batched GEMM over all 27 taps,
+    full height, zero rows where a neighbour is absent."""
     padded = np.concatenate([x.feats, np.zeros((1, layer.in_ch))])
     out = np.zeros((table.shape[1], layer.out_ch))
     for product in np.matmul(padded[table], layer.weight):
@@ -373,24 +427,16 @@ def peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-class TestChunkedSparseForward:
-    @pytest.mark.parametrize("cls", [SubmanifoldConv, SparseDownConv])
-    def test_equals_one_batched_gemm(self, cls):
-        rng = np.random.default_rng(44)
-        layer = cls(16, 24, rng)
-        x = random_sparse((32, 32, 16), 3000, 16, rng)
-        out, (_, table) = layer.forward(x)
-        assert_bitwise(out.feats, one_gemm_forward(layer, x, table))
-
+class TestSparseForwardMemory:
     def test_peak_memory_under_half_of_one_batched_gemm(self):
         rng = np.random.default_rng(45)
         layer = SubmanifoldConv(16, 16, rng)
         x = random_sparse((32, 32, 16), 3000, 16, rng)
-        _, (_, table) = layer.forward(x)
+        table = _kernel_map(x.dims, x.coords, x.coords)
         x = SparseFeatureMap(x.dims, x.coords, x.feats, table)
-        chunked = peak_bytes(lambda: layer.forward(x))
+        per_tap = peak_bytes(lambda: layer.forward(x))
         one_gemm = peak_bytes(lambda: one_gemm_forward(layer, x, table))
-        assert chunked < one_gemm / 2
+        assert per_tap < one_gemm / 2
 
 
 class TestBatchNorm:
@@ -699,14 +745,6 @@ def per_tap_backward(taps, weight, x, grad_out):
             x[src], gslab, axes=([1, 2, 3], [1, 2, 3])
         )
     return grad_in, grad_w
-
-
-def assert_rel_close(actual, expect, tol=1e-12):
-    """Max abs difference within tol of the reference's max magnitude."""
-    assert actual.shape == expect.shape
-    scale = max(float(np.abs(expect).max()), 1e-300)
-    err = float(np.abs(actual - expect).max()) / scale
-    assert err <= tol, f"relative error {err:.3g} > {tol:g}"
 
 
 class TestDenseAgainstPerTap:

@@ -82,6 +82,16 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.forward(x)
 
+    def test_eval_tape_keeps_no_encoder_unit_or_decoder_stage(self):
+        rng = np.random.default_rng(4)
+        net = toy_net()
+        x = sparse_input((8, 8, 4), 25, 2, rng)
+        _, tape = net.forward(x)
+        assert tape["encoder"] == [] and tape["decoder"] == []
+        _, tape = net.forward(x, training=True)
+        assert len(tape["encoder"]) == len(net.encoder)
+        assert len(tape["decoder"]) == len(net.decoder)
+
     def test_stale_cache(self):
         net = toy_net()
         with pytest.raises(StaleCache):

@@ -6,6 +6,7 @@ import pytest
 
 from rmae.errors import InvalidSpec, MalformedFile
 from rmae.pointcloud import (
+    MAX_GROUND_POINTS,
     PointCloud,
     SceneSpec,
     cylindrical_arrays,
@@ -179,3 +180,18 @@ class TestSynthScene:
         for step in (720.0, 1000.0, float("inf")):
             with pytest.raises(InvalidSpec, match="azimuth sample"):
                 SceneSpec(azimuth_step_deg=step)
+
+    def test_ground_point_budget(self):
+        """Specs are only constructed here: no scene is generated."""
+        kitti = SceneSpec(sensor_rings=64, azimuth_step_deg=0.08)
+        assert 64 * kitti.azimuth_samples == 288_000 < MAX_GROUND_POINTS / 10
+        SceneSpec(sensor_rings=MAX_GROUND_POINTS, azimuth_step_deg=360.0)
+        for rings, step in [
+            (MAX_GROUND_POINTS + 1, 360.0),
+            (10**400, 360.0),  # no float holds rings
+            (28, 1e-300),
+            (28, 5e-324),  # 360 / step is inf
+            (1, 360.0 / (MAX_GROUND_POINTS + 1)),
+        ]:
+            with pytest.raises(InvalidSpec, match="ground points"):
+                SceneSpec(sensor_rings=rings, azimuth_step_deg=step)
