@@ -62,6 +62,11 @@ for threads in 1 2; do
             rmae pretrain --out one-stage $TINY 'net.stage_channels=[4]'
             rmae eval --out one-stage-eval \
                 --checkpoint one-stage/checkpoint.rmae $TINY
+            # a four-stage net: a third down conv and a fourth level
+            rmae pretrain --out four-stage $TINY \
+                'net.stage_channels=[4,8,8,8]' query.mode=sphere
+            rmae eval --out four-stage-eval \
+                --checkpoint four-stage/checkpoint.rmae $TINY query.mode=sphere
             # the seeds of later epochs without remasking, the balanced
             # query draw and the exact-count mask draw
             rmae pretrain --out keyed $TINY train.epochs=2 \

@@ -35,7 +35,7 @@ from .trainer import (
     write_loss_csv,
     write_sweep_csv,
 )
-from .voxelizer import GridGeometry, voxelize, write_debug_dump
+from .voxelizer import FEATURE_WIDTH, GridGeometry, voxelize, write_debug_dump
 
 COMMANDS = (
     "voxelize",
@@ -325,8 +325,36 @@ _SWEEPS = {
 }
 
 
+def _runnable_net(cfg: RunConfig) -> OccupancyNet:
+    """The net the command runs (the checkpoint's for eval, a new one of
+    cfg.net otherwise), once it is known to read the grid: ConfigError
+    unless its input width is the voxel feature width and its downsample
+    factor divides every grid dim."""
+    if cfg.command != "eval":
+        net, source = OccupancyNet(cfg.net), ""
+    elif cfg.checkpoint is None:
+        raise ConfigError("eval requires --checkpoint")
+    else:
+        net, source = load_checkpoint(cfg.checkpoint), f"{cfg.checkpoint}: "
+    width, factor = net.config.in_channels, net.config.downsample_factor
+    if width != FEATURE_WIDTH:
+        raise ConfigError(
+            f"{source}net.in_channels is {width}, but a voxel has"
+            f" {FEATURE_WIDTH} features"
+        )
+    if any(d % factor for d in cfg.geometry.dims):
+        raise ConfigError(
+            f"{source}geometry.dims {list(cfg.geometry.dims)} must be"
+            f" divisible by the downsample factor {factor} of"
+            f" net.stage_channels {list(net.config.stage_channels)}"
+        )
+    return net
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one command; raises on failure (main maps to exit codes)."""
+    if cfg.command in ("pretrain", "eval", *_SWEEPS):
+        net = _runnable_net(cfg)
     cfg.out.mkdir(parents=True, exist_ok=True)
     _json_dump(cfg.out / "resolved_config.json", cfg.to_json_dict())
 
@@ -378,7 +406,6 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "pretrain":
-        net = OccupancyNet(cfg.net)
         net, history = pretrain(frames, cfg.train, net, cfg.geometry)
         _atomic(
             cfg.out / "checkpoint.rmae",
@@ -390,9 +417,6 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "eval":
-        if cfg.checkpoint is None:
-            raise ConfigError("eval requires --checkpoint")
-        net = load_checkpoint(cfg.checkpoint)
         report = evaluate(frames, net, cfg.mask, cfg.query, cfg.geometry)
         _json_dump(cfg.out / "eval.json", report.to_json_dict())
         return 0
@@ -402,7 +426,7 @@ def run(cfg: RunConfig) -> int:
         train_frames, eval_frames = _split_frames(frames, cfg)
         rows = sweep(
             train_frames,
-            OccupancyNet(cfg.net),
+            net,
             cfg.train,
             label,
             list(getattr(cfg.sweep, key)),

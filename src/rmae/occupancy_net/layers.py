@@ -9,19 +9,18 @@ dict of parameter gradients.  Sparse maps keep their rows in canonical
 (ix, iy, iz) order throughout, and every accumulation loops kernel taps
 in one fixed order, so results are bitwise reproducible.
 
-The sparse convs run from a kernel map: a (27, M) table holding, per
-kernel tap and output row, the input row it reads, or N where that site is
-absent.  It is built with one broadcast over the 27 offsets through an
-index volume, and a stride-1 conv hands it on with its output map, whose
-support is the input's, so every conv at one resolution shares one table.
-From the table the forward takes each tap's present (output rows, input
-rows) pairs, in ascending output order: the "rulebook" of sparse convs
-(Graham et al. 2018; Choy et al. 2019).  Per tap, in tap order, it
-gathers the input rows, multiplies them by the tap's (C_in, C_out)
-weight and adds the products onto the output rows, so no product is
-formed for an absent neighbour; backward walks the same pairs.  (A
-one-pair tap's product runs as a matrix-vector product, which may round
-differently in the last place from a row of a taller GEMM.)
+The sparse convs run from a rulebook (Graham et al. 2018; Choy et al.
+2019): per kernel tap, the present (output rows, input rows) pairs in
+ascending output order.  _rulebook takes them from a kernel map, a
+(27, M) table of the input row each tap reads per output row, built with
+one broadcast over the 27 offsets through an index volume.  A stride-1
+conv hands its rulebook on with its output map, whose support is the
+input's, so every conv at one resolution shares one rulebook.  Per tap,
+in tap order, forward gathers the input rows, multiplies them by the
+tap's (C_in, C_out) weight and adds the products onto the output rows,
+so no product is formed for an absent neighbour; backward walks the same
+pairs.  (A one-pair tap's product runs as a matrix-vector product, which
+may round differently in the last place from a row of a taller GEMM.)
 
 The dense decoder layers run "transform, then shift": the taps that write
 one output phase (one parity class of a strided output; the whole output
@@ -67,7 +66,8 @@ import numpy as np
 from ..errors import DegenerateBatch, ShapeError, StaleCache
 
 # taps per dense decoder forward GEMM: bounds the slab of per-tap results
-# at 9 taps (the head's 27 taps take three GEMMs, a deconv phase's 8 one)
+# at 9 taps (the head's 27 taps take three GEMMs, a deconv phase's 8 one);
+# one GEMM per phase is bitwise equal but adds 7 MiB or more to peak RSS
 _TAPS_PER_GEMM = 9
 
 OFFSETS3 = [
@@ -83,18 +83,16 @@ _OFFSETS = np.array(OFFSETS3, dtype=np.int64)  # (27, 3)
 class SparseFeatureMap:
     """Sparse voxel features at some (possibly strided) resolution.
 
-    neighbors, when set, is the map's kernel map: a (27, N) int64 table
-    whose [t, i] is the row at coords[i] + OFFSETS3[t], or N where that
-    site is absent.  It depends on coords alone, so maps that share
-    coords may share it.
+    rulebook, when set, is what a stride-1 conv on the map reads: per
+    tap of OFFSETS3, the rows i and j with coords[i] + offset at
+    coords[j] (see _rulebook).  It depends on coords alone, so maps that
+    share coords may share it.
     """
 
     dims: tuple[int, int, int]
     coords: np.ndarray  # (N, 3) int64, canonical order
     feats: np.ndarray  # (N, C) float64 in the encoder, float32 decoded
-    neighbors: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
+    rulebook: list | None = field(default=None, compare=False, repr=False)
 
     @property
     def channel_width(self) -> int:
@@ -118,6 +116,14 @@ def _kernel_map(dims, coords, sites, offsets=_OFFSETS) -> np.ndarray:
     return vol.ravel()[at + (offsets @ step)[:, None]]
 
 
+def _rulebook(dims, coords, sites) -> list:
+    """Per tap of OFFSETS3, the (rows of sites, rows of coords) pairs
+    where sites[i] + offset is coords[j], in ascending i."""
+    table = _kernel_map(dims, coords, sites)
+    present = [np.flatnonzero(rows < len(coords)) for rows in table]
+    return [(out, rows[out]) for rows, out in zip(table, present)]
+
+
 def _check_width(feats: np.ndarray, expected: int, what: str) -> None:
     if feats.shape[1] != expected:
         raise ShapeError(
@@ -126,11 +132,10 @@ def _check_width(feats: np.ndarray, expected: int, what: str) -> None:
 
 
 class _SparseConv:
-    """A 3x3x3 sparse convolution run on the present pairs of a kernel map
-    (see the module docstring).  Subclasses give, in _output_sites, the
-    output's dims and coords, the (27, M) table of input rows per tap and
-    output row, and the kernel map the output map carries (or None).  The
-    ctx is (x, pairs), each tap's (output rows, input rows)."""
+    """A 3x3x3 sparse convolution run on a rulebook (see the module
+    docstring).  Subclasses give, in _output_sites, the output's dims and
+    coords, the rulebook from x's rows to them, and the rulebook the
+    output map carries (or None).  The ctx is (x, rulebook)."""
 
     kind = "sparse_conv"
 
@@ -148,15 +153,11 @@ class _SparseConv:
 
     def forward(self, x: SparseFeatureMap):
         _check_width(x.feats, self.in_ch, type(self).__name__)
-        dims, coords, table, neighbors = self._output_sites(x)
+        dims, coords, pairs, carried = self._output_sites(x)
         out = np.zeros((len(coords), self.out_ch))
-        pairs = []
-        for t, rows in enumerate(table):
-            out_rows = np.flatnonzero(rows < len(x))
-            in_rows = rows[out_rows]
-            out[out_rows] += x.feats[in_rows] @ self.weight[t]
-            pairs.append((out_rows, in_rows))
-        return SparseFeatureMap(dims, coords, out, neighbors), (x, pairs)
+        for (out_rows, in_rows), w in zip(pairs, self.weight):
+            out[out_rows] += x.feats[in_rows] @ w
+        return SparseFeatureMap(dims, coords, out, carried), (x, pairs)
 
     def backward(self, ctx, grad_out: np.ndarray):
         x, pairs = ctx
@@ -171,13 +172,11 @@ class _SparseConv:
 
 class SubmanifoldConv(_SparseConv):
     """3x3x3 stride-1 sparse convolution; output support = input support,
-    so the output carries the input's kernel map, built here if absent."""
+    so the output carries the input's rulebook, built here if absent."""
 
     def _output_sites(self, x: SparseFeatureMap):
-        table = x.neighbors
-        if table is None:
-            table = _kernel_map(x.dims, x.coords, x.coords)
-        return x.dims, x.coords, table, table
+        pairs = x.rulebook or _rulebook(x.dims, x.coords, x.coords)
+        return x.dims, x.coords, pairs, pairs
 
 
 class SparseDownConv(_SparseConv):
@@ -204,7 +203,7 @@ class SparseDownConv(_SparseConv):
         sites = sites + lin[:, 2, None, None, :]
         lin = np.unique(sites[hit])
         coords = np.column_stack(np.unravel_index(lin, odims)).astype(np.int64)
-        return odims, coords, _kernel_map(x.dims, x.coords, 2 * coords), None
+        return odims, coords, _rulebook(x.dims, x.coords, 2 * coords), None
 
 
 class BatchNorm:

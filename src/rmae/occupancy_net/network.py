@@ -9,9 +9,9 @@ named_layers() all walk the two lists, backward in reverse.
   submanifold stem, then per resolution a stride-2 sparse downsample
   (none at full resolution) and a residual block of two submanifold
   units, the second adding the first one's input.  A unit's output map
-  keeps its conv output's kernel map (SparseFeatureMap.neighbors), so
-  the table travels with the map: the first submanifold conv at each
-  resolution builds it and the others at that resolution reuse it.
+  keeps its conv output's rulebook (SparseFeatureMap.rulebook): the
+  first submanifold conv at each resolution builds it and the others at
+  that resolution reuse it.
 - decoder: stages (deconv name, deconv, bn name, bn), each stride-2
   transposed conv -> batch norm -> ReLU, from the sparse coarsest latent
   (absent sites read as zero) to full resolution, where a 3x3x3 head
@@ -219,9 +219,7 @@ class OccupancyNet:
                     stats.append((bn, c_bn[2]))
                     units.append((c_conv, c_bn))
                 f = np.maximum(skip.feats + f if residual else f, 0.0)
-                skip, x = x, SparseFeatureMap(
-                    y.dims, y.coords, f, y.neighbors
-                )
+                skip, x = x, replace(y, feats=f)
         else:
             x = SparseFeatureMap(
                 coarse,

@@ -277,6 +277,55 @@ class TestBadInput:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pretrain", "net.in_channels=3"],
+            ["sweep-ratio", "net.in_channels=5", "sweep.ratios=[0.5]"],
+            # the downsample factor of three stages is 4
+            ["pretrain", "geometry.dims=[15,16,8]"],
+            ["sweep-angle", "geometry.dims=[16,16,6]", "sweep.spans_deg=[5]"],
+        ],
+        ids=" ".join,
+    )
+    def test_net_that_cannot_read_the_grid_is_config_error(
+        self, argv, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = cli.main(argv[:1] + ["--out", str(out)] + TINY + argv[1:])
+        assert code == cli.EXIT_CONFIG == 3
+        key = argv[1].split("=")[0]
+        assert f"error: ConfigError: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, overrides, key",
+        [
+            (NetConfig(stage_channels=(4, 8, 8)), ["geometry.dims=[18,16,8]"],
+             "geometry.dims"),
+            (NetConfig(in_channels=3, stage_channels=(4, 8, 8)), [],
+             "net.in_channels"),
+        ],
+        ids=["dims", "in-channels"],
+    )
+    def test_eval_of_a_net_that_cannot_read_the_grid_is_config_error(
+        self, config, overrides, key, tmp_path, capsys
+    ):
+        checkpoint = tmp_path / "net.rmae"
+        save_checkpoint(OccupancyNet(config), checkpoint)
+        out = tmp_path / "out"
+        argv = ["eval", "--out", str(out), "--checkpoint", str(checkpoint)]
+        assert cli.main(argv + TINY + overrides) == cli.EXIT_CONFIG == 3
+        err = capsys.readouterr().err
+        assert f"error: ConfigError: {checkpoint}: {key} " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mask", "voxelize"])
+    def test_a_command_without_a_net_takes_any_dims(self, command, tmp_path):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)] + TINY + ["geometry.dims=[15,16,8]"]
+        assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize(
         "content, with_frames",
         [([], False), (["notes.txt"], False), ([], True)],
         ids=["empty", "no-bin", "beside-a-frame"],

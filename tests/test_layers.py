@@ -15,6 +15,7 @@ from rmae.occupancy_net.layers import (
     SparseFeatureMap,
     SubmanifoldConv,
     _kernel_map,
+    _rulebook,
     _shift_slices,
     _TAPS_PER_GEMM,
 )
@@ -377,20 +378,21 @@ class TestSparseAgainstPerTap:
         rng = np.random.default_rng(42)
         first = SubmanifoldConv(3, 4, rng)
         y, _ = first.forward(random_sparse((9, 8, 6), 150, 3, rng))
-        assert y.neighbors is not None
-        x = SparseFeatureMap(y.dims, y.coords, np.tanh(y.feats), y.neighbors)
+        assert y.rulebook is not None
+        x = SparseFeatureMap(y.dims, y.coords, np.tanh(y.feats), y.rulebook)
         layer = cls(4, 6, rng)
         out, bitwise = check_sparse_against_per_tap(layer, x, rng)
         assert bitwise
         if cls is SubmanifoldConv:
-            assert out.neighbors is y.neighbors
-        else:
-            assert out.neighbors is None
+            assert out.rulebook is y.rulebook
+        else:  # its rulebook reads the finer map, so its output has none
+            assert out.rulebook is None
 
     def test_one_table_per_level_in_the_default_net(self):
         """In a training forward every submanifold conv at one resolution
-        reads the same kernel map object, which its output map carries:
-        the default net builds three."""
+        reads the same rulebook object, which its ctx holds and its output
+        map carries; each down conv builds its own, so the default net
+        builds five."""
         rng = np.random.default_rng(43)
         net = OccupancyNet(NetConfig())
         x = random_sparse((64, 64, 16), 1500, 4, rng)
@@ -398,14 +400,23 @@ class TestSparseAgainstPerTap:
         # each unit's output map: the next unit's input, and the latent
         inputs = [c_conv[0] for c_conv, _ in tape["encoder"]]
         outputs = inputs[1:] + [tape["latent"]]
-        tables = {}
-        for (name, conv, *_), y in zip(net.encoder, outputs):
+        rulebooks = {}
+        built = set()
+        for (name, conv, *_), (c_conv, _), y in zip(
+            net.encoder, tape["encoder"], outputs
+        ):
+            built.add(id(c_conv[1]))
             if isinstance(conv, SubmanifoldConv):
                 level = "0" if name == "stem" else name[len("block")]
-                tables.setdefault(level, set()).add(id(y.neighbors))
-        assert sorted(tables) == ["0", "1", "2"]
-        assert all(len(ids) == 1 for ids in tables.values())
-        assert len(set.union(*tables.values())) == 3
+                rulebooks.setdefault(level, set()).update(
+                    {id(c_conv[1]), id(y.rulebook)}
+                )
+            else:
+                assert y.rulebook is None
+        assert sorted(rulebooks) == ["0", "1", "2"]
+        assert all(len(ids) == 1 for ids in rulebooks.values())
+        assert len(set.union(*rulebooks.values())) == 3
+        assert len(built) == 5
 
 
 def one_gemm_forward(layer, x, table):
@@ -433,7 +444,8 @@ class TestSparseForwardMemory:
         layer = SubmanifoldConv(16, 16, rng)
         x = random_sparse((32, 32, 16), 3000, 16, rng)
         table = _kernel_map(x.dims, x.coords, x.coords)
-        x = SparseFeatureMap(x.dims, x.coords, x.feats, table)
+        pairs = _rulebook(x.dims, x.coords, x.coords)
+        x = SparseFeatureMap(x.dims, x.coords, x.feats, pairs)
         per_tap = peak_bytes(lambda: layer.forward(x))
         one_gemm = peak_bytes(lambda: one_gemm_forward(layer, x, table))
         assert per_tap < one_gemm / 2
