@@ -74,6 +74,17 @@ for threads in 1 2; do
                 mask.selection_mode=exact_count train.optimizer=sgd
             rmae eval --out keyed-eval --checkpoint keyed/checkpoint.rmae \
                 $TINY query.balance_empty=true mask.selection_mode=exact_count
+            # a balanced sphere query, whose draw keeps canonical order
+            rmae pretrain --out sphere-balanced $TINY query.mode=sphere \
+                query.balance_empty=true query.sphere_radius=1.5 \
+                train.epochs=2
+            rmae eval --out sphere-balanced-eval \
+                --checkpoint sphere-balanced/checkpoint.rmae $TINY \
+                query.mode=sphere query.balance_empty=true \
+                query.sphere_radius=1.5
+            # a three-stage net down to a coarsest level of [3,3,1]
+            rmae pretrain --out odd-coarse $TINY 'geometry.dims=[12,12,4]' \
+                query.mode=sphere
             # a mask that leaves so few voxels that some kernel taps of
             # the encoder find exactly one present neighbour pair
             rmae pretrain --out sparse-mask $TINY mask.m=0.95

@@ -40,8 +40,8 @@ sums its taps in the same fixed order on every run.
 
 The same layers also run sparse, "transform, then gather", when given a
 SparseFeatureMap and the output sites wanted (the generative transposed
-sparse conv of Gwak et al. 2020): the same phases, the same GEMM on the
-input's present rows plus one zero row, and the same tap order, but each
+sparse conv of Gwak et al. 2020): the same phases, one GEMM per phase on
+the input's present rows plus one zero row, the same tap order, but each
 tap's products reach the phase's output sites through a (taps, M) kernel
 map, built by _kernel_map at the phase's negated shifts, instead of by a
 slice shift.  Without output sites a sparse call computes every output
@@ -65,7 +65,7 @@ import numpy as np
 
 from ..errors import DegenerateBatch, ShapeError, StaleCache
 
-# taps per dense decoder forward GEMM: bounds the slab of per-tap results
+# taps per GEMM of the dense forward: bounds its slab of per-tap results
 # at 9 taps (the head's 27 taps take three GEMMs, a deconv phase's 8 one);
 # one GEMM per phase is bitwise equal but adds 7 MiB or more to peak RSS
 _TAPS_PER_GEMM = 9
@@ -182,7 +182,9 @@ class SubmanifoldConv(_SparseConv):
 class SparseDownConv(_SparseConv):
     """3x3x3 stride-2 sparse convolution onto the half-resolution lattice;
     an output site exists iff any input voxel falls in its receptive
-    field."""
+    field.  Each voxel marks the at most 8 sites whose field holds it on a
+    boolean grid of the output dims, and np.argwhere lists the marked
+    sites in canonical order."""
 
     @staticmethod
     def out_dims(dims) -> tuple[int, int, int]:
@@ -191,18 +193,14 @@ class SparseDownConv(_SparseConv):
     def _output_sites(self, x: SparseFeatureMap):
         odims = self.out_dims(x.dims)
         # input x reaches output u through tap t when x = 2u + OFFSETS3[t],
-        # which holds axis by axis: candidates per (voxel, axis, offset)
-        num = x.coords[:, :, None] - np.arange(-1, 2)  # (N, 3, 3)
-        u = num >> 1  # num // 2, also at num = -1
-        ok = (num & 1 == 0) & (u >= 0) & (u < np.array(odims)[:, None])
-        lin = u * np.array([odims[1] * odims[2], odims[2], 1])[:, None]
-        # tap (i, j, k) joins offset i on x, j on y, k on z: (N, 3, 3, 3)
-        hit = ok[:, 0, :, None, None] & ok[:, 1, None, :, None]
-        hit = hit & ok[:, 2, None, None, :]
-        sites = lin[:, 0, :, None, None] + lin[:, 1, None, :, None]
-        sites = sites + lin[:, 2, None, None, :]
-        lin = np.unique(sites[hit])
-        coords = np.column_stack(np.unravel_index(lin, odims)).astype(np.int64)
+        # so per axis u is x >> 1 or (x + 1) >> 1; the latter past the last
+        # output row is clipped onto x >> 1, which the former marks anyway
+        last = np.array(odims) - 1
+        ends = (x.coords >> 1, np.minimum((x.coords + 1) >> 1, last))
+        hit = np.zeros(odims, dtype=bool)
+        for a, b, c in itertools.product(ends, repeat=3):
+            hit[a[:, 0], b[:, 1], c[:, 2]] = True
+        coords = np.argwhere(hit)
         return odims, coords, _rulebook(x.dims, x.coords, 2 * coords), None
 
 
@@ -448,15 +446,12 @@ class _DenseTapConv:
         plan = self._sparse_phases(x, sites)
         out = np.empty((len(sites), self.out_ch), dtype=dtype)
         for kernel, rows, table in plan:
+            w = self._stacked_weight(kernel, dtype)
+            # (N + 1, taps, C_out) products, one row per (row, tap)
+            slabs = (padded @ w.T).reshape(-1, self.out_ch)
             buf = np.zeros((len(rows), self.out_ch), dtype=dtype)
-            for lo in range(0, len(kernel), _TAPS_PER_GEMM):
-                taps = slice(lo, lo + _TAPS_PER_GEMM)
-                w = self._stacked_weight(kernel[taps], dtype)
-                # (N + 1, taps, C_out) products, one row per (row, tap)
-                slabs = (padded @ w.T).reshape(-1, self.out_ch)
-                n_taps = len(kernel[taps])
-                for j, reads in enumerate(table[taps]):
-                    buf += np.take(slabs, reads * n_taps + j, axis=0)
+            for j, reads in enumerate(table):
+                buf += np.take(slabs, reads * len(kernel) + j, axis=0)
             out[rows] = buf
         if dense:
             out = np.ascontiguousarray(out.T).reshape((self.out_ch,) + dims)

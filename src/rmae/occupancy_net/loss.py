@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyQuerySet, ShapeError
-from ..voxelizer import OccupancyGrid, canonical_order
+from ..voxelizer import OccupancyGrid
 from .layers import sigmoid
 
 
@@ -27,7 +27,7 @@ class QueryConfig:
             raise ValueError(
                 f"query mode must be all_voxels or sphere, got {self.mode!r}"
             )
-        if self.sphere_radius < 0:
+        if not self.sphere_radius >= 0:  # also rejects NaN
             raise ValueError("sphere_radius must be non-negative")
 
 
@@ -81,40 +81,40 @@ def build_query_set(
     """Query voxel coordinates for one sample, canonical order.
 
     all_voxels: every grid cell.  sphere: the union of L2 balls of
-    sphere_radius (voxel units) around the visible voxels.  With
-    balance_empty, the majority occupancy class is subsampled (seeded) to
-    the minority's size; if one class is absent the set is returned as is.
+    sphere_radius (voxel units) around the visible voxels, marked on a
+    boolean grid and listed by np.argwhere.  Any radius works: a stencil
+    offset longer than an axis reaches no cell, so each axis's reach is
+    clipped to the grid, and the ball points are marked a bounded chunk of
+    visible voxels at a time.  With balance_empty, the majority occupancy
+    class is subsampled (seeded) to the minority's size; if one class is
+    absent the set is returned as is.
     """
     dims = truth.geometry.dims
     if q.mode == "all_voxels":
         coords = np.indices(dims).reshape(3, -1).T.astype(np.int64)
     else:
-        visible_coords = np.asarray(visible_coords, dtype=np.int64).reshape(
-            -1, 3
-        )
+        visible = np.asarray(visible_coords, dtype=np.int64).reshape(-1, 3)
         r = q.sphere_radius
-        ri = int(np.floor(r))
-        span = np.arange(-ri, ri + 1)
-        sx, sy, sz = np.meshgrid(span, span, span, indexing="ij")
-        stencil = np.column_stack([sx.ravel(), sy.ravel(), sz.ravel()])
+        reach = np.array([int(min(r, d - 1)) for d in dims])
+        stencil = np.indices(2 * reach + 1).reshape(3, -1).T - reach
         stencil = stencil[(stencil**2).sum(axis=1) <= r * r]
-        pts = (visible_coords[:, None, :] + stencil[None, :, :]).reshape(
-            -1, 3
-        )
-        pts = pts[((pts >= 0) & (pts < np.asarray(dims))).all(axis=1)]
-        lin = np.unique(np.ravel_multi_index(tuple(pts.T), dims))
-        coords = np.column_stack(np.unravel_index(lin, dims)).astype(np.int64)
+        hit = np.zeros(dims, dtype=bool)
+        chunk = max(1, hit.size // len(stencil))  # rows: ~a grid of points
+        for lo in range(0, len(visible), chunk):
+            pts = visible[lo : lo + chunk, None] + stencil
+            pts = pts[((pts >= 0) & (pts < dims)).all(axis=2)]
+            hit[tuple(pts.T)] = True
+        coords = np.argwhere(hit)
     if q.balance_empty and len(coords):
         occ = truth.o[coords[:, 0], coords[:, 1], coords[:, 2]].astype(bool)
-        pos = coords[occ]
-        neg = coords[~occ]
+        pos, neg = np.flatnonzero(occ), np.flatnonzero(~occ)
         small = min(len(pos), len(neg))
         if small > 0:
             rng = np.random.default_rng(seed)
-            if len(pos) > small:
-                pos = pos[rng.choice(len(pos), small, replace=False)]
-            if len(neg) > small:
-                neg = neg[rng.choice(len(neg), small, replace=False)]
-            coords = np.concatenate([pos, neg], axis=0)
-            coords = coords[canonical_order(coords)]
+            keep = np.zeros(len(coords), dtype=bool)
+            for rows in (pos, neg):  # only the majority is drawn from
+                if len(rows) > small:
+                    rows = rows[rng.choice(len(rows), small, replace=False)]
+                keep[rows] = True
+            coords = coords[keep]
     return coords

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,26 @@ def random_grid(geom: GridGeometry, n: int, rng: np.random.Generator) -> VoxelGr
     ).astype(np.int64)
     feats = rng.normal(0, 1, (n, FEATURE_WIDTH))
     return make_grid(geom, coords, feats)
+
+
+def down_sites_oracle(coords, dims) -> np.ndarray:
+    """A stride-2 sparse conv's output sites, canonical order, by brute
+    force over every (voxel, offset) pair: voxel x reaches output u
+    through offset o when x = 2u + o, with u inside the output dims."""
+    odims = [(d + 1) // 2 for d in dims]
+    sites = set()
+    for x in np.asarray(coords).tolist():
+        for off in itertools.product((-1, 0, 1), repeat=3):
+            num = [a - o for a, o in zip(x, off)]
+            if all(n % 2 == 0 and 0 <= n // 2 < d for n, d in zip(num, odims)):
+                sites.add(tuple(n // 2 for n in num))
+    return np.array(sorted(sites), dtype=np.int64).reshape(-1, 3)
+
+
+def ball_oracle(dims, visible, radius) -> np.ndarray:
+    """The cells, canonical order, within radius (L2, voxel units) of some
+    visible voxel, by brute force over every (cell, voxel) pair."""
+    cells = np.indices(dims).reshape(3, -1).T
+    visible = np.asarray(visible, dtype=np.int64).reshape(-1, 3)
+    d2 = ((cells[:, None, :] - visible[None]) ** 2).sum(axis=2)
+    return cells[(d2 <= radius * radius).any(axis=1)]

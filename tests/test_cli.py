@@ -2,6 +2,7 @@ import csv
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from rmae import cli, trainer
@@ -25,6 +26,14 @@ def _with_header(raw: bytes, header: bytes) -> bytes:
     """A checkpoint's bytes with its config json replaced by header."""
     (length,) = struct.unpack("<I", raw[8:12])
     return raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + length :]
+
+
+def _with_layer_count(raw: bytes, count: int) -> bytes:
+    """A checkpoint's bytes with its layer count, after the config json,
+    set to count."""
+    (length,) = struct.unpack("<I", raw[8:12])
+    at = 12 + length
+    return raw[:at] + struct.pack("<I", count) + raw[at + 4 :]
 
 
 class TestExitCodes:
@@ -62,6 +71,9 @@ class TestExitCodes:
             lambda raw: _with_header(raw, b'{"stage_channels": [0, 8, 8]}'),
             lambda raw: _with_header(raw, b'{"stage_channels\xff": [4]}'),
             lambda raw: raw.replace(b"stem", b"st\xffm", 1),  # a layer name
+            lambda raw: _with_layer_count(raw, 1),
+            lambda raw: raw.replace(b"weight", b"wexght", 1),  # stem's
+            lambda raw: raw + b"\0",
         ],
         ids=[
             "truncated",
@@ -70,6 +82,9 @@ class TestExitCodes:
             "bad-value",
             "not-utf8",
             "name-not-utf8",
+            "layer-count",
+            "unexpected-tensor",
+            "trailing-bytes",
         ],
     )
     def test_corrupt_checkpoint_is_malformed(self, corrupt, tmp_path, capsys):
@@ -130,6 +145,24 @@ class TestExitCodes:
         assert "error: Diverged:" in capsys.readouterr().err
         assert not (out / "checkpoint.rmae").exists()
         assert not (out / "loss.csv").exists()
+
+    def test_non_finite_gradient_stops_before_the_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        backward = OccupancyNet.backward
+
+        def nan_in_one_tensor(self, tape, grad_logits):
+            grads = backward(self, tape, grad_logits)
+            grads["head.bias"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(OccupancyNet, "backward", nan_in_one_tensor)
+        out = tmp_path / "out"
+        code = cli.main(["pretrain", "--out", str(out)] + TINY)
+        assert code == cli.EXIT_DIVERGED == 7
+        err = capsys.readouterr().err
+        assert "error: Diverged: epoch 0: non-finite gradient in head.bias" in err
+        assert not (out / "checkpoint.rmae").exists()
 
 
 PRETRAIN_ARTIFACTS = {
@@ -205,6 +238,22 @@ class TestSweeps:
             setting.split("=")[1]
         )
         assert all(len(r) == len(rows[0]) for r in rows)
+
+
+# (argv, what the error says): overrides that give no run config
+MALFORMED_CONFIG = [
+    (["pretrain", "train.epochs"], "is not KEY=VALUE"),
+    (["pretrain", "train..epochs=1"], "has an empty key component"),
+    (["pretrain", ".epochs=1"], "has an empty key component"),
+    (["pretrain", "seed=1", "seed.x=2"], "crosses a non-section"),
+    (["pretrain", "train.colour=1"], "unknown key 'train.colour'"),
+    (["pretrain", "colour=1"], "unknown key 'colour'"),
+    (["pretrain", "train=5"], "section 'train' must be an object"),
+    (["pretrain", "inputs=[1]"], "'inputs' must be a list of paths"),
+    (["eval", "checkpoint=5"], "'checkpoint' must be a path"),
+    (["energy", 'stats=["a.json"]'], "'stats' must be a path"),
+    (["eval"], "eval requires --checkpoint"),
+]
 
 
 class TestBadInput:
@@ -346,6 +395,43 @@ class TestBadInput:
         assert cli.main(argv + TINY) == cli.EXIT_NODATA == 5
         assert "error: NoData:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        MALFORMED_CONFIG,
+        ids=[" ".join(argv) for argv, _ in MALFORMED_CONFIG],
+    )
+    def test_malformed_override_is_config_error(
+        self, argv, message, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = cli.main(argv[:1] + ["--out", str(out)] + TINY + argv[1:])
+        assert code == cli.EXIT_CONFIG == 3
+        err = capsys.readouterr().err
+        assert "error: ConfigError:" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text", ["not json", "[1, 2]", "null"], ids=["not-json", "list", "null"]
+    )
+    def test_config_file_that_is_no_object_is_config_error(
+        self, text, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        argv = ["pretrain", "--out", str(out), "--config", str(config)]
+        assert cli.main(argv + TINY) == cli.EXIT_CONFIG == 3
+        err = capsys.readouterr().err
+        assert f"error: ConfigError: config {config}: " in err
+        assert not out.exists()
+
+    def test_single_p_drop_row_is_shared_by_every_group(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["mask", "--out", str(out), "mask.n_groups=4"]
+        assert cli.main(argv + TINY + ["mask.p_drop=[0.0,0.5,0.9]"]) == 0
+        record = json.loads((out / "resolved_config.json").read_text())
+        assert record["mask"]["p_drop"] == [[0.0, 0.5, 0.9]]
 
     def test_int_for_a_float_field_runs_and_is_echoed(self, tmp_path):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import down_sites_oracle
 from rmae.errors import DegenerateBatch, ShapeError, StaleCache
 from rmae.occupancy_net import NetConfig, OccupancyNet
 from rmae.occupancy_net.layers import (
@@ -43,6 +44,17 @@ def random_sparse(dims, n, cin, rng) -> SparseFeatureMap:
     ).astype(np.int64)
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     coords = coords[order]
+    return SparseFeatureMap(dims, coords, rng.normal(0, 1, (len(coords), cin)))
+
+
+def sparse_touching_last_rows(dims, n, cin, rng) -> SparseFeatureMap:
+    """A random map of up to n voxels, at least four, some on the last
+    row of each axis and one in the far corner."""
+    coords = random_sparse(dims, max(n, 4), cin, rng).coords
+    for axis in range(3):
+        coords[axis::4, axis] = dims[axis] - 1
+    coords[3::4] = np.array(dims) - 1
+    coords = np.unique(coords, axis=0)  # canonical order
     return SparseFeatureMap(dims, coords, rng.normal(0, 1, (len(coords), cin)))
 
 
@@ -169,6 +181,29 @@ class TestSparseDownConv:
         x = random_sparse((7, 5, 3), 20, 2, rng)
         out, _ = SparseDownConv(2, 2, rng).forward(x)
         assert out.dims == (4, 3, 2)
+
+    @pytest.mark.parametrize(
+        "dims", [(8, 8, 6), (7, 5, 3), (12, 12, 4), (6, 6, 2), (1, 2, 3)]
+    )
+    def test_sites_against_every_voxel_offset_pair(self, dims):
+        rng = np.random.default_rng(8)
+        x = sparse_touching_last_rows(dims, 30, 2, rng)
+        out, _ = SparseDownConv(2, 2, rng).forward(x)
+        assert out.coords.dtype == np.int64
+        assert np.array_equal(out.coords, down_sites_oracle(x.coords, dims))
+
+    def test_three_stage_net_down_to_odd_coarse_dims(self):
+        rng = np.random.default_rng(9)
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8)))
+        width = net.config.in_channels
+        x = sparse_touching_last_rows((12, 12, 4), 40, width, rng)
+        _, tape = net.forward(x, training=True)
+        maps = [ctx[0] for ctx, _ in tape["encoder"]] + [tape["latent"]]
+        levels = {m.dims: m.coords for m in maps}
+        assert list(levels) == [(12, 12, 4), (6, 6, 2), (3, 3, 1)]
+        for fine, coarse in zip(levels, list(levels)[1:]):
+            expect = down_sites_oracle(levels[fine], fine)
+            assert np.array_equal(levels[coarse], expect)
 
 
 # --- per-tap references for the sparse convs --------------------------------

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_grid, random_grid
+from conftest import ball_oracle, make_grid, random_grid
 from rmae.errors import EmptyQuerySet, ShapeError
 from rmae.occupancy_net import (
     OccupancyPrediction,
@@ -168,6 +168,21 @@ class TestOccupancyLoss:
             occupancy_loss(np.zeros((2, 2, 2)), truth, np.array([[0, 0, 0]]))
 
 
+def balanced_by_concatenation(coords, occ, seed):
+    """The balanced draw as first written: the same rng.choice calls,
+    positives first, then the drawn rows concatenated and sorted back to
+    canonical order."""
+    pos, neg = coords[occ], coords[~occ]
+    small = min(len(pos), len(neg))
+    rng = np.random.default_rng(seed)
+    if len(pos) > small:
+        pos = pos[rng.choice(len(pos), small, replace=False)]
+    if len(neg) > small:
+        neg = neg[rng.choice(len(neg), small, replace=False)]
+    both = np.concatenate([pos, neg])
+    return both[np.lexsort(both.T[::-1])]
+
+
 class TestBuildQuerySet:
     def test_all_voxels(self, small_geom):
         grid = make_grid(small_geom, [[0, 0, 0]])
@@ -204,6 +219,26 @@ class TestBuildQuerySet:
                     break
         assert set(map(tuple, q)) == expect
 
+    # the same brute force, vectorized, over radii that reach past the grid
+    @pytest.mark.parametrize("radius", [0, 1.5, 3, 1000, math.inf])
+    def test_sphere_matches_brute_force_ball(self, small_geom, radius):
+        rng = np.random.default_rng(10)
+        grid = random_grid(small_geom, 12, rng)
+        truth = occupancy_of(grid)
+        q = build_query_set(
+            truth,
+            grid.coords,
+            QueryConfig(mode="sphere", sphere_radius=radius),
+        )
+        assert q.dtype == np.int64
+        assert np.array_equal(q, ball_oracle(small_geom.dims, grid.coords, radius))
+        if radius >= 1000:  # the ball holds the grid
+            assert len(q) == np.prod(small_geom.dims)
+
+    def test_nan_radius_is_rejected(self):
+        with pytest.raises(ValueError, match="sphere_radius"):
+            QueryConfig(mode="sphere", sphere_radius=float("nan"))
+
     def test_sphere_empty_visible(self, small_geom):
         grid = make_grid(small_geom, np.empty((0, 3)))
         truth = occupancy_of(grid)
@@ -223,6 +258,37 @@ class TestBuildQuerySet:
         )
         occ = truth.o[q[:, 0], q[:, 1], q[:, 2]]
         assert occ.sum() == (1 - occ).sum() == 30
+
+    @pytest.mark.parametrize(
+        "n_occupied, kept", [(20, 24), (5, 10)], ids=["pos-major", "neg-major"]
+    )
+    def test_balance_draws_as_first_written(self, n_occupied, kept):
+        rng = np.random.default_rng(11)
+        grid = random_grid(GEOM, n_occupied, rng)  # 32 cells
+        truth = occupancy_of(grid)
+        cells = np.indices(GEOM.dims).reshape(3, -1).T
+        occ = truth.o.ravel().astype(bool)
+        for seed in range(5):
+            q = build_query_set(
+                truth, grid.coords, QueryConfig(balance_empty=True), seed=seed
+            )
+            assert len(q) == kept
+            assert np.array_equal(q, balanced_by_concatenation(cells, occ, seed))
+
+    def test_balanced_sphere_query_draws_as_first_written(self, small_geom):
+        rng = np.random.default_rng(12)
+        grid = random_grid(small_geom, 30, rng)
+        truth = occupancy_of(grid)
+        cfg = QueryConfig(mode="sphere", sphere_radius=1.5)
+        ball = build_query_set(truth, grid.coords, cfg)
+        occ = truth.o[tuple(ball.T)].astype(bool)
+        q = build_query_set(
+            truth,
+            grid.coords,
+            QueryConfig(mode="sphere", sphere_radius=1.5, balance_empty=True),
+            seed=3,
+        )
+        assert np.array_equal(q, balanced_by_concatenation(ball, occ, 3))
 
     def test_balance_is_seeded(self, small_geom):
         rng = np.random.default_rng(8)

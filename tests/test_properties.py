@@ -1,5 +1,5 @@
-"""Property tests of the mask and voxelizer invariants (hypothesis, bounded
-so the suite stays fast)."""
+"""Property tests of the mask, voxelizer and site-set invariants
+(hypothesis, bounded so the suite stays fast)."""
 
 import math
 
@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_grid
+from conftest import ball_oracle, down_sites_oracle, random_grid
+from rmae.occupancy_net import QueryConfig, build_query_set
+from rmae.occupancy_net.layers import SparseDownConv, SparseFeatureMap
 from rmae.pointcloud import PointCloud
 from rmae.radial_mask import MaskConfig, apply_mask
-from rmae.voxelizer import GridGeometry, voxelize
+from rmae.voxelizer import GridGeometry, occupancy_of, voxelize
 
 GEOM = GridGeometry((-6.4, -6.4, -1.6), (0.8, 0.8, 0.8), (16, 16, 8))
 BOUNDED = settings(max_examples=50, deadline=None)
@@ -99,3 +101,30 @@ def test_voxelize_ignores_point_order(data, random):
     assert a.dropped_points == b.dropped_points
     # bincount sums each voxel's points in point order
     np.testing.assert_allclose(b.feats, a.feats, rtol=0, atol=1e-12)
+
+
+small_dims = st.tuples(*[st.integers(1, 9)] * 3)
+
+
+@BOUNDED
+@given(small_dims, st.integers(0, 60), st.integers(0, 2**32))
+def test_down_conv_sites_are_every_voxel_offset_pair(dims, n, seed):
+    rng = np.random.default_rng(seed)
+    geom = GridGeometry((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), dims)
+    coords = np.unique(random_grid(geom, n, rng).coords, axis=0)
+    x = SparseFeatureMap(dims, coords, np.ones((len(coords), 1)))
+    out, _ = SparseDownConv(1, 1, rng).forward(x)
+    assert out.coords.tobytes() == down_sites_oracle(coords, dims).tobytes()
+
+
+@BOUNDED
+@given(
+    st.integers(0, 30),
+    st.integers(0, 2**32),
+    st.floats(0.0, 20.0) | st.just(math.inf),
+)
+def test_sphere_query_is_the_union_of_balls(n, seed, radius):
+    grid = random_grid(GEOM, n, np.random.default_rng(seed))
+    cfg = QueryConfig(mode="sphere", sphere_radius=radius)
+    q = build_query_set(occupancy_of(grid), grid.coords, cfg)
+    assert q.tobytes() == ball_oracle(GEOM.dims, grid.coords, radius).tobytes()
