@@ -33,7 +33,9 @@ row and every plane, (X, Y + 1, Z + 1), so on its flat (C, P) view a tap's
 shift d is one offset d @ (Y'Z', Z', 1) and its shift-add one contiguous
 slice add.  A shift off y or z lands on a zero slot and one off x leaves
 the flat array; the padded slots are cropped when the phase buffer is
-written to its strided output view.
+written to its strided output view.  An eval forward may run an epilogue
+(a stage's batch norm and ReLU) on each phase buffer while it is in
+cache and write its output into the next layer's lattice, a Lattice.
 Backward shifts with per-axis slices on the unpadded (C, X, Y, Z) arrays.
 Taps within a phase add in lexicographic kernel order, so every output
 sums its taps in the same fixed order on every run.
@@ -270,6 +272,19 @@ class BatchNorm:
         out += self.beta.astype(x.dtype, copy=False)
         return out, [xhat, ivar, stats]
 
+    def eval_inplace(self, x: np.ndarray) -> np.ndarray:
+        """forward(x, training=False)'s output, written over x and
+        returned: the same operations in the same order and dtype, with
+        no buffer of x's size and no ctx, so it serves no backward."""
+        _check_width(x, self.ch, "batch norm")
+        dtype = x.dtype
+        ivar = 1.0 / np.sqrt(self.running_var + self.eps)
+        x -= self.running_mean.astype(dtype, copy=False)
+        x *= ivar.astype(dtype, copy=False)
+        x *= self.gamma.astype(dtype, copy=False)
+        x += self.beta.astype(dtype, copy=False)
+        return x
+
     def commit(self, stats) -> None:
         """Fold one training pass's batch (mean, var) into the running
         statistics."""
@@ -331,6 +346,22 @@ def _shift_slices(d: int, size: int) -> tuple[slice, slice]:
     )
 
 
+@dataclass
+class Lattice:
+    """A dense (C, X, Y, Z) tensor in the interior of its row-padded
+    lattice, data, whose pad slots are zero (see the module docstring);
+    len() is its number of sites, as for a SparseFeatureMap."""
+
+    data: np.ndarray  # (C, X, Y + 1, Z + 1)
+
+    @property
+    def interior(self) -> np.ndarray:
+        return self.data[..., :-1, :-1]
+
+    def __len__(self) -> int:
+        return self.interior[0].size
+
+
 class _DenseTapConv:
     """Dense 3-D convolution run as "transform, then shift".
 
@@ -339,11 +370,12 @@ class _DenseTapConv:
     gain of the weights' normal init, std = sqrt(gain / fan_in).  Each
     phase owns out[:, rx::s, ry::s, rz::s], which has the input's spatial
     shape.  Forward pads the input to the row-padded lattice (see the
-    module docstring) and makes a (taps * C_out, C_in) @ (C_in, P) GEMM
-    per phase, in chunks of at most _TAPS_PER_GEMM taps, into one slab
-    buffer; it adds each tap's slab into a zeroed phase buffer at the
-    tap's flat offset, in tap order, then writes the buffer's interior
-    to the phase's strided output view.  The slab and phase buffers are
+    module docstring) unless it is a Lattice, and makes a
+    (taps * C_out, C_in) @ (C_in, P) GEMM per phase, in chunks of at most
+    _TAPS_PER_GEMM taps, into one slab buffer; it adds each tap's slab
+    into a zeroed phase buffer at the tap's flat offset, in tap order,
+    runs the epilogue on it, then writes the buffer's interior to the
+    phase's strided output view.  The slab and phase buffers are
     allocated once per call and reused by every phase and chunk; nothing
     outlives the call.  Backward copies the phase's view of grad_out once,
     stacks its per-tap shifted copies (per-axis slices, see _shift_slices),
@@ -362,6 +394,7 @@ class _DenseTapConv:
         self.weight = rng.normal(0.0, std, size=(k, k, k, in_ch, out_ch))
         self.in_ch = in_ch
         self.out_ch = out_ch
+        self.phases = self._phases()
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight}
@@ -418,45 +451,59 @@ class _DenseTapConv:
             need = out
         return need
 
-    def _sparse_phases(self, x: SparseFeatureMap, sites: np.ndarray):
-        """Per phase holding output sites: (kernel indices, the rows of
-        sites in that phase, and the (taps, rows) table of the row of x
-        each tap reads there, len(x) where x has none)."""
-        stride = len(self.axis_taps)
-        phase = np.ravel_multi_index(tuple((sites % stride).T), (stride,) * 3)
-        lattice = sites // stride  # a phase site, on the input's lattice
-        plan = []
-        for i, (_, kernel, shifts) in enumerate(self._phases()):
-            rows = np.flatnonzero(phase == i)
-            if len(rows):
-                # p = site - d
-                table = _kernel_map(x.dims, x.coords, lattice[rows], -shifts)
-                plan.append((kernel, rows, table))
-        return plan
-
-    def _sparse_forward(self, x: SparseFeatureMap, sites: np.ndarray | None):
+    def _sparse_forward(self, x: SparseFeatureMap, sites, epilogue):
         _check_width(x.feats, self.in_ch, type(self).__name__)
         dtype = x.feats.dtype
-        dims = tuple(len(self.axis_taps) * n for n in x.dims)
+        stride = len(self.axis_taps)
+        dims = tuple(stride * n for n in x.dims)
         dense = sites is None
         if dense:  # every output site, in canonical order
             sites = np.indices(dims).reshape(3, -1).T
+            out, dest = self._dense_output(x.dims, dtype, epilogue)
+        else:
+            out = dest = np.empty((len(sites), self.out_ch), dtype=dtype)
         # a zero last row is what a tap reads where x has no row
         padded = np.concatenate([x.feats, np.zeros((1, self.in_ch), dtype)])
-        plan = self._sparse_phases(x, sites)
-        out = np.empty((len(sites), self.out_ch), dtype=dtype)
-        for kernel, rows, table in plan:
+        phase = np.ravel_multi_index(tuple((sites % stride).T), (stride,) * 3)
+        lattice = sites // stride  # a phase site, on the input's lattice
+        # the plan: per phase holding output sites, its kernel indices, the
+        # rows of sites in it and the (taps, rows) table of the row of x
+        # each tap reads there (p = site - d), len(x) where x has none
+        plan = []
+        for i, (view, kernel, shifts) in enumerate(self.phases):
+            rows = np.flatnonzero(phase == i)
+            if not len(rows):
+                continue
+            table = _kernel_map(x.dims, x.coords, lattice[rows], -shifts)
+            plan.append((kernel, rows, table))
             w = self._stacked_weight(kernel, dtype)
             # (N + 1, taps, C_out) products, one row per (row, tap)
             slabs = (padded @ w.T).reshape(-1, self.out_ch)
             buf = np.zeros((len(rows), self.out_ch), dtype=dtype)
             for j, reads in enumerate(table):
                 buf += np.take(slabs, reads * len(kernel) + j, axis=0)
-            out[rows] = buf
-        if dense:
-            out = np.ascontiguousarray(out.T).reshape((self.out_ch,) + dims)
-            return out, [plan, x]
-        return SparseFeatureMap(dims, sites, out), [plan, x]
+            if epilogue is not None:
+                epilogue(buf)
+            if dense:  # the phase's rows are its view's sites in C order
+                dest[view] = buf.T.reshape((self.out_ch,) + x.dims)
+            else:
+                dest[rows] = buf
+        if not dense:
+            out = SparseFeatureMap(dims, sites, out)
+        return out, [plan, x]
+
+    def _dense_output(self, in_dims, dtype, epilogue):
+        """(output, the (C_out, sX, sY, sZ) array it is written through)
+        for an input of in_dims: an array, or with an epilogue a Lattice,
+        its pad slots zeroed."""
+        x, y, z = (len(self.axis_taps) * n for n in in_dims)
+        if epilogue is None:
+            out = np.empty((self.out_ch, x, y, z), dtype)
+            return out, out
+        out = Lattice(np.empty((self.out_ch, x, y + 1, z + 1), dtype))
+        out.data[:, :, -1] = 0
+        out.data[..., -1] = 0
+        return out, out.interior
 
     def _sparse_backward(self, plan, x: SparseFeatureMap, grad_out):
         dtype = x.feats.dtype
@@ -481,35 +528,38 @@ class _DenseTapConv:
         grad_x = SparseFeatureMap(x.dims, x.coords, grad_in[:-1])
         return grad_x, {"weight": grad_w}
 
-    def forward(self, x, sites: np.ndarray | None = None):
-        """Dense: x is (C_in, X, Y, Z); returns the (C_out, sX, sY, sZ)
-        output and the ctx [x].  Sparse: x is a SparseFeatureMap, absent
-        rows reading as zero, and sites the (M, 3) output sites; returns
-        the output map on sites, or with sites None the dense output, and
-        the ctx [plan, x]."""
+    def forward(self, x, sites: np.ndarray | None = None, epilogue=None):
+        """Dense: x is (C_in, X, Y, Z), or a Lattice holding it; returns
+        the (C_out, sX, sY, sZ) output and the ctx [x].  Sparse: x is a
+        SparseFeatureMap, absent rows reading as zero, and sites the
+        (M, 3) output sites; returns the output map on sites, or with
+        sites None the dense output, and the ctx [plan, x].
+
+        epilogue, for a forward that serves no backward, is a function
+        applied in place to each phase's (sites, C_out) rows once they are
+        summed; a dense output is then returned as a Lattice."""
         if isinstance(x, SparseFeatureMap):
-            return self._sparse_forward(x, sites)
-        if x.ndim != 4 or x.shape[0] != self.in_ch:
+            return self._sparse_forward(x, sites, epilogue)
+        padded = x.data if isinstance(x, Lattice) else x
+        if padded.ndim != 4 or padded.shape[0] != self.in_ch:
             raise ShapeError(
                 f"{type(self).__name__} expects ({self.in_ch}, X, Y, Z),"
-                f" got {x.shape}"
+                f" got {padded.shape}"
             )
-        dtype = x.dtype
-        stride = len(self.axis_taps)
-        out_size = tuple(stride * n for n in x.shape[1:])
-        out = np.empty((self.out_ch,) + out_size, dtype)
-        # a zero slot after every row and plane: a one-site shift off y or
-        # z lands on one, and a shift off x leaves the flat array
-        padded = np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)))
-        lattice = padded.shape[1:]
+        if padded is x:
+            # a zero slot after every row and plane: a one-site shift off
+            # y or z lands on one, and a shift off x leaves the flat array
+            padded = np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)))
+        dtype, lattice = padded.dtype, padded.shape[1:]
+        size = padded[0, :, :-1, :-1].shape  # x's spatial dims
+        out, dest = self._dense_output(size, dtype, epilogue)
         flat = padded.reshape(self.in_ch, -1)
         n = flat.shape[1]
         step = np.array([lattice[1] * lattice[2], lattice[2], 1])
-        phases = self._phases()
-        chunk = min(_TAPS_PER_GEMM, len(phases[0][1]))
+        chunk = min(_TAPS_PER_GEMM, len(self.phases[0][1]))
         slab = np.empty((chunk * self.out_ch, n), dtype)
         buf = np.empty((self.out_ch, n), dtype)
-        for view, kernel, shifts in phases:
+        for view, kernel, shifts in self.phases:
             buf.fill(0)
             for lo in range(0, len(kernel), _TAPS_PER_GEMM):
                 taps = slice(lo, lo + _TAPS_PER_GEMM)
@@ -520,8 +570,10 @@ class _DenseTapConv:
                     a, b = max(0, -off), n - max(0, off)
                     if a < b:
                         buf[:, a + off : b + off] += t[:, a:b]
+            if epilogue is not None:  # the pad slots' rows are cropped next
+                epilogue(buf.T)
             grid = buf.reshape((self.out_ch,) + lattice)
-            out[view] = grid[..., :-1, :-1]
+            dest[view] = grid[..., :-1, :-1]
         return out, [x]
 
     def backward(self, ctx, grad_out):
@@ -539,11 +591,10 @@ class _DenseTapConv:
         shape, dtype = ctx[0].shape, ctx[0].dtype
         flat = ctx.pop().reshape(self.in_ch, -1)
         size = shape[1:]
-        phases = self._phases()
         grad_in = None
         grad_w = np.zeros_like(self.weight)
         every = (slice(None),)
-        for i, (view, kernel, shifts) in enumerate(phases):
+        for i, (view, kernel, shifts) in enumerate(self.phases):
             g = np.ascontiguousarray(grad_out[view])
             shifted = np.zeros((len(kernel), self.out_ch) + size, dtype)
             for rows, d in zip(shifted, shifts.tolist()):
@@ -553,7 +604,7 @@ class _DenseTapConv:
             gw = (shifted @ flat.T).reshape(len(kernel), self.out_ch, -1)
             for k, gk in zip(kernel, gw):
                 grad_w[k] = gk.T
-            if i == len(phases) - 1:
+            if i == len(self.phases) - 1:
                 del flat  # last use of the input
             part = self._stacked_weight(kernel, dtype).T @ shifted
             if grad_in is None:

@@ -85,16 +85,19 @@ def build_query_set(
     boolean grid and listed by np.argwhere.  Any radius works: a stencil
     offset longer than an axis reaches no cell, so each axis's reach is
     clipped to the grid, and the ball points are marked a bounded chunk of
-    visible voxels at a time.  With balance_empty, the majority occupancy
+    visible voxels at a time; a ball that covers the grid from any cell
+    gives every cell at once.  With balance_empty, the majority occupancy
     class is subsampled (seeded) to the minority's size; if one class is
     absent the set is returned as is.
     """
     dims = truth.geometry.dims
-    if q.mode == "all_voxels":
+    visible = np.asarray(visible_coords, dtype=np.int64).reshape(-1, 3)
+    r = q.sphere_radius
+    # a radius as long as the grid's diagonal reaches every cell from all
+    covers = len(visible) > 0 and r * r >= sum((d - 1) ** 2 for d in dims)
+    if q.mode == "all_voxels" or covers:
         coords = np.indices(dims).reshape(3, -1).T.astype(np.int64)
     else:
-        visible = np.asarray(visible_coords, dtype=np.int64).reshape(-1, 3)
-        r = q.sphere_radius
         reach = np.array([int(min(r, d - 1)) for d in dims])
         stencil = np.indices(2 * reach + 1).reshape(3, -1).T - reach
         stencil = stencil[(stencil**2).sum(axis=1) <= r * r]

@@ -35,7 +35,10 @@ A training forward's tape keeps what each layer's backward reads (a
 ReLU's output stays as the next layer's input, or as the latent, and
 backward takes the ReLU's mask from it), and backward consumes it; an
 eval forward keeps neither encoder units nor decoder stages, so its tape
-serves no backward.
+serves no backward.  It hands each decoder stage's batch norm (on running
+statistics) and ReLU to the deconv as an epilogue, run on each phase's
+buffer while it is in cache, with the unfused stage's bytes (see layers);
+a training batch norm needs the whole output's statistics first.
 
 The decoder computes in DECODER_DTYPE (float32): the latent, cast on
 entry, each deconv, batch norm and ReLU, and the head.  Everything that
@@ -234,12 +237,17 @@ class OccupancyNet:
             supports = self._supports(query, visible.dims)
         x = replace(x, feats=x.feats.astype(DECODER_DTYPE))
         for (_, deconv, _, bn), sites in zip(self.decoder, supports):
+            if not training:  # the stage epilogue; see the module docstring
+
+                def epilogue(rows, bn=bn):
+                    np.maximum(bn.eval_inplace(rows), 0.0, out=rows)
+
+                x, _ = deconv.forward(x, sites, epilogue)
+                continue
             y, ctx = deconv.forward(x, sites)
-            mat, c_bn = bn.forward(site_rows(y), training)
-            if training:
-                stats.append((bn, c_bn[2]))
-                stages.append((ctx, c_bn))
-            del ctx, c_bn  # an eval forward frees them here
+            mat, c_bn = bn.forward(site_rows(y), training=True)
+            stats.append((bn, c_bn[2]))
+            stages.append((ctx, c_bn))
             np.maximum(mat, 0.0, out=mat)  # ReLU
             x = _unrows(y, mat)
             del y

@@ -167,11 +167,15 @@ class AdamOptimizer:
             g = grads[path]
             m = self.m.setdefault(path, np.zeros_like(arr))
             v = self.v.setdefault(path, np.zeros_like(arr))
-            m += (1 - b1) * (g - m)
-            v += (1 - b2) * (g * g - v)
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            arr -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            # the textbook operations, in order, in two temporaries d, s
+            d = g - m
+            m += np.multiply(d, 1 - b1, out=d)  # (1 - b1) * (g - m)
+            np.subtract(np.multiply(g, g, out=d), v, out=d)
+            v += np.multiply(d, 1 - b2, out=d)  # (1 - b2) * (g * g - v)
+            np.multiply(np.divide(m, 1 - b1**self.t, out=d), self.lr, out=d)
+            s = v / (1 - b2**self.t)  # vhat
+            np.add(np.sqrt(s, out=s), self.eps, out=s)
+            arr -= np.divide(d, s, out=d)  # lr * mhat / (sqrt(vhat) + eps)
 
 
 def make_optimizer(cfg: TrainConfig):

@@ -12,6 +12,7 @@ from rmae.occupancy_net.layers import (
     BatchNorm,
     DenseConv,
     DenseDeconv,
+    Lattice,
     SparseDownConv,
     SparseFeatureMap,
     SubmanifoldConv,
@@ -19,6 +20,7 @@ from rmae.occupancy_net.layers import (
     _rulebook,
     _shift_slices,
     _TAPS_PER_GEMM,
+    site_rows,
 )
 
 
@@ -486,6 +488,16 @@ class TestSparseForwardMemory:
         assert per_tap < one_gemm / 2
 
 
+def random_running_bn(ch, rng) -> BatchNorm:
+    """A BatchNorm whose parameters and running statistics are drawn."""
+    bn = BatchNorm(ch)
+    bn.gamma[:] = rng.uniform(0.5, 2.0, ch)
+    bn.beta[:] = rng.normal(0, 1, ch)
+    bn.running_mean[:] = rng.normal(0, 1, ch)
+    bn.running_var[:] = rng.uniform(0.2, 3.0, ch)
+    return bn
+
+
 class TestBatchNorm:
     def test_already_normalized_passthrough(self):
         rng = np.random.default_rng(8)
@@ -610,6 +622,26 @@ class TestBatchNorm:
             bn.forward(np.empty((0, 2)), training=True)
         out, _ = bn.forward(np.empty((0, 2)), training=False)
         assert out.shape == (0, 2)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_inplace_is_eval_forward(self, order, dtype):
+        rng = np.random.default_rng(47)
+        bn = random_running_bn(5, rng)
+        x = np.asarray(rng.normal(1.0, 3.0, (300, 5)), dtype, order=order)
+        ref, _ = bn.forward(x, training=False)
+        before = [a.copy() for a in bn.params().values()]
+        before += [a.copy() for a in bn.buffers().values()]
+        out = bn.eval_inplace(x)
+        assert out is x and out.dtype == dtype
+        assert out.tobytes() == ref.tobytes()
+        after = list(bn.params().values()) + list(bn.buffers().values())
+        for a, b in zip(after, before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_eval_inplace_checks_width(self):
+        with pytest.raises(ShapeError):
+            BatchNorm(3).eval_inplace(np.zeros((4, 2)))
 
 
 class TestReluResidual:
@@ -850,6 +882,80 @@ class TestDenseCtx:
         assert ctx == []
         with pytest.raises(StaleCache):
             layer.backward(ctx, np.ones(out.shape))
+
+
+def bn_relu(bn):
+    """The eval stage epilogue as a function of a phase's rows."""
+
+    def epilogue(rows):
+        np.maximum(bn.eval_inplace(rows), 0.0, out=rows)
+
+    return epilogue
+
+
+def unfused_stage(layer, bn, x, sites=None):
+    """layer.forward, then bn.forward(., False) on its rows, then a ReLU,
+    in the layer's output layout."""
+    y, _ = layer.forward(x, sites)
+    rows, _ = bn.forward(site_rows(y), training=False)
+    rows = np.maximum(rows, 0.0)
+    if isinstance(y, SparseFeatureMap):
+        return SparseFeatureMap(y.dims, y.coords, rows)
+    return rows.T.reshape(y.shape)
+
+
+def lattice_of(x) -> Lattice:
+    return Lattice(np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1))))
+
+
+class TestStageEpilogue:
+    """An epilogue forward gives the unfused stage's bytes, laid into a
+    Lattice whose pad slots are zero, and a dense layer reads a Lattice
+    as it reads the tensor inside it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims", [(3, 2, 4), (1, 1, 1), (2, 5, 1)])
+    def test_dense_deconv(self, dims, dtype):
+        rng = np.random.default_rng(48)
+        layer, bn = DenseDeconv(3, 4, rng), random_running_bn(4, rng)
+        x = rng.normal(0, 1, (3,) + dims).astype(dtype)
+        ref = unfused_stage(layer, bn, x)
+        for given in (x, lattice_of(x)):
+            x_before = x.copy()
+            out, _ = layer.forward(given, epilogue=bn_relu(bn))
+            assert isinstance(out, Lattice) and out.data.dtype == dtype
+            assert len(out) == np.prod(ref.shape[1:])
+            assert out.interior.tobytes() == np.ascontiguousarray(ref).tobytes()
+            assert not out.data[:, :, -1].any() and not out.data[..., -1].any()
+            assert x.tobytes() == x_before.tobytes()
+
+    @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
+    def test_lattice_input(self, cls):
+        rng = np.random.default_rng(49)
+        layer = cls(3, 2, rng)
+        draw_head_bias(layer, rng)
+        x = rng.normal(0, 1, (3, 4, 3, 2)).astype(np.float32)
+        ref, _ = layer.forward(x)
+        out, _ = layer.forward(lattice_of(x))
+        assert out.tobytes() == ref.tobytes()
+        with pytest.raises(ShapeError):
+            layer.forward(lattice_of(x[:2]))
+
+    def test_sparse_deconv(self):
+        rng = np.random.default_rng(50)
+        layer, bn = DenseDeconv(3, 4, rng), random_running_bn(4, rng)
+        x = random_sparse((4, 3, 2), 9, 3, rng)
+        x = SparseFeatureMap(x.dims, x.coords, x.feats.astype(np.float32))
+        ref = unfused_stage(layer, bn, x)
+        out, _ = layer.forward(x, epilogue=bn_relu(bn))
+        assert isinstance(out, Lattice)
+        assert out.interior.tobytes() == np.ascontiguousarray(ref).tobytes()
+        assert not out.data[:, :, -1].any() and not out.data[..., -1].any()
+        sites = random_sites((8, 6, 4), 0.3, rng)
+        ref = unfused_stage(layer, bn, x, sites)
+        out, _ = layer.forward(x, sites, bn_relu(bn))
+        assert np.array_equal(out.coords, sites)
+        assert out.feats.tobytes() == ref.feats.tobytes()
 
 
 def slice_shift_forward(layer, x):

@@ -235,6 +235,31 @@ class TestBuildQuerySet:
         if radius >= 1000:  # the ball holds the grid
             assert len(q) == np.prod(small_geom.dims)
 
+    # small_geom's diagonal is sqrt(15**2 + 15**2 + 7**2) = 22.338...: a
+    # radius past it covers the grid from every voxel, and one just short
+    # of it misses the corner farthest from a voxel in a corner
+    @pytest.mark.parametrize("radius", [22.34, 1000, math.inf])
+    def test_covering_ball_with_many_visible(self, small_geom, radius):
+        rng = np.random.default_rng(13)
+        grid = random_grid(small_geom, 1400, rng)
+        truth = occupancy_of(grid)
+        q = build_query_set(
+            truth, grid.coords, QueryConfig(mode="sphere", sphere_radius=radius)
+        )
+        assert q.dtype == np.int64
+        assert np.array_equal(q, ball_oracle(small_geom.dims, grid.coords, radius))
+        assert len(q) == np.prod(small_geom.dims)
+
+    @pytest.mark.parametrize("radius, cells", [(22.33, 2047), (22.34, 2048)])
+    def test_ball_from_a_corner_at_the_diagonal(self, small_geom, radius, cells):
+        grid = make_grid(small_geom, [[0, 0, 0]])
+        truth = occupancy_of(grid)
+        q = build_query_set(
+            truth, grid.coords, QueryConfig(mode="sphere", sphere_radius=radius)
+        )
+        assert len(q) == cells
+        assert np.array_equal(q, ball_oracle(small_geom.dims, grid.coords, radius))
+
     def test_nan_radius_is_rejected(self):
         with pytest.raises(ValueError, match="sphere_radius"):
             QueryConfig(mode="sphere", sphere_radius=float("nan"))

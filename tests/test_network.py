@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from rmae.occupancy_net import (
     visible_features,
 )
 from rmae.occupancy_net import network
-from rmae.occupancy_net.layers import SparseFeatureMap
+from rmae.occupancy_net.layers import SparseFeatureMap, site_rows
 from rmae.voxelizer import GridGeometry, occupancy_of
 
 
@@ -101,6 +104,111 @@ class TestForward:
         cfg = NetConfig()
         assert cfg.downsample_factor == 4
         assert cfg.latent_width == 64
+
+
+def unfused_eval(net, visible, query=None):
+    """The eval forward's logits from each layer's own forward: every
+    batch norm by bn.forward(., False) on its conv's output rows, then the
+    ReLU, each stage's output laid out as its conv's."""
+    x = skip = visible
+    for _, conv, _, bn, residual in net.encoder:
+        y, _ = conv.forward(x)
+        f, _ = bn.forward(y.feats, False)
+        f = np.maximum(skip.feats + f if residual else f, 0.0)
+        skip, x = x, replace(y, feats=f)
+    x = replace(x, feats=x.feats.astype(network.DECODER_DTYPE))
+    if query is None:
+        supports = [None] * (len(net.decoder) + 1)
+    else:
+        supports = net._supports(query, visible.dims)
+    for (_, deconv, _, bn), sites in zip(net.decoder, supports):
+        y, _ = deconv.forward(x, sites)
+        rows, _ = bn.forward(site_rows(y), False)
+        rows = np.maximum(rows, 0.0)
+        if isinstance(y, SparseFeatureMap):
+            x = replace(y, feats=rows)
+        else:
+            x = rows.T.reshape(y.shape)
+    y, _ = net.head.forward(x, supports[-1])
+    if query is None:
+        return y[0].astype(np.float64)
+    logits = np.full(visible.dims, np.nan)
+    logits[tuple(y.coords.T)] = y.feats[:, 0]
+    return logits
+
+
+def with_drawn_statistics(net, rng):
+    """net with every batch norm's parameters and running statistics
+    drawn, so an eval forward's normalization is not the identity."""
+    for _, layer in net.named_layers():
+        if layer.kind == "batch_norm":
+            layer.gamma[:] = rng.uniform(0.5, 2.0, layer.ch)
+            layer.beta[:] = rng.normal(0, 0.5, layer.ch)
+            layer.running_mean[:] = rng.normal(0, 0.5, layer.ch)
+            layer.running_var[:] = rng.uniform(0.2, 3.0, layer.ch)
+    return net
+
+
+def eval_forward_peak(net, x) -> int:
+    tracemalloc.start()
+    try:
+        net.forward(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEvalEpilogue:
+    """An eval forward runs each decoder stage's batch norm and ReLU on
+    the deconv's phase buffers and hands the next layer its padded
+    lattice; its logits are the unfused forward's, bit for bit."""
+
+    NETS = {
+        "default": ((16, 32, 64), (16, 16, 8)),
+        "one-stage": ((8,), (6, 5, 3)),
+        "four-stage": ((4, 8, 8, 8), (16, 16, 8)),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", NETS)
+    def test_logits_equal_unfused(self, name, dtype, monkeypatch):
+        monkeypatch.setattr(network, "DECODER_DTYPE", dtype)
+        stages, dims = self.NETS[name]
+        rng = np.random.default_rng(51)
+        net = OccupancyNet(NetConfig(stage_channels=stages, seed=2))
+        net = with_drawn_statistics(net, rng)
+        x = sparse_input(dims, int(np.prod(dims)) // 6, 4, rng)
+        pred, _ = net.forward(x)
+        assert pred.logits.tobytes() == unfused_eval(net, x).tobytes()
+        query = x.coords[::3]
+        pred, _ = net.forward(x, query=query)
+        ref = unfused_eval(net, x, query)
+        assert pred.logits.tobytes() == ref.tobytes()
+
+    def test_state_and_input_untouched(self):
+        rng = np.random.default_rng(52)
+        net = with_drawn_statistics(OccupancyNet(NetConfig()), rng)
+        x = sparse_input((16, 16, 8), 300, 4, rng)
+        coords, feats = x.coords.copy(), x.feats.copy()
+        state = [(p, a.copy()) for p, a in net.parameters() + net.buffers()]
+        net.forward(x)
+        net.forward(x, query=x.coords[::2])
+        assert x.coords.tobytes() == coords.tobytes()
+        assert x.feats.tobytes() == feats.tobytes()
+        for (path, before), (_, after) in zip(
+            state, net.parameters() + net.buffers()
+        ):
+            assert after.tobytes() == before.tobytes(), path
+
+    def test_peak_memory_of_the_default_net(self):
+        # the unfused eval forward peaked at 14.4 MiB on this input, in
+        # batch norm's two new buffers of deconv1's 4 MiB output; the
+        # fused one peaks at 13.1 MiB, inside deconv1
+        rng = np.random.default_rng(46)
+        net = OccupancyNet(NetConfig())
+        x = sparse_input((64, 64, 16), 3000, 4, rng)
+        net.forward(x)
+        assert eval_forward_peak(net, x) < 13.6 * 2**20
 
 
 def toy_problem(seed):

@@ -22,6 +22,7 @@ from rmae.pointcloud import PointCloud, SceneSpec, synth_scene
 from rmae.radial_mask import MaskConfig, apply_mask
 from rmae import trainer
 from rmae.trainer import (
+    AdamOptimizer,
     SgdOptimizer,
     TrainConfig,
     evaluate,
@@ -138,6 +139,29 @@ def test_sgd_step_is_w_minus_lr_g():
     SgdOptimizer(0.125).step([("w", w)], {"w": g})
     assert np.array_equal(w, expect)
 
+
+
+def test_adam_step_is_the_textbook_update():
+    rng = np.random.default_rng(1)
+    lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-6
+    params = [("a", rng.normal(size=(5, 3))), ("b", rng.normal(size=7))]
+    expect = {path: arr.copy() for path, arr in params}
+    m = {path: np.zeros_like(arr) for path, arr in params}
+    v = {path: np.zeros_like(arr) for path, arr in params}
+    opt = AdamOptimizer(lr, b1, b2, eps)
+    for t in (1, 2, 3, 4):
+        grads = {path: rng.normal(size=arr.shape) for path, arr in params}
+        opt.step(params, grads)
+        for path, arr in params:
+            g = grads[path]
+            m[path] = m[path] + (1 - b1) * (g - m[path])
+            v[path] = v[path] + (1 - b2) * (g * g - v[path])
+            mhat = m[path] / (1 - b1**t)
+            vhat = v[path] / (1 - b2**t)
+            expect[path] = expect[path] - lr * mhat / (np.sqrt(vhat) + eps)
+            assert arr.tobytes() == expect[path].tobytes(), (t, path)
+            assert opt.m[path].tobytes() == m[path].tobytes()
+            assert opt.v[path].tobytes() == v[path].tobytes()
 
 def test_trained_state_stays_float64(small_geom, monkeypatch):
     """The decoder computes in float32; parameters, batch-norm running
