@@ -61,7 +61,7 @@ norm follows every other conv and would cancel one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,20 +209,19 @@ class SparseDownConv(_SparseConv):
 class BatchNorm:
     """Per-channel batch normalization over an (N, C) matrix.
 
-    Training mode normalizes with the batch's biased variance; eval mode
-    uses the running statistics only.  forward never writes the running
-    statistics: a training pass returns the batch (mean, var) as the last
-    item of its ctx, and commit() folds it in.  Training mode never reads
-    the running statistics, so passes may run concurrently and commit
-    afterwards in their original order.
+    forward is the training pass, on the batch's mean and biased
+    variance; it never touches the running statistics but ends its ctx
+    with the batch (mean, var) for commit() to fold in, so passes may run
+    concurrently and commit afterwards in their original order.  The eval
+    pass, eval_inplace, uses the running statistics and keeps no ctx.
 
     Besides its input, forward keeps two full-size buffers (xhat and the
     output) and backward one (its result); every per-element product is
     formed in place, and every value is computed by the same operations in
     the same order as the textbook expressions in the comments.
 
-    The ctx is a list [xhat, ivar, stats], and backward empties it: its
-    last step scales xhat in place, so a ctx serves one backward.
+    The ctx is a list [xhat, ivar, (mean, var)], and backward empties it:
+    its last step scales xhat in place, so a ctx serves one backward.
     """
 
     kind = "batch_norm"
@@ -245,37 +244,27 @@ class BatchNorm:
             "running_var": self.running_var,
         }
 
-    def forward(self, x: np.ndarray, training: bool):
-        """Returns (out, [xhat, ivar, stats]); stats is the batch
-        (mean, var) in training mode and None in eval mode."""
+    def forward(self, x: np.ndarray):
+        """The training pass; returns (out, [xhat, ivar, (mean, var)])."""
         _check_width(x, self.ch, "batch norm")
-        if training:
-            if x.shape[0] == 0:
-                raise DegenerateBatch(
-                    "batch norm saw zero elements in training mode"
-                )
-            mu = x.mean(axis=0, dtype=np.float64)
-        else:
-            mu = self.running_mean
+        if x.shape[0] == 0:
+            raise DegenerateBatch(
+                "batch norm saw zero elements in training mode"
+            )
+        mu = x.mean(axis=0, dtype=np.float64)
         xhat = x - mu.astype(x.dtype, copy=False)  # xhat = (x - mu) * ivar
-        if training:
-            # x.var's operations on the deviations xhat holds, without
-            # x.var's float64 copy of a float32 x
-            var = np.square(xhat).sum(axis=0, dtype=np.float64) / len(x)
-            stats = (mu, var)
-        else:
-            var = self.running_var
-            stats = None
+        # x.var's operations on the deviations xhat holds, without
+        # x.var's float64 copy of a float32 x
+        var = np.square(xhat).sum(axis=0, dtype=np.float64) / len(x)
         ivar = 1.0 / np.sqrt(var + self.eps)
         xhat *= ivar.astype(x.dtype, copy=False)
         out = xhat * self.gamma.astype(x.dtype, copy=False)
         out += self.beta.astype(x.dtype, copy=False)
-        return out, [xhat, ivar, stats]
+        return out, [xhat, ivar, (mu, var)]
 
     def eval_inplace(self, x: np.ndarray) -> np.ndarray:
-        """forward(x, training=False)'s output, written over x and
-        returned: the same operations in the same order and dtype, with
-        no buffer of x's size and no ctx, so it serves no backward."""
+        """gamma * ((x - running_mean) * ivar) + beta in x's dtype, with
+        ivar = 1 / sqrt(running_var + eps), written over x and returned."""
         _check_width(x, self.ch, "batch norm")
         dtype = x.dtype
         ivar = 1.0 / np.sqrt(self.running_var + self.eps)
@@ -295,7 +284,7 @@ class BatchNorm:
     def backward(self, ctx, grad_out: np.ndarray):
         if not ctx:
             raise StaleCache("BatchNorm backward: ctx already consumed")
-        xhat, ivar, stats = ctx
+        xhat, ivar, _ = ctx
         ctx.clear()
         dtype = xhat.dtype
         gamma = self.gamma.astype(dtype, copy=False)
@@ -304,9 +293,6 @@ class BatchNorm:
         np.multiply(grad_out, xhat, out=buf)
         grad_gamma = buf.sum(axis=0, dtype=np.float64)
         np.multiply(grad_out, gamma, out=buf)  # dxhat
-        if stats is None:
-            buf *= ivar.astype(dtype, copy=False)
-            return buf, {"gamma": grad_gamma, "beta": grad_beta}
         # grad_in = ivar / n * (n * dxhat - dxhat.sum(0)
         #                       - xhat * (dxhat * xhat).sum(0))
         n = xhat.shape[0]
@@ -335,6 +321,14 @@ def site_rows(t) -> np.ndarray:
     if isinstance(t, SparseFeatureMap):
         return t.feats
     return t.reshape(len(t), -1).T
+
+
+def unrows(like, rows: np.ndarray):
+    """The inverse of site_rows: the decoder tensor laid out as like (its
+    sites, or its dense shape) that holds rows."""
+    if isinstance(like, SparseFeatureMap):
+        return replace(like, feats=rows)
+    return rows.T.reshape(like.shape)
 
 
 def _shift_slices(d: int, size: int) -> tuple[slice, slice]:

@@ -33,12 +33,13 @@ The logits outside the query are NaN.
 
 A training forward's tape keeps what each layer's backward reads (a
 ReLU's output stays as the next layer's input, or as the latent, and
-backward takes the ReLU's mask from it), and backward consumes it; an
+backward takes the ReLU's mask from it), and backward consumes it.  An
 eval forward keeps neither encoder units nor decoder stages, so its tape
-serves no backward.  It hands each decoder stage's batch norm (on running
-statistics) and ReLU to the deconv as an epilogue, run on each phase's
-buffer while it is in cache, with the unfused stage's bytes (see layers);
-a training batch norm needs the whole output's statistics first.
+serves no backward.  Its batch norms run eval_inplace over their conv's
+fresh output: an encoder unit's after the conv, a decoder stage's (and
+ReLU) as the deconv's epilogue on each phase's buffer while it is in
+cache, with the unfused stage's bytes (see layers); a training batch
+norm needs the whole output's statistics first.
 
 The decoder computes in DECODER_DTYPE (float32): the latent, cast on
 entry, each deconv, batch norm and ReLU, and the head.  Everything that
@@ -65,6 +66,7 @@ from .layers import (
     SubmanifoldConv,
     sigmoid,
     site_rows,
+    unrows,
 )
 
 # the dtype the dense decoder computes in; see the module docstring
@@ -217,10 +219,12 @@ class OccupancyNet:
         if len(visible):
             for _, conv, _, bn, residual in self.encoder:
                 y, c_conv = conv.forward(x)
-                f, c_bn = bn.forward(y.feats, training)
                 if training:
+                    f, c_bn = bn.forward(y.feats)
                     stats.append((bn, c_bn[2]))
                     units.append((c_conv, c_bn))
+                else:
+                    f = bn.eval_inplace(y.feats)
                 f = np.maximum(skip.feats + f if residual else f, 0.0)
                 skip, x = x, replace(y, feats=f)
         else:
@@ -245,11 +249,11 @@ class OccupancyNet:
                 x, _ = deconv.forward(x, sites, epilogue)
                 continue
             y, ctx = deconv.forward(x, sites)
-            mat, c_bn = bn.forward(site_rows(y), training=True)
+            mat, c_bn = bn.forward(site_rows(y))
             stats.append((bn, c_bn[2]))
             stages.append((ctx, c_bn))
             np.maximum(mat, 0.0, out=mat)  # ReLU
-            x = _unrows(y, mat)
+            x = unrows(y, mat)
             del y
         y, ctx = self.head.forward(x, supports[-1])
         tape["head"] = ctx, supports[-1]
@@ -308,7 +312,7 @@ class OccupancyNet:
             gmat, sub = bn.backward(c_bn, gmat)
             del c_bn
             store(bn_name, sub)
-            g = _unrows(g, gmat)
+            g = unrows(g, gmat)
             layer, name, ctx = deconv, deconv_name, deconv_ctx
         g, sub = layer.backward(ctx, g)
         store(name, sub)
@@ -332,14 +336,6 @@ class OccupancyNet:
                 g = g + g_skip
             g_skip = g_sum
         return grads
-
-
-def _unrows(like, rows: np.ndarray):
-    """The inverse of site_rows: the decoder tensor laid out as like (its
-    sites, or its dense shape) that holds rows."""
-    if isinstance(like, SparseFeatureMap):
-        return replace(like, feats=rows)
-    return rows.T.reshape(like.shape)
 
 
 def visible_features(grid: VoxelGrid, visible: np.ndarray) -> SparseFeatureMap:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import keyrand
 from .errors import MalformedFile
-from .voxelizer import VoxelGrid, grid_cylindrical
+from .pointcloud import cylindrical_arrays
+from .voxelizer import VoxelGrid
 
 # Salts separating the keyed RNG streams.
 _GROUP_STREAM = 0x47524F55
@@ -188,7 +189,7 @@ def apply_mask(
     seed = cfg.seed if seed is None else seed
     selected = select_groups(cfg, seed)
     n = len(grid)
-    r, theta = grid_cylindrical(grid)
+    r, theta = cylindrical_arrays(grid.geometry.centers(grid.coords))
     groups = angular_groups(theta, cfg.n_groups)
     subgroups = distance_subgroups(r, cfg.r_thresholds)
     in_selected = in_groups(groups, selected)

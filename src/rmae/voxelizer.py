@@ -1,7 +1,7 @@
 """Sparse voxelization of point clouds and ground-truth occupancy grids.
 
-Grids are regular Cartesian lattices; cylindrical coordinates are computed
-per voxel center on demand for the masking stage.  Voxel rows are kept in
+Grids are regular Cartesian lattices; the masking stage computes
+cylindrical coordinates from the voxel centers.  Voxel rows are kept in
 canonical lexicographic (ix, iy, iz) order so equal content always compares
 equal and every downstream iteration is deterministic.
 
@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .pointcloud import PointCloud, cylindrical_arrays
+from .pointcloud import PointCloud
 
 FEATURE_WIDTH = 4  # mean offset-from-center (x, y, z) + mean intensity
 
@@ -153,11 +153,6 @@ def voxelize(cloud: PointCloud, geom: GridGeometry) -> VoxelGrid:
     feats /= counts[:, None]
 
     return VoxelGrid(geom, coords, feats, counts, dropped)
-
-
-def grid_cylindrical(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(r, theta) arrays for every voxel in canonical order."""
-    return cylindrical_arrays(grid.geometry.centers(grid.coords))
 
 
 def occupancy_of(grid: VoxelGrid) -> OccupancyGrid:

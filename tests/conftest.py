@@ -42,6 +42,16 @@ def random_grid(geom: GridGeometry, n: int, rng: np.random.Generator) -> VoxelGr
     return make_grid(geom, coords, feats)
 
 
+def eval_batch_norm(bn, x: np.ndarray) -> np.ndarray:
+    """Eval batch norm as the textbook expression, in x's dtype:
+    gamma * ((x - running_mean) * ivar) + beta, with
+    ivar = 1 / sqrt(running_var + eps)."""
+    dtype = x.dtype
+    ivar = (1.0 / np.sqrt(bn.running_var + bn.eps)).astype(dtype)
+    xhat = (x - bn.running_mean.astype(dtype)) * ivar
+    return bn.gamma.astype(dtype) * xhat + bn.beta.astype(dtype)
+
+
 def down_sites_oracle(coords, dims) -> np.ndarray:
     """A stride-2 sparse conv's output sites, canonical order, by brute
     force over every (voxel, offset) pair: voxel x reaches output u

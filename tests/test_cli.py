@@ -239,6 +239,22 @@ class TestSweeps:
         )
         assert all(len(r) == len(rows[0]) for r in rows)
 
+    def test_one_frame_trains_and_evaluates_on_it(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_sweep(frames, *args, eval_frames, **kwargs):
+            seen.append((frames, eval_frames))
+            return trainer.sweep(frames, *args, eval_frames=eval_frames, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep", recording_sweep)
+        out = tmp_path / "out"
+        argv = ["sweep-ratio", "--out", str(out), "sweep.ratios=[0.0,0.9]"]
+        assert cli.main(argv + TINY + ["synth.frames=1"]) == 0
+        [(frames, eval_frames)] = seen
+        assert len(frames) == 1 and eval_frames == frames
+        rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
+        assert [float(r[0]) for r in rows[1:]] == [0.0, 0.9]
+
 
 # (argv, what the error says): overrides that give no run config
 MALFORMED_CONFIG = [
@@ -267,6 +283,8 @@ class TestBadInput:
             # too many ground points; 360 / 5e-324 is inf
             "synth.azimuth_step_deg=1e-300",
             "synth.azimuth_step_deg=5e-324",
+            "synth.box_count=-1",
+            "synth.frames=0",
         ],
     )
     def test_bad_synth_value_is_config_error(self, override, tmp_path, capsys):
@@ -315,6 +333,19 @@ class TestBadInput:
             ["pretrain", "net.bn_momentum=-0.5"],
             ["sweep-ratio", "sweep.ratios=[]"],
             ["sweep-angle", "sweep.spans_deg=[]"],
+            ["pretrain", "train.epochs=0"],
+            ["pretrain", "train.batch_size=0"],
+            ["pretrain", "train.learning_rate=-1.0"],
+            ["pretrain", "train.optimizer=rmsprop"],
+            ["mask", "mask.n_groups=0"],
+            ["mask", "mask.selection_mode=foo"],
+            ["mask", "mask.p_drop=[[0.0,0.5,1.5]]"],
+            ["pretrain", "query.mode=foo"],
+            ["pretrain", "net.in_channels=0"],
+            ["voxelize", "geometry.voxel_size=[0.0,0.8,0.8]"],
+            ["sweep-ratio", "sweep.ratios=[1.5]"],
+            ["sweep-angle", "sweep.spans_deg=[0.0]"],
+            ["sweep-ratio", "sweep.eval_frames=-1"],
         ],
         ids=" ".join,
     )
@@ -322,7 +353,8 @@ class TestBadInput:
         out = tmp_path / "out"
         code = cli.main(argv[:1] + ["--out", str(out)] + TINY + argv[1:])
         assert code == cli.EXIT_CONFIG == 3
-        assert "error: ConfigError:" in capsys.readouterr().err
+        section = argv[1].split(".")[0]
+        assert f"error: ConfigError: {section}: " in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
@@ -439,7 +471,7 @@ class TestBadInput:
         record = json.loads((out / "resolved_config.json").read_text())
         assert type(record["mask"]["m"]) is int and record["mask"]["m"] == 1
 
-    @pytest.mark.parametrize("text", ["{}", "not json"])
+    @pytest.mark.parametrize("text", ["{}", "not json", "[]"])
     def test_malformed_stats_file(self, text, tmp_path, capsys):
         stats = tmp_path / "stats.json"
         stats.write_text(text)

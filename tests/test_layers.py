@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import down_sites_oracle
+from conftest import down_sites_oracle, eval_batch_norm
 from rmae.errors import DegenerateBatch, ShapeError, StaleCache
 from rmae.occupancy_net import NetConfig, OccupancyNet
 from rmae.occupancy_net.layers import (
@@ -21,6 +21,7 @@ from rmae.occupancy_net.layers import (
     _shift_slices,
     _TAPS_PER_GEMM,
     site_rows,
+    unrows,
 )
 
 
@@ -504,7 +505,7 @@ class TestBatchNorm:
         x = rng.normal(0, 1, (4000, 3))
         x = (x - x.mean(0)) / x.std(0)
         bn = BatchNorm(3)
-        out, _ = bn.forward(x, training=True)
+        out, _ = bn.forward(x)
         # eps=1e-5 inside the sqrt shrinks values by ~5e-7 per unit
         np.testing.assert_allclose(out, x, atol=1e-5, rtol=1e-5)
 
@@ -512,7 +513,7 @@ class TestBatchNorm:
         bn = BatchNorm(2)
         bn.beta[:] = [1.5, -2.0]
         x = np.full((10, 2), 7.0)
-        out, _ = bn.forward(x, training=True)
+        out, _ = bn.forward(x)
         np.testing.assert_allclose(out, np.tile(bn.beta, (10, 1)), atol=1e-12)
 
     def test_moment_oracle(self):
@@ -521,7 +522,7 @@ class TestBatchNorm:
         bn.gamma[:] = rng.uniform(0.5, 2.0, 4)
         bn.beta[:] = rng.normal(0, 1, 4)
         x = rng.normal(3.0, 2.0, (5000, 4))
-        out, _ = bn.forward(x, training=True)
+        out, _ = bn.forward(x)
         np.testing.assert_allclose(out.mean(0), bn.beta, atol=1e-4)
         np.testing.assert_allclose(out.var(0), bn.gamma**2, rtol=1e-4)
 
@@ -529,7 +530,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(10)
         bn = BatchNorm(2, momentum=0.1)
         x = rng.normal(5.0, 3.0, (1000, 2))
-        _, (_, _, stats) = bn.forward(x, training=True)
+        _, (_, _, stats) = bn.forward(x)
         bn.commit(stats)
         np.testing.assert_allclose(
             bn.running_mean, 0.9 * 0.0 + 0.1 * x.mean(0), rtol=1e-12
@@ -537,7 +538,8 @@ class TestBatchNorm:
         np.testing.assert_allclose(
             bn.running_var, 0.9 * 1.0 + 0.1 * x.var(0), rtol=1e-12
         )
-        y, _ = bn.forward(x[:3], training=False)
+        y = bn.eval_inplace(x[:3].copy())
+        assert y.tobytes() == eval_batch_norm(bn, x[:3]).tobytes()
         expect = (x[:3] - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
         np.testing.assert_allclose(y, expect, rtol=1e-12)
 
@@ -551,7 +553,7 @@ class TestBatchNorm:
         mean, var = bn.running_mean.copy(), bn.running_var.copy()
         pending = []
         for x in xs:
-            _, (_, _, stats) = bn.forward(x, training=True)
+            _, (_, _, stats) = bn.forward(x)
             pending.append(stats)
             mean += 0.3 * (x.mean(axis=0) - mean)
             var += 0.3 * (x.var(axis=0) - var)
@@ -560,9 +562,8 @@ class TestBatchNorm:
         assert bn.running_mean.tobytes() == mean.tobytes()
         assert bn.running_var.tobytes() == var.tobytes()
 
-    @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_matches_textbook_expressions_bitwise(self, training, order):
+    def test_matches_textbook_expressions_bitwise(self, order):
         """forward and backward form every value with the operations of
         the plain expressions, in place, so the bits agree; F order is the
         decoder's (N, C) view of a (C, X, Y, Z) tensor."""
@@ -575,42 +576,35 @@ class TestBatchNorm:
         x = np.asarray(rng.normal(1.0, 2.0, (20000, 3)), order=order)
         probe = np.asarray(rng.normal(0, 1, x.shape), order=order)
         before = (x.copy(), probe.copy())
-        out, ctx = bn.forward(x, training)
+        out, ctx = bn.forward(x)
         grad_in, grads = bn.backward(ctx, probe)
         assert np.array_equal(x, before[0])  # inputs are left alone
         assert np.array_equal(probe, before[1])
 
-        if training:
-            mu, var = x.mean(axis=0), x.var(axis=0)
-        else:
-            mu, var = bn.running_mean, bn.running_var
+        mu, var = x.mean(axis=0), x.var(axis=0)
         ivar = 1.0 / np.sqrt(var + bn.eps)
         xhat = (x - mu) * ivar
         dxhat = probe * bn.gamma
-        if training:
-            n = x.shape[0]
-            expect_in = (
-                ivar
-                / n
-                * (
-                    n * dxhat
-                    - dxhat.sum(axis=0)
-                    - xhat * (dxhat * xhat).sum(axis=0)
-                )
+        n = x.shape[0]
+        expect_in = (
+            ivar
+            / n
+            * (
+                n * dxhat
+                - dxhat.sum(axis=0)
+                - xhat * (dxhat * xhat).sum(axis=0)
             )
-        else:
-            expect_in = dxhat * ivar
+        )
         assert out.tobytes() == (bn.gamma * xhat + bn.beta).tobytes()
         assert grad_in.tobytes() == expect_in.tobytes()
         assert grads["gamma"].tobytes() == (probe * xhat).sum(axis=0).tobytes()
         assert grads["beta"].tobytes() == probe.sum(axis=0).tobytes()
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_backward_consumes_ctx(self, training):
+    def test_backward_consumes_ctx(self):
         rng = np.random.default_rng(33)
         bn = BatchNorm(3)
         x = rng.normal(0, 1, (50, 3))
-        _, ctx = bn.forward(x, training)
+        _, ctx = bn.forward(x)
         bn.backward(ctx, np.ones(x.shape))
         assert ctx == []
         with pytest.raises(StaleCache):
@@ -619,17 +613,16 @@ class TestBatchNorm:
     def test_degenerate_batch(self):
         bn = BatchNorm(2)
         with pytest.raises(DegenerateBatch):
-            bn.forward(np.empty((0, 2)), training=True)
-        out, _ = bn.forward(np.empty((0, 2)), training=False)
-        assert out.shape == (0, 2)
+            bn.forward(np.empty((0, 2)))
+        assert bn.eval_inplace(np.empty((0, 2))).shape == (0, 2)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_eval_inplace_is_eval_forward(self, order, dtype):
+    def test_eval_inplace_is_textbook_expression(self, order, dtype):
         rng = np.random.default_rng(47)
         bn = random_running_bn(5, rng)
         x = np.asarray(rng.normal(1.0, 3.0, (300, 5)), dtype, order=order)
-        ref, _ = bn.forward(x, training=False)
+        ref = eval_batch_norm(bn, x)
         before = [a.copy() for a in bn.params().values()]
         before += [a.copy() for a in bn.buffers().values()]
         out = bn.eval_inplace(x)
@@ -894,14 +887,10 @@ def bn_relu(bn):
 
 
 def unfused_stage(layer, bn, x, sites=None):
-    """layer.forward, then bn.forward(., False) on its rows, then a ReLU,
-    in the layer's output layout."""
+    """layer.forward, then eval batch norm on its rows, then a ReLU, in
+    the layer's output layout."""
     y, _ = layer.forward(x, sites)
-    rows, _ = bn.forward(site_rows(y), training=False)
-    rows = np.maximum(rows, 0.0)
-    if isinstance(y, SparseFeatureMap):
-        return SparseFeatureMap(y.dims, y.coords, rows)
-    return rows.T.reshape(y.shape)
+    return unrows(y, np.maximum(eval_batch_norm(bn, site_rows(y)), 0.0))
 
 
 def lattice_of(x) -> Lattice:
@@ -1072,21 +1061,19 @@ class TestFloat32Input:
             assert grads[name].dtype == np.float64, name
             np.testing.assert_allclose(grads[name], ref_g, rtol=1e-5, atol=1e-5)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_batch_norm(self, training):
+    def test_batch_norm(self):
         rng = np.random.default_rng(41)
         bn = BatchNorm(3)
         bn.gamma[:] = rng.uniform(0.5, 2.0, 3)
         bn.beta[:] = rng.normal(0, 1, 3)
         x = rng.normal(2.0, 3.0, (500, 3))
-        ref, ref_ctx = bn.forward(x, training)
-        out, ctx = bn.forward(x.astype(np.float32), training)
+        ref, ref_ctx = bn.forward(x)
+        out, ctx = bn.forward(x.astype(np.float32))
         assert out.dtype == ctx[0].dtype == np.float32
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
-        if training:
-            for stat, ref_stat in zip(ctx[2], ref_ctx[2]):
-                assert stat.dtype == np.float64
-                np.testing.assert_allclose(stat, ref_stat, rtol=1e-6)
+        for stat, ref_stat in zip(ctx[2], ref_ctx[2]):
+            assert stat.dtype == np.float64
+            np.testing.assert_allclose(stat, ref_stat, rtol=1e-6)
         g = rng.normal(0, 1, x.shape)
         ref_in, ref_grads = bn.backward(ref_ctx, g)
         grad_in, grads = bn.backward(ctx, g.astype(np.float32))
@@ -1162,10 +1149,10 @@ class TestFiniteDifferences:
         probe = rng.normal(0, 1, (40, 3))
 
         def loss():
-            out, _ = bn.forward(x, training=True)
+            out, _ = bn.forward(x)
             return float((out * probe).sum())
 
-        out, ctx = bn.forward(x, training=True)
+        out, ctx = bn.forward(x)
         grad_in, grads = bn.backward(ctx, probe)
         fd_param_check(loss, bn.gamma, grads["gamma"], rng)
         fd_param_check(loss, bn.beta, grads["beta"], rng)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_grid
+from conftest import eval_batch_norm, random_grid
 from rmae.errors import MalformedFile, ShapeError, StaleCache
 from rmae.occupancy_net import (
     NetConfig,
@@ -17,7 +17,7 @@ from rmae.occupancy_net import (
     visible_features,
 )
 from rmae.occupancy_net import network
-from rmae.occupancy_net.layers import SparseFeatureMap, site_rows
+from rmae.occupancy_net.layers import SparseFeatureMap, site_rows, unrows
 from rmae.voxelizer import GridGeometry, occupancy_of
 
 
@@ -108,12 +108,12 @@ class TestForward:
 
 def unfused_eval(net, visible, query=None):
     """The eval forward's logits from each layer's own forward: every
-    batch norm by bn.forward(., False) on its conv's output rows, then the
+    batch norm by eval_batch_norm on its conv's output rows, then the
     ReLU, each stage's output laid out as its conv's."""
     x = skip = visible
     for _, conv, _, bn, residual in net.encoder:
         y, _ = conv.forward(x)
-        f, _ = bn.forward(y.feats, False)
+        f = eval_batch_norm(bn, y.feats)
         f = np.maximum(skip.feats + f if residual else f, 0.0)
         skip, x = x, replace(y, feats=f)
     x = replace(x, feats=x.feats.astype(network.DECODER_DTYPE))
@@ -123,12 +123,7 @@ def unfused_eval(net, visible, query=None):
         supports = net._supports(query, visible.dims)
     for (_, deconv, _, bn), sites in zip(net.decoder, supports):
         y, _ = deconv.forward(x, sites)
-        rows, _ = bn.forward(site_rows(y), False)
-        rows = np.maximum(rows, 0.0)
-        if isinstance(y, SparseFeatureMap):
-            x = replace(y, feats=rows)
-        else:
-            x = rows.T.reshape(y.shape)
+        x = unrows(y, np.maximum(eval_batch_norm(bn, site_rows(y)), 0.0))
     y, _ = net.head.forward(x, supports[-1])
     if query is None:
         return y[0].astype(np.float64)

@@ -16,7 +16,8 @@ from rmae.radial_mask import (
     write_mask_dump,
 )
 from rmae.radial_mask import _VOXEL_STREAM  # noqa: PLC2701 - keyed-RNG contract test
-from rmae.voxelizer import GridGeometry, grid_cylindrical
+from rmae.pointcloud import cylindrical_arrays
+from rmae.voxelizer import GridGeometry
 
 
 def group_of(theta: float, n_groups: int) -> int:
@@ -214,7 +215,7 @@ class TestApplyMask:
             seed=13,
         )
         out = apply_mask(grid, cfg)
-        r, theta = grid_cylindrical(grid)
+        r, theta = cylindrical_arrays(grid.geometry.centers(grid.coords))
         for i, (ix, iy, iz) in enumerate(map(tuple, grid.coords)):
             g = min(int(theta[i] / (2 * math.pi / 4)), 3)
             k = int(np.searchsorted(np.asarray((3.0, 6.0)), r[i], "right"))
@@ -241,7 +242,7 @@ class TestApplyMask:
             [7 - grid.coords[:, 1], grid.coords[:, 0], grid.coords[:, 2]]
         )
         selected_rot = frozenset((g + 1) % 4 for g in out.selected_groups)
-        r, theta = grid_cylindrical(grid)
+        r, theta = cylindrical_arrays(grid.geometry.centers(grid.coords))
         for i, (ix, iy, iz) in enumerate(map(tuple, rot)):
             g = min(int(theta[i] / (2 * math.pi / 4)), 3)
             g_rot = (g + 1) % 4
@@ -268,7 +269,7 @@ class TestMaskStatistics:
         out = apply_mask(grid, cfg)
         stats = out.stats
 
-        r, theta = grid_cylindrical(grid)
+        r, theta = cylindrical_arrays(grid.geometry.centers(grid.coords))
         visible = out.visible
         assert stats.voxel_visible_fraction == visible.sum() / len(grid)
         assert stats.group_visible_fraction == len(out.selected_groups) / 10

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_grid, random_grid
-from rmae.pointcloud import PointCloud, SceneSpec, synth_scene
+from rmae.pointcloud import PointCloud, SceneSpec, cylindrical_arrays, synth_scene
 from rmae.voxelizer import (
     FEATURE_WIDTH,
     GridGeometry,
     VoxelGrid,
     canonical_order,
-    grid_cylindrical,
     occupancy_of,
     voxelize,
     write_debug_dump,
@@ -255,24 +254,25 @@ def test_dims_must_be_positive_integers(dims):
 
 
 class TestVoxelCylindrical:
-    """grid_cylindrical: (r, theta) of each voxel center."""
+    """(r, theta) of each voxel center, the masking stage's coordinates."""
 
     def test_hand_case(self):
         geom = GridGeometry((0, 0, 0), (2, 8, 2), (2, 1, 1))
         grid = make_grid(geom, [[0, 0, 0], [1, 0, 0]])
-        r, theta = grid_cylindrical(grid)
+        r, theta = cylindrical_arrays(geom.centers(grid.coords))
         np.testing.assert_allclose(r, [math.hypot(1.0, 4.0), 5.0], rtol=1e-12)
         assert abs(theta[1] - math.atan2(4.0, 3.0)) < 1e-12
 
     def test_positive_x_axis(self):
         geom = GridGeometry((0, -1, 0), (1, 2, 1), (2, 1, 1))
         grid = make_grid(geom, [[0, 0, 0], [1, 0, 0]])
-        assert grid_cylindrical(grid)[1].tolist() == [0.0, 0.0]
+        _, theta = cylindrical_arrays(geom.centers(grid.coords))
+        assert theta.tolist() == [0.0, 0.0]
 
     def test_origin_column_half_diagonal(self):
         geom = GridGeometry()  # default: origin at a voxel corner
         grid = make_grid(geom, [[31, 31, 0], [32, 32, 15]])
-        r, _ = grid_cylindrical(grid)
+        r, _ = cylindrical_arrays(geom.centers(grid.coords))
         half_diag = math.hypot(0.4, 0.4) / 2
         np.testing.assert_allclose(r, half_diag, rtol=1e-12)
 
