@@ -209,11 +209,13 @@ class SparseDownConv(_SparseConv):
 class BatchNorm:
     """Per-channel batch normalization over an (N, C) matrix.
 
-    forward is the training pass, on the batch's mean and biased
-    variance; it never touches the running statistics but ends its ctx
-    with the batch (mean, var) for commit() to fold in, so passes may run
-    concurrently and commit afterwards in their original order.  The eval
-    pass, eval_inplace, uses the running statistics and keeps no ctx.
+    Training mode normalizes with the batch's mean and biased variance;
+    it never touches the running statistics but ends its ctx with the
+    batch (mean, var) for commit() to fold in, so passes may run
+    concurrently and commit afterwards in their original order.  Eval
+    mode is eval_inplace, on the running statistics: it overwrites its
+    input and keeps no ctx, so it serves no backward.  An eval forward
+    only calls it, so perfbench, which times forward, still sees it.
 
     Besides its input, forward keeps two full-size buffers (xhat and the
     output) and backward one (its result); every per-element product is
@@ -244,8 +246,11 @@ class BatchNorm:
             "running_var": self.running_var,
         }
 
-    def forward(self, x: np.ndarray):
-        """The training pass; returns (out, [xhat, ivar, (mean, var)])."""
+    def forward(self, x: np.ndarray, training: bool):
+        """(out, [xhat, ivar, (mean, var)]) in training mode; in eval
+        mode (eval_inplace(x), None), which overwrites x."""
+        if not training:
+            return self.eval_inplace(x), None
         _check_width(x, self.ch, "batch norm")
         if x.shape[0] == 0:
             raise DegenerateBatch(

@@ -36,10 +36,10 @@ ReLU's output stays as the next layer's input, or as the latent, and
 backward takes the ReLU's mask from it), and backward consumes it.  An
 eval forward keeps neither encoder units nor decoder stages, so its tape
 serves no backward.  Its batch norms run eval_inplace over their conv's
-fresh output: an encoder unit's after the conv, a decoder stage's (and
-ReLU) as the deconv's epilogue on each phase's buffer while it is in
-cache, with the unfused stage's bytes (see layers); a training batch
-norm needs the whole output's statistics first.
+fresh output: an encoder unit's through BatchNorm.forward after the
+conv, a decoder stage's (and ReLU) as the deconv's epilogue on each
+phase's buffer while it is in cache, with the unfused stage's bytes (see
+layers); a training batch norm needs the whole output's statistics first.
 
 The decoder computes in DECODER_DTYPE (float32): the latent, cast on
 entry, each deconv, batch norm and ReLU, and the head.  Everything that
@@ -219,12 +219,10 @@ class OccupancyNet:
         if len(visible):
             for _, conv, _, bn, residual in self.encoder:
                 y, c_conv = conv.forward(x)
+                f, c_bn = bn.forward(y.feats, training)
                 if training:
-                    f, c_bn = bn.forward(y.feats)
                     stats.append((bn, c_bn[2]))
                     units.append((c_conv, c_bn))
-                else:
-                    f = bn.eval_inplace(y.feats)
                 f = np.maximum(skip.feats + f if residual else f, 0.0)
                 skip, x = x, replace(y, feats=f)
         else:
@@ -249,7 +247,7 @@ class OccupancyNet:
                 x, _ = deconv.forward(x, sites, epilogue)
                 continue
             y, ctx = deconv.forward(x, sites)
-            mat, c_bn = bn.forward(site_rows(y))
+            mat, c_bn = bn.forward(site_rows(y), training=True)
             stats.append((bn, c_bn[2]))
             stages.append((ctx, c_bn))
             np.maximum(mat, 0.0, out=mat)  # ReLU

@@ -505,7 +505,7 @@ class TestBatchNorm:
         x = rng.normal(0, 1, (4000, 3))
         x = (x - x.mean(0)) / x.std(0)
         bn = BatchNorm(3)
-        out, _ = bn.forward(x)
+        out, _ = bn.forward(x, training=True)
         # eps=1e-5 inside the sqrt shrinks values by ~5e-7 per unit
         np.testing.assert_allclose(out, x, atol=1e-5, rtol=1e-5)
 
@@ -513,7 +513,7 @@ class TestBatchNorm:
         bn = BatchNorm(2)
         bn.beta[:] = [1.5, -2.0]
         x = np.full((10, 2), 7.0)
-        out, _ = bn.forward(x)
+        out, _ = bn.forward(x, training=True)
         np.testing.assert_allclose(out, np.tile(bn.beta, (10, 1)), atol=1e-12)
 
     def test_moment_oracle(self):
@@ -522,7 +522,7 @@ class TestBatchNorm:
         bn.gamma[:] = rng.uniform(0.5, 2.0, 4)
         bn.beta[:] = rng.normal(0, 1, 4)
         x = rng.normal(3.0, 2.0, (5000, 4))
-        out, _ = bn.forward(x)
+        out, _ = bn.forward(x, training=True)
         np.testing.assert_allclose(out.mean(0), bn.beta, atol=1e-4)
         np.testing.assert_allclose(out.var(0), bn.gamma**2, rtol=1e-4)
 
@@ -530,7 +530,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(10)
         bn = BatchNorm(2, momentum=0.1)
         x = rng.normal(5.0, 3.0, (1000, 2))
-        _, (_, _, stats) = bn.forward(x)
+        _, (_, _, stats) = bn.forward(x, training=True)
         bn.commit(stats)
         np.testing.assert_allclose(
             bn.running_mean, 0.9 * 0.0 + 0.1 * x.mean(0), rtol=1e-12
@@ -553,7 +553,7 @@ class TestBatchNorm:
         mean, var = bn.running_mean.copy(), bn.running_var.copy()
         pending = []
         for x in xs:
-            _, (_, _, stats) = bn.forward(x)
+            _, (_, _, stats) = bn.forward(x, training=True)
             pending.append(stats)
             mean += 0.3 * (x.mean(axis=0) - mean)
             var += 0.3 * (x.var(axis=0) - var)
@@ -576,7 +576,7 @@ class TestBatchNorm:
         x = np.asarray(rng.normal(1.0, 2.0, (20000, 3)), order=order)
         probe = np.asarray(rng.normal(0, 1, x.shape), order=order)
         before = (x.copy(), probe.copy())
-        out, ctx = bn.forward(x)
+        out, ctx = bn.forward(x, training=True)
         grad_in, grads = bn.backward(ctx, probe)
         assert np.array_equal(x, before[0])  # inputs are left alone
         assert np.array_equal(probe, before[1])
@@ -604,7 +604,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(33)
         bn = BatchNorm(3)
         x = rng.normal(0, 1, (50, 3))
-        _, ctx = bn.forward(x)
+        _, ctx = bn.forward(x, training=True)
         bn.backward(ctx, np.ones(x.shape))
         assert ctx == []
         with pytest.raises(StaleCache):
@@ -613,7 +613,7 @@ class TestBatchNorm:
     def test_degenerate_batch(self):
         bn = BatchNorm(2)
         with pytest.raises(DegenerateBatch):
-            bn.forward(np.empty((0, 2)))
+            bn.forward(np.empty((0, 2)), training=True)
         assert bn.eval_inplace(np.empty((0, 2))).shape == (0, 2)
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -635,6 +635,19 @@ class TestBatchNorm:
     def test_eval_inplace_checks_width(self):
         with pytest.raises(ShapeError):
             BatchNorm(3).eval_inplace(np.zeros((4, 2)))
+
+    def test_eval_forward_is_eval_inplace(self):
+        """An eval forward overwrites x with eval_inplace's output and
+        returns no ctx, so it serves no backward."""
+        rng = np.random.default_rng(53)
+        bn = random_running_bn(4, rng)
+        x = rng.normal(1.0, 3.0, (100, 4))
+        ref = eval_batch_norm(bn, x)
+        out, ctx = bn.forward(x, training=False)
+        assert out is x and ctx is None
+        assert out.tobytes() == ref.tobytes()
+        with pytest.raises(StaleCache):
+            bn.backward(ctx, np.ones(x.shape))
 
 
 class TestReluResidual:
@@ -1067,8 +1080,8 @@ class TestFloat32Input:
         bn.gamma[:] = rng.uniform(0.5, 2.0, 3)
         bn.beta[:] = rng.normal(0, 1, 3)
         x = rng.normal(2.0, 3.0, (500, 3))
-        ref, ref_ctx = bn.forward(x)
-        out, ctx = bn.forward(x.astype(np.float32))
+        ref, ref_ctx = bn.forward(x, training=True)
+        out, ctx = bn.forward(x.astype(np.float32), training=True)
         assert out.dtype == ctx[0].dtype == np.float32
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
         for stat, ref_stat in zip(ctx[2], ref_ctx[2]):
@@ -1149,10 +1162,10 @@ class TestFiniteDifferences:
         probe = rng.normal(0, 1, (40, 3))
 
         def loss():
-            out, _ = bn.forward(x)
+            out, _ = bn.forward(x, training=True)
             return float((out * probe).sum())
 
-        out, ctx = bn.forward(x)
+        out, ctx = bn.forward(x, training=True)
         grad_in, grads = bn.backward(ctx, probe)
         fd_param_check(loss, bn.gamma, grads["gamma"], rng)
         fd_param_check(loss, bn.beta, grads["beta"], rng)
