@@ -33,16 +33,12 @@ def derive_seed(seed: int, *keys: int) -> int:
     return h
 
 
-def uniform(seed: int, *keys: int) -> float:
-    """Deterministic draw in [0, 1) for the given key tuple."""
-    return (derive_seed(seed, *keys) >> 11) * 2.0 ** -53
-
-
 def uniform_array(seed: int, *key_arrays: np.ndarray) -> np.ndarray:
-    """Vectorized `uniform`: one draw per row of the broadcast key arrays.
+    """Deterministic draws in [0, 1): one per row of the broadcast key
+    arrays, the top 53 bits of derive_seed(seed, *row) scaled by 2**-53.
 
     Each positional array supplies one key component; all are broadcast
-    against each other.  Matches the scalar path bit-for-bit.
+    against each other.
     """
     arrs = np.broadcast_arrays(*[np.asarray(a) for a in key_arrays])
     h = np.full(arrs[0].shape, _mix64(seed + _GOLDEN), dtype=np.uint64)

@@ -5,10 +5,12 @@ cylindrical coordinates from the voxel centers.  Voxel rows are kept in
 canonical lexicographic (ix, iy, iz) order so equal content always compares
 equal and every downstream iteration is deterministic.
 
-voxelize makes per-axis passes over contiguous point columns and groups the
-points by a per-cell count over the grid's linear index (8 bytes per cell),
-not by sorting them, so its rows come out in canonical order; VoxelGrid
-sorts only rows that are not already strictly increasing.
+voxelize works through the points in fixed-size chunks whose float64 rows
+stay in cache, and groups the kept points by a per-cell count over the
+grid's linear index, not by sorting, so its rows come out in canonical order
+and each voxel's sums add its points in input order; VoxelGrid sorts only
+rows that are not already strictly increasing.  Memory: 40 bytes per point,
+one chunk's temporaries and 8 bytes per grid cell for each bincount.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .pointcloud import PointCloud
 
 FEATURE_WIDTH = 4  # mean offset-from-center (x, y, z) + mean intensity
+_POINTS_PER_CHUNK = 16_384  # voxelize's per-chunk float64 rows stay in cache
 
 
 @dataclass(frozen=True)
@@ -112,47 +115,59 @@ def voxelize(cloud: PointCloud, geom: GridGeometry) -> VoxelGrid:
     """Bucket points into voxels; out-of-extent points are dropped (their
     count is kept on the grid's dropped_points field).
 
-    Works on the transposed (4, N) float64 points, one contiguous row per
-    column, so each axis's floored index, bound check and center offset is
-    one pass over a row.  The bound check runs on the floored float, so only
-    inside indices are ever cast to integers.  Points are grouped by a
-    per-cell count (np.bincount over the linear index): voxel rows leave in
-    ascending linear index, which is canonical (ix, iy, iz) order, and each
-    voxel's sums add its points in input order.  The count and each sum are
-    transient arrays of 8 bytes per grid cell (512 KiB at 64x64x16).
+    Each chunk of points is cast to float64 rows in place, at the write
+    offset of the (4, N) weights buffer, so each axis's floored index,
+    bound check and center offset is one pass over a cached row; the bound
+    check runs on the floored float, so only inside indices are cast to
+    integers.  Inside points are packed in input order, 40 bytes each: the
+    linear index (int64) and the weights (offsets, intensity).  Grouping by
+    np.bincount over the linear index gives rows in ascending linear index,
+    which is canonical (ix, iy, iz) order, and sums that add each voxel's
+    points in input order; the count and each sum take 8 bytes per grid
+    cell (512 KiB at 64x64x16).
     """
-    cols = np.array(cloud.data.T, dtype=np.float64, order="C")
+    data = cloud.data
     mins = np.asarray(geom.min_corner, dtype=np.float64)[:, None]
     sizes = np.asarray(geom.voxel_size, dtype=np.float64)[:, None]
     nx, ny, nz = geom.dims
+    lin = np.empty(len(data), dtype=np.int64)
+    weights = np.empty((FEATURE_WIDTH, len(data)), dtype=np.float64)
+    k = 0  # inside points packed so far
 
-    idx = cols[:3] - mins
-    idx /= sizes
-    np.floor(idx, out=idx)
-    inside = (idx[0] >= 0) & (idx[0] < nx)
-    inside &= (idx[1] >= 0) & (idx[1] < ny)
-    inside &= (idx[2] >= 0) & (idx[2] < nz)
-    dropped = len(inside) - int(np.count_nonzero(inside))
-    if dropped:
-        cols = cols[:, inside]
-        idx = idx[:, inside]
-    # exact in float64: every term is an integer below n_cells
-    lin = ((idx[0] * ny + idx[1]) * nz + idx[2]).astype(np.int64)
+    for start in range(0, len(data), _POINTS_PER_CHUNK):
+        chunk = data[start : start + _POINTS_PER_CHUNK]
+        cols = weights[:, k : k + len(chunk)]  # fits, as k <= start
+        cols[...] = chunk.T
+        idx = cols[:3] - mins
+        idx /= sizes
+        np.floor(idx, out=idx)
+        inside = (idx[0] >= 0) & (idx[0] < nx)
+        inside &= (idx[1] >= 0) & (idx[1] < ny)
+        inside &= (idx[2] >= 0) & (idx[2] < nz)
+        m = int(np.count_nonzero(inside))
+        if m < len(chunk):
+            cols[:, :m] = cols[:, inside]
+            cols = cols[:, :m]
+            idx = idx[:, inside]
+        # exact in float64: every term is an integer below n_cells
+        lin[k : k + m] = (idx[0] * ny + idx[1]) * nz + idx[2]
+        idx += 0.5  # x - (min + (i + 0.5) * size), in place
+        idx *= sizes
+        idx += mins
+        cols[:3] -= idx
+        k += m
+
+    lin = lin[:k]
     per_cell = np.bincount(lin, minlength=geom.n_cells)
     uniq = np.flatnonzero(per_cell)
     counts = per_cell[uniq]
     coords = np.column_stack(np.unravel_index(uniq, geom.dims))
-
-    offsets = idx + 0.5  # x - (min + (i + 0.5) * size), in place
-    offsets *= sizes
-    offsets += mins
-    np.subtract(cols[:3], offsets, out=offsets)
     feats = np.empty((len(uniq), FEATURE_WIDTH), dtype=np.float64)
-    for c, weights in enumerate((*offsets, cols[3])):
-        feats[:, c] = np.bincount(lin, weights, geom.n_cells)[uniq]
+    for c in range(FEATURE_WIDTH):
+        feats[:, c] = np.bincount(lin, weights[c, :k], geom.n_cells)[uniq]
     feats /= counts[:, None]
 
-    return VoxelGrid(geom, coords, feats, counts, dropped)
+    return VoxelGrid(geom, coords, feats, counts, len(data) - k)
 
 
 def occupancy_of(grid: VoxelGrid) -> OccupancyGrid:

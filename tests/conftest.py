@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rmae.keyrand import derive_seed
 from rmae.voxelizer import FEATURE_WIDTH, GridGeometry, VoxelGrid
 
 
@@ -14,6 +15,12 @@ def small_geom():
         voxel_size=(0.8, 0.8, 0.8),
         dims=(16, 16, 8),
     )
+
+
+def uniform(seed: int, *keys: int) -> float:
+    """Scalar oracle for keyrand.uniform_array: the draw in [0, 1) for one
+    key tuple."""
+    return (derive_seed(seed, *keys) >> 11) * 2.0 ** -53
 
 
 def make_grid(geom: GridGeometry, coords, feats=None, counts=None) -> VoxelGrid:

@@ -1,5 +1,6 @@
 import numpy as np
 
+from conftest import uniform
 from rmae import keyrand
 
 
@@ -8,13 +9,16 @@ def test_scalar_and_array_paths_agree():
     coords = np.arange(50, dtype=np.int64) * 3
     vec = keyrand.uniform_array(42, groups, coords)
     for i in range(50):
-        assert vec[i] == keyrand.uniform(42, int(groups[i]), int(coords[i]))
+        assert vec[i] == uniform(42, int(groups[i]), int(coords[i]))
 
 
 def test_deterministic_and_key_sensitive():
-    assert keyrand.uniform(1, 2, 3) == keyrand.uniform(1, 2, 3)
-    assert keyrand.uniform(1, 2, 3) != keyrand.uniform(1, 2, 4)
-    assert keyrand.uniform(1, 2, 3) != keyrand.uniform(2, 2, 3)
+    def u(seed, *keys):
+        return keyrand.uniform_array(seed, *([k] for k in keys))[0]
+
+    assert u(1, 2, 3) == u(1, 2, 3)
+    assert u(1, 2, 3) != u(1, 2, 4)
+    assert u(1, 2, 3) != u(2, 2, 3)
     assert keyrand.derive_seed(7, 1) != keyrand.derive_seed(7, 2)
 
 
@@ -29,8 +33,9 @@ def test_uniform_range_and_mean():
 
 def test_negative_keys_wrap_consistently():
     a = keyrand.uniform_array(0, np.array([-5], dtype=np.int64))
-    assert a[0] == keyrand.uniform(0, -5)
+    assert a[0] == uniform(0, -5)
 
 
 def test_large_seed_accepted():
-    assert 0 <= keyrand.uniform(2**64 - 1, 9) < 1
+    a = keyrand.uniform_array(2**64 - 1, np.array([9]))
+    assert a[0] == uniform(2**64 - 1, 9) and 0 <= a[0] < 1

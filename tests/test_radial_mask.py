@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_grid, random_grid
-from rmae import keyrand
+from conftest import make_grid, random_grid, uniform
 from rmae.radial_mask import (
     MaskConfig,
     MaskStats,
@@ -219,7 +218,7 @@ class TestApplyMask:
         for i, (ix, iy, iz) in enumerate(map(tuple, grid.coords)):
             g = min(int(theta[i] / (2 * math.pi / 4)), 3)
             k = int(np.searchsorted(np.asarray((3.0, 6.0)), r[i], "right"))
-            u = keyrand.uniform(13, _VOXEL_STREAM, g, ix, iy, iz)
+            u = uniform(13, _VOXEL_STREAM, g, ix, iy, iz)
             expect = g in out.selected_groups and u >= cfg.p_drop[0][k]
             assert out.visible[i] == expect
 
@@ -248,7 +247,7 @@ class TestApplyMask:
             g_rot = (g + 1) % 4
             k = int(np.searchsorted(np.asarray((2.0,)), r[i], "right"))
             # shifted stream: the rotated voxel re-uses the original keys
-            u = keyrand.uniform(
+            u = uniform(
                 19, _VOXEL_STREAM, g, *map(int, grid.coords[i])
             )
             expect = g_rot in selected_rot and u >= cfg.p_drop[0][k]

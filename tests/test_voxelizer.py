@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_grid, random_grid
+from rmae import voxelizer
 from rmae.pointcloud import PointCloud, SceneSpec, cylindrical_arrays, synth_scene
 from rmae.voxelizer import (
     FEATURE_WIDTH,
@@ -121,9 +123,15 @@ class TestAgainstSortOracle:
         assert len(grid) == 0 and grid.dropped_points == 2
 
 
-def test_far_points_are_dropped_without_a_cast_warning():
+CHUNK = voxelizer._POINTS_PER_CHUNK  # noqa: PLC2701 - chunk-boundary tests
+
+
+@pytest.mark.parametrize("lead", [1, CHUNK])
+def test_far_points_are_dropped_without_a_cast_warning(lead):
+    """lead near points come first, so at lead = CHUNK the far ones sit in
+    the second chunk."""
     geom = GridGeometry()
-    far = [[1, 1, 0, 0.5]]
+    far = [[1, 1, 0, 0.5]] * lead
     for axis in range(3):
         for sign in (1.0, -1.0):
             pt = [1.0, 1.0, 0.0, 1.0]
@@ -133,7 +141,7 @@ def test_far_points_are_dropped_without_a_cast_warning():
         warnings.simplefilter("error")
         grid = voxelize(cloud_from(far), geom)
     assert grid.dropped_points == 6
-    assert len(grid) == 1 and grid.counts.tolist() == [1]
+    assert len(grid) == 1 and grid.counts.tolist() == [lead]
 
 
 # clouds straddling EXACT's faces; snapped to the 0.25 m lattice, their
@@ -145,13 +153,67 @@ clouds = st.integers(0, 200).flatmap(
 )
 
 
-@settings(max_examples=50, deadline=None)
-@given(clouds, st.booleans())
-def test_voxelize_equals_sort_oracle(data, snap):
+@settings(max_examples=100, deadline=None)
+@given(clouds, st.booleans(), st.one_of(st.just(CHUNK), st.integers(1, 7)))
+def test_voxelize_equals_sort_oracle(data, snap, chunk):
+    """At chunk sizes of a few points the clouds cross many chunk
+    boundaries."""
     if snap:
         data = np.round(data * 4) / 4
     cloud = PointCloud(data)
-    assert_same_bytes(voxelize(cloud, EXACT), sort_voxelize(cloud, EXACT))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voxelizer, "_POINTS_PER_CHUNK", chunk)
+        grid = voxelize(cloud, EXACT)
+    assert_same_bytes(grid, sort_voxelize(cloud, EXACT))
+
+
+class TestChunkBoundaries:
+    geom = GridGeometry()
+
+    def scatter(self, n, rng):
+        """n points over the middle 8x8 by 16 voxels, about 20% of them
+        above or below the grid, so voxels gather points from every
+        chunk and the order of each voxel's sum shows in its bits."""
+        pts = rng.uniform(-1, 1, (n, 4)) * (1.6, 1.6, 4.0, 1.0)
+        return pts.astype(np.float32)
+
+    def test_three_chunks_and_a_remainder(self):
+        rng = np.random.default_rng(22)
+        chunks = [self.scatter(CHUNK, rng) for _ in range(4)]
+        chunks[1][:, 0] = rng.uniform(12.9, 60.0, CHUNK)  # wholly outside
+        chunks[3] = chunks[3][: CHUNK // 3]
+        cloud = cloud_from(np.concatenate(chunks))
+        assert len(cloud) == 3 * CHUNK + CHUNK // 3
+        grid = voxelize(cloud, self.geom)
+        assert_same_bytes(grid, sort_voxelize(cloud, self.geom))
+        for part in chunks:
+            kept = voxelize(cloud_from(part), self.geom).counts.sum()
+            assert kept < len(part)
+        assert voxelize(cloud_from(chunks[1]), self.geom).counts.sum() == 0
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_cloud_sizes_around_one_chunk(self, n):
+        cloud = cloud_from(self.scatter(n, np.random.default_rng(n)))
+        grid = voxelize(cloud, self.geom)
+        assert_same_bytes(grid, sort_voxelize(cloud, self.geom))
+        assert 0 < grid.dropped_points < n
+
+    def test_peak_memory_is_not_float64_per_point(self):
+        """On a KITTI-density frame the traced peak stays under 48 bytes
+        per point plus 2 MiB: the packed indices and weights take 40, and
+        one chunk's temporaries and the per-cell bincounts fit in the
+        constant.  Full-length float64 temporaries would take about 100."""
+        cloud = synth_scene(
+            SceneSpec(seed=5, sensor_rings=64, azimuth_step_deg=0.2)
+        )
+        assert len(cloud) > 90_000
+        tracemalloc.start()
+        try:
+            voxelize(cloud, self.geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * len(cloud) + 2 * 2**20
 
 
 class TestVoxelize:
