@@ -45,6 +45,15 @@ for threads in 1 2; do
             rmae sweep-angle --out sweep-angle 'sweep.spans_deg=[5.0,45.0]' \
                 $TINY
             rmae mask --out mask 'mask.r_thresholds=[6.0,12.0]' $TINY
+            # each branch of the mask: an exact-count draw, nothing masked,
+            # and per-group drop rows with bands inside the grid's reach
+            rmae mask --out mask-exact $TINY mask.selection_mode=exact_count \
+                mask.m=0.5
+            rmae mask --out mask-none $TINY mask.m=0.0 \
+                'mask.p_drop=[[0.0,0.0,0.0]]'
+            rmae mask --out mask-rows $TINY mask.n_groups=4 \
+                'mask.r_thresholds=[3.0,6.0]' \
+                'mask.p_drop=[[0.0,0.5,0.9],[0.2,0.2,0.2],[1.0,0.0,0.0],[0.5,0.5,0.5]]'
             rmae voxelize --out voxelize $TINY
             # a grid smaller than the scene, so points are dropped
             rmae voxelize --out voxelize-crop $TINY 'geometry.dims=[8,8,4]'

@@ -37,17 +37,23 @@ def uniform_array(seed: int, *key_arrays: np.ndarray) -> np.ndarray:
     """Deterministic draws in [0, 1): one per row of the broadcast key
     arrays, the top 53 bits of derive_seed(seed, *row) scaled by 2**-53.
 
-    Each positional array supplies one key component; all are broadcast
-    against each other.
+    Each positional array (or scalar) supplies one key component; all are
+    broadcast against each other.  Leading scalar keys, such as a stream
+    salt, fold into the seed once; the rest mix in place on an at least
+    1-d uint64 array, whose wraparound is silent where numpy scalars' warns.
     """
-    arrs = np.broadcast_arrays(*[np.asarray(a) for a in key_arrays])
-    h = np.full(arrs[0].shape, _mix64(seed + _GOLDEN), dtype=np.uint64)
-    golden = np.uint64(_GOLDEN)
-    m1 = np.uint64(_MIX1)
-    m2 = np.uint64(_MIX2)
-    for a in arrs:
-        h = h + golden + a.astype(np.uint64)
-        h = (h ^ (h >> np.uint64(30))) * m1
-        h = (h ^ (h >> np.uint64(27))) * m2
-        h = h ^ (h >> np.uint64(31))
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    keys = [np.asarray(a) for a in key_arrays]
+    shape = np.broadcast_shapes(*(a.shape for a in keys))
+    lead = next((i for i, a in enumerate(keys) if a.ndim), len(keys))
+    h = np.full(shape or 1, derive_seed(seed, *keys[:lead]), dtype=np.uint64)
+    golden, m1, m2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+    for a in keys[lead:]:
+        h += golden
+        h += a.astype(np.uint64)
+        h ^= h >> np.uint64(30)
+        h *= m1
+        h ^= h >> np.uint64(27)
+        h *= m2
+        h ^= h >> np.uint64(31)
+    u = (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return u.reshape(shape)

@@ -6,7 +6,11 @@ unselected groups are fully masked.  Stage 2 drops voxels inside sensed
 groups with a range-dependent probability looked up by distance subgroup.
 
 Every random decision is a keyed draw (seed, group, voxel coordinate), so
-outcomes are independent of iteration order and safe to parallelize.
+outcomes are independent of iteration order and safe to parallelize, and
+a mask pays only for what it senses: a voxel's (r, theta) is gathered from
+its geometry's column_polar table, stage 1 is a boolean table over groups,
+and stage 2 draws and looks up drop probabilities only for voxels in
+sensed groups.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 
 from . import keyrand
 from .errors import MalformedFile
-from .pointcloud import cylindrical_arrays
 from .voxelizer import VoxelGrid
 
 # Salts separating the keyed RNG streams.
@@ -148,12 +151,6 @@ def angular_groups(theta: np.ndarray, n_groups: int) -> np.ndarray:
     return np.minimum(g, n_groups - 1)
 
 
-def in_groups(groups: np.ndarray, selected) -> np.ndarray:
-    """Whether each group index is in the selected set (all False when
-    the set is empty)."""
-    return np.isin(groups, np.fromiter(selected, dtype=np.int64))
-
-
 def distance_subgroups(r: np.ndarray, thresholds) -> np.ndarray:
     """Radial band index of each radius r; a radius equal to a threshold
     lands in the farther band."""
@@ -162,22 +159,23 @@ def distance_subgroups(r: np.ndarray, thresholds) -> np.ndarray:
     )
 
 
-def select_groups(cfg: MaskConfig, seed: int | None = None) -> frozenset[int]:
-    """Stage 1: the sensed angular groups, deterministic in the seed."""
-    seed = cfg.seed if seed is None else seed
+def _sensed_table(cfg: MaskConfig, seed: int) -> np.ndarray:
+    """Stage 1 as an (n_groups,) bool table: True where a group is sensed."""
     p_keep = 1.0 - cfg.m
     if cfg.selection_mode == "bernoulli":
-        u = keyrand.uniform_array(
-            seed,
-            np.full(cfg.n_groups, _GROUP_STREAM, dtype=np.int64),
-            np.arange(cfg.n_groups, dtype=np.int64),
-        )
-        return frozenset(np.flatnonzero(u < p_keep).tolist())
+        groups = np.arange(cfg.n_groups, dtype=np.int64)
+        return keyrand.uniform_array(seed, _GROUP_STREAM, groups) < p_keep
     count = int(round(p_keep * cfg.n_groups))
     rng = np.random.default_rng(keyrand.derive_seed(seed, _GROUP_STREAM))
-    return frozenset(
-        rng.choice(cfg.n_groups, size=count, replace=False).tolist()
-    )
+    keep = np.zeros(cfg.n_groups, dtype=bool)
+    keep[rng.choice(cfg.n_groups, size=count, replace=False)] = True
+    return keep
+
+
+def select_groups(cfg: MaskConfig, seed: int | None = None) -> frozenset[int]:
+    """Stage 1: the sensed angular groups, deterministic in the seed."""
+    keep = _sensed_table(cfg, cfg.seed if seed is None else seed)
+    return frozenset(np.flatnonzero(keep).tolist())
 
 
 def apply_mask(
@@ -187,52 +185,35 @@ def apply_mask(
     sensed groups survive an independent keyed Bernoulli drop with
     probability p_drop[group, subgroup]."""
     seed = cfg.seed if seed is None else seed
-    selected = select_groups(cfg, seed)
-    n = len(grid)
-    r, theta = cylindrical_arrays(grid.geometry.centers(grid.coords))
-    groups = angular_groups(theta, cfg.n_groups)
+    keep = _sensed_table(cfg, seed)
+    coords = grid.coords
+    col = coords[:, 0] * grid.geometry.dims[1] + coords[:, 1]
+    r_col, theta_col = grid.geometry.column_polar
+    r = r_col[col]
+    groups = angular_groups(theta_col[col], cfg.n_groups)
     subgroups = distance_subgroups(r, cfg.r_thresholds)
-    in_selected = in_groups(groups, selected)
-    u = keyrand.uniform_array(
-        seed,
-        np.full(n, _VOXEL_STREAM, dtype=np.int64),
-        groups,
-        grid.coords[:, 0],
-        grid.coords[:, 1],
-        grid.coords[:, 2],
-    )
-    p = _drop_probs(cfg, groups, subgroups)
-    visible = in_selected & (u >= p)
 
-    stats = _compute_stats(cfg, selected, visible, in_selected, subgroups, r)
-    return MaskOutcome(selected, visible, groups, subgroups, stats)
+    rows = np.flatnonzero(keep[groups])  # voxels in sensed groups
+    g, k = groups[rows], subgroups[rows]
+    xyz = np.take(coords, rows, axis=0).T
+    u = keyrand.uniform_array(seed, _VOXEL_STREAM, g, *xyz)
+    p_drop = np.asarray(cfg.p_drop, dtype=np.float64)
+    kept = rows[u >= p_drop[g if len(p_drop) > 1 else 0, k]]
+    visible = np.zeros(len(grid), dtype=bool)
+    visible[kept] = True
 
-
-def _drop_probs(
-    cfg: MaskConfig, groups: np.ndarray, subgroups: np.ndarray
-) -> np.ndarray:
-    table = np.asarray(cfg.p_drop, dtype=np.float64)
-    rows = np.zeros_like(groups) if table.shape[0] == 1 else groups
-    return table[rows, subgroups]
-
-
-def _compute_stats(cfg, selected, visible, in_selected, subgroups, r):
-    n = len(visible)
-    rates = []
-    for k in range(cfg.n_subgroups):
-        sel_k = in_selected & (subgroups == k)
-        total = int(sel_k.sum())
-        if total == 0:
-            rates.append(float("nan"))
-        else:
-            rates.append(float((sel_k & ~visible).sum()) / total)
-    vis_r = r[visible]
-    return MaskStats(
+    sensed = np.bincount(k, minlength=cfg.n_subgroups).tolist()
+    shown = np.bincount(subgroups[kept], minlength=cfg.n_subgroups).tolist()
+    selected = frozenset(np.flatnonzero(keep).tolist())
+    stats = MaskStats(
         group_visible_fraction=len(selected) / cfg.n_groups,
-        voxel_visible_fraction=float(visible.sum()) / n if n else 0.0,
-        per_subgroup_drop_rate=tuple(rates),
-        max_sensed_range=float(vis_r.max()) if vis_r.size else 0.0,
+        voxel_visible_fraction=len(kept) / len(grid) if len(grid) else 0.0,
+        per_subgroup_drop_rate=tuple(
+            (s - v) / s if s else math.nan for s, v in zip(sensed, shown)
+        ),
+        max_sensed_range=float(r[kept].max()) if len(kept) else 0.0,
     )
+    return MaskOutcome(selected, visible, groups, subgroups, stats)
 
 
 def write_mask_dump(outcome: MaskOutcome, grid: VoxelGrid, path) -> None:

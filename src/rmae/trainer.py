@@ -31,14 +31,8 @@ from .occupancy_net import (
     visible_features,
 )
 from .occupancy_net.loss import bce_elements
-from .pointcloud import PointCloud, cylindrical_arrays
-from .radial_mask import (
-    MaskConfig,
-    MaskStats,
-    angular_groups,
-    apply_mask,
-    in_groups,
-)
+from .pointcloud import PointCloud
+from .radial_mask import MaskConfig, MaskStats, angular_groups, apply_mask
 from .voxelizer import GridGeometry, occupancy_of, voxelize
 
 _SHUFFLE_STREAM = 0x53485546
@@ -297,13 +291,11 @@ def pretrain(
 
 def _region_mask(geom: GridGeometry, n_groups: int, selected) -> np.ndarray:
     """Dense boolean mask of cells whose angular group was never sensed."""
-    nx, ny, _ = geom.dims
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    cols = np.column_stack([ix.ravel(), iy.ravel(), np.zeros(ix.size)])
-    centers = geom.centers(cols)
-    _, theta = cylindrical_arrays(centers)
-    dark = ~in_groups(angular_groups(theta, n_groups), selected)
-    return np.repeat(dark.reshape(nx, ny, 1), geom.dims[2], axis=2)
+    nx, ny, nz = geom.dims
+    dark = np.ones(n_groups, dtype=bool)
+    dark[list(selected)] = False
+    cells = dark[angular_groups(geom.column_polar[1], n_groups)]
+    return np.repeat(cells.reshape(nx, ny, 1), nz, axis=2)
 
 
 def _iou(pred: np.ndarray, truth: np.ndarray) -> float:

@@ -1,9 +1,10 @@
 """Sparse voxelization of point clouds and ground-truth occupancy grids.
 
-Grids are regular Cartesian lattices; the masking stage computes
-cylindrical coordinates from the voxel centers.  Voxel rows are kept in
-canonical lexicographic (ix, iy, iz) order so equal content always compares
-equal and every downstream iteration is deterministic.
+Grids are regular Cartesian lattices; the masking stage reads each voxel's
+cylindrical position from its geometry's per-column polar table.  Voxel
+rows are kept in canonical lexicographic (ix, iy, iz) order so equal
+content always compares equal and every downstream iteration is
+deterministic.
 
 voxelize works through the points in fixed-size chunks whose float64 rows
 stay in cache, and groups the kept points by a per-cell count over the
@@ -16,11 +17,12 @@ one chunk's temporaries and 8 bytes per grid cell for each bincount.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, cylindrical_arrays
 
 FEATURE_WIDTH = 4  # mean offset-from-center (x, y, z) + mean intensity
 _POINTS_PER_CHUNK = 16_384  # voxelize's per-chunk float64 rows stay in cache
@@ -28,6 +30,11 @@ _POINTS_PER_CHUNK = 16_384  # voxelize's per-chunk float64 rows stay in cache
 
 @dataclass(frozen=True)
 class GridGeometry:
+    """A lattice of dims cells of voxel_size from min_corner.  A voxel's
+    (r, theta) depends only on its (ix, iy) column, so column_polar holds
+    each column center's, computed once per geometry and read-only, for
+    every frame, mask ratio and epoch to gather at ix * ny + iy."""
+
     min_corner: tuple[float, float, float] = (-12.8, -12.8, -3.2)
     voxel_size: tuple[float, float, float] = (0.4, 0.4, 0.4)
     dims: tuple[int, int, int] = (64, 64, 16)
@@ -48,6 +55,16 @@ class GridGeometry:
         return np.asarray(self.min_corner) + (
             np.asarray(coords, dtype=np.float64) + 0.5
         ) * np.asarray(self.voxel_size)
+
+    @cached_property
+    def column_polar(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (r, theta) of each column center, row ix * ny + iy."""
+        nx, ny, _ = self.dims
+        ix, iy = np.divmod(np.arange(nx * ny), ny)
+        cols = np.column_stack([ix, iy, np.zeros(nx * ny)])
+        r, theta = cylindrical_arrays(self.centers(cols))
+        r.flags.writeable = theta.flags.writeable = False
+        return r, theta
 
 
 def canonical_order(coords: np.ndarray) -> np.ndarray:

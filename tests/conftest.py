@@ -1,9 +1,20 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from rmae import keyrand
 from rmae.keyrand import derive_seed
+from rmae.pointcloud import cylindrical_arrays
+from rmae.radial_mask import (  # noqa: PLC2701 - the oracle keys its draws alike
+    _GROUP_STREAM,
+    _VOXEL_STREAM,
+    MaskOutcome,
+    MaskStats,
+    angular_groups,
+    distance_subgroups,
+)
 from rmae.voxelizer import FEATURE_WIDTH, GridGeometry, VoxelGrid
 
 
@@ -21,6 +32,72 @@ def uniform(seed: int, *keys: int) -> float:
     """Scalar oracle for keyrand.uniform_array: the draw in [0, 1) for one
     key tuple."""
     return (derive_seed(seed, *keys) >> 11) * 2.0 ** -53
+
+
+def apply_mask_oracle(grid: VoxelGrid, cfg, seed=None) -> MaskOutcome:
+    """Oracle for radial_mask.apply_mask: every voxel's center and polar
+    position computed afresh, stage 1 as a set, every voxel drawn and the
+    stats counted band by band."""
+    seed = cfg.seed if seed is None else seed
+    p_keep = 1.0 - cfg.m
+    if cfg.selection_mode == "bernoulli":
+        u = keyrand.uniform_array(
+            seed,
+            np.full(cfg.n_groups, _GROUP_STREAM, dtype=np.int64),
+            np.arange(cfg.n_groups, dtype=np.int64),
+        )
+        selected = frozenset(np.flatnonzero(u < p_keep).tolist())
+    else:
+        count = int(round(p_keep * cfg.n_groups))
+        rng = np.random.default_rng(derive_seed(seed, _GROUP_STREAM))
+        selected = frozenset(
+            rng.choice(cfg.n_groups, size=count, replace=False).tolist()
+        )
+    n = len(grid)
+    r, theta = cylindrical_arrays(grid.geometry.centers(grid.coords))
+    groups = angular_groups(theta, cfg.n_groups)
+    subgroups = distance_subgroups(r, cfg.r_thresholds)
+    in_selected = np.isin(groups, np.fromiter(selected, dtype=np.int64))
+    u = keyrand.uniform_array(
+        seed,
+        np.full(n, _VOXEL_STREAM, dtype=np.int64),
+        groups,
+        grid.coords[:, 0],
+        grid.coords[:, 1],
+        grid.coords[:, 2],
+    )
+    table = np.asarray(cfg.p_drop, dtype=np.float64)
+    rows = np.zeros_like(groups) if table.shape[0] == 1 else groups
+    visible = in_selected & (u >= table[rows, subgroups])
+
+    rates = []
+    for k in range(cfg.n_subgroups):
+        sel_k = in_selected & (subgroups == k)
+        total = int(sel_k.sum())
+        if total == 0:
+            rates.append(math.nan)
+        else:
+            rates.append(float((sel_k & ~visible).sum()) / total)
+    vis_r = r[visible]
+    stats = MaskStats(
+        group_visible_fraction=len(selected) / cfg.n_groups,
+        voxel_visible_fraction=float(visible.sum()) / n if n else 0.0,
+        per_subgroup_drop_rate=tuple(rates),
+        max_sensed_range=float(vis_r.max()) if vis_r.size else 0.0,
+    )
+    return MaskOutcome(selected, visible, groups, subgroups, stats)
+
+
+def same_outcome(a: MaskOutcome, b: MaskOutcome) -> bool:
+    """Bitwise equality of two mask outcomes (NaN drop rates compare as
+    their JSON null)."""
+    return (
+        a.selected_groups == b.selected_groups
+        and a.visible.tobytes() == b.visible.tobytes()
+        and a.groups.tobytes() == b.groups.tobytes()
+        and a.subgroups.tobytes() == b.subgroups.tobytes()
+        and a.stats.to_json_dict() == b.stats.to_json_dict()
+    )
 
 
 def make_grid(geom: GridGeometry, coords, feats=None, counts=None) -> VoxelGrid:

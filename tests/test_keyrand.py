@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from conftest import uniform
@@ -39,3 +41,14 @@ def test_negative_keys_wrap_consistently():
 def test_large_seed_accepted():
     a = keyrand.uniform_array(2**64 - 1, np.array([9]))
     assert a[0] == uniform(2**64 - 1, 9) and 0 <= a[0] < 1
+
+
+def test_scalar_keys_draw_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = keyrand.uniform_array(1, 2, 3)
+        wrapped = keyrand.uniform_array(0, -5, 2**64 - 1)
+        mixed = keyrand.uniform_array(1, 2, np.array([[3, 4]]))
+    assert u.shape == () and u == uniform(1, 2, 3)
+    assert wrapped == uniform(0, -5, 2**64 - 1)
+    assert mixed.shape == (1, 2) and mixed[0, 1] == uniform(1, 2, 4)

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ball_oracle, down_sites_oracle, random_grid
+from conftest import (
+    apply_mask_oracle,
+    ball_oracle,
+    down_sites_oracle,
+    random_grid,
+    same_outcome,
+)
+from rmae.cli import SweepConfig
 from rmae.occupancy_net import QueryConfig, build_query_set
 from rmae.occupancy_net.layers import SparseDownConv, SparseFeatureMap
 from rmae.pointcloud import PointCloud
@@ -60,16 +67,6 @@ def test_visible_voxels_lie_in_selected_groups(grid, cfg, seed):
         assert math.isnan(rate) or 0.0 <= rate <= 1.0
 
 
-def _same_outcome(a, b) -> bool:
-    return (
-        a.selected_groups == b.selected_groups
-        and a.visible.tobytes() == b.visible.tobytes()
-        and a.groups.tobytes() == b.groups.tobytes()
-        and a.subgroups.tobytes() == b.subgroups.tobytes()
-        and a.stats.to_json_dict() == b.stats.to_json_dict()
-    )
-
-
 @BOUNDED
 @given(grids, mask_configs(), st.integers(0, 2**63), st.integers(0, 2**63))
 def test_apply_mask_is_a_pure_function_of_grid_cfg_and_seed(
@@ -77,7 +74,84 @@ def test_apply_mask_is_a_pure_function_of_grid_cfg_and_seed(
 ):
     first = apply_mask(grid, cfg, seed=seed)
     apply_mask(grid, cfg, seed=other)  # no state carries between calls
-    assert _same_outcome(first, apply_mask(grid, cfg, seed=seed))
+    assert same_outcome(first, apply_mask(grid, cfg, seed=seed))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A grid on a drawn geometry (odd dims, any corner and voxel size, or
+    a corner that centers one column on the origin), a mask config with
+    1-720 groups and bands inside and beyond the grid's reach, and a seed."""
+    dims = (
+        draw(st.integers(1, 13)),
+        draw(st.integers(1, 13)),
+        draw(st.integers(1, 5)),
+    )
+    size = tuple(draw(st.floats(0.05, 2.0)) for _ in range(3))
+    corner = [draw(st.floats(-20.0, 5.0)) for _ in range(3)]
+    if draw(st.booleans()):  # column (cx, cy) centered on the origin
+        for axis in (0, 1):
+            c = draw(st.integers(0, dims[axis] - 1))
+            corner[axis] = -((c + 0.5) * size[axis])
+    geom = GridGeometry(tuple(corner), size, dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    grid = random_grid(geom, draw(st.integers(0, 200)), rng)
+
+    reach = max(
+        math.hypot(x, y)
+        for x in (corner[0], corner[0] + dims[0] * size[0])
+        for y in (corner[1], corner[1] + dims[1] * size[1])
+    )
+    scales = draw(st.lists(st.floats(0.01, 2.0), min_size=0, max_size=3))
+    thresholds = tuple(sorted({reach * f for f in scales if reach * f > 0}))
+    n_groups = draw(st.integers(1, 720))
+    rows = draw(st.sampled_from([1, n_groups]))
+    p_drop = rng.uniform(size=(rows, len(thresholds) + 1))
+    p_drop[rng.uniform(size=p_drop.shape) < 0.2] = 0.0
+    p_drop[rng.uniform(size=p_drop.shape) < 0.1] = 1.0
+    cfg = MaskConfig(
+        n_groups=n_groups,
+        m=draw(st.sampled_from([0.0, 1.0]) | probability),
+        selection_mode=draw(st.sampled_from(["bernoulli", "exact_count"])),
+        r_thresholds=thresholds,
+        p_drop=tuple(map(tuple, p_drop.tolist())),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return grid, cfg, draw(st.none() | st.integers(0, 2**63))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_apply_mask_equals_the_per_voxel_oracle(case):
+    grid, cfg, seed = case
+    expect = apply_mask_oracle(grid, cfg, seed=seed)
+    assert same_outcome(apply_mask(grid, cfg, seed=seed), expect)
+    # a second call reads the geometry's cached column table
+    assert same_outcome(apply_mask(grid, cfg, seed=seed), expect)
+
+
+@BOUNDED
+@given(grids, st.integers(1, 720), st.integers(0, 2**63))
+def test_raising_m_never_unmasks_a_voxel(grid, n_groups, seed):
+    """Bernoulli mode at a fixed seed: a group sensed at m is sensed at
+    every lower m, and the range stage's draws do not depend on m, so the
+    visible sets of one grid nest across the sweep's ratios."""
+    ratios = (0.0, *SweepConfig().ratios, 1.0)
+    visible = [
+        apply_mask(
+            grid,
+            MaskConfig(
+                n_groups=n_groups,
+                m=m,
+                r_thresholds=(3.0, 6.0),
+                p_drop=((0.1, 0.5, 0.9),),
+            ),
+            seed=seed,
+        ).visible
+        for m in ratios
+    ]
+    for lower, higher in zip(visible, visible[1:]):
+        assert not (higher & ~lower).any()
 
 
 points = st.integers(0, 200).flatmap(

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_grid, random_grid, uniform
+from conftest import (
+    apply_mask_oracle,
+    make_grid,
+    random_grid,
+    same_outcome,
+    uniform,
+)
 from rmae.radial_mask import (
     MaskConfig,
     MaskStats,
@@ -16,7 +22,7 @@ from rmae.radial_mask import (
 )
 from rmae.radial_mask import _VOXEL_STREAM  # noqa: PLC2701 - keyed-RNG contract test
 from rmae.pointcloud import cylindrical_arrays
-from rmae.voxelizer import GridGeometry
+from rmae.voxelizer import GridGeometry, VoxelGrid
 
 
 def group_of(theta: float, n_groups: int) -> int:
@@ -252,6 +258,50 @@ class TestApplyMask:
             )
             expect = g_rot in selected_rot and u >= cfg.p_drop[0][k]
             assert expect == out.visible[i]
+
+
+class TestColumnTable:
+    def test_table_is_read_only_and_computed_once(self, small_geom):
+        r, theta = small_geom.column_polar
+        for a in (r, theta):
+            assert a.shape == (16 * 16,) and a.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        assert small_geom.column_polar[1] is theta
+
+    def test_table_rows_are_column_centers(self):
+        geom = GridGeometry((-2.5, -1.5, 0.0), (1.0, 1.0, 1.0), (5, 3, 2))
+        r, theta = geom.column_polar
+        ix, iy = 2, 1  # column (2, 1) is centered on the origin
+        assert r[ix * 3 + iy] == 0.0 and theta[ix * 3 + iy] == 0.0
+        cells = np.indices(geom.dims).reshape(3, -1).T
+        r_vox, theta_vox = cylindrical_arrays(geom.centers(cells))
+        col = cells[:, 0] * 3 + cells[:, 1]
+        assert r[col].tobytes() == r_vox.tobytes()
+        assert theta[col].tobytes() == theta_vox.tobytes()
+
+    def test_outcome_arrays_are_fresh_and_writable(self, small_geom):
+        grid = random_grid(small_geom, 150, np.random.default_rng(31))
+        cfg = MaskConfig(n_groups=8, m=0.5, r_thresholds=(3.0, 6.0), seed=3)
+        first = apply_mask(grid, cfg)
+        for a in (first.visible, first.groups, first.subgroups):
+            assert a.flags.writeable
+        first.visible[:] = True
+        first.groups[:] = -1
+        first.subgroups[:] = 7
+        assert same_outcome(apply_mask(grid, cfg), apply_mask_oracle(grid, cfg))
+
+    def test_equal_geometries_give_one_outcome(self):
+        def geom():
+            return GridGeometry((-3.3, -2.1, 0.0), (0.7, 0.9, 1.0), (9, 7, 3))
+
+        a, b = geom(), geom()
+        assert a == b and a is not b
+        a.column_polar  # noqa: B018 - only a's table is computed up front
+        grid = random_grid(a, 80, np.random.default_rng(32))
+        twin = VoxelGrid(b, grid.coords, grid.feats, grid.counts)
+        cfg = MaskConfig(n_groups=12, m=0.4, r_thresholds=(2.0, 4.0), seed=5)
+        assert same_outcome(apply_mask(grid, cfg), apply_mask(twin, cfg))
 
 
 class TestMaskStatistics:

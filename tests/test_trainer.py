@@ -18,8 +18,13 @@ from rmae.occupancy_net import (
     save_checkpoint,
     visible_features,
 )
-from rmae.pointcloud import PointCloud, SceneSpec, synth_scene
-from rmae.radial_mask import MaskConfig, apply_mask
+from rmae.pointcloud import (
+    PointCloud,
+    SceneSpec,
+    cylindrical_arrays,
+    synth_scene,
+)
+from rmae.radial_mask import MaskConfig, apply_mask, select_groups
 from rmae import trainer
 from rmae.trainer import (
     AdamOptimizer,
@@ -30,7 +35,7 @@ from rmae.trainer import (
     pretrain,
     sweep,
 )
-from rmae.voxelizer import occupancy_of, voxelize
+from rmae.voxelizer import GridGeometry, occupancy_of, voxelize
 
 
 def tiny_frames(n):
@@ -468,3 +473,19 @@ class TestSweep:
         assert len(out) == 1
         value, report = out[0]
         assert value == 30.0 and math.isfinite(report.bce)
+
+
+def test_region_mask_marks_every_cell_of_an_unsensed_sector():
+    geom = GridGeometry((-2.5, -3.1, 0.0), (1.0, 0.7, 0.5), (5, 9, 3))
+    cfg = MaskConfig(n_groups=7, m=0.5, seed=4)
+    selected = select_groups(cfg)
+    assert 0 < len(selected) < 7
+    region = trainer._region_mask(geom, 7, selected)
+    cells = np.indices(geom.dims).reshape(3, -1).T
+    _, theta = cylindrical_arrays(geom.centers(cells))
+    groups = np.minimum((theta / (2 * math.pi / 7)).astype(int), 6)
+    expect = ~np.isin(groups, list(selected))
+    assert region.dtype == bool and region.shape == geom.dims
+    assert region.reshape(-1).tolist() == expect.tolist()
+    none = trainer._region_mask(geom, 7, frozenset())
+    assert none.all()
