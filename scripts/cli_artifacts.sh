@@ -41,6 +41,10 @@ for threads in 1 2; do
         {
             rmae pretrain --out pretrain $TINY
             rmae eval --out eval --checkpoint pretrain/checkpoint.rmae $TINY
+            # an anisotropic grid, whose decoder phases differ per axis
+            rmae eval --out eval-anisotropic \
+                --checkpoint pretrain/checkpoint.rmae $TINY \
+                'geometry.dims=[16,12,8]'
             rmae sweep-ratio --out sweep-ratio 'sweep.ratios=[0.0,0.9]' $TINY
             rmae sweep-angle --out sweep-angle 'sweep.spans_deg=[5.0,45.0]' \
                 $TINY

@@ -35,10 +35,18 @@ slice add.  A shift off y or z lands on a zero slot and one off x leaves
 the flat array; the padded slots are cropped when the phase buffer is
 written to its strided output view.  An eval forward may run an epilogue
 (a stage's batch norm and ReLU) on each phase buffer while it is in
-cache and write its output into the next layer's lattice, a Lattice.
-Backward shifts with per-axis slices on the unpadded (C, X, Y, Z) arrays.
-Taps within a phase add in lexicographic kernel order, so every output
-sums its taps in the same fixed order on every run.
+cache and then keep the buffer as it is, its pad slots zeroed: the
+output is handed on phase-major, as Phases, each phase a row-padded
+sub-lattice.  A strided layer interleaves Phases into its own padded
+input.  The stride-1 head reads them where they lie: along an axis, the
+output of parity r takes its tap of shift d from input parity
+(r - d) mod 2, so one GEMM per input phase makes the products of every
+tap that reads it, each output phase shift-adds its taps on the
+sub-lattices, and only the 1-channel logits are interleaved.  Backward
+shifts with per-axis slices on the unpadded (C, X, Y, Z) arrays.  Taps
+within a phase add in lexicographic kernel order, so every output sums
+its taps in the same fixed order on every run, however its input is
+held.
 
 The same layers also run sparse, "transform, then gather", when given a
 SparseFeatureMap and the output sites wanted (the generative transposed
@@ -60,6 +68,7 @@ norm follows every other conv and would cancel one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -345,41 +354,106 @@ def _shift_slices(d: int, size: int) -> tuple[slice, slice]:
     )
 
 
+def _parity_views(stride: int) -> list[tuple]:
+    """Per parity class (rx, ry, rz) of a stride, in lexicographic order,
+    its view [:, rx::s, ry::s, rz::s] of a (C, X, Y, Z) tensor."""
+    return [
+        (slice(None),) + tuple(slice(r, None, stride) for r in parity)
+        for parity in itertools.product(range(stride), repeat=3)
+    ]
+
+
+def _zero_pads(grid: np.ndarray) -> np.ndarray:
+    """grid, a (C, X, Y + 1, Z + 1) row-padded lattice, with its pad
+    slots set to zero."""
+    grid[:, :, -1] = 0
+    grid[..., -1] = 0
+    return grid
+
+
+def _lattice(channels: int, dims, dtype) -> np.ndarray:
+    """A row-padded lattice for a (channels, *dims) tensor: pad slots
+    zero, interior unset."""
+    x, y, z = dims
+    return _zero_pads(np.empty((channels, x, y + 1, z + 1), dtype))
+
+
 @dataclass
-class Lattice:
-    """A dense (C, X, Y, Z) tensor in the interior of its row-padded
-    lattice, data, whose pad slots are zero (see the module docstring);
-    len() is its number of sites, as for a SparseFeatureMap."""
+class Phases:
+    """A dense (C, X, Y, Z) tensor held phase-major, as a stride-s layer
+    computes it: per parity class, in _parity_views order, the class's
+    sub-lattice in the interior of its row-padded lattice (see the module
+    docstring), (C, X/s, Y/s + 1, Z/s + 1), whose pad slots are zero.  A
+    reader takes the buffers out of data, so a Phases serves one forward;
+    len() is the tensor's number of sites, as for a SparseFeatureMap."""
 
-    data: np.ndarray  # (C, X, Y + 1, Z + 1)
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.data[..., :-1, :-1]
+    stride: int
+    dims: tuple[int, int, int]  # X, Y, Z
+    data: list  # the padded sub-lattices, one per parity class
 
     def __len__(self) -> int:
-        return self.interior[0].size
+        return int(np.prod(self.dims))
+
+
+@functools.cache
+def _phase_table(axis_taps, in_stride: int = 1) -> tuple[list, list]:
+    """(phases, gemms) of a dense layer with these axis taps reading an
+    input held phase-major at in_stride (see Phases; 1: the whole input).
+
+    phases lists per output phase, in _parity_views order, its view of
+    the output, the kernel indices (kx, ky, kz) of its taps, their
+    (taps, 3) array of shifts, and per tap (the input phase it reads, its
+    row in that phase's GEMM); gemms lists per input phase the kernel
+    indices of its GEMM's rows.
+
+    axis_taps[r] lists, for output parity r along one axis, the (k, d)
+    pairs of the kernel indices k writing that parity and the shift d
+    that takes input site p to phase site p + d; a phase's taps are the
+    product of its three axes' pairs, in lexicographic kernel order.  An
+    input at stride s splits each output parity of a stride-S layer in s:
+    parity r has the taps of axis_taps[r % S], and with u = r // S - d a
+    tap reads input parity u mod s at shift -floor(u / s).  The tables
+    are cached, one per (axis_taps, in_stride), and only read."""
+    stride = len(axis_taps)
+    table = []  # per output parity along one axis: its (k, read, shift)
+    for r in range(stride * in_stride):
+        us = [(k, r // stride - d) for k, d in axis_taps[r % stride]]
+        table.append([(k, u % in_stride, -(u // in_stride)) for k, u in us])
+    phases, gemms = [], [[] for _ in range(in_stride**3)]
+    views = _parity_views(stride * in_stride)
+    for view, parity in zip(views, itertools.product(table, repeat=3)):
+        taps = [tuple(zip(*kgd)) for kgd in itertools.product(*parity)]
+        kernel, reads, shifts = zip(*taps)
+        reads = np.ravel_multi_index(tuple(zip(*reads)), (in_stride,) * 3)
+        rows = []
+        for k, g in zip(kernel, reads.tolist()):
+            rows.append((g, len(gemms[g])))
+            gemms[g].append(k)
+        phases.append((view, list(kernel), np.array(shifts), rows))
+    return phases, gemms
 
 
 class _DenseTapConv:
     """Dense 3-D convolution run as "transform, then shift".
 
-    Subclasses set the per-axis tap table (see _phases), whose length
-    is the output stride and whose tap count is the kernel size, and the
-    gain of the weights' normal init, std = sqrt(gain / fan_in).  Each
-    phase owns out[:, rx::s, ry::s, rz::s], which has the input's spatial
-    shape.  Forward pads the input to the row-padded lattice (see the
-    module docstring) unless it is a Lattice, and makes a
+    Subclasses set the per-axis tap table (see _phase_table), whose
+    length is the output stride and whose tap count is the kernel size,
+    and the gain of the weights' normal init, std = sqrt(gain / fan_in).
+    Each phase owns out[:, rx::s, ry::s, rz::s], which has the input's
+    spatial shape.  Forward pads the input to the row-padded lattice (see
+    the module docstring), or interleaves Phases into it, and makes a
     (taps * C_out, C_in) @ (C_in, P) GEMM per phase, in chunks of at most
-    _TAPS_PER_GEMM taps, into one slab buffer; it adds each tap's slab
-    into a zeroed phase buffer at the tap's flat offset, in tap order,
-    runs the epilogue on it, then writes the buffer's interior to the
-    phase's strided output view.  The slab and phase buffers are
-    allocated once per call and reused by every phase and chunk; nothing
-    outlives the call.  Backward copies the phase's view of grad_out once,
-    stacks its per-tap shifted copies (per-axis slices, see _shift_slices),
-    and makes one GEMM for grad_w and one for grad_in.  Its transient
-    buffers hold one phase's worth of data.
+    _TAPS_PER_GEMM taps, into one slab buffer (_slabs).  A stride-1 layer
+    given Phases makes one GEMM per input phase instead (_products).
+    Either way one loop adds each tap's slab into a zeroed phase buffer
+    at the tap's flat offset, in tap order, runs the epilogue on it, then
+    writes the buffer's interior to the phase's strided output view, or
+    after an epilogue keeps the buffer in the output Phases.  The slab
+    buffer, and an unkept phase buffer, are allocated once per call and
+    reused by every phase and chunk.  Backward copies the phase's view of
+    grad_out once, stacks its per-tap shifted copies (per-axis slices, see
+    _shift_slices), and makes one GEMM for grad_w and one for grad_in.
+    Its transient buffers hold one phase's worth of data.
 
     The ctx is a one-item list holding the input, and backward takes the
     input out of it: a ctx serves one backward, and a caller that hands
@@ -393,34 +467,13 @@ class _DenseTapConv:
         self.weight = rng.normal(0.0, std, size=(k, k, k, in_ch, out_ch))
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.phases = self._phases()
+        self.phases, _ = _phase_table(self.axis_taps)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight}
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
-
-    def _phases(self) -> list:
-        """Per phase, in lexicographic parity order: (its view of the
-        (C, sX, sY, sZ) output, the kernel indices (kx, ky, kz) of its
-        taps, and the (taps, 3) array of their shifts d).
-
-        axis_taps[r] lists, for output parity r along one axis, the (k, d)
-        pairs of the kernel indices k writing that parity and the shift d
-        that takes input site p to phase site p + d.  A phase's taps are
-        the product of its three axes' pairs, in lexicographic kernel
-        order."""
-        stride = len(self.axis_taps)
-        every = slice(None)
-        phases = []
-        for parity in itertools.product(range(stride), repeat=3):
-            per_axis = [self.axis_taps[r] for r in parity]
-            taps = [tuple(zip(*kd)) for kd in itertools.product(*per_axis)]
-            kernel, shifts = zip(*taps)
-            view = (every,) + tuple(slice(r, None, stride) for r in parity)
-            phases.append((view, list(kernel), np.array(shifts)))
-        return phases
 
     def _stacked_weight(self, kernel, dtype) -> np.ndarray:
         """(taps * C_out, C_in) matrix of the given taps, tap-major, in
@@ -458,9 +511,9 @@ class _DenseTapConv:
         dense = sites is None
         if dense:  # every output site, in canonical order
             sites = np.indices(dims).reshape(3, -1).T
-            out, dest = self._dense_output(x.dims, dtype, epilogue)
+            out = self._dense_output(dims, stride, dtype, epilogue)
         else:
-            out = dest = np.empty((len(sites), self.out_ch), dtype=dtype)
+            out = np.empty((len(sites), self.out_ch), dtype=dtype)
         # a zero last row is what a tap reads where x has no row
         padded = np.concatenate([x.feats, np.zeros((1, self.in_ch), dtype)])
         phase = np.ravel_multi_index(tuple((sites % stride).T), (stride,) * 3)
@@ -469,7 +522,7 @@ class _DenseTapConv:
         # rows of sites in it and the (taps, rows) table of the row of x
         # each tap reads there (p = site - d), len(x) where x has none
         plan = []
-        for i, (view, kernel, shifts) in enumerate(self.phases):
+        for i, (view, kernel, shifts, _) in enumerate(self.phases):
             rows = np.flatnonzero(phase == i)
             if not len(rows):
                 continue
@@ -483,26 +536,27 @@ class _DenseTapConv:
                 buf += np.take(slabs, reads * len(kernel) + j, axis=0)
             if epilogue is not None:
                 epilogue(buf)
-            if dense:  # the phase's rows are its view's sites in C order
-                dest[view] = buf.T.reshape((self.out_ch,) + x.dims)
+            if not dense:
+                out[rows] = buf
+                continue
+            # the phase's rows are its view's sites in C order
+            grid = buf.T.reshape((self.out_ch,) + x.dims)
+            if isinstance(out, Phases):
+                out.data.append(_lattice(self.out_ch, x.dims, dtype))
+                out.data[-1][..., :-1, :-1] = grid
             else:
-                dest[rows] = buf
+                out[view] = grid
         if not dense:
             out = SparseFeatureMap(dims, sites, out)
         return out, [plan, x]
 
-    def _dense_output(self, in_dims, dtype, epilogue):
-        """(output, the (C_out, sX, sY, sZ) array it is written through)
-        for an input of in_dims: an array, or with an epilogue a Lattice,
-        its pad slots zeroed."""
-        x, y, z = (len(self.axis_taps) * n for n in in_dims)
+    def _dense_output(self, dims, stride, dtype, epilogue):
+        """The dense (C_out, X, Y, Z) output of a forward whose phases
+        stride its dims: an array to write each phase through its view,
+        or with an epilogue a Phases to keep each phase in."""
         if epilogue is None:
-            out = np.empty((self.out_ch, x, y, z), dtype)
-            return out, out
-        out = Lattice(np.empty((self.out_ch, x, y + 1, z + 1), dtype))
-        out.data[:, :, -1] = 0
-        out.data[..., -1] = 0
-        return out, out.interior
+            return np.empty((self.out_ch,) + tuple(dims), dtype)
+        return Phases(stride, tuple(dims), [])
 
     def _sparse_backward(self, plan, x: SparseFeatureMap, grad_out):
         dtype = x.feats.dtype
@@ -528,7 +582,7 @@ class _DenseTapConv:
         return grad_x, {"weight": grad_w}
 
     def forward(self, x, sites: np.ndarray | None = None, epilogue=None):
-        """Dense: x is (C_in, X, Y, Z), or a Lattice holding it; returns
+        """Dense: x is (C_in, X, Y, Z), or Phases holding it; returns
         the (C_out, sX, sY, sZ) output and the ctx [x].  Sparse: x is a
         SparseFeatureMap, absent rows reading as zero, and sites the
         (M, 3) output sites; returns the output map on sites, or with
@@ -536,44 +590,94 @@ class _DenseTapConv:
 
         epilogue, for a forward that serves no backward, is a function
         applied in place to each phase's (sites, C_out) rows once they are
-        summed; a dense output is then returned as a Lattice."""
+        summed; a dense output is then returned as Phases.  A forward
+        consumes Phases: a strided layer interleaves them into its padded
+        input, and a stride-1 layer reads them as they are (_products)."""
         if isinstance(x, SparseFeatureMap):
             return self._sparse_forward(x, sites, epilogue)
-        padded = x.data if isinstance(x, Lattice) else x
-        if padded.ndim != 4 or padded.shape[0] != self.in_ch:
+        grids = x.data if isinstance(x, Phases) else [x]
+        if grids[0].ndim != 4 or grids[0].shape[0] != self.in_ch:
             raise ShapeError(
                 f"{type(self).__name__} expects ({self.in_ch}, X, Y, Z),"
-                f" got {padded.shape}"
+                f" got {grids[0].shape}"
             )
-        if padded is x:
-            # a zero slot after every row and plane: a one-site shift off
-            # y or z lands on one, and a shift off x leaves the flat array
-            padded = np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)))
-        dtype, lattice = padded.dtype, padded.shape[1:]
-        size = padded[0, :, :-1, :-1].shape  # x's spatial dims
-        out, dest = self._dense_output(size, dtype, epilogue)
-        flat = padded.reshape(self.in_ch, -1)
-        n = flat.shape[1]
+        dtype, lattice = grids[0].dtype, grids[0].shape[1:]
+        stride = len(self.axis_taps)
+        if isinstance(x, Phases) and stride == 1:  # in the phase domain
+            stride = x.stride
+            phases, gemms = _phase_table(self.axis_taps, stride)
+            slabs = self._products(phases, gemms, grids)
+        else:
+            padded = self._padded(x)
+            phases, lattice = self.phases, padded.shape[1:]
+            slabs = self._slabs(padded)
+        n = int(np.prod(lattice))
         step = np.array([lattice[1] * lattice[2], lattice[2], 1])
-        chunk = min(_TAPS_PER_GEMM, len(self.phases[0][1]))
-        slab = np.empty((chunk * self.out_ch, n), dtype)
-        buf = np.empty((self.out_ch, n), dtype)
-        for view, kernel, shifts in self.phases:
+        size = (lattice[0], lattice[1] - 1, lattice[2] - 1)  # a phase's
+        dims = [stride * k for k in size]
+        out = self._dense_output(dims, stride, dtype, epilogue)
+        keep = isinstance(out, Phases)  # each phase keeps its own buffer
+        buf = None if keep else np.empty((self.out_ch, n), dtype)
+        for i, (view, _, shifts, _) in enumerate(phases):
+            if keep:
+                buf = np.empty((self.out_ch, n), dtype)
             buf.fill(0)
-            for lo in range(0, len(kernel), _TAPS_PER_GEMM):
-                taps = slice(lo, lo + _TAPS_PER_GEMM)
-                w = self._stacked_weight(kernel[taps], dtype)
-                slabs = np.matmul(w, flat, out=slab[: len(w)])
-                slabs = slabs.reshape(-1, self.out_ch, n)
-                for t, off in zip(slabs, (shifts[taps] @ step).tolist()):
-                    a, b = max(0, -off), n - max(0, off)
-                    if a < b:
-                        buf[:, a + off : b + off] += t[:, a:b]
-            if epilogue is not None:  # the pad slots' rows are cropped next
+            for t, off in zip(slabs(i), (shifts @ step).tolist()):
+                a, b = max(0, -off), n - max(0, off)
+                if a < b:
+                    buf[:, a + off : b + off] += t[:, a:b]
+            if epilogue is not None:
                 epilogue(buf.T)
             grid = buf.reshape((self.out_ch,) + lattice)
-            dest[view] = grid[..., :-1, :-1]
+            if keep:
+                out.data.append(_zero_pads(grid))
+            else:
+                out[view] = grid[..., :-1, :-1]
         return out, [x]
+
+    def _padded(self, x) -> np.ndarray:
+        """The row-padded lattice of x, a (C, X, Y, Z) array or Phases
+        (which it consumes): a one-site shift off y or z lands on a zero
+        slot, and a shift off x leaves the flat array."""
+        if not isinstance(x, Phases):
+            return np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)))
+        padded = _lattice(self.in_ch, x.dims, x.data[0].dtype)
+        interior = padded[..., :-1, :-1]
+        for view, grid in zip(_parity_views(x.stride), x.data):
+            interior[view] = grid[..., :-1, :-1]
+        x.data.clear()
+        return padded
+
+    def _slabs(self, padded):
+        """slabs(i): the (C_out, P) products of phase i's taps with the
+        padded input, in tap order, from GEMMs of at most _TAPS_PER_GEMM
+        taps into one slab buffer that every phase reuses."""
+        flat = padded.reshape(self.in_ch, -1)
+        chunk = min(_TAPS_PER_GEMM, len(self.phases[0][1]))
+        slab = np.empty((chunk * self.out_ch, flat.shape[1]), flat.dtype)
+
+        def slabs(i):
+            kernel = self.phases[i][1]
+            for lo in range(0, len(kernel), _TAPS_PER_GEMM):
+                taps = kernel[lo : lo + _TAPS_PER_GEMM]
+                w = self._stacked_weight(taps, flat.dtype)
+                prods = np.matmul(w, flat, out=slab[: len(w)])
+                yield from prods.reshape(len(taps), self.out_ch, -1)
+
+        return slabs
+
+    def _products(self, phases, gemms, grids):
+        """slabs(i): the (C_out, P) products of phase i's taps, in tap
+        order, from one GEMM per input phase (see _phase_table).  It
+        empties grids, the input phases, as it goes, so each is freed once
+        its GEMM is done and the products never meet all of them."""
+        prods = []
+        for kernel in gemms:
+            flat = grids.pop(0).reshape(self.in_ch, -1)
+            w = self._stacked_weight(kernel, flat.dtype)
+            prods.append((w @ flat).reshape(len(kernel), self.out_ch, -1))
+            del flat
+        return lambda i: [prods[g][j] for g, j in phases[i][3]]
 
     def backward(self, ctx, grad_out):
         """Dense: grad_out is (C_out, sX, sY, sZ) and the input gradient
@@ -593,7 +697,7 @@ class _DenseTapConv:
         grad_in = None
         grad_w = np.zeros_like(self.weight)
         every = (slice(None),)
-        for i, (view, kernel, shifts) in enumerate(self.phases):
+        for i, (view, kernel, shifts, _) in enumerate(self.phases):
             g = np.ascontiguousarray(grad_out[view])
             shifted = np.zeros((len(kernel), self.out_ch) + size, dtype)
             for rows, d in zip(shifted, shifts.tolist()):

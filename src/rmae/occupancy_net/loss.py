@@ -81,14 +81,17 @@ def build_query_set(
     """Query voxel coordinates for one sample, canonical order.
 
     all_voxels: every grid cell.  sphere: the union of L2 balls of
-    sphere_radius (voxel units) around the visible voxels, marked on a
-    boolean grid and listed by np.argwhere.  Any radius works: a stencil
-    offset longer than an axis reaches no cell, so each axis's reach is
-    clipped to the grid, and the ball points are marked a bounded chunk of
-    visible voxels at a time; a ball that covers the grid from any cell
-    gives every cell at once.  With balance_empty, the majority occupancy
-    class is subsampled (seeded) to the minority's size; if one class is
-    absent the set is returned as is.
+    sphere_radius (voxel units) around the visible voxels, listed by
+    np.argwhere off a boolean grid.  A ball is marked as z runs: for each
+    (dx, dy) of its disc it holds the cells |dz| <= h with
+    dx^2 + dy^2 + h^2 <= r^2, so each visible voxel adds one +1 at the
+    start and one -1 past the end of each of its columns to a difference
+    grid, and a cell is hit where the running sum along z is positive.
+    The columns are marked a bounded chunk of visible voxels at a time,
+    each axis's reach is clipped to the grid, and a ball that covers the
+    grid from any cell gives every cell at once.  With balance_empty, the
+    majority occupancy class is subsampled (seeded) to the minority's
+    size; if one class is absent the set is returned as is.
     """
     dims = truth.geometry.dims
     visible = np.asarray(visible_coords, dtype=np.int64).reshape(-1, 3)
@@ -98,16 +101,31 @@ def build_query_set(
     if q.mode == "all_voxels" or covers:
         coords = np.indices(dims).reshape(3, -1).T.astype(np.int64)
     else:
-        reach = np.array([int(min(r, d - 1)) for d in dims])
-        stencil = np.indices(2 * reach + 1).reshape(3, -1).T - reach
-        stencil = stencil[(stencil**2).sum(axis=1) <= r * r]
-        hit = np.zeros(dims, dtype=bool)
-        chunk = max(1, hit.size // len(stencil))  # rows: ~a grid of points
+        nx, ny, nz = dims
+        reach = [int(min(r, d - 1)) for d in dims]
+        dx, dy = np.indices((2 * reach[0] + 1, 2 * reach[1] + 1))
+        dx, dy = dx.ravel() - reach[0], dy.ravel() - reach[1]
+        s = dx * dx + dy * dy
+        disc = s <= r * r
+        dx, dy, s = dx[disc], dy[disc], s[disc]
+        # h = floor(sqrt(r^2 - s)) up to rounding, set right by the exact
+        # integer test s + h^2 <= r^2 and clipped to the reach along z
+        h = np.minimum(np.sqrt(r * r - s), reach[2]).astype(np.int64)
+        h += (h < reach[2]) & (s + (h + 1) ** 2 <= r * r)
+        h -= s + h * h > r * r
+        diff = np.zeros(nx * ny * (nz + 1), dtype=np.int64)
+        chunk = max(1, len(diff) // len(s))  # rows: ~a grid of columns
         for lo in range(0, len(visible), chunk):
-            pts = visible[lo : lo + chunk, None] + stencil
-            pts = pts[((pts >= 0) & (pts < dims)).all(axis=2)]
-            hit[tuple(pts.T)] = True
-        coords = np.argwhere(hit)
+            v = visible[lo : lo + chunk, :, None]
+            x, y = v[:, 0] + dx, v[:, 1] + dy
+            inside = (x >= 0) & (x < nx) & (y >= 0) & (y < ny)
+            col = ((x * ny + y) * (nz + 1))[inside]
+            start = np.maximum(v[:, 2] - h, 0)[inside]
+            stop = np.minimum(v[:, 2] + h, nz - 1)[inside] + 1
+            diff += np.bincount(col + start, minlength=len(diff))
+            diff -= np.bincount(col + stop, minlength=len(diff))
+        runs = diff.reshape(nx, ny, nz + 1).cumsum(axis=2)
+        coords = np.argwhere(runs[..., :nz] > 0)
     if q.balance_empty and len(coords):
         occ = truth.o[coords[:, 0], coords[:, 1], coords[:, 2]].astype(bool)
         pos, neg = np.flatnonzero(occ), np.flatnonzero(~occ)

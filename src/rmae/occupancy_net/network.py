@@ -40,6 +40,10 @@ fresh output: an encoder unit's through BatchNorm.forward after the
 conv, a decoder stage's (and ReLU) as the deconv's epilogue on each
 phase's buffer while it is in cache, with the unfused stage's bytes (see
 layers); a training batch norm needs the whole output's statistics first.
+The deconv then hands the buffers on as they are, phase-major
+(layers.Phases): a next deconv interleaves them into its padded input,
+and the head reads them phase by phase, so the last deconv's channels
+are never interleaved, only the logits.
 
 The decoder computes in DECODER_DTYPE (float32): the latent, cast on
 entry, each deconv, batch norm and ReLU, and the head.  Everything that

@@ -136,6 +136,22 @@ def eval_batch_norm(bn, x: np.ndarray) -> np.ndarray:
     return bn.gamma.astype(dtype) * xhat + bn.beta.astype(dtype)
 
 
+def stencil_union_oracle(dims, visible, radius) -> np.ndarray:
+    """Oracle for build_query_set's sphere mode, as it was first written:
+    the stencil of offsets d with d @ d <= radius**2 (each axis's reach
+    clipped to the grid) added to every visible voxel, the points inside
+    the grid marked on a boolean grid, canonical order."""
+    visible = np.asarray(visible, dtype=np.int64).reshape(-1, 3)
+    reach = np.array([int(min(radius, d - 1)) for d in dims])
+    stencil = np.indices(2 * reach + 1).reshape(3, -1).T - reach
+    stencil = stencil[(stencil**2).sum(axis=1) <= radius * radius]
+    pts = (visible[:, None] + stencil).reshape(-1, 3)
+    pts = pts[((pts >= 0) & (pts < dims)).all(axis=1)]
+    hit = np.zeros(dims, dtype=bool)
+    hit[tuple(pts.T)] = True
+    return np.argwhere(hit)
+
+
 def down_sites_oracle(coords, dims) -> np.ndarray:
     """A stride-2 sparse conv's output sites, canonical order, by brute
     force over every (voxel, offset) pair: voxel x reaches output u

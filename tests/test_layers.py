@@ -12,7 +12,7 @@ from rmae.occupancy_net.layers import (
     BatchNorm,
     DenseConv,
     DenseDeconv,
-    Lattice,
+    Phases,
     SparseDownConv,
     SparseFeatureMap,
     SubmanifoldConv,
@@ -906,14 +906,38 @@ def unfused_stage(layer, bn, x, sites=None):
     return unrows(y, np.maximum(eval_batch_norm(bn, site_rows(y)), 0.0))
 
 
-def lattice_of(x) -> Lattice:
-    return Lattice(np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1))))
+def parity_views(stride):
+    """Per parity class (rx, ry, rz), in lexicographic order, its view
+    [:, rx::stride, ry::stride, rz::stride] of a (C, X, Y, Z) tensor."""
+    return [
+        (slice(None),) + tuple(slice(r, None, stride) for r in parity)
+        for parity in itertools.product(range(stride), repeat=3)
+    ]
+
+
+def phases_of(x, stride=2) -> Phases:
+    """x, a (C, X, Y, Z) array, held phase-major: each parity class's
+    sub-lattice with a zero slot after every row and plane."""
+    pad = ((0, 0), (0, 0), (0, 1), (0, 1))
+    grids = [np.pad(x[view], pad) for view in parity_views(stride)]
+    return Phases(stride, x.shape[1:], grids)
+
+
+def interleaved(phases: Phases) -> np.ndarray:
+    """The (C, X, Y, Z) tensor that phases holds, after checking that
+    every pad slot is zero."""
+    grid = phases.data[0]
+    out = np.empty((len(grid),) + tuple(phases.dims), grid.dtype)
+    for view, grid in zip(parity_views(phases.stride), phases.data):
+        assert not grid[:, :, -1].any() and not grid[..., -1].any()
+        out[view] = grid[..., :-1, :-1]
+    return out
 
 
 class TestStageEpilogue:
-    """An epilogue forward gives the unfused stage's bytes, laid into a
-    Lattice whose pad slots are zero, and a dense layer reads a Lattice
-    as it reads the tensor inside it."""
+    """An epilogue forward gives the unfused stage's bytes, held
+    phase-major with zero pad slots, and a dense layer reads Phases as it
+    reads the tensor they hold, consuming them."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dims", [(3, 2, 4), (1, 1, 1), (2, 5, 1)])
@@ -922,26 +946,28 @@ class TestStageEpilogue:
         layer, bn = DenseDeconv(3, 4, rng), random_running_bn(4, rng)
         x = rng.normal(0, 1, (3,) + dims).astype(dtype)
         ref = unfused_stage(layer, bn, x)
-        for given in (x, lattice_of(x)):
+        for given in (x, phases_of(x, 1)):
             x_before = x.copy()
             out, _ = layer.forward(given, epilogue=bn_relu(bn))
-            assert isinstance(out, Lattice) and out.data.dtype == dtype
+            assert isinstance(out, Phases) and out.stride == 2
+            assert out.data[0].dtype == dtype and len(out.data) == 8
             assert len(out) == np.prod(ref.shape[1:])
-            assert out.interior.tobytes() == np.ascontiguousarray(ref).tobytes()
-            assert not out.data[:, :, -1].any() and not out.data[..., -1].any()
+            assert interleaved(out).tobytes() == np.ascontiguousarray(ref).tobytes()
             assert x.tobytes() == x_before.tobytes()
 
     @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
-    def test_lattice_input(self, cls):
+    def test_phases_input(self, cls):
         rng = np.random.default_rng(49)
         layer = cls(3, 2, rng)
         draw_head_bias(layer, rng)
-        x = rng.normal(0, 1, (3, 4, 3, 2)).astype(np.float32)
+        x = rng.normal(0, 1, (3, 4, 6, 2)).astype(np.float32)
         ref, _ = layer.forward(x)
-        out, _ = layer.forward(lattice_of(x))
+        given = phases_of(x)
+        out, _ = layer.forward(given)
         assert out.tobytes() == ref.tobytes()
+        assert given.data == []  # consumed
         with pytest.raises(ShapeError):
-            layer.forward(lattice_of(x[:2]))
+            layer.forward(phases_of(x[:2]))
 
     def test_sparse_deconv(self):
         rng = np.random.default_rng(50)
@@ -950,14 +976,41 @@ class TestStageEpilogue:
         x = SparseFeatureMap(x.dims, x.coords, x.feats.astype(np.float32))
         ref = unfused_stage(layer, bn, x)
         out, _ = layer.forward(x, epilogue=bn_relu(bn))
-        assert isinstance(out, Lattice)
-        assert out.interior.tobytes() == np.ascontiguousarray(ref).tobytes()
-        assert not out.data[:, :, -1].any() and not out.data[..., -1].any()
+        assert isinstance(out, Phases) and len(out) == np.prod(ref.shape[1:])
+        assert interleaved(out).tobytes() == np.ascontiguousarray(ref).tobytes()
         sites = random_sites((8, 6, 4), 0.3, rng)
         ref = unfused_stage(layer, bn, x, sites)
         out, _ = layer.forward(x, sites, bn_relu(bn))
         assert np.array_equal(out.coords, sites)
         assert out.feats.tobytes() == ref.feats.tobytes()
+
+
+class TestPhaseMajorHead:
+    """A stride-1 layer given Phases runs in the phase domain: one GEMM
+    per input phase, each output phase summing its taps in lexicographic
+    order.  Its output is the interleaved input's, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "cin, cout, dims",
+        [
+            (16, 1, (6, 4, 2)),  # a size-1 phase axis (z)
+            (16, 1, (2, 8, 6)),  # a size-1 phase axis (x)
+            (16, 1, (10, 6, 4)),
+            (3, 2, (4, 2, 8)),  # a size-1 phase axis (y)
+            (5, 3, (8, 6, 10)),
+            (16, 1, (64, 64, 16)),  # the default head
+        ],
+    )
+    def test_equals_the_interleaved_input(self, cin, cout, dims, dtype):
+        rng = np.random.default_rng([cin, cout, *dims])
+        layer = DenseConv(cin, cout, rng)
+        draw_head_bias(layer, rng)
+        x = rng.normal(0, 1, (cin,) + dims).astype(dtype)
+        ref, _ = layer.forward(x)
+        out, _ = layer.forward(phases_of(x))
+        assert out.dtype == dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
 
 
 def slice_shift_forward(layer, x):
@@ -970,7 +1023,7 @@ def slice_shift_forward(layer, x):
     flat = x.reshape(layer.in_ch, -1)
     out = np.empty((layer.out_ch,) + tuple(stride * n for n in size), x.dtype)
     every = (slice(None),)
-    for view, kernel, shifts in layer._phases():
+    for view, kernel, shifts, _ in layer.phases:
         buf = np.zeros((layer.out_ch,) + size, x.dtype)
         for lo in range(0, len(kernel), _TAPS_PER_GEMM):
             taps = slice(lo, lo + _TAPS_PER_GEMM)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ball_oracle, make_grid, random_grid
+from conftest import ball_oracle, make_grid, random_grid, stencil_union_oracle
 from rmae.errors import EmptyQuerySet, ShapeError
 from rmae.occupancy_net import (
     OccupancyPrediction,
@@ -249,6 +249,24 @@ class TestBuildQuerySet:
         assert q.dtype == np.int64
         assert np.array_equal(q, ball_oracle(small_geom.dims, grid.coords, radius))
         assert len(q) == np.prod(small_geom.dims)
+
+    def test_ball_surfaces_through_lattice_points(self):
+        # at r = sqrt(n), and one ulp either side, a column's half-height
+        # floor(sqrt(r^2 - dx^2 - dy^2)) rounds the wrong way for some n
+        # (26, 29, 31, 89, ...) and must be set right by the exact test
+        geom = GridGeometry((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (25, 25, 25))
+        grid = make_grid(geom, [[12, 12, 12]])
+        truth = occupancy_of(grid)
+        for n in range(1, 145):
+            for radius in (
+                math.nextafter(math.sqrt(n), 0.0),
+                math.sqrt(n),
+                math.nextafter(math.sqrt(n), math.inf),
+            ):
+                cfg = QueryConfig(mode="sphere", sphere_radius=radius)
+                q = build_query_set(truth, grid.coords, cfg)
+                expect = stencil_union_oracle(geom.dims, grid.coords, radius)
+                assert q.tobytes() == expect.tobytes(), radius
 
     @pytest.mark.parametrize("radius, cells", [(22.33, 2047), (22.34, 2048)])
     def test_ball_from_a_corner_at_the_diagonal(self, small_geom, radius, cells):

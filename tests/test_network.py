@@ -155,13 +155,16 @@ def eval_forward_peak(net, x) -> int:
 
 class TestEvalEpilogue:
     """An eval forward runs each decoder stage's batch norm and ReLU on
-    the deconv's phase buffers and hands the next layer its padded
-    lattice; its logits are the unfused forward's, bit for bit."""
+    the deconv's phase buffers and hands the next layer the phases, which
+    a deconv interleaves and the head reads as they are; its logits are
+    the unfused forward's, bit for bit."""
 
     NETS = {
         "default": ((16, 32, 64), (16, 16, 8)),
         "one-stage": ((8,), (6, 5, 3)),
         "four-stage": ((4, 8, 8, 8), (16, 16, 8)),
+        "anisotropic": ((16, 32, 64), (12, 8, 16)),
+        "two-stage": ((4, 8), (2, 6, 4)),
     }
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -197,13 +200,17 @@ class TestEvalEpilogue:
 
     def test_peak_memory_of_the_default_net(self):
         # the unfused eval forward peaked at 14.4 MiB on this input, in
-        # batch norm's two new buffers of deconv1's 4 MiB output; the
-        # fused one peaks at 13.1 MiB, inside deconv1
+        # batch norm's two new buffers of deconv1's 4 MiB output.  The
+        # fused one peaks at 12.3 MiB, inside deconv1, while it holds its
+        # slab and its eight kept 16-channel phases; the head, whose eight
+        # 27-tap products replace the phases it reads one by one, peaks
+        # at 10.3 MiB.  A head that kept every phase beside its products
+        # peaks at 14.6 MiB.
         rng = np.random.default_rng(46)
         net = OccupancyNet(NetConfig())
         x = sparse_input((64, 64, 16), 3000, 4, rng)
         net.forward(x)
-        assert eval_forward_peak(net, x) < 13.6 * 2**20
+        assert eval_forward_peak(net, x) < 13.0 * 2**20
 
 
 def toy_problem(seed):

@@ -14,6 +14,7 @@ from conftest import (
     down_sites_oracle,
     random_grid,
     same_outcome,
+    stencil_union_oracle,
 )
 from rmae.cli import SweepConfig
 from rmae.occupancy_net import QueryConfig, build_query_set
@@ -202,3 +203,33 @@ def test_sphere_query_is_the_union_of_balls(n, seed, radius):
     cfg = QueryConfig(mode="sphere", sphere_radius=radius)
     q = build_query_set(occupancy_of(grid), grid.coords, cfg)
     assert q.tobytes() == ball_oracle(GEOM.dims, grid.coords, radius).tobytes()
+
+
+# radii at which the per-column run length rounds: zero, integers, square
+# roots of integers (balls whose surface passes through lattice points,
+# where sqrt may round either way), other fractions, and radii past the
+# diagonal of every small grid
+radii = st.one_of(
+    st.just(0.0),
+    st.integers(1, 12).map(float),
+    st.integers(1, 200).flatmap(
+        lambda n: st.sampled_from(
+            [math.nextafter(math.sqrt(n), 0.0), math.sqrt(n)]
+            + [math.nextafter(math.sqrt(n), math.inf)]
+        )
+    ),
+    st.floats(0.0, 14.0),
+    st.floats(14.0, 1e6) | st.just(math.inf),
+)
+
+
+@BOUNDED
+@given(small_dims, st.integers(0, 40), st.integers(0, 2**32), radii)
+def test_sphere_query_is_the_stencil_union(dims, n, seed, radius):
+    geom = GridGeometry((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), dims)
+    grid = random_grid(geom, n, np.random.default_rng(seed))
+    cfg = QueryConfig(mode="sphere", sphere_radius=radius)
+    q = build_query_set(occupancy_of(grid), grid.coords, cfg)
+    expect = stencil_union_oracle(dims, grid.coords, radius)
+    assert q.dtype == np.int64
+    assert q.tobytes() == expect.tobytes()
