@@ -477,8 +477,8 @@ class _DenseTapConv:
 
     def _stacked_weight(self, kernel, dtype) -> np.ndarray:
         """(taps * C_out, C_in) matrix of the given taps, tap-major, in
-        dtype."""
-        w = np.stack([self.weight[k] for k in kernel], dtype=dtype)
+        dtype: one gather, as the head's phase GEMMs stack 27 taps each."""
+        w = self.weight[tuple(zip(*kernel))].astype(dtype, copy=False)
         return w.transpose(0, 2, 1).reshape(-1, self.in_ch)
 
     def input_support(self, mask: np.ndarray) -> np.ndarray:
