@@ -613,7 +613,7 @@ class _DenseTapConv:
             slabs = self._slabs(padded)
         n = int(np.prod(lattice))
         step = np.array([lattice[1] * lattice[2], lattice[2], 1])
-        size = (lattice[0], lattice[1] - 1, lattice[2] - 1)  # a phase's
+        size = (lattice[0], lattice[1] - 1, lattice[2] - 1)  # one phase
         dims = [stride * k for k in size]
         out = self._dense_output(dims, stride, dtype, epilogue)
         keep = isinstance(out, Phases)  # each phase keeps its own buffer
