@@ -40,6 +40,9 @@ for threads in 1 2; do
         # shellcheck disable=SC2086 # TINY is a list of overrides
         {
             rmae pretrain --out pretrain $TINY
+            # a training dense backward on unequal axes
+            rmae pretrain --out pretrain-anisotropic $TINY \
+                'geometry.dims=[16,12,8]'
             rmae eval --out eval --checkpoint pretrain/checkpoint.rmae $TINY
             # an anisotropic grid, whose decoder phases differ per axis
             rmae eval --out eval-anisotropic \

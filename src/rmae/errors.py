@@ -34,7 +34,8 @@ class EmptyQuerySet(RmaeError):
 
 
 class StaleCache(RmaeError):
-    """backward() was called without a matching forward() tape."""
+    """backward() was called without a matching forward() tape, or a
+    forward() was handed Phases that another forward already read."""
 
 
 class NoData(RmaeError):

@@ -43,10 +43,13 @@ output of parity r takes its tap of shift d from input parity
 (r - d) mod 2, so one GEMM per input phase makes the products of every
 tap that reads it, each output phase shift-adds its taps on the
 sub-lattices, and only the 1-channel logits are interleaved.  Backward
-shifts with per-axis slices on the unpadded (C, X, Y, Z) arrays.  Taps
-within a phase add in lexicographic kernel order, so every output sums
-its taps in the same fixed order on every run, however its input is
-held.
+works on the unpadded (C, X, Y, Z) arrays, so its GEMMs contract over
+exactly the input's sites: on the flat view of a phase's grad_out a tap's
+shifted copy is one contiguous copy at the offset d @ (YZ, Z, 1), and the
+sites p whose p + d leaves the box, one face slab per shifted axis, are
+then zeroed.  Taps within a phase add in lexicographic kernel order, so
+every output sums its taps in the same fixed order on every run, however
+its input is held.
 
 The same layers also run sparse, "transform, then gather", when given a
 SparseFeatureMap and the output sites wanted (the generative transposed
@@ -451,9 +454,11 @@ class _DenseTapConv:
     after an epilogue keeps the buffer in the output Phases.  The slab
     buffer, and an unkept phase buffer, are allocated once per call and
     reused by every phase and chunk.  Backward copies the phase's view of
-    grad_out once, stacks its per-tap shifted copies (per-axis slices, see
-    _shift_slices), and makes one GEMM for grad_w and one for grad_in.
-    Its transient buffers hold one phase's worth of data.
+    grad_out into one buffer (the stride-1 head reads grad_out itself),
+    stacks its taps' shifted copies, each a flat-offset copy with its
+    out-of-box face slabs zeroed, in one (taps, C_out, P) workspace, and
+    makes one GEMM for grad_w and one for grad_in.  Both buffers are
+    allocated once per call and reused by every phase.
 
     The ctx is a one-item list holding the input, and backward takes the
     input out of it: a ctx serves one backward, and a caller that hands
@@ -596,6 +601,8 @@ class _DenseTapConv:
         if isinstance(x, SparseFeatureMap):
             return self._sparse_forward(x, sites, epilogue)
         grids = x.data if isinstance(x, Phases) else [x]
+        if not grids:
+            raise StaleCache(f"{type(self).__name__}: Phases already consumed")
         if grids[0].ndim != 4 or grids[0].shape[0] != self.in_ch:
             raise ShapeError(
                 f"{type(self).__name__} expects ({self.in_ch}, X, Y, Z),"
@@ -693,17 +700,34 @@ class _DenseTapConv:
             return self._sparse_backward(ctx.pop(), x, grad_out)
         shape, dtype = ctx[0].shape, ctx[0].dtype
         flat = ctx.pop().reshape(self.in_ch, -1)
-        size = shape[1:]
+        size, n = shape[1:], flat.shape[1]
+        step = np.array([size[1] * size[2], size[2], 1])
         grad_in = None
         grad_w = np.zeros_like(self.weight)
-        every = (slice(None),)
+        one = len(self.phases) == 1  # the phase's view is all of grad_out
+        if one:
+            g = np.ascontiguousarray(grad_out)
+        else:
+            g = np.empty((self.out_ch,) + size, grad_out.dtype)
+        taps = len(self.phases[0][1])
+        work = np.empty((taps, self.out_ch, n), dtype)
         for i, (view, kernel, shifts, _) in enumerate(self.phases):
-            g = np.ascontiguousarray(grad_out[view])
-            shifted = np.zeros((len(kernel), self.out_ch) + size, dtype)
-            for rows, d in zip(shifted, shifts.tolist()):
-                src, dst = zip(*map(_shift_slices, d, size))
-                rows[every + src] = g[every + dst]
-            shifted = shifted.reshape(len(kernel) * self.out_ch, -1)
+            if not one:
+                g[...] = grad_out[view]
+            src = g.reshape(self.out_ch, n)
+            offsets = (shifts @ step).tolist()
+            for rows, d, off in zip(work, shifts.tolist(), offsets):
+                a, b = max(0, -off), n - max(0, off)
+                if a < b:
+                    rows[:, a:b] = src[:, a + off : b + off]
+                # the sites p whose p + d leaves the box read zero: one
+                # face slab per shifted axis, which holds the flat ends
+                grid = rows.reshape((self.out_ch,) + size)
+                for axis, (dk, k) in enumerate(zip(d, size), 1):
+                    if dk:
+                        edge = slice(k - dk, None) if dk > 0 else slice(-dk)
+                        grid[(slice(None),) * axis + (edge,)] = 0
+            shifted = work.reshape(taps * self.out_ch, n)
             gw = (shifted @ flat.T).reshape(len(kernel), self.out_ch, -1)
             for k, gk in zip(kernel, gw):
                 grad_w[k] = gk.T

@@ -50,15 +50,16 @@ def occupancy_loss(
     query = np.asarray(query, dtype=np.int64).reshape(-1, 3)
     if len(query) == 0:
         raise EmptyQuerySet("query set is empty")
-    ix, iy, iz = query[:, 0], query[:, 1], query[:, 2]
-    x = logits[ix, iy, iz]
-    o = truth.o[ix, iy, iz].astype(np.float64)
+    cells = np.ravel_multi_index(query.T, logits.shape)
+    x = np.take(logits, cells)
+    o = np.take(truth.o, cells).astype(np.float64)
     per_voxel = bce_elements(x, o)
     scale = 1.0 / (batch_size * len(query))
     loss = float(per_voxel.sum() * scale)
-    grad = np.zeros_like(logits)
-    np.add.at(grad, (ix, iy, iz), (sigmoid(x) - o) * scale)
-    return loss, grad
+    # bincount adds each cell's terms in query order from 0.0, as an
+    # unbuffered add into zeros would, so duplicate cells sum alike
+    grad = np.bincount(cells, (sigmoid(x) - o) * scale, logits.size)
+    return loss, grad.reshape(logits.shape).astype(logits.dtype, copy=False)
 
 
 def bce_elements(logits: np.ndarray, occupancy: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from rmae import keyrand
 from rmae.keyrand import derive_seed
+from rmae.occupancy_net.layers import _shift_slices
 from rmae.pointcloud import cylindrical_arrays
 from rmae.radial_mask import (  # noqa: PLC2701 - the oracle keys its draws alike
     _GROUP_STREAM,
@@ -173,3 +174,32 @@ def ball_oracle(dims, visible, radius) -> np.ndarray:
     visible = np.asarray(visible, dtype=np.int64).reshape(-1, 3)
     d2 = ((cells[:, None, :] - visible[None]) ** 2).sum(axis=2)
     return cells[(d2 <= radius * radius).any(axis=1)]
+
+
+def dense_backward_oracle(layer, x, grad_out):
+    """Oracle for a dense layer's backward (DenseDeconv or DenseConv,
+    without the bias), as first written: per phase, a fresh zeroed stack
+    of its taps' shifted copies of the phase's view of grad_out, each made
+    by per-axis slices on the (C_out, X, Y, Z) arrays, then one GEMM for
+    the taps' weight gradients and one for the input gradient.  Returns
+    (grad_in, grad_weight)."""
+    size = x.shape[1:]
+    flat = x.reshape(layer.in_ch, -1)
+    parts = []
+    grad_w = np.zeros_like(layer.weight)
+    every = (slice(None),)
+    for view, kernel, shifts, _ in layer.phases:
+        g = np.ascontiguousarray(grad_out[view])
+        shifted = np.zeros((len(kernel), layer.out_ch) + size, x.dtype)
+        for rows, d in zip(shifted, shifts.tolist()):
+            src, dst = zip(*map(_shift_slices, d, size))
+            rows[every + src] = g[every + dst]
+        shifted = shifted.reshape(len(kernel) * layer.out_ch, -1)
+        gw = (shifted @ flat.T).reshape(len(kernel), layer.out_ch, -1)
+        for k, gk in zip(kernel, gw):
+            grad_w[k] = gk.T
+        parts.append(layer._stacked_weight(kernel, x.dtype).T @ shifted)
+    grad_in = parts[0]
+    for part in parts[1:]:
+        grad_in += part
+    return grad_in.reshape(x.shape), grad_w

@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import down_sites_oracle, eval_batch_norm
+from conftest import dense_backward_oracle, down_sites_oracle, eval_batch_norm
 from rmae.errors import DegenerateBatch, ShapeError, StaleCache
 from rmae.occupancy_net import NetConfig, OccupancyNet
 from rmae.occupancy_net.layers import (
@@ -878,6 +880,52 @@ class TestDenseAgainstPerTap:
         self.check(DenseConv, _conv_taps, cin, cout, dims, 28, 1)
 
 
+class TestDenseBackwardAgainstSliceShift:
+    """The dense backward's flat-offset copies fill the same per-tap
+    stacks as the per-axis slices of dense_backward_oracle and feed the
+    same GEMMs, so the input and weight gradients agree bit for bit; a
+    shift as long as an axis leaves a tap's copy all zero."""
+
+    def check(self, cls, cin, cout, dims, dtype, seed):
+        rng = np.random.default_rng(seed)
+        layer = cls(cin, cout, rng)
+        x = rng.normal(0, 1, (cin,) + dims).astype(dtype)
+        out, ctx = layer.forward(x)
+        grad_out = rng.normal(0, 1, out.shape).astype(dtype)
+        ref_in, ref_w = dense_backward_oracle(layer, x, grad_out)
+        grad_in, grads = layer.backward(ctx, grad_out)
+        assert grad_in.dtype == dtype and grad_in.shape == x.shape
+        assert grad_in.tobytes() == ref_in.tobytes()
+        assert grads["weight"].tobytes() == ref_w.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([DenseDeconv, DenseConv]),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.tuples(*[st.integers(1, 7)] * 3),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(DenseDeconv, 2, 2, (2, 1, 3), np.float32, 27)
+    @example(DenseDeconv, 3, 2, (1, 1, 1), np.float64, 1)
+    @example(DenseConv, 2, 3, (1, 1, 1), np.float32, 2)
+    @example(DenseConv, 3, 2, (3, 5, 1), np.float64, 3)
+    def test_bitwise(self, cls, cin, cout, dims, dtype, seed):
+        self.check(cls, cin, cout, dims, dtype, seed)
+
+    @pytest.mark.parametrize(
+        "cls, cin, cout, dims",
+        [
+            (DenseDeconv, 64, 32, (16, 16, 4)),  # deconv0
+            (DenseDeconv, 32, 16, (32, 32, 8)),  # deconv1
+            (DenseConv, 16, 1, (64, 64, 16)),  # head
+        ],
+    )
+    def test_bitwise_at_the_decoder_shapes(self, cls, cin, cout, dims):
+        self.check(cls, cin, cout, dims, np.float32, 29)
+
+
 class TestDenseCtx:
     @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
     def test_backward_consumes_ctx(self, cls):
@@ -968,6 +1016,17 @@ class TestStageEpilogue:
         assert given.data == []  # consumed
         with pytest.raises(ShapeError):
             layer.forward(phases_of(x[:2]))
+
+    @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
+    def test_consumed_phases_are_stale(self, cls):
+        rng = np.random.default_rng(51)
+        deconv, bn = DenseDeconv(3, 2, rng), random_running_bn(2, rng)
+        x = rng.normal(0, 1, (3, 2, 3, 1)).astype(np.float32)
+        given, _ = deconv.forward(x, epilogue=bn_relu(bn))
+        layer = cls(2, 3, rng)
+        layer.forward(given)
+        with pytest.raises(StaleCache, match="Phases already consumed"):
+            layer.forward(given)
 
     def test_sparse_deconv(self):
         rng = np.random.default_rng(50)

@@ -12,6 +12,8 @@ from rmae.occupancy_net import (
     build_query_set,
     occupancy_loss,
 )
+from rmae.occupancy_net.layers import sigmoid
+from rmae.occupancy_net.loss import bce_elements
 from rmae.voxelizer import GridGeometry, OccupancyGrid, occupancy_of
 
 
@@ -34,6 +36,20 @@ def grid_with(geom, occupied):
 
 
 GEOM = GridGeometry((0, 0, 0), (1, 1, 1), (4, 4, 2))
+
+
+def occupancy_loss_oracle(logits, truth, query, batch_size=1):
+    """occupancy_loss as first written: logits and truth gathered by three
+    index arrays, the gradient added into zeros with np.add.at."""
+    query = np.asarray(query, dtype=np.int64).reshape(-1, 3)
+    ix, iy, iz = query.T
+    x = logits[ix, iy, iz]
+    o = truth.o[ix, iy, iz].astype(np.float64)
+    scale = 1.0 / (batch_size * len(query))
+    loss = float(bce_elements(x, o).sum() * scale)
+    grad = np.zeros_like(logits)
+    np.add.at(grad, (ix, iy, iz), (sigmoid(x) - o) * scale)
+    return loss, grad
 
 
 class TestOccupancyLoss:
@@ -156,6 +172,38 @@ class TestOccupancyLoss:
         assert probs[0, 0, 0] == 1.0 and probs[1, 0, 0] == 0.0
         assert grad[1, 0, 0] == pytest.approx(-1.0 / len(query), rel=1e-15)
         assert grad[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize(
+        "kind", ["all_voxels", "sphere", "balanced", "duplicated"]
+    )
+    def test_bitwise_against_add_at(self, kind, batch_size):
+        # the gradient is one bincount over flat cell indices, which sums
+        # a cell's terms in query order from 0.0 as np.add.at does
+        rng = np.random.default_rng([3, batch_size])
+        geom = GridGeometry((0, 0, 0), (1, 1, 1), (12, 10, 6))
+        grid = random_grid(geom, 40, rng)
+        truth = occupancy_of(grid)
+        logits = rng.normal(0, 4, geom.dims)
+        if kind == "duplicated":
+            base = build_query_set(truth, grid.coords, QueryConfig("sphere"))
+            # cells hit up to ~10 times, each hit adding its term once more
+            query = np.concatenate([base, rng.integers(0, 4, (600, 3))])
+            query = rng.permutation(query)
+        else:
+            q = QueryConfig(
+                "all_voxels" if kind == "all_voxels" else "sphere",
+                sphere_radius=2.0,
+                balance_empty=kind == "balanced",
+            )
+            query = build_query_set(truth, grid.coords[::3], q, seed=5)
+        loss, grad = occupancy_loss(logits, truth, query, batch_size)
+        ref_loss, ref_grad = occupancy_loss_oracle(
+            logits, truth, query, batch_size
+        )
+        assert loss == ref_loss
+        assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
+        assert grad.tobytes() == ref_grad.tobytes()
 
     def test_empty_query(self):
         truth = grid_with(GEOM, [])
