@@ -5,8 +5,9 @@
 #
 # SRC is the directory holding the rmae package (a checkout's src/); OUT
 # receives one directory per RMAE_THREADS value (t1, t2), each with one
-# directory per run.  Runs use paths relative to their OUT/tN directory,
-# so the records of two checkouts differ only in "out" lines:
+# directory per run, and exit-codes.txt, the exit code of each run of bad
+# input.  Runs use paths relative to their OUT/tN directory, so the records
+# of two checkouts differ only in "out" lines:
 #
 #   scripts/cli_artifacts.sh old/src /tmp/a
 #   scripts/cli_artifacts.sh new/src /tmp/b
@@ -28,6 +29,18 @@ train.batch_size=1"
 
 rmae() {
     PYTHONPATH="$SRC" python3 -m rmae.cli "$@"
+}
+
+# fails NAME COMMAND ARGS...: run a command that should fail, append
+# "NAME CODE" to exit-codes.txt and drop its output directory
+fails() {
+    name=$1
+    command=$2
+    shift 2
+    code=0
+    rmae "$command" --out failed "$@" 2>/dev/null || code=$?
+    echo "$name $code" >>exit-codes.txt
+    rm -rf failed
 }
 
 for threads in 1 2; do
@@ -111,6 +124,20 @@ for threads in 1 2; do
                 'sweep.spans_deg=[90.0,30.0]' $TINY mask.n_groups=4 \
                 mask.m=0.5 \
                 'mask.p_drop=[[0.0,0.5,0.9],[0.2,0.2,0.2],[1.0,0.0,0.0],[0.5,0.5,0.5]]'
+
+            # bad input: each run's exit code goes to exit-codes.txt, and
+            # whatever it wrote is removed.  The sizes are far beyond any
+            # cap, so code without the caps is refused their arrays at once.
+            printf '\377{}' >not-utf8.json
+            fails not-utf8-config mask --config not-utf8.json $TINY
+            fails dims-cap mask $TINY 'geometry.dims=[100000,100000,1000]'
+            fails groups-cap mask $TINY mask.n_groups=1000000000000
+            fails channels-cap pretrain $TINY 'net.stage_channels=[1000000000]'
+            fails spans-cap sweep-angle $TINY 'sweep.spans_deg=[1e-9]'
+            printf 'not json' >not-json.json
+            fails stats-not-json energy --stats not-json.json
+            fails diverged pretrain $TINY train.learning_rate=1e300
+            rm not-utf8.json not-json.json
         }
     )
 done

@@ -26,7 +26,13 @@ from .errors import ConfigError, Diverged, MalformedFile, NoData, RmaeError
 from .occupancy_net import NetConfig, OccupancyNet, load_checkpoint, save_checkpoint
 from .occupancy_net.loss import QueryConfig
 from .pointcloud import PointCloud, SceneSpec, load_kitti_bin, synth_scene
-from .radial_mask import MaskConfig, MaskStats, apply_mask, write_mask_dump
+from .radial_mask import (
+    MAX_GROUPS,
+    MaskConfig,
+    MaskStats,
+    apply_mask,
+    write_mask_dump,
+)
 from .trainer import (
     TrainConfig,
     evaluate,
@@ -84,6 +90,11 @@ class SweepConfig:
             raise ValueError("sweep ratios must lie in [0, 1]")
         if any(s <= 0 for s in self.spans_deg):
             raise ValueError("sweep spans must be positive degrees")
+        for s in self.spans_deg:  # a span senses round(360 / s) groups
+            if round(min(360.0 / s, 2 * MAX_GROUPS)) > MAX_GROUPS:  # no inf
+                raise ValueError(
+                    f"spans_deg {s} gives more than {MAX_GROUPS} groups"
+                )
         if self.eval_frames < 0:
             raise ValueError("eval_frames must be non-negative")
 
@@ -162,15 +173,13 @@ def _parse_override(text: str) -> tuple[list[str], object]:
     return path, value
 
 
-def _load_config_file(path: Path) -> dict:
+def _read_json(path, what: str, error: type[RmaeError]):
+    """path's JSON document; error, naming it what, if it is not UTF-8 JSON."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path}: not valid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path}: top level must be an object")
-    return doc
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise error(f"{what} {path}: not valid JSON ({e})") from e
 
 
 def _set_path(doc: dict, path: list[str], value) -> None:
@@ -226,7 +235,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     resolved_config.json: its command must be this one and its out is
     ignored.  --seed, --input, --checkpoint and --stats set the seed,
     inputs, checkpoint and stats keys, over the file's values."""
-    doc = _load_config_file(Path(args.config)) if args.config else {}
+    doc = _read_json(args.config, "config", ConfigError) if args.config else {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {args.config}: top level must be an object")
     for text in args.overrides:
         path, value = _parse_override(text)
         _set_path(doc, path, value)
@@ -292,8 +303,21 @@ def _atomic(path: Path, writer) -> None:
         os.replace(sidecar, Path(f"{path}.manifest.txt"))
 
 
-def _json_dump(path: Path, obj: dict) -> None:
-    text = json.dumps(obj, indent=2, default=os.fspath) + "\n"
+def json_form(obj):
+    """obj as JSON values: dataclasses as field dicts, NaN as null."""
+    if dataclasses.is_dataclass(obj):
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        return {k: json_form(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_form(v) for v in obj]
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    return obj
+
+
+def _json_dump(path: Path, obj) -> None:
+    text = json.dumps(json_form(obj), indent=2, default=os.fspath) + "\n"
     _atomic(path, lambda p: p.write_text(text))
 
 
@@ -362,18 +386,12 @@ def run(cfg: RunConfig) -> int:
         report = total_power(cfg.energy)
         frugal = None
         if cfg.stats is not None:  # a bad stats file writes nothing
-            with open(cfg.stats) as fh:
-                try:
-                    raw = json.load(fh)
-                except ValueError as e:  # not JSON, or not UTF-8
-                    raise MalformedFile(
-                        f"stats {cfg.stats}: not valid JSON ({e})"
-                    ) from e
+            raw = _read_json(cfg.stats, "stats", MalformedFile)
             stats = MaskStats.from_json_dict(raw)
             frugal = frugal_savings(report, stats, cfg.energy.R)
-        _json_dump(cfg.out / "energy.json", report.to_json_dict())
+        _json_dump(cfg.out / "energy.json", report)
         if frugal is not None:
-            _json_dump(cfg.out / "frugal.json", frugal.to_json_dict())
+            _json_dump(cfg.out / "frugal.json", frugal)
         return 0
 
     frames = _load_frames(cfg)
@@ -402,7 +420,7 @@ def run(cfg: RunConfig) -> int:
             cfg.out / "mask.txt",
             lambda p: write_mask_dump(outcome, grid, p),
         )
-        _json_dump(cfg.out / "stats.json", outcome.stats.to_json_dict())
+        _json_dump(cfg.out / "stats.json", outcome.stats)
         return 0
 
     if cfg.command == "pretrain":
@@ -418,7 +436,7 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.command == "eval":
         report = evaluate(frames, net, cfg.mask, cfg.query, cfg.geometry)
-        _json_dump(cfg.out / "eval.json", report.to_json_dict())
+        _json_dump(cfg.out / "eval.json", report)
         return 0
 
     if cfg.command in _SWEEPS:
@@ -435,7 +453,7 @@ def run(cfg: RunConfig) -> int:
         )
         _atomic(
             cfg.out / "sweep.csv",
-            lambda p: write_sweep_csv(label, rows, p, energy=cfg.energy),
+            lambda p: write_sweep_csv(label, rows, p, cfg.energy),
         )
         return 0
 

@@ -98,7 +98,7 @@ class EnergyParams:
             report = _evaluate(self)
         except OverflowError as e:
             raise InvalidParams("power model overflows a float") from e
-        for name, v in report.to_json_dict().items():
+        for name, v in vars(report).items():
             if not math.isfinite(v):
                 raise InvalidParams(f"power model gives {name}={v}")
 
@@ -116,9 +116,6 @@ class EnergyReport:
     delta_theta: float
     f_s: float
 
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass(frozen=True)
 class FrugalReport:
@@ -128,9 +125,6 @@ class FrugalReport:
     masked_P_total: float
     duty: float
     range_scale: float
-
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def _evaluate(p: EnergyParams) -> EnergyReport:

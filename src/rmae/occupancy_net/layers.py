@@ -47,9 +47,10 @@ works on the unpadded (C, X, Y, Z) arrays, so its GEMMs contract over
 exactly the input's sites: on the flat view of a phase's grad_out a tap's
 shifted copy is one contiguous copy at the offset d @ (YZ, Z, 1), and the
 sites p whose p + d leaves the box, one face slab per shifted axis, are
-then zeroed.  Taps within a phase add in lexicographic kernel order, so
-every output sums its taps in the same fixed order on every run, however
-its input is held.
+then zeroed.  The phase's copies are stacked, so one GEMM gives its
+grad_w and one its grad_in.  Taps within a phase add in lexicographic
+kernel order, so every output sums its taps in the same fixed order on
+every run, however its input is held.
 
 The same layers also run sparse, "transform, then gather", when given a
 SparseFeatureMap and the output sites wanted (the generative transposed
@@ -437,28 +438,20 @@ def _phase_table(axis_taps, in_stride: int = 1) -> tuple[list, list]:
 
 
 class _DenseTapConv:
-    """Dense 3-D convolution run as "transform, then shift".
+    """Dense 3-D convolution run as "transform, then shift" (see the
+    module docstring).
 
     Subclasses set the per-axis tap table (see _phase_table), whose
     length is the output stride and whose tap count is the kernel size,
     and the gain of the weights' normal init, std = sqrt(gain / fan_in).
     Each phase owns out[:, rx::s, ry::s, rz::s], which has the input's
-    spatial shape.  Forward pads the input to the row-padded lattice (see
-    the module docstring), or interleaves Phases into it, and makes a
-    (taps * C_out, C_in) @ (C_in, P) GEMM per phase, in chunks of at most
-    _TAPS_PER_GEMM taps, into one slab buffer (_slabs).  A stride-1 layer
-    given Phases makes one GEMM per input phase instead (_products).
-    Either way one loop adds each tap's slab into a zeroed phase buffer
-    at the tap's flat offset, in tap order, runs the epilogue on it, then
-    writes the buffer's interior to the phase's strided output view, or
-    after an epilogue keeps the buffer in the output Phases.  The slab
-    buffer, and an unkept phase buffer, are allocated once per call and
-    reused by every phase and chunk.  Backward copies the phase's view of
-    grad_out into one buffer (the stride-1 head reads grad_out itself),
-    stacks its taps' shifted copies, each a flat-offset copy with its
-    out-of-box face slabs zeroed, in one (taps, C_out, P) workspace, and
-    makes one GEMM for grad_w and one for grad_in.  Both buffers are
-    allocated once per call and reused by every phase.
+    spatial shape.  Forward's GEMM per phase, (taps * C_out, C_in) @
+    (C_in, P), runs in chunks of at most _TAPS_PER_GEMM taps into one slab
+    buffer (_slabs); the per-input-phase GEMMs of a stride-1 layer given
+    Phases run in _products.  The slab buffer and an unkept phase buffer,
+    and backward's copy of a phase's view of grad_out (the stride-1 head
+    reads grad_out itself) and its (taps, C_out, P) workspace, are each
+    allocated once per call and reused by every phase and chunk.
 
     The ctx is a one-item list holding the input, and backward takes the
     input out of it: a ctx serves one backward, and a caller that hands

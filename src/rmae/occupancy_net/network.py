@@ -37,13 +37,10 @@ backward takes the ReLU's mask from it), and backward consumes it.  An
 eval forward keeps neither encoder units nor decoder stages, so its tape
 serves no backward.  Its batch norms run eval_inplace over their conv's
 fresh output: an encoder unit's through BatchNorm.forward after the
-conv, a decoder stage's (and ReLU) as the deconv's epilogue on each
-phase's buffer while it is in cache, with the unfused stage's bytes (see
-layers); a training batch norm needs the whole output's statistics first.
-The deconv then hands the buffers on as they are, phase-major
-(layers.Phases): a next deconv interleaves them into its padded input,
-and the head reads them phase by phase, so the last deconv's channels
-are never interleaved, only the logits.
+conv, a decoder stage's (and ReLU) as the deconv's epilogue, with the
+unfused stage's bytes, on the phase buffers that the deconv hands on as
+layers.Phases (see layers); a training batch norm needs the whole
+output's statistics first.
 
 The decoder computes in DECODER_DTYPE (float32): the latent, cast on
 entry, each deconv, batch norm and ReLU, and the head.  Everything that
@@ -76,6 +73,11 @@ from .layers import (
 # the dtype the dense decoder computes in; see the module docstring
 DECODER_DTYPE = np.float32
 
+# the most channels a stage may have: 16 times the default's widest.  A
+# 1024-to-1024 3x3x3 conv holds 216 MiB of float64 weights, and Adam keeps
+# two more copies.
+MAX_STAGE_CHANNELS = 1024
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -90,6 +92,11 @@ class NetConfig:
             raise ValueError("need at least one input channel and one stage")
         if any(c < 1 for c in self.stage_channels):
             raise ValueError("stage channels must be positive")
+        if max(self.stage_channels) > MAX_STAGE_CHANNELS:
+            raise ValueError(
+                f"stage_channels {list(self.stage_channels)} exceed the cap"
+                f" of {MAX_STAGE_CHANNELS} per stage"
+            )
         if not self.bn_eps > 0:
             raise ValueError("bn_eps must be positive")
         if not 0.0 <= self.bn_momentum <= 1.0:

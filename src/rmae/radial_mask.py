@@ -31,6 +31,11 @@ _VOXEL_STREAM = 0x564F5845
 
 TWO_PI = 2.0 * math.pi
 
+# the most angular groups a mask may have: one arc second each, finer than
+# any LiDAR's azimuth step.  Stage 1's keyed draws take some 40 bytes per
+# group, about 50 MiB at the cap.
+MAX_GROUPS = 360 * 3600
+
 
 @dataclass(frozen=True)
 class MaskConfig:
@@ -44,6 +49,10 @@ class MaskConfig:
     def __post_init__(self):
         if self.n_groups < 1:
             raise ValueError("n_groups must be >= 1")
+        if self.n_groups > MAX_GROUPS:
+            raise ValueError(
+                f"n_groups {self.n_groups} is above the cap of {MAX_GROUPS}"
+            )
         if not 0.0 <= self.m <= 1.0:
             raise ValueError("m must lie in [0, 1]")
         if self.selection_mode not in ("bernoulli", "exact_count"):
@@ -79,16 +88,9 @@ class MaskStats:
     per_subgroup_drop_rate: tuple[float, ...]  # NaN where no voxels sampled
     max_sensed_range: float
 
-    def to_json_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["per_subgroup_drop_rate"] = [
-            None if math.isnan(v) else v for v in self.per_subgroup_drop_rate
-        ]
-        return doc
-
     @classmethod
     def from_json_dict(cls, raw) -> "MaskStats":
-        """Inverse of to_json_dict; MalformedFile when a key is missing, a
+        """Inverse of cli.json_form; MalformedFile when a key is missing, a
         value is not a number (a drop rate may also be null), a fraction
         or rate lies outside [0, 1], or max_sensed_range is negative or
         not finite."""

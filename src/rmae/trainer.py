@@ -128,12 +128,6 @@ class EvalReport:
     mean_max_sensed_range: float
     n_frames: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            k: (None if isinstance(v, float) and math.isnan(v) else v)
-            for k, v in self.__dict__.items()
-        }
-
 
 class SgdOptimizer:
     def __init__(self, lr: float):
@@ -432,25 +426,22 @@ _SWEEP_ENERGY_COLUMNS = (
 
 
 def write_sweep_csv(
-    label: str, rows: list, path, energy: EnergyParams | None = None
+    label: str, rows: list, path, energy: EnergyParams
 ) -> None:
-    """Sweep table of sweep()'s rows; with energy params, frugal power
-    columns are appended (duty from the mean sensed-group fraction, range
-    from the mean max sensed range)."""
-    base = total_power(energy) if energy is not None else None
-    energy_cols = _SWEEP_ENERGY_COLUMNS if base is not None else ()
+    """Sweep table of sweep()'s rows, with frugal power columns (duty from
+    the mean sensed-group fraction, range from the mean max sensed range)."""
+    base = total_power(energy)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow([label, *_SWEEP_COLUMNS, *energy_cols])
+        w.writerow([label, *_SWEEP_COLUMNS, *_SWEEP_ENERGY_COLUMNS])
         for value, r in rows:
+            stats = MaskStats(
+                group_visible_fraction=r.mean_duty,
+                voxel_visible_fraction=0.0,
+                per_subgroup_drop_rate=(),
+                max_sensed_range=r.mean_max_sensed_range,
+            )
+            fr = frugal_savings(base, stats, energy.R)
             vals = [getattr(r, name) for name in _SWEEP_COLUMNS.values()]
-            if base is not None:
-                stats = MaskStats(
-                    group_visible_fraction=r.mean_duty,
-                    voxel_visible_fraction=0.0,
-                    per_subgroup_drop_rate=(),
-                    max_sensed_range=r.mean_max_sensed_range,
-                )
-                fr = frugal_savings(base, stats, energy.R)
-                vals += [getattr(fr, name) for name in energy_cols]
+            vals += [getattr(fr, name) for name in _SWEEP_ENERGY_COLUMNS]
             w.writerow([_fmt(value)] + [_fmt(v) for v in vals])

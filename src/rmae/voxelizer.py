@@ -27,6 +27,11 @@ from .pointcloud import PointCloud, cylindrical_arrays
 FEATURE_WIDTH = 4  # mean offset-from-center (x, y, z) + mean intensity
 _POINTS_PER_CHUNK = 16_384  # voxelize's per-chunk float64 rows stay in cache
 
+# the most cells (nx * ny * nz) a grid may have: 3 times a KITTI-scale
+# 1600 x 1408 x 40 lattice.  voxelize takes 8 bytes per cell for each of its
+# five bincounts (10 GiB at the cap), the decoder 4 per cell and channel.
+MAX_CELLS = 2**28
+
 
 @dataclass(frozen=True)
 class GridGeometry:
@@ -44,6 +49,11 @@ class GridGeometry:
             raise ValueError("voxel_size must be positive")
         if any(not isinstance(d, Integral) or d < 1 for d in self.dims):
             raise ValueError("dims must be positive integers")
+        if self.n_cells > MAX_CELLS:
+            raise ValueError(
+                f"dims {list(self.dims)} hold {self.n_cells} cells, above"
+                f" the cap of {MAX_CELLS}"
+            )
 
     @property
     def n_cells(self) -> int:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rmae import keyrand
+from rmae.cli import json_form
 from rmae.keyrand import derive_seed
 from rmae.occupancy_net.layers import _shift_slices
 from rmae.pointcloud import cylindrical_arrays
@@ -97,7 +98,7 @@ def same_outcome(a: MaskOutcome, b: MaskOutcome) -> bool:
         and a.visible.tobytes() == b.visible.tobytes()
         and a.groups.tobytes() == b.groups.tobytes()
         and a.subgroups.tobytes() == b.subgroups.tobytes()
-        and a.stats.to_json_dict() == b.stats.to_json_dict()
+        and json_form(a.stats) == json_form(b.stats)
     )
 
 

@@ -1,13 +1,21 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rmae
 from rmae import cli, trainer
 from rmae.occupancy_net import NetConfig, OccupancyNet, save_checkpoint
+from rmae.occupancy_net.network import MAX_STAGE_CHANNELS
 from rmae.pointcloud import SceneSpec, save_kitti_bin, synth_scene
+from rmae.radial_mask import MAX_GROUPS, MaskConfig
+from rmae.voxelizer import MAX_CELLS, GridGeometry
 
 TINY = [
     "synth.frames=2",
@@ -145,6 +153,30 @@ class TestExitCodes:
         assert "error: Diverged:" in capsys.readouterr().err
         assert not (out / "checkpoint.rmae").exists()
         assert not (out / "loss.csv").exists()
+
+    def test_diverging_run_ends_stderr_with_its_error(self, tmp_path):
+        """Run as a user runs it, outside pytest's warning filters: numpy's
+        overflow warnings may come first, and the error line is last."""
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("PYTHONWARNINGS", "RMAE_THREADS")
+        }
+        env["PYTHONPATH"] = str(Path(rmae.__file__).parents[1])
+        out = tmp_path / "out"
+        argv = ["pretrain", "--out", str(out)] + TINY
+        argv += ["train.learning_rate=1e300", "train.epochs=2"]
+        run = subprocess.run(
+            [sys.executable, "-m", "rmae.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == cli.EXIT_DIVERGED == 7
+        assert "RuntimeWarning" in run.stderr
+        assert run.stderr.splitlines()[-1].startswith("error: Diverged: ")
+        assert not (out / "checkpoint.rmae").exists()
 
     def test_non_finite_gradient_stops_before_the_step(
         self, tmp_path, capsys, monkeypatch
@@ -400,6 +432,33 @@ class TestBadInput:
         assert f"error: ConfigError: {checkpoint}: {key} " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mask", "geometry.dims=[100000,100000,1000]"],
+            ["mask", "mask.n_groups=1000000000000"],
+            ["pretrain", "net.stage_channels=[1000000000]"],
+            ["sweep-angle", "sweep.spans_deg=[1e-9]"],
+        ],
+        ids=" ".join,
+    )
+    def test_size_above_its_cap_is_config_error(self, argv, tmp_path, capsys):
+        """Sizes whose arrays could never be allocated are refused by key,
+        before anything is written."""
+        out = tmp_path / "out"
+        code = cli.main(argv[:1] + ["--out", str(out)] + TINY + argv[1:])
+        assert code == cli.EXIT_CONFIG == 3
+        section, key = argv[1].split("=")[0].split(".")
+        err = capsys.readouterr().err
+        assert f"error: ConfigError: {section}: {key} " in err
+        assert not out.exists()
+
+    def test_sizes_at_their_caps_are_accepted(self):
+        GridGeometry(dims=(MAX_CELLS, 1, 1))
+        MaskConfig(n_groups=MAX_GROUPS)
+        NetConfig(stage_channels=(MAX_STAGE_CHANNELS,))
+        cli.SweepConfig(spans_deg=(360.0 / MAX_GROUPS,))
+
     @pytest.mark.parametrize("command", ["mask", "voxelize"])
     def test_a_command_without_a_net_takes_any_dims(self, command, tmp_path):
         out = tmp_path / "out"
@@ -444,13 +503,15 @@ class TestBadInput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "text", ["not json", "[1, 2]", "null"], ids=["not-json", "list", "null"]
+        "raw",
+        [b"not json", b"[1, 2]", b"null", b"\xff{}"],
+        ids=["not-json", "list", "null", "not-utf8"],
     )
     def test_config_file_that_is_no_object_is_config_error(
-        self, text, tmp_path, capsys
+        self, raw, tmp_path, capsys
     ):
         config = tmp_path / "config.json"
-        config.write_text(text)
+        config.write_bytes(raw)
         out = tmp_path / "out"
         argv = ["pretrain", "--out", str(out), "--config", str(config)]
         assert cli.main(argv + TINY) == cli.EXIT_CONFIG == 3

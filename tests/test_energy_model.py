@@ -204,7 +204,7 @@ class TestTotalPower:
 
     def test_report_fields_finite_nonnegative(self):
         r = total_power(EnergyParams())
-        for v in r.to_json_dict().values():
+        for v in vars(r).values():
             assert np.isfinite(v) and v >= 0
 
     @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from conftest import (
     stencil_union_oracle,
 )
 from rmae.cli import SweepConfig
+from rmae.energy_model import EnergyParams, frugal_savings, total_power
 from rmae.occupancy_net import QueryConfig, build_query_set
 from rmae.occupancy_net.layers import SparseDownConv, SparseFeatureMap
 from rmae.pointcloud import PointCloud
@@ -131,14 +132,10 @@ def test_apply_mask_equals_the_per_voxel_oracle(case):
     assert same_outcome(apply_mask(grid, cfg, seed=seed), expect)
 
 
-@BOUNDED
-@given(grids, st.integers(1, 720), st.integers(0, 2**63))
-def test_raising_m_never_unmasks_a_voxel(grid, n_groups, seed):
-    """Bernoulli mode at a fixed seed: a group sensed at m is sensed at
-    every lower m, and the range stage's draws do not depend on m, so the
-    visible sets of one grid nest across the sweep's ratios."""
-    ratios = (0.0, *SweepConfig().ratios, 1.0)
-    visible = [
+def across_ratios(grid, n_groups, seed) -> list:
+    """Bernoulli-mode outcomes of one grid at one seed, m rising over 0, the
+    sweep's ratios and 1."""
+    return [
         apply_mask(
             grid,
             MaskConfig(
@@ -148,11 +145,32 @@ def test_raising_m_never_unmasks_a_voxel(grid, n_groups, seed):
                 p_drop=((0.1, 0.5, 0.9),),
             ),
             seed=seed,
-        ).visible
-        for m in ratios
+        )
+        for m in (0.0, *SweepConfig().ratios, 1.0)
     ]
+
+
+@BOUNDED
+@given(grids, st.integers(1, 720), st.integers(0, 2**63))
+def test_raising_m_never_unmasks_a_voxel(grid, n_groups, seed):
+    """A group sensed at m is sensed at every lower m, and the range
+    stage's draws do not depend on m, so the visible sets nest."""
+    visible = [out.visible for out in across_ratios(grid, n_groups, seed)]
     for lower, higher in zip(visible, visible[1:]):
         assert not (higher & ~lower).any()
+
+
+@BOUNDED
+@given(grids, st.integers(1, 720), st.integers(0, 2**63))
+def test_raising_m_never_raises_masked_power(grid, n_groups, seed):
+    """Sensed groups and kept voxels nest, so the duty cycle and the sensed
+    range, and with them the masked power, never rise with m."""
+    report, R = total_power(EnergyParams()), EnergyParams().R
+    power = [
+        frugal_savings(report, out.stats, R).masked_P_total
+        for out in across_ratios(grid, n_groups, seed)
+    ]
+    assert all(b <= a for a, b in zip(power, power[1:]))
 
 
 points = st.integers(0, 200).flatmap(

@@ -11,6 +11,7 @@ from conftest import (
     same_outcome,
     uniform,
 )
+from rmae.cli import json_form
 from rmae.radial_mask import (
     MaskConfig,
     MaskStats,
@@ -379,7 +380,7 @@ def test_exports(tmp_path, small_geom):
         assert [int(ix), int(iy), int(iz)] == list(grid.coords[row])
         assert int(m) == int(out.visible[row])
 
-    doc = json.loads(json.dumps(out.stats.to_json_dict()))
+    doc = json.loads(json.dumps(json_form(out.stats)))
     assert set(doc) == {
         "group_visible_fraction",
         "voxel_visible_fraction",
@@ -387,4 +388,4 @@ def test_exports(tmp_path, small_geom):
         "max_sensed_range",
     }
     assert doc["voxel_visible_fraction"] == out.stats.voxel_visible_fraction
-    assert MaskStats.from_json_dict(doc).to_json_dict() == doc
+    assert json_form(MaskStats.from_json_dict(doc)) == doc
