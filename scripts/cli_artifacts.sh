@@ -87,6 +87,10 @@ for threads in 1 2; do
                 $TINY
             rmae pretrain --out sphere-batch2 $TINY query.mode=sphere \
                 train.batch_size=2
+            # one full batch of two frames and one ragged batch of one, so
+            # at two threads two frames train at once
+            rmae pretrain --out batched $TINY synth.frames=3 \
+                train.batch_size=2
             # a one-stage net, whose head decodes the latent itself
             rmae pretrain --out one-stage $TINY 'net.stage_channels=[4]'
             rmae eval --out one-stage-eval \

@@ -354,13 +354,13 @@ def _runnable_net(cfg: RunConfig) -> OccupancyNet:
     cfg.net otherwise), once it is known to read the grid: ConfigError
     unless its input width is the voxel feature width and its downsample
     factor divides every grid dim."""
-    if cfg.command != "eval":
-        net, source = OccupancyNet(cfg.net), ""
-    elif cfg.checkpoint is None:
-        raise ConfigError("eval requires --checkpoint")
-    else:
+    net, source = None, ""  # a new net is built once its config is checked
+    if cfg.command == "eval":
+        if cfg.checkpoint is None:
+            raise ConfigError("eval requires --checkpoint")
         net, source = load_checkpoint(cfg.checkpoint), f"{cfg.checkpoint}: "
-    width, factor = net.config.in_channels, net.config.downsample_factor
+    config = cfg.net if net is None else net.config
+    width, factor = config.in_channels, config.downsample_factor
     if width != FEATURE_WIDTH:
         raise ConfigError(
             f"{source}net.in_channels is {width}, but a voxel has"
@@ -370,9 +370,9 @@ def _runnable_net(cfg: RunConfig) -> OccupancyNet:
         raise ConfigError(
             f"{source}geometry.dims {list(cfg.geometry.dims)} must be"
             f" divisible by the downsample factor {factor} of"
-            f" net.stage_channels {list(net.config.stage_channels)}"
+            f" net.stage_channels {list(config.stage_channels)}"
         )
-    return net
+    return OccupancyNet(config) if net is None else net
 
 
 def run(cfg: RunConfig) -> int:

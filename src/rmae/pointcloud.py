@@ -20,6 +20,12 @@ _POINT_DTYPE = np.dtype("<f4")
 # the most ground points (sensor_rings * 360 / azimuth_step_deg) a scene may
 # ask for: 14 times a 64-beam scan at 0.08 degrees (288,000 points)
 MAX_GROUND_POINTS = 4_000_000
+# the most boxes a scene may hold: each samples at most 1,200 points (three
+# faces of at most 400), so its box points stay below MAX_GROUND_POINTS
+MAX_BOXES = 3_000
+# the longest ground_extent or box_size a scene may ask for, in metres: every
+# coordinate then stays finite, with a float32 step of at most 1/8 m
+MAX_SCENE_LENGTH = 1e6
 
 
 class PointCloud:
@@ -116,13 +122,18 @@ class SceneSpec:
     azimuth_step_deg: float = 0.8
 
     def __post_init__(self):
-        if self.ground_extent <= 0:
-            raise InvalidSpec("ground_extent must be positive")
-        if self.box_count < 0:
-            raise InvalidSpec("box_count must be non-negative")
+        if not 0 < self.ground_extent <= MAX_SCENE_LENGTH:
+            raise InvalidSpec(
+                f"ground_extent must lie in (0, {MAX_SCENE_LENGTH:g}] m"
+            )
+        if not 0 <= self.box_count <= MAX_BOXES:
+            raise InvalidSpec(f"box_count must lie in [0, {MAX_BOXES}]")
         lo, hi = self.box_size
-        if lo <= 0 or hi < lo:
-            raise InvalidSpec("box_size range must satisfy 0 < lo <= hi")
+        if not 0 < lo <= hi <= MAX_SCENE_LENGTH:
+            raise InvalidSpec(
+                "box_size range must satisfy 0 < lo <= hi <="
+                f" {MAX_SCENE_LENGTH:g} m"
+            )
         rings = min(self.sensor_rings, MAX_GROUND_POINTS + 1)  # fits a float
         if rings < 1 or not self.azimuth_step_deg > 0:
             raise InvalidSpec("need one ring and one azimuth sample per ring")

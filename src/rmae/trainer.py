@@ -13,7 +13,11 @@ import contextlib
 import copy
 import csv
 import math
+import mmap
+import multiprocessing
 import os
+import signal
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -41,8 +45,18 @@ _QUERY_STREAM = 0x51535259
 _EVAL_STREAM = 0x4556414C
 
 
+def usable_cores() -> int:
+    """Cores this process may run on (all of them where the platform has
+    no affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count() -> int:
-    """Worker cap from RMAE_THREADS (unset -> 1, 0 -> all cores)."""
+    """Worker cap from RMAE_THREADS (unset -> 1, 0 -> all cores), at most
+    usable_cores(): results do not depend on the count, and each worker
+    holds a frame's working set."""
     raw = os.environ.get("RMAE_THREADS")
     if raw is None:
         return 1
@@ -54,7 +68,8 @@ def worker_count() -> int:
         raise ConfigError(
             f"RMAE_THREADS must be a non-negative integer, got {raw!r}"
         )
-    return os.cpu_count() or 1 if n == 0 else n
+    cores = usable_cores()
+    return cores if n == 0 else min(n, cores)
 
 
 def parallel_map(fn, items):
@@ -83,6 +98,123 @@ def parallel_map(fn, items):
             while pending:
                 yield pending.popleft().result()
             yield mine
+
+
+@contextlib.contextmanager
+def _frame_workers(net: OccupancyNet, step, n: int):
+    """Yield train(jobs), a generator of step(*job) for each job, in order,
+    with up to n jobs running at once.
+
+    Where os.fork exists and n > 1, n - 1 forked worker processes run
+    every job of a round of n but the last, which the calling process
+    runs.  For the length of the block the parameters live in one
+    anonymous shared mapping, so an in-place optimizer step is what every
+    worker reads at its next job.  A worker writes its frame's gradients
+    into its own block of the mapping, which its result then holds until
+    the next round, and pipes back only the loss and its batch norms'
+    (mean, var), keyed by layer index.  A worker's exception is raised
+    here with its type.  Leaving the block kills and reaps every worker
+    and moves the parameters back to private arrays.  Elsewhere the jobs
+    run on parallel_map's threads."""
+    if n <= 1 or not hasattr(os, "fork"):
+        yield lambda jobs: parallel_map(lambda job: step(*job), jobs)
+        return
+    layers = [layer for _, layer in net.named_layers()]
+    index = {id(layer): i for i, layer in enumerate(layers)}
+    bound = [
+        (f"{lname}.{tname}", layer, tname)
+        for lname, layer in net.named_layers()
+        for tname in layer.params()
+    ]
+    sizes = [-(-getattr(l, t).nbytes // 64) * 64 for _, l, t in bound]
+    offsets = np.cumsum([0] + sizes).tolist()
+    shared = mmap.mmap(-1, offsets[-1] * n)
+
+    def block(k: int) -> dict[str, np.ndarray]:
+        """Views of the k-th parameter-sized block of the mapping."""
+        out = {}
+        for (path, layer, tname), at in zip(bound, offsets):
+            arr = getattr(layer, tname)
+            out[path] = np.ndarray(
+                arr.shape, arr.dtype, shared, k * offsets[-1] + at
+            )
+        return out
+
+    for (_, layer, tname), view in zip(bound, block(0).values()):
+        view[...] = getattr(layer, tname)
+        setattr(layer, tname, view)
+    grads = [block(k) for k in range(1, n)]
+    pids, conns = [], []
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for worker_grads in grads:
+            conn, child = multiprocessing.Pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    for other in conns + [conn]:
+                        other.close()
+                    _serve(child, step, worker_grads, index)
+                finally:
+                    os._exit(0)
+            child.close()
+            pids.append(pid)
+            conns.append(conn)
+
+        def train(jobs):
+            for start in range(0, len(jobs), n):
+                *theirs, last = jobs[start : start + n]
+                for conn, job in zip(conns, theirs):
+                    conn.send(job)
+                mine = step(*last)
+                for pid, conn, g in zip(pids, conns, grads[: len(theirs)]):
+                    try:
+                        ok, result = conn.recv()
+                    except EOFError:
+                        raise RuntimeError(
+                            f"training worker {pid} exited without a result"
+                        ) from None
+                    if not ok:
+                        raise result
+                    if result is not None:
+                        loss, stats = result
+                        result = loss, g, [(layers[i], s) for i, s in stats]
+                    yield result
+                yield mine
+
+        yield train
+    finally:
+        for conn in conns:
+            conn.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, layer, tname in bound:
+            setattr(layer, tname, getattr(layer, tname).copy())
+
+
+def _serve(conn, step, grads: dict[str, np.ndarray], index: dict) -> None:
+    """A training worker's loop: run each job the pipe brings, copy the
+    frame's gradients into grads, and send (True, (loss, [(layer index,
+    (mean, var))])), (True, None) for a skipped frame, or (False, the
+    exception).  Returns when the pipe closes."""
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = step(*job)
+        except Exception as exc:  # re-raised in the parent
+            conn.send((False, exc))
+            continue
+        if result is not None:
+            loss, frame_grads, stats = result
+            for path, g in frame_grads.items():
+                grads[path][...] = g
+            result = loss, [(index[id(bn)], s) for bn, s in stats]
+        conn.send((True, result))
 
 
 @dataclass(frozen=True)
@@ -204,12 +336,14 @@ def pretrain(
 ) -> tuple[OccupancyNet, list[float]]:
     """Train the network in place; returns (net, per-epoch mean BCE).
 
-    A batch's frames are trained up to RMAE_THREADS at a time, each on its
-    own thread with its own forward tape.  Batch norm normalizes each
-    frame by its own statistics, so batch_size only averages gradients.
-    Losses, gradients and batch-norm statistics are taken in frame order,
-    so the result does not depend on the thread count.  Raises Diverged,
-    before the optimizer step, on a non-finite loss or gradient.
+    A batch's frames are trained up to RMAE_THREADS at a time, each with
+    its own forward tape: on forked worker processes where the platform
+    has os.fork, else on threads (see _frame_workers).  Batch norm
+    normalizes each frame by its own statistics, so batch_size only
+    averages gradients.  Losses, gradients and batch-norm statistics are
+    taken in frame order, so the result does not depend on the worker
+    count.  Raises Diverged, before the optimizer step, on a non-finite
+    loss or gradient.
 
     In sphere mode the decoder computes only the query cells and what they
     read (OccupancyNet.forward's query), and a frame with no query cell
@@ -219,67 +353,72 @@ def pretrain(
     raises NoData.
     """
     grids, truths = _prepare(frames, geom)
-    optimizer = make_optimizer(cfg)
-    params = net.parameters()
     sparse = cfg.query.mode == "sphere"  # decode only the query's reach
-    history = []
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng(
-            keyrand.derive_seed(cfg.seed, _SHUFFLE_STREAM, epoch)
+
+    def step(epoch_key: int, fi: int, bsz: int):
+        key = (cfg.seed, _MASK_STREAM, epoch_key, fi)
+        _, vis, query = _masked_input(
+            grids[fi], truths[fi], cfg.mask, cfg.query, key
         )
-        order = rng.permutation(len(grids))
-        epoch_key = epoch if cfg.remask_each_epoch else 0
-        losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            bsz = len(batch)
+        if len(query) == 0:
+            return None
+        pred, tape = net.forward(
+            vis, training=True, query=query if sparse else None
+        )
+        loss, grad_logits = occupancy_loss(
+            pred.logits, truths[fi], query, batch_size=bsz
+        )
+        grads = net.backward(tape, grad_logits)
+        return loss, grads, tape["bn_stats"]
 
-            def step(fi: int):
-                key = (cfg.seed, _MASK_STREAM, epoch_key, fi)
-                _, vis, query = _masked_input(
-                    grids[fi], truths[fi], cfg.mask, cfg.query, key
-                )
-                if len(query) == 0:
-                    return None
-                pred, tape = net.forward(
-                    vis, training=True, query=query if sparse else None
-                )
-                loss, grad_logits = occupancy_loss(
-                    pred.logits, truths[fi], query, batch_size=bsz
-                )
-                grads = net.backward(tape, grad_logits)
-                return loss, grads, tape["bn_stats"]
-
-            batch_grads = net.zero_grads()
-            batch_stats = []
-            results = parallel_map(step, batch.tolist())
-            with contextlib.closing(results):  # joins the pool on a raise
-                for fi, result in zip(batch, results):
-                    if result is None:  # nothing to query: frame skipped
-                        continue
-                    loss, grads, stats = result
-                    if not math.isfinite(loss):
-                        raise Diverged(
-                            f"epoch {epoch}: frame {fi} has loss {loss}"
-                        )
-                    for path, g in grads.items():
-                        batch_grads[path] += g
-                    losses.append(loss * bsz)  # per-frame mean BCE
-                    batch_stats.append(stats)
-            bad = [
-                p for p, g in batch_grads.items() if not np.isfinite(g).all()
-            ]
-            if bad:
-                raise Diverged(
-                    f"epoch {epoch}: non-finite gradient in {', '.join(bad)}"
-                )
-            for stats in batch_stats:
-                net.commit_batch_stats(stats)
-            if batch_stats and cfg.learning_rate > 0:
-                optimizer.step(params, batch_grads)
-        if not losses:
-            raise NoData(f"epoch {epoch}: no frame had a cell to query")
-        history.append(float(np.mean(losses)))
+    history = []
+    n = min(worker_count(), cfg.batch_size, len(grids))
+    with _frame_workers(net, step, n) as train:
+        optimizer = make_optimizer(cfg)
+        params = net.parameters()
+        for epoch in range(cfg.epochs):
+            rng = np.random.default_rng(
+                keyrand.derive_seed(cfg.seed, _SHUFFLE_STREAM, epoch)
+            )
+            order = rng.permutation(len(grids))
+            epoch_key = epoch if cfg.remask_each_epoch else 0
+            losses = []
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start : start + cfg.batch_size].tolist()
+                bsz = len(batch)
+                batch_grads = net.zero_grads()
+                batch_stats = []
+                results = train([(epoch_key, fi, bsz) for fi in batch])
+                with contextlib.closing(results):  # joins threads on a raise
+                    for fi, result in zip(batch, results):
+                        if result is None:  # nothing to query: skipped
+                            continue
+                        loss, grads, stats = result
+                        if not math.isfinite(loss):
+                            raise Diverged(
+                                f"epoch {epoch}: frame {fi} has loss {loss}"
+                            )
+                        for path, g in grads.items():
+                            batch_grads[path] += g
+                        losses.append(loss * bsz)  # per-frame mean BCE
+                        batch_stats.append(stats)
+                bad = [
+                    p
+                    for p, g in batch_grads.items()
+                    if not np.isfinite(g).all()
+                ]
+                if bad:
+                    raise Diverged(
+                        f"epoch {epoch}: non-finite gradient in"
+                        f" {', '.join(bad)}"
+                    )
+                for stats in batch_stats:
+                    net.commit_batch_stats(stats)
+                if batch_stats and cfg.learning_rate > 0:
+                    optimizer.step(params, batch_grads)
+            if not losses:
+                raise NoData(f"epoch {epoch}: no frame had a cell to query")
+            history.append(float(np.mean(losses)))
     return net, history
 
 

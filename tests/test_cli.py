@@ -13,7 +13,13 @@ import rmae
 from rmae import cli, trainer
 from rmae.occupancy_net import NetConfig, OccupancyNet, save_checkpoint
 from rmae.occupancy_net.network import MAX_STAGE_CHANNELS
-from rmae.pointcloud import SceneSpec, save_kitti_bin, synth_scene
+from rmae.pointcloud import (
+    MAX_BOXES,
+    MAX_SCENE_LENGTH,
+    SceneSpec,
+    save_kitti_bin,
+    synth_scene,
+)
 from rmae.radial_mask import MAX_GROUPS, MaskConfig
 from rmae.voxelizer import MAX_CELLS, GridGeometry
 
@@ -394,6 +400,8 @@ class TestBadInput:
         [
             ["pretrain", "net.in_channels=3"],
             ["sweep-ratio", "net.in_channels=5", "sweep.ratios=[0.5]"],
+            # checked before the net's first layer is allocated
+            ["pretrain", "net.in_channels=1000000000000"],
             # the downsample factor of three stages is 4
             ["pretrain", "geometry.dims=[15,16,8]"],
             ["sweep-angle", "geometry.dims=[16,16,6]", "sweep.spans_deg=[5]"],
@@ -439,6 +447,9 @@ class TestBadInput:
             ["mask", "mask.n_groups=1000000000000"],
             ["pretrain", "net.stage_channels=[1000000000]"],
             ["sweep-angle", "sweep.spans_deg=[1e-9]"],
+            ["voxelize", "synth.box_count=1000000000000"],
+            ["voxelize", "synth.box_size=[1e300,1e300]"],
+            ["voxelize", "synth.ground_extent=1e300"],
         ],
         ids=" ".join,
     )
@@ -458,6 +469,9 @@ class TestBadInput:
         MaskConfig(n_groups=MAX_GROUPS)
         NetConfig(stage_channels=(MAX_STAGE_CHANNELS,))
         cli.SweepConfig(spans_deg=(360.0 / MAX_GROUPS,))
+        longest = (MAX_SCENE_LENGTH, MAX_SCENE_LENGTH)
+        SceneSpec(box_count=MAX_BOXES, ground_extent=MAX_SCENE_LENGTH,
+                  box_size=longest)
 
     @pytest.mark.parametrize("command", ["mask", "voxelize"])
     def test_a_command_without_a_net_takes_any_dims(self, command, tmp_path):

@@ -6,7 +6,9 @@ import pytest
 
 from rmae.errors import InvalidSpec, MalformedFile
 from rmae.pointcloud import (
+    MAX_BOXES,
     MAX_GROUND_POINTS,
+    MAX_SCENE_LENGTH,
     PointCloud,
     SceneSpec,
     cylindrical_arrays,
@@ -180,6 +182,26 @@ class TestSynthScene:
         for step in (720.0, 1000.0, float("inf")):
             with pytest.raises(InvalidSpec, match="azimuth sample"):
                 SceneSpec(azimuth_step_deg=step)
+
+    def test_scene_sizes_have_caps(self):
+        """A scene at the length cap is finite; sizes above a cap, or not
+        a number, are refused by key without generating anything."""
+        longest = (MAX_SCENE_LENGTH, MAX_SCENE_LENGTH)
+        far = synth_scene(
+            SceneSpec(ground_extent=MAX_SCENE_LENGTH, box_size=longest)
+        )
+        assert np.isfinite(far.data).all()
+        SceneSpec(box_count=MAX_BOXES)
+        for key, value in [
+            ("ground_extent", MAX_SCENE_LENGTH * 2),
+            ("ground_extent", float("nan")),
+            ("box_size", (1e300, 1e300)),
+            ("box_size", (1.0, MAX_SCENE_LENGTH * 2)),
+            ("box_count", MAX_BOXES + 1),
+            ("box_count", 10**12),
+        ]:
+            with pytest.raises(InvalidSpec, match=f"^{key} "):
+                SceneSpec(**{key: value})
 
     def test_ground_point_budget(self):
         """Specs are only constructed here: no scene is generated."""

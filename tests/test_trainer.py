@@ -1,5 +1,7 @@
 import contextlib
 import math
+import os
+import signal
 import sys
 import threading
 import time
@@ -7,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from rmae.errors import Diverged, NoData, StaleCache
+from rmae import cli
+from rmae.errors import Diverged, EmptyQuerySet, NoData, StaleCache
 from rmae.occupancy_net import (
     NetConfig,
     OccupancyNet,
@@ -45,6 +48,62 @@ def tiny_frames(n):
     ]
 
 
+@pytest.fixture
+def eight_cores(monkeypatch):
+    """Let RMAE_THREADS up to 8 take effect whatever this machine's cores."""
+    monkeypatch.setattr(trainer, "usable_cores", lambda: 8)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids os.fork returns to this process while the test runs."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after seconds (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def in_workers(monkeypatch, name, action):
+    """Patch trainer.name so that, in a forked worker only, it calls
+    action() instead."""
+    parent, real = os.getpid(), getattr(trainer, name)
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, name, patched)
+
+
 def tiny_pretrain(geom, out_path, n_frames=2, **train):
     """pretrain over small frames (one epoch in batches of two unless train
     says otherwise); returns (loss history, checkpoint bytes)."""
@@ -70,7 +129,7 @@ class TestPretrainDeterminism:
             assert other_blob == blob
 
     def test_ragged_batches_over_epochs_for_1_2_3_threads(
-        self, small_geom, tmp_path, monkeypatch
+        self, small_geom, tmp_path, monkeypatch, eight_cores
     ):
         """5 frames in batches of 4 leave a ragged batch of 1; the
         checkpoint holds the running statistics committed per frame.  Three
@@ -108,6 +167,136 @@ class TestPretrainDeterminism:
         cfg = TrainConfig(epochs=3, batch_size=1, learning_rate=1e300)
         with pytest.raises(Diverged):
             pretrain(tiny_frames(2), cfg, net, small_geom)
+
+
+SPHERE = QueryConfig(mode="sphere", sphere_radius=3.0)
+# a tiny pretrain run for cli.main, two frames in one batch
+TINY_RUN = [
+    "synth.frames=2",
+    "synth.ground_extent=6.0",
+    "synth.box_count=3",
+    "geometry.min_corner=[-6.4,-6.4,-1.6]",
+    "geometry.voxel_size=[0.8,0.8,0.8]",
+    "geometry.dims=[16,16,8]",
+    "net.stage_channels=[4,8,8]",
+    "train.epochs=1",
+    "train.batch_size=2",
+]
+
+
+def fail_in_worker():
+    raise EmptyQuerySet("raised in a worker")
+
+
+class TestFrameWorkers:
+    """pretrain's forked frame workers: how many, what they send back, and
+    that none outlives the call."""
+
+    def test_worker_count_is_capped_at_the_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(trainer, "usable_cores", lambda: 4)
+        for raw, count in [("1", 1), ("3", 3), ("4", 4), ("100000", 4), ("0", 4)]:
+            monkeypatch.setenv("RMAE_THREADS", raw)
+            assert trainer.worker_count() == count, raw
+        monkeypatch.delenv("RMAE_THREADS")
+        assert trainer.worker_count() == 1
+
+    def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert trainer.usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert trainer.usable_cores() == (os.cpu_count() or 1)
+
+    def test_parallel_map_starts_no_more_threads_than_cores(self, monkeypatch):
+        monkeypatch.setattr(trainer, "usable_cores", lambda: 2)
+        monkeypatch.setenv("RMAE_THREADS", "100000")
+        before, peak = threading.active_count(), [0]
+
+        def fn(v):
+            peak[0] = max(peak[0], threading.active_count())
+            time.sleep(0.001)
+            return v
+
+        assert list(parallel_map(fn, range(9))) == list(range(9))
+        assert peak[0] <= before + 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("outcome", ["return", "raise", "diverged"])
+    def test_no_worker_outlives_pretrain(
+        self, outcome, small_geom, monkeypatch, eight_cores, forked
+    ):
+        """Three frames a batch on three workers' worth: two forked
+        workers, reaped whether pretrain returns, re-raises a worker's
+        error with its type, or stops on a diverged loss; the parameters
+        leave the shared mapping either way."""
+        monkeypatch.setenv("RMAE_THREADS", "3")
+        train, error = {"epochs": 2, "batch_size": 3}, None
+        if outcome == "raise":
+            in_workers(monkeypatch, "occupancy_loss", fail_in_worker)
+            error = EmptyQuerySet
+        elif outcome == "diverged":
+            train["learning_rate"], error = 1e300, Diverged
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            pretrain(tiny_frames(3), TrainConfig(**train), net, small_geom)
+        assert len(forked) == 2
+        assert_reaped(forked)
+        for path, arr in net.parameters():
+            assert arr.flags.owndata, path
+
+    def test_worker_error_reaches_the_cli_with_its_exit_code(
+        self, tmp_path, monkeypatch, capsys, eight_cores, forked
+    ):
+        def no_data():
+            raise NoData("raised in a worker")
+
+        in_workers(monkeypatch, "occupancy_loss", no_data)
+        monkeypatch.setenv("RMAE_THREADS", "2")
+        argv = ["pretrain", "--out", str(tmp_path / "out"), *TINY_RUN]
+        assert cli.main(argv) == cli.EXIT_NODATA == 5
+        assert "error: NoData: raised in a worker" in capsys.readouterr().err
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_a_worker_that_dies_makes_pretrain_raise(
+        self, small_geom, monkeypatch, eight_cores, forked
+    ):
+        in_workers(monkeypatch, "occupancy_loss", lambda: os._exit(3))
+        monkeypatch.setenv("RMAE_THREADS", "2")
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+        cfg = TrainConfig(epochs=1, batch_size=2)
+        with deadline(120), pytest.raises(RuntimeError, match="without a result"):
+            pretrain(tiny_frames(2), cfg, net, small_geom)
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_a_frame_with_nothing_visible_is_skipped_on_a_worker(
+        self, small_geom, monkeypatch, eight_cores, forked
+    ):
+        """Two of three frames see nothing; at three workers a round's
+        first two frames run forked, so one of them at least is skipped
+        there.  Every worker count gives the same bytes."""
+        outside = PointCloud(np.array([[100.0, 100.0, 0.0, 0.5]]))
+        frames = tiny_frames(1) + [outside, outside]
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RMAE_THREADS", threads)
+            net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+            cfg = TrainConfig(epochs=2, batch_size=3, query=SPHERE)
+            net, history = pretrain(frames, cfg, net, small_geom)
+            state = net.parameters() + net.buffers()
+            runs.append((history, [a.tobytes() for _, a in state]))
+        assert len(forked) == 1 + 2
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_without_fork_the_frames_run_on_threads(
+        self, small_geom, tmp_path, monkeypatch, eight_cores, forked
+    ):
+        monkeypatch.setenv("RMAE_THREADS", "2")
+        runs = [tiny_pretrain(small_geom, tmp_path / "a.rmae", n_frames=3)]
+        monkeypatch.delattr(os, "fork")
+        runs.append(tiny_pretrain(small_geom, tmp_path / "b.rmae", n_frames=3))
+        assert len(forked) == 1
+        assert runs[1] == runs[0]
 
 
 class TestRemask:
@@ -192,7 +381,7 @@ def test_trained_state_stays_float64(small_geom, monkeypatch):
 
 class TestEvaluate:
     def test_bitwise_identical_for_1_and_2_threads(
-        self, small_geom, monkeypatch
+        self, small_geom, monkeypatch, eight_cores
     ):
         """With two threads the frames' forwards run on two threads, and
         the report keeps every bit of the one-thread report."""
@@ -220,13 +409,13 @@ class TestEvaluate:
 
 class TestParallelMap:
     @pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
-    def test_yields_in_order(self, threads, monkeypatch):
+    def test_yields_in_order(self, threads, monkeypatch, eight_cores):
         monkeypatch.setenv("RMAE_THREADS", threads)
         assert list(parallel_map(lambda v: v * v, range(7))) == [
             v * v for v in range(7)
         ]
 
-    def test_schedule_of_three_threads(self, monkeypatch):
+    def test_schedule_of_three_threads(self, monkeypatch, eight_cores):
         """Three threads over 7 items: the pool takes two items, the
         calling thread the third, and so on; the last item runs on the
         calling thread."""
@@ -303,9 +492,6 @@ def test_backward_consumes_the_tape(small_geom):
         net.backward(tape, grad)
 
 
-SPHERE = QueryConfig(mode="sphere", sphere_radius=3.0)
-
-
 def record(calls, name, method):
     def recorded(*args, **kwargs):
         calls.append(name)
@@ -319,7 +505,7 @@ class TestSphereMode:
     they read."""
 
     def test_bitwise_identical_for_1_2_3_threads(
-        self, small_geom, tmp_path, monkeypatch
+        self, small_geom, tmp_path, monkeypatch, eight_cores
     ):
         runs = []
         interval = sys.getswitchinterval()
