@@ -14,7 +14,6 @@ import copy
 import csv
 import math
 import mmap
-import multiprocessing
 import os
 import signal
 import sys
@@ -119,6 +118,8 @@ def _frame_workers(net: OccupancyNet, step, n: int):
     if n <= 1 or not hasattr(os, "fork"):
         yield lambda jobs: parallel_map(lambda job: step(*job), jobs)
         return
+    import multiprocessing  # ~1 MiB that a run forking no worker never pays
+
     layers = [layer for _, layer in net.named_layers()]
     index = {id(layer): i for i, layer in enumerate(layers)}
     bound = [
@@ -165,16 +166,12 @@ def _frame_workers(net: OccupancyNet, step, n: int):
         def train(jobs):
             for start in range(0, len(jobs), n):
                 *theirs, last = jobs[start : start + n]
-                for conn, job in zip(conns, theirs):
-                    conn.send(job)
+                busy = list(zip(pids, conns, grads))[: len(theirs)]
+                for (pid, conn, _), job in zip(busy, theirs):
+                    _on_pipe(pid, conn.send, job)
                 mine = step(*last)
-                for pid, conn, g in zip(pids, conns, grads[: len(theirs)]):
-                    try:
-                        ok, result = conn.recv()
-                    except EOFError:
-                        raise RuntimeError(
-                            f"training worker {pid} exited without a result"
-                        ) from None
+                for pid, conn, g in busy:
+                    ok, result = _on_pipe(pid, conn.recv)
                     if not ok:
                         raise result
                     if result is not None:
@@ -192,6 +189,17 @@ def _frame_workers(net: OccupancyNet, step, n: int):
             os.waitpid(pid, 0)
         for _, layer, tname in bound:
             setattr(layer, tname, getattr(layer, tname).copy())
+
+
+def _on_pipe(pid: int, call, *args):
+    """call(*args) on worker pid's pipe; RuntimeError if the worker is
+    gone."""
+    try:
+        return call(*args)
+    except (EOFError, OSError):
+        raise RuntimeError(
+            f"training worker {pid} exited without a result"
+        ) from None
 
 
 def _serve(conn, step, grads: dict[str, np.ndarray], index: dict) -> None:

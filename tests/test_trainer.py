@@ -257,10 +257,14 @@ class TestFrameWorkers:
         assert len(forked) == 1
         assert_reaped(forked)
 
+    @pytest.mark.parametrize("when", ["in its step", "before its first job"])
     def test_a_worker_that_dies_makes_pretrain_raise(
-        self, small_geom, monkeypatch, eight_cores, forked
+        self, when, small_geom, monkeypatch, eight_cores, forked
     ):
-        in_workers(monkeypatch, "occupancy_loss", lambda: os._exit(3))
+        if when == "in its step":
+            in_workers(monkeypatch, "occupancy_loss", lambda: os._exit(3))
+        else:  # its pipe breaks on the send or on the receive
+            monkeypatch.setattr(trainer, "_serve", lambda *args: None)
         monkeypatch.setenv("RMAE_THREADS", "2")
         net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
         cfg = TrainConfig(epochs=1, batch_size=2)
