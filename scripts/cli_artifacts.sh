@@ -91,6 +91,10 @@ for threads in 1 2; do
             # at two threads two frames train at once
             rmae pretrain --out batched $TINY synth.frames=3 \
                 train.batch_size=2
+            # the same in sphere mode: at two threads the ragged batch's
+            # sum starts from a forked worker's gradients
+            rmae pretrain --out sphere-batched $TINY query.mode=sphere \
+                synth.frames=3 train.batch_size=2
             # a one-stage net, whose head decodes the latent itself
             rmae pretrain --out one-stage $TINY 'net.stage_channels=[4]'
             rmae eval --out one-stage-eval \

@@ -61,10 +61,11 @@ map, built by _kernel_map at the phase's negated shifts, instead of by a
 slice shift.  Without output sites a sparse call computes every output
 site and returns the dense tensor, so a decoder can start from a sparse
 map and continue dense.  Backward is the adjoint: each tap sends an output
-row to one input row, so grad_out rows are assigned into an
-(N + 1, taps, C_out) buffer through the map, and one GEMM per phase gives
-grad_w and one grad_in.  input_support gives the input sites a set of
-output sites reads, so a caller can decode only what it will look at.
+row to one input row, so grad_out rows, each copied as one (C_out,) item,
+are assigned through the map into an (N + 1, taps, C_out) buffer, one per
+call that each phase re-zeroes, and one GEMM per phase gives grad_w and
+one grad_in.  input_support gives the input sites a set of output sites
+reads, so a caller can decode only what it will look at.
 
 Only the head (DenseConv) has a bias, added last, dense or sparse: a batch
 norm follows every other conv and would cancel one.
@@ -230,8 +231,9 @@ class BatchNorm:
     input and keeps no ctx, so it serves no backward.  An eval forward
     only calls it, so perfbench, which times forward, still sees it.
 
-    Besides its input, forward keeps two full-size buffers (xhat and the
-    output) and backward one (its result); every per-element product is
+    Besides its input, forward makes two full-size buffers (xhat and the
+    output, which holds the squared deviations until the output overwrites
+    them) and backward one (its result); every per-element product is
     formed in place, and every value is computed by the same operations in
     the same order as the textbook expressions in the comments.
 
@@ -272,11 +274,12 @@ class BatchNorm:
         mu = x.mean(axis=0, dtype=np.float64)
         xhat = x - mu.astype(x.dtype, copy=False)  # xhat = (x - mu) * ivar
         # x.var's operations on the deviations xhat holds, without
-        # x.var's float64 copy of a float32 x
-        var = np.square(xhat).sum(axis=0, dtype=np.float64) / len(x)
+        # x.var's float64 copy of a float32 x; out holds their squares
+        out = np.square(xhat)
+        var = out.sum(axis=0, dtype=np.float64) / len(x)
         ivar = 1.0 / np.sqrt(var + self.eps)
         xhat *= ivar.astype(x.dtype, copy=False)
-        out = xhat * self.gamma.astype(x.dtype, copy=False)
+        np.multiply(xhat, self.gamma.astype(x.dtype, copy=False), out=out)
         out += self.beta.astype(x.dtype, copy=False)
         return out, [xhat, ivar, (mu, var)]
 
@@ -561,18 +564,23 @@ class _DenseTapConv:
         padded = np.concatenate([x.feats, np.zeros((1, self.in_ch), dtype)])
         grad_in = np.zeros_like(padded)
         grad_w = np.zeros_like(self.weight)
+        taps = len(self.phases[0][1])  # every phase has as many
+        # (N + 1, taps * C_out): per input row, each tap's grad_out row,
+        # one buffer that every phase re-zeroes; its slots view holds each
+        # (C_out,) row as one item, so a row assignment is one item copy
+        spread = np.empty((len(padded), taps * self.out_ch), dtype)
+        item = np.dtype((np.void, self.out_ch * spread.itemsize))
+        slots = spread.reshape(-1, self.out_ch).view(item)[:, 0]
         for kernel, rows, table in plan:
-            g = site_rows(grad_out)[rows]
+            g = np.ascontiguousarray(site_rows(grad_out)[rows])
             # a tap sends each output row to its own input row, so the
             # adjoint of forward's gather is an assignment; outputs that
             # read nothing land on the zero row, which adds nothing to
             # grad_w and whose grad_in is dropped
-            spread = np.zeros((len(padded), len(kernel), self.out_ch), dtype)
-            slots = spread.reshape(-1, self.out_ch)
+            spread.fill(0)
             for j, reads in enumerate(table):
-                slots[reads * len(kernel) + j] = g
-            spread = spread.reshape(len(padded), -1)
-            gw = (padded.T @ spread).reshape(self.in_ch, len(kernel), -1)
+                slots[reads * taps + j] = g.view(item)[:, 0]
+            gw = (padded.T @ spread).reshape(self.in_ch, taps, -1)
             for j, k in enumerate(kernel):
                 grad_w[k] = gw[:, j]
             grad_in += spread @ self._stacked_weight(kernel, dtype)

@@ -177,9 +177,6 @@ class OccupancyNet:
     def buffers(self) -> list[tuple[str, np.ndarray]]:
         return self._tensors("buffers")
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {path: np.zeros_like(arr) for path, arr in self.parameters()}
-
     def commit_batch_stats(self, stats) -> None:
         """Fold the batch statistics of one training forward (its tape's
         "bn_stats") into the batch norms' running statistics."""
@@ -287,19 +284,22 @@ class OccupancyNet:
 
     def backward(self, tape, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse pass for a completed training forward's tape; returns a
-        dict of parameter gradients keyed like parameters().  Each tape
-        entry is popped as it is used, so a tape serves one backward; only
-        tape["bn_stats"] is left."""
+        dict of parameter gradients keyed, and ordered, like parameters():
+        each layer's own arrays, with zeros for the encoder's when it saw
+        nothing.  Each tape entry is popped as it is used, so a tape
+        serves one backward; only tape["bn_stats"] is left."""
         if not tape.get("training") or "latent" not in tape:
             raise StaleCache(
                 "backward needs the tape of a training forward not yet run"
                 " backward"
             )
-        grads = self.zero_grads()
+        params = self.parameters()
+        grads = dict.fromkeys(path for path, _ in params)
 
         def store(name, sub):
             for k, v in sub.items():
-                grads[f"{name}.{k}"] += v
+                v += 0.0  # no -0.0: a sum from v is then one from zeros
+                grads[f"{name}.{k}"] = v
 
         latent = tape.pop("latent")
         stages = tape.pop("decoder")
@@ -344,6 +344,9 @@ class OccupancyNet:
             if g_skip is not None:
                 g = g + g_skip
             g_skip = g_sum
+        for path, arr in params:  # the layers backward did not reach
+            if grads[path] is None:
+                grads[path] = np.zeros_like(arr)
         return grads
 
 

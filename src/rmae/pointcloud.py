@@ -23,8 +23,9 @@ MAX_GROUND_POINTS = 4_000_000
 # the most boxes a scene may hold: each samples at most 1,200 points (three
 # faces of at most 400), so its box points stay below MAX_GROUND_POINTS
 MAX_BOXES = 3_000
-# the longest ground_extent or box_size a scene may ask for, in metres: every
-# coordinate then stays finite, with a float32 step of at most 1/8 m
+# the longest ground_extent, box_size or ground_noise a scene may ask for, in
+# metres: every coordinate then stays finite, with a float32 step of at most
+# 1/8 m
 MAX_SCENE_LENGTH = 1e6
 
 
@@ -128,6 +129,10 @@ class SceneSpec:
             )
         if not 0 <= self.box_count <= MAX_BOXES:
             raise InvalidSpec(f"box_count must lie in [0, {MAX_BOXES}]")
+        if not 0 <= self.ground_noise <= MAX_SCENE_LENGTH:
+            raise InvalidSpec(
+                f"ground_noise must lie in [0, {MAX_SCENE_LENGTH:g}] m"
+            )
         lo, hi = self.box_size
         if not 0 < lo <= hi <= MAX_SCENE_LENGTH:
             raise InvalidSpec(

@@ -394,7 +394,7 @@ def pretrain(
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size].tolist()
                 bsz = len(batch)
-                batch_grads = net.zero_grads()
+                batch_grads = None  # the first kept frame's, then summed
                 batch_stats = []
                 results = train([(epoch_key, fi, bsz) for fi in batch])
                 with contextlib.closing(results):  # joins threads on a raise
@@ -406,10 +406,17 @@ def pretrain(
                             raise Diverged(
                                 f"epoch {epoch}: frame {fi} has loss {loss}"
                             )
-                        for path, g in grads.items():
-                            batch_grads[path] += g
+                        if batch_grads is None:
+                            # copied: a worker's are views of its block,
+                            # which its next job overwrites
+                            batch_grads = copy.deepcopy(grads)
+                        else:
+                            for path, g in grads.items():
+                                batch_grads[path] += g
                         losses.append(loss * bsz)  # per-frame mean BCE
                         batch_stats.append(stats)
+                if batch_grads is None:  # every frame skipped: no step
+                    continue
                 bad = [
                     p
                     for p, g in batch_grads.items()
@@ -422,7 +429,7 @@ def pretrain(
                     )
                 for stats in batch_stats:
                     net.commit_batch_stats(stats)
-                if batch_stats and cfg.learning_rate > 0:
+                if cfg.learning_rate > 0:
                     optimizer.step(params, batch_grads)
             if not losses:
                 raise NoData(f"epoch {epoch}: no frame had a cell to query")

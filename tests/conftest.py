@@ -7,7 +7,7 @@ import pytest
 from rmae import keyrand
 from rmae.cli import json_form
 from rmae.keyrand import derive_seed
-from rmae.occupancy_net.layers import _shift_slices
+from rmae.occupancy_net.layers import _shift_slices, site_rows
 from rmae.pointcloud import cylindrical_arrays
 from rmae.radial_mask import (  # noqa: PLC2701 - the oracle keys its draws alike
     _GROUP_STREAM,
@@ -204,3 +204,28 @@ def dense_backward_oracle(layer, x, grad_out):
     for part in parts[1:]:
         grad_in += part
     return grad_in.reshape(x.shape), grad_w
+
+
+def sparse_backward_oracle(layer, plan, x, grad_out):
+    """Oracle for a dense layer's sparse backward (DenseDeconv or
+    DenseConv, without the bias) on the plan and input map of its sparse
+    forward, as first written: per phase, a fresh zeroed
+    (N + 1, taps, C_out) buffer, one fancy row assignment of the phase's
+    grad_out rows per tap, then one GEMM for the taps' weight gradients
+    and one for the input gradient.  Returns (grad_in rows, grad_weight)."""
+    dtype = x.feats.dtype
+    padded = np.concatenate([x.feats, np.zeros((1, layer.in_ch), dtype)])
+    grad_in = np.zeros_like(padded)
+    grad_w = np.zeros_like(layer.weight)
+    for kernel, rows, table in plan:
+        g = site_rows(grad_out)[rows]
+        spread = np.zeros((len(padded), len(kernel), layer.out_ch), dtype)
+        slots = spread.reshape(-1, layer.out_ch)
+        for j, reads in enumerate(table):
+            slots[reads * len(kernel) + j] = g
+        spread = spread.reshape(len(padded), -1)
+        gw = (padded.T @ spread).reshape(layer.in_ch, len(kernel), -1)
+        for j, k in enumerate(kernel):
+            grad_w[k] = gw[:, j]
+        grad_in += spread @ layer._stacked_weight(kernel, dtype)
+    return grad_in[:-1], grad_w

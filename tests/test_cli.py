@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rmae
 from rmae import cli, trainer
@@ -323,6 +330,7 @@ class TestBadInput:
             "synth.azimuth_step_deg=5e-324",
             "synth.box_count=-1",
             "synth.frames=0",
+            "synth.ground_noise=-1",
         ],
     )
     def test_bad_synth_value_is_config_error(self, override, tmp_path, capsys):
@@ -450,6 +458,7 @@ class TestBadInput:
             ["voxelize", "synth.box_count=1000000000000"],
             ["voxelize", "synth.box_size=[1e300,1e300]"],
             ["voxelize", "synth.ground_extent=1e300"],
+            ["voxelize", "synth.ground_noise=1e300"],
         ],
         ids=" ".join,
     )
@@ -471,7 +480,7 @@ class TestBadInput:
         cli.SweepConfig(spans_deg=(360.0 / MAX_GROUPS,))
         longest = (MAX_SCENE_LENGTH, MAX_SCENE_LENGTH)
         SceneSpec(box_count=MAX_BOXES, ground_extent=MAX_SCENE_LENGTH,
-                  box_size=longest)
+                  box_size=longest, ground_noise=MAX_SCENE_LENGTH)
 
     @pytest.mark.parametrize("command", ["mask", "voxelize"])
     def test_a_command_without_a_net_takes_any_dims(self, command, tmp_path):
@@ -632,6 +641,54 @@ class TestBadInput:
         assert code == 0
         assert (out / "energy.json").exists()
         assert (out / "frugal.json").exists()
+
+
+# every config key an override may set (train's mask and query are set
+# through their own sections), a top-level one and an unknown one
+OVERRIDE_KEYS = [
+    f"{name}.{f.name}"
+    for name, cls in cli._SECTION_TYPES.items()
+    for f in dataclasses.fields(cls)
+    if f.name not in cli._SECTION_TYPES
+] + ["seed", "colour"]
+HUGE = "1000000000000"
+# adversarial override values: zero, negative, non-finite, of the wrong
+# type, empty or ragged lists, and sizes either tiny or far past any cap,
+# never large enough that uncapped code would really allocate them
+OVERRIDE_VALUES = [
+    "0", "-1", "1", "2", "0.5", "1e-300", "1e300", "-1e300", HUGE, "NaN",
+    "Infinity", "true", '"x"', "abc", "null", "{}", "[]", "[0]", "[2,2,2]",
+    "[0,0,0]", "[-1,-1,-1]", f"[{HUGE},1,1]", "[1e300,1e300,1e300]",
+    "[1e-300,1e-300,1e-300]", "[1.5,0.5]", "[[]]", "[[0.5]]",
+    "[[0.0,0.5],[0.5]]", '["a"]',
+]
+# synth.frames has no cap: a huge count would synthesize frames for ever
+OVERRIDES = st.tuples(
+    st.sampled_from(OVERRIDE_KEYS), st.sampled_from(OVERRIDE_VALUES)
+).filter(lambda kv: kv != ("synth.frames", HUGE))
+
+
+class TestNoInternalError:
+    """No override ends mask, energy or voxelize as InternalError (6):
+    each runs (0) or is a bad configuration (3), as the README's exit-code
+    table says.  The two examples were exit 6 before synth.ground_noise
+    was bounded."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["mask", "energy", "voxelize"]),
+        st.lists(OVERRIDES, min_size=1, max_size=3),
+    )
+    @example("voxelize", [("synth.ground_noise", "-1")])
+    @example("mask", [("synth.ground_noise", "1e300")])
+    def test_overrides_exit_with_a_documented_code(self, command, overrides):
+        err = io.StringIO()
+        overrides = [f"{k}={v}" for k, v in overrides]
+        with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a run prints them and goes on
+            with contextlib.redirect_stderr(err):
+                code = cli.main([command, "--out", out, *TINY, *overrides])
+        assert code in (0, cli.EXIT_CONFIG), err.getvalue()
 
 
 GOOD_STATS = {

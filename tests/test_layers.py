@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_backward_oracle, down_sites_oracle, eval_batch_norm
+from conftest import (
+    dense_backward_oracle,
+    down_sites_oracle,
+    eval_batch_norm,
+    sparse_backward_oracle,
+)
 from rmae.errors import DegenerateBatch, ShapeError, StaleCache
 from rmae.occupancy_net import NetConfig, OccupancyNet
 from rmae.occupancy_net.layers import (
@@ -1418,6 +1423,47 @@ class TestSparseCallAgainstDense:
         grad_x, grads = layer.backward(ctx, g)
         assert grad_x.feats.dtype == np.float32
         assert all(v.dtype == np.float64 for v in grads.values())
+
+
+class TestSparseBackwardAgainstOracle:
+    """The sparse backward's one re-zeroed buffer and whole-row item
+    assignments fill the same spread as sparse_backward_oracle's fresh
+    buffer per phase and feed the same GEMMs, so the input and weight
+    gradients agree bit for bit: over float32 and float64, sparse and
+    dense grad_out, phases without output sites and an empty input map."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(LAYER_CASES),
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from([0.0, 0.3, 1.0]),  # input fill; 0: an empty map
+        st.sampled_from([None, 0.0, 0.2, 1.0]),  # sites; None: dense
+        st.integers(0, 2**32 - 1),
+    )
+    @example(LAYER_CASES[0], np.float32, 0.3, None, 1)
+    @example(LAYER_CASES[2], np.float64, 0.0, 0.0, 2)  # one site, no input
+    @example(LAYER_CASES[3], np.float32, 1.0, 0.2, 3)
+    def test_bitwise(self, case, dtype, fill, site_fraction, seed):
+        cls, cin, cout, dims = case
+        rng = np.random.default_rng(seed)
+        layer = cls(cin, cout, rng)
+        x = random_sparse(dims, int(fill * np.prod(dims)), cin, rng)
+        x = SparseFeatureMap(x.dims, x.coords, x.feats.astype(dtype))
+        out_dims = tuple(len(cls.axis_taps) * n for n in dims)
+        if site_fraction is None:  # every site; grad_out is dense
+            y, ctx = layer.forward(x)
+            grad_out = rng.normal(0, 1, y.shape).astype(dtype)
+        else:  # a fraction 0 keeps one site, so most phases hold none
+            sites = random_sites(out_dims, site_fraction, rng)
+            _, ctx = layer.forward(x, sites)
+            rows = rng.normal(0, 1, (len(sites), cout)).astype(dtype)
+            grad_out = SparseFeatureMap(out_dims, sites, rows)
+        plan = ctx[0]
+        ref_in, ref_w = sparse_backward_oracle(layer, plan, x, grad_out)
+        grad_x, grads = layer.backward(ctx, grad_out)
+        assert grad_x.feats.dtype == dtype
+        assert grad_x.feats.tobytes() == ref_in.tobytes()
+        assert grads["weight"].tobytes() == ref_w.tobytes()
 
 
 class TestInputSupport:

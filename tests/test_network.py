@@ -274,6 +274,45 @@ class TestComposedGradients:
             assert not g.any(), path
 
 
+class TestGradientContract:
+    """backward hands out each layer's own gradient arrays, keyed and
+    ordered as parameters(), zeros for parameters it did not reach, and
+    no negative zero, just as a sum onto zeroed arrays gave."""
+
+    @pytest.mark.parametrize("visible", [25, 0])  # 0: the encoder saw nothing
+    def test_keys_in_order_and_zeros_where_nothing_reached(self, visible):
+        rng = np.random.default_rng(7)
+        net = toy_net()
+        x = sparse_input((8, 8, 4), visible, 2, rng)
+        _, tape = net.forward(x, training=True)
+        grads = net.backward(tape, np.ones((8, 8, 4)))
+        params = net.parameters()
+        assert list(grads) == [path for path, _ in params]
+        for path, arr in params:
+            g = grads[path]
+            assert g.dtype == np.float64 and g.shape == arr.shape, path
+            assert not np.signbit(g[g == 0]).any(), path
+            if not visible and not path.startswith(("deconv", "head")):
+                assert not g.any(), path
+
+    def test_a_layers_negative_zero_reads_positive(self, monkeypatch):
+        """-0.0 + 0.0 is +0.0, so the sum from zeros that backward
+        replaced never handed out a negative zero."""
+        net = toy_net()
+        real = net.head.backward
+
+        def negative_zero_bias(ctx, grad_out):
+            grad_in, grads = real(ctx, grad_out)
+            grads["bias"] = np.full_like(grads["bias"], -0.0)
+            return grad_in, grads
+
+        monkeypatch.setattr(net.head, "backward", negative_zero_bias)
+        x = sparse_input((8, 8, 4), 25, 2, np.random.default_rng(8))
+        _, tape = net.forward(x, training=True)
+        grads = net.backward(tape, np.ones((8, 8, 4)))
+        assert grads["head.bias"].tobytes() == bytes(8)
+
+
 class TestDecoderPrecision:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_float32_decoder_tracks_float64(self, seed, monkeypatch):

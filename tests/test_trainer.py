@@ -292,6 +292,24 @@ class TestFrameWorkers:
         assert len(forked) == 1 + 2
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
+    def test_a_batch_of_four_at_two_and_three_workers(
+        self, small_geom, monkeypatch, eight_cores, forked
+    ):
+        """Two workers run a batch of 4 in two rounds, so a worker's block
+        is rewritten while the batch's sum, which began from that block's
+        gradients, is still open; three run it in rounds of 3 and 1.  Both
+        give the bytes of one worker."""
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RMAE_THREADS", threads)
+            net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+            cfg = TrainConfig(epochs=2, batch_size=4, query=SPHERE)
+            net, history = pretrain(tiny_frames(4), cfg, net, small_geom)
+            state = net.parameters() + net.buffers()
+            runs.append((history, [a.tobytes() for _, a in state]))
+        assert len(forked) == 1 + 2
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_without_fork_the_frames_run_on_threads(
         self, small_geom, tmp_path, monkeypatch, eight_cores, forked
     ):
