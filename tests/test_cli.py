@@ -671,8 +671,8 @@ OVERRIDES = st.tuples(
 class TestNoInternalError:
     """No override ends mask, energy or voxelize as InternalError (6):
     each runs (0) or is a bad configuration (3), as the README's exit-code
-    table says.  The two examples were exit 6 before synth.ground_noise
-    was bounded."""
+    table says.  The examples are the first two overrides it found that
+    exited 6: an unbounded synth.ground_noise."""
 
     @settings(max_examples=300, deadline=None)
     @given(

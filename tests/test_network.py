@@ -277,7 +277,8 @@ class TestComposedGradients:
 class TestGradientContract:
     """backward hands out each layer's own gradient arrays, keyed and
     ordered as parameters(), zeros for parameters it did not reach, and
-    no negative zero, just as a sum onto zeroed arrays gave."""
+    no negative zero, so a batch's sum that starts from them is bitwise
+    a sum from zeros."""
 
     @pytest.mark.parametrize("visible", [25, 0])  # 0: the encoder saw nothing
     def test_keys_in_order_and_zeros_where_nothing_reached(self, visible):
@@ -296,8 +297,7 @@ class TestGradientContract:
                 assert not g.any(), path
 
     def test_a_layers_negative_zero_reads_positive(self, monkeypatch):
-        """-0.0 + 0.0 is +0.0, so the sum from zeros that backward
-        replaced never handed out a negative zero."""
+        """A layer's -0.0 leaves backward as +0.0, as 0.0 + -0.0 is."""
         net = toy_net()
         real = net.head.backward
 

@@ -188,6 +188,20 @@ def fail_in_worker():
     raise EmptyQuerySet("raised in a worker")
 
 
+def sphere_runs_at_1_2_3_workers(frames, batch_size, geom, monkeypatch):
+    """Per RMAE_THREADS of 1, 2 and 3: the loss history and the bytes of
+    every parameter and buffer after two sphere-mode epochs."""
+    runs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("RMAE_THREADS", threads)
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, query=SPHERE)
+        net, history = pretrain(frames, cfg, net, geom)
+        state = net.parameters() + net.buffers()
+        runs.append((history, [a.tobytes() for _, a in state]))
+    return runs
+
+
 class TestFrameWorkers:
     """pretrain's forked frame workers: how many, what they send back, and
     that none outlives the call."""
@@ -281,14 +295,7 @@ class TestFrameWorkers:
         there.  Every worker count gives the same bytes."""
         outside = PointCloud(np.array([[100.0, 100.0, 0.0, 0.5]]))
         frames = tiny_frames(1) + [outside, outside]
-        runs = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("RMAE_THREADS", threads)
-            net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
-            cfg = TrainConfig(epochs=2, batch_size=3, query=SPHERE)
-            net, history = pretrain(frames, cfg, net, small_geom)
-            state = net.parameters() + net.buffers()
-            runs.append((history, [a.tobytes() for _, a in state]))
+        runs = sphere_runs_at_1_2_3_workers(frames, 3, small_geom, monkeypatch)
         assert len(forked) == 1 + 2
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -299,14 +306,8 @@ class TestFrameWorkers:
         is rewritten while the batch's sum, which began from that block's
         gradients, is still open; three run it in rounds of 3 and 1.  Both
         give the bytes of one worker."""
-        runs = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("RMAE_THREADS", threads)
-            net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
-            cfg = TrainConfig(epochs=2, batch_size=4, query=SPHERE)
-            net, history = pretrain(tiny_frames(4), cfg, net, small_geom)
-            state = net.parameters() + net.buffers()
-            runs.append((history, [a.tobytes() for _, a in state]))
+        frames = tiny_frames(4)
+        runs = sphere_runs_at_1_2_3_workers(frames, 4, small_geom, monkeypatch)
         assert len(forked) == 1 + 2
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
