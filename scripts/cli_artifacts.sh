@@ -57,6 +57,10 @@ for threads in 1 2; do
             rmae pretrain --out pretrain-anisotropic $TINY \
                 'geometry.dims=[16,12,8]'
             rmae eval --out eval --checkpoint pretrain/checkpoint.rmae $TINY
+            # three frames: at two workers a forked worker and the caller
+            # take a round of two, and the caller alone a ragged round
+            rmae eval --out eval-ragged --checkpoint pretrain/checkpoint.rmae \
+                $TINY synth.frames=3
             # an anisotropic grid, whose decoder phases differ per axis
             rmae eval --out eval-anisotropic \
                 --checkpoint pretrain/checkpoint.rmae $TINY \
@@ -88,10 +92,10 @@ for threads in 1 2; do
             rmae pretrain --out sphere-batch2 $TINY query.mode=sphere \
                 train.batch_size=2
             # one full batch of two frames and one ragged batch of one, so
-            # at two threads two frames train at once
+            # at two workers two frames train at once
             rmae pretrain --out batched $TINY synth.frames=3 \
                 train.batch_size=2
-            # the same in sphere mode: at two threads the ragged batch's
+            # the same in sphere mode: at two workers the ragged batch's
             # sum starts from a forked worker's gradients
             rmae pretrain --out sphere-batched $TINY query.mode=sphere \
                 synth.frames=3 train.batch_size=2

@@ -62,6 +62,9 @@ EXIT_INTERNAL = 6
 EXIT_DIVERGED = 7
 
 _SECTION_SEED_TAGS = {"mask": 1, "train": 2, "net": 3, "synth": 4}
+# the most points a synthetic input set may hold (512 MiB of float32
+# records): every frame is synthesized before the first is used
+MAX_SYNTH_POINTS = 2**25
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,10 @@ class SynthConfig(SceneSpec):
         super().__post_init__()
         if self.frames < 1:
             raise ValueError("synth frames must be >= 1")
+        most = self.sensor_rings * self.azimuth_samples  # ground samples
+        most += 1_200 * self.box_count  # and at most 1,200 per box
+        if self.frames > MAX_SYNTH_POINTS // most:
+            raise ValueError(f"frames may hold over {MAX_SYNTH_POINTS} points")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ import mmap
 import os
 import signal
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,8 +52,9 @@ def usable_cores() -> int:
 
 def worker_count() -> int:
     """Worker cap from RMAE_THREADS (unset -> 1, 0 -> all cores), at most
-    usable_cores(): results do not depend on the count, and each worker
-    holds a frame's working set."""
+    usable_cores(), and 1 where the platform has no os.fork: results do
+    not depend on the count, and each worker holds a frame's working
+    set."""
     raw = os.environ.get("RMAE_THREADS")
     if raw is None:
         return 1
@@ -67,128 +66,71 @@ def worker_count() -> int:
         raise ConfigError(
             f"RMAE_THREADS must be a non-negative integer, got {raw!r}"
         )
+    if not hasattr(os, "fork"):
+        return 1
     cores = usable_cores()
     return cores if n == 0 else min(n, cores)
 
 
-def parallel_map(fn, items):
-    """Yield fn(item) for each item, in order.
-
-    Up to min(worker_count(), len(items)) items run at once: the calling
-    thread runs one, a pool runs the rest.  A result is yielded as soon as
-    it and every result before it are done, and at most that many results
-    exist before the consumer takes them.  That bound is why the loop is
-    hand-rolled: ThreadPoolExecutor.map (which submits every item at once)
-    or chunks whose futures outlive them raised train-dense peak RSS from
-    137-139 to 142-146 MiB on alternating runs on a 2-core machine.
-    """
-    items = list(items)
-    n = min(worker_count(), len(items))
-    if n <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=n - 1) as pool:
-        pending: deque = deque()
-        for i, item in enumerate(items):
-            if len(pending) < n - 1 and i < len(items) - 1:
-                pending.append(pool.submit(fn, item))
-                continue
-            mine = fn(item)
-            while pending:
-                yield pending.popleft().result()
-            yield mine
+def _as_is(k: int, result):
+    return result
 
 
 @contextlib.contextmanager
-def _frame_workers(net: OccupancyNet, step, n: int):
-    """Yield train(jobs), a generator of step(*job) for each job, in order,
+def _forked(n: int, step, send=_as_is, receive=_as_is):
+    """Yield run(jobs), a generator of step(job) for each job, in order,
     with up to n jobs running at once.
 
-    Where os.fork exists and n > 1, n - 1 forked worker processes run
-    every job of a round of n but the last, which the calling process
-    runs.  For the length of the block the parameters live in one
-    anonymous shared mapping, so an in-place optimizer step is what every
-    worker reads at its next job.  A worker writes its frame's gradients
-    into its own block of the mapping, which its result then holds until
-    the next round, and pipes back only the loss and its batch norms'
-    (mean, var), keyed by layer index.  A worker's exception is raised
-    here with its type.  Leaving the block kills and reaps every worker
-    and moves the parameters back to private arrays.  Elsewhere the jobs
-    run on parallel_map's threads."""
-    if n <= 1 or not hasattr(os, "fork"):
-        yield lambda jobs: parallel_map(lambda job: step(*job), jobs)
+    n - 1 forked worker processes run every job of a round of n but the
+    last, which the calling process runs.  Worker k pipes back send(k,
+    step(job)), which the caller hands on as receive(k, message).  A
+    worker's exception is raised here with its type.  Leaving the block
+    kills and reaps every worker.  At n <= 1 every job runs in the
+    calling process."""
+    if n <= 1:
+        yield lambda jobs: map(step, jobs)
         return
     import multiprocessing  # ~1 MiB that a run forking no worker never pays
 
-    layers = [layer for _, layer in net.named_layers()]
-    index = {id(layer): i for i, layer in enumerate(layers)}
-    bound = [
-        (f"{lname}.{tname}", layer, tname)
-        for lname, layer in net.named_layers()
-        for tname in layer.params()
-    ]
-    sizes = [-(-getattr(l, t).nbytes // 64) * 64 for _, l, t in bound]
-    offsets = np.cumsum([0] + sizes).tolist()
-    shared = mmap.mmap(-1, offsets[-1] * n)
-
-    def block(k: int) -> dict[str, np.ndarray]:
-        """Views of the k-th parameter-sized block of the mapping."""
-        out = {}
-        for (path, layer, tname), at in zip(bound, offsets):
-            arr = getattr(layer, tname)
-            out[path] = np.ndarray(
-                arr.shape, arr.dtype, shared, k * offsets[-1] + at
-            )
-        return out
-
-    for (_, layer, tname), view in zip(bound, block(0).values()):
-        view[...] = getattr(layer, tname)
-        setattr(layer, tname, view)
-    grads = [block(k) for k in range(1, n)]
     pids, conns = [], []
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-        for worker_grads in grads:
+        for k in range(n - 1):
             conn, child = multiprocessing.Pipe()
             pid = os.fork()
             if pid == 0:
                 try:
                     for other in conns + [conn]:
                         other.close()
-                    _serve(child, step, worker_grads, index)
+                    _serve(child, lambda job: send(k, step(job)))
                 finally:
                     os._exit(0)
             child.close()
             pids.append(pid)
             conns.append(conn)
 
-        def train(jobs):
+        def run(jobs):
             for start in range(0, len(jobs), n):
                 *theirs, last = jobs[start : start + n]
-                busy = list(zip(pids, conns, grads))[: len(theirs)]
-                for (pid, conn, _), job in zip(busy, theirs):
+                busy = list(zip(pids, conns))[: len(theirs)]
+                for (pid, conn), job in zip(busy, theirs):
                     _on_pipe(pid, conn.send, job)
-                mine = step(*last)
-                for pid, conn, g in busy:
-                    ok, result = _on_pipe(pid, conn.recv)
+                mine = step(last)
+                for k, (pid, conn) in enumerate(busy):
+                    ok, message = _on_pipe(pid, conn.recv)
                     if not ok:
-                        raise result
-                    if result is not None:
-                        loss, stats = result
-                        result = loss, g, [(layers[i], s) for i, s in stats]
-                    yield result
+                        raise message
+                    yield receive(k, message)
                 yield mine
 
-        yield train
+        yield run
     finally:
         for conn in conns:
             conn.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for _, layer, tname in bound:
-            setattr(layer, tname, getattr(layer, tname).copy())
 
 
 def _on_pipe(pid: int, call, *args):
@@ -197,32 +139,75 @@ def _on_pipe(pid: int, call, *args):
     try:
         return call(*args)
     except (EOFError, OSError):
-        raise RuntimeError(
-            f"training worker {pid} exited without a result"
-        ) from None
+        raise RuntimeError(f"worker {pid} exited without a result") from None
 
 
-def _serve(conn, step, grads: dict[str, np.ndarray], index: dict) -> None:
-    """A training worker's loop: run each job the pipe brings, copy the
-    frame's gradients into grads, and send (True, (loss, [(layer index,
-    (mean, var))])), (True, None) for a skipped frame, or (False, the
-    exception).  Returns when the pipe closes."""
+def _serve(conn, run) -> None:
+    """A worker's loop: send (True, run(job)) for each job the pipe brings,
+    or (False, the exception).  Returns when the pipe closes."""
     while True:
         try:
             job = conn.recv()
         except EOFError:
             return
         try:
-            result = step(*job)
+            conn.send((True, run(job)))
         except Exception as exc:  # re-raised in the parent
             conn.send((False, exc))
-            continue
+
+
+@contextlib.contextmanager
+def _gradient_blocks(net: OccupancyNet, n: int):
+    """Yield (send, receive) for _forked's n - 1 training workers.
+
+    For the length of the block the parameters live in block 0 of one
+    anonymous shared mapping, so an in-place optimizer step is what every
+    worker reads at its next job.  Worker k's send writes its frame's
+    gradients into block k + 1 and returns only the loss and its batch
+    norms' (mean, var), keyed by layer index; receive rebuilds the result
+    around that block, which holds the gradients until the worker's next
+    job.  Leaving the block moves the parameters back to private arrays.
+    At n <= 1 both pass results through."""
+    if n <= 1:
+        yield _as_is, _as_is
+        return
+    layers = [layer for _, layer in net.named_layers()]
+    index = {id(layer): i for i, layer in enumerate(layers)}
+    bound = [(layer, tname) for layer in layers for tname in layer.params()]
+    params = net.parameters()  # bound's arrays, in bound's order
+    sizes = [-(-arr.nbytes // 64) * 64 for _, arr in params]
+    offsets = np.cumsum([0] + sizes).tolist()
+    shared = mmap.mmap(-1, offsets[-1] * n)
+    blocks = [  # views of the k-th parameter-sized block of the mapping
+        {
+            path: np.ndarray(a.shape, a.dtype, shared, k * offsets[-1] + at)
+            for (path, a), at in zip(params, offsets)
+        }
+        for k in range(n)
+    ]
+    for (layer, tname), view in zip(bound, blocks[0].values()):
+        view[...] = getattr(layer, tname)
+        setattr(layer, tname, view)
+    del params  # frees the private arrays that block 0 replaced
+    grads = blocks[1:]
+
+    def send(k, result):  # a skipped frame's None passes as it is
         if result is not None:
             loss, frame_grads, stats = result
             for path, g in frame_grads.items():
-                grads[path][...] = g
-            result = loss, [(index[id(bn)], s) for bn, s in stats]
-        conn.send((True, result))
+                grads[k][path][...] = g
+            return loss, [(index[id(bn)], s) for bn, s in stats]
+
+    def receive(k, message):
+        if message is not None:
+            loss, stats = message
+            return loss, grads[k], [(layers[i], s) for i, s in stats]
+
+    try:
+        yield send, receive
+    finally:
+        for layer, tname in bound:
+            setattr(layer, tname, getattr(layer, tname).copy())
 
 
 @dataclass(frozen=True)
@@ -315,7 +300,7 @@ def make_optimizer(cfg: TrainConfig):
 def _prepare(frames, geom):
     if not frames:
         raise NoData("no frames given")
-    grids = list(parallel_map(lambda f: voxelize(f, geom), frames))
+    grids = [voxelize(f, geom) for f in frames]
     if all(len(g) == 0 for g in grids):
         raise NoData("every frame voxelized to an empty grid")
     truths = [occupancy_of(g) for g in grids]
@@ -345,13 +330,12 @@ def pretrain(
     """Train the network in place; returns (net, per-epoch mean BCE).
 
     A batch's frames are trained up to RMAE_THREADS at a time, each with
-    its own forward tape: on forked worker processes where the platform
-    has os.fork, else on threads (see _frame_workers).  Batch norm
-    normalizes each frame by its own statistics, so batch_size only
-    averages gradients.  Losses, gradients and batch-norm statistics are
-    taken in frame order, so the result does not depend on the worker
-    count.  Raises Diverged, before the optimizer step, on a non-finite
-    loss or gradient.
+    its own forward tape, on forked worker processes (see _forked and
+    _gradient_blocks).  Batch norm normalizes each frame by its own
+    statistics, so batch_size only averages gradients.  Losses, gradients
+    and batch-norm statistics are taken in frame order, so the result does
+    not depend on the worker count.  Raises Diverged, before the optimizer
+    step, on a non-finite loss or gradient.
 
     In sphere mode the decoder computes only the query cells and what they
     read (OccupancyNet.forward's query), and a frame with no query cell
@@ -363,7 +347,8 @@ def pretrain(
     grids, truths = _prepare(frames, geom)
     sparse = cfg.query.mode == "sphere"  # decode only the query's reach
 
-    def step(epoch_key: int, fi: int, bsz: int):
+    def step(job):
+        epoch_key, fi, bsz = job
         key = (cfg.seed, _MASK_STREAM, epoch_key, fi)
         _, vis, query = _masked_input(
             grids[fi], truths[fi], cfg.mask, cfg.query, key
@@ -381,7 +366,7 @@ def pretrain(
 
     history = []
     n = min(worker_count(), cfg.batch_size, len(grids))
-    with _frame_workers(net, step, n) as train:
+    with _gradient_blocks(net, n) as relay, _forked(n, step, *relay) as train:
         optimizer = make_optimizer(cfg)
         params = net.parameters()
         for epoch in range(cfg.epochs):
@@ -397,24 +382,23 @@ def pretrain(
                 batch_grads = None  # the first kept frame's, then summed
                 batch_stats = []
                 results = train([(epoch_key, fi, bsz) for fi in batch])
-                with contextlib.closing(results):  # joins threads on a raise
-                    for fi, result in zip(batch, results):
-                        if result is None:  # nothing to query: skipped
-                            continue
-                        loss, grads, stats = result
-                        if not math.isfinite(loss):
-                            raise Diverged(
-                                f"epoch {epoch}: frame {fi} has loss {loss}"
-                            )
-                        if batch_grads is None:
-                            # copied: a worker's are views of its block,
-                            # which its next job overwrites
-                            batch_grads = copy.deepcopy(grads)
-                        else:
-                            for path, g in grads.items():
-                                batch_grads[path] += g
-                        losses.append(loss * bsz)  # per-frame mean BCE
-                        batch_stats.append(stats)
+                for fi, result in zip(batch, results):
+                    if result is None:  # nothing to query: skipped
+                        continue
+                    loss, grads, stats = result
+                    if not math.isfinite(loss):
+                        raise Diverged(
+                            f"epoch {epoch}: frame {fi} has loss {loss}"
+                        )
+                    if batch_grads is None:
+                        # copied: a worker's are views of its block, which
+                        # its next job overwrites
+                        batch_grads = copy.deepcopy(grads)
+                    else:
+                        for path, g in grads.items():
+                            batch_grads[path] += g
+                    losses.append(loss * bsz)  # per-frame mean BCE
+                    batch_stats.append(stats)
                 if batch_grads is None:  # every frame skipped: no step
                     continue
                 bad = [
@@ -462,8 +446,9 @@ def evaluate(
 ) -> EvalReport:
     """Masked-reconstruction metrics, averaged over frames.
 
-    Frames are evaluated up to RMAE_THREADS at a time and averaged in
-    frame order, so the report does not depend on the thread count.
+    Frames are evaluated up to RMAE_THREADS at a time, on forked worker
+    processes (see _forked), and averaged in frame order, so the report
+    does not depend on the worker count.
     masked_region_* restrict to grid cells in never-sensed angular sectors;
     they are NaN when every group was sensed (m = 0).
     """
@@ -500,8 +485,9 @@ def evaluate(
             out["masked_region_iou"] = _iou(pred_occ[region], occ[region])
         return out
 
-    # results come in frame order, so the means do not depend on threads
-    per_frame = list(parallel_map(frame_metrics, range(len(grids))))
+    n = min(worker_count(), len(grids))
+    with _forked(n, frame_metrics) as run:
+        per_frame = list(run(list(range(len(grids)))))
     means = {}
     for key in per_frame[0]:
         values = [m[key] for m in per_frame if m[key] is not None]

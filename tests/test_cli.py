@@ -330,6 +330,7 @@ class TestBadInput:
             "synth.azimuth_step_deg=5e-324",
             "synth.box_count=-1",
             "synth.frames=0",
+            "synth.frames=1000000000000",
             "synth.ground_noise=-1",
         ],
     )
@@ -339,6 +340,16 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG == 3
         assert "error: ConfigError: synth:" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_synth_frames_are_capped_by_the_points_they_may_hold(self):
+        """Two frames at the scene caps fit; a default frame's most points
+        are 28 * 450 ground samples and 1,200 for each of its 6 boxes."""
+        big = {"sensor_rings": 40, "azimuth_step_deg": 0.0036}
+        cli.SynthConfig(frames=2, box_count=3000, **big)
+        most = 28 * 450 + 1_200 * 6
+        cli.SynthConfig(frames=cli.MAX_SYNTH_POINTS // most)
+        with pytest.raises(ValueError, match="over 33554432 points"):
+            cli.SynthConfig(frames=cli.MAX_SYNTH_POINTS // most + 1)
 
     @pytest.mark.parametrize(
         "argv",
@@ -662,10 +673,9 @@ OVERRIDE_VALUES = [
     "[1e-300,1e-300,1e-300]", "[1.5,0.5]", "[[]]", "[[0.5]]",
     "[[0.0,0.5],[0.5]]", '["a"]',
 ]
-# synth.frames has no cap: a huge count would synthesize frames for ever
 OVERRIDES = st.tuples(
     st.sampled_from(OVERRIDE_KEYS), st.sampled_from(OVERRIDE_VALUES)
-).filter(lambda kv: kv != ("synth.frames", HUGE))
+)
 
 
 class TestNoInternalError:

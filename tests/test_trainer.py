@@ -2,9 +2,6 @@ import contextlib
 import math
 import os
 import signal
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -34,7 +31,6 @@ from rmae.trainer import (
     SgdOptimizer,
     TrainConfig,
     evaluate,
-    parallel_map,
     pretrain,
     sweep,
 )
@@ -132,25 +128,19 @@ class TestPretrainDeterminism:
         self, small_geom, tmp_path, monkeypatch, eight_cores
     ):
         """5 frames in batches of 4 leave a ragged batch of 1; the
-        checkpoint holds the running statistics committed per frame.  Three
-        threads on a short switch interval would expose shared state."""
+        checkpoint holds the running statistics committed per frame."""
         runs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for threads in ("1", "2", "3"):
-                monkeypatch.setenv("RMAE_THREADS", threads)
-                runs.append(
-                    tiny_pretrain(
-                        small_geom,
-                        tmp_path / f"ck{threads}.rmae",
-                        n_frames=5,
-                        epochs=2,
-                        batch_size=4,
-                    )
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RMAE_THREADS", threads)
+            runs.append(
+                tiny_pretrain(
+                    small_geom,
+                    tmp_path / f"ck{threads}.rmae",
+                    n_frames=5,
+                    epochs=2,
+                    batch_size=4,
                 )
-        finally:
-            sys.setswitchinterval(interval)
+            )
         history, blob = runs[0]
         assert len(history) == 2 and np.isfinite(history).all()
         saved = load_checkpoint(tmp_path / "ck1.rmae")
@@ -219,19 +209,6 @@ class TestFrameWorkers:
             assert trainer.usable_cores() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert trainer.usable_cores() == (os.cpu_count() or 1)
-
-    def test_parallel_map_starts_no_more_threads_than_cores(self, monkeypatch):
-        monkeypatch.setattr(trainer, "usable_cores", lambda: 2)
-        monkeypatch.setenv("RMAE_THREADS", "100000")
-        before, peak = threading.active_count(), [0]
-
-        def fn(v):
-            peak[0] = max(peak[0], threading.active_count())
-            time.sleep(0.001)
-            return v
-
-        assert list(parallel_map(fn, range(9))) == list(range(9))
-        assert peak[0] <= before + 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("outcome", ["return", "raise", "diverged"])
@@ -311,7 +288,7 @@ class TestFrameWorkers:
         assert len(forked) == 1 + 2
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
-    def test_without_fork_the_frames_run_on_threads(
+    def test_without_fork_the_frames_run_in_the_caller(
         self, small_geom, tmp_path, monkeypatch, eight_cores, forked
     ):
         monkeypatch.setenv("RMAE_THREADS", "2")
@@ -403,83 +380,55 @@ def test_trained_state_stays_float64(small_geom, monkeypatch):
 
 
 class TestEvaluate:
-    def test_bitwise_identical_for_1_and_2_threads(
-        self, small_geom, monkeypatch, eight_cores
+    """evaluate's frames on forked workers: the report of one worker, and
+    no worker outlives the call."""
+
+    MASK = MaskConfig(n_groups=8, m=0.5)
+
+    def test_bitwise_identical_for_1_and_2_workers(
+        self, small_geom, monkeypatch, eight_cores, forked
     ):
-        """With two threads the frames' forwards run on two threads, and
-        the report keeps every bit of the one-thread report."""
+        """Two workers take three frames in a round of two and a ragged
+        round of one, which the caller runs: the caller's forwards leave
+        out the worker's frame, and the report keeps every bit of the
+        one-worker report."""
         net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
-        forward = net.forward
-        threads_seen = set()
-
-        def recording_forward(*args, **kwargs):
-            threads_seen.add(threading.get_ident())
-            return forward(*args, **kwargs)
-
-        net.forward = recording_forward
-        mask = MaskConfig(n_groups=8, m=0.5)
-        reports = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("RMAE_THREADS", threads)
-            threads_seen.clear()
-            reports[threads] = evaluate(
-                tiny_frames(4), net, mask, QueryConfig(), small_geom
+        calls = []
+        net.forward = record(calls, "forward", net.forward)
+        reports, forwards = {}, {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RMAE_THREADS", workers)
+            calls.clear()
+            reports[workers] = evaluate(
+                tiny_frames(3), net, self.MASK, QueryConfig(), small_geom
             )
-            assert len(threads_seen) == int(threads)
+            forwards[workers] = len(calls)
+        assert forwards == {"1": 3, "2": 2}
+        assert len(forked) == 1
+        assert_reaped(forked)
         assert all(math.isfinite(v) for v in vars(reports["1"]).values())
         assert repr(reports["2"]) == repr(reports["1"])
 
-
-class TestParallelMap:
-    @pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
-    def test_yields_in_order(self, threads, monkeypatch, eight_cores):
-        monkeypatch.setenv("RMAE_THREADS", threads)
-        assert list(parallel_map(lambda v: v * v, range(7))) == [
-            v * v for v in range(7)
-        ]
-
-    def test_schedule_of_three_threads(self, monkeypatch, eight_cores):
-        """Three threads over 7 items: the pool takes two items, the
-        calling thread the third, and so on; the last item runs on the
-        calling thread."""
-        monkeypatch.setenv("RMAE_THREADS", "3")
-        lock = threading.Lock()
-        running, peak, on_caller = [0], [0], []
-
-        def fn(v):
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            if threading.get_ident() == caller:
-                on_caller.append(v)
-            time.sleep(0.01)
-            with lock:
-                running[0] -= 1
-            return v
-
-        caller = threading.get_ident()
-        assert list(parallel_map(fn, range(7))) == list(range(7))
-        assert peak[0] <= 3
-        assert on_caller == [2, 5, 6]
-
-    def test_closing_early_joins_the_pool(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "action, error, message",
+        [
+            (fail_in_worker, EmptyQuerySet, "raised in a worker"),
+            (lambda: os._exit(3), RuntimeError, "without a result"),
+        ],
+        ids=["raises", "dies"],
+    )
+    def test_a_worker_that_fails_makes_evaluate_raise(
+        self, action, error, message, small_geom, monkeypatch, eight_cores, forked
+    ):
+        """A worker's exception keeps its type; a worker that dies
+        becomes a RuntimeError.  Either way the worker is reaped."""
+        in_workers(monkeypatch, "apply_mask", action)
         monkeypatch.setenv("RMAE_THREADS", "2")
-        before = threading.active_count()
-        results = parallel_map(lambda v: v, range(6))
-        with contextlib.closing(results):
-            assert next(results) == 0
-        assert threading.active_count() == before
-
-    def test_error_of_any_item_reaches_the_consumer(self, monkeypatch):
-        monkeypatch.setenv("RMAE_THREADS", "2")
-
-        def fn(v):
-            if v == 2:
-                raise ValueError("item 2")
-            return v
-
-        with pytest.raises(ValueError, match="item 2"):
-            list(parallel_map(fn, range(4)))
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+        with deadline(120), pytest.raises(error, match=message):
+            evaluate(tiny_frames(2), net, self.MASK, QueryConfig(), small_geom)
+        assert len(forked) == 1
+        assert_reaped(forked)
 
 
 def test_backward_consumes_the_tape(small_geom):
@@ -531,22 +480,17 @@ class TestSphereMode:
         self, small_geom, tmp_path, monkeypatch, eight_cores
     ):
         runs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for threads in ("1", "2", "3"):
-                monkeypatch.setenv("RMAE_THREADS", threads)
-                runs.append(
-                    tiny_pretrain(
-                        small_geom,
-                        tmp_path / f"ck{threads}.rmae",
-                        n_frames=5,
-                        batch_size=4,
-                        query=SPHERE,
-                    )
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RMAE_THREADS", threads)
+            runs.append(
+                tiny_pretrain(
+                    small_geom,
+                    tmp_path / f"ck{threads}.rmae",
+                    n_frames=5,
+                    batch_size=4,
+                    query=SPHERE,
                 )
-        finally:
-            sys.setswitchinterval(interval)
+            )
         history, blob = runs[0]
         assert len(history) == 1 and np.isfinite(history).all()
         for other_history, other_blob in runs[1:]:
