@@ -299,6 +299,49 @@ class TestFrameWorkers:
         assert runs[1] == runs[0]
 
 
+class TestForked:
+    """_forked on its own: the order of its results, which process runs
+    which job, its errors, and that no worker outlives the block."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_yields_in_order(self, n, forked):
+        with deadline(60), trainer._forked(n, lambda v: v * v) as run:
+            assert list(run(list(range(7)))) == [v * v for v in range(7)]
+        assert len(forked) == n - 1
+        assert_reaped(forked)
+
+    def test_schedule_of_three_workers(self, forked):
+        """Three at once over 7 jobs: worker k runs job k of each round of
+        three, the caller the round's last job and the ragged last round."""
+        with deadline(60), trainer._forked(3, lambda v: (v, os.getpid())) as run:
+            ran_on = dict(run(list(range(7))))
+        assert len(forked) == 2
+        caller = os.getpid()
+        assert [v for v, pid in ran_on.items() if pid == caller] == [2, 5, 6]
+        for v in (0, 1, 3, 4):
+            assert ran_on[v] == forked[v % 3], v
+
+    def test_leaving_early_reaps_the_workers(self, forked):
+        with deadline(60), trainer._forked(2, lambda v: v) as run:
+            results = run(list(range(6)))
+            assert next(results) == 0
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["on a worker", "on the caller"])
+    def test_error_of_any_job_reaches_the_consumer(self, bad, forked):
+        def step(v):
+            if v == bad:
+                raise ValueError(f"job {v}")
+            return v
+
+        with deadline(60), pytest.raises(ValueError, match=f"job {bad}"):
+            with trainer._forked(2, step) as run:
+                list(run(list(range(4))))
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+
 class TestRemask:
     @pytest.mark.parametrize("remask", [True, False])
     def test_mask_seeds_per_epoch(self, remask, small_geom, monkeypatch):
