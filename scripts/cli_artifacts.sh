@@ -81,6 +81,14 @@ for threads in 1 2; do
             rmae voxelize --out voxelize $TINY
             # a grid smaller than the scene, so points are dropped
             rmae voxelize --out voxelize-crop $TINY 'geometry.dims=[8,8,4]'
+            # a 64-ring, 0.2 degree scan whose 40 boxes of up to 6 m cast
+            # shadows over many rings and columns
+            rmae voxelize --out voxelize-dense $TINY synth.sensor_rings=64 \
+                synth.azimuth_step_deg=0.2 synth.box_count=40 \
+                'synth.box_size=[0.6,6.0]'
+            # one ground sample per ring
+            rmae voxelize --out voxelize-one-sample $TINY \
+                synth.azimuth_step_deg=400.0
             rmae energy --out energy --stats mask/stats.json
             rmae energy --out energy-params --stats mask/stats.json \
                 energy.R=60.0 energy.tau=2e-9 energy.N_bits=10 \

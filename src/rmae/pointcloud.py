@@ -27,6 +27,8 @@ MAX_BOXES = 3_000
 # metres: every coordinate then stays finite, with a float32 step of at most
 # 1/8 m
 MAX_SCENE_LENGTH = 1e6
+# a ground point's radius is its ring's times 1 + U(-1, 1) * _RADIUS_JITTER
+_RADIUS_JITTER = 0.01
 
 
 class PointCloud:
@@ -94,7 +96,7 @@ def load_kitti_bin(path, frame_id: str | None = None) -> PointCloud:
 def save_kitti_bin(cloud: PointCloud, path) -> None:
     """Inverse of load_kitti_bin; writes 16 bytes per point, no header."""
     with open(path, "wb") as fh:
-        fh.write(cloud.data.tobytes())
+        fh.write(cloud.data)
 
 
 def cylindrical_arrays(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,34 +161,35 @@ def synth_scene(spec: SceneSpec) -> PointCloud:
 
     Sampling mimics a spinning LiDAR: ring radii grow geometrically and the
     azimuth step is fixed, so areal density falls off with range.  Box faces
-    receive points in proportion to their subtended solid angle.  With
-    occlusion enabled, ground points in the angular shadow behind a box are
-    removed.
+    receive points in proportion to their subtended solid angle.
+
+    The ground is one rng.random((rings, 4, n_az)) draw, ring-major: each
+    ring's azimuth jitter, radius jitter, height and intensity, in that
+    order; each row lo + (hi - lo) * u is what rng.uniform(lo, hi, n_az)
+    would return.  Column j's azimuth lies in [j, j + 1/2) steps and its
+    radius within _RADIUS_JITTER of its ring's.  The boxes are drawn after.
+    With occlusion enabled, a ground point is removed when it lies beyond a
+    box's centre range and within the box's angular half-width of its
+    centre azimuth.  That test runs only on a box's candidate window: the
+    rings that can reach past its centre and the columns within half-width
+    plus two steps of its centre azimuth.
     """
     rng = np.random.default_rng(spec.seed)
-    chunks: list[np.ndarray] = []
+    rings, n_az = spec.sensor_rings, spec.azimuth_samples
+    # geometric ring radii from 0.6 m out to the extent
+    growth = (spec.ground_extent / 0.6) ** (1.0 / max(rings - 1, 1))
+    radii = np.cumprod(np.concatenate([[0.6], np.full(rings - 1, growth)]))
+    radii = np.minimum(radii, spec.ground_extent)[:, None]
+    u = rng.random((rings, 4, n_az))
+    step = 2.0 * np.pi / n_az
+    phi = (np.arange(n_az) + u[:, 0] * 0.5) * step
+    rr = radii * (1.0 + (-_RADIUS_JITTER + 2 * _RADIUS_JITTER * u[:, 1]))
+    gx, gy = rr * np.cos(phi), rr * np.sin(phi)
+    del phi, rr
 
-    # Ground rings: geometric radii from 0.6 m out to the extent.
-    radii = []
-    r = 0.6
-    growth = (spec.ground_extent / r) ** (1.0 / max(spec.sensor_rings - 1, 1))
-    for _ in range(spec.sensor_rings):
-        radii.append(min(r, spec.ground_extent))
-        r *= growth
-    n_az = spec.azimuth_samples
-    for ring_r in radii:
-        phi = (np.arange(n_az) + rng.uniform(0, 1, n_az) * 0.5) * (
-            2.0 * np.pi / n_az
-        )
-        rr = ring_r * (1.0 + rng.uniform(-0.01, 0.01, n_az))
-        gx = rr * np.cos(phi)
-        gy = rr * np.sin(phi)
-        gz = rng.uniform(-spec.ground_noise, spec.ground_noise, n_az)
-        gi = rng.uniform(0.1, 0.5, n_az)
-        chunks.append(np.column_stack([gx, gy, gz, gi]))
-    ground = np.concatenate(chunks, axis=0)
-
-    boxes = []
+    keep = np.ones((rings, n_az), dtype=bool)
+    # a point's hypot may pass its jittered radius by a few ulps
+    reach = radii[:, 0] * (1.0 + _RADIUS_JITTER + 1e-9)
     box_chunks: list[np.ndarray] = []
     lo, hi = spec.box_size
     for _ in range(spec.box_count):
@@ -195,28 +198,34 @@ def synth_scene(spec: SceneSpec) -> PointCloud:
         cx = center_r * np.cos(center_phi)
         cy = center_r * np.sin(center_phi)
         sx, sy, sz = rng.uniform(lo, hi, 3)
-        boxes.append((cx, cy, center_r, center_phi, sx, sy, sz))
         box_chunks.append(
             _sample_box_faces(rng, cx, cy, sx, sy, sz, center_r)
         )
+        if not spec.occlusion:
+            continue
+        half_width = math.atan2(0.5 * math.hypot(sx, sy), center_r)
+        # the columns within half_width plus two steps of center_phi
+        span = half_width / step + 2.0
+        first = math.ceil(center_phi / step - span)
+        last = math.floor(center_phi / step + span)
+        cols = np.arange(first, min(last + 1, first + n_az)) % n_az
+        window = np.ix_(np.flatnonzero(reach > center_r), cols)
+        x, y = gx[window], gy[window]
+        dphi = np.abs(
+            (np.arctan2(y, x) - center_phi + np.pi) % (2.0 * np.pi) - np.pi
+        )
+        keep[window] &= ~((dphi < half_width) & (np.hypot(x, y) > center_r))
 
-    if spec.occlusion and boxes:
-        keep = np.ones(len(ground), dtype=bool)
-        g_phi = np.arctan2(ground[:, 1], ground[:, 0])
-        g_r = np.hypot(ground[:, 0], ground[:, 1])
-        for cx, cy, center_r, center_phi, sx, sy, sz in boxes:
-            half_diag = 0.5 * math.hypot(sx, sy)
-            half_width = math.atan2(half_diag, center_r)
-            dphi = np.abs(
-                (g_phi - center_phi + np.pi) % (2.0 * np.pi) - np.pi
-            )
-            shadow = (dphi < half_width) & (g_r > center_r)
-            keep &= ~shadow
-        ground = ground[keep]
-
-    parts = [ground] + box_chunks
-    data = np.concatenate([p for p in parts if len(p)], axis=0)
-    return PointCloud(data.astype(_POINT_DTYPE), frame_id=f"synth-{spec.seed}")
+    kept = int(keep.sum())
+    data = np.empty((kept + sum(map(len, box_chunks)), 4), _POINT_DTYPE)
+    data[:kept, 0] = gx[keep]
+    data[:kept, 1] = gy[keep]
+    data[:kept, 2] = -spec.ground_noise + 2 * spec.ground_noise * u[:, 2][keep]
+    data[:kept, 3] = 0.1 + (0.5 - 0.1) * u[:, 3][keep]
+    for chunk in box_chunks:
+        data[kept : kept + len(chunk)] = chunk
+        kept += len(chunk)
+    return PointCloud(data, frame_id=f"synth-{spec.seed}")
 
 
 def _sample_box_faces(rng, cx, cy, sx, sy, sz, center_r) -> np.ndarray:

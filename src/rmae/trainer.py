@@ -391,9 +391,9 @@ def pretrain(
                             f"epoch {epoch}: frame {fi} has loss {loss}"
                         )
                     if batch_grads is None:
-                        # copied: a worker's are views of its block, which
-                        # its next job overwrites
-                        batch_grads = copy.deepcopy(grads)
+                        # a worker's are views of its block, which its
+                        # next job overwrites: copied when there are workers
+                        batch_grads = copy.deepcopy(grads) if n > 1 else grads
                     else:
                         for path, g in grads.items():
                             batch_grads[path] += g

@@ -8,7 +8,12 @@ from rmae import keyrand
 from rmae.cli import json_form
 from rmae.keyrand import derive_seed
 from rmae.occupancy_net.layers import _shift_slices, site_rows
-from rmae.pointcloud import cylindrical_arrays
+from rmae.pointcloud import (  # noqa: PLC2701 - the oracle samples boxes alike
+    _POINT_DTYPE,
+    PointCloud,
+    _sample_box_faces,
+    cylindrical_arrays,
+)
 from rmae.radial_mask import (  # noqa: PLC2701 - the oracle keys its draws alike
     _GROUP_STREAM,
     _VOXEL_STREAM,
@@ -229,3 +234,63 @@ def sparse_backward_oracle(layer, plan, x, grad_out):
             grad_w[k] = gw[:, j]
         grad_in += spread @ layer._stacked_weight(kernel, dtype)
     return grad_in[:-1], grad_w
+
+
+def synth_scene_oracle(spec) -> PointCloud:
+    """Oracle for pointcloud.synth_scene, as first written: a loop over the
+    rings with four rng.uniform draws each, then every ground point tested
+    against every box's shadow."""
+    rng = np.random.default_rng(spec.seed)
+    chunks: list[np.ndarray] = []
+
+    # Ground rings: geometric radii from 0.6 m out to the extent.
+    radii = []
+    r = 0.6
+    growth = (spec.ground_extent / r) ** (1.0 / max(spec.sensor_rings - 1, 1))
+    for _ in range(spec.sensor_rings):
+        radii.append(min(r, spec.ground_extent))
+        r *= growth
+    n_az = spec.azimuth_samples
+    for ring_r in radii:
+        phi = (np.arange(n_az) + rng.uniform(0, 1, n_az) * 0.5) * (
+            2.0 * np.pi / n_az
+        )
+        rr = ring_r * (1.0 + rng.uniform(-0.01, 0.01, n_az))
+        gx = rr * np.cos(phi)
+        gy = rr * np.sin(phi)
+        gz = rng.uniform(-spec.ground_noise, spec.ground_noise, n_az)
+        gi = rng.uniform(0.1, 0.5, n_az)
+        chunks.append(np.column_stack([gx, gy, gz, gi]))
+    ground = np.concatenate(chunks, axis=0)
+
+    boxes = []
+    box_chunks: list[np.ndarray] = []
+    lo, hi = spec.box_size
+    for _ in range(spec.box_count):
+        center_r = rng.uniform(1.5, max(spec.ground_extent * 0.85, 1.6))
+        center_phi = rng.uniform(0.0, 2.0 * np.pi)
+        cx = center_r * np.cos(center_phi)
+        cy = center_r * np.sin(center_phi)
+        sx, sy, sz = rng.uniform(lo, hi, 3)
+        boxes.append((cx, cy, center_r, center_phi, sx, sy, sz))
+        box_chunks.append(
+            _sample_box_faces(rng, cx, cy, sx, sy, sz, center_r)
+        )
+
+    if spec.occlusion and boxes:
+        keep = np.ones(len(ground), dtype=bool)
+        g_phi = np.arctan2(ground[:, 1], ground[:, 0])
+        g_r = np.hypot(ground[:, 0], ground[:, 1])
+        for cx, cy, center_r, center_phi, sx, sy, sz in boxes:
+            half_diag = 0.5 * math.hypot(sx, sy)
+            half_width = math.atan2(half_diag, center_r)
+            dphi = np.abs(
+                (g_phi - center_phi + np.pi) % (2.0 * np.pi) - np.pi
+            )
+            shadow = (dphi < half_width) & (g_r > center_r)
+            keep &= ~shadow
+        ground = ground[keep]
+
+    parts = [ground] + box_chunks
+    data = np.concatenate([p for p in parts if len(p)], axis=0)
+    return PointCloud(data.astype(_POINT_DTYPE), frame_id=f"synth-{spec.seed}")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -154,6 +155,28 @@ class TestSynthScene:
         np.testing.assert_allclose(
             hi, [12.074284, 12.082129, 2.184541], rtol=1e-5
         )
+
+    @pytest.mark.parametrize(
+        "spec, n, sha256",
+        [
+            (
+                SceneSpec(seed=7),
+                12718,
+                "1e22e81de3242ffa6aa0f2580ec3cfe326b6c9eb9901e58a7ca87a9e50f9140d",
+            ),
+            (  # the perfbench sense workload's 64-ring, 0.2 degree scan
+                SceneSpec(sensor_rings=64, azimuth_step_deg=0.2),
+                103836,
+                "cecc9ed59740c2b65f7ecbe78fce127197e7479efa2713a29d12f25bb8ddc066",
+            ),
+        ],
+    )
+    def test_pinned_bytes(self, spec, n, sha256):
+        """Frozen from the per-ring generator that synth_scene_oracle
+        keeps."""
+        data = synth_scene(spec).data
+        assert len(data) == n
+        assert hashlib.sha256(data.tobytes()).hexdigest() == sha256
 
     def test_density_falls_with_range(self):
         spec = SceneSpec(box_count=0, occlusion=False, seed=4)

@@ -15,12 +15,13 @@ from conftest import (
     random_grid,
     same_outcome,
     stencil_union_oracle,
+    synth_scene_oracle,
 )
 from rmae.cli import SweepConfig
 from rmae.energy_model import EnergyParams, frugal_savings, total_power
 from rmae.occupancy_net import QueryConfig, build_query_set
 from rmae.occupancy_net.layers import SparseDownConv, SparseFeatureMap
-from rmae.pointcloud import PointCloud
+from rmae.pointcloud import PointCloud, SceneSpec, synth_scene
 from rmae.radial_mask import MaskConfig, apply_mask
 from rmae.voxelizer import GridGeometry, occupancy_of, voxelize
 
@@ -251,3 +252,33 @@ def test_sphere_query_is_the_stencil_union(dims, n, seed, radius):
     expect = stencil_union_oracle(dims, grid.coords, radius)
     assert q.dtype == np.int64
     assert q.tobytes() == expect.tobytes()
+
+
+@st.composite
+def scene_specs(draw) -> SceneSpec:
+    lo = draw(st.floats(0.05, 30.0))
+    return SceneSpec(
+        # at the smallest extents every box stands beyond every ring
+        ground_extent=draw(st.sampled_from([0.5, 2.0, 12.0, 40.0])),
+        box_count=draw(st.integers(0, 40)),
+        # up to 30 m a box's shadow crosses +-pi or holds the sensor
+        box_size=(lo, draw(st.floats(lo, 30.0))),
+        occlusion=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        ground_noise=draw(st.sampled_from([0.0, 0.02, 1.0])),
+        sensor_rings=draw(st.integers(1, 70)),
+        # 400 degrees is one sample per ring
+        azimuth_step_deg=draw(
+            st.sampled_from([0.2, 90.0, 400.0]) | st.floats(0.5, 45.0)
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene_specs())
+def test_synth_scene_matches_the_per_ring_oracle(spec):
+    """The one ground draw and the windowed occlusion give the per-ring,
+    every-point oracle's bytes."""
+    assert synth_scene(spec).data.tobytes() == (
+        synth_scene_oracle(spec).data.tobytes()
+    )

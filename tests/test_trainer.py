@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import math
 import os
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,6 +289,30 @@ class TestFrameWorkers:
         runs = sphere_runs_at_1_2_3_workers(frames, 4, small_geom, monkeypatch)
         assert len(forked) == 1 + 2
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_gradients_are_copied_only_at_two_workers(
+        self, small_geom, tmp_path, monkeypatch, eight_cores
+    ):
+        """A batch's sum starts from its first frame's gradients.  At two
+        workers they may be a worker's block, so each of the two batches
+        copies them; at one worker they are the caller's own, so none
+        does.  Both give the same bytes."""
+        calls = []
+
+        def deepcopy(x):
+            calls.append(x)
+            return copy.deepcopy(x)
+
+        monkeypatch.setattr(trainer, "copy", SimpleNamespace(deepcopy=deepcopy))
+        runs, counts = [], []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RMAE_THREADS", threads)
+            path = tmp_path / f"ck{threads}.rmae"
+            runs.append(tiny_pretrain(small_geom, path, n_frames=4))
+            counts.append(len(calls))
+            calls.clear()
+        assert counts == [0, 2]
+        assert runs[1] == runs[0]
 
     def test_without_fork_the_frames_run_in_the_caller(
         self, small_geom, tmp_path, monkeypatch, eight_cores, forked
