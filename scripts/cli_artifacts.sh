@@ -153,6 +153,7 @@ for threads in 1 2; do
             fails dims-cap mask $TINY 'geometry.dims=[100000,100000,1000]'
             fails groups-cap mask $TINY mask.n_groups=1000000000000
             fails channels-cap pretrain $TINY 'net.stage_channels=[1000000000]'
+            fails net-seed pretrain $TINY net.seed=-1
             fails spans-cap sweep-angle $TINY 'sweep.spans_deg=[1e-9]'
             printf 'not json' >not-json.json
             fails stats-not-json energy --stats not-json.json

@@ -27,32 +27,3 @@ from .pointcloud import (
 from .radial_mask import MaskConfig, MaskOutcome, MaskStats, apply_mask
 from .trainer import TrainConfig, evaluate, pretrain
 from .voxelizer import GridGeometry, VoxelGrid, occupancy_of, voxelize
-
-__all__ = [
-    "EnergyParams",
-    "EnergyReport",
-    "FrugalReport",
-    "GridGeometry",
-    "MaskConfig",
-    "MaskOutcome",
-    "MaskStats",
-    "NetConfig",
-    "OccupancyNet",
-    "PointCloud",
-    "QueryConfig",
-    "SceneSpec",
-    "TrainConfig",
-    "VoxelGrid",
-    "apply_mask",
-    "evaluate",
-    "frugal_savings",
-    "load_checkpoint",
-    "load_kitti_bin",
-    "occupancy_of",
-    "pretrain",
-    "save_checkpoint",
-    "save_kitti_bin",
-    "synth_scene",
-    "total_power",
-    "voxelize",
-]

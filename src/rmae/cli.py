@@ -237,6 +237,13 @@ def _recorded_paths(doc: dict, key: str, many: bool = False):
     return Path(value) if value else None
 
 
+def _checked_seed(key: str, seed):
+    """seed, the value of key; ConfigError unless a non-negative integer."""
+    if not _fits(seed, int) or seed < 0:
+        raise ConfigError(f"{key} must be a non-negative integer")
+    return seed
+
+
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """The run's configuration.  The config file may be a run's
     resolved_config.json: its command must be this one and its out is
@@ -259,9 +266,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"config records a {doc['command']!r} run, not {args.command!r}"
         )
-    seed = doc.get("seed", 0)
-    if not _fits(seed, int) or seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+    seed = _checked_seed("seed", doc.get("seed", 0))
 
     sections = {}
     for name, cls in _SECTION_TYPES.items():
@@ -272,6 +277,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         if name in _SECTION_SEED_TAGS:
             tag = _SECTION_SEED_TAGS[name]
             section.setdefault("seed", keyrand.derive_seed(seed, tag))
+            _checked_seed(f"{name}.seed", section["seed"])
         rows = section.get("p_drop")
         if isinstance(rows, list) and rows and not isinstance(rows[0], list):
             section["p_drop"] = [rows]  # a single shared row

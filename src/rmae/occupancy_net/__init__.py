@@ -16,21 +16,3 @@ from .network import (
     OccupancyPrediction,
     visible_features,
 )
-
-__all__ = [
-    "BatchNorm",
-    "DenseConv",
-    "DenseDeconv",
-    "NetConfig",
-    "OccupancyNet",
-    "OccupancyPrediction",
-    "QueryConfig",
-    "SparseDownConv",
-    "SparseFeatureMap",
-    "SubmanifoldConv",
-    "build_query_set",
-    "load_checkpoint",
-    "occupancy_loss",
-    "save_checkpoint",
-    "visible_features",
-]

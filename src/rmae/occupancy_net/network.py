@@ -65,7 +65,6 @@ from .layers import (
     SparseDownConv,
     SparseFeatureMap,
     SubmanifoldConv,
-    sigmoid,
     site_rows,
     unrows,
 )
@@ -114,10 +113,6 @@ class NetConfig:
 @dataclass
 class OccupancyPrediction:
     logits: np.ndarray  # (nx, ny, nz) float64, pre-sigmoid
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return sigmoid(self.logits)
 
 
 class OccupancyNet:

@@ -45,18 +45,10 @@ class PointCloud:
         self._data = data
         self.frame_id = frame_id
 
-    @classmethod
-    def empty(cls, frame_id: str = "") -> "PointCloud":
-        return cls(np.empty((0, 4), dtype=_POINT_DTYPE), frame_id)
-
     @property
     def data(self) -> np.ndarray:
         """(N, 4) read-only float32 view: columns x, y, z, intensity."""
         return self._data
-
-    @property
-    def xyz(self) -> np.ndarray:
-        return self._data[:, :3]
 
     def __len__(self) -> int:
         return self._data.shape[0]
@@ -69,9 +61,6 @@ class PointCloud:
             and self._data.shape == other._data.shape
             and self._data.tobytes() == other._data.tobytes()
         )
-
-    def __repr__(self) -> str:
-        return f"PointCloud(frame_id={self.frame_id!r}, n={len(self)})"
 
 
 def load_kitti_bin(path, frame_id: str | None = None) -> PointCloud:

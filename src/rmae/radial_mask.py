@@ -174,12 +174,6 @@ def _sensed_table(cfg: MaskConfig, seed: int) -> np.ndarray:
     return keep
 
 
-def select_groups(cfg: MaskConfig, seed: int | None = None) -> frozenset[int]:
-    """Stage 1: the sensed angular groups, deterministic in the seed."""
-    keep = _sensed_table(cfg, cfg.seed if seed is None else seed)
-    return frozenset(np.flatnonzero(keep).tolist())
-
-
 def apply_mask(
     grid: VoxelGrid, cfg: MaskConfig, seed: int | None = None
 ) -> MaskOutcome:

@@ -1,17 +1,16 @@
 """Sparse voxelization of point clouds and ground-truth occupancy grids.
 
 Grids are regular Cartesian lattices; the masking stage reads each voxel's
-cylindrical position from its geometry's per-column polar table.  Voxel
-rows are kept in canonical lexicographic (ix, iy, iz) order so equal
-content always compares equal and every downstream iteration is
-deterministic.
+cylindrical position from its geometry's per-column polar table.  A grid's
+voxel rows must be distinct and in canonical lexicographic (ix, iy, iz)
+order, so every downstream iteration is deterministic; VoxelGrid refuses
+rows that are not.
 
 voxelize works through the points in fixed-size chunks whose float64 rows
 stay in cache, and groups the kept points by a per-cell count over the
 grid's linear index, not by sorting, so its rows come out in canonical order
-and each voxel's sums add its points in input order; VoxelGrid sorts only
-rows that are not already strictly increasing.  Memory: 40 bytes per point,
-one chunk's temporaries and 8 bytes per grid cell for each bincount.
+and each voxel's sums add its points in input order.  Memory: 40 bytes per
+point, one chunk's temporaries and 8 bytes per grid cell for each bincount.
 """
 
 from __future__ import annotations
@@ -77,14 +76,11 @@ class GridGeometry:
         return r, theta
 
 
-def canonical_order(coords: np.ndarray) -> np.ndarray:
-    """Permutation sorting (N, 3) integer coords by (ix, then iy, then iz)."""
-    return np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
-
-
-@dataclass
+@dataclass(eq=False)
 class VoxelGrid:
-    """Sparse voxel grid: canonical-ordered coords with per-voxel features.
+    """Sparse voxel grid: coords with per-voxel features.  The rows must
+    be distinct and in canonical (ix, iy, iz) order, as voxelize writes
+    them; the constructor raises ValueError, and sorts nothing, otherwise.
 
     feats[i] = (mean dx, mean dy, mean dz, mean intensity) of the points in
     voxel coords[i], offsets measured from the voxel center in meters.
@@ -111,23 +107,10 @@ class VoxelGrid:
             raise ValueError("voxel coordinate outside grid dims")
         lin = np.ravel_multi_index(tuple(self.coords.T), self.geometry.dims)
         if not (lin[1:] > lin[:-1]).all():
-            order = canonical_order(self.coords)
-            self.coords = self.coords[order]
-            self.feats = self.feats[order]
-            self.counts = self.counts[order]
+            raise ValueError("voxel rows not distinct in canonical order")
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VoxelGrid):
-            return NotImplemented
-        return (
-            self.geometry == other.geometry
-            and np.array_equal(self.coords, other.coords)
-            and np.array_equal(self.feats, other.feats)
-            and np.array_equal(self.counts, other.counts)
-        )
 
 
 @dataclass

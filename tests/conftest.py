@@ -108,12 +108,16 @@ def same_outcome(a: MaskOutcome, b: MaskOutcome) -> bool:
 
 
 def make_grid(geom: GridGeometry, coords, feats=None, counts=None) -> VoxelGrid:
+    """A grid of these voxels, rows sorted into canonical (ix, iy, iz)
+    order as VoxelGrid requires."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if feats is None:
         feats = np.zeros((len(coords), FEATURE_WIDTH))
     if counts is None:
         counts = np.ones(len(coords), dtype=np.int64)
-    return VoxelGrid(geom, coords, np.asarray(feats, dtype=np.float64), counts)
+    order = np.lexsort(coords.T[::-1])
+    feats = np.asarray(feats, dtype=np.float64)[order]
+    return VoxelGrid(geom, coords[order], feats, np.asarray(counts)[order])
 
 
 def random_grid(geom: GridGeometry, n: int, rng: np.random.Generator) -> VoxelGrid:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -266,6 +267,101 @@ class TestCommands:
         ]
 
 
+# scripts/cli_artifacts.sh's runs whose artifacts no GEMM touches, in its
+# order: each run's directory and its arguments but --out
+GEMM_FREE_RUNS = [
+    ("mask", ["mask", "mask.r_thresholds=[6.0,12.0]", *TINY]),
+    ("mask-exact", ["mask", *TINY, "mask.selection_mode=exact_count", "mask.m=0.5"]),
+    ("mask-none", ["mask", *TINY, "mask.m=0.0", "mask.p_drop=[[0.0,0.0,0.0]]"]),
+    (
+        "mask-rows",
+        [
+            "mask",
+            *TINY,
+            "mask.n_groups=4",
+            "mask.r_thresholds=[3.0,6.0]",
+            "mask.p_drop=[[0.0,0.5,0.9],[0.2,0.2,0.2],[1.0,0.0,0.0],[0.5,0.5,0.5]]",
+        ],
+    ),
+    ("voxelize", ["voxelize", *TINY]),
+    ("voxelize-crop", ["voxelize", *TINY, "geometry.dims=[8,8,4]"]),
+    (
+        "voxelize-dense",
+        [
+            "voxelize",
+            *TINY,
+            "synth.sensor_rings=64",
+            "synth.azimuth_step_deg=0.2",
+            "synth.box_count=40",
+            "synth.box_size=[0.6,6.0]",
+        ],
+    ),
+    ("voxelize-one-sample", ["voxelize", *TINY, "synth.azimuth_step_deg=400.0"]),
+    ("energy", ["energy", "--stats", "mask/stats.json"]),
+    (
+        "energy-params",
+        [
+            "energy",
+            "--stats",
+            "mask/stats.json",
+            "energy.R=60.0",
+            "energy.tau=2e-9",
+            "energy.N_bits=10",
+            "energy.N_fft=256",
+        ],
+    ),
+]
+# what sha256sum prints for every file those runs write but
+# resolved_config.json, which records their paths
+GEMM_FREE_DIGESTS = """
+66da1e0219c6b210c55bd29cd462aa61238ef139437816668041bfdfa4fcf503  mask/mask.txt
+f36baa2adfe7012a897867aa21cc47a1652a8193e342395931bbaa7887c2995c  mask/stats.json
+2e8667a87660f10c667913c1cf7c3728a5fcaa4579b474e3fd7ef918e0ad6e3f  mask-exact/mask.txt
+ac4b3e0ab9157e89927eedf58ecee9fa6baeca8e170445e386249bfa70a2c974  mask-exact/stats.json
+ec4f743c1af8f86ca632c5d6861d16088a933ec52622bea7ab222d4576735623  mask-none/mask.txt
+44881ed212afbed5758d8aafc48dff670cbae12779f57a4581c13e8d44d3cd36  mask-none/stats.json
+2ff4988d6d7667dccb3fe2d7e6fa6016f92c988a3f54d247d710463a13336582  mask-rows/mask.txt
+fafa7e2ae2baaa3ec79d1a1f7cb0b142d133473ae04bf7f22f35f17c9dad2cc1  mask-rows/stats.json
+517558482737418364eca3f5a1e3994042587961ab062150a6c44741c89a83a6  voxelize/summary.json
+9beeb7301aeff3bfb8ea29da9eccf145d33951e9fbae626ae7d46e067307a7fa  voxelize/voxels_0000.txt
+21af9ce02771f4358a1029b008f36b6b824e03e7c3b733e5fa83d3b867d402ac  voxelize/voxels_0001.txt
+04c9c519582c31078a7ded43fe0492b1ffc3167cdecb96f6b3379ed1cf5a087d  voxelize-crop/summary.json
+fe16e187684e28d0105908b6cf0ded9db395586842162bc67ea65c0585b8bbea  voxelize-crop/voxels_0000.txt
+592bb3cf1f09cfb07a73ee324e15292d8941594a959e0be29ccdd5d6458f8fd5  voxelize-crop/voxels_0001.txt
+7d6dc4ca047961258a6efadd16a158f64d2a0dd235b3ddfcb62d78c7c409dc09  voxelize-dense/summary.json
+898b73af07e02f5143afbbb4fd3a3afc3d86e385235a1963a5a74f13978d9d76  voxelize-dense/voxels_0000.txt
+79f8d35a21c96b6910409530713dc0f0d7596c63a48d5eae5711c8aacdb6abc1  voxelize-dense/voxels_0001.txt
+aed380f7cd02f69040578fa7266bc41434b6ea39b36bf21018e314d6753d06a1  voxelize-one-sample/summary.json
+ab2ee0b726eebb6012080774f2c0c83c1e318a4e5f2869768ba322e7ecd2f1b9  voxelize-one-sample/voxels_0000.txt
+b2405ae1ed4e30e07691ce3b0899060c1fbcbacdf597daa4f736e61455d72e63  voxelize-one-sample/voxels_0001.txt
+f63ab10add986966f6e2886c1380680f15dcf4c7140be3a96fb97ec75aa0c104  energy/energy.json
+1ebeb266217c700d3cef83c0a81d1e9db7f170c43691867489aafa8745e4aa50  energy/frugal.json
+a03b262648a9e6a4038c91b808b265b7879023afd0b916fae9f4278dcd4d129b  energy-params/energy.json
+0cabe68192bb4e907009965a0968950ec6c855a9a4c89a0c1fd1318b86476afe  energy-params/frugal.json
+"""
+
+
+class TestPinnedArtifacts:
+    """The artifacts that no GEMM touches keep their pinned bytes.
+    Checkpoints, loss.csv and eval.json are not pinned: their bytes depend
+    on the BLAS kernel that the CPU gets.  A change that moves an artifact
+    on purpose updates its digest, and the digest diff lists what moved."""
+
+    def test_gemm_free_runs_write_their_pinned_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the energy runs read mask/stats.json
+        for name, (command, *args) in GEMM_FREE_RUNS:
+            assert cli.main([command, "--out", name, *args]) == 0, name
+        got = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(
+                p.read_bytes()
+            ).hexdigest()
+            for p in sorted(tmp_path.glob("*/*"))
+            if p.name != "resolved_config.json"
+        }
+        pinned = (line.split() for line in GEMM_FREE_DIGESTS.strip().split("\n"))
+        assert got == {path: digest for digest, path in pinned}
+
+
 class TestSweeps:
     @pytest.mark.parametrize(
         "command, setting, label",
@@ -412,6 +508,17 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG == 3
         section = argv[1].split(".")[0]
         assert f"error: ConfigError: {section}: " in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "key", ["seed", "mask.seed", "train.seed", "net.seed", "synth.seed"]
+    )
+    def test_negative_seed_is_config_error(self, key, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["pretrain", "--out", str(out), *TINY, f"{key}=-1"])
+        assert code == cli.EXIT_CONFIG == 3
+        err = capsys.readouterr().err
+        assert f"error: ConfigError: {key} must be a non-negative integer" in err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
@@ -679,26 +786,34 @@ OVERRIDES = st.tuples(
 
 
 class TestNoInternalError:
-    """No override ends mask, energy or voxelize as InternalError (6):
-    each runs (0) or is a bad configuration (3), as the README's exit-code
-    table says.  The examples are the first two overrides it found that
-    exited 6: an unbounded synth.ground_noise."""
+    """No override ends mask, energy, voxelize or pretrain as InternalError
+    (6): each runs (0) or is a bad configuration (3), as the README's
+    exit-code table says, and pretrain may also find no data (5) or
+    diverge (7).  pretrain's draws leave train.epochs at TINY's one: it
+    has no cap, so a drawn 10**12 would train without end.  The examples
+    are the overrides it found that exited 6: an unbounded
+    synth.ground_noise and an unchecked net.seed."""
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from(["mask", "energy", "voxelize"]),
+        st.sampled_from(["mask", "energy", "voxelize", "pretrain"]),
         st.lists(OVERRIDES, min_size=1, max_size=3),
     )
     @example("voxelize", [("synth.ground_noise", "-1")])
     @example("mask", [("synth.ground_noise", "1e300")])
+    @example("pretrain", [("net.seed", "-1")])
     def test_overrides_exit_with_a_documented_code(self, command, overrides):
         err = io.StringIO()
+        codes = (0, cli.EXIT_CONFIG)
+        if command == "pretrain":
+            overrides = [(k, v) for k, v in overrides if k != "train.epochs"]
+            codes += (cli.EXIT_NODATA, cli.EXIT_DIVERGED)
         overrides = [f"{k}={v}" for k, v in overrides]
         with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a run prints them and goes on
             with contextlib.redirect_stderr(err):
                 code = cli.main([command, "--out", out, *TINY, *overrides])
-        assert code in (0, cli.EXIT_CONFIG), err.getvalue()
+        assert code in codes, err.getvalue()
 
 
 GOOD_STATS = {

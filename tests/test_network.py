@@ -17,7 +17,7 @@ from rmae.occupancy_net import (
     visible_features,
 )
 from rmae.occupancy_net import network
-from rmae.occupancy_net.layers import SparseFeatureMap, site_rows, unrows
+from rmae.occupancy_net.layers import SparseFeatureMap, sigmoid, site_rows, unrows
 from rmae.voxelizer import GridGeometry, occupancy_of
 
 
@@ -45,7 +45,8 @@ class TestForward:
         x = sparse_input((8, 8, 4), 25, 2, rng)
         pred, _ = net.forward(x)
         assert pred.logits.shape == (8, 8, 4)
-        assert ((pred.probabilities > 0) & (pred.probabilities < 1)).all()
+        probs = sigmoid(pred.logits)
+        assert ((probs > 0) & (probs < 1)).all()
 
     def test_deterministic_logits(self):
         rng = np.random.default_rng(1)

@@ -134,7 +134,7 @@ class TestSynthScene:
         spec = SceneSpec(box_count=0, occlusion=False, seed=11)
         cloud = synth_scene(spec)
         assert len(cloud) > 1000
-        assert (np.abs(cloud.xyz[:, 2]) < spec.ground_noise + 1e-9).all()
+        assert (np.abs(cloud.data[:, 2]) < spec.ground_noise + 1e-9).all()
 
     def test_deterministic(self):
         spec = SceneSpec(seed=5)
@@ -147,8 +147,8 @@ class TestSynthScene:
         # regression oracle frozen from the first verified run
         cloud = synth_scene(SceneSpec(seed=7))
         assert len(cloud) == 12718
-        lo = cloud.xyz.min(axis=0)
-        hi = cloud.xyz.max(axis=0)
+        lo = cloud.data[:, :3].min(axis=0)
+        hi = cloud.data[:, :3].max(axis=0)
         np.testing.assert_allclose(
             lo, [-11.94393, -12.102571, -0.01999914], rtol=1e-5
         )
@@ -181,7 +181,7 @@ class TestSynthScene:
     def test_density_falls_with_range(self):
         spec = SceneSpec(box_count=0, occlusion=False, seed=4)
         cloud = synth_scene(spec)
-        r = np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1])
+        r = np.hypot(cloud.data[:, 0], cloud.data[:, 1])
         near = ((r > 1.0) & (r < 3.0)).sum() / (np.pi * (3.0**2 - 1.0**2))
         far = ((r > 8.0) & (r < 12.0)).sum() / (np.pi * (12.0**2 - 8.0**2))
         assert near > 2 * far

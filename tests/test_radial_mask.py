@@ -18,7 +18,6 @@ from rmae.radial_mask import (
     angular_groups,
     apply_mask,
     distance_subgroups,
-    select_groups,
     write_mask_dump,
 )
 from rmae.radial_mask import _VOXEL_STREAM  # noqa: PLC2701 - keyed-RNG contract test
@@ -77,21 +76,27 @@ class TestSubgroupAssignment:
         assert band_of(99.0, ()) == 0
 
 
+def sensed_groups(cfg: MaskConfig, seed: int | None = None) -> frozenset:
+    """Stage 1's sensed groups, as apply_mask draws them for any grid."""
+    empty = make_grid(GridGeometry(), np.empty((0, 3)))
+    return apply_mask(empty, cfg, seed).selected_groups
+
+
 class TestSelectGroups:
     def test_m_one_selects_nothing(self):
         for mode in ("bernoulli", "exact_count"):
             cfg = MaskConfig(m=1.0, selection_mode=mode, seed=3)
-            assert select_groups(cfg) == frozenset()
+            assert sensed_groups(cfg) == frozenset()
 
     def test_m_zero_selects_all(self):
         for mode in ("bernoulli", "exact_count"):
             cfg = MaskConfig(n_groups=48, m=0.0, selection_mode=mode, seed=3)
-            assert select_groups(cfg) == frozenset(range(48))
+            assert sensed_groups(cfg) == frozenset(range(48))
 
     def test_bernoulli_calibration(self):
         cfg = MaskConfig(n_groups=1000, m=0.8)
         fracs = [
-            len(select_groups(cfg, seed=s)) / cfg.n_groups for s in range(100)
+            len(sensed_groups(cfg, seed=s)) / cfg.n_groups for s in range(100)
         ]
         assert 0.18 <= float(np.mean(fracs)) <= 0.22
 
@@ -100,12 +105,12 @@ class TestSelectGroups:
             cfg = MaskConfig(
                 n_groups=1000, m=m, selection_mode="exact_count", seed=9
             )
-            assert len(select_groups(cfg)) == round((1 - m) * 1000)
+            assert len(sensed_groups(cfg)) == round((1 - m) * 1000)
 
     def test_deterministic_in_seed(self):
         cfg = MaskConfig(n_groups=100, m=0.7, seed=5)
-        assert select_groups(cfg) == select_groups(cfg)
-        assert select_groups(cfg, seed=6) != select_groups(cfg, seed=7)
+        assert sensed_groups(cfg) == sensed_groups(cfg)
+        assert sensed_groups(cfg, seed=6) != sensed_groups(cfg, seed=7)
 
 
 def drop_rate_grid():

@@ -26,7 +26,7 @@ from rmae.pointcloud import (
     cylindrical_arrays,
     synth_scene,
 )
-from rmae.radial_mask import MaskConfig, apply_mask, select_groups
+from rmae.radial_mask import MaskConfig, apply_mask
 from rmae import trainer
 from rmae.trainer import (
     AdamOptimizer,
@@ -700,7 +700,8 @@ class TestSweep:
 def test_region_mask_marks_every_cell_of_an_unsensed_sector():
     geom = GridGeometry((-2.5, -3.1, 0.0), (1.0, 0.7, 0.5), (5, 9, 3))
     cfg = MaskConfig(n_groups=7, m=0.5, seed=4)
-    selected = select_groups(cfg)
+    empty = voxelize(PointCloud(np.empty((0, 4))), geom)
+    selected = apply_mask(empty, cfg).selected_groups
     assert 0 < len(selected) < 7
     region = trainer._region_mask(geom, 7, selected)
     cells = np.indices(geom.dims).reshape(3, -1).T

@@ -15,7 +15,6 @@ from rmae.voxelizer import (
     FEATURE_WIDTH,
     GridGeometry,
     VoxelGrid,
-    canonical_order,
     occupancy_of,
     voxelize,
     write_debug_dump,
@@ -115,7 +114,7 @@ class TestAgainstSortOracle:
         self.check(cloud_from([[0.1, -2.3, 0.7, 0.9]]), small_geom)
 
     def test_empty_cloud(self, small_geom):
-        self.check(PointCloud.empty(), small_geom)
+        self.check(cloud_from(np.empty((0, 4))), small_geom)
 
     def test_all_outside(self, small_geom):
         far = cloud_from([[9, 0, 0, 1], [0, 0, -5, 1]])
@@ -218,12 +217,15 @@ class TestChunkBoundaries:
 
 class TestVoxelize:
     def test_empty_cloud(self, small_geom):
-        grid = voxelize(PointCloud.empty(), small_geom)
+        grid = voxelize(cloud_from(np.empty((0, 4))), small_geom)
         assert len(grid) == 0 and grid.dropped_points == 0
         assert grid.feats.shape == (0, FEATURE_WIDTH)
         far = cloud_from([[99.0, 0, 0, 1], [0, -99, 0, 1]])
         outside = voxelize(far, small_geom)
-        assert outside == grid and outside.dropped_points == 2
+        assert outside.geometry == grid.geometry
+        for name in ("coords", "feats", "counts"):
+            assert np.array_equal(getattr(outside, name), getattr(grid, name))
+        assert outside.dropped_points == 2
 
     def test_point_at_center(self):
         geom = GridGeometry((0, 0, 0), (1, 1, 1), (4, 4, 4))
@@ -284,28 +286,23 @@ class TestVoxelize:
         assert np.array_equal(a.counts, b.counts)
         np.testing.assert_allclose(a.feats, b.feats, atol=1e-12)
 
-    def test_canonical_order_from_any_insertion_order(self, small_geom):
-        coords = [[3, 2, 1], [0, 5, 7], [3, 1, 4], [0, 5, 6]]
-        feats = np.arange(16, dtype=np.float64).reshape(4, 4)
-        a = make_grid(small_geom, coords, feats)
-        perm = [2, 0, 3, 1]
-        b = make_grid(
-            small_geom, np.asarray(coords)[perm], feats[perm]
-        )
-        assert a == b
-        lin = [tuple(c) for c in a.coords]
-        assert lin == sorted(lin)
-
-    def test_duplicate_coords_keep_lexsort_order(self, small_geom):
-        coords = np.asarray([[1, 0, 0], [0, 4, 2], [1, 0, 0], [0, 4, 2]])
-        feats = np.arange(16, dtype=np.float64).reshape(4, 4)
-        counts = np.arange(1, 5)
-        grid = make_grid(small_geom, coords, feats, counts)
-        order = canonical_order(coords)
-        assert order.tolist() == [1, 3, 0, 2]
-        assert grid.coords.tolist() == coords[order].tolist()
-        assert grid.feats.tobytes() == feats[order].tobytes()
-        assert grid.counts.tolist() == counts[order].tolist()
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [[0, 5, 7], [3, 1, 4], [3, 2, 1], [0, 5, 6]],
+            [[0, 4, 2], [0, 4, 1]],  # iz descending
+            [[0, 4, 2], [1, 0, 0], [1, 0, 0]],
+        ],
+        ids=["unsorted", "iz-descending", "duplicate"],
+    )
+    def test_unsorted_or_duplicate_rows_raise(self, small_geom, coords):
+        n = len(coords)
+        feats, counts = np.zeros((n, FEATURE_WIDTH)), np.ones(n)
+        with pytest.raises(ValueError, match="canonical order"):
+            VoxelGrid(small_geom, coords, feats, counts)
+        rows = sorted(set(map(tuple, coords)))
+        grid = VoxelGrid(small_geom, rows, feats[: len(rows)], counts[: len(rows)])
+        assert grid.coords.tolist() == [list(r) for r in rows]
 
 
 @pytest.mark.parametrize("dims", [(4.0, 4, 4), (4, 0, 4), (4, 4, 2.5)])
@@ -341,7 +338,7 @@ class TestVoxelCylindrical:
 
 class TestOccupancy:
     def test_empty(self, small_geom):
-        grid = voxelize(PointCloud.empty(), small_geom)
+        grid = voxelize(cloud_from(np.empty((0, 4))), small_geom)
         occ = occupancy_of(grid)
         assert occ.o.sum() == 0
         assert occ.o.shape == small_geom.dims
