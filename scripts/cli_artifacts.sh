@@ -120,7 +120,7 @@ for threads in 1 2; do
             # query draw and the exact-count mask draw
             rmae pretrain --out keyed $TINY train.epochs=2 \
                 train.remask_each_epoch=false query.balance_empty=true \
-                mask.selection_mode=exact_count train.optimizer=sgd
+                mask.selection_mode=exact_count
             rmae eval --out keyed-eval --checkpoint keyed/checkpoint.rmae \
                 $TINY query.balance_empty=true mask.selection_mode=exact_count
             # a balanced sphere query, whose draw keeps canonical order
@@ -154,6 +154,8 @@ for threads in 1 2; do
             fails groups-cap mask $TINY mask.n_groups=1000000000000
             fails channels-cap pretrain $TINY 'net.stage_channels=[1000000000]'
             fails net-seed pretrain $TINY net.seed=-1
+            fails optimizer-sgd pretrain $TINY train.optimizer=sgd
+            fails epochs-cap pretrain $TINY train.epochs=1000000000000
             fails spans-cap sweep-angle $TINY 'sweep.spans_deg=[1e-9]'
             printf 'not json' >not-json.json
             fails stats-not-json energy --stats not-json.json

@@ -304,16 +304,12 @@ def _atomic(path: Path, writer) -> None:
     """Run writer(tmp_path) then rename tmp over path; if writer raises,
     remove what it left and leave path as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    sidecar = Path(f"{tmp}.manifest.txt")
     try:
         writer(tmp)
     except BaseException:
         tmp.unlink(missing_ok=True)
-        sidecar.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
-    if sidecar.exists():  # checkpoint writer emits a manifest next to it
-        os.replace(sidecar, Path(f"{path}.manifest.txt"))
 
 
 def json_form(obj):

@@ -8,8 +8,7 @@ Layout (all little-endian):
     per tensor: u16 name_len, name | u8 ndim | u32 dims... | f64 values
 
 Parameters and running statistics are written in declaration order, so the
-same network always serializes to the same bytes.  A text manifest sidecar
-(<path>.manifest.txt) lists layer kinds and tensor shapes.
+same network always serializes to the same bytes.
 
 Version 2 gives only the head a bias.  Version 1 also stored one for each
 conv a batch norm follows; load_checkpoint folds it into that batch norm's
@@ -48,7 +47,6 @@ def save_checkpoint(net: OccupancyNet, path) -> None:
     layers = net.named_layers()
     parts = [MAGIC, struct.pack("<II", VERSION, len(config_json)), config_json]
     parts.append(struct.pack("<I", len(layers)))
-    manifest = []
     for name, layer in layers:
         tensors = _layer_tensors(layer)
         parts.append(_pack_str(name))
@@ -60,14 +58,8 @@ def save_checkpoint(net: OccupancyNet, path) -> None:
             parts.append(struct.pack("<B", arr.ndim))
             parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
             parts.append(arr.tobytes())
-            manifest.append(
-                f"{name} kind={layer.kind} tensor={tname}"
-                f" shape={tuple(arr.shape)}"
-            )
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
-    with open(f"{path}.manifest.txt", "w", newline="\n") as fh:
-        fh.write("\n".join(manifest) + "\n")
 
 
 class _Reader:

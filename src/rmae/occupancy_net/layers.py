@@ -705,16 +705,11 @@ class _DenseTapConv:
         step = np.array([size[1] * size[2], size[2], 1])
         grad_in = None
         grad_w = np.zeros_like(self.weight)
-        one = len(self.phases) == 1  # the phase's view is all of grad_out
-        if one:
-            g = np.ascontiguousarray(grad_out)
-        else:
-            g = np.empty((self.out_ch,) + size, grad_out.dtype)
+        g = np.empty((self.out_ch,) + size, grad_out.dtype)
         taps = len(self.phases[0][1])
         work = np.empty((taps, self.out_ch, n), dtype)
         for i, (view, kernel, shifts, _) in enumerate(self.phases):
-            if not one:
-                g[...] = grad_out[view]
+            g[...] = grad_out[view]
             src = g.reshape(self.out_ch, n)
             offsets = (shifts @ step).tolist()
             for rows, d, off in zip(work, shifts.tolist(), offsets):

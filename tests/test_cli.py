@@ -29,6 +29,7 @@ from rmae.pointcloud import (
     synth_scene,
 )
 from rmae.radial_mask import MAX_GROUPS, MaskConfig
+from rmae.trainer import MAX_EPOCHS, TrainConfig
 from rmae.voxelizer import MAX_CELLS, GridGeometry
 
 TINY = [
@@ -211,41 +212,42 @@ class TestExitCodes:
         assert not (out / "checkpoint.rmae").exists()
 
 
-PRETRAIN_ARTIFACTS = {
-    "checkpoint.rmae",
-    "checkpoint.rmae.manifest.txt",
-    "loss.csv",
-}
+PRETRAIN_ARTIFACTS = {"checkpoint.rmae", "loss.csv"}
+# one run of each command: its arguments but --out and TINY, in which
+# {stats} and {checkpoint} stand for the inputs fixture's files, and the
+# artifacts it writes besides resolved_config.json
+COMMAND_RUNS = [
+    ("voxelize", [], {"voxels_0000.txt", "voxels_0001.txt", "summary.json"}),
+    ("mask", [], {"mask.txt", "stats.json"}),
+    ("energy", [], {"energy.json"}),
+    ("energy", ["--stats", "{stats}"], {"energy.json", "frugal.json"}),
+    ("pretrain", [], PRETRAIN_ARTIFACTS),
+    ("eval", ["--checkpoint", "{checkpoint}"], {"eval.json"}),
+    ("sweep-ratio", ["sweep.ratios=[0.5]"], {"sweep.csv"}),
+    ("sweep-angle", ["sweep.spans_deg=[45.0]"], {"sweep.csv"}),
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """What {stats} and {checkpoint} stand for in a run's arguments: a good
+    stats file and an untrained checkpoint of TINY's net."""
+    at = tmp_path_factory.mktemp("inputs")
+    stats, checkpoint = at / "stats.json", at / "net.rmae"
+    stats.write_text(json.dumps(GOOD_STATS))
+    save_checkpoint(OccupancyNet(NetConfig(stage_channels=(4, 8, 8))), checkpoint)
+    return {"stats": stats, "checkpoint": checkpoint}
 
 
 class TestCommands:
     """Each command writes exactly its README artifacts plus
     resolved_config.json, and leaves no *.tmp file."""
 
-    @pytest.mark.parametrize(
-        "command, extra, artifacts",
-        [
-            (
-                "voxelize",
-                [],
-                {"voxels_0000.txt", "voxels_0001.txt", "summary.json"},
-            ),
-            ("mask", [], {"mask.txt", "stats.json"}),
-            ("energy", [], {"energy.json"}),
-            ("energy", ["--stats", "{stats}"], {"energy.json", "frugal.json"}),
-            ("pretrain", [], PRETRAIN_ARTIFACTS),
-            ("pretrain", ["train.optimizer=sgd"], PRETRAIN_ARTIFACTS),
-            ("eval", ["--checkpoint", "{checkpoint}"], {"eval.json"}),
-            ("sweep-ratio", ["sweep.ratios=[0.5]"], {"sweep.csv"}),
-            ("sweep-angle", ["sweep.spans_deg=[45.0]"], {"sweep.csv"}),
-        ],
-    )
-    def test_writes_its_artifacts(self, command, extra, artifacts, tmp_path):
-        stats = tmp_path / "stats.json"
-        stats.write_text(json.dumps(GOOD_STATS))
-        net = tmp_path / "net.rmae"
-        save_checkpoint(OccupancyNet(NetConfig(stage_channels=(4, 8, 8))), net)
-        extra = [a.format(stats=stats, checkpoint=net) for a in extra]
+    @pytest.mark.parametrize("command, extra, artifacts", COMMAND_RUNS)
+    def test_writes_its_artifacts(
+        self, command, extra, artifacts, inputs, tmp_path
+    ):
+        extra = [a.format(**inputs) for a in extra]
         out = tmp_path / "out"
         assert cli.main([command, "--out", str(out)] + TINY + extra) == 0
         names = {p.name for p in out.iterdir()}
@@ -490,6 +492,7 @@ class TestBadInput:
             ["pretrain", "train.batch_size=0"],
             ["pretrain", "train.learning_rate=-1.0"],
             ["pretrain", "train.optimizer=rmsprop"],
+            ["pretrain", "train.optimizer=sgd"],
             ["mask", "mask.n_groups=0"],
             ["mask", "mask.selection_mode=foo"],
             ["mask", "mask.p_drop=[[0.0,0.5,1.5]]"],
@@ -572,6 +575,7 @@ class TestBadInput:
             ["mask", "geometry.dims=[100000,100000,1000]"],
             ["mask", "mask.n_groups=1000000000000"],
             ["pretrain", "net.stage_channels=[1000000000]"],
+            ["pretrain", "train.epochs=1000000000000"],
             ["sweep-angle", "sweep.spans_deg=[1e-9]"],
             ["voxelize", "synth.box_count=1000000000000"],
             ["voxelize", "synth.box_size=[1e300,1e300]"],
@@ -595,6 +599,7 @@ class TestBadInput:
         GridGeometry(dims=(MAX_CELLS, 1, 1))
         MaskConfig(n_groups=MAX_GROUPS)
         NetConfig(stage_channels=(MAX_STAGE_CHANNELS,))
+        TrainConfig(epochs=MAX_EPOCHS)  # built, not trained
         cli.SweepConfig(spans_deg=(360.0 / MAX_GROUPS,))
         longest = (MAX_SCENE_LENGTH, MAX_SCENE_LENGTH)
         SceneSpec(box_count=MAX_BOXES, ground_extent=MAX_SCENE_LENGTH,
@@ -786,33 +791,38 @@ OVERRIDES = st.tuples(
 
 
 class TestNoInternalError:
-    """No override ends mask, energy, voxelize or pretrain as InternalError
-    (6): each runs (0) or is a bad configuration (3), as the README's
-    exit-code table says, and pretrain may also find no data (5) or
-    diverge (7).  pretrain's draws leave train.epochs at TINY's one: it
-    has no cap, so a drawn 10**12 would train without end.  The examples
-    are the overrides it found that exited 6: an unbounded
-    synth.ground_noise and an unchecked net.seed."""
+    """No override ends mask, energy, voxelize, pretrain or eval as
+    InternalError (6): each runs (0) or is a bad configuration (3), as the
+    README's exit-code table says; pretrain and eval (of an untrained
+    checkpoint of TINY's net) may also find no data (5), and pretrain may
+    diverge (7).  The examples are the overrides it found that exited 6:
+    an unbounded synth.ground_noise and an unchecked net.seed."""
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from(["mask", "energy", "voxelize", "pretrain"]),
+        st.sampled_from(["mask", "energy", "voxelize", "pretrain", "eval"]),
         st.lists(OVERRIDES, min_size=1, max_size=3),
     )
     @example("voxelize", [("synth.ground_noise", "-1")])
     @example("mask", [("synth.ground_noise", "1e300")])
     @example("pretrain", [("net.seed", "-1")])
-    def test_overrides_exit_with_a_documented_code(self, command, overrides):
+    def test_overrides_exit_with_a_documented_code(
+        self, inputs, command, overrides
+    ):
         err = io.StringIO()
         codes = (0, cli.EXIT_CONFIG)
+        extra = []
         if command == "pretrain":
-            overrides = [(k, v) for k, v in overrides if k != "train.epochs"]
             codes += (cli.EXIT_NODATA, cli.EXIT_DIVERGED)
+        elif command == "eval":
+            codes += (cli.EXIT_NODATA,)
+            extra = ["--checkpoint", str(inputs["checkpoint"])]
         overrides = [f"{k}={v}" for k, v in overrides]
         with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a run prints them and goes on
+            argv = [command, "--out", out, *extra, *TINY, *overrides]
             with contextlib.redirect_stderr(err):
-                code = cli.main([command, "--out", out, *TINY, *overrides])
+                code = cli.main(argv)
         assert code in codes, err.getvalue()
 
 
@@ -833,7 +843,6 @@ class TestAtomicWrite:
 
         def half_then_fail(tmp):
             tmp.write_bytes(b"half a file")
-            tmp.with_name(tmp.name + ".manifest.txt").write_text("half")
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
@@ -848,13 +857,18 @@ class TestAtomicWrite:
 class TestRerunFromRecord:
     """resolved_config.json given back as --config repeats the run."""
 
-    def test_pretrain(self, tmp_path):
+    @pytest.mark.parametrize("command, extra, artifacts", COMMAND_RUNS)
+    def test_rerun_writes_the_same_bytes(
+        self, command, extra, artifacts, inputs, tmp_path
+    ):
+        """The rerun writes the same artifacts, byte for byte, and a record
+        that differs only in its out."""
+        extra = [a.format(**inputs) for a in extra]
         first, again = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["pretrain", "--out", str(first)] + TINY) == 0
+        assert cli.main([command, "--out", str(first), *extra, *TINY]) == 0
         record = str(first / "resolved_config.json")
-        rerun = ["pretrain", "--config", record, "--out", str(again)]
-        assert cli.main(rerun) == 0
-        for name in ("checkpoint.rmae", "loss.csv"):
+        assert cli.main([command, "--config", record, "--out", str(again)]) == 0
+        for name in artifacts:
             assert (again / name).read_bytes() == (first / name).read_bytes()
         records = [
             json.loads((d / "resolved_config.json").read_text())
@@ -862,18 +876,6 @@ class TestRerunFromRecord:
         ]
         assert [r.pop("out") for r in records] == [str(first), str(again)]
         assert json.dumps(records[0]) == json.dumps(records[1])
-
-    def test_eval_takes_the_recorded_checkpoint(self, tmp_path):
-        net = tmp_path / "net.rmae"
-        untrained = OccupancyNet(NetConfig(stage_channels=(4, 8, 8)))
-        save_checkpoint(untrained, net)
-        first, again = tmp_path / "a", tmp_path / "b"
-        args = ["eval", "--out", str(first), "--checkpoint", str(net)]
-        assert cli.main(args + TINY) == 0
-        record = str(first / "resolved_config.json")
-        assert cli.main(["eval", "--config", record, "--out", str(again)]) == 0
-        expect = (first / "eval.json").read_bytes()
-        assert (again / "eval.json").read_bytes() == expect
 
     def test_flags_win_over_the_file(self, tmp_path):
         stats = tmp_path / "stats.json"

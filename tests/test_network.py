@@ -372,14 +372,6 @@ class TestCheckpoint:
         save_checkpoint(net, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_manifest_sidecar(self, tmp_path):
-        net = toy_net()
-        p = tmp_path / "ck.rmae"
-        save_checkpoint(net, p)
-        manifest = (tmp_path / "ck.rmae.manifest.txt").read_text()
-        assert "stem kind=sparse_conv tensor=weight" in manifest
-        assert "head kind=dense_conv" in manifest
-
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.rmae"
         p.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -30,7 +30,6 @@ from rmae.radial_mask import MaskConfig, apply_mask
 from rmae import trainer
 from rmae.trainer import (
     AdamOptimizer,
-    SgdOptimizer,
     TrainConfig,
     evaluate,
     pretrain,
@@ -394,16 +393,6 @@ class TestRemask:
             assert epochs[0] == epochs[1] == epochs[2]
 
 
-def test_sgd_step_is_w_minus_lr_g():
-    rng = np.random.default_rng(0)
-    w = rng.normal(size=(3, 4))
-    g = rng.normal(size=(3, 4))
-    expect = w - 0.125 * g
-    SgdOptimizer(0.125).step([("w", w)], {"w": g})
-    assert np.array_equal(w, expect)
-
-
-
 def test_adam_step_is_the_textbook_update():
     rng = np.random.default_rng(1)
     lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-6
@@ -429,13 +418,14 @@ def test_adam_step_is_the_textbook_update():
 def test_trained_state_stays_float64(small_geom, monkeypatch):
     """The decoder computes in float32; parameters, batch-norm running
     statistics and Adam moments stay float64."""
-    made, make = [], trainer.make_optimizer
+    made = []
 
-    def keep(cfg):
-        made.append(make(cfg))
-        return made[-1]
+    class Kept(AdamOptimizer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
 
-    monkeypatch.setattr(trainer, "make_optimizer", keep)
+    monkeypatch.setattr(trainer, "AdamOptimizer", Kept)
     net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
     cfg = TrainConfig(epochs=1, batch_size=2)
     pretrain(tiny_frames(2), cfg, net, small_geom)
@@ -572,11 +562,23 @@ class TestSphereMode:
         with pytest.raises(NoData, match="epoch 0"):
             pretrain(tiny_frames(2), cfg, net, small_geom)
 
-    def test_a_frame_with_nothing_visible_is_skipped(self, small_geom):
+    def test_a_frame_with_nothing_visible_is_skipped(
+        self, small_geom, monkeypatch
+    ):
         """The frame adds no loss, gradient or batch-norm statistics and
         the others keep their 1/len(batch) share: a batch of three with
         one skipped steps like a batch of the other two at 2/3 of the
-        learning rate."""
+        learning rate, under an optimizer linear in the gradient."""
+
+        class Sgd:
+            def __init__(self, lr, *_):
+                self.lr = lr
+
+            def step(self, params, grads):
+                for path, arr in params:
+                    arr -= self.lr * grads[path]
+
+        monkeypatch.setattr(trainer, "AdamOptimizer", Sgd)
         outside = PointCloud(np.array([[100.0, 100.0, 0.0, 0.5]]))
         runs = []
         for frames, lr in ((tiny_frames(2) + [outside], 0.3), (tiny_frames(2), 0.2)):
@@ -589,7 +591,6 @@ class TestSphereMode:
             cfg = TrainConfig(
                 epochs=1,
                 batch_size=len(frames),
-                optimizer="sgd",
                 learning_rate=lr,
                 query=SPHERE,
             )
