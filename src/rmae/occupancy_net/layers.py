@@ -27,30 +27,32 @@ one output phase (one parity class of a strided output; the whole output
 at stride 1) are contracted with the input's channels in a single GEMM,
 and the per-tap results are then shift-added into place.  A 4x4x4
 stride-2 transposed conv is 8 phases of 8 taps each (the sub-pixel view of
-Shi et al. 2016); a 3x3x3 stride-1 conv is 1 phase of 27 taps.  Forward
-runs on a row-padded lattice: the input gets one zero slot after every
-row and every plane, (X, Y + 1, Z + 1), so on its flat (C, P) view a tap's
-shift d is one offset d @ (Y'Z', Z', 1) and its shift-add one contiguous
-slice add.  A shift off y or z lands on a zero slot and one off x leaves
-the flat array; the padded slots are cropped when the phase buffer is
-written to its strided output view.  An eval forward may run an epilogue
-(a stage's batch norm and ReLU) on each phase buffer while it is in
-cache and then keep the buffer as it is, its pad slots zeroed: the
-output is handed on phase-major, as Phases, each phase a row-padded
-sub-lattice.  A strided layer interleaves Phases into its own padded
-input.  The stride-1 head reads them where they lie: along an axis, the
+Shi et al. 2016); a 3x3x3 stride-1 conv is 1 phase of 27 taps.  Every
+dense tensor, in training and in eval, and every gradient of one, is held
+in one form: phase-major, as Phases, each phase a row-padded sub-lattice
+with one zero slot after every row and every plane, (X, Y + 1, Z + 1).
+On its flat (C, P) view a tap's shift d is one offset d @ (Y'Z', Z', 1)
+and its shift-add one contiguous slice add: a shift off y or z lands on a
+zero slot and one off x leaves the flat array.  Each phase buffer of a
+forward is kept as it is, its pad slots zeroed; an eval forward first
+runs an epilogue (a stage's batch norm and ReLU) on it while it is in
+cache.  A strided layer interleaves Phases into its own padded input.  A
+stride-1 layer (the head) reads them where they lie: along an axis, the
 output of parity r takes its tap of shift d from input parity
 (r - d) mod 2, so one GEMM per input phase makes the products of every
-tap that reads it, each output phase shift-adds its taps on the
-sub-lattices, and only the 1-channel logits are interleaved.  Backward
-works on the unpadded (C, X, Y, Z) arrays, so its GEMMs contract over
-exactly the input's sites: on the flat view of a phase's grad_out a tap's
-shifted copy is one contiguous copy at the offset d @ (YZ, Z, 1), and the
-sites p whose p + d leaves the box, one face slab per shifted axis, are
-then zeroed.  The phase's copies are stacked, so one GEMM gives its
-grad_w and one its grad_in.  Taps within a phase add in lexicographic
+tap that reads it and each output phase shift-adds its taps on the
+sub-lattices; its backward is the adjoint on the same sub-lattices, per
+input phase one stack of its taps' shifted grad_out copies, one GEMM for
+their grad_w and one for the phase's grad_in.  A strided layer's
+backward works on the unpadded (C, X, Y, Z) arrays, so its GEMMs contract
+over exactly the input's sites: on the flat view of a phase's grad_out a
+tap's shifted copy is one contiguous copy at the offset d @ (YZ, Z, 1),
+and the sites p whose p + d leaves the box, one face slab per shifted
+axis, are then zeroed.  The phase's copies are stacked, so one GEMM gives
+its grad_w and one its grad_in.  Taps within a phase add in lexicographic
 kernel order, so every output sums its taps in the same fixed order on
-every run, however its input is held.
+every run.  A training batch norm over Phases sums its statistics phase
+by phase; the zero pad slots add nothing to them.
 
 The same layers also run sparse, "transform, then gather", when given a
 SparseFeatureMap and the output sites wanted (the generative transposed
@@ -59,13 +61,13 @@ the input's present rows plus one zero row, the same tap order, but each
 tap's products reach the phase's output sites through a (taps, M) kernel
 map, built by _kernel_map at the phase's negated shifts, instead of by a
 slice shift.  Without output sites a sparse call computes every output
-site and returns the dense tensor, so a decoder can start from a sparse
-map and continue dense.  Backward is the adjoint: each tap sends an output
-row to one input row, so grad_out rows, each copied as one (C_out,) item,
-are assigned through the map into an (N + 1, taps, C_out) buffer, one per
-call that each phase re-zeroes, and one GEMM per phase gives grad_w and
-one grad_in.  input_support gives the input sites a set of output sites
-reads, so a caller can decode only what it will look at.
+site and returns the dense tensor as Phases, so a decoder can start from
+a sparse map and continue dense.  Backward is the adjoint: each tap sends
+an output row to one input row, so grad_out rows, each copied as one
+(C_out,) item, are assigned through the map into an (N + 1, taps, C_out)
+buffer, one per call that each phase re-zeroes, and one GEMM per phase
+gives grad_w and one grad_in.  input_support gives the input sites a set
+of output sites reads, so a caller can decode only what it will look at.
 
 Only the head (DenseConv) has a bias, added last, dense or sparse: a batch
 norm follows every other conv and would cancel one.
@@ -75,16 +77,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DegenerateBatch, ShapeError, StaleCache
-
-# taps per GEMM of the dense forward: bounds its slab of per-tap results
-# at 9 taps (the head's 27 taps take three GEMMs, a deconv phase's 8 one);
-# one GEMM per phase is bitwise equal but adds 7 MiB or more to peak RSS
-_TAPS_PER_GEMM = 9
 
 OFFSETS3 = [
     (dx, dy, dz)
@@ -221,7 +218,8 @@ class SparseDownConv(_SparseConv):
 
 
 class BatchNorm:
-    """Per-channel batch normalization over an (N, C) matrix.
+    """Per-channel batch normalization over an (N, C) matrix, or in
+    training over a dense tensor held as Phases.
 
     Training mode normalizes with the batch's mean and biased variance;
     it never touches the running statistics but ends its ctx with the
@@ -231,14 +229,23 @@ class BatchNorm:
     input and keeps no ctx, so it serves no backward.  An eval forward
     only calls it, so perfbench, which times forward, still sees it.
 
-    Besides its input, forward makes two full-size buffers (xhat and the
-    output, which holds the squared deviations until the output overwrites
-    them) and backward one (its result); every per-element product is
-    formed in place, and every value is computed by the same operations in
-    the same order as the textbook expressions in the comments.
+    Besides its input, forward on a matrix makes two full-size buffers
+    (xhat and the output, which holds the squared deviations until the
+    output overwrites them) and backward one (its result); every
+    per-element product is formed in place, and every value is computed
+    by the same operations in the same order as the textbook expressions
+    in the comments.  Over Phases, forward writes the deviations x - mean
+    over x's buffers and makes one buffer per phase (the output), summing
+    the statistics phase by phase: each phase's row sums in x's dtype,
+    added up in float64, the variance over the deviations (two-pass).
+    Backward takes its adjoint's two per-channel sums in a first sweep and
+    writes the input gradient over grad_out's buffers in a second.  Every
+    pad slot either hands on is zero.
 
-    The ctx is a list [xhat, ivar, (mean, var)], and backward empties it:
-    its last step scales xhat in place, so a ctx serves one backward.
+    The ctx is a list [xhat, ivar, (mean, var)], over Phases with the
+    deviations per phase in place of xhat, and backward empties it: its
+    last step scales xhat (or the deviations) in place, so a ctx serves
+    one backward.
     """
 
     kind = "batch_norm"
@@ -266,6 +273,8 @@ class BatchNorm:
         mode (eval_inplace(x), None), which overwrites x."""
         if not training:
             return self.eval_inplace(x), None
+        if isinstance(x, Phases):
+            return self._forward_phases(x)
         _check_width(x, self.ch, "batch norm")
         if x.shape[0] == 0:
             raise DegenerateBatch(
@@ -282,6 +291,30 @@ class BatchNorm:
         np.multiply(xhat, self.gamma.astype(x.dtype, copy=False), out=out)
         out += self.beta.astype(x.dtype, copy=False)
         return out, [xhat, ivar, (mu, var)]
+
+    def _forward_phases(self, x: Phases):
+        grids = x.data
+        flats = [grid.reshape(len(grid), -1) for grid in grids]
+        _check_width(flats[0].T, self.ch, "batch norm")
+        dtype, n = grids[0].dtype, len(x)
+        mu = sum((f.sum(axis=1) for f in flats), np.zeros(self.ch)) / n
+        out, var = [], np.zeros(self.ch)
+        for f, grid in zip(flats, grids):
+            f -= mu.astype(dtype)[:, None]  # x's buffers hold x - mu
+            _zero_pads(grid)
+            sq = np.square(f)  # the output buffer, as for a matrix
+            var += sq.sum(axis=1)
+            out.append(sq)
+        var = var / n
+        ivar = 1.0 / np.sqrt(var + self.eps)
+        gain = (self.gamma * ivar).astype(dtype)[:, None]
+        beta = self.beta.astype(dtype)[:, None]
+        data = []
+        for f, sq, grid in zip(flats, out, grids):
+            np.multiply(f, gain, out=sq)  # gamma * xhat, xhat = f * ivar
+            sq += beta
+            data.append(_zero_pads(sq.reshape(grid.shape)))
+        return Phases(x.stride, x.dims, data), [flats, ivar, (mu, var)]
 
     def eval_inplace(self, x: np.ndarray) -> np.ndarray:
         """gamma * ((x - running_mean) * ivar) + beta in x's dtype, with
@@ -307,6 +340,8 @@ class BatchNorm:
             raise StaleCache("BatchNorm backward: ctx already consumed")
         xhat, ivar, _ = ctx
         ctx.clear()
+        if isinstance(grad_out, Phases):  # xhat holds the deviations
+            return self._backward_phases(xhat, ivar, grad_out)
         dtype = xhat.dtype
         gamma = self.gamma.astype(dtype, copy=False)
         grad_beta = grad_out.sum(axis=0, dtype=np.float64)
@@ -328,28 +363,37 @@ class BatchNorm:
         buf *= (ivar / n).astype(dtype, copy=False)
         return buf, {"gamma": grad_gamma, "beta": grad_beta}
 
+    def _backward_phases(self, dev: list, ivar, grad_out: Phases):
+        n = len(grad_out)
+        gs = [grid.reshape(self.ch, -1) for grid in grad_out.data]
+        grad_beta, grad_dev = np.zeros(self.ch), np.zeros(self.ch)
+        for g, d in zip(gs, dev):  # g's pad slots are zero
+            grad_beta += g.sum(axis=1)
+            grad_dev += (g * d).sum(axis=1)
+        grad_gamma = grad_dev * ivar  # xhat = dev * ivar
+        # the matrix form's grad_in with dxhat = grad_out * gamma, whose
+        # sums are gamma times grad_beta and grad_gamma:
+        # g * gamma * ivar - xhat * (gamma * ivar / n * grad_gamma)
+        #                  - gamma * ivar / n * grad_beta
+        gain = self.gamma * ivar
+        scale, slope, shift = (
+            a.astype(gs[0].dtype)[:, None]
+            for a in (gain, gain / n * grad_gamma * ivar, gain / n * grad_beta)
+        )
+        for g, d, grid in zip(gs, dev, grad_out.data):
+            g *= scale
+            d *= slope
+            g -= d
+            g -= shift
+            _zero_pads(grid)
+        return grad_out, {"gamma": grad_gamma, "beta": grad_beta}
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: with e = exp(-|x|) it is
     1/(1+e) for x >= 0 and e/(1+e) elsewhere."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def site_rows(t) -> np.ndarray:
-    """The (sites, C) matrix of a decoder tensor: a sparse map's features,
-    or the transposed view of a dense (C, X, Y, Z) tensor."""
-    if isinstance(t, SparseFeatureMap):
-        return t.feats
-    return t.reshape(len(t), -1).T
-
-
-def unrows(like, rows: np.ndarray):
-    """The inverse of site_rows: the decoder tensor laid out as like (its
-    sites, or its dense shape) that holds rows."""
-    if isinstance(like, SparseFeatureMap):
-        return replace(like, feats=rows)
-    return rows.T.reshape(like.shape)
 
 
 def _shift_slices(d: int, size: int) -> tuple[slice, slice]:
@@ -387,19 +431,39 @@ def _lattice(channels: int, dims, dtype) -> np.ndarray:
 
 @dataclass
 class Phases:
-    """A dense (C, X, Y, Z) tensor held phase-major, as a stride-s layer
-    computes it: per parity class, in _parity_views order, the class's
-    sub-lattice in the interior of its row-padded lattice (see the module
-    docstring), (C, X/s, Y/s + 1, Z/s + 1), whose pad slots are zero.  A
-    reader takes the buffers out of data, so a Phases serves one forward;
-    len() is the tensor's number of sites, as for a SparseFeatureMap."""
+    """A dense (C, X, Y, Z) tensor, or its gradient, held phase-major, as
+    a stride-s layer computes it: per parity class, in _parity_views
+    order, the class's sub-lattice in the interior of its row-padded
+    lattice (see the module docstring), (C, X/s, Y/s + 1, Z/s + 1), whose
+    pad slots are zero.  The Phases of an eval forward (once) serve one
+    reader, which takes the buffers out of data as it reads them; a
+    training forward's reader keeps them in its ctx for backward.  len()
+    is the tensor's number of sites, as for a SparseFeatureMap."""
 
     stride: int
     dims: tuple[int, int, int]  # X, Y, Z
     data: list  # the padded sub-lattices, one per parity class
+    once: bool = False
 
     def __len__(self) -> int:
         return int(np.prod(self.dims))
+
+    def interleave(self, out: np.ndarray) -> np.ndarray:
+        """out, a (C, X, Y, Z) array of any dtype, set to the tensor."""
+        for view, grid in zip(_parity_views(self.stride), self.data):
+            out[view] = grid[..., :-1, :-1]
+        return out
+
+    @classmethod
+    def split(cls, t: np.ndarray, stride: int, dtype=None) -> Phases:
+        """t, a (C, X, Y, Z) array whose dims stride divides, held
+        phase-major in dtype (t's by default)."""
+        size = [d // stride for d in t.shape[1:]]
+        data = []
+        for view in _parity_views(stride):
+            data.append(_lattice(len(t), size, dtype or t.dtype))
+            data[-1][..., :-1, :-1] = t[view]
+        return cls(stride, t.shape[1:], data)
 
 
 @functools.cache
@@ -407,11 +471,10 @@ def _phase_table(axis_taps, in_stride: int = 1) -> tuple[list, list]:
     """(phases, gemms) of a dense layer with these axis taps reading an
     input held phase-major at in_stride (see Phases; 1: the whole input).
 
-    phases lists per output phase, in _parity_views order, its view of
-    the output, the kernel indices (kx, ky, kz) of its taps, their
-    (taps, 3) array of shifts, and per tap (the input phase it reads, its
-    row in that phase's GEMM); gemms lists per input phase the kernel
-    indices of its GEMM's rows.
+    phases lists per output phase, in _parity_views order, the kernel
+    indices (kx, ky, kz) of its taps, their (taps, 3) array of shifts, and
+    per tap (the input phase it reads, its row in that phase's GEMM);
+    gemms lists per input phase the kernel indices of its GEMM's rows.
 
     axis_taps[r] lists, for output parity r along one axis, the (k, d)
     pairs of the kernel indices k writing that parity and the shift d
@@ -427,8 +490,7 @@ def _phase_table(axis_taps, in_stride: int = 1) -> tuple[list, list]:
         us = [(k, r // stride - d) for k, d in axis_taps[r % stride]]
         table.append([(k, u % in_stride, -(u // in_stride)) for k, u in us])
     phases, gemms = [], [[] for _ in range(in_stride**3)]
-    views = _parity_views(stride * in_stride)
-    for view, parity in zip(views, itertools.product(table, repeat=3)):
+    for parity in itertools.product(table, repeat=3):
         taps = [tuple(zip(*kgd)) for kgd in itertools.product(*parity)]
         kernel, reads, shifts = zip(*taps)
         reads = np.ravel_multi_index(tuple(zip(*reads)), (in_stride,) * 3)
@@ -436,7 +498,7 @@ def _phase_table(axis_taps, in_stride: int = 1) -> tuple[list, list]:
         for k, g in zip(kernel, reads.tolist()):
             rows.append((g, len(gemms[g])))
             gemms[g].append(k)
-        phases.append((view, list(kernel), np.array(shifts), rows))
+        phases.append((list(kernel), np.array(shifts), rows))
     return phases, gemms
 
 
@@ -448,13 +510,12 @@ class _DenseTapConv:
     length is the output stride and whose tap count is the kernel size,
     and the gain of the weights' normal init, std = sqrt(gain / fan_in).
     Each phase owns out[:, rx::s, ry::s, rz::s], which has the input's
-    spatial shape.  Forward's GEMM per phase, (taps * C_out, C_in) @
-    (C_in, P), runs in chunks of at most _TAPS_PER_GEMM taps into one slab
-    buffer (_slabs); the per-input-phase GEMMs of a stride-1 layer given
-    Phases run in _products.  The slab buffer and an unkept phase buffer,
-    and backward's copy of a phase's view of grad_out (the stride-1 head
-    reads grad_out itself) and its (taps, C_out, P) workspace, are each
-    allocated once per call and reused by every phase and chunk.
+    spatial shape.  A strided layer's forward runs one GEMM per phase,
+    (taps * C_out, C_in) @ (C_in, P), into one slab buffer (_slabs); a
+    stride-1 layer's runs one per input phase (_products).  The slab
+    buffer, and backward's copy of a phase of grad_out and its
+    (taps, C_out, P) workspace, are each allocated once per call and
+    reused by every phase.
 
     The ctx is a one-item list holding the input, and backward takes the
     input out of it: a ctx serves one backward, and a caller that hands
@@ -512,7 +573,7 @@ class _DenseTapConv:
         dense = sites is None
         if dense:  # every output site, in canonical order
             sites = np.indices(dims).reshape(3, -1).T
-            out = self._dense_output(dims, stride, dtype, epilogue)
+            out = Phases(stride, dims, [], once=epilogue is not None)
         else:
             out = np.empty((len(sites), self.out_ch), dtype=dtype)
         # a zero last row is what a tap reads where x has no row
@@ -523,7 +584,7 @@ class _DenseTapConv:
         # rows of sites in it and the (taps, rows) table of the row of x
         # each tap reads there (p = site - d), len(x) where x has none
         plan = []
-        for i, (view, kernel, shifts, _) in enumerate(self.phases):
+        for i, (kernel, shifts, _) in enumerate(self.phases):
             rows = np.flatnonzero(phase == i)
             if not len(rows):
                 continue
@@ -540,39 +601,33 @@ class _DenseTapConv:
             if not dense:
                 out[rows] = buf
                 continue
-            # the phase's rows are its view's sites in C order
+            # the phase's rows are its sub-lattice's sites in C order
+            out.data.append(_lattice(self.out_ch, x.dims, dtype))
             grid = buf.T.reshape((self.out_ch,) + x.dims)
-            if isinstance(out, Phases):
-                out.data.append(_lattice(self.out_ch, x.dims, dtype))
-                out.data[-1][..., :-1, :-1] = grid
-            else:
-                out[view] = grid
+            out.data[-1][..., :-1, :-1] = grid
         if not dense:
             out = SparseFeatureMap(dims, sites, out)
         return out, [plan, x]
-
-    def _dense_output(self, dims, stride, dtype, epilogue):
-        """The dense (C_out, X, Y, Z) output of a forward whose phases
-        stride its dims: an array to write each phase through its view,
-        or with an epilogue a Phases to keep each phase in."""
-        if epilogue is None:
-            return np.empty((self.out_ch,) + tuple(dims), dtype)
-        return Phases(stride, tuple(dims), [])
 
     def _sparse_backward(self, plan, x: SparseFeatureMap, grad_out):
         dtype = x.feats.dtype
         padded = np.concatenate([x.feats, np.zeros((1, self.in_ch), dtype)])
         grad_in = np.zeros_like(padded)
         grad_w = np.zeros_like(self.weight)
-        taps = len(self.phases[0][1])  # every phase has as many
+        taps = len(self.phases[0][0])  # every phase has as many
         # (N + 1, taps * C_out): per input row, each tap's grad_out row,
         # one buffer that every phase re-zeroes; its slots view holds each
         # (C_out,) row as one item, so a row assignment is one item copy
         spread = np.empty((len(padded), taps * self.out_ch), dtype)
         item = np.dtype((np.void, self.out_ch * spread.itemsize))
         slots = spread.reshape(-1, self.out_ch).view(item)[:, 0]
-        for kernel, rows, table in plan:
-            g = np.ascontiguousarray(site_rows(grad_out)[rows])
+        for i, (kernel, rows, table) in enumerate(plan):
+            if isinstance(grad_out, Phases):  # every site: plan i is phase i
+                grid = grad_out.data[i][..., :-1, :-1]
+                g = np.moveaxis(grid, 0, -1).reshape(-1, self.out_ch)
+            else:
+                g = grad_out.feats[rows]
+            g = np.ascontiguousarray(g)
             # a tap sends each output row to its own input row, so the
             # adjoint of forward's gather is an assignment; outputs that
             # read nothing land on the zero row, which adds nothing to
@@ -588,33 +643,32 @@ class _DenseTapConv:
         return grad_x, {"weight": grad_w}
 
     def forward(self, x, sites: np.ndarray | None = None, epilogue=None):
-        """Dense: x is (C_in, X, Y, Z), or Phases holding it; returns
-        the (C_out, sX, sY, sZ) output and the ctx [x].  Sparse: x is a
-        SparseFeatureMap, absent rows reading as zero, and sites the
-        (M, 3) output sites; returns the output map on sites, or with
-        sites None the dense output, and the ctx [plan, x].
+        """Dense: x is Phases; returns the output as Phases and the ctx
+        [x].  Sparse: x is a SparseFeatureMap, absent rows reading as
+        zero, and sites the (M, 3) output sites; returns the output map on
+        sites, or with sites None the dense output, and the ctx [plan, x].
 
-        epilogue, for a forward that serves no backward, is a function
-        applied in place to each phase's (sites, C_out) rows once they are
-        summed; a dense output is then returned as Phases.  A forward
-        consumes Phases: a strided layer interleaves them into its padded
-        input, and a stride-1 layer reads them as they are (_products)."""
+        epilogue is a function applied in place to each phase's
+        (sites, C_out) rows once they are summed: an eval stage's batch
+        norm and ReLU, whose dense output then serves one reader
+        (Phases.once), or the head's bias.  A strided layer interleaves
+        Phases into its padded input, and a stride-1 layer reads them as
+        they are (_products)."""
         if isinstance(x, SparseFeatureMap):
             return self._sparse_forward(x, sites, epilogue)
-        grids = x.data if isinstance(x, Phases) else [x]
-        if not grids:
+        if not x.data:
             raise StaleCache(f"{type(self).__name__}: Phases already consumed")
-        if grids[0].ndim != 4 or grids[0].shape[0] != self.in_ch:
+        if x.data[0].ndim != 4 or x.data[0].shape[0] != self.in_ch:
             raise ShapeError(
                 f"{type(self).__name__} expects ({self.in_ch}, X, Y, Z),"
-                f" got {grids[0].shape}"
+                f" got {x.data[0].shape}"
             )
-        dtype, lattice = grids[0].dtype, grids[0].shape[1:]
+        dtype, lattice = x.data[0].dtype, x.data[0].shape[1:]
         stride = len(self.axis_taps)
-        if isinstance(x, Phases) and stride == 1:  # in the phase domain
+        if stride == 1:  # in the phase domain
             stride = x.stride
             phases, gemms = _phase_table(self.axis_taps, stride)
-            slabs = self._products(phases, gemms, grids)
+            slabs = self._products(phases, gemms, x)
         else:
             padded = self._padded(x)
             phases, lattice = self.phases, padded.shape[1:]
@@ -622,13 +676,10 @@ class _DenseTapConv:
         n = int(np.prod(lattice))
         step = np.array([lattice[1] * lattice[2], lattice[2], 1])
         size = (lattice[0], lattice[1] - 1, lattice[2] - 1)  # one phase
-        dims = [stride * k for k in size]
-        out = self._dense_output(dims, stride, dtype, epilogue)
-        keep = isinstance(out, Phases)  # each phase keeps its own buffer
-        buf = None if keep else np.empty((self.out_ch, n), dtype)
-        for i, (view, _, shifts, _) in enumerate(phases):
-            if keep:
-                buf = np.empty((self.out_ch, n), dtype)
+        dims = tuple(stride * k for k in size)
+        out = Phases(stride, dims, [], once=epilogue is not None)
+        for i, (_, shifts, _) in enumerate(phases):
+            buf = np.empty((self.out_ch, n), dtype)
             buf.fill(0)
             for t, off in zip(slabs(i), (shifts @ step).tolist()):
                 a, b = max(0, -off), n - max(0, off)
@@ -636,62 +687,86 @@ class _DenseTapConv:
                     buf[:, a + off : b + off] += t[:, a:b]
             if epilogue is not None:
                 epilogue(buf.T)
-            grid = buf.reshape((self.out_ch,) + lattice)
-            if keep:
-                out.data.append(_zero_pads(grid))
-            else:
-                out[view] = grid[..., :-1, :-1]
+            out.data.append(_zero_pads(buf.reshape((self.out_ch,) + lattice)))
         return out, [x]
 
-    def _padded(self, x) -> np.ndarray:
-        """The row-padded lattice of x, a (C, X, Y, Z) array or Phases
-        (which it consumes): a one-site shift off y or z lands on a zero
-        slot, and a shift off x leaves the flat array."""
-        if not isinstance(x, Phases):
-            return np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)))
+    def _padded(self, x: Phases) -> np.ndarray:
+        """The row-padded lattice of the tensor x holds: a one-site shift
+        off y or z lands on a zero slot, and a shift off x leaves the flat
+        array."""
         padded = _lattice(self.in_ch, x.dims, x.data[0].dtype)
-        interior = padded[..., :-1, :-1]
-        for view, grid in zip(_parity_views(x.stride), x.data):
-            interior[view] = grid[..., :-1, :-1]
-        x.data.clear()
+        x.interleave(padded[..., :-1, :-1])
+        if x.once:
+            x.data.clear()
         return padded
 
     def _slabs(self, padded):
         """slabs(i): the (C_out, P) products of phase i's taps with the
-        padded input, in tap order, from GEMMs of at most _TAPS_PER_GEMM
-        taps into one slab buffer that every phase reuses."""
+        padded input, in tap order, from one GEMM into a slab buffer that
+        every phase reuses."""
         flat = padded.reshape(self.in_ch, -1)
-        chunk = min(_TAPS_PER_GEMM, len(self.phases[0][1]))
-        slab = np.empty((chunk * self.out_ch, flat.shape[1]), flat.dtype)
+        taps = len(self.phases[0][0])
+        slab = np.empty((taps * self.out_ch, flat.shape[1]), flat.dtype)
 
         def slabs(i):
-            kernel = self.phases[i][1]
-            for lo in range(0, len(kernel), _TAPS_PER_GEMM):
-                taps = kernel[lo : lo + _TAPS_PER_GEMM]
-                w = self._stacked_weight(taps, flat.dtype)
-                prods = np.matmul(w, flat, out=slab[: len(w)])
-                yield from prods.reshape(len(taps), self.out_ch, -1)
+            w = self._stacked_weight(self.phases[i][0], flat.dtype)
+            return np.matmul(w, flat, out=slab).reshape(taps, self.out_ch, -1)
 
         return slabs
 
-    def _products(self, phases, gemms, grids):
+    def _products(self, phases, gemms, x: Phases):
         """slabs(i): the (C_out, P) products of phase i's taps, in tap
-        order, from one GEMM per input phase (see _phase_table).  It
-        empties grids, the input phases, as it goes, so each is freed once
-        its GEMM is done and the products never meet all of them."""
+        order, from one GEMM per input phase (see _phase_table).  Phases
+        that serve one reader are emptied as it goes, so each is freed
+        once its GEMM is done and the products never meet all of them."""
+        grids = x.data if x.once else list(x.data)
         prods = []
         for kernel in gemms:
             flat = grids.pop(0).reshape(self.in_ch, -1)
             w = self._stacked_weight(kernel, flat.dtype)
             prods.append((w @ flat).reshape(len(kernel), self.out_ch, -1))
             del flat
-        return lambda i: [prods[g][j] for g, j in phases[i][3]]
+        return lambda i: [prods[g][j] for g, j in phases[i][2]]
+
+    def _phase_backward(self, x: Phases, grad_out: Phases):
+        """The adjoint of a stride-1 layer's forward in the phase domain:
+        per input phase, each row of its GEMM reads back the grad_out phase
+        it wrote, at the negated shift, so one GEMM of the stacked shifted
+        phases with the input phase gives those taps' weight gradients,
+        added up over the input phases in order, and one gives the
+        phase's grad_in.  The shifted phases are rows of one sliding
+        window over grad_out's phases laid end to end between zero
+        margins, so a shift off the flat lattice reads zero."""
+        phases, gemms = _phase_table(self.axis_taps, x.stride)
+        dtype, lattice = x.data[0].dtype, x.data[0].shape[1:]
+        n = int(np.prod(lattice))
+        step = np.array([lattice[1] * lattice[2], lattice[2], 1])
+        m = int(step.sum())  # the longest flat shift
+        ends = np.zeros((len(phases), self.out_ch, n + 2 * m), dtype)
+        for row, grid in zip(ends, grad_out.data):
+            row[:, m : m + n] = grid.reshape(self.out_ch, n)
+        windows = np.lib.stride_tricks.sliding_window_view(ends, n, axis=2)
+        reads = [[None] * len(kernel) for kernel in gemms]
+        for i, (_, shifts, rows) in enumerate(phases):
+            for (g, j), off in zip(rows, (shifts @ step).tolist()):
+                reads[g][j] = (i, m + off)  # output phase i, window m + off
+        grad_w = np.zeros_like(self.weight)
+        data = []
+        for kernel, rows, grid in zip(gemms, reads, x.data):
+            i, at = zip(*rows)
+            shifted = windows[list(i), :, list(at)].reshape(-1, n)
+            flat = grid.reshape(self.in_ch, -1)
+            gw = (shifted @ flat.T).reshape(len(kernel), self.out_ch, -1)
+            grad_w[tuple(zip(*kernel))] += gw.transpose(0, 2, 1)
+            part = self._stacked_weight(kernel, dtype).T @ shifted
+            data.append(_zero_pads(part.reshape((self.in_ch,) + lattice)))
+        return Phases(x.stride, x.dims, data), {"weight": grad_w}
 
     def backward(self, ctx, grad_out):
-        """Dense: grad_out is (C_out, sX, sY, sZ) and the input gradient
-        is dense too.  Sparse: grad_out is a map on forward's output sites,
-        or dense when forward was given no sites, and the input gradient
-        a map on x's sites."""
+        """Dense: grad_out is Phases laid out as forward's output, and the
+        input gradient Phases laid out as its input.  Sparse: grad_out is
+        a map on forward's output sites, or Phases when forward was given
+        no sites, and the input gradient a map on x's sites."""
         if not ctx:
             raise StaleCache(
                 f"{type(self).__name__} backward: ctx already consumed"
@@ -699,17 +774,22 @@ class _DenseTapConv:
         if isinstance(ctx[-1], SparseFeatureMap):
             x = ctx.pop()
             return self._sparse_backward(ctx.pop(), x, grad_out)
-        shape, dtype = ctx[0].shape, ctx[0].dtype
-        flat = ctx.pop().reshape(self.in_ch, -1)
+        if len(self.axis_taps) == 1:
+            return self._phase_backward(ctx.pop(), grad_out)
+        x = ctx.pop()
+        shape, stride = (self.in_ch,) + tuple(x.dims), x.stride
+        dtype = x.data[0].dtype
+        flat = x.interleave(np.empty(shape, dtype)).reshape(self.in_ch, -1)
+        del x
         size, n = shape[1:], flat.shape[1]
         step = np.array([size[1] * size[2], size[2], 1])
         grad_in = None
         grad_w = np.zeros_like(self.weight)
-        g = np.empty((self.out_ch,) + size, grad_out.dtype)
-        taps = len(self.phases[0][1])
+        g = np.empty((self.out_ch,) + size, dtype)
+        taps = len(self.phases[0][0])
         work = np.empty((taps, self.out_ch, n), dtype)
-        for i, (view, kernel, shifts, _) in enumerate(self.phases):
-            g[...] = grad_out[view]
+        for i, (kernel, shifts, _) in enumerate(self.phases):
+            g[...] = grad_out.data[i][..., :-1, :-1]
             src = g.reshape(self.out_ch, n)
             offsets = (shifts @ step).tolist()
             for rows, d, off in zip(work, shifts.tolist(), offsets):
@@ -734,7 +814,8 @@ class _DenseTapConv:
                 grad_in = part
             else:
                 grad_in += part
-        return grad_in.reshape(shape), {"weight": grad_w}
+        grad_in = Phases.split(grad_in.reshape(shape), stride)
+        return grad_in, {"weight": grad_w}
 
 
 class DenseDeconv(_DenseTapConv):
@@ -751,8 +832,8 @@ class DenseDeconv(_DenseTapConv):
 class DenseConv(_DenseTapConv):
     """3x3x3 stride-1 pad-1 dense convolution (the 1-channel logit head):
     out[v] = sum_k W[k]^T x[v + k - 1] + bias, one phase of 27 taps.  The
-    bias is added to, and its gradient summed over, the site_rows view of
-    the output, dense or sparse."""
+    bias is added to, and its gradient summed over, every site of the
+    output, dense or sparse."""
 
     kind = "dense_conv"
     axis_taps = (((0, 1), (1, 0), (2, -1)),)
@@ -766,13 +847,16 @@ class DenseConv(_DenseTapConv):
         return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x, sites: np.ndarray | None = None):
-        out, ctx = super().forward(x, sites)
-        rows = site_rows(out)
-        rows += self.bias.astype(rows.dtype, copy=False)
-        return out, ctx
+        def add_bias(rows):
+            rows += self.bias.astype(rows.dtype, copy=False)
+
+        return super().forward(x, sites, add_bias)
 
     def backward(self, ctx, grad_out):
         grad_in, grads = super().backward(ctx, grad_out)
-        grads["bias"] = site_rows(grad_out).sum(axis=0, dtype=np.float64)
+        if isinstance(grad_out, SparseFeatureMap):
+            grads["bias"] = grad_out.feats.sum(axis=0, dtype=np.float64)
+            return grad_in, grads
+        flats = [grid.reshape(self.out_ch, -1) for grid in grad_out.data]
+        grads["bias"] = sum(f.sum(axis=1, dtype=np.float64) for f in flats)
         return grad_in, grads
-

@@ -23,8 +23,12 @@ Every conv but the head feeds a batch norm, whose mean subtraction would
 cancel a bias (Ioffe & Szegedy 2015), so only the head has one.
 
 Without a query the first decoder layer computes every site of its
-output and hands the dense tensor to the dense layers after it.  Given a
-query (the cells a loss reads), every decoder layer runs sparse: the head
+output and hands the dense tensor to the dense layers after it.  Every
+dense decoder tensor, in training and in eval, and every gradient of one,
+is held in one form: phase-major, as layers.Phases, each deconv's output
+kept as the phase buffers it computed them in; the head reads them where
+they lie, and only its 1-channel logits are interleaved.  Given a query
+(the cells a loss reads), every decoder layer runs sparse: the head
 computes only the query cells, deconv1 only the sites the head reads,
 deconv0 only the sites deconv1 reads.  Each decoder batch norm then
 normalizes over its decoded support, as batch norm does over active sites
@@ -33,14 +37,17 @@ The logits outside the query are NaN.
 
 A training forward's tape keeps what each layer's backward reads (a
 ReLU's output stays as the next layer's input, or as the latent, and
-backward takes the ReLU's mask from it), and backward consumes it.  An
-eval forward keeps neither encoder units nor decoder stages, so its tape
-serves no backward.  Its batch norms run eval_inplace over their conv's
-fresh output: an encoder unit's through BatchNorm.forward after the
-conv, a decoder stage's (and ReLU) as the deconv's epilogue, with the
-unfused stage's bytes, on the phase buffers that the deconv hands on as
-layers.Phases (see layers); a training batch norm needs the whole
-output's statistics first.
+backward takes the ReLU's mask from it), and backward consumes it.  A
+training decoder batch norm over Phases sums its statistics phase by
+phase, so its sums run in another order than over the interleaved
+tensor's rows; backward applies the ReLU mask and the batch-norm adjoint
+phase by phase too.  An eval forward keeps neither encoder units nor
+decoder stages, so its tape serves no backward.  Its batch norms run
+eval_inplace over their conv's fresh output: an encoder unit's through
+BatchNorm.forward after the conv, a decoder stage's (and ReLU) as the
+deconv's epilogue, with the unfused stage's bytes, on each phase buffer
+while it is in cache; a training batch norm needs the whole output's
+statistics first.
 
 The decoder computes in DECODER_DTYPE (float32): the latent, cast on
 entry, each deconv, batch norm and ReLU, and the head.  Everything that
@@ -62,11 +69,10 @@ from .layers import (
     BatchNorm,
     DenseConv,
     DenseDeconv,
+    Phases,
     SparseDownConv,
     SparseFeatureMap,
     SubmanifoldConv,
-    site_rows,
-    unrows,
 )
 
 # the dtype the dense decoder computes in; see the module docstring
@@ -113,6 +119,12 @@ class NetConfig:
 @dataclass
 class OccupancyPrediction:
     logits: np.ndarray  # (nx, ny, nz) float64, pre-sigmoid
+
+
+def _arrays(t) -> list:
+    """The arrays holding a decoder tensor: a sparse map's features, or
+    the phase buffers of Phases."""
+    return t.data if isinstance(t, Phases) else [t.feats]
 
 
 class OccupancyNet:
@@ -250,16 +262,22 @@ class OccupancyNet:
                 x, _ = deconv.forward(x, sites, epilogue)
                 continue
             y, ctx = deconv.forward(x, sites)
-            mat, c_bn = bn.forward(site_rows(y), training=True)
+            if sites is None:  # Phases in, Phases out
+                x, c_bn = bn.forward(y, training=True)
+            else:
+                mat, c_bn = bn.forward(y.feats, training=True)
+                x = replace(y, feats=mat)
             stats.append((bn, c_bn[2]))
             stages.append((ctx, c_bn))
-            np.maximum(mat, 0.0, out=mat)  # ReLU
-            x = unrows(y, mat)
             del y
+            for a in _arrays(x):
+                np.maximum(a, 0.0, out=a)  # ReLU
         y, ctx = self.head.forward(x, supports[-1])
-        tape["head"] = ctx, supports[-1]
         if query is None:
-            return OccupancyPrediction(y[0].astype(np.float64)), tape
+            tape["head"] = ctx, replace(y, data=[])
+            logits = y.interleave(np.empty((1,) + tuple(visible.dims)))
+            return OccupancyPrediction(logits[0]), tape
+        tape["head"] = ctx, y
         logits = np.full(tuple(visible.dims), np.nan)
         logits[tuple(y.coords.T)] = y.feats[:, 0]
         return OccupancyPrediction(logits), tape
@@ -298,25 +316,29 @@ class OccupancyNet:
 
         latent = tape.pop("latent")
         stages = tape.pop("decoder")
-        ctx, sites = tape.pop("head")
-        if sites is None:
-            g = grad_logits[None].astype(DECODER_DTYPE)
+        ctx, y = tape.pop("head")
+        if isinstance(y, Phases):
+            g = Phases.split(grad_logits[None], y.stride, DECODER_DTYPE)
         else:
-            rows = grad_logits[tuple(sites.T)][:, None].astype(DECODER_DTYPE)
-            g = SparseFeatureMap(grad_logits.shape, sites, rows)
+            rows = grad_logits[tuple(y.coords.T)][:, None]
+            g = replace(y, feats=rows.astype(DECODER_DTYPE))
         layer, name = self.head, "head"
         for deconv_name, deconv, bn_name, bn in reversed(self.decoder):
             deconv_ctx, c_bn = stages.pop()
-            keep = site_rows(ctx[-1]) > 0.0  # mask of the ReLU feeding layer
+            # the mask of the ReLU feeding layer, from its input
+            keep = [a > 0.0 for a in _arrays(ctx[-1])]
             g, sub = layer.backward(ctx, g)
             store(name, sub)
-            gmat = site_rows(g)
-            np.multiply(gmat, keep, out=gmat)  # relu_backward
+            for a, k in zip(_arrays(g), keep):
+                np.multiply(a, k, out=a)  # relu_backward
             del keep
-            gmat, sub = bn.backward(c_bn, gmat)
+            if isinstance(g, Phases):
+                g, sub = bn.backward(c_bn, g)
+            else:
+                gmat, sub = bn.backward(c_bn, g.feats)
+                g = replace(g, feats=gmat)
             del c_bn
             store(bn_name, sub)
-            g = unrows(g, gmat)
             layer, name, ctx = deconv, deconv_name, deconv_ctx
         g, sub = layer.backward(ctx, g)
         store(name, sub)

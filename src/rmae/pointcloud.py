@@ -231,24 +231,29 @@ def _sample_box_faces(rng, cx, cy, sx, sy, sz, center_r) -> np.ndarray:
         faces.append(("y", cy + sy / 2, sx * sz))
     faces.append(("top", sz, sx * sy))
 
-    pts = []
-    for axis, plane, area in faces:
-        # Solid-angle-proportional budget, clamped to keep scenes desk-scale.
-        n = int(np.clip(900.0 * area / max(center_r, 1.0) ** 2, 12, 400))
+    # Solid-angle-proportional budgets, clamped to keep scenes desk-scale.
+    counts = [
+        int(min(max(900.0 * area / max(center_r, 1.0) ** 2, 12), 400))
+        for _, _, area in faces
+    ]
+    pts = np.empty((sum(counts), 4))
+    at = 0
+    for (axis, plane, _), n in zip(faces, counts):
         u = rng.uniform(-0.5, 0.5, n)
         v = rng.uniform(-0.5, 0.5, n)
+        face = pts[at : at + n]
+        at += n
         if axis == "x":
-            x = np.full(n, plane)
-            y = cy + u * sy
-            z = (v + 0.5) * sz
+            face[:, 0] = plane
+            face[:, 1] = cy + u * sy
+            face[:, 2] = (v + 0.5) * sz
         elif axis == "y":
-            x = cx + u * sx
-            y = np.full(n, plane)
-            z = (v + 0.5) * sz
+            face[:, 0] = cx + u * sx
+            face[:, 1] = plane
+            face[:, 2] = (v + 0.5) * sz
         else:
-            x = cx + u * sx
-            y = cy + v * sy
-            z = np.full(n, plane)
-        it = rng.uniform(0.4, 0.9, n)
-        pts.append(np.column_stack([x, y, z, it]))
-    return np.concatenate(pts, axis=0)
+            face[:, 0] = cx + u * sx
+            face[:, 1] = cy + v * sy
+            face[:, 2] = plane
+        face[:, 3] = rng.uniform(0.4, 0.9, n)
+    return pts

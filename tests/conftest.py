@@ -7,7 +7,7 @@ import pytest
 from rmae import keyrand
 from rmae.cli import json_form
 from rmae.keyrand import derive_seed
-from rmae.occupancy_net.layers import _shift_slices, site_rows
+from rmae.occupancy_net.layers import Phases, _phase_table, _shift_slices
 from rmae.pointcloud import (  # noqa: PLC2701 - the oracle samples boxes alike
     _POINT_DTYPE,
     PointCloud,
@@ -186,19 +186,46 @@ def ball_oracle(dims, visible, radius) -> np.ndarray:
     return cells[(d2 <= radius * radius).any(axis=1)]
 
 
+def parity_views(stride):
+    """Per parity class (rx, ry, rz), in lexicographic order, its view
+    [:, rx::stride, ry::stride, rz::stride] of a (C, X, Y, Z) tensor."""
+    return [
+        (slice(None),) + tuple(slice(r, None, stride) for r in parity)
+        for parity in itertools.product(range(stride), repeat=3)
+    ]
+
+
+def phases_of(x, stride=2, once=False) -> Phases:
+    """x, a (C, X, Y, Z) array, held phase-major: each parity class's
+    sub-lattice with a zero slot after every row and plane."""
+    pad = ((0, 0), (0, 0), (0, 1), (0, 1))
+    grids = [np.pad(x[view], pad) for view in parity_views(stride)]
+    return Phases(stride, x.shape[1:], grids, once)
+
+
+def interleaved(phases: Phases) -> np.ndarray:
+    """The (C, X, Y, Z) tensor that phases holds, after checking that
+    every pad slot is zero."""
+    grid = phases.data[0]
+    out = np.empty((len(grid),) + tuple(phases.dims), grid.dtype)
+    for view, grid in zip(parity_views(phases.stride), phases.data):
+        assert not grid[:, :, -1].any() and not grid[..., -1].any()
+        out[view] = grid[..., :-1, :-1]
+    return out
+
+
 def dense_backward_oracle(layer, x, grad_out):
-    """Oracle for a dense layer's backward (DenseDeconv or DenseConv,
-    without the bias), as first written: per phase, a fresh zeroed stack
-    of its taps' shifted copies of the phase's view of grad_out, each made
-    by per-axis slices on the (C_out, X, Y, Z) arrays, then one GEMM for
-    the taps' weight gradients and one for the input gradient.  Returns
-    (grad_in, grad_weight)."""
+    """Oracle for a DenseDeconv's backward, as first written: per phase,
+    a fresh zeroed stack of its taps' shifted copies of the phase's view
+    of grad_out, each made by per-axis slices on the (C_out, X, Y, Z)
+    arrays, then one GEMM for the taps' weight gradients and one for the
+    input gradient.  Returns (grad_in, grad_weight)."""
     size = x.shape[1:]
     flat = x.reshape(layer.in_ch, -1)
     parts = []
     grad_w = np.zeros_like(layer.weight)
     every = (slice(None),)
-    for view, kernel, shifts, _ in layer.phases:
+    for view, (kernel, shifts, _) in zip(parity_views(2), layer.phases):
         g = np.ascontiguousarray(grad_out[view])
         shifted = np.zeros((len(kernel), layer.out_ch) + size, x.dtype)
         for rows, d in zip(shifted, shifts.tolist()):
@@ -215,19 +242,59 @@ def dense_backward_oracle(layer, x, grad_out):
     return grad_in.reshape(x.shape), grad_w
 
 
+def phase_backward_oracle(layer, x: Phases, grad_out: Phases):
+    """Oracle for a stride-1 dense layer's backward on Phases (DenseConv,
+    without the bias): per input phase, a fresh zeroed stack holding, for
+    each row of its GEMM, the grad_out phase that row wrote, shifted back
+    by per-axis slices on the padded sub-lattices; then one GEMM for the
+    taps' weight gradients, added over the input phases in order, and one
+    for the phase's input gradient, whose pad slots are zeroed.  Returns
+    (grad_in phase buffers, grad_weight)."""
+    phases, gemms = _phase_table(layer.axis_taps, x.stride)
+    lattice = x.data[0].shape[1:]
+    every = (slice(None),)
+    grad_w = np.zeros_like(layer.weight)
+    grad_in = []
+    for q, (kernel, grid) in enumerate(zip(gemms, x.data)):
+        shifted = np.zeros((len(kernel), layer.out_ch) + lattice, grid.dtype)
+        for g, (_, shifts, rows) in zip(grad_out.data, phases):
+            for (read, j), d in zip(rows, shifts.tolist()):
+                if read == q:
+                    src, dst = zip(*map(_shift_slices, d, lattice))
+                    shifted[j][every + src] = g[every + dst]
+        shifted = shifted.reshape(len(kernel) * layer.out_ch, -1)
+        flat = grid.reshape(layer.in_ch, -1)
+        gw = (shifted @ flat.T).reshape(len(kernel), layer.out_ch, -1)
+        for k, gk in zip(kernel, gw):
+            grad_w[k] += gk.T
+        part = layer._stacked_weight(kernel, grid.dtype).T @ shifted
+        part = part.reshape((layer.in_ch,) + lattice)
+        part[:, :, -1] = 0
+        part[..., -1] = 0
+        grad_in.append(part)
+    return grad_in, grad_w
+
+
 def sparse_backward_oracle(layer, plan, x, grad_out):
     """Oracle for a dense layer's sparse backward (DenseDeconv or
     DenseConv, without the bias) on the plan and input map of its sparse
     forward, as first written: per phase, a fresh zeroed
     (N + 1, taps, C_out) buffer, one fancy row assignment of the phase's
     grad_out rows per tap, then one GEMM for the taps' weight gradients
-    and one for the input gradient.  Returns (grad_in rows, grad_weight)."""
+    and one for the input gradient.  A dense grad_out (Phases) is read as
+    its (sites, C_out) rows in canonical order.  Returns (grad_in rows,
+    grad_weight)."""
     dtype = x.feats.dtype
     padded = np.concatenate([x.feats, np.zeros((1, layer.in_ch), dtype)])
     grad_in = np.zeros_like(padded)
     grad_w = np.zeros_like(layer.weight)
+    if isinstance(grad_out, Phases):
+        dense = interleaved(grad_out)
+        every_row = dense.reshape(layer.out_ch, -1).T
+    else:
+        every_row = grad_out.feats
     for kernel, rows, table in plan:
-        g = site_rows(grad_out)[rows]
+        g = every_row[rows]
         spread = np.zeros((len(padded), len(kernel), layer.out_ch), dtype)
         slots = spread.reshape(-1, layer.out_ch)
         for j, reads in enumerate(table):

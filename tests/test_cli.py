@@ -854,6 +854,39 @@ class TestAtomicWrite:
             assert target.read_bytes() == old
 
 
+# COMMAND_RUNS' runs whose frames go to forked workers
+WORKER_RUNS = [
+    run
+    for run in COMMAND_RUNS
+    if run[0] in ("pretrain", "eval", "sweep-ratio", "sweep-angle")
+]
+
+
+class TestWorkerCount:
+    """A run at RMAE_THREADS=2 writes the bytes it writes at 1, and a
+    record that differs only in its out.  Three frames in batches of two:
+    at two workers pretrain trains two frames at once and sums their
+    gradients, and every command scores frames on both."""
+
+    @pytest.mark.parametrize("command, extra, artifacts", WORKER_RUNS)
+    def test_two_workers_write_the_same_bytes(
+        self, command, extra, artifacts, inputs, tmp_path, monkeypatch
+    ):
+        extra = [a.format(**inputs) for a in extra]
+        batched = [*TINY, "synth.frames=3", "train.batch_size=2"]
+        runs = [tmp_path / "t1", tmp_path / "t2"]
+        for threads, out in zip(("1", "2"), runs):
+            monkeypatch.setenv("RMAE_THREADS", threads)
+            assert cli.main([command, "--out", str(out), *extra, *batched]) == 0
+        for name in artifacts:
+            assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes()
+        records = [
+            json.loads((d / "resolved_config.json").read_text()) for d in runs
+        ]
+        assert [r.pop("out") for r in records] == [str(d) for d in runs]
+        assert json.dumps(records[0]) == json.dumps(records[1])
+
+
 class TestRerunFromRecord:
     """resolved_config.json given back as --config repeats the run."""
 

@@ -10,6 +10,10 @@ from conftest import (
     dense_backward_oracle,
     down_sites_oracle,
     eval_batch_norm,
+    interleaved,
+    parity_views,
+    phase_backward_oracle,
+    phases_of,
     sparse_backward_oracle,
 )
 from rmae.errors import DegenerateBatch, ShapeError, StaleCache
@@ -26,9 +30,6 @@ from rmae.occupancy_net.layers import (
     _kernel_map,
     _rulebook,
     _shift_slices,
-    _TAPS_PER_GEMM,
-    site_rows,
-    unrows,
 )
 
 
@@ -73,6 +74,21 @@ def dense_of(x: SparseFeatureMap) -> np.ndarray:
     dense = np.zeros((x.channel_width,) + tuple(x.dims), dtype=x.feats.dtype)
     dense[(slice(None),) + tuple(x.coords.T)] = x.feats.T
     return dense
+
+
+def dense_forward(layer, x):
+    """layer.forward on the (C, X, Y, Z) array x, held as stride-1 Phases:
+    the output interleaved, and the ctx."""
+    out, ctx = layer.forward(phases_of(x, 1))
+    return interleaved(out), ctx
+
+
+def dense_backward(layer, ctx, grad_out):
+    """layer.backward after dense_forward, with the array grad_out held as
+    the output's Phases: the input gradient interleaved, and the parameter
+    gradients."""
+    grad_in, grads = layer.backward(ctx, phases_of(grad_out, len(layer.axis_taps)))
+    return interleaved(grad_in), grads
 
 
 def shift_dense(dense, off):
@@ -607,6 +623,37 @@ class TestBatchNorm:
         assert grads["gamma"].tobytes() == (probe * xhat).sum(axis=0).tobytes()
         assert grads["beta"].tobytes() == probe.sum(axis=0).tobytes()
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize(
+        "stride, dims", [(2, (6, 4, 10)), (2, (2, 2, 2)), (1, (3, 5, 2))]
+    )
+    def test_phases_equal_the_interleaved_rows(self, stride, dims, dtype, tol):
+        """Over Phases, forward and backward leave the pad slots out of
+        every sum and agree with the (sites, C) rows of the tensor they
+        hold, up to the order of the sums; forward writes the deviations
+        over its input's buffers, and every pad slot it hands on is zero."""
+        rng = np.random.default_rng(34)
+        bn = random_running_bn(3, rng)
+        x = rng.normal(1.0, 2.0, (3,) + dims).astype(dtype)
+        probe = rng.normal(0, 1, x.shape).astype(dtype)
+        ref, ref_ctx = bn.forward(x.reshape(3, -1).T, training=True)
+        ref_stats = ref_ctx[2]
+        ref_in, ref_grads = bn.backward(ref_ctx, probe.reshape(3, -1).T)
+        out, ctx = bn.forward(phases_of(x, stride), training=True)
+        assert isinstance(out, Phases) and out.stride == stride
+        assert out.data[0].dtype == dtype
+        for stat, ref_stat in zip(ctx[2], ref_stats):
+            assert stat.dtype == np.float64
+            np.testing.assert_allclose(stat, ref_stat, rtol=tol, atol=tol)
+        grad_in, grads = bn.backward(ctx, phases_of(probe, stride))
+        assert ctx == []
+        for actual, expect in ((out, ref), (grad_in, ref_in)):
+            assert_rel_close(interleaved(actual), expect.T.reshape(x.shape), tol)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref_g in ref_grads.items():
+            assert grads[name].dtype == np.float64, name
+            assert_rel_close(grads[name], ref_g, tol)
+
     def test_backward_consumes_ctx(self):
         rng = np.random.default_rng(33)
         bn = BatchNorm(3)
@@ -713,7 +760,7 @@ class TestDenseDeconv:
         layer = DenseDeconv(1, 1, rng)
         x = np.zeros((1, 3, 3, 3))
         x[0, 1, 1, 1] = 1.0
-        out, _ = layer.forward(x)
+        out, _ = dense_forward(layer, x)
         assert out.shape == (1, 6, 6, 6)
         # input p=1 writes W[k] at q = 2 + k - 1 = k + 1
         for kx, ky, kz in np.ndindex(4, 4, 4):
@@ -724,7 +771,7 @@ class TestDenseDeconv:
     def test_output_doubles_dims(self):
         rng = np.random.default_rng(15)
         layer = DenseDeconv(2, 3, rng)
-        out, _ = layer.forward(rng.normal(0, 1, (2, 5, 4, 3)))
+        out, _ = dense_forward(layer, rng.normal(0, 1, (2, 5, 4, 3)))
         assert out.shape == (3, 10, 8, 6)
 
     def test_adjoint_identity(self):
@@ -733,7 +780,7 @@ class TestDenseDeconv:
             layer = DenseDeconv(3, 2, rng)
             x = rng.normal(0, 1, (3, 4, 3, 2))
             y = rng.normal(0, 1, (2, 8, 6, 4))
-            lhs = float((layer.forward(x)[0] * y).sum())
+            lhs = float((dense_forward(layer, x)[0] * y).sum())
             rhs = float((x * dense_strided_conv_adjoint(y, layer.weight)).sum())
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -742,7 +789,7 @@ class TestDenseConv:
     def test_shape_and_identity(self):
         rng = np.random.default_rng(17)
         layer = DenseConv(2, 1, rng)
-        out, _ = layer.forward(rng.normal(0, 1, (2, 5, 4, 3)))
+        out, _ = dense_forward(layer, rng.normal(0, 1, (2, 5, 4, 3)))
         assert out.shape == (1, 5, 4, 3)
 
     def test_dense_oracle(self):
@@ -750,7 +797,7 @@ class TestDenseConv:
         layer = DenseConv(3, 2, rng)
         layer.bias[:] = rng.normal(0, 1, 2)
         x = rng.normal(0, 1, (3, 6, 5, 4))
-        out, _ = layer.forward(x)
+        out, _ = dense_forward(layer, x)
         # brute force via zero-padded gather
         ref = np.zeros_like(out)
         for p in np.ndindex(6, 5, 4):
@@ -846,11 +893,11 @@ class TestDenseAgainstPerTap:
         draw_head_bias(layer, rng)
         x = rng.normal(0, 1, (cin,) + dims)
         out_shape = (cout,) + tuple(stride * n for n in dims)
-        out, ctx = layer.forward(x)
+        out, ctx = dense_forward(layer, x)
         ref = per_tap_forward(taps, out_shape, layer.weight, x)
         assert_rel_close(out, add_bias(layer, ref))
         probe = rng.normal(0, 1, out_shape)
-        grad_in, grads = layer.backward(ctx, probe)
+        grad_in, grads = dense_backward(layer, ctx, probe)
         ref_in, ref_w = per_tap_backward(taps, layer.weight, x, probe)
         assert_rel_close(grad_in, ref_in)
         assert_rel_close(grads["weight"], ref_w)
@@ -887,19 +934,30 @@ class TestDenseAgainstPerTap:
 
 class TestDenseBackwardAgainstSliceShift:
     """The dense backward's flat-offset copies fill the same per-tap
-    stacks as the per-axis slices of dense_backward_oracle and feed the
-    same GEMMs, so the input and weight gradients agree bit for bit; a
-    shift as long as an axis leaves a tap's copy all zero."""
+    stacks as the per-axis slices of dense_backward_oracle (a deconv, on
+    its interleaved input) and phase_backward_oracle (the head, on its
+    input's phases) and feed the same GEMMs, so the input and weight
+    gradients agree bit for bit, whether the input is held at stride 1
+    or 2; a shift as long as an axis leaves a tap's copy all zero."""
 
-    def check(self, cls, cin, cout, dims, dtype, seed):
+    def check(self, cls, cin, cout, dims, dtype, seed, in_stride):
         rng = np.random.default_rng(seed)
         layer = cls(cin, cout, rng)
+        dims = tuple(in_stride * n for n in dims)
         x = rng.normal(0, 1, (cin,) + dims).astype(dtype)
-        out, ctx = layer.forward(x)
-        grad_out = rng.normal(0, 1, out.shape).astype(dtype)
-        ref_in, ref_w = dense_backward_oracle(layer, x, grad_out)
+        given = phases_of(x, in_stride)
+        out, ctx = layer.forward(given)
+        probe = rng.normal(0, 1, (cout,) + out.dims).astype(dtype)
+        grad_out = phases_of(probe, out.stride)
+        if cls is DenseDeconv:
+            ref_in, ref_w = dense_backward_oracle(layer, x, probe)
+        else:
+            ref_in, ref_w = phase_backward_oracle(layer, given, grad_out)
+            ref_in = interleaved(Phases(in_stride, dims, ref_in))
         grad_in, grads = layer.backward(ctx, grad_out)
-        assert grad_in.dtype == dtype and grad_in.shape == x.shape
+        assert grad_in.stride == in_stride and grad_in.dims == dims
+        grad_in = interleaved(grad_in)
+        assert grad_in.dtype == dtype
         assert grad_in.tobytes() == ref_in.tobytes()
         assert grads["weight"].tobytes() == ref_w.tobytes()
 
@@ -911,24 +969,27 @@ class TestDenseBackwardAgainstSliceShift:
         st.tuples(*[st.integers(1, 7)] * 3),
         st.sampled_from([np.float32, np.float64]),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2]),
     )
-    @example(DenseDeconv, 2, 2, (2, 1, 3), np.float32, 27)
-    @example(DenseDeconv, 3, 2, (1, 1, 1), np.float64, 1)
-    @example(DenseConv, 2, 3, (1, 1, 1), np.float32, 2)
-    @example(DenseConv, 3, 2, (3, 5, 1), np.float64, 3)
-    def test_bitwise(self, cls, cin, cout, dims, dtype, seed):
-        self.check(cls, cin, cout, dims, dtype, seed)
+    @example(DenseDeconv, 2, 2, (2, 1, 3), np.float32, 27, 1)
+    @example(DenseDeconv, 3, 2, (1, 1, 1), np.float64, 1, 1)
+    @example(DenseConv, 2, 3, (1, 1, 1), np.float32, 2, 1)
+    @example(DenseConv, 3, 2, (3, 5, 1), np.float64, 3, 1)
+    @example(DenseConv, 3, 2, (1, 1, 1), np.float32, 4, 2)
+    @example(DenseDeconv, 2, 3, (3, 1, 2), np.float64, 5, 2)
+    def test_bitwise(self, cls, cin, cout, dims, dtype, seed, in_stride):
+        self.check(cls, cin, cout, dims, dtype, seed, in_stride)
 
     @pytest.mark.parametrize(
-        "cls, cin, cout, dims",
+        "cls, cin, cout, dims, in_stride",
         [
-            (DenseDeconv, 64, 32, (16, 16, 4)),  # deconv0
-            (DenseDeconv, 32, 16, (32, 32, 8)),  # deconv1
-            (DenseConv, 16, 1, (64, 64, 16)),  # head
+            (DenseDeconv, 64, 32, (16, 16, 4), 1),  # deconv0
+            (DenseDeconv, 32, 16, (16, 16, 4), 2),  # deconv1
+            (DenseConv, 16, 1, (32, 32, 8), 2),  # head
         ],
     )
-    def test_bitwise_at_the_decoder_shapes(self, cls, cin, cout, dims):
-        self.check(cls, cin, cout, dims, np.float32, 29)
+    def test_bitwise_at_the_decoder_shapes(self, cls, cin, cout, dims, in_stride):
+        self.check(cls, cin, cout, dims, np.float32, 29, in_stride)
 
 
 class TestDenseCtx:
@@ -936,11 +997,11 @@ class TestDenseCtx:
     def test_backward_consumes_ctx(self, cls):
         rng = np.random.default_rng(32)
         layer = cls(2, 3, rng)
-        out, ctx = layer.forward(rng.normal(0, 1, (2, 3, 2, 2)))
-        layer.backward(ctx, np.ones(out.shape))
+        out, ctx = dense_forward(layer, rng.normal(0, 1, (2, 3, 2, 2)))
+        dense_backward(layer, ctx, np.ones(out.shape))
         assert ctx == []
         with pytest.raises(StaleCache):
-            layer.backward(ctx, np.ones(out.shape))
+            dense_backward(layer, ctx, np.ones(out.shape))
 
 
 def bn_relu(bn):
@@ -953,44 +1014,25 @@ def bn_relu(bn):
 
 
 def unfused_stage(layer, bn, x, sites=None):
-    """layer.forward, then eval batch norm on its rows, then a ReLU, in
-    the layer's output layout."""
+    """layer.forward, then eval batch norm on its rows, then a ReLU: the
+    (C, X, Y, Z) array of a dense output (x an array or a sparse map), or
+    the map at the sites."""
+    if isinstance(x, np.ndarray):
+        x = phases_of(x, 1)
     y, _ = layer.forward(x, sites)
-    return unrows(y, np.maximum(eval_batch_norm(bn, site_rows(y)), 0.0))
-
-
-def parity_views(stride):
-    """Per parity class (rx, ry, rz), in lexicographic order, its view
-    [:, rx::stride, ry::stride, rz::stride] of a (C, X, Y, Z) tensor."""
-    return [
-        (slice(None),) + tuple(slice(r, None, stride) for r in parity)
-        for parity in itertools.product(range(stride), repeat=3)
-    ]
-
-
-def phases_of(x, stride=2) -> Phases:
-    """x, a (C, X, Y, Z) array, held phase-major: each parity class's
-    sub-lattice with a zero slot after every row and plane."""
-    pad = ((0, 0), (0, 0), (0, 1), (0, 1))
-    grids = [np.pad(x[view], pad) for view in parity_views(stride)]
-    return Phases(stride, x.shape[1:], grids)
-
-
-def interleaved(phases: Phases) -> np.ndarray:
-    """The (C, X, Y, Z) tensor that phases holds, after checking that
-    every pad slot is zero."""
-    grid = phases.data[0]
-    out = np.empty((len(grid),) + tuple(phases.dims), grid.dtype)
-    for view, grid in zip(parity_views(phases.stride), phases.data):
-        assert not grid[:, :, -1].any() and not grid[..., -1].any()
-        out[view] = grid[..., :-1, :-1]
-    return out
+    if sites is not None:
+        feats = np.maximum(eval_batch_norm(bn, y.feats), 0.0)
+        return SparseFeatureMap(y.dims, y.coords, feats)
+    t = interleaved(y)
+    rows = np.maximum(eval_batch_norm(bn, t.reshape(len(t), -1).T), 0.0)
+    return rows.T.reshape(t.shape)
 
 
 class TestStageEpilogue:
     """An epilogue forward gives the unfused stage's bytes, held
-    phase-major with zero pad slots, and a dense layer reads Phases as it
-    reads the tensor they hold, consuming them."""
+    phase-major with zero pad slots, that serve one reader; a dense layer
+    reads Phases as it reads the tensor they hold, at any stride, and
+    consumes those that serve one reader."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dims", [(3, 2, 4), (1, 1, 1), (2, 5, 1)])
@@ -999,14 +1041,13 @@ class TestStageEpilogue:
         layer, bn = DenseDeconv(3, 4, rng), random_running_bn(4, rng)
         x = rng.normal(0, 1, (3,) + dims).astype(dtype)
         ref = unfused_stage(layer, bn, x)
-        for given in (x, phases_of(x, 1)):
-            x_before = x.copy()
-            out, _ = layer.forward(given, epilogue=bn_relu(bn))
-            assert isinstance(out, Phases) and out.stride == 2
-            assert out.data[0].dtype == dtype and len(out.data) == 8
-            assert len(out) == np.prod(ref.shape[1:])
-            assert interleaved(out).tobytes() == np.ascontiguousarray(ref).tobytes()
-            assert x.tobytes() == x_before.tobytes()
+        x_before = x.copy()
+        out, _ = layer.forward(phases_of(x, 1), epilogue=bn_relu(bn))
+        assert isinstance(out, Phases) and out.stride == 2 and out.once
+        assert out.data[0].dtype == dtype and len(out.data) == 8
+        assert len(out) == np.prod(ref.shape[1:])
+        assert interleaved(out).tobytes() == np.ascontiguousarray(ref).tobytes()
+        assert x.tobytes() == x_before.tobytes()
 
     @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
     def test_phases_input(self, cls):
@@ -1014,10 +1055,15 @@ class TestStageEpilogue:
         layer = cls(3, 2, rng)
         draw_head_bias(layer, rng)
         x = rng.normal(0, 1, (3, 4, 6, 2)).astype(np.float32)
-        ref, _ = layer.forward(x)
-        given = phases_of(x)
+        ref, _ = dense_forward(layer, x)
+        kept = phases_of(x)
+        out, ctx = layer.forward(kept)
+        assert interleaved(out).tobytes() == ref.tobytes()
+        assert ctx[0] is kept  # for backward, its buffers intact
+        assert interleaved(kept).tobytes() == x.tobytes()
+        given = phases_of(x, once=True)
         out, _ = layer.forward(given)
-        assert out.tobytes() == ref.tobytes()
+        assert interleaved(out).tobytes() == ref.tobytes()
         assert given.data == []  # consumed
         with pytest.raises(ShapeError):
             layer.forward(phases_of(x[:2]))
@@ -1027,7 +1073,7 @@ class TestStageEpilogue:
         rng = np.random.default_rng(51)
         deconv, bn = DenseDeconv(3, 2, rng), random_running_bn(2, rng)
         x = rng.normal(0, 1, (3, 2, 3, 1)).astype(np.float32)
-        given, _ = deconv.forward(x, epilogue=bn_relu(bn))
+        given, _ = deconv.forward(phases_of(x, 1), epilogue=bn_relu(bn))
         layer = cls(2, 3, rng)
         layer.forward(given)
         with pytest.raises(StaleCache, match="Phases already consumed"):
@@ -1071,31 +1117,31 @@ class TestPhaseMajorHead:
         layer = DenseConv(cin, cout, rng)
         draw_head_bias(layer, rng)
         x = rng.normal(0, 1, (cin,) + dims).astype(dtype)
-        ref, _ = layer.forward(x)
+        ref, _ = dense_forward(layer, x)
         out, _ = layer.forward(phases_of(x))
+        assert out.stride == 2
+        out = interleaved(out)
         assert out.dtype == dtype and out.shape == ref.shape
         assert out.tobytes() == ref.tobytes()
 
 
 def slice_shift_forward(layer, x):
-    """The dense forward without the padded lattice: per phase, GEMMs of
-    the same tap chunks on x's (C_in, N) view, each tap's slab shift-added
-    by per-axis slices into a zeroed buffer in tap order, the head's bias
+    """The dense forward without the padded lattice: per phase, one GEMM
+    of its taps on x's (C_in, N) view, each tap's slab shift-added by
+    per-axis slices into a zeroed buffer in tap order, the head's bias
     last."""
     size = x.shape[1:]
     stride = len(layer.axis_taps)
     flat = x.reshape(layer.in_ch, -1)
     out = np.empty((layer.out_ch,) + tuple(stride * n for n in size), x.dtype)
     every = (slice(None),)
-    for view, kernel, shifts, _ in layer.phases:
+    for view, (kernel, shifts, _) in zip(parity_views(stride), layer.phases):
         buf = np.zeros((layer.out_ch,) + size, x.dtype)
-        for lo in range(0, len(kernel), _TAPS_PER_GEMM):
-            taps = slice(lo, lo + _TAPS_PER_GEMM)
-            slabs = layer._stacked_weight(kernel[taps], x.dtype) @ flat
-            slabs = slabs.reshape((-1, layer.out_ch) + size)
-            for slab, d in zip(slabs, shifts[taps].tolist()):
-                src, dst = zip(*map(_shift_slices, d, size))
-                buf[every + dst] += slab[every + src]
+        slabs = layer._stacked_weight(kernel, x.dtype) @ flat
+        slabs = slabs.reshape((-1, layer.out_ch) + size)
+        for slab, d in zip(slabs, shifts.tolist()):
+            src, dst = zip(*map(_shift_slices, d, size))
+            buf[every + dst] += slab[every + src]
         out[view] = add_bias(layer, buf)
     return out
 
@@ -1134,7 +1180,7 @@ class TestDenseForwardAgainstSliceShift:
         layer, x = self.layer_and_input(cls, cin, cout, dims, dtype)
         ref = slice_shift_forward(layer, x)
         before = dict(vars(layer))
-        out, _ = layer.forward(x)
+        out, _ = dense_forward(layer, x)
         assert out.dtype == dtype
         assert out.tobytes() == ref.tobytes()
         # no buffer or other state is kept on the layer across calls
@@ -1151,7 +1197,7 @@ class TestDenseForwardAgainstSliceShift:
     )
     def test_bitwise_at_the_decoder_shapes(self, cls, cin, cout, dims):
         layer, x = self.layer_and_input(cls, cin, cout, dims, np.float32)
-        out, _ = layer.forward(x)
+        out, _ = dense_forward(layer, x)
         assert out.tobytes() == slice_shift_forward(layer, x).tobytes()
 
     @pytest.mark.parametrize("cls", [DenseDeconv, DenseConv])
@@ -1162,7 +1208,7 @@ class TestDenseForwardAgainstSliceShift:
         # dot products may round differently in the last place (and an
         # output near cancellation can be small against that place)
         layer, x = self.layer_and_input(cls, 5, 4, (1, 1, 1), np.float64)
-        out, _ = layer.forward(x)
+        out, _ = dense_forward(layer, x)
         ref = slice_shift_forward(layer, x)
         atol = 1e-15 * np.abs(ref).max()
         np.testing.assert_allclose(out, ref, rtol=1e-15, atol=atol)
@@ -1178,13 +1224,13 @@ class TestFloat32Input:
         layer = cls(3, 2, rng)
         draw_head_bias(layer, rng)
         x = rng.normal(0, 1, (3, 4, 3, 2))
-        ref, ref_ctx = layer.forward(x)
-        out, ctx = layer.forward(x.astype(np.float32))
+        ref, ref_ctx = dense_forward(layer, x)
+        out, ctx = dense_forward(layer, x.astype(np.float32))
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
         g = rng.normal(0, 1, ref.shape)
-        ref_in, ref_grads = layer.backward(ref_ctx, g)
-        grad_in, grads = layer.backward(ctx, g.astype(np.float32))
+        ref_in, ref_grads = dense_backward(layer, ref_ctx, g)
+        grad_in, grads = dense_backward(layer, ctx, g.astype(np.float32))
         assert grad_in.dtype == np.float32
         np.testing.assert_allclose(grad_in, ref_in, rtol=1e-5, atol=1e-5)
         for name, ref_g in ref_grads.items():
@@ -1292,14 +1338,14 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(24)
         layer = DenseDeconv(2, 3, rng)
         x = rng.normal(0, 1, (2, 4, 3, 2))
-        out, ctx = layer.forward(x)
+        out, ctx = dense_forward(layer, x)
         probe = rng.normal(0, 1, out.shape)
 
         def loss():
-            o, _ = layer.forward(x)
+            o, _ = dense_forward(layer, x)
             return float((o * probe).sum())
 
-        grad_in, grads = layer.backward(ctx, probe)
+        grad_in, grads = dense_backward(layer, ctx, probe)
         fd_param_check(loss, layer.weight, grads["weight"], rng)
         fd_param_check(loss, x, grad_in, rng)
 
@@ -1307,14 +1353,14 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(25)
         layer = DenseConv(3, 1, rng)
         x = rng.normal(0, 1, (3, 4, 4, 3))
-        out, ctx = layer.forward(x)
+        out, ctx = dense_forward(layer, x)
         probe = rng.normal(0, 1, out.shape)
 
         def loss():
-            o, _ = layer.forward(x)
+            o, _ = dense_forward(layer, x)
             return float((o * probe).sum())
 
-        grad_in, grads = layer.backward(ctx, probe)
+        grad_in, grads = dense_backward(layer, ctx, probe)
         fd_param_check(loss, layer.weight, grads["weight"], rng)
         fd_param_check(loss, layer.bias, grads["bias"], rng)
         fd_param_check(loss, x, grad_in, rng)
@@ -1375,7 +1421,7 @@ class TestSparseCallAgainstDense:
         at = (slice(None),) + tuple(sites.T)
         every = len(sites) == np.prod(out_dims)
 
-        dense, dense_ctx = layer.forward(dense_of(x))
+        dense, dense_ctx = dense_forward(layer, dense_of(x))
         y, ctx = layer.forward(x, sites)
         assert y.dims == out_dims
         assert np.array_equal(y.coords, sites)
@@ -1383,12 +1429,12 @@ class TestSparseCallAgainstDense:
         if every:  # the same sums in the same order as the dense call
             assert np.array_equal(y.feats, dense[at].T)
             full, full_ctx = layer.forward(x)  # no sites: the dense output
-            assert np.array_equal(full, dense)
+            assert np.array_equal(interleaved(full), dense)
 
         probe = rng.normal(0, 1, (len(sites), cout))
         grad_dense = np.zeros_like(dense)
         grad_dense[at] = probe.T
-        ref_in, ref = layer.backward(dense_ctx, grad_dense)
+        ref_in, ref = dense_backward(layer, dense_ctx, grad_dense)
         grad_x, grads = layer.backward(ctx, SparseFeatureMap(out_dims, sites, probe))
         assert np.array_equal(grad_x.coords, x.coords)
         if len(x):
@@ -1400,7 +1446,7 @@ class TestSparseCallAgainstDense:
         with pytest.raises(StaleCache):
             layer.backward(ctx, SparseFeatureMap(out_dims, sites, probe))
         if every:  # the full-support call takes a dense grad_out
-            grad_x, grads = layer.backward(full_ctx, grad_dense)
+            grad_x, grads = layer.backward(full_ctx, phases_of(grad_dense, stride))
             assert np.array_equal(grad_x.coords, x.coords)
             if len(x):
                 assert_rel_close(grad_x.feats, ref_in[(slice(None),) + tuple(x.coords.T)].T)
@@ -1452,7 +1498,8 @@ class TestSparseBackwardAgainstOracle:
         out_dims = tuple(len(cls.axis_taps) * n for n in dims)
         if site_fraction is None:  # every site; grad_out is dense
             y, ctx = layer.forward(x)
-            grad_out = rng.normal(0, 1, y.shape).astype(dtype)
+            probe = rng.normal(0, 1, (cout,) + y.dims).astype(dtype)
+            grad_out = phases_of(probe, y.stride)
         else:  # a fraction 0 keeps one site, so most phases hold none
             sites = random_sites(out_dims, site_fraction, rng)
             _, ctx = layer.forward(x, sites)
