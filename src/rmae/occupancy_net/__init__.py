@@ -5,6 +5,7 @@ from .layers import (
     BatchNorm,
     DenseConv,
     DenseDeconv,
+    Phases,
     SparseDownConv,
     SparseFeatureMap,
     SubmanifoldConv,
