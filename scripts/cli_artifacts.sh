@@ -144,6 +144,11 @@ for threads in 1 2; do
                 'sweep.spans_deg=[90.0,30.0]' $TINY mask.n_groups=4 \
                 mask.m=0.5 \
                 'mask.p_drop=[[0.0,0.5,0.9],[0.2,0.2,0.2],[1.0,0.0,0.0],[0.5,0.5,0.5]]'
+            # the same rows, which a ratio sweep keeps, with bands inside
+            # the grid's reach
+            rmae sweep-ratio --out sweep-ratio-rows 'sweep.ratios=[0.0,0.5]' \
+                $TINY mask.n_groups=4 'mask.r_thresholds=[3.0,6.0]' \
+                'mask.p_drop=[[0.0,0.5,0.9],[0.2,0.2,0.2],[1.0,0.0,0.0],[0.5,0.5,0.5]]'
 
             # bad input: each run's exit code goes to exit-codes.txt, and
             # whatever it wrote is removed.  The sizes are far beyond any

@@ -11,13 +11,14 @@ a temp name and renamed, never overwritten in place.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
 import os
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import keyrand
@@ -37,7 +38,6 @@ from .trainer import (
     TrainConfig,
     evaluate,
     pretrain,
-    sweep,
     write_loss_csv,
     write_sweep_csv,
 )
@@ -84,6 +84,12 @@ class SynthConfig(SceneSpec):
             raise ValueError(f"frames may hold over {MAX_SYNTH_POINTS} points")
 
 
+def span_groups(span_deg: float) -> int:
+    """The angular group count of a sweep span of span_deg (> 0) degrees:
+    round(360 / span_deg), at least 1 and at most 2 * MAX_GROUPS (no inf)."""
+    return max(1, round(min(360.0 / span_deg, 2 * MAX_GROUPS)))
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     ratios: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9, 0.92, 0.95)
@@ -97,8 +103,8 @@ class SweepConfig:
             raise ValueError("sweep ratios must lie in [0, 1]")
         if any(s <= 0 for s in self.spans_deg):
             raise ValueError("sweep spans must be positive degrees")
-        for s in self.spans_deg:  # a span senses round(360 / s) groups
-            if round(min(360.0 / s, 2 * MAX_GROUPS)) > MAX_GROUPS:  # no inf
+        for s in self.spans_deg:
+            if span_groups(s) > MAX_GROUPS:
                 raise ValueError(
                     f"spans_deg {s} gives more than {MAX_GROUPS} groups"
                 )
@@ -335,9 +341,7 @@ def _load_frames(cfg: RunConfig) -> list[PointCloud]:
         return [load_kitti_bin(p) for p in cfg.inputs]
     return [
         synth_scene(
-            dataclasses.replace(
-                cfg.synth, seed=keyrand.derive_seed(cfg.synth.seed, i)
-            )
+            replace(cfg.synth, seed=keyrand.derive_seed(cfg.synth.seed, i))
         )
         for i in range(cfg.synth.frames)
     ]
@@ -351,11 +355,21 @@ def _split_frames(frames, cfg: RunConfig):
     return frames[:-held], frames[-held:]
 
 
-# sweep command -> (sweep label, the SweepConfig field of its values)
-_SWEEPS = {
-    "sweep-ratio": ("m", "ratios"),
-    "sweep-angle": ("span_deg", "spans_deg"),
-}
+# sweep command -> its sweep.csv label
+_SWEEPS = {"sweep-ratio": "m", "sweep-angle": "span_deg"}
+
+
+def sweep_masks(cfg: RunConfig) -> list[tuple[float, MaskConfig]]:
+    """The running sweep's (value, mask) pairs: a ratio replaces the mask's
+    m; a span sets its n_groups and keeps p_drop's row 0, as per-group
+    rows cannot follow a group-count change."""
+    if cfg.command == "sweep-ratio":
+        return [(m, replace(cfg.mask, m=m)) for m in cfg.sweep.ratios]
+    row0 = cfg.mask.p_drop[:1]
+    return [
+        (s, replace(cfg.mask, n_groups=span_groups(s), p_drop=row0))
+        for s in cfg.sweep.spans_deg
+    ]
 
 
 def _runnable_net(cfg: RunConfig) -> OccupancyNet:
@@ -449,17 +463,14 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command in _SWEEPS:
-        label, key = _SWEEPS[cfg.command]
-        train_frames, eval_frames = _split_frames(frames, cfg)
-        rows = sweep(
-            train_frames,
-            net,
-            cfg.train,
-            label,
-            list(getattr(cfg.sweep, key)),
-            cfg.geometry,
-            eval_frames=eval_frames,
-        )
+        fit, held = _split_frames(frames, cfg)
+        rows = []
+        for value, mask in sweep_masks(cfg):  # each from the initial net
+            train = replace(cfg.train, mask=mask)
+            trained, _ = pretrain(fit, train, copy.deepcopy(net), cfg.geometry)
+            report = evaluate(held, trained, mask, cfg.query, cfg.geometry)
+            rows.append((value, report))
+        label = _SWEEPS[cfg.command]
         _atomic(
             cfg.out / "sweep.csv",
             lambda p: write_sweep_csv(label, rows, p, cfg.energy),

@@ -187,8 +187,9 @@ class OccupancyNet:
     def commit_batch_stats(self, stats) -> None:
         """Fold the batch statistics of one training forward (its tape's
         "bn_stats") into the batch norms' running statistics."""
-        for bn, batch_stats in stats:
-            bn.commit(batch_stats)
+        layers = dict(self.named_layers())
+        for bn_name, batch_stats in stats:
+            layers[bn_name].commit(batch_stats)
 
     # --- forward / backward -------------------------------------------------
 
@@ -212,7 +213,7 @@ class OccupancyNet:
         With query, an (M, 3) array of cells, only those cells' logits are
         computed (see the module docstring); the others are NaN.  The
         running statistics are left alone: a training forward lists each
-        batch norm's batch (mean, var) in tape["bn_stats"], in forward
+        batch norm's (name, (mean, var)) in tape["bn_stats"], in forward
         order, for commit_batch_stats()."""
         if visible.channel_width != self.config.in_channels:
             raise ShapeError(
@@ -232,11 +233,11 @@ class OccupancyNet:
 
         x = skip = visible  # skip: the previous unit's input
         if len(visible):
-            for _, conv, _, bn, residual in self.encoder:
+            for _, conv, bn_name, bn, residual in self.encoder:
                 y, c_conv = conv.forward(x)
                 f, c_bn = bn.forward(y.feats, training)
                 if training:
-                    stats.append((bn, c_bn[2]))
+                    stats.append((bn_name, c_bn[2]))
                     units.append((c_conv, c_bn))
                 f = np.maximum(skip.feats + f if residual else f, 0.0)
                 skip, x = x, replace(y, feats=f)
@@ -253,7 +254,7 @@ class OccupancyNet:
         else:
             supports = self._supports(query, visible.dims)
         x = replace(x, feats=x.feats.astype(DECODER_DTYPE))
-        for (_, deconv, _, bn), sites in zip(self.decoder, supports):
+        for (_, deconv, bn_name, bn), sites in zip(self.decoder, supports):
             if not training:  # the stage epilogue; see the module docstring
 
                 def epilogue(rows, bn=bn):
@@ -267,7 +268,7 @@ class OccupancyNet:
             else:
                 mat, c_bn = bn.forward(y.feats, training=True)
                 x = replace(y, feats=mat)
-            stats.append((bn, c_bn[2]))
+            stats.append((bn_name, c_bn[2]))
             stages.append((ctx, c_bn))
             del y
             for a in _arrays(x):

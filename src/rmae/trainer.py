@@ -1,4 +1,4 @@
-"""Pre-training on masked frames, reconstruction metrics, and sweeps.
+"""Pre-training on masked frames and reconstruction metrics.
 
 The pretext objective: mask each frame radially, encode the surviving
 voxels, decode dense occupancy logits, and minimize BCE against the full
@@ -17,7 +17,7 @@ import mmap
 import os
 import signal
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,15 +165,14 @@ def _gradient_blocks(net: OccupancyNet, n: int):
     anonymous shared mapping, so an in-place optimizer step is what every
     worker reads at its next job.  Worker k's send writes its frame's
     gradients into block k + 1 and returns only the loss and its batch
-    norms' (mean, var), keyed by layer index; receive rebuilds the result
-    around that block, which holds the gradients until the worker's next
-    job.  Leaving the block moves the parameters back to private arrays.
-    At n <= 1 both pass results through."""
+    norms' named statistics; receive rebuilds the result around that
+    block, which holds the gradients until the worker's next job.  Leaving
+    the block moves the parameters back to private arrays.  At n <= 1
+    both pass results through."""
     if n <= 1:
         yield _as_is, _as_is
         return
     layers = [layer for _, layer in net.named_layers()]
-    index = {id(layer): i for i, layer in enumerate(layers)}
     bound = [(layer, tname) for layer in layers for tname in layer.params()]
     params = net.parameters()  # bound's arrays, in bound's order
     sizes = [-(-arr.nbytes // 64) * 64 for _, arr in params]
@@ -197,12 +196,12 @@ def _gradient_blocks(net: OccupancyNet, n: int):
             loss, frame_grads, stats = result
             for path, g in frame_grads.items():
                 grads[k][path][...] = g
-            return loss, [(index[id(bn)], s) for bn, s in stats]
+            return loss, stats
 
     def receive(k, message):
         if message is not None:
             loss, stats = message
-            return loss, grads[k], [(layers[i], s) for i, s in stats]
+            return loss, grads[k], stats
 
     try:
         yield send, receive
@@ -483,42 +482,6 @@ def evaluate(
     return EvalReport(**means, n_frames=len(frames))
 
 
-def sweep(
-    frames: list[PointCloud],
-    net_init: OccupancyNet,
-    cfg: TrainConfig,
-    label: str,
-    values: list[float],
-    geom: GridGeometry,
-    eval_frames: list[PointCloud] | None = None,
-) -> list[tuple[float, EvalReport]]:
-    """Re-train a copy of net_init at each value of one mask setting, label
-    "m" (the masking ratio) or "span_deg" (the angular group span in
-    degrees, m fixed), and evaluate it on eval_frames (None: the training
-    frames); returns (value, report) pairs.  Per-group drop rows cannot
-    follow a group-count change, so a span keeps p_drop's row 0."""
-    if label == "m":
-        masks = [replace(cfg.mask, m=v) for v in values]
-    elif label == "span_deg":
-        if any(v <= 0 for v in values):
-            raise ValueError("group span must be positive degrees")
-        row0 = cfg.mask.p_drop[:1]
-        masks = [
-            replace(cfg.mask, n_groups=max(1, round(360.0 / v)), p_drop=row0)
-            for v in values
-        ]
-    else:
-        raise ValueError(f"sweep label must be m or span_deg, not {label!r}")
-    held = eval_frames if eval_frames is not None else frames
-    rows = []
-    for v, mask in zip(values, masks):
-        net, _ = pretrain(
-            frames, replace(cfg, mask=mask), copy.deepcopy(net_init), geom
-        )
-        rows.append((v, evaluate(held, net, mask, cfg.query, geom)))
-    return rows
-
-
 def _fmt(v: float) -> str:
     if isinstance(v, float) and math.isnan(v):
         return "n/a"
@@ -556,8 +519,8 @@ _SWEEP_ENERGY_COLUMNS = (
 def write_sweep_csv(
     label: str, rows: list, path, energy: EnergyParams
 ) -> None:
-    """Sweep table of sweep()'s rows, with frugal power columns (duty from
-    the mean sensed-group fraction, range from the mean max sensed range)."""
+    """Sweep table of (value, EvalReport) rows with frugal power columns
+    (duty: mean sensed-group fraction; range: mean max sensed range)."""
     base = total_power(energy)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rmae
-from rmae import cli, trainer
+from rmae import cli
 from rmae.occupancy_net import NetConfig, OccupancyNet, save_checkpoint
 from rmae.occupancy_net.network import MAX_STAGE_CHANNELS
 from rmae.pointcloud import (
@@ -383,20 +383,70 @@ class TestSweeps:
         assert all(len(r) == len(rows[0]) for r in rows)
 
     def test_one_frame_trains_and_evaluates_on_it(self, tmp_path, monkeypatch):
-        seen = []
+        calls = []
+        for name in ("pretrain", "evaluate"):
 
-        def recording_sweep(frames, *args, eval_frames, **kwargs):
-            seen.append((frames, eval_frames))
-            return trainer.sweep(frames, *args, eval_frames=eval_frames, **kwargs)
+            def recording(*args, _name=name, _call=getattr(cli, name)):
+                calls.append((_name, args))
+                return _call(*args)
 
-        monkeypatch.setattr(cli, "sweep", recording_sweep)
+            monkeypatch.setattr(cli, name, recording)
         out = tmp_path / "out"
         argv = ["sweep-ratio", "--out", str(out), "sweep.ratios=[0.0,0.9]"]
         assert cli.main(argv + TINY + ["synth.frames=1"]) == 0
-        [(frames, eval_frames)] = seen
-        assert len(frames) == 1 and eval_frames == frames
+        assert [name for name, _ in calls] == ["pretrain", "evaluate"] * 2
+        frames, nets = calls[0][1][0], []
+        assert len(frames) == 1
+        settings = zip(calls[::2], calls[1::2], (0.0, 0.9))
+        for (_, trained), (_, scored), m in settings:
+            frames_in, train_cfg, net, _ = trained
+            held, scored_net, mask, *_ = scored
+            # a fresh copy per setting, trained and scored on the one frame
+            assert frames_in == held == frames
+            assert scored_net is net and all(net is not n for n in nets)
+            assert train_cfg.mask == mask and mask.m == m
+            nets.append(net)
         rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
         assert [float(r[0]) for r in rows[1:]] == [0.0, 0.9]
+
+    def test_nonpositive_span_exits_before_training(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "pretrain", lambda *a: calls.append(a))
+        out = tmp_path / "out"
+        argv = ["sweep-angle", "--out", str(out), "sweep.spans_deg=[45.0,0.0]"]
+        assert cli.main(argv + TINY) == cli.EXIT_CONFIG == 3
+        assert "positive degrees" in capsys.readouterr().err
+        assert calls == []
+
+    ROWS = ((0.0, 0.5, 0.9), (0.2, 0.2, 0.2), (1.0, 0.0, 0.0), (0.5,) * 3)
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("sweep-ratio", [0.0, 0.5, 0.9]),
+            ("sweep-angle", [1.0, 30.0, 90.0, 500.0, 1000.0]),
+        ],
+    )
+    def test_sweep_masks(self, command, values):
+        rows = json.dumps(self.ROWS).replace(" ", "")
+        setting = "ratios" if command == "sweep-ratio" else "spans_deg"
+        argv = [command, f"sweep.{setting}={json.dumps(values)}"]
+        argv += ["mask.n_groups=4", "mask.m=0.5", f"mask.p_drop={rows}"]
+        cfg = cli.parse_config(cli.build_parser().parse_args(argv))
+        assert cfg.mask.p_drop == self.ROWS
+        pairs = cli.sweep_masks(cfg)
+        assert [value for value, _ in pairs] == values
+        for value, mask in pairs:
+            if command == "sweep-ratio":  # only m changes; the rows stay
+                assert mask == dataclasses.replace(cfg.mask, m=value)
+            else:  # a span's group count, and p_drop's row 0 only
+                assert mask == dataclasses.replace(
+                    cfg.mask,
+                    n_groups=max(1, round(360 / value)),
+                    p_drop=self.ROWS[:1],
+                )
 
 
 # (argv, what the error says): overrides that give no run config
@@ -747,7 +797,7 @@ class TestBadInput:
         self, tmp_path, monkeypatch, capsys
     ):
         calls = []
-        monkeypatch.setattr(trainer, "pretrain", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "pretrain", lambda *a: calls.append(a))
         out = tmp_path / "out"
         argv = ["sweep-ratio", "--out", str(out), "sweep.ratios=[0.5]"]
         code = cli.main(argv + TINY + ["energy.k_adc=1e300"])

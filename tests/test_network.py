@@ -587,7 +587,7 @@ class TestSparseDecode:
         for (bn_a, (mu_a, var_a)), (bn_b, (mu_b, var_b)) in zip(
             dense_stats, sparse_stats
         ):
-            assert bn_a is bn_b
+            assert bn_a == bn_b
             np.testing.assert_allclose(mu_b, mu_a, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(var_b, var_a, rtol=1e-12, atol=1e-15)
 

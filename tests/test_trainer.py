@@ -33,7 +33,6 @@ from rmae.trainer import (
     TrainConfig,
     evaluate,
     pretrain,
-    sweep,
 )
 from rmae.voxelizer import GridGeometry, occupancy_of, voxelize
 
@@ -517,8 +516,8 @@ def test_backward_consumes_the_tape(small_geom):
 
     left = list(arrays(tape))
     assert left and all(a.ndim == 1 for a in left)
-    norms = [l for _, l in net.named_layers() if l.kind == "batch_norm"]
-    assert [bn for bn, _ in tape["bn_stats"]] == norms
+    norms = [n for n, l in net.named_layers() if l.kind == "batch_norm"]
+    assert [name for name, _ in tape["bn_stats"]] == norms
     with pytest.raises(StaleCache):
         net.backward(tape, grad)
 
@@ -663,39 +662,6 @@ def test_sphere_backward_consumes_the_tape(small_geom):
     assert set(tape) == {"training", "bn_stats"}
     with pytest.raises(StaleCache):
         net.backward(tape, grad)
-
-
-class TestSweep:
-    def net(self):
-        return OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
-
-    def test_unknown_label_raises(self, small_geom):
-        cfg = TrainConfig(epochs=1)
-        with pytest.raises(ValueError, match="label"):
-            sweep(tiny_frames(1), self.net(), cfg, "n_groups", [4], small_geom)
-
-    def test_nonpositive_span_raises_before_training(
-        self, small_geom, monkeypatch
-    ):
-        geom, trained = small_geom, []
-        monkeypatch.setattr(trainer, "pretrain", lambda *a: trained.append(a))
-        cfg = TrainConfig(epochs=1)
-        spans = [45.0, 0.0]
-        with pytest.raises(ValueError, match="positive"):
-            sweep(tiny_frames(1), self.net(), cfg, "span_deg", spans, geom)
-        assert trained == []
-
-    def test_span_with_per_group_drop_rows_trains(self, small_geom):
-        """Per-group p_drop rows cannot follow the span's group count; the
-        sweep keeps row 0 and trains."""
-        rows = ((0.0, 0.5, 0.9), (0.2, 0.2, 0.2), (1.0, 0.0, 0.0), (0.5,) * 3)
-        mask = MaskConfig(n_groups=4, m=0.5, p_drop=rows)
-        cfg = TrainConfig(epochs=1, batch_size=2, mask=mask)
-        frames = tiny_frames(2)
-        out = sweep(frames, self.net(), cfg, "span_deg", [30.0], small_geom)
-        assert len(out) == 1
-        value, report = out[0]
-        assert value == 30.0 and math.isfinite(report.bce)
 
 
 def test_region_mask_marks_every_cell_of_an_unsensed_sector():
