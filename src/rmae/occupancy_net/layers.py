@@ -51,23 +51,25 @@ and the sites p whose p + d leaves the box, one face slab per shifted
 axis, are then zeroed.  The phase's copies are stacked, so one GEMM gives
 its grad_w and one its grad_in.  Taps within a phase add in lexicographic
 kernel order, so every output sums its taps in the same fixed order on
-every run.  A training batch norm over Phases sums its statistics phase
-by phase; the zero pad slots add nothing to them.
+every run.  A training batch norm runs one channel-major pass on (C, P)
+arrays: the flat views of a Phases' buffers, whose zero pad slots add
+nothing to its sums, or a transposed copy of an (N, C) matrix.
 
 The same layers also run sparse, "transform, then gather", when given a
 SparseFeatureMap and the output sites wanted (the generative transposed
 sparse conv of Gwak et al. 2020): the same phases, one GEMM per phase on
 the input's present rows plus one zero row, the same tap order, but each
 tap's products reach the phase's output sites through a (taps, M) kernel
-map, built by _kernel_map at the phase's negated shifts, instead of by a
-slice shift.  Without output sites a sparse call computes every output
-site and returns the dense tensor as Phases, so a decoder can start from
-a sparse map and continue dense.  Backward is the adjoint: each tap sends
-an output row to one input row, so grad_out rows, each copied as one
-(C_out,) item, are assigned through the map into an (N + 1, taps, C_out)
-buffer, one per call that each phase re-zeroes, and one GEMM per phase
-gives grad_w and one grad_in.  input_support gives the input sites a set
-of output sites reads, so a caller can decode only what it will look at.
+map, built by _kernel_map at the phase's negated shifts and kept as the
+slab rows it reads, instead of by a slice shift.  Without output sites a
+sparse call computes every output site and returns the dense tensor as
+Phases, so a decoder can start from a sparse map and continue dense.
+Backward is the adjoint: each tap sends an output row to one input row,
+so grad_out rows, each copied as one (C_out,) item, are assigned through
+the same slab rows into an (N + 1, taps, C_out) buffer, one per call that
+each phase re-zeroes, and one GEMM per phase gives grad_w and one
+grad_in.  input_support gives the input sites a set of output sites
+reads, so a caller can decode only what it will look at.
 
 Only the head (DenseConv) has a bias, added last, dense or sparse: a batch
 norm follows every other conv and would cancel one.
@@ -229,23 +231,20 @@ class BatchNorm:
     input and keeps no ctx, so it serves no backward.  An eval forward
     only calls it, so perfbench, which times forward, still sees it.
 
-    Besides its input, forward on a matrix makes two full-size buffers
-    (xhat and the output, which holds the squared deviations until the
-    output overwrites them) and backward one (its result); every
-    per-element product is formed in place, and every value is computed
-    by the same operations in the same order as the textbook expressions
-    in the comments.  Over Phases, forward writes the deviations x - mean
-    over x's buffers and makes one buffer per phase (the output), summing
-    the statistics phase by phase: each phase's row sums in x's dtype,
-    added up in float64, the variance over the deviations (two-pass).
-    Backward takes its adjoint's two per-channel sums in a first sweep and
-    writes the input gradient over grad_out's buffers in a second.  Every
-    pad slot either hands on is zero.
+    Training runs one channel-major pass over a list of (C, P) arrays
+    (_channel_major): the flat views of a Phases' buffers, or one
+    transposed copy of a matrix, whose result is copied back to (N, C).
+    Forward writes the deviations x - mean over those arrays and makes
+    one output buffer each.  Its statistics are per-channel pairwise sums
+    in x's dtype, one per array, added up in float64, the variance over
+    the deviations (two-pass).  Backward takes its adjoint's two
+    per-channel sums in a first sweep and writes the input gradient over
+    its (C, P) arrays in a second.  A caller's matrix is never written,
+    and every pad slot a Phases pass hands on is zero.
 
-    The ctx is a list [xhat, ivar, (mean, var)], over Phases with the
-    deviations per phase in place of xhat, and backward empties it: its
-    last step scales xhat (or the deviations) in place, so a ctx serves
-    one backward.
+    The ctx is a list [deviations, ivar, (mean, var)], and backward
+    empties it: its last step scales the deviations in place, so a ctx
+    serves one backward.
     """
 
     kind = "batch_norm"
@@ -268,53 +267,51 @@ class BatchNorm:
             "running_var": self.running_var,
         }
 
-    def forward(self, x: np.ndarray, training: bool):
-        """(out, [xhat, ivar, (mean, var)]) in training mode; in eval
-        mode (eval_inplace(x), None), which overwrites x."""
+    @staticmethod
+    def _channel_major(t):
+        """(flats, pads, back) for t, a matrix or Phases: its (C, P)
+        arrays, a function that zeroes one's pad slots, and one that puts
+        (C, P) results back into t's form.  A matrix's flats are one
+        (1, C, N) array, a C-order copy of t.T, never a view of t."""
+        if not isinstance(t, Phases):
+            return t.T.copy()[None], lambda f: None, lambda fs: fs[0].T.copy()
+        shape = t.data[0].shape
+
+        def back(flats):
+            return Phases(t.stride, t.dims, [f.reshape(shape) for f in flats])
+
+        flats = [grid.reshape(len(grid), -1) for grid in t.data]
+        return flats, lambda f: _zero_pads(f.reshape(shape)), back
+
+    def forward(self, x, training: bool):
+        """(out, [deviations, ivar, (mean, var)]) in training mode; in
+        eval mode (eval_inplace(x), None), which overwrites x."""
         if not training:
             return self.eval_inplace(x), None
-        if isinstance(x, Phases):
-            return self._forward_phases(x)
-        _check_width(x, self.ch, "batch norm")
-        if x.shape[0] == 0:
+        flats, pads, back = self._channel_major(x)
+        _check_width(flats[0].T, self.ch, "batch norm")
+        dtype, n = flats[0].dtype, len(x)
+        if n == 0:
             raise DegenerateBatch(
                 "batch norm saw zero elements in training mode"
             )
-        mu = x.mean(axis=0, dtype=np.float64)
-        xhat = x - mu.astype(x.dtype, copy=False)  # xhat = (x - mu) * ivar
-        # x.var's operations on the deviations xhat holds, without
-        # x.var's float64 copy of a float32 x; out holds their squares
-        out = np.square(xhat)
-        var = out.sum(axis=0, dtype=np.float64) / len(x)
-        ivar = 1.0 / np.sqrt(var + self.eps)
-        xhat *= ivar.astype(x.dtype, copy=False)
-        np.multiply(xhat, self.gamma.astype(x.dtype, copy=False), out=out)
-        out += self.beta.astype(x.dtype, copy=False)
-        return out, [xhat, ivar, (mu, var)]
-
-    def _forward_phases(self, x: Phases):
-        grids = x.data
-        flats = [grid.reshape(len(grid), -1) for grid in grids]
-        _check_width(flats[0].T, self.ch, "batch norm")
-        dtype, n = grids[0].dtype, len(x)
         mu = sum((f.sum(axis=1) for f in flats), np.zeros(self.ch)) / n
         out, var = [], np.zeros(self.ch)
-        for f, grid in zip(flats, grids):
-            f -= mu.astype(dtype)[:, None]  # x's buffers hold x - mu
-            _zero_pads(grid)
-            sq = np.square(f)  # the output buffer, as for a matrix
+        for f in flats:
+            f -= mu.astype(dtype)[:, None]  # the deviations x - mu
+            pads(f)
+            sq = np.square(f)  # the output buffer
             var += sq.sum(axis=1)
             out.append(sq)
         var = var / n
         ivar = 1.0 / np.sqrt(var + self.eps)
         gain = (self.gamma * ivar).astype(dtype)[:, None]
         beta = self.beta.astype(dtype)[:, None]
-        data = []
-        for f, sq, grid in zip(flats, out, grids):
+        for f, sq in zip(flats, out):
             np.multiply(f, gain, out=sq)  # gamma * xhat, xhat = f * ivar
             sq += beta
-            data.append(_zero_pads(sq.reshape(grid.shape)))
-        return Phases(x.stride, x.dims, data), [flats, ivar, (mu, var)]
+            pads(sq)
+        return back(out), [flats, ivar, (mu, var)]
 
     def eval_inplace(self, x: np.ndarray) -> np.ndarray:
         """gamma * ((x - running_mean) * ivar) + beta in x's dtype, with
@@ -335,44 +332,24 @@ class BatchNorm:
         self.running_mean += self.momentum * (mu - self.running_mean)
         self.running_var += self.momentum * (var - self.running_var)
 
-    def backward(self, ctx, grad_out: np.ndarray):
+    def backward(self, ctx, grad_out):
+        """(grad_in in grad_out's form, {"gamma": ..., "beta": ...});
+        over Phases grad_in is written over grad_out's buffers."""
         if not ctx:
             raise StaleCache("BatchNorm backward: ctx already consumed")
-        xhat, ivar, _ = ctx
+        dev, ivar, _ = ctx
         ctx.clear()
-        if isinstance(grad_out, Phases):  # xhat holds the deviations
-            return self._backward_phases(xhat, ivar, grad_out)
-        dtype = xhat.dtype
-        gamma = self.gamma.astype(dtype, copy=False)
-        grad_beta = grad_out.sum(axis=0, dtype=np.float64)
-        buf = np.empty_like(grad_out)
-        np.multiply(grad_out, xhat, out=buf)
-        grad_gamma = buf.sum(axis=0, dtype=np.float64)
-        np.multiply(grad_out, gamma, out=buf)  # dxhat
-        # grad_in = ivar / n * (n * dxhat - dxhat.sum(0)
-        #                       - xhat * (dxhat * xhat).sum(0))
-        n = xhat.shape[0]
-        dxhat_sum = buf.sum(axis=0, dtype=np.float64).astype(dtype)
-        buf *= xhat
-        dxhat_xhat_sum = buf.sum(axis=0, dtype=np.float64).astype(dtype)
-        np.multiply(grad_out, gamma, out=buf)  # dxhat again
-        buf *= n
-        buf -= dxhat_sum
-        xhat *= dxhat_xhat_sum
-        buf -= xhat
-        buf *= (ivar / n).astype(dtype, copy=False)
-        return buf, {"gamma": grad_gamma, "beta": grad_beta}
-
-    def _backward_phases(self, dev: list, ivar, grad_out: Phases):
+        gs, pads, back = self._channel_major(grad_out)
         n = len(grad_out)
-        gs = [grid.reshape(self.ch, -1) for grid in grad_out.data]
         grad_beta, grad_dev = np.zeros(self.ch), np.zeros(self.ch)
         for g, d in zip(gs, dev):  # g's pad slots are zero
             grad_beta += g.sum(axis=1)
             grad_dev += (g * d).sum(axis=1)
         grad_gamma = grad_dev * ivar  # xhat = dev * ivar
-        # the matrix form's grad_in with dxhat = grad_out * gamma, whose
-        # sums are gamma times grad_beta and grad_gamma:
+        # grad_in = ivar / n * (n * dxhat - dxhat.sum(0)
+        #                       - xhat * (dxhat * xhat).sum(0))
+        # with dxhat = grad_out * gamma, whose sums are gamma times
+        # grad_beta and grad_gamma:
         # g * gamma * ivar - xhat * (gamma * ivar / n * grad_gamma)
         #                  - gamma * ivar / n * grad_beta
         gain = self.gamma * ivar
@@ -380,13 +357,13 @@ class BatchNorm:
             a.astype(gs[0].dtype)[:, None]
             for a in (gain, gain / n * grad_gamma * ivar, gain / n * grad_beta)
         )
-        for g, d, grid in zip(gs, dev, grad_out.data):
+        for g, d in zip(gs, dev):
             g *= scale
             d *= slope
             g -= d
             g -= shift
-            _zero_pads(grid)
-        return grad_out, {"gamma": grad_gamma, "beta": grad_beta}
+            pads(g)
+        return back(gs), {"gamma": grad_gamma, "beta": grad_beta}
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -581,21 +558,24 @@ class _DenseTapConv:
         phase = np.ravel_multi_index(tuple((sites % stride).T), (stride,) * 3)
         lattice = sites // stride  # a phase site, on the input's lattice
         # the plan: per phase holding output sites, its kernel indices, the
-        # rows of sites in it and the (taps, rows) table of the row of x
-        # each tap reads there (p = site - d), len(x) where x has none
+        # rows of sites in it and the (taps, rows) table of the slab row
+        # each tap reads there: row * taps + tap, with row the row of x at
+        # p = site - d, len(x) where x has none
         plan = []
         for i, (kernel, shifts, _) in enumerate(self.phases):
             rows = np.flatnonzero(phase == i)
             if not len(rows):
                 continue
             table = _kernel_map(x.dims, x.coords, lattice[rows], -shifts)
+            table *= len(kernel)
+            table += np.arange(len(kernel))[:, None]
             plan.append((kernel, rows, table))
             w = self._stacked_weight(kernel, dtype)
             # (N + 1, taps, C_out) products, one row per (row, tap)
             slabs = (padded @ w.T).reshape(-1, self.out_ch)
             buf = np.zeros((len(rows), self.out_ch), dtype=dtype)
-            for j, reads in enumerate(table):
-                buf += np.take(slabs, reads * len(kernel) + j, axis=0)
+            for reads in table:
+                buf += np.take(slabs, reads, axis=0)
             if epilogue is not None:
                 epilogue(buf)
             if not dense:
@@ -633,8 +613,8 @@ class _DenseTapConv:
             # read nothing land on the zero row, which adds nothing to
             # grad_w and whose grad_in is dropped
             spread.fill(0)
-            for j, reads in enumerate(table):
-                slots[reads * taps + j] = g.view(item)[:, 0]
+            for reads in table:
+                slots[reads] = g.view(item)[:, 0]
             gw = (padded.T @ spread).reshape(self.in_ch, taps, -1)
             for j, k in enumerate(kernel):
                 grad_w[k] = gw[:, j]

@@ -37,17 +37,18 @@ The logits outside the query are NaN.
 
 A training forward's tape keeps what each layer's backward reads (a
 ReLU's output stays as the next layer's input, or as the latent, and
-backward takes the ReLU's mask from it), and backward consumes it.  A
-training decoder batch norm over Phases sums its statistics phase by
-phase, so its sums run in another order than over the interleaved
-tensor's rows; backward applies the ReLU mask and the batch-norm adjoint
-phase by phase too.  An eval forward keeps neither encoder units nor
-decoder stages, so its tape serves no backward.  Its batch norms run
-eval_inplace over their conv's fresh output: an encoder unit's through
-BatchNorm.forward after the conv, a decoder stage's (and ReLU) as the
-deconv's epilogue, with the unfused stage's bytes, on each phase buffer
-while it is in cache; a training batch norm needs the whole output's
-statistics first.
+backward takes the ReLU's mask from it), and backward consumes it.
+Every training batch norm runs one channel-major pass (see layers): a
+decoder batch norm over Phases sums its statistics phase by phase, and
+one over an encoder unit's or a sparse decode's (sites, C) rows over a
+transposed copy of them; backward applies the ReLU mask and the
+batch-norm adjoint phase by phase too.  An eval forward keeps neither
+encoder units nor decoder stages, so its tape serves no backward.  Its
+batch norms run eval_inplace over their conv's fresh output: an encoder
+unit's through BatchNorm.forward after the conv, a decoder stage's (and
+ReLU) as the deconv's epilogue, with the unfused stage's bytes, on each
+phase buffer while it is in cache; a training batch norm needs the whole
+output's statistics first.
 
 The decoder computes in DECODER_DTYPE (float32): the latent, cast on
 entry, each deconv, batch norm and ReLU, and the head.  Everything that

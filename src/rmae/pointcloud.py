@@ -27,6 +27,9 @@ MAX_BOXES = 3_000
 # metres: every coordinate then stays finite, with a float32 step of at most
 # 1/8 m
 MAX_SCENE_LENGTH = 1e6
+# the most box shadow tests (box_count * sensor_rings * azimuth_samples) an
+# occluded scene may ask for: at about 7 ns a test, some 7 s of a frame
+MAX_SHADOW_TESTS = 2**30
 # a ground point's radius is its ring's times 1 + U(-1, 1) * _RADIUS_JITTER
 _RADIUS_JITTER = 0.01
 
@@ -137,6 +140,12 @@ class SceneSpec:
             raise InvalidSpec(f"more than {MAX_GROUND_POINTS} ground points")
         if self.azimuth_samples < 1:
             raise InvalidSpec("need one ring and one azimuth sample per ring")
+        tests = self.box_count * self.sensor_rings * self.azimuth_samples
+        if self.occlusion and tests > MAX_SHADOW_TESTS:
+            raise InvalidSpec(
+                "box_count * sensor_rings * azimuth_samples must be at most"
+                f" {MAX_SHADOW_TESTS} with occlusion on"
+            )
 
     @property
     def azimuth_samples(self) -> int:

@@ -7,7 +7,12 @@ import pytest
 from rmae import keyrand
 from rmae.cli import json_form
 from rmae.keyrand import derive_seed
-from rmae.occupancy_net.layers import Phases, _phase_table, _shift_slices
+from rmae.occupancy_net.layers import (
+    Phases,
+    _kernel_map,
+    _phase_table,
+    _shift_slices,
+)
 from rmae.pointcloud import (  # noqa: PLC2701 - the oracle samples boxes alike
     _POINT_DTYPE,
     PointCloud,
@@ -275,16 +280,22 @@ def phase_backward_oracle(layer, x: Phases, grad_out: Phases):
     return grad_in, grad_w
 
 
-def sparse_backward_oracle(layer, plan, x, grad_out):
+def sparse_backward_oracle(layer, sites, x, grad_out):
     """Oracle for a dense layer's sparse backward (DenseDeconv or
-    DenseConv, without the bias) on the plan and input map of its sparse
-    forward, as first written: per phase, a fresh zeroed
+    DenseConv, without the bias) given the output sites of its sparse
+    forward (None: every site, in canonical order) and its input map, as
+    first written: per phase, the rows of sites in it and the kernel map
+    of the input row each tap reads there, then a fresh zeroed
     (N + 1, taps, C_out) buffer, one fancy row assignment of the phase's
-    grad_out rows per tap, then one GEMM for the taps' weight gradients
-    and one for the input gradient.  A dense grad_out (Phases) is read as
-    its (sites, C_out) rows in canonical order.  Returns (grad_in rows,
+    grad_out rows per tap, one GEMM for the taps' weight gradients and one
+    for the input gradient.  A dense grad_out (Phases) is read as its
+    (sites, C_out) rows in canonical order.  Returns (grad_in rows,
     grad_weight)."""
     dtype = x.feats.dtype
+    stride = len(layer.axis_taps)
+    if sites is None:
+        dims = tuple(stride * n for n in x.dims)
+        sites = np.indices(dims).reshape(3, -1).T
     padded = np.concatenate([x.feats, np.zeros((1, layer.in_ch), dtype)])
     grad_in = np.zeros_like(padded)
     grad_w = np.zeros_like(layer.weight)
@@ -293,7 +304,13 @@ def sparse_backward_oracle(layer, plan, x, grad_out):
         every_row = dense.reshape(layer.out_ch, -1).T
     else:
         every_row = grad_out.feats
-    for kernel, rows, table in plan:
+    phase = np.ravel_multi_index(tuple((sites % stride).T), (stride,) * 3)
+    for i, (kernel, shifts, _) in enumerate(layer.phases):
+        rows = np.flatnonzero(phase == i)
+        if not len(rows):
+            continue
+        at = sites[rows] // stride
+        table = _kernel_map(x.dims, x.coords, at, -shifts)
         g = every_row[rows]
         spread = np.zeros((len(padded), len(kernel), layer.out_ch), dtype)
         slots = spread.reshape(-1, layer.out_ch)

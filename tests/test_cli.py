@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import rmae
 from rmae import cli
+from rmae.errors import InvalidSpec
 from rmae.occupancy_net import NetConfig, OccupancyNet, save_checkpoint
 from rmae.occupancy_net.network import MAX_STAGE_CHANNELS
 from rmae.pointcloud import (
@@ -490,10 +491,14 @@ class TestBadInput:
         assert not out.exists() or not any(out.iterdir())
 
     def test_synth_frames_are_capped_by_the_points_they_may_hold(self):
-        """Two frames at the scene caps fit; a default frame's most points
-        are 28 * 450 ground samples and 1,200 for each of its 6 boxes."""
+        """Two frames at the ground-point cap fit, with as many boxes as
+        the shadow-test cap allows (268 * 4,000,000 <= 2**30); a default
+        frame's most points are 28 * 450 ground samples and 1,200 for
+        each of its 6 boxes."""
         big = {"sensor_rings": 40, "azimuth_step_deg": 0.0036}
-        cli.SynthConfig(frames=2, box_count=3000, **big)
+        cli.SynthConfig(frames=2, box_count=268, **big)
+        with pytest.raises(InvalidSpec, match="^box_count "):
+            cli.SynthConfig(frames=2, box_count=269, **big)
         most = 28 * 450 + 1_200 * 6
         cli.SynthConfig(frames=cli.MAX_SYNTH_POINTS // most)
         with pytest.raises(ValueError, match="over 33554432 points"):
@@ -628,6 +633,13 @@ class TestBadInput:
             ["pretrain", "train.epochs=1000000000000"],
             ["sweep-angle", "sweep.spans_deg=[1e-9]"],
             ["voxelize", "synth.box_count=1000000000000"],
+            # 269 boxes over 4,000,000 ground points: over 2**30 shadow tests
+            [
+                "voxelize",
+                "synth.box_count=269",
+                "synth.sensor_rings=40",
+                "synth.azimuth_step_deg=0.0036",
+            ],
             ["voxelize", "synth.box_size=[1e300,1e300]"],
             ["voxelize", "synth.ground_extent=1e300"],
             ["voxelize", "synth.ground_noise=1e300"],

@@ -512,6 +512,17 @@ class TestSparseForwardMemory:
         assert per_tap < one_gemm / 2
 
 
+def channel_major_stats(x: np.ndarray):
+    """(mean, var, deviations) of an (N, C) matrix as a training batch
+    norm takes them: on the channel-major copy x.T, per-channel pairwise
+    row sums, the variance two-pass over the (C, N) deviations."""
+    xt = x.T.copy()
+    n = x.shape[0]
+    mu = xt.sum(axis=1) / n
+    dev = xt - mu[:, None]
+    return mu, np.square(dev).sum(axis=1) / n, dev
+
+
 def random_running_bn(ch, rng) -> BatchNorm:
     """A BatchNorm whose parameters and running statistics are drawn."""
     bn = BatchNorm(ch)
@@ -578,8 +589,9 @@ class TestBatchNorm:
         for x in xs:
             _, (_, _, stats) = bn.forward(x, training=True)
             pending.append(stats)
-            mean += 0.3 * (x.mean(axis=0) - mean)
-            var += 0.3 * (x.var(axis=0) - var)
+            mu, sigma2, _ = channel_major_stats(x)
+            mean += 0.3 * (mu - mean)
+            var += 0.3 * (sigma2 - var)
         for stats in pending:
             bn.commit(stats)
         assert bn.running_mean.tobytes() == mean.tobytes()
@@ -588,8 +600,10 @@ class TestBatchNorm:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_textbook_expressions_bitwise(self, order):
         """forward and backward form every value with the operations of
-        the plain expressions, in place, so the bits agree; F order is the
-        decoder's (N, C) view of a (C, X, Y, Z) tensor."""
+        the plain channel-major expressions on x.T, in place, so the bits
+        agree; F order is the decoder's (N, C) view of a (C, X, Y, Z)
+        tensor, whose transpose is C-contiguous, so it also shows that
+        neither pass writes over its input."""
         rng = np.random.default_rng(31)
         bn = BatchNorm(3)
         bn.gamma[:] = rng.uniform(0.5, 2.0, 3)
@@ -604,24 +618,24 @@ class TestBatchNorm:
         assert np.array_equal(x, before[0])  # inputs are left alone
         assert np.array_equal(probe, before[1])
 
-        mu, var = x.mean(axis=0), x.var(axis=0)
+        _, var, dev = channel_major_stats(x)
         ivar = 1.0 / np.sqrt(var + bn.eps)
-        xhat = (x - mu) * ivar
-        dxhat = probe * bn.gamma
+        gain = bn.gamma * ivar
+        g = probe.T.copy()
         n = x.shape[0]
-        expect_in = (
-            ivar
-            / n
-            * (
-                n * dxhat
-                - dxhat.sum(axis=0)
-                - xhat * (dxhat * xhat).sum(axis=0)
-            )
-        )
-        assert out.tobytes() == (bn.gamma * xhat + bn.beta).tobytes()
-        assert grad_in.tobytes() == expect_in.tobytes()
-        assert grads["gamma"].tobytes() == (probe * xhat).sum(axis=0).tobytes()
-        assert grads["beta"].tobytes() == probe.sum(axis=0).tobytes()
+        grad_beta = g.sum(axis=1)
+        grad_gamma = (g * dev).sum(axis=1) * ivar  # xhat = dev * ivar
+        # grad_in = ivar / n * (n * dxhat - dxhat.sum(0)
+        #                       - xhat * (dxhat * xhat).sum(0)),
+        # dxhat = probe * gamma, per channel
+        slope = (gain / n * grad_gamma * ivar)[:, None]
+        shift = (gain / n * grad_beta)[:, None]
+        expect_in = g * gain[:, None] - dev * slope - shift
+        expect_out = dev * gain[:, None] + bn.beta[:, None]
+        assert out.tobytes() == expect_out.T.tobytes()
+        assert grad_in.tobytes() == expect_in.T.tobytes()
+        assert grads["gamma"].tobytes() == grad_gamma.tobytes()
+        assert grads["beta"].tobytes() == grad_beta.tobytes()
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize(
@@ -1473,10 +1487,12 @@ class TestSparseCallAgainstDense:
 
 class TestSparseBackwardAgainstOracle:
     """The sparse backward's one re-zeroed buffer and whole-row item
-    assignments fill the same spread as sparse_backward_oracle's fresh
-    buffer per phase and feed the same GEMMs, so the input and weight
-    gradients agree bit for bit: over float32 and float64, sparse and
-    dense grad_out, phases without output sites and an empty input map."""
+    assignments, through the slab rows its forward's plan keeps, fill the
+    same spread as sparse_backward_oracle's fresh buffer per phase, whose
+    rows and kernel maps come from the output sites, and feed the same
+    GEMMs, so the input and weight gradients agree bit for bit: over
+    float32 and float64, sparse and dense grad_out, phases without output
+    sites and an empty input map."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1497,6 +1513,7 @@ class TestSparseBackwardAgainstOracle:
         x = SparseFeatureMap(x.dims, x.coords, x.feats.astype(dtype))
         out_dims = tuple(len(cls.axis_taps) * n for n in dims)
         if site_fraction is None:  # every site; grad_out is dense
+            sites = None
             y, ctx = layer.forward(x)
             probe = rng.normal(0, 1, (cout,) + y.dims).astype(dtype)
             grad_out = phases_of(probe, y.stride)
@@ -1505,8 +1522,7 @@ class TestSparseBackwardAgainstOracle:
             _, ctx = layer.forward(x, sites)
             rows = rng.normal(0, 1, (len(sites), cout)).astype(dtype)
             grad_out = SparseFeatureMap(out_dims, sites, rows)
-        plan = ctx[0]
-        ref_in, ref_w = sparse_backward_oracle(layer, plan, x, grad_out)
+        ref_in, ref_w = sparse_backward_oracle(layer, sites, x, grad_out)
         grad_x, grads = layer.backward(ctx, grad_out)
         assert grad_x.feats.dtype == dtype
         assert grad_x.feats.tobytes() == ref_in.tobytes()

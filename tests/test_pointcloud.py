@@ -10,6 +10,7 @@ from rmae.pointcloud import (
     MAX_BOXES,
     MAX_GROUND_POINTS,
     MAX_SCENE_LENGTH,
+    MAX_SHADOW_TESTS,
     PointCloud,
     SceneSpec,
     cylindrical_arrays,
@@ -225,6 +226,13 @@ class TestSynthScene:
         ]:
             with pytest.raises(InvalidSpec, match=f"^{key} "):
                 SceneSpec(**{key: value})
+        # occlusion tests each ground point against each box's shadow
+        big = {"sensor_rings": 40, "azimuth_step_deg": 0.0036}
+        most = MAX_SHADOW_TESTS // 4_000_000
+        SceneSpec(box_count=most, **big)
+        SceneSpec(box_count=most + 1, occlusion=False, **big)
+        with pytest.raises(InvalidSpec, match="^box_count "):
+            SceneSpec(box_count=most + 1, **big)
 
     def test_ground_point_budget(self):
         """Specs are only constructed here: no scene is generated."""
