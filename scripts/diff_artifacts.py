@@ -91,9 +91,13 @@ def csv_diff(a: str, b: str) -> float:
 
 
 def _tensors(path: Path) -> tuple:
+    from rmae.errors import MalformedFile
     from rmae.occupancy_net import load_checkpoint
 
-    net = load_checkpoint(path)
+    try:
+        net = load_checkpoint(path)
+    except MalformedFile as e:
+        raise NotNumeric(str(e)) from None
     tensors = {}
     for name, layer in net.named_layers():
         for tname, t in {**layer.params(), **layer.buffers()}.items():

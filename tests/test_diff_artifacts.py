@@ -86,3 +86,6 @@ def test_checkpoints_compare_their_tensors(tmp_path):
     save_checkpoint(OccupancyNet(NetConfig(stage_channels=(4, 4))), c)
     with pytest.raises(diff_artifacts.NotNumeric, match="configs differ"):
         diff_artifacts.checkpoint_diff(a, c)
+    c.write_bytes(a.read_bytes()[:-8])  # a truncated checkpoint
+    with pytest.raises(diff_artifacts.NotNumeric):
+        diff_artifacts.checkpoint_diff(a, c)
