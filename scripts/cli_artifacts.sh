@@ -89,6 +89,15 @@ for threads in 1 2; do
             # one ground sample per ring
             rmae voxelize --out voxelize-one-sample $TINY \
                 synth.azimuth_step_deg=400.0
+            # two synthetic frames saved as KITTI .bin files, read back
+            # through --input
+            mkdir frames
+            PYTHONPATH="$SRC" python3 -c 'from rmae.pointcloud import SceneSpec, save_kitti_bin, synth_scene
+for s in (1, 2):
+    spec = SceneSpec(ground_extent=6.0, box_count=3, seed=s)
+    save_kitti_bin(synth_scene(spec), f"frames/{s}.bin")'
+            rmae voxelize --out voxelize-input --input frames $TINY
+            rmae pretrain --out pretrain-input --input frames $TINY
             rmae energy --out energy --stats mask/stats.json
             rmae energy --out energy-params --stats mask/stats.json \
                 energy.R=60.0 energy.tau=2e-9 energy.N_bits=10 \
@@ -164,8 +173,16 @@ for threads in 1 2; do
             fails spans-cap sweep-angle $TINY 'sweep.spans_deg=[1e-9]'
             printf 'not json' >not-json.json
             fails stats-not-json energy --stats not-json.json
+            good='"group_visible_fraction": 0.2, "voxel_visible_fraction": 0.1,
+                "max_sensed_range": 17'
+            printf '{%s, "per_subgroup_drop_rate": [0.0, null, null],
+                "zzz": 1}' "$good" >stats-extra-key.json
+            fails stats-extra-key energy --stats stats-extra-key.json
+            printf '{%s, "per_subgroup_drop_rate": [1.5, null, null]}' \
+                "$good" >stats-bad-rate.json
+            fails stats-bad-rate energy --stats stats-bad-rate.json
             fails diverged pretrain $TINY train.learning_rate=1e300
-            rm not-utf8.json not-json.json
+            rm not-utf8.json not-json.json stats-*.json
         }
     )
 done

@@ -14,7 +14,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import math
 import os
 import sys
 import typing
@@ -34,6 +33,7 @@ from .radial_mask import (
     apply_mask,
     write_mask_dump,
 )
+from .records import build, fits, json_form
 from .trainer import (
     TrainConfig,
     evaluate,
@@ -147,31 +147,6 @@ _SECTION_TYPES = {
 }
 
 
-def _tuplify(v):
-    if isinstance(v, list):
-        return tuple(_tuplify(x) for x in v)
-    return v
-
-
-def _fits(value, hint) -> bool:
-    """Whether a config value (lists as tuples) has a field's type: an int
-    field takes no bool, a float field also takes an int but no NaN or
-    infinity."""
-    if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
-        if not isinstance(value, tuple):
-            return False
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        finite = isinstance(value, float) and math.isfinite(value)
-        return finite or isinstance(value, int)
-    return isinstance(value, hint)
-
-
 def _parse_override(text: str) -> tuple[list[str], object]:
     if "=" not in text:
         raise ConfigError(f"override {text!r} is not KEY=VALUE")
@@ -207,27 +182,6 @@ def _set_path(doc: dict, path: list[str], value) -> None:
     cur[path[-1]] = value
 
 
-def _build_section(name: str, cls, section: dict, built: dict):
-    """cls from a section's values; a field of a section type takes that
-    section as built."""
-    hints = typing.get_type_hints(cls)
-    kwargs = {
-        k: built[k] for k, h in hints.items() if dataclasses.is_dataclass(h)
-    }
-    for key, value in section.items():
-        hint = hints.get(key)
-        if hint is None or key in kwargs:
-            raise ConfigError(f"unknown key '{name}.{key}'")
-        kwargs[key] = _tuplify(value)
-        if not _fits(kwargs[key], hint):
-            kind = hint if typing.get_args(hint) else hint.__name__
-            raise ConfigError(f"{name}.{key}: {value!r} is not of type {kind}")
-    try:
-        return cls(**kwargs)
-    except (ValueError, TypeError, RmaeError) as e:
-        raise ConfigError(f"{name}: {e}") from e
-
-
 def _recorded_paths(doc: dict, key: str, many: bool = False):
     """The Path (many: list of Paths) doc holds under key; None (many: [])
     when it holds none."""
@@ -245,7 +199,7 @@ def _recorded_paths(doc: dict, key: str, many: bool = False):
 
 def _checked_seed(key: str, seed):
     """seed, the value of key; ConfigError unless a non-negative integer."""
-    if not _fits(seed, int) or seed < 0:
+    if not fits(seed, int) or seed < 0:
         raise ConfigError(f"{key} must be a non-negative integer")
     return seed
 
@@ -287,7 +241,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         rows = section.get("p_drop")
         if isinstance(rows, list) and rows and not isinstance(rows[0], list):
             section["p_drop"] = [rows]  # a single shared row
-        sections[name] = _build_section(name, cls, section, sections)
+        sections[name] = build(cls, section, ConfigError, name, sections)
 
     inputs = []
     for p in _recorded_paths(doc, "inputs", many=True):
@@ -316,19 +270,6 @@ def _atomic(path: Path, writer) -> None:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
-
-
-def json_form(obj):
-    """obj as JSON values: dataclasses as field dicts, NaN as null."""
-    if dataclasses.is_dataclass(obj):
-        obj = vars(obj)
-    if isinstance(obj, dict):
-        return {k: json_form(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_form(v) for v in obj]
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return obj
 
 
 def _json_dump(path: Path, obj) -> None:
@@ -410,7 +351,7 @@ def run(cfg: RunConfig) -> int:
         frugal = None
         if cfg.stats is not None:  # a bad stats file writes nothing
             raw = _read_json(cfg.stats, "stats", MalformedFile)
-            stats = MaskStats.from_json_dict(raw)
+            stats = build(MaskStats, raw, MalformedFile, f"{cfg.stats}: stats")
             frugal = frugal_savings(report, stats, cfg.energy.R)
         _json_dump(cfg.out / "energy.json", report)
         if frugal is not None:

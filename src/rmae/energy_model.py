@@ -175,8 +175,6 @@ def frugal_savings(
     if R_design <= 0:
         raise InvalidParams("R_design must be positive")
     duty = stats.group_visible_fraction
-    if not 0.0 <= duty <= 1.0 or not math.isfinite(stats.max_sensed_range):
-        raise InvalidParams("mask stats out of range")
     range_scale = (min(stats.max_sensed_range, R_design) / R_design) ** 4
     p_mcu = report.P_control - report.P_ADC
     masked_laser = report.P_laser * duty * range_scale

@@ -24,6 +24,7 @@ import struct
 import numpy as np
 
 from ..errors import MalformedFile
+from ..records import build
 from .network import NetConfig, OccupancyNet
 
 MAGIC = b"RMAE"
@@ -95,10 +96,11 @@ def load_checkpoint(path) -> OccupancyNet:
         raise MalformedFile(f"{path}: unsupported version {version}")
     cfg_raw = r.take(r.u("<I"))
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-        cfg_dict = json.loads(cfg_raw.decode("utf-8"))
-        cfg_dict["stage_channels"] = tuple(cfg_dict["stage_channels"])
-        net = OccupancyNet(NetConfig(**cfg_dict))
-    except (ValueError, TypeError, KeyError) as e:
+        header = json.loads(cfg_raw.decode("utf-8"))
+        config = build(NetConfig, header, MalformedFile, f"{path}: net")
+        # numpy refuses some seeds that NetConfig takes, such as -1
+        net = OccupancyNet(config)
+    except ValueError as e:
         raise MalformedFile(f"{path}: bad config header ({e})") from e
 
     named = net.named_layers()

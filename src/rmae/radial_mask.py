@@ -15,14 +15,13 @@ sensed groups.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import keyrand
-from .errors import MalformedFile
+from .errors import InvalidParams
 from .voxelizer import VoxelGrid
 
 # Salts separating the keyed RNG streams.
@@ -83,57 +82,28 @@ class MaskConfig:
 
 @dataclass(frozen=True)
 class MaskStats:
+    """What a mask sensed, as stats.json holds it.  A band with no voxel in
+    a sensed group has no drop rate: NaN, written as null, and a null read
+    back is NaN.  No other value may be null or NaN."""
+
     group_visible_fraction: float
     voxel_visible_fraction: float
-    per_subgroup_drop_rate: tuple[float, ...]  # NaN where no voxels sampled
+    per_subgroup_drop_rate: tuple[float | None, ...]
     max_sensed_range: float
 
-    @classmethod
-    def from_json_dict(cls, raw) -> "MaskStats":
-        """Inverse of cli.json_form; MalformedFile when a key is missing, a
-        value is not a number (a drop rate may also be null), a fraction
-        or rate lies outside [0, 1], or max_sensed_range is negative or
-        not finite."""
-        if not isinstance(raw, dict):
-            raise MalformedFile("mask stats must be a JSON object")
-        try:
-            scalars = {
-                f.name: raw[f.name]
-                for f in dataclasses.fields(cls)
-                if f.name != "per_subgroup_drop_rate"
-            }
-            rates = raw["per_subgroup_drop_rate"]
-        except KeyError as e:
-            raise MalformedFile(f"mask stats: missing key {e}") from e
-
-        def number(v) -> bool:
-            return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-        if not all(map(number, scalars.values())) or not (
-            isinstance(rates, list)
-            and all(v is None or number(v) for v in rates)
-        ):
-            raise MalformedFile(
-                "mask stats: values must be numbers, and drop rates a"
-                " list of numbers or nulls"
-            )
-        fractions = [
-            scalars["group_visible_fraction"],
-            scalars["voxel_visible_fraction"],
-        ] + [v for v in rates if v is not None]
-        if not all(0.0 <= v <= 1.0 for v in fractions) or not (
-            0.0 <= scalars["max_sensed_range"] < math.inf
-        ):
-            raise MalformedFile(
-                "mask stats: fractions and drop rates must lie in [0, 1],"
-                " and max_sensed_range must be finite and non-negative"
-            )
-        return cls(
-            per_subgroup_drop_rate=tuple(
-                float("nan") if v is None else v for v in rates
-            ),
-            **scalars,
+    def __post_init__(self):
+        rates = tuple(
+            math.nan if v is None else v for v in self.per_subgroup_drop_rate
         )
+        object.__setattr__(self, "per_subgroup_drop_rate", rates)
+        fractions = (self.group_visible_fraction, self.voxel_visible_fraction)
+        fractions += tuple(v for v in rates if not math.isnan(v))
+        if not all(0.0 <= v <= 1.0 for v in fractions):
+            raise InvalidParams("fractions and drop rates must lie in [0, 1]")
+        if not 0.0 <= self.max_sensed_range < math.inf:
+            raise InvalidParams(
+                "max_sensed_range must be finite and non-negative"
+            )
 
 
 @dataclass

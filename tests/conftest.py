@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rmae import keyrand
-from rmae.cli import json_form
 from rmae.keyrand import derive_seed
 from rmae.occupancy_net.layers import (
     Phases,
@@ -27,6 +26,7 @@ from rmae.radial_mask import (  # noqa: PLC2701 - the oracle keys its draws alik
     angular_groups,
     distance_subgroups,
 )
+from rmae.records import json_form
 from rmae.voxelizer import FEATURE_WIDTH, GridGeometry, VoxelGrid
 
 

@@ -31,6 +31,9 @@ format 2, by:
     np.save("tests/data/net_v1_logits.npy", net.forward(frame)[0].logits)
 """
 
+import dataclasses
+import json
+import math
 import struct
 from pathlib import Path
 
@@ -40,12 +43,14 @@ import pytest
 from rmae import cli
 from rmae.errors import MalformedFile
 from rmae.occupancy_net import (
+    NetConfig,
+    OccupancyNet,
     SparseFeatureMap,
     load_checkpoint,
     save_checkpoint,
 )
 from rmae.occupancy_net.checkpoint import VERSION, _Reader
-from test_cli import TINY
+from test_cli import TINY, _with_header
 
 DATA = Path(__file__).parent / "data"
 V1 = DATA / "net_v1.rmae"
@@ -164,3 +169,45 @@ class TestEvalCommand:
         argv = ["eval", "--out", str(tmp_path / "out"), "--checkpoint", str(bad)]
         assert cli.main(argv + TINY) == cli.EXIT_MALFORMED == 4
         assert "unsupported version 3" in capsys.readouterr().err
+
+
+class TestHeader:
+    """The config header is read as the net section of a run config is:
+    a key NetConfig lacks, or a value that does not fit its field, exits 4
+    and names the key."""
+
+    def eval_of(self, header: bytes, tmp_path) -> int:
+        """eval's exit code on TINY's untrained net with header as its
+        config json."""
+        good = tmp_path / "good.rmae"
+        save_checkpoint(OccupancyNet(NetConfig(stage_channels=(4, 8, 8))), good)
+        bad = tmp_path / "bad.rmae"
+        bad.write_bytes(_with_header(good.read_bytes(), header))
+        argv = ["eval", "--out", str(tmp_path / "out"), "--checkpoint", str(bad)]
+        return cli.main(argv + TINY)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "x"), ("bn_eps", math.inf), ("bn_momentum", True), ("zzz", 1)],
+    )
+    def test_a_value_that_does_not_fit_names_its_key(
+        self, key, value, tmp_path, capsys
+    ):
+        config = dataclasses.asdict(NetConfig(stage_channels=(4, 8, 8)))
+        header = json.dumps({**config, key: value}).encode()
+        assert self.eval_of(header, tmp_path) == cli.EXIT_MALFORMED == 4
+        err = capsys.readouterr().err
+        assert "error: MalformedFile: " in err
+        assert f"{tmp_path / 'bad.rmae'}: net.{key}" in err
+        assert not (tmp_path / "out" / "eval.json").exists()
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"[4, [4, 8, 8]]", b'{"stage_channels": [4, 8, 8], "seed": -1}'],
+        ids=["list", "seed-minus-1"],
+    )
+    def test_a_list_or_a_seed_numpy_refuses_is_malformed(
+        self, header, tmp_path, capsys
+    ):
+        assert self.eval_of(header, tmp_path) == cli.EXIT_MALFORMED == 4
+        assert "error: MalformedFile: " in capsys.readouterr().err

@@ -300,6 +300,7 @@ GEMM_FREE_RUNS = [
         ],
     ),
     ("voxelize-one-sample", ["voxelize", *TINY, "synth.azimuth_step_deg=400.0"]),
+    ("voxelize-input", ["voxelize", "--input", "frames", *TINY]),
     ("energy", ["energy", "--stats", "mask/stats.json"]),
     (
         "energy-params",
@@ -315,8 +316,11 @@ GEMM_FREE_RUNS = [
     ),
 ]
 # what sha256sum prints for every file those runs write but
-# resolved_config.json, which records their paths
+# resolved_config.json, which records their paths, and for the script's
+# two frames/*.bin inputs
 GEMM_FREE_DIGESTS = """
+64facb16c91f683cdcaf547ef4a981ae7311c3985df0e1c46336d015c0b999d8  frames/1.bin
+d74081d20bc753248e5e40089bf9dac8342afe1604dce1c4f02502978f50a87d  frames/2.bin
 66da1e0219c6b210c55bd29cd462aa61238ef139437816668041bfdfa4fcf503  mask/mask.txt
 f36baa2adfe7012a897867aa21cc47a1652a8193e342395931bbaa7887c2995c  mask/stats.json
 2e8667a87660f10c667913c1cf7c3728a5fcaa4579b474e3fd7ef918e0ad6e3f  mask-exact/mask.txt
@@ -337,6 +341,9 @@ fe16e187684e28d0105908b6cf0ded9db395586842162bc67ea65c0585b8bbea  voxelize-crop/
 aed380f7cd02f69040578fa7266bc41434b6ea39b36bf21018e314d6753d06a1  voxelize-one-sample/summary.json
 ab2ee0b726eebb6012080774f2c0c83c1e318a4e5f2869768ba322e7ecd2f1b9  voxelize-one-sample/voxels_0000.txt
 b2405ae1ed4e30e07691ce3b0899060c1fbcbacdf597daa4f736e61455d72e63  voxelize-one-sample/voxels_0001.txt
+7d5c64405a1c4c49e6bb3343e108c85a2ddc6d55f7d2691eb60c2d4e78089a7f  voxelize-input/summary.json
+2c056ae059430fa4b1c850c15ddfa26a8fa8c3e174333eb4968b18e9271e8c9a  voxelize-input/voxels_0000.txt
+5032eb5e81487052d9ed5b95ac6945574d798e12a311a4caffeb2401d5fbe625  voxelize-input/voxels_0001.txt
 f63ab10add986966f6e2886c1380680f15dcf4c7140be3a96fb97ec75aa0c104  energy/energy.json
 1ebeb266217c700d3cef83c0a81d1e9db7f170c43691867489aafa8745e4aa50  energy/frugal.json
 a03b262648a9e6a4038c91b808b265b7879023afd0b916fae9f4278dcd4d129b  energy-params/energy.json
@@ -352,6 +359,10 @@ class TestPinnedArtifacts:
 
     def test_gemm_free_runs_write_their_pinned_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the energy runs read mask/stats.json
+        (tmp_path / "frames").mkdir()
+        for seed in (1, 2):  # the script's two .bin frames
+            spec = SceneSpec(ground_extent=6.0, box_count=3, seed=seed)
+            save_kitti_bin(synth_scene(spec), tmp_path / f"frames/{seed}.bin")
         for name, (command, *args) in GEMM_FREE_RUNS:
             assert cli.main([command, "--out", name, *args]) == 0, name
         got = {
@@ -764,6 +775,7 @@ class TestBadInput:
             {"per_subgroup_drop_rate": [1.5, None, None]},
             {"max_sensed_range": -1.0},
             {"max_sensed_range": float("inf")},
+            {"zzz": 1},
             "{}",
             "not json",
         ],

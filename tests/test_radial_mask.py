@@ -11,7 +11,7 @@ from conftest import (
     same_outcome,
     uniform,
 )
-from rmae.cli import json_form
+from rmae.errors import MalformedFile
 from rmae.radial_mask import (
     MaskConfig,
     MaskStats,
@@ -22,6 +22,7 @@ from rmae.radial_mask import (
 )
 from rmae.radial_mask import _VOXEL_STREAM  # noqa: PLC2701 - keyed-RNG contract test
 from rmae.pointcloud import cylindrical_arrays
+from rmae.records import build, json_form
 from rmae.voxelizer import GridGeometry, VoxelGrid
 
 
@@ -393,4 +394,4 @@ def test_exports(tmp_path, small_geom):
         "max_sensed_range",
     }
     assert doc["voxel_visible_fraction"] == out.stats.voxel_visible_fraction
-    assert json_form(MaskStats.from_json_dict(doc)) == doc
+    assert json_form(build(MaskStats, doc, MalformedFile, "stats")) == doc

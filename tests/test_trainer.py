@@ -10,6 +10,7 @@ import pytest
 
 from rmae import cli
 from rmae.errors import Diverged, EmptyQuerySet, NoData, StaleCache
+from rmae.keyrand import derive_seed
 from rmae.occupancy_net import (
     NetConfig,
     OccupancyNet,
@@ -392,6 +393,31 @@ class TestRemask:
             assert epochs[0] == epochs[1] == epochs[2]
 
 
+def test_each_epoch_trains_its_keyed_permutation(small_geom, monkeypatch):
+    """Epoch e takes the frames in the order of
+    default_rng(derive_seed(seed, _SHUFFLE_STREAM, e)).permutation(n)."""
+    monkeypatch.setenv("RMAE_THREADS", "1")
+    trained = []
+    masked_input = trainer._masked_input
+
+    def recording(grid, truth, mask_cfg, query_cfg, key):
+        trained.append(key[3])  # key is (seed, stream, epoch key, frame)
+        return masked_input(grid, truth, mask_cfg, query_cfg, key)
+
+    monkeypatch.setattr(trainer, "_masked_input", recording)
+    net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+    cfg = TrainConfig(epochs=3, batch_size=2, seed=4)
+    pretrain(tiny_frames(4), cfg, net, small_geom)
+    orders = [
+        np.random.default_rng(
+            derive_seed(cfg.seed, trainer._SHUFFLE_STREAM, epoch)
+        ).permutation(4).tolist()
+        for epoch in range(3)
+    ]
+    assert any(order != [0, 1, 2, 3] for order in orders)
+    assert trained == [fi for order in orders for fi in order]
+
+
 def test_adam_step_is_the_textbook_update():
     rng = np.random.default_rng(1)
     lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-6
@@ -438,8 +464,8 @@ def test_trained_state_stays_float64(small_geom, monkeypatch):
 
 
 class TestEvaluate:
-    """evaluate's frames on forked workers: the report of one worker, and
-    no worker outlives the call."""
+    """evaluate reports the mean of its frames' metrics; on forked workers
+    it keeps the report of one worker, and no worker outlives the call."""
 
     MASK = MaskConfig(n_groups=8, m=0.5)
 
@@ -466,6 +492,24 @@ class TestEvaluate:
         assert_reaped(forked)
         assert all(math.isfinite(v) for v in vars(reports["1"]).values())
         assert repr(reports["2"]) == repr(reports["1"])
+
+    def test_reports_the_mean_of_its_frames(self, small_geom, monkeypatch):
+        """With nothing masked a frame's metrics do not depend on its
+        index, so a report of two frames is the mean of their one-frame
+        reports, which differ."""
+        monkeypatch.setenv("RMAE_THREADS", "1")
+        net = OccupancyNet(NetConfig(stage_channels=(4, 8, 8), seed=5))
+        mask = MaskConfig(n_groups=8, m=0.0, p_drop=((0.0, 0.0, 0.0),))
+        frames = tiny_frames(2)
+        a, b = (
+            evaluate([f], net, mask, QueryConfig(), small_geom) for f in frames
+        )
+        both = evaluate(frames, net, mask, QueryConfig(), small_geom)
+        for name in ("bce", "occupied_iou", "voxel_accuracy"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x != y, name
+            assert getattr(both, name) == float(np.mean([x, y])), name
+        assert both.n_frames == 2
 
     @pytest.mark.parametrize(
         "action, error, message",
