@@ -25,7 +25,7 @@ from .energy_model import EnergyParams, frugal_savings, total_power
 from .errors import ConfigError, Diverged, MalformedFile, NoData, RmaeError
 from .occupancy_net import NetConfig, OccupancyNet, load_checkpoint, save_checkpoint
 from .occupancy_net.loss import QueryConfig
-from .pointcloud import PointCloud, SceneSpec, load_kitti_bin, synth_scene
+from .pointcloud import MAX_BOX_POINTS, PointCloud, SceneSpec, load_kitti_bin, synth_scene
 from .radial_mask import (
     MAX_GROUPS,
     MaskConfig,
@@ -79,7 +79,7 @@ class SynthConfig(SceneSpec):
         if self.frames < 1:
             raise ValueError("synth frames must be >= 1")
         most = self.sensor_rings * self.azimuth_samples  # ground samples
-        most += 1_200 * self.box_count  # and at most 1,200 per box
+        most += MAX_BOX_POINTS * self.box_count
         if self.frames > MAX_SYNTH_POINTS // most:
             raise ValueError(f"frames may hold over {MAX_SYNTH_POINTS} points")
 

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -221,7 +221,7 @@ class SparseDownConv(_SparseConv):
 
 class BatchNorm:
     """Per-channel batch normalization over an (N, C) matrix, or in
-    training over a dense tensor held as Phases.
+    training over a SparseFeatureMap's rows or a tensor held as Phases.
 
     Training mode normalizes with the batch's mean and biased variance;
     it never touches the running statistics but ends its ctx with the
@@ -233,7 +233,7 @@ class BatchNorm:
 
     Training runs one channel-major pass over a list of (C, P) arrays
     (_channel_major): the flat views of a Phases' buffers, or one
-    transposed copy of a matrix, whose result is copied back to (N, C).
+    transposed copy of a matrix (a map's feats), copied back to (N, C).
     Forward writes the deviations x - mean over those arrays and makes
     one output buffer each.  Its statistics are per-channel pairwise sums
     in x's dtype, one per array, added up in float64, the variance over
@@ -269,10 +269,14 @@ class BatchNorm:
 
     @staticmethod
     def _channel_major(t):
-        """(flats, pads, back) for t, a matrix or Phases: its (C, P)
+        """(flats, pads, back) for t, a matrix, map or Phases: its (C, P)
         arrays, a function that zeroes one's pad slots, and one that puts
-        (C, P) results back into t's form.  A matrix's flats are one
-        (1, C, N) array, a C-order copy of t.T, never a view of t."""
+        (C, P) results back into t's form.  The flats of a matrix, or of a
+        map's feats, are one (1, C, N) C-order copy of its transpose, never
+        a view of it."""
+        if isinstance(t, SparseFeatureMap):
+            flats, pads, back = BatchNorm._channel_major(t.feats)
+            return flats, pads, lambda fs: replace(t, feats=back(fs))
         if not isinstance(t, Phases):
             return t.T.copy()[None], lambda f: None, lambda fs: fs[0].T.copy()
         shape = t.data[0].shape

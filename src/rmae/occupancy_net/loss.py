@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyQuerySet, ShapeError
-from ..voxelizer import OccupancyGrid
+from ..voxelizer import VoxelGrid, occupancy_of
 from .layers import sigmoid
 
 
@@ -33,7 +33,7 @@ class QueryConfig:
 
 def occupancy_loss(
     logits: np.ndarray,
-    truth: OccupancyGrid,
+    truth: np.ndarray,
     query: np.ndarray,
     batch_size: int = 1,
 ) -> tuple[float, np.ndarray]:
@@ -43,16 +43,16 @@ def occupancy_loss(
     (sigmoid(logit) - occupancy) / (batch_size * |query|) on queried voxels
     and zero elsewhere.
     """
-    if logits.shape != truth.o.shape:
+    if logits.shape != truth.shape:
         raise ShapeError(
-            f"logits shape {logits.shape} != occupancy shape {truth.o.shape}"
+            f"logits shape {logits.shape} != occupancy shape {truth.shape}"
         )
     query = np.asarray(query, dtype=np.int64).reshape(-1, 3)
     if len(query) == 0:
         raise EmptyQuerySet("query set is empty")
     cells = np.ravel_multi_index(query.T, logits.shape)
     x = np.take(logits, cells)
-    o = np.take(truth.o, cells).astype(np.float64)
+    o = np.take(truth, cells).astype(np.float64)
     per_voxel = bce_elements(x, o)
     scale = 1.0 / (batch_size * len(query))
     loss = float(per_voxel.sum() * scale)
@@ -74,12 +74,12 @@ def bce_elements(logits: np.ndarray, occupancy: np.ndarray) -> np.ndarray:
 
 
 def build_query_set(
-    truth: OccupancyGrid,
+    grid: VoxelGrid,
     visible_coords: np.ndarray,
     q: QueryConfig,
     seed: int = 0,
 ) -> np.ndarray:
-    """Query voxel coordinates for one sample, canonical order.
+    """Query voxel coordinates for one sample, grid, canonical order.
 
     all_voxels: every grid cell.  sphere: the union of L2 balls of
     sphere_radius (voxel units) around the visible voxels, listed by
@@ -91,10 +91,10 @@ def build_query_set(
     The columns are marked a bounded chunk of visible voxels at a time,
     each axis's reach is clipped to the grid, and a ball that covers the
     grid from any cell gives every cell at once.  With balance_empty, the
-    majority occupancy class is subsampled (seeded) to the minority's
-    size; if one class is absent the set is returned as is.
+    majority class of grid's occupancy is subsampled (seeded) to the
+    minority's size; if one class is absent the set is returned as is.
     """
-    dims = truth.geometry.dims
+    dims = grid.geometry.dims
     visible = np.asarray(visible_coords, dtype=np.int64).reshape(-1, 3)
     r = q.sphere_radius
     # a radius as long as the grid's diagonal reaches every cell from all
@@ -128,7 +128,7 @@ def build_query_set(
         runs = diff.reshape(nx, ny, nz + 1).cumsum(axis=2)
         coords = np.argwhere(runs[..., :nz] > 0)
     if q.balance_empty and len(coords):
-        occ = truth.o[coords[:, 0], coords[:, 1], coords[:, 2]].astype(bool)
+        occ = occupancy_of(grid)[tuple(coords.T)].astype(bool)
         pos, neg = np.flatnonzero(occ), np.flatnonzero(~occ)
         small = min(len(pos), len(neg))
         if small > 0:

@@ -38,17 +38,15 @@ The logits outside the query are NaN.
 A training forward's tape keeps what each layer's backward reads (a
 ReLU's output stays as the next layer's input, or as the latent, and
 backward takes the ReLU's mask from it), and backward consumes it.
-Every training batch norm runs one channel-major pass (see layers): a
-decoder batch norm over Phases sums its statistics phase by phase, and
-one over an encoder unit's or a sparse decode's (sites, C) rows over a
-transposed copy of them; backward applies the ReLU mask and the
-batch-norm adjoint phase by phase too.  An eval forward keeps neither
-encoder units nor decoder stages, so its tape serves no backward.  Its
-batch norms run eval_inplace over their conv's fresh output: an encoder
-unit's through BatchNorm.forward after the conv, a decoder stage's (and
-ReLU) as the deconv's epilogue, with the unfused stage's bytes, on each
-phase buffer while it is in cache; a training batch norm needs the whole
-output's statistics first.
+Every training batch norm is one channel-major BatchNorm call (see
+layers) on the tensor its conv returned, and backward applies the ReLU
+mask and the batch-norm adjoint to the gradient in the form it comes
+in.  An eval forward keeps neither encoder units nor decoder stages, so
+its tape serves no backward.  Its batch norms run eval_inplace over
+their conv's fresh output: an encoder unit's through BatchNorm.forward
+after the conv, a decoder stage's (and ReLU) as the deconv's epilogue,
+with the unfused stage's bytes, on each phase buffer while it is in
+cache; a training batch norm needs the whole output's statistics first.
 
 The decoder computes in DECODER_DTYPE (float32): the latent, cast on
 entry, each deconv, batch norm and ReLU, and the head.  Everything that
@@ -79,9 +77,9 @@ from .layers import (
 # the dtype the dense decoder computes in; see the module docstring
 DECODER_DTYPE = np.float32
 
-# the most channels a stage may have: 16 times the default's widest.  A
-# 1024-to-1024 3x3x3 conv holds 216 MiB of float64 weights, and Adam keeps
-# two more copies.
+# the most channels a stage, or the input, may have: 16 times the default's
+# widest.  A 1024-to-1024 3x3x3 conv holds 216 MiB of float64 weights, and
+# Adam keeps two more copies.
 MAX_STAGE_CHANNELS = 1024
 
 
@@ -98,6 +96,8 @@ class NetConfig:
             raise ValueError("need at least one input channel and one stage")
         if any(c < 1 for c in self.stage_channels):
             raise ValueError("stage channels must be positive")
+        if self.in_channels > MAX_STAGE_CHANNELS:
+            raise ValueError(f"in_channels exceeds {MAX_STAGE_CHANNELS}")
         if max(self.stage_channels) > MAX_STAGE_CHANNELS:
             raise ValueError(
                 f"stage_channels {list(self.stage_channels)} exceed the cap"
@@ -171,19 +171,13 @@ class OccupancyNet:
             out += [(conv_name, conv), (bn_name, bn)]
         return out + [("head", self.head)]
 
-    def _tensors(self, kind: str) -> list[tuple[str, np.ndarray]]:
-        """("layer.tensor", array) of each layer's params or buffers."""
+    def parameters(self) -> list[tuple[str, np.ndarray]]:
+        """("layer.tensor", array) of each layer's params."""
         return [
             (f"{lname}.{tname}", arr)
             for lname, layer in self.named_layers()
-            for tname, arr in getattr(layer, kind)().items()
+            for tname, arr in layer.params().items()
         ]
-
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        return self._tensors("params")
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return self._tensors("buffers")
 
     def commit_batch_stats(self, stats) -> None:
         """Fold the batch statistics of one training forward (its tape's
@@ -264,11 +258,7 @@ class OccupancyNet:
                 x, _ = deconv.forward(x, sites, epilogue)
                 continue
             y, ctx = deconv.forward(x, sites)
-            if sites is None:  # Phases in, Phases out
-                x, c_bn = bn.forward(y, training=True)
-            else:
-                mat, c_bn = bn.forward(y.feats, training=True)
-                x = replace(y, feats=mat)
+            x, c_bn = bn.forward(y, training=True)
             stats.append((bn_name, c_bn[2]))
             stages.append((ctx, c_bn))
             del y
@@ -334,11 +324,7 @@ class OccupancyNet:
             for a, k in zip(_arrays(g), keep):
                 np.multiply(a, k, out=a)  # relu_backward
             del keep
-            if isinstance(g, Phases):
-                g, sub = bn.backward(c_bn, g)
-            else:
-                gmat, sub = bn.backward(c_bn, g.feats)
-                g = replace(g, feats=gmat)
+            g, sub = bn.backward(c_bn, g)
             del c_bn
             store(bn_name, sub)
             layer, name, ctx = deconv, deconv_name, deconv_ctx

@@ -20,8 +20,10 @@ _POINT_DTYPE = np.dtype("<f4")
 # the most ground points (sensor_rings * 360 / azimuth_step_deg) a scene may
 # ask for: 14 times a 64-beam scan at 0.08 degrees (288,000 points)
 MAX_GROUND_POINTS = 4_000_000
-# the most boxes a scene may hold: each samples at most 1,200 points (three
-# faces of at most 400), so its box points stay below MAX_GROUND_POINTS
+# the most points a box face samples; a box shows the sensor at most three
+_FACE_CAP = 400
+MAX_BOX_POINTS = 3 * _FACE_CAP
+# the most boxes a scene may hold: their points stay below MAX_GROUND_POINTS
 MAX_BOXES = 3_000
 # the longest ground_extent, box_size or ground_noise a scene may ask for, in
 # metres: every coordinate then stays finite, with a float32 step of at most
@@ -242,7 +244,7 @@ def _sample_box_faces(rng, cx, cy, sx, sy, sz, center_r) -> np.ndarray:
 
     # Solid-angle-proportional budgets, clamped to keep scenes desk-scale.
     counts = [
-        int(min(max(900.0 * area / max(center_r, 1.0) ** 2, 12), 400))
+        int(min(max(900.0 * area / max(center_r, 1.0) ** 2, 12), _FACE_CAP))
         for _, _, area in faces
     ]
     pts = np.empty((sum(counts), 4))

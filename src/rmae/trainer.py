@@ -292,7 +292,7 @@ def _prepare(frames, geom):
     return grids, truths
 
 
-def _masked_input(grid, truth, mask_cfg, query_cfg, key):
+def _masked_input(grid, mask_cfg, query_cfg, key):
     """Mask grid and build its loss queries; returns (outcome, visible,
     query).  key is (seed, stream, *indices): the mask seed is
     derive_seed(*key), the query seed the same key on _QUERY_STREAM.
@@ -302,7 +302,7 @@ def _masked_input(grid, truth, mask_cfg, query_cfg, key):
     outcome = apply_mask(grid, mask_cfg, seed=keyrand.derive_seed(*key))
     vis = visible_features(grid, outcome.visible)
     query_seed = keyrand.derive_seed(seed, _QUERY_STREAM, *indices)
-    query = build_query_set(truth, vis.coords, query_cfg, seed=query_seed)
+    query = build_query_set(grid, vis.coords, query_cfg, seed=query_seed)
     return outcome, vis, query
 
 
@@ -335,9 +335,7 @@ def pretrain(
     def step(job):
         epoch_key, fi, bsz = job
         key = (cfg.seed, _MASK_STREAM, epoch_key, fi)
-        _, vis, query = _masked_input(
-            grids[fi], truths[fi], cfg.mask, cfg.query, key
-        )
+        _, vis, query = _masked_input(grids[fi], cfg.mask, cfg.query, key)
         if len(query) == 0:
             return None
         pred, tape = net.forward(
@@ -446,11 +444,9 @@ def evaluate(
         without queries, the masked_region pair None where every cell was
         sensed."""
         truth, key = truths[i], (mask_cfg.seed, _EVAL_STREAM, i)
-        outcome, vis, query = _masked_input(
-            grids[i], truth, mask_cfg, query_cfg, key
-        )
+        outcome, vis, query = _masked_input(grids[i], mask_cfg, query_cfg, key)
         pred, _ = net.forward(vis, training=False)
-        occ = truth.o.astype(bool)
+        occ = truth.astype(bool)
         pred_occ = pred.logits > 0.0  # probability 0.5 threshold
         out = {
             "bce": None,

@@ -113,14 +113,6 @@ class VoxelGrid:
         return self.coords.shape[0]
 
 
-@dataclass
-class OccupancyGrid:
-    """Dense binary occupancy: 1 where the sparse grid has a voxel."""
-
-    geometry: GridGeometry
-    o: np.ndarray  # (nx, ny, nz) uint8
-
-
 def voxelize(cloud: PointCloud, geom: GridGeometry) -> VoxelGrid:
     """Bucket points into voxels; out-of-extent points are dropped (their
     count is kept on the grid's dropped_points field).
@@ -180,12 +172,12 @@ def voxelize(cloud: PointCloud, geom: GridGeometry) -> VoxelGrid:
     return VoxelGrid(geom, coords, feats, counts, len(data) - k)
 
 
-def occupancy_of(grid: VoxelGrid) -> OccupancyGrid:
-    """Dense 0/1 target: exactly the sparse key set is marked occupied."""
+def occupancy_of(grid: VoxelGrid) -> np.ndarray:
+    """Dense (nx, ny, nz) uint8 target: 1 exactly at the sparse key set."""
     o = np.zeros(grid.geometry.dims, dtype=np.uint8)
     if len(grid):
         o[grid.coords[:, 0], grid.coords[:, 1], grid.coords[:, 2]] = 1
-    return OccupancyGrid(grid.geometry, o)
+    return o
 
 
 def write_debug_dump(grid: VoxelGrid, path) -> None:

@@ -142,6 +142,16 @@ def random_grid(geom: GridGeometry, n: int, rng: np.random.Generator) -> VoxelGr
     return make_grid(geom, coords, feats)
 
 
+def net_buffers(net) -> list[tuple[str, np.ndarray]]:
+    """("layer.tensor", array) of each layer's buffers, named and ordered
+    as net.parameters() lists the params."""
+    return [
+        (f"{lname}.{tname}", arr)
+        for lname, layer in net.named_layers()
+        for tname, arr in layer.buffers().items()
+    ]
+
+
 def eval_batch_norm(bn, x: np.ndarray) -> np.ndarray:
     """Eval batch norm as the textbook expression, in x's dtype:
     gamma * ((x - running_mean) * ivar) + beta, with

@@ -50,6 +50,7 @@ from rmae.occupancy_net import (
     save_checkpoint,
 )
 from rmae.occupancy_net.checkpoint import VERSION, _Reader
+from conftest import net_buffers
 from test_cli import TINY, _with_header
 
 DATA = Path(__file__).parent / "data"
@@ -127,7 +128,7 @@ def test_layer_order_in_the_file_does_not_matter(tmp_path):
     shuffled.write_bytes(head + b"".join(records[::-1]))
     a, b = load_checkpoint(V1), load_checkpoint(shuffled)
     for (pa, x), (pb, y) in zip(
-        a.parameters() + a.buffers(), b.parameters() + b.buffers()
+        a.parameters() + net_buffers(a), b.parameters() + net_buffers(b)
     ):
         assert pa == pb
         assert x.tobytes() == y.tobytes(), pa
@@ -141,7 +142,8 @@ def test_a_loaded_format_1_net_saves_as_format_2(tmp_path):
     assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (2,)
     back = load_checkpoint(path)
     for (pa, x), (pb, y) in zip(
-        net.parameters() + net.buffers(), back.parameters() + back.buffers()
+        net.parameters() + net_buffers(net),
+        back.parameters() + net_buffers(back),
     ):
         assert pa == pb
         assert x.tobytes() == y.tobytes(), pa
@@ -188,7 +190,14 @@ class TestHeader:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("seed", "x"), ("bn_eps", math.inf), ("bn_momentum", True), ("zzz", 1)],
+        [
+            ("seed", "x"),
+            ("bn_eps", math.inf),
+            ("bn_momentum", True),
+            ("zzz", 1),
+            # an int NetConfig caps: refused before any layer is allocated
+            ("in_channels", 10**12),
+        ],
     )
     def test_a_value_that_does_not_fit_names_its_key(
         self, key, value, tmp_path, capsys
@@ -198,7 +207,9 @@ class TestHeader:
         assert self.eval_of(header, tmp_path) == cli.EXIT_MALFORMED == 4
         err = capsys.readouterr().err
         assert "error: MalformedFile: " in err
-        assert f"{tmp_path / 'bad.rmae'}: net.{key}" in err
+        # a value of its field's type is named by NetConfig's own message
+        named = f"net: {key} " if key == "in_channels" else f"net.{key}"
+        assert f"{tmp_path / 'bad.rmae'}: {named}" in err
         assert not (tmp_path / "out" / "eval.json").exists()
 
     @pytest.mark.parametrize(

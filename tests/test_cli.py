@@ -595,8 +595,6 @@ class TestBadInput:
         [
             ["pretrain", "net.in_channels=3"],
             ["sweep-ratio", "net.in_channels=5", "sweep.ratios=[0.5]"],
-            # checked before the net's first layer is allocated
-            ["pretrain", "net.in_channels=1000000000000"],
             # the downsample factor of three stages is 4
             ["pretrain", "geometry.dims=[15,16,8]"],
             ["sweep-angle", "geometry.dims=[16,16,6]", "sweep.spans_deg=[5]"],
@@ -640,6 +638,7 @@ class TestBadInput:
         [
             ["mask", "geometry.dims=[100000,100000,1000]"],
             ["mask", "mask.n_groups=1000000000000"],
+            ["pretrain", "net.in_channels=1000000000000"],
             ["pretrain", "net.stage_channels=[1000000000]"],
             ["pretrain", "train.epochs=1000000000000"],
             ["sweep-angle", "sweep.spans_deg=[1e-9]"],
@@ -671,7 +670,8 @@ class TestBadInput:
     def test_sizes_at_their_caps_are_accepted(self):
         GridGeometry(dims=(MAX_CELLS, 1, 1))
         MaskConfig(n_groups=MAX_GROUPS)
-        NetConfig(stage_channels=(MAX_STAGE_CHANNELS,))
+        NetConfig(in_channels=MAX_STAGE_CHANNELS,
+                  stage_channels=(MAX_STAGE_CHANNELS,))
         TrainConfig(epochs=MAX_EPOCHS)  # built, not trained
         cli.SweepConfig(spans_deg=(360.0 / MAX_GROUPS,))
         longest = (MAX_SCENE_LENGTH, MAX_SCENE_LENGTH)

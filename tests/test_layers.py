@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -667,6 +668,35 @@ class TestBatchNorm:
         for name, ref_g in ref_grads.items():
             assert grads[name].dtype == np.float64, name
             assert_rel_close(grads[name], ref_g, tol)
+
+    def test_a_map_equals_its_feats_matrix_bitwise(self):
+        """Over a SparseFeatureMap, forward and backward give the bytes of
+        the same passes over its feats matrix, as maps with its coords,
+        dims and rulebook, and leave the caller's rows alone."""
+        rng = np.random.default_rng(35)
+        bn = random_running_bn(3, rng)
+        coords = np.argwhere(rng.uniform(size=(6, 4, 5)) < 0.4)
+        feats = rng.normal(1.0, 2.0, (len(coords), 3)).astype(np.float32)
+        x = SparseFeatureMap((6, 4, 5), coords, feats, rulebook=[])
+        probe = rng.normal(0, 1, feats.shape).astype(np.float32)
+        before = feats.copy(), probe.copy()
+        ref, ref_ctx = bn.forward(feats, training=True)
+        ref_stats = ref_ctx[2]
+        ref_in, ref_grads = bn.backward(ref_ctx, probe)
+        out, ctx = bn.forward(x, training=True)
+        for stat, ref_stat in zip(ctx[2], ref_stats):
+            assert stat.tobytes() == ref_stat.tobytes()
+        grad_in, grads = bn.backward(ctx, replace(x, feats=probe))
+        for actual, expect in ((out, ref), (grad_in, ref_in)):
+            assert isinstance(actual, SparseFeatureMap)
+            assert actual.dims == x.dims and actual.coords is coords
+            assert actual.rulebook is x.rulebook
+            assert actual.feats.tobytes() == expect.tobytes()
+        assert feats.tobytes() == before[0].tobytes()
+        assert probe.tobytes() == before[1].tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, ref_g in ref_grads.items():
+            assert grads[name].tobytes() == ref_g.tobytes(), name
 
     def test_backward_consumes_ctx(self):
         rng = np.random.default_rng(33)

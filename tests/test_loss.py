@@ -13,7 +13,7 @@ from rmae.occupancy_net import (
 )
 from rmae.occupancy_net.layers import sigmoid
 from rmae.occupancy_net.loss import bce_elements
-from rmae.voxelizer import GridGeometry, OccupancyGrid, occupancy_of
+from rmae.voxelizer import GridGeometry, occupancy_of
 
 
 def naive_bce(logits, occ, query, batch_size=1):
@@ -31,7 +31,7 @@ def grid_with(geom, occupied):
     o = np.zeros(geom.dims, dtype=np.uint8)
     for c in occupied:
         o[c] = 1
-    return OccupancyGrid(geom, o)
+    return o
 
 
 GEOM = GridGeometry((0, 0, 0), (1, 1, 1), (4, 4, 2))
@@ -43,7 +43,7 @@ def occupancy_loss_oracle(logits, truth, query, batch_size=1):
     query = np.asarray(query, dtype=np.int64).reshape(-1, 3)
     ix, iy, iz = query.T
     x = logits[ix, iy, iz]
-    o = truth.o[ix, iy, iz].astype(np.float64)
+    o = truth[ix, iy, iz].astype(np.float64)
     scale = 1.0 / (batch_size * len(query))
     loss = float(bce_elements(x, o).sum() * scale)
     grad = np.zeros_like(logits)
@@ -54,7 +54,7 @@ def occupancy_loss_oracle(logits, truth, query, batch_size=1):
 class TestOccupancyLoss:
     def test_saturated_correct_prediction(self):
         truth = grid_with(GEOM, [(0, 0, 0), (3, 3, 1)])
-        logits = np.where(truth.o == 1, 20.0, -20.0)
+        logits = np.where(truth == 1, 20.0, -20.0)
         query = np.indices(GEOM.dims).reshape(3, -1).T
         loss, grad = occupancy_loss(logits, truth, query)
         assert loss < 1e-8
@@ -73,7 +73,7 @@ class TestOccupancyLoss:
         logits = np.array([0.5, -0.2, 1.0]).reshape(3, 1, 1)
         query = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
         loss, _ = occupancy_loss(logits, truth, query, batch_size=1)
-        assert abs(loss - naive_bce(logits, truth.o, query)) < 1e-10
+        assert abs(loss - naive_bce(logits, truth, query)) < 1e-10
 
     def test_random_cases_match_direct_summation(self):
         rng = np.random.default_rng(0)
@@ -81,7 +81,7 @@ class TestOccupancyLoss:
             dims = tuple(int(v) for v in rng.integers(2, 6, 3))
             geom = GridGeometry((0, 0, 0), (1, 1, 1), dims)
             o = (rng.uniform(0, 1, dims) < 0.4).astype(np.uint8)
-            truth = OccupancyGrid(geom, o)
+            truth = o
             logits = rng.uniform(-12, 12, dims)
             total = int(np.prod(dims))
             k = int(rng.integers(3, min(101, total + 1)))
@@ -108,7 +108,7 @@ class TestOccupancyLoss:
         assert (grad[~mask] == 0).all()
         for ix, iy, iz in query:
             x = logits[ix, iy, iz]
-            o = truth.o[ix, iy, iz]
+            o = truth[ix, iy, iz]
             expect = (1 / (1 + math.exp(-x)) - o) / (2 * 3)
             assert grad[ix, iy, iz] == pytest.approx(expect, rel=1e-12)
 
@@ -185,7 +185,7 @@ class TestOccupancyLoss:
         truth = occupancy_of(grid)
         logits = rng.normal(0, 4, geom.dims)
         if kind == "duplicated":
-            base = build_query_set(truth, grid.coords, QueryConfig("sphere"))
+            base = build_query_set(grid, grid.coords, QueryConfig("sphere"))
             # cells hit up to ~10 times, each hit adding its term once more
             query = np.concatenate([base, rng.integers(0, 4, (600, 3))])
             query = rng.permutation(query)
@@ -195,7 +195,7 @@ class TestOccupancyLoss:
                 sphere_radius=2.0,
                 balance_empty=kind == "balanced",
             )
-            query = build_query_set(truth, grid.coords[::3], q, seed=5)
+            query = build_query_set(grid, grid.coords[::3], q, seed=5)
         loss, grad = occupancy_loss(logits, truth, query, batch_size)
         ref_loss, ref_grad = occupancy_loss_oracle(
             logits, truth, query, batch_size
@@ -233,16 +233,14 @@ def balanced_by_concatenation(coords, occ, seed):
 class TestBuildQuerySet:
     def test_all_voxels(self, small_geom):
         grid = make_grid(small_geom, [[0, 0, 0]])
-        truth = occupancy_of(grid)
-        q = build_query_set(truth, grid.coords, QueryConfig())
+        q = build_query_set(grid, grid.coords, QueryConfig())
         assert len(q) == np.prod(small_geom.dims)
 
     def test_sphere_radius_zero_is_visible_set(self, small_geom):
         rng = np.random.default_rng(5)
         grid = random_grid(small_geom, 40, rng)
-        truth = occupancy_of(grid)
         q = build_query_set(
-            truth,
+            grid,
             grid.coords,
             QueryConfig(mode="sphere", sphere_radius=0.0),
         )
@@ -251,10 +249,9 @@ class TestBuildQuerySet:
     def test_sphere_matches_brute_force_filter(self, small_geom):
         rng = np.random.default_rng(6)
         grid = random_grid(small_geom, 15, rng)
-        truth = occupancy_of(grid)
         radius = 2.5
         q = build_query_set(
-            truth,
+            grid,
             grid.coords,
             QueryConfig(mode="sphere", sphere_radius=radius),
         )
@@ -271,9 +268,8 @@ class TestBuildQuerySet:
     def test_sphere_matches_brute_force_ball(self, small_geom, radius):
         rng = np.random.default_rng(10)
         grid = random_grid(small_geom, 12, rng)
-        truth = occupancy_of(grid)
         q = build_query_set(
-            truth,
+            grid,
             grid.coords,
             QueryConfig(mode="sphere", sphere_radius=radius),
         )
@@ -289,9 +285,8 @@ class TestBuildQuerySet:
     def test_covering_ball_with_many_visible(self, small_geom, radius):
         rng = np.random.default_rng(13)
         grid = random_grid(small_geom, 1400, rng)
-        truth = occupancy_of(grid)
         q = build_query_set(
-            truth, grid.coords, QueryConfig(mode="sphere", sphere_radius=radius)
+            grid, grid.coords, QueryConfig(mode="sphere", sphere_radius=radius)
         )
         assert q.dtype == np.int64
         assert np.array_equal(q, ball_oracle(small_geom.dims, grid.coords, radius))
@@ -303,7 +298,6 @@ class TestBuildQuerySet:
         # (26, 29, 31, 89, ...) and must be set right by the exact test
         geom = GridGeometry((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (25, 25, 25))
         grid = make_grid(geom, [[12, 12, 12]])
-        truth = occupancy_of(grid)
         for n in range(1, 145):
             for radius in (
                 math.nextafter(math.sqrt(n), 0.0),
@@ -311,16 +305,15 @@ class TestBuildQuerySet:
                 math.nextafter(math.sqrt(n), math.inf),
             ):
                 cfg = QueryConfig(mode="sphere", sphere_radius=radius)
-                q = build_query_set(truth, grid.coords, cfg)
+                q = build_query_set(grid, grid.coords, cfg)
                 expect = stencil_union_oracle(geom.dims, grid.coords, radius)
                 assert q.tobytes() == expect.tobytes(), radius
 
     @pytest.mark.parametrize("radius, cells", [(22.33, 2047), (22.34, 2048)])
     def test_ball_from_a_corner_at_the_diagonal(self, small_geom, radius, cells):
         grid = make_grid(small_geom, [[0, 0, 0]])
-        truth = occupancy_of(grid)
         q = build_query_set(
-            truth, grid.coords, QueryConfig(mode="sphere", sphere_radius=radius)
+            grid, grid.coords, QueryConfig(mode="sphere", sphere_radius=radius)
         )
         assert len(q) == cells
         assert np.array_equal(q, ball_oracle(small_geom.dims, grid.coords, radius))
@@ -331,9 +324,8 @@ class TestBuildQuerySet:
 
     def test_sphere_empty_visible(self, small_geom):
         grid = make_grid(small_geom, np.empty((0, 3)))
-        truth = occupancy_of(grid)
         q = build_query_set(
-            truth,
+            grid,
             np.empty((0, 3), np.int64),
             QueryConfig(mode="sphere", sphere_radius=2),
         )
@@ -344,9 +336,9 @@ class TestBuildQuerySet:
         grid = random_grid(small_geom, 30, rng)
         truth = occupancy_of(grid)
         q = build_query_set(
-            truth, grid.coords, QueryConfig(balance_empty=True), seed=3
+            grid, grid.coords, QueryConfig(balance_empty=True), seed=3
         )
-        occ = truth.o[q[:, 0], q[:, 1], q[:, 2]]
+        occ = truth[q[:, 0], q[:, 1], q[:, 2]]
         assert occ.sum() == (1 - occ).sum() == 30
 
     @pytest.mark.parametrize(
@@ -357,10 +349,10 @@ class TestBuildQuerySet:
         grid = random_grid(GEOM, n_occupied, rng)  # 32 cells
         truth = occupancy_of(grid)
         cells = np.indices(GEOM.dims).reshape(3, -1).T
-        occ = truth.o.ravel().astype(bool)
+        occ = truth.ravel().astype(bool)
         for seed in range(5):
             q = build_query_set(
-                truth, grid.coords, QueryConfig(balance_empty=True), seed=seed
+                grid, grid.coords, QueryConfig(balance_empty=True), seed=seed
             )
             assert len(q) == kept
             assert np.array_equal(q, balanced_by_concatenation(cells, occ, seed))
@@ -370,10 +362,10 @@ class TestBuildQuerySet:
         grid = random_grid(small_geom, 30, rng)
         truth = occupancy_of(grid)
         cfg = QueryConfig(mode="sphere", sphere_radius=1.5)
-        ball = build_query_set(truth, grid.coords, cfg)
-        occ = truth.o[tuple(ball.T)].astype(bool)
+        ball = build_query_set(grid, grid.coords, cfg)
+        occ = truth[tuple(ball.T)].astype(bool)
         q = build_query_set(
-            truth,
+            grid,
             grid.coords,
             QueryConfig(mode="sphere", sphere_radius=1.5, balance_empty=True),
             seed=3,
@@ -383,20 +375,18 @@ class TestBuildQuerySet:
     def test_balance_is_seeded(self, small_geom):
         rng = np.random.default_rng(8)
         grid = random_grid(small_geom, 30, rng)
-        truth = occupancy_of(grid)
         cfg = QueryConfig(balance_empty=True)
-        a = build_query_set(truth, grid.coords, cfg, seed=3)
-        b = build_query_set(truth, grid.coords, cfg, seed=3)
-        c = build_query_set(truth, grid.coords, cfg, seed=4)
+        a = build_query_set(grid, grid.coords, cfg, seed=3)
+        b = build_query_set(grid, grid.coords, cfg, seed=3)
+        c = build_query_set(grid, grid.coords, cfg, seed=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_sphere_queries_come_sorted(self, small_geom):
         rng = np.random.default_rng(9)
         grid = random_grid(small_geom, 10, rng)
-        truth = occupancy_of(grid)
         q = build_query_set(
-            truth, grid.coords, QueryConfig(mode="sphere", sphere_radius=2)
+            grid, grid.coords, QueryConfig(mode="sphere", sphere_radius=2)
         )
         keys = [tuple(c) for c in q]
         assert keys == sorted(keys)

@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import eval_batch_norm, interleaved, phases_of, random_grid
+from conftest import (
+    eval_batch_norm,
+    interleaved,
+    net_buffers,
+    phases_of,
+    random_grid,
+)
 from rmae.errors import MalformedFile, ShapeError, StaleCache
 from rmae.occupancy_net import (
     NetConfig,
@@ -195,13 +201,14 @@ class TestEvalEpilogue:
         net = with_drawn_statistics(OccupancyNet(NetConfig()), rng)
         x = sparse_input((16, 16, 8), 300, 4, rng)
         coords, feats = x.coords.copy(), x.feats.copy()
-        state = [(p, a.copy()) for p, a in net.parameters() + net.buffers()]
+        state = [(p, a.copy()) for p, a in net.parameters()]
+        state += [(p, a.copy()) for p, a in net_buffers(net)]
         net.forward(x)
         net.forward(x, query=x.coords[::2])
         assert x.coords.tobytes() == coords.tobytes()
         assert x.feats.tobytes() == feats.tobytes()
         for (path, before), (_, after) in zip(
-            state, net.parameters() + net.buffers()
+            state, net.parameters() + net_buffers(net)
         ):
             assert after.tobytes() == before.tobytes(), path
 
@@ -335,13 +342,13 @@ class TestPhaseMajorTraining:
         assert peak < 39.0 * 2**20
 
 
-def toy_problem(seed):
-    """(net input, truth, query set) on an 8x8x4 grid."""
+def toy_problem(seed, q=QueryConfig()):
+    """(net input, truth, query set of q) on an 8x8x4 grid."""
     rng = np.random.default_rng(seed)
     x = sparse_input((8, 8, 4), 30, 2, rng)
     geom = GridGeometry((0, 0, 0), (1, 1, 1), (8, 8, 4))
-    truth = occupancy_of(random_grid(geom, 40, rng))
-    return x, truth, build_query_set(truth, x.coords, QueryConfig())
+    grid = random_grid(geom, 40, rng)
+    return x, occupancy_of(grid), build_query_set(grid, x.coords, q)
 
 
 class TestComposedGradients:
@@ -356,7 +363,7 @@ class TestComposedGradients:
         geom = GridGeometry((0, 0, 0), (1, 1, 1), (8, 8, 4))
         truth_grid = random_grid(geom, 40, rng)
         truth = occupancy_of(truth_grid)
-        query = build_query_set(truth, x.coords, QueryConfig())
+        query = build_query_set(truth_grid, x.coords, QueryConfig())
 
         def loss_value():
             pred, _ = net.forward(x, training=True)
@@ -481,7 +488,7 @@ class TestCheckpoint:
         for (pa, a), (pb, b) in zip(net.parameters(), back.parameters()):
             assert pa == pb
             assert a.tobytes() == b.tobytes()
-        for (pa, a), (pb, b) in zip(net.buffers(), back.buffers()):
+        for (pa, a), (pb, b) in zip(net_buffers(net), net_buffers(back)):
             assert pa == pb
             assert a.tobytes() == b.tobytes()
 
@@ -592,12 +599,11 @@ class TestSparseDecode:
             np.testing.assert_allclose(var_b, var_a, rtol=1e-12, atol=1e-15)
 
     def test_logits_only_at_the_query(self):
-        x, truth, _ = toy_problem(7)
-        query = build_query_set(truth, x.coords, QueryConfig("sphere", 1.0))
-        assert 0 < len(query) < truth.o.size
+        x, truth, query = toy_problem(7, QueryConfig("sphere", 1.0))
+        assert 0 < len(query) < truth.size
         net = toy_net(stages=(2, 3, 4))
         pred, _ = net.forward(x, training=True, query=query)
-        at = np.zeros(truth.o.shape, dtype=bool)
+        at = np.zeros(truth.shape, dtype=bool)
         at[tuple(query.T)] = True
         assert pred.logits.dtype == np.float64
         assert np.isfinite(pred.logits[at]).all()
@@ -607,9 +613,8 @@ class TestSparseDecode:
         monkeypatch.setattr(network, "DECODER_DTYPE", np.float64)
         rng = np.random.default_rng(8)
         net = toy_net(seed=9, stages=(2, 3, 4))
-        x, truth, _ = toy_problem(8)
-        query = build_query_set(truth, x.coords, QueryConfig("sphere", 1.0))
-        assert len(query) < truth.o.size
+        x, truth, query = toy_problem(8, QueryConfig("sphere", 1.0))
+        assert len(query) < truth.size
 
         def loss_value():
             pred, _ = net.forward(x, training=True, query=query)
@@ -653,16 +658,15 @@ class TestSparseDecode:
     @pytest.mark.parametrize("mode", ["all_voxels", "sphere"])
     def test_one_stage_net(self, mode):
         """One stage has no deconv: the head reads the latent itself."""
-        x, truth, _ = toy_problem(10)
-        query = build_query_set(truth, x.coords, QueryConfig(mode, 1.0))
-        at = np.zeros(truth.o.shape, dtype=bool)
+        x, truth, query = toy_problem(10, QueryConfig(mode, 1.0))
+        at = np.zeros(truth.shape, dtype=bool)
         at[tuple(query.T)] = True
         assert at.all() == (mode == "all_voxels")
         net = toy_net(seed=3, stages=(4,))
         assert not net.decoder
         q = query if mode == "sphere" else None
         pred, tape = net.forward(x, training=True, query=q)
-        assert pred.logits.shape == truth.o.shape
+        assert pred.logits.shape == truth.shape
         assert np.isfinite(pred.logits[at]).all()
         assert np.isnan(pred.logits[~at]).all()
         _, grad_logits = occupancy_loss(pred.logits, truth, query)
@@ -682,8 +686,7 @@ class TestSparseDecode:
     def test_eval_mode_sparse_equals_dense_at_the_query(self):
         """Eval mode normalizes with the running statistics, so only the
         query cells differ: they are the dense logits there."""
-        x, truth, _ = toy_problem(9)
-        query = build_query_set(truth, x.coords, QueryConfig("sphere", 1.0))
+        x, _, query = toy_problem(9, QueryConfig("sphere", 1.0))
         net = toy_net(seed=2, stages=(2, 3, 4))
         dense, _ = net.forward(x)
         sparse, _ = net.forward(x, query=query)

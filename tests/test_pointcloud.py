@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rmae.errors import InvalidSpec, MalformedFile
-from rmae.pointcloud import (
+from rmae.pointcloud import (  # noqa: PLC2701 - samples one box
+    MAX_BOX_POINTS,
     MAX_BOXES,
     MAX_GROUND_POINTS,
     MAX_SCENE_LENGTH,
@@ -15,6 +16,7 @@ from rmae.pointcloud import (
     SceneSpec,
     cylindrical_arrays,
     load_kitti_bin,
+    _sample_box_faces,
     save_kitti_bin,
     synth_scene,
 )
@@ -233,6 +235,15 @@ class TestSynthScene:
         SceneSpec(box_count=most + 1, occlusion=False, **big)
         with pytest.raises(InvalidSpec, match="^box_count "):
             SceneSpec(box_count=most + 1, **big)
+
+    def test_a_box_samples_at_most_its_bound(self):
+        """A box shows the sensor at most three faces, each capped, so a
+        large box beside the sensor samples MAX_BOX_POINTS points, and
+        MAX_BOXES of them fewer than MAX_GROUND_POINTS."""
+        rng = np.random.default_rng(0)
+        pts = _sample_box_faces(rng, 3.0, 3.0, 4.0, 4.0, 4.0, center_r=1.0)
+        assert len(pts) == MAX_BOX_POINTS == 1_200
+        assert MAX_BOXES * MAX_BOX_POINTS < MAX_GROUND_POINTS
 
     def test_ground_point_budget(self):
         """Specs are only constructed here: no scene is generated."""

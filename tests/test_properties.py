@@ -23,7 +23,7 @@ from rmae.occupancy_net import QueryConfig, build_query_set
 from rmae.occupancy_net.layers import SparseDownConv, SparseFeatureMap
 from rmae.pointcloud import PointCloud, SceneSpec, synth_scene
 from rmae.radial_mask import MaskConfig, apply_mask
-from rmae.voxelizer import GridGeometry, occupancy_of, voxelize
+from rmae.voxelizer import GridGeometry, voxelize
 
 GEOM = GridGeometry((-6.4, -6.4, -1.6), (0.8, 0.8, 0.8), (16, 16, 8))
 BOUNDED = settings(max_examples=50, deadline=None)
@@ -220,7 +220,7 @@ def test_down_conv_sites_are_every_voxel_offset_pair(dims, n, seed):
 def test_sphere_query_is_the_union_of_balls(n, seed, radius):
     grid = random_grid(GEOM, n, np.random.default_rng(seed))
     cfg = QueryConfig(mode="sphere", sphere_radius=radius)
-    q = build_query_set(occupancy_of(grid), grid.coords, cfg)
+    q = build_query_set(grid, grid.coords, cfg)
     assert q.tobytes() == ball_oracle(GEOM.dims, grid.coords, radius).tobytes()
 
 
@@ -248,7 +248,7 @@ def test_sphere_query_is_the_stencil_union(dims, n, seed, radius):
     geom = GridGeometry((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), dims)
     grid = random_grid(geom, n, np.random.default_rng(seed))
     cfg = QueryConfig(mode="sphere", sphere_radius=radius)
-    q = build_query_set(occupancy_of(grid), grid.coords, cfg)
+    q = build_query_set(grid, grid.coords, cfg)
     expect = stencil_union_oracle(dims, grid.coords, radius)
     assert q.dtype == np.int64
     assert q.tobytes() == expect.tobytes()

@@ -340,18 +340,19 @@ class TestOccupancy:
     def test_empty(self, small_geom):
         grid = voxelize(cloud_from(np.empty((0, 4))), small_geom)
         occ = occupancy_of(grid)
-        assert occ.o.sum() == 0
-        assert occ.o.shape == small_geom.dims
+        assert occ.dtype == np.uint8
+        assert occ.sum() == 0
+        assert occ.shape == small_geom.dims
 
     def test_k_ones(self, small_geom):
         grid = make_grid(small_geom, [[0, 0, 0], [5, 5, 5], [1, 2, 3]])
-        assert occupancy_of(grid).o.sum() == 3
+        assert occupancy_of(grid).sum() == 3
 
     def test_positions_equal_key_set(self, small_geom):
         rng = np.random.default_rng(13)
         grid = random_grid(small_geom, 60, rng)
         occ = occupancy_of(grid)
-        ones = set(map(tuple, np.argwhere(occ.o == 1)))
+        ones = set(map(tuple, np.argwhere(occ == 1)))
         keys = set(map(tuple, grid.coords))
         assert ones == keys
 
@@ -360,7 +361,7 @@ class TestOccupancy:
         grid = random_grid(small_geom, 30, rng)
         a = occupancy_of(grid)
         b = occupancy_of(grid)
-        assert np.array_equal(a.o, b.o)
+        assert np.array_equal(a, b)
 
 
 def test_debug_dump_format(tmp_path, small_geom):
@@ -385,4 +386,4 @@ def test_real_scene_smoke(small_geom):
     grid = voxelize(cloud, small_geom)
     assert len(grid) > 50
     occ = occupancy_of(grid)
-    assert occ.o.sum() == len(grid)
+    assert occ.sum() == len(grid)
