@@ -256,11 +256,12 @@ def run_tier1(copy: Path) -> tuple[int, str]:
     return proc.returncode, first.group(2) if first else ""
 
 
-def trial(root: Path, mutant: Mutant | None) -> tuple[int, str]:
-    """Tier-1 on a temporary copy of root, with mutant's edit applied."""
+def trial(mutant: Mutant | None) -> tuple[int, str]:
+    """Tier-1 on a temporary copy of the checkout, with mutant's edit
+    applied."""
     with tempfile.TemporaryDirectory(prefix="rmae-mutant-") as tmp:
         copy = Path(tmp) / "repo"
-        shutil.copytree(root, copy, ignore=_IGNORED)
+        shutil.copytree(ROOT, copy, ignore=_IGNORED)
         if mutant is not None:
             apply(mutant, copy)
         return run_tier1(copy)
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
         return 0
 
     start = time.perf_counter()
-    code, first = trial(ROOT, None)
+    code, first = trial(None)
     if code != 0:
         say(f"clean copy fails tier-1 (exit {code}, {first}): no verdicts")
         return 2
@@ -295,7 +296,7 @@ def main(argv=None) -> int:
     for m in chosen:
         t0 = time.perf_counter()
         try:
-            code, first = trial(ROOT, m)
+            code, first = trial(m)
         except ValueError as e:
             say(f"error     {e}")
             return 2
