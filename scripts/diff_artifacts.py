@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two artifact trees that scripts/cli_artifacts.sh wrote.
+"""Compare two artifact trees that scripts/cli_artifacts.py wrote.
 
     python3 scripts/diff_artifacts.py A B
 

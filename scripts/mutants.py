@@ -189,6 +189,12 @@ MUTANTS = [
         "net.commit_batch_stats(stats)",
         "pass",
     ),
+    Mutant(
+        "one-worker-round-of-two",
+        "src/rmae/trainer.py",
+        "*theirs, last = jobs[start : start + n]",
+        "*theirs, last = jobs[start : start + max(n, 2)]",
+    ),
     # --- evaluate ---
     Mutant(
         "every-sector-dark",
@@ -234,6 +240,12 @@ MUTANTS = [
         "return [(m, replace(cfg.mask, m=m)) for m in cfg.sweep.ratios]",
         "return [(m, replace(cfg.mask, m=m, p_drop=cfg.mask.p_drop[:1]))"
         " for m in cfg.sweep.ratios]",
+    ),
+    Mutant(
+        "sweep-trains-on-no-frame",
+        "src/rmae/cli.py",
+        "if n_held >= count:",
+        "if n_held > count:",
     ),
     Mutant(
         "sweep-scores-unswept-mask",

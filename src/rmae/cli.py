@@ -288,14 +288,6 @@ def _load_frames(cfg: RunConfig) -> list[PointCloud]:
     ]
 
 
-def _split_frames(frames, cfg: RunConfig):
-    held = cfg.sweep.eval_frames or max(1, len(frames) // 5)
-    held = min(held, len(frames))
-    if held == len(frames):
-        return frames, frames
-    return frames[:-held], frames[-held:]
-
-
 # sweep command -> its sweep.csv label
 _SWEEPS = {"sweep-ratio": "m", "sweep-angle": "span_deg"}
 
@@ -343,6 +335,14 @@ def run(cfg: RunConfig) -> int:
     """Execute one command; raises on failure (main maps to exit codes)."""
     if cfg.command in ("pretrain", "eval", *_SWEEPS):
         net = _runnable_net(cfg)
+    if cfg.command in _SWEEPS:  # scores its last frames, trains on the rest
+        count = len(cfg.inputs) or cfg.synth.frames
+        n_held = cfg.sweep.eval_frames or max(1, count // 5)
+        if n_held >= count:
+            raise ConfigError(
+                f"a sweep holding out {n_held} of {count} frames has none"
+                " left to train on"
+            )
     cfg.out.mkdir(parents=True, exist_ok=True)
     _json_dump(cfg.out / "resolved_config.json", cfg.to_json_dict())
 
@@ -404,7 +404,7 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command in _SWEEPS:
-        fit, held = _split_frames(frames, cfg)
+        fit, held = frames[:-n_held], frames[-n_held:]
         rows = []
         for value, mask in sweep_masks(cfg):  # each from the initial net
             train = replace(cfg.train, mask=mask)

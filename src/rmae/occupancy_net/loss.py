@@ -100,7 +100,7 @@ def build_query_set(
     # a radius as long as the grid's diagonal reaches every cell from all
     covers = len(visible) > 0 and r * r >= sum((d - 1) ** 2 for d in dims)
     if q.mode == "all_voxels" or covers:
-        coords = np.indices(dims).reshape(3, -1).T.astype(np.int64)
+        coords = np.indices(dims).reshape(3, -1).T
     else:
         nx, ny, nz = dims
         reach = [int(min(r, d - 1)) for d in dims]

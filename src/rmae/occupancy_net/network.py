@@ -361,5 +361,5 @@ def visible_features(grid: VoxelGrid, visible: np.ndarray) -> SparseFeatureMap:
     return SparseFeatureMap(
         tuple(grid.geometry.dims),
         grid.coords[rows],
-        grid.feats[rows].astype(np.float64),
+        grid.feats[rows],
     )

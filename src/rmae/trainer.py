@@ -88,16 +88,13 @@ def _forked(n: int, step, send=_as_is, receive=_as_is):
     worker's exception is raised here with its type.  Leaving the block
     kills and reaps every worker.  At n <= 1 every job runs in the
     calling process."""
-    if n <= 1:
-        yield lambda jobs: map(step, jobs)
-        return
-    import multiprocessing  # ~1 MiB that a run forking no worker never pays
-
     pids, conns = [], []
     try:
         sys.stdout.flush()
         sys.stderr.flush()
         for k in range(n - 1):
+            import multiprocessing  # ~1 MiB that a one-worker run never pays
+
             conn, child = multiprocessing.Pipe()
             pid = os.fork()
             if pid == 0:

@@ -1,10 +1,10 @@
 """Checkpoint format 1, read by the format-2 loader.
 
 tests/data holds a format-1 checkpoint of the (4, 8, 8) net on the
-16x16x8 grid of scripts/cli_artifacts.sh, one masked synthetic frame and
+16x16x8 grid of scripts/cli_artifacts.py, one masked synthetic frame and
 the eval logits that the format-1 code gave on it.  Format 1 stored a bias
 for every conv; these were written, from the repository's src/ before
-format 2, by:
+format 2 (commit ba75736, whose OccupancyNet still had buffers()), by:
 
     import numpy as np
     from rmae import pointcloud, radial_mask, voxelizer

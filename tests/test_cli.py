@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cli_artifacts as kit  # the artifact script's runs
 import rmae
 from rmae import cli
 from rmae.errors import InvalidSpec
@@ -33,17 +34,8 @@ from rmae.radial_mask import MAX_GROUPS, MaskConfig
 from rmae.trainer import MAX_EPOCHS, TrainConfig
 from rmae.voxelizer import MAX_CELLS, GridGeometry
 
-TINY = [
-    "synth.frames=2",
-    "synth.ground_extent=6.0",
-    "synth.box_count=3",
-    "geometry.min_corner=[-6.4,-6.4,-1.6]",
-    "geometry.voxel_size=[0.8,0.8,0.8]",
-    "geometry.dims=[16,16,8]",
-    "net.stage_channels=[4,8,8]",
-    "train.epochs=1",
-    "train.batch_size=1",
-]
+TINY = kit.TINY
+KIT_RUNS = {name: argv for name, *argv in kit.RUNS}
 
 
 def _with_header(raw: bytes, header: bytes) -> bytes:
@@ -270,54 +262,9 @@ class TestCommands:
         ]
 
 
-# scripts/cli_artifacts.sh's runs whose artifacts no GEMM touches, in its
-# order: each run's directory and its arguments but --out
-GEMM_FREE_RUNS = [
-    ("mask", ["mask", "mask.r_thresholds=[6.0,12.0]", *TINY]),
-    ("mask-exact", ["mask", *TINY, "mask.selection_mode=exact_count", "mask.m=0.5"]),
-    ("mask-none", ["mask", *TINY, "mask.m=0.0", "mask.p_drop=[[0.0,0.0,0.0]]"]),
-    (
-        "mask-rows",
-        [
-            "mask",
-            *TINY,
-            "mask.n_groups=4",
-            "mask.r_thresholds=[3.0,6.0]",
-            "mask.p_drop=[[0.0,0.5,0.9],[0.2,0.2,0.2],[1.0,0.0,0.0],[0.5,0.5,0.5]]",
-        ],
-    ),
-    ("voxelize", ["voxelize", *TINY]),
-    ("voxelize-crop", ["voxelize", *TINY, "geometry.dims=[8,8,4]"]),
-    (
-        "voxelize-dense",
-        [
-            "voxelize",
-            *TINY,
-            "synth.sensor_rings=64",
-            "synth.azimuth_step_deg=0.2",
-            "synth.box_count=40",
-            "synth.box_size=[0.6,6.0]",
-        ],
-    ),
-    ("voxelize-one-sample", ["voxelize", *TINY, "synth.azimuth_step_deg=400.0"]),
-    ("voxelize-input", ["voxelize", "--input", "frames", *TINY]),
-    ("energy", ["energy", "--stats", "mask/stats.json"]),
-    (
-        "energy-params",
-        [
-            "energy",
-            "--stats",
-            "mask/stats.json",
-            "energy.R=60.0",
-            "energy.tau=2e-9",
-            "energy.N_bits=10",
-            "energy.N_fft=256",
-        ],
-    ),
-]
-# what sha256sum prints for every file those runs write but
-# resolved_config.json, which records their paths, and for the script's
-# two frames/*.bin inputs
+# what sha256sum prints for every file that the artifact script's mask,
+# voxelize and energy runs write but resolved_config.json, which records
+# their paths, and for its two frames/*.bin inputs
 GEMM_FREE_DIGESTS = """
 64facb16c91f683cdcaf547ef4a981ae7311c3985df0e1c46336d015c0b999d8  frames/1.bin
 d74081d20bc753248e5e40089bf9dac8342afe1604dce1c4f02502978f50a87d  frames/2.bin
@@ -359,12 +306,10 @@ class TestPinnedArtifacts:
 
     def test_gemm_free_runs_write_their_pinned_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the energy runs read mask/stats.json
-        (tmp_path / "frames").mkdir()
-        for seed in (1, 2):  # the script's two .bin frames
-            spec = SceneSpec(ground_extent=6.0, box_count=3, seed=seed)
-            save_kitti_bin(synth_scene(spec), tmp_path / f"frames/{seed}.bin")
-        for name, (command, *args) in GEMM_FREE_RUNS:
-            assert cli.main([command, "--out", name, *args]) == 0, name
+        kit.write_frames(tmp_path / "frames")
+        for name, command, *args in kit.RUNS:
+            if command in ("mask", "voxelize", "energy"):  # GEMM-free runs
+                assert cli.main([command, "--out", name, *args]) == 0, name
         got = {
             p.relative_to(tmp_path).as_posix(): hashlib.sha256(
                 p.read_bytes()
@@ -378,15 +323,12 @@ class TestPinnedArtifacts:
 
 class TestSweeps:
     @pytest.mark.parametrize(
-        "command, setting, label",
-        [
-            ("sweep-ratio", "sweep.ratios=[0.0,0.9]", "m"),
-            ("sweep-angle", "sweep.spans_deg=[5.0,45.0]", "span_deg"),
-        ],
+        "name, label", [("sweep-ratio", "m"), ("sweep-angle", "span_deg")]
     )
-    def test_one_row_per_setting(self, command, setting, label, tmp_path):
+    def test_one_row_per_setting(self, name, label, tmp_path):
+        command, setting, *args = KIT_RUNS[name]
         out = tmp_path / "out"
-        assert cli.main([command, "--out", str(out), setting] + TINY) == 0
+        assert cli.main([command, "--out", str(out), setting, *args]) == 0
         rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
         assert rows[0][0] == label
         assert [float(r[0]) for r in rows[1:]] == json.loads(
@@ -394,7 +336,9 @@ class TestSweeps:
         )
         assert all(len(r) == len(rows[0]) for r in rows)
 
-    def test_one_frame_trains_and_evaluates_on_it(self, tmp_path, monkeypatch):
+    def test_each_setting_trains_a_copy_and_scores_the_held_out_frames(
+        self, tmp_path, monkeypatch
+    ):
         calls = []
         for name in ("pretrain", "evaluate"):
 
@@ -403,23 +347,28 @@ class TestSweeps:
                 return _call(*args)
 
             monkeypatch.setattr(cli, name, recording)
-        out = tmp_path / "out"
-        argv = ["sweep-ratio", "--out", str(out), "sweep.ratios=[0.0,0.9]"]
-        assert cli.main(argv + TINY + ["synth.frames=1"]) == 0
+        command, *args = KIT_RUNS["sweep-ratio"]  # two frames, m 0.0 and 0.9
+        assert cli.main([command, "--out", str(tmp_path / "out"), *args]) == 0
         assert [name for name, _ in calls] == ["pretrain", "evaluate"] * 2
-        frames, nets = calls[0][1][0], []
-        assert len(frames) == 1
+        nets = []
         settings = zip(calls[::2], calls[1::2], (0.0, 0.9))
         for (_, trained), (_, scored), m in settings:
-            frames_in, train_cfg, net, _ = trained
+            fit, train_cfg, net, _ = trained
             held, scored_net, mask, *_ = scored
-            # a fresh copy per setting, trained and scored on the one frame
-            assert frames_in == held == frames
+            # a fresh copy per setting, trained on the first frame and
+            # scored on the last
+            assert len(fit) == len(held) == 1 and fit[0] is not held[0]
             assert scored_net is net and all(net is not n for n in nets)
             assert train_cfg.mask == mask and mask.m == m
             nets.append(net)
-        rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
-        assert [float(r[0]) for r in rows[1:]] == [0.0, 0.9]
+
+    def test_holding_out_every_frame_exits_before_writing(self, tmp_path, capsys):
+        """A sweep never scores the frames it trained on."""
+        out = tmp_path / "out"
+        argv = ["sweep-ratio", "--out", str(out), *TINY, "sweep.eval_frames=2"]
+        assert cli.main(argv) == cli.EXIT_CONFIG == 3
+        assert "none left to train on" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_span_exits_before_training(
         self, tmp_path, monkeypatch, capsys
@@ -442,10 +391,9 @@ class TestSweeps:
         ],
     )
     def test_sweep_masks(self, command, values):
-        rows = json.dumps(self.ROWS).replace(" ", "")
         setting = "ratios" if command == "sweep-ratio" else "spans_deg"
         argv = [command, f"sweep.{setting}={json.dumps(values)}"]
-        argv += ["mask.n_groups=4", "mask.m=0.5", f"mask.p_drop={rows}"]
+        argv += ["mask.n_groups=4", "mask.m=0.5", kit.ROWS]
         cfg = cli.parse_config(cli.build_parser().parse_args(argv))
         assert cfg.mask.p_drop == self.ROWS
         pairs = cli.sweep_masks(cfg)
@@ -478,6 +426,15 @@ MALFORMED_CONFIG = [
 
 
 class TestBadInput:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("run", kit.BAD_RUNS, ids=lambda run: run[0])
+    def test_artifact_script_bad_runs_exit_with_their_codes(
+        self, run, tmp_path, monkeypatch
+    ):
+        name, code, files, argv = run
+        monkeypatch.chdir(tmp_path)
+        assert kit.run_bad(name, files, argv) == code
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -947,7 +904,7 @@ class TestWorkerCount:
         self, command, extra, artifacts, inputs, tmp_path, monkeypatch
     ):
         extra = [a.format(**inputs) for a in extra]
-        batched = [*TINY, "synth.frames=3", "train.batch_size=2"]
+        batched = KIT_RUNS["batched"][1:]
         runs = [tmp_path / "t1", tmp_path / "t2"]
         for threads, out in zip(("1", "2"), runs):
             monkeypatch.setenv("RMAE_THREADS", threads)

@@ -1,13 +1,8 @@
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "scripts" / "collate_bench.py"
-_SPEC = importlib.util.spec_from_file_location("collate_bench", _PATH)
-collate_bench = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(collate_bench)
+import collate_bench
 
 
 def fake_record(seed, fps, p50, commit="abc123", failed=0):

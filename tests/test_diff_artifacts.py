@@ -1,19 +1,14 @@
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+import diff_artifacts
 from rmae.occupancy_net import NetConfig, OccupancyNet, save_checkpoint
-
-_PATH = Path(__file__).resolve().parents[1] / "scripts" / "diff_artifacts.py"
-_SPEC = importlib.util.spec_from_file_location("diff_artifacts", _PATH)
-diff_artifacts = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(diff_artifacts)
 
 
 def write_tree(root: Path, loss="0.6931471805599453", code="3") -> Path:
-    """A small artifact tree as cli_artifacts.sh lays one out."""
+    """A small artifact tree as scripts/cli_artifacts.py lays one out."""
     run = root / "t1" / "pretrain"
     run.mkdir(parents=True)
     (run / "loss.csv").write_text(f"epoch,mean_bce\n0,{loss}\n")

@@ -1,17 +1,13 @@
 """The mutant kit's list (scripts/mutants.py) matches the checkout; the
 kit's tier-1 runs are not started here."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
+import mutants
+
 _ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location(
-    "mutants", _ROOT / "scripts" / "mutants.py"
-)
-mutants = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(mutants)
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)

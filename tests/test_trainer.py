@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cli_artifacts
 from conftest import net_buffers
 from rmae import cli
 from rmae.errors import Diverged, EmptyQuerySet, NoData, StaleCache
@@ -163,17 +164,7 @@ class TestPretrainDeterminism:
 
 SPHERE = QueryConfig(mode="sphere", sphere_radius=3.0)
 # a tiny pretrain run for cli.main, two frames in one batch
-TINY_RUN = [
-    "synth.frames=2",
-    "synth.ground_extent=6.0",
-    "synth.box_count=3",
-    "geometry.min_corner=[-6.4,-6.4,-1.6]",
-    "geometry.voxel_size=[0.8,0.8,0.8]",
-    "geometry.dims=[16,16,8]",
-    "net.stage_channels=[4,8,8]",
-    "train.epochs=1",
-    "train.batch_size=2",
-]
+TINY_RUN = [*cli_artifacts.TINY, "train.batch_size=2"]
 
 
 def fail_in_worker():
